@@ -254,10 +254,6 @@ fn overhead_rows(samples: usize, iters: u64) -> Vec<OverheadRow> {
     rows
 }
 
-fn json_escape_free(name: &str) -> &str {
-    name // bench names are identifiers; nothing to escape
-}
-
 fn results_json(mode: &str, results: &[BenchResult], overhead: &[OverheadRow]) -> String {
     let mut out = format!("{{\n  \"figure\": \"hotpath\",\n  \"mode\": \"{mode}\",\n");
     out.push_str("  \"unit\": \"ns_per_op\",\n");
@@ -287,7 +283,7 @@ fn results_json(mode: &str, results: &[BenchResult], overhead: &[OverheadRow]) -
             let m = r.mean_ns();
             let mut row = format!(
                 "    {{\"name\": \"{}\", \"mean_ns\": {:.2}, \"ci90_ns\": {:.2}",
-                json_escape_free(r.name),
+                r.name,
                 m,
                 r.ci90_ns()
             );

@@ -4,29 +4,32 @@
 //! ```text
 //! revmon run program.rvm [--entry main] [--config modified|unmodified]
 //!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
-//!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N]
-//!        [--seed N] [--quantum N] [--max-steps N] [--cores N]
-//!        [--governor k=K,backoff=TICKS[,decay=TICKS]]
-//!        [--elide] [--sticky] [--trace] [--stats]
-//!        [--trace-out events.jsonl] [--chrome-trace out.json]
-//!        [--trace-sample N]
+//!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
+//!        [--quantum N] [--max-steps N] [--cores N]
+//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
+//!        [--trace] [--stats] [--trace-out events.jsonl]
+//!        [--chrome-trace out.json] [--trace-sample N]
 //!        [--metrics-json metrics.json] [--prometheus out.prom]
-//! revmon explore program.rvm [--entry main] [--max-preemptions N]
-//!        [--max-schedules N] [--all-failures] [--max-rounds N]
-//!        [--fuzz-iters N] [--fuzz-seed N] [--fuzz-len N]
-//!        [--replay file.schedule.json] [--minimize]
-//!        [--save-failure out.schedule.json] [--fault-skip-undo N]
-//!        [--policy ...] [--seed N] [--quantum N] [--max-steps N] [--cores N]
-//!        [--governor k=K,backoff=TICKS[,decay=TICKS]]
-//!        [--stats] [--metrics-json metrics.json]
-//! revmon demo [--low N] [--high N] [--sections N] [--cores N] [--stats] [--watch]
-//!        [--trace-out events.jsonl] [--chrome-trace out.json]
-//!        [--trace-sample N]
-//!        [--metrics-json metrics.json] [--prometheus out.prom]
+//!        [--flame out.folded]
+//! revmon explore program.rvm [--max-preemptions N] [--max-schedules N]
+//!        [--all-failures] [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N]
+//!        [--fuzz-len N] [--replay file.schedule.json] [--minimize]
+//!        [--save-failure out.schedule.json] [--fault-skip-undo N] [--stats]
+//!        [--metrics-json metrics.json] [--entry main]
+//!        [--config modified|unmodified]
+//!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
+//!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
+//!        [--quantum N] [--max-steps N] [--cores N]
+//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
+//!        [--trace]
+//! revmon demo [--low N] [--high N] [--sections N] [--cores N] [--watch]
+//!        [--stats] [--trace-out events.jsonl] [--chrome-trace out.json]
+//!        [--trace-sample N] [--metrics-json metrics.json]
+//!        [--prometheus out.prom] [--flame out.folded]
 //! revmon analyze trace.jsonl [--json] [--prometheus out.prom]
 //!        [--flame out.folded]
-//! revmon serve [--addr HOST:PORT] [--low N] [--high N]
-//!        [--no-workload] [--max-requests N]
+//! revmon serve [--addr HOST:PORT] [--low N] [--high N] [--no-workload]
+//!        [--max-requests N] [--trace-sample N]
 //! revmon dis program.rvm [--rewrite]
 //! revmon verify program.rvm [--rewrite]
 //! ```
@@ -74,34 +77,178 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's whole command line: the operand it requires, if any,
+/// and its options, written as they appear in the usage text —
+/// `[--name]`, or `[--name VALUE]` when the option takes a value
+/// (space-separated; `VALUE` itself has no spaces). This synopsis is the
+/// one flag table: [`Opts`] checks arguments and lookups against it, and
+/// [`usage`] (mirrored in the module docs above) prints it.
+struct Command {
+    name: &'static str,
+    operand: Option<&'static str>,
+    flags: &'static [&'static str],
+}
+
+/// VM configuration knobs shared by `run` and `explore`
+/// ([`parse_vm_config`]).
+const VM_FLAGS: &str = "[--entry main] [--config modified|unmodified] \
+    [--policy blocking|revocation|inherit|ceiling=N|delegation] [--sched rr|prio] \
+    [--queue pq|fifo] [--detect acq|bg=N] [--seed N] [--quantum N] [--max-steps N] [--cores N] \
+    [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky] [--trace]";
+
+/// Observability outputs shared by `run` and `demo` ([`ObsOuts`]).
+const OBS_FLAGS: &str = "[--stats] [--trace-out events.jsonl] [--chrome-trace out.json] \
+    [--trace-sample N] [--metrics-json metrics.json] [--prometheus out.prom] [--flame out.folded]";
+
+const EXPLORE_FLAGS: &str = "[--max-preemptions N] [--max-schedules N] [--all-failures] \
+    [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N] [--fuzz-len N] \
+    [--replay file.schedule.json] [--minimize] [--save-failure out.schedule.json] \
+    [--fault-skip-undo N] [--stats] [--metrics-json metrics.json]";
+
+const COMMANDS: &[Command] = &[
+    Command { name: "run", operand: Some("program.rvm"), flags: &[VM_FLAGS, OBS_FLAGS] },
+    Command { name: "explore", operand: Some("program.rvm"), flags: &[EXPLORE_FLAGS, VM_FLAGS] },
+    Command {
+        name: "demo",
+        operand: None,
+        flags: &["[--low N] [--high N] [--sections N] [--cores N] [--watch]", OBS_FLAGS],
+    },
+    Command {
+        name: "analyze",
+        operand: Some("trace.jsonl"),
+        flags: &["[--json] [--prometheus out.prom] [--flame out.folded]"],
+    },
+    Command {
+        name: "serve",
+        operand: None,
+        flags: &["[--addr HOST:PORT] [--low N] [--high N] [--no-workload] [--max-requests N] \
+                 [--trace-sample N]"],
+    },
+    Command { name: "dis", operand: Some("program.rvm"), flags: &["[--rewrite]"] },
+    Command { name: "verify", operand: Some("program.rvm"), flags: &["[--rewrite]"] },
+];
+
+impl Command {
+    /// Every option as written between its brackets: `--name` or
+    /// `--name VALUE`.
+    fn items(&self) -> impl Iterator<Item = &'static str> {
+        self.flags.iter().flat_map(|group| group[1..group.len() - 1].split("] ["))
+    }
+
+    /// Every accepted option as `(name, value placeholder)`.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+        self.items().map(|item| match item.split_once(' ') {
+            Some((name, value)) => (name, Some(value)),
+            None => (item, None),
+        })
+    }
+
+    /// `revmon <name> [operand] [--flag VALUE]...`, wrapped at 78 columns.
+    fn usage(&self) -> String {
+        let mut out = format!("revmon {}", self.name);
+        let mut width = out.len();
+        let flags = self.items().map(|item| format!("[{item}]"));
+        for word in self.operand.map(str::to_string).into_iter().chain(flags) {
+            if width + 1 + word.len() > 78 {
+                out.push_str("\n      ");
+                width = 6;
+            }
+            out.push(' ');
+            out.push_str(&word);
+            width += 1 + word.len();
+        }
+        out
+    }
+}
+
 fn usage() -> String {
-    "usage: revmon <run|explore|dis|verify> <file.rvm> [options]\n       revmon analyze <trace.jsonl> [--json] [--prometheus out.prom] [--flame out.folded]\n       revmon demo [options]\n       revmon serve [--addr HOST:PORT] [options]\n       see crate docs for the option list".into()
+    COMMANDS.iter().map(Command::usage).collect::<Vec<_>>().join("\n")
+}
+
+/// A subcommand's options, every argument matched against its
+/// [`Command`] table up front: a misspelt, misplaced or value-less
+/// option is an error naming the accepted ones, never a silent default.
+pub(crate) struct Opts<'a> {
+    cmd: &'static Command,
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Opts<'a> {
+    fn parse(cmd: &'static Command, args: &'a [String]) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some((name, value)) = cmd.flags().find(|(name, _)| name == arg) else {
+                return Err(format!("unknown option `{arg}`; usage:\n{}", cmd.usage()));
+            };
+            let value = match value {
+                Some(_) => Some(args.next().ok_or(format!("{name} needs a value"))?.as_str()),
+                None => None,
+            };
+            given.push((name, value));
+        }
+        Ok(Opts { cmd, given })
+    }
+
+    /// The first occurrence of `name`. Asking for an option the
+    /// command's table does not list (or with the wrong arity) is a bug
+    /// in this file: usage and parser would disagree.
+    fn lookup(&self, name: &str, takes_value: bool) -> Option<Option<&'a str>> {
+        assert!(
+            self.cmd.flags().any(|(n, v)| n == name && v.is_some() == takes_value),
+            "`{name}` is not in the flag table of `revmon {}`",
+            self.cmd.name
+        );
+        self.given.iter().find(|(n, _)| *n == name).map(|&(_, value)| value)
+    }
+
+    /// Whether the value-less option `flag` was given.
+    pub(crate) fn has(&self, flag: &str) -> bool {
+        self.lookup(flag, false).is_some()
+    }
+
+    /// The value of `--key value`, if given.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
+        self.lookup(key, true).flatten()
+    }
+
+    /// `--key value` parsed into any `FromStr` number.
+    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|s| s.parse().map_err(|_| format!("bad value for {key}: {s}")))
+            .transpose()
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or_else(usage)?;
-    if cmd == "demo" {
-        return run_demo(&args[1..]);
-    }
-    if cmd == "serve" {
-        return serve::run_serve(&args[1..]);
-    }
-    let file = args.get(1).ok_or_else(usage)?;
-    if cmd == "analyze" {
-        return run_analyze(file, &args[2..]);
+    let name = args.first().ok_or_else(|| format!("usage:\n{}", usage()))?;
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`; usage:\n{}", usage()))?;
+    let (file, rest) = match cmd.operand {
+        Some(_) => {
+            (args.get(1).ok_or_else(|| format!("usage: {}", cmd.usage()))?.as_str(), &args[2..])
+        }
+        None => ("", &args[1..]),
+    };
+    let opts = &Opts::parse(cmd, rest)?;
+    match cmd.name {
+        "demo" => return run_demo(opts),
+        "serve" => return serve::run_serve(opts),
+        "analyze" => return run_analyze(file, opts),
+        _ => {}
     }
     let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let program = assemble(&src).map_err(|e| format!("{file}: {e}"))?;
-    let opts = &args[2..];
-
-    match cmd.as_str() {
+    let rewritten = |p| if opts.has("--rewrite") { rewrite_program(&p) } else { p };
+    match cmd.name {
         "dis" => {
-            let p = if has_flag(opts, "--rewrite") { rewrite_program(&program) } else { program };
-            print!("{}", disassemble(&p));
+            print!("{}", disassemble(&rewritten(program)));
             Ok(())
         }
         "verify" => {
-            let p = if has_flag(opts, "--rewrite") { rewrite_program(&program) } else { program };
+            let p = rewritten(program);
             match verify_program(&p) {
                 Ok(()) => {
                     println!("{file}: OK ({} methods)", p.methods.len());
@@ -117,28 +264,28 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "run" => run_program(file, program, opts),
         "explore" => run_explore(file, program, &src, opts),
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => unreachable!("`{other}` is in COMMANDS but not dispatched"),
     }
 }
 
 /// The observability output paths shared by `run` and `demo`.
-struct ObsOuts {
-    trace_out: Option<String>,
-    chrome: Option<String>,
-    metrics: Option<String>,
-    prometheus: Option<String>,
-    flame: Option<String>,
+struct ObsOuts<'a> {
+    trace_out: Option<&'a str>,
+    chrome: Option<&'a str>,
+    metrics: Option<&'a str>,
+    prometheus: Option<&'a str>,
+    flame: Option<&'a str>,
 }
 
-impl ObsOuts {
-    fn parse(opts: &[String]) -> Result<Self, String> {
-        Ok(ObsOuts {
-            trace_out: get_opt(opts, "--trace-out")?,
-            chrome: get_opt(opts, "--chrome-trace")?,
-            metrics: get_opt(opts, "--metrics-json")?,
-            prometheus: get_opt(opts, "--prometheus")?,
-            flame: get_opt(opts, "--flame")?,
-        })
+impl<'a> ObsOuts<'a> {
+    fn parse(opts: &Opts<'a>) -> Self {
+        ObsOuts {
+            trace_out: opts.get("--trace-out"),
+            chrome: opts.get("--chrome-trace"),
+            metrics: opts.get("--metrics-json"),
+            prometheus: opts.get("--prometheus"),
+            flame: opts.get("--flame"),
+        }
     }
 
     fn wanted(&self) -> bool {
@@ -232,8 +379,8 @@ fn pipeline_meta(meta: &mut revmon_obs::RunMeta, sink: &EventSink) {
 }
 
 /// Parse `--trace-sample N` and arm the sink's high-rate event sampler.
-fn apply_trace_sample(opts: &[String], sink: &EventSink) -> Result<(), String> {
-    if let Some(n) = parse_opt::<u64>(opts, "--trace-sample")? {
+fn apply_trace_sample(opts: &Opts<'_>, sink: &EventSink) -> Result<(), String> {
+    if let Some(n) = opts.num::<u64>("--trace-sample")? {
         if n == 0 {
             return Err("--trace-sample must be positive (1 = keep everything)".into());
         }
@@ -244,14 +391,14 @@ fn apply_trace_sample(opts: &[String], sink: &EventSink) -> Result<(), String> {
 
 /// Build a [`VmConfig`] from the common command-line knobs shared by
 /// `run` and `explore`.
-fn parse_vm_config(opts: &[String]) -> Result<VmConfig, String> {
-    let mut cfg = match get_opt(opts, "--config")?.as_deref() {
+fn parse_vm_config(opts: &Opts<'_>) -> Result<VmConfig, String> {
+    let mut cfg = match opts.get("--config") {
         None | Some("modified") => VmConfig::modified(),
         Some("unmodified") => VmConfig::unmodified(),
         Some(o) => return Err(format!("--config must be modified|unmodified, got {o}")),
     };
-    if let Some(p) = get_opt(opts, "--policy")? {
-        cfg.policy = match p.as_str() {
+    if let Some(p) = opts.get("--policy") {
+        cfg.policy = match p {
             "blocking" => InversionPolicy::Blocking,
             "revocation" => InversionPolicy::Revocation,
             "inherit" => InversionPolicy::PriorityInheritance,
@@ -269,22 +416,22 @@ fn parse_vm_config(opts: &[String]) -> Result<VmConfig, String> {
             cfg.barriers = false;
         }
     }
-    if let Some(s) = get_opt(opts, "--sched")? {
-        cfg.scheduler = match s.as_str() {
+    if let Some(s) = opts.get("--sched") {
+        cfg.scheduler = match s {
             "rr" => SchedulerKind::RoundRobin,
             "prio" => SchedulerKind::PriorityPreemptive,
             o => return Err(format!("--sched must be rr|prio, got {o}")),
         };
     }
-    if let Some(q) = get_opt(opts, "--queue")? {
-        cfg.queue_discipline = match q.as_str() {
+    if let Some(q) = opts.get("--queue") {
+        cfg.queue_discipline = match q {
             "pq" => QueueDiscipline::Priority,
             "fifo" => QueueDiscipline::Fifo,
             o => return Err(format!("--queue must be pq|fifo, got {o}")),
         };
     }
-    if let Some(d) = get_opt(opts, "--detect")? {
-        cfg.detection = match d.as_str() {
+    if let Some(d) = opts.get("--detect") {
+        cfg.detection = match d {
             "acq" => DetectionStrategy::AtAcquisition,
             s if s.starts_with("bg=") => DetectionStrategy::Background {
                 period: s[3..].parse().map_err(|_| "bad bg period".to_string())?,
@@ -292,28 +439,28 @@ fn parse_vm_config(opts: &[String]) -> Result<VmConfig, String> {
             o => return Err(format!("--detect must be acq|bg=N, got {o}")),
         };
     }
-    if let Some(s) = get_opt(opts, "--seed")? {
+    if let Some(s) = opts.get("--seed") {
         cfg.seed = s.parse().map_err(|_| "bad seed".to_string())?;
     }
-    if let Some(q) = get_opt(opts, "--quantum")? {
+    if let Some(q) = opts.get("--quantum") {
         cfg.cost.quantum = q.parse().map_err(|_| "bad quantum".to_string())?;
     }
-    if let Some(m) = get_opt(opts, "--max-steps")? {
+    if let Some(m) = opts.get("--max-steps") {
         cfg.max_steps = m.parse().map_err(|_| "bad max-steps".to_string())?;
     }
-    if let Some(c) = get_opt(opts, "--cores")? {
+    if let Some(c) = opts.get("--cores") {
         let n: usize = c.parse().map_err(|_| "bad cores".to_string())?;
         if n == 0 {
             return Err("--cores must be at least 1".into());
         }
         cfg.cores = n;
     }
-    if let Some(g) = get_opt(opts, "--governor")? {
-        cfg.governor = parse_governor(&g)?;
+    if let Some(g) = opts.get("--governor") {
+        cfg.governor = parse_governor(g)?;
     }
-    cfg.elide_barriers = has_flag(opts, "--elide");
-    cfg.sticky_nonrevocable = has_flag(opts, "--sticky");
-    cfg.trace = has_flag(opts, "--trace");
+    cfg.elide_barriers = opts.has("--elide");
+    cfg.sticky_nonrevocable = opts.has("--sticky");
+    cfg.trace = opts.has("--trace");
     Ok(cfg)
 }
 
@@ -347,13 +494,13 @@ fn parse_governor(spec: &str) -> Result<GovernorConfig, String> {
 fn run_program(
     file: &str,
     program: revmon_vm::bytecode::Program,
-    opts: &[String],
+    opts: &Opts<'_>,
 ) -> Result<(), String> {
     let cfg = parse_vm_config(opts)?;
-    let outs = ObsOuts::parse(opts)?;
-    let entry_name = get_opt(opts, "--entry")?.unwrap_or_else(|| "main".into());
+    let outs = ObsOuts::parse(opts);
+    let entry_name = opts.get("--entry").unwrap_or("main");
     let entry = program
-        .method_by_name(&entry_name)
+        .method_by_name(entry_name)
         .ok_or_else(|| format!("{file}: no method named `{entry_name}`"))?;
     if program.method(entry).params != 0 {
         return Err(format!("entry method `{entry_name}` must take no parameters"));
@@ -368,14 +515,13 @@ fn run_program(
         apply_trace_sample(opts, sink)?;
         vm.attach_sink(Arc::clone(sink));
     }
-    vm.spawn(&entry_name, entry, vec![], Priority::NORM);
+    vm.spawn(entry_name, entry, vec![], Priority::NORM);
     let report = vm.run().map_err(|e| format!("{file}: VM fault: {e}"))?;
 
     if cfg.trace {
         println!("--- trace ---");
-        for rec in vm.take_trace() {
-            println!("[{:>10}] {:?}", rec.at, rec.event);
-        }
+        revmon_obs::write_events_jsonl(&mut std::io::stdout().lock(), &vm.take_trace())
+            .map_err(|e| format!("writing trace: {e}"))?;
     }
     if !report.output.is_empty() {
         println!("--- output ---");
@@ -388,7 +534,7 @@ fn run_program(
             eprintln!("warning: thread {} died with uncaught exception (class {tag})", t.name);
         }
     }
-    if has_flag(opts, "--stats") {
+    if opts.has("--stats") {
         println!("--- stats ---");
         print!("{}", report.summary());
         if !report.monitors.is_empty() {
@@ -450,7 +596,7 @@ fn run_program(
 
 /// `revmon analyze`: import a JSONL trace (`run`/`demo --trace-out`)
 /// and report priority-inversion episodes and per-monitor contention.
-fn run_analyze(file: &str, opts: &[String]) -> Result<(), String> {
+fn run_analyze(file: &str, opts: &Opts<'_>) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let imp = revmon_obs::import_trace_jsonl(&text);
     if imp.warnings.total() > 0 {
@@ -481,7 +627,7 @@ fn run_analyze(file: &str, opts: &[String]) -> Result<(), String> {
             meta.recorded.map_or_else(|| "?".into(), |r| r.to_string()),
         );
     }
-    if has_flag(opts, "--json") {
+    if opts.has("--json") {
         print!("{}", revmon_obs::analysis_json(&analysis, &imp.names, unit));
     } else {
         // Label the run from its trace-header context so governed runs
@@ -500,14 +646,14 @@ fn run_analyze(file: &str, opts: &[String]) -> Result<(), String> {
         revmon_obs::write_report(&mut out, &analysis, &imp.names, unit)
             .map_err(|e| format!("writing report: {e}"))?;
     }
-    if let Some(path) = get_opt(opts, "--flame")? {
+    if let Some(path) = opts.get("--flame") {
         let stacks = revmon_obs::FoldedStacks::from_episodes(&analysis.episodes, &imp.names);
-        let mut f = create(&path)?;
+        let mut f = create(path)?;
         stacks.write_folded(&mut f).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("revmon: wrote {} folded stacks to {path}", stacks.len());
     }
-    if let Some(path) = get_opt(opts, "--prometheus")? {
-        let mut f = create(&path)?;
+    if let Some(path) = opts.get("--prometheus") {
+        let mut f = create(path)?;
         revmon_obs::write_prometheus(&mut f, &analysis, &imp.names, unit)
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("revmon: wrote Prometheus metrics to {path}");
@@ -521,7 +667,7 @@ fn run_explore(
     file: &str,
     program: revmon_vm::bytecode::Program,
     src: &str,
-    opts: &[String],
+    opts: &Opts<'_>,
 ) -> Result<(), String> {
     use revmon_explore::{explore, fuzz, minimize, Bounds, FuzzPlan, Runner, ScheduleFile};
 
@@ -530,18 +676,17 @@ fn run_explore(
         return Err(format!("{file}: verification failed:\n  {}", msgs.join("\n  ")));
     }
     let mut cfg = parse_vm_config(opts)?;
-    if let Some(n) = parse_opt(opts, "--fault-skip-undo")? {
+    if let Some(n) = opts.num("--fault-skip-undo")? {
         cfg.fault_skip_undo = n; // test-only: sabotage rollback to prove detection
     }
-    let entry_name = get_opt(opts, "--entry")?.unwrap_or_else(|| "main".into());
-    let do_minimize = has_flag(opts, "--minimize");
-    let save_failure = get_opt(opts, "--save-failure")?;
-    let metrics = get_opt(opts, "--metrics-json")?;
+    let entry_name = opts.get("--entry").unwrap_or("main");
+    let do_minimize = opts.has("--minimize");
+    let save_failure = opts.get("--save-failure");
+    let metrics = opts.get("--metrics-json");
 
     // Replay mode: re-execute a saved schedule bit-for-bit.
-    if let Some(path) = get_opt(opts, "--replay")? {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if let Some(path) = opts.get("--replay") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let sched = ScheduleFile::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         if !sched.matches_program(src) {
             return Err(format!(
@@ -575,8 +720,8 @@ fn run_explore(
         };
     }
 
-    let mut runner = Runner::new(program, &entry_name, cfg)?;
-    if let Some(r) = parse_opt(opts, "--max-rounds")? {
+    let mut runner = Runner::new(program, entry_name, cfg)?;
+    if let Some(r) = opts.num("--max-rounds")? {
         runner.max_rounds = r;
     }
 
@@ -615,11 +760,11 @@ fn run_explore(
     };
 
     // Fuzzing mode: sample the schedule space instead of enumerating it.
-    if let Some(iters) = parse_opt(opts, "--fuzz-iters")? {
+    if let Some(iters) = opts.num("--fuzz-iters")? {
         let plan = FuzzPlan {
             iters,
-            seed: parse_opt(opts, "--fuzz-seed")?.unwrap_or(FuzzPlan::default().seed),
-            script_len: parse_opt(opts, "--fuzz-len")?.unwrap_or(FuzzPlan::default().script_len),
+            seed: opts.num("--fuzz-seed")?.unwrap_or(FuzzPlan::default().seed),
+            script_len: opts.num("--fuzz-len")?.unwrap_or(FuzzPlan::default().script_len),
             ..FuzzPlan::default()
         };
         let report = fuzz(&runner, plan);
@@ -651,9 +796,9 @@ fn run_explore(
 
     // Exhaustive mode.
     let bounds = Bounds {
-        max_preemptions: parse_opt(opts, "--max-preemptions")?.unwrap_or(2),
-        max_schedules: parse_opt(opts, "--max-schedules")?.unwrap_or(0),
-        stop_on_first_failure: !has_flag(opts, "--all-failures"),
+        max_preemptions: opts.num("--max-preemptions")?.unwrap_or(2),
+        max_schedules: opts.num("--max-schedules")?.unwrap_or(0),
+        stop_on_first_failure: !opts.has("--all-failures"),
     };
     let report = explore(&runner, bounds);
     let s = &report.stats;
@@ -678,7 +823,7 @@ fn run_explore(
             bounds.max_schedules
         );
     }
-    if has_flag(opts, "--stats") {
+    if opts.has("--stats") {
         println!("--- stats ---");
         println!("{s:#?}");
     }
@@ -728,17 +873,17 @@ fn write_metrics(path: &str, counters: &[(&str, u64)]) -> Result<(), String> {
 /// monitor for long sections while a high-priority thread barges in —
 /// exporting the same observability artifacts as `run`, with wall-clock
 /// timestamps.
-fn run_demo(opts: &[String]) -> Result<(), String> {
+fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
     use revmon_locks::{RevocableMonitor, TCell};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    let low_n: usize = parse_opt(opts, "--low")?.unwrap_or(3);
-    let high_sections: u64 = parse_opt(opts, "--sections")?.unwrap_or(20);
-    let high_n: usize = parse_opt(opts, "--high")?.unwrap_or(1);
+    let low_n: usize = opts.num("--low")?.unwrap_or(3);
+    let high_sections: u64 = opts.num("--sections")?.unwrap_or(20);
+    let high_n: usize = opts.num("--high")?.unwrap_or(1);
     if low_n == 0 || high_n == 0 || high_sections == 0 {
         return Err("--low, --high and --sections must be positive".into());
     }
-    let cores: u64 = parse_opt(opts, "--cores")?.unwrap_or(1);
+    let cores: u64 = opts.num("--cores")?.unwrap_or(1);
     if cores == 0 {
         return Err("--cores must be at least 1".into());
     }
@@ -746,8 +891,8 @@ fn run_demo(opts: &[String]) -> Result<(), String> {
     // events into telemetry lanes (one Chrome process row per lane).
     revmon_locks::obs::set_cores(cores);
 
-    let outs = ObsOuts::parse(opts)?;
-    let watch = has_flag(opts, "--watch");
+    let outs = ObsOuts::parse(opts);
+    let watch = opts.has("--watch");
     let sink = (outs.wanted() || watch).then(|| Arc::new(EventSink::new(TsUnit::WallNanos)));
     let mut collector: Option<revmon_obs::Collector> = None;
     if let Some(sink) = &sink {
@@ -888,7 +1033,7 @@ fn run_demo(opts: &[String]) -> Result<(), String> {
 
     // Aggregate over every monitor in the process (here: the one), the
     // library-wide view the per-monitor snapshots can't give.
-    if has_flag(opts, "--stats") {
+    if opts.has("--stats") {
         println!("--- stats (all monitors) ---");
         let total = revmon_locks::aggregate_snapshot();
         total.for_each_field(|name, v| println!("{name:<24}: {v}"));
@@ -962,9 +1107,9 @@ fn run_demo(opts: &[String]) -> Result<(), String> {
         let remaining = ObsOuts {
             trace_out: None,
             chrome: None,
-            metrics: outs.metrics.clone(),
-            prometheus: outs.prometheus.clone(),
-            flame: outs.flame.clone(),
+            metrics: outs.metrics,
+            prometheus: outs.prometheus,
+            flame: outs.flame,
         };
         remaining.export(&events, sink, &counters, &names, &meta)?;
         if watch {
@@ -977,28 +1122,49 @@ fn run_demo(opts: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn has_flag(opts: &[String], flag: &str) -> bool {
-    opts.iter().any(|o| o == flag)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// `--key value` style option.
-fn get_opt(opts: &[String], key: &str) -> Result<Option<String>, String> {
-    for (i, o) in opts.iter().enumerate() {
-        if o == key {
-            return opts
-                .get(i + 1)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("{key} needs a value"));
-        }
+    #[test]
+    fn module_docs_show_the_usage_the_flag_tables_render() {
+        let shown: String = usage().lines().map(|l| format!("//! {l}\n")).collect();
+        assert!(
+            include_str!("main.rs").contains(&shown),
+            "the ```text block at the top of main.rs must be exactly usage():\n{}",
+            usage()
+        );
     }
-    Ok(None)
-}
 
-/// `--key value` parsed into any `FromStr` number.
-fn parse_opt<T: std::str::FromStr>(opts: &[String], key: &str) -> Result<Option<T>, String> {
-    match get_opt(opts, key)? {
-        None => Ok(None),
-        Some(s) => s.parse().map(Some).map_err(|_| format!("bad value for {key}: {s}")),
+    #[test]
+    fn unknown_misplaced_and_valueless_options_are_errors() {
+        let run = COMMANDS.iter().find(|c| c.name == "run").expect("run exists");
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = |list: &[&str]| Opts::parse(run, &args(list)).err().expect("rejected");
+        assert!(err(&["--polcy", "revocation"]).starts_with("unknown option `--polcy`; usage:"));
+        assert!(err(&["--no-such-flag"]).contains("[--policy blocking|revocation|"));
+        assert!(err(&["--fuzz-iters", "3"]).contains("unknown option"), "explore-only flag");
+        assert_eq!(err(&["--stats", "--seed"]), "--seed needs a value");
+
+        let given = args(&["--seed", "7", "--stats", "--seed", "9"]);
+        let opts = Opts::parse(run, &given).expect("accepted");
+        assert_eq!(opts.num::<u64>("--seed"), Ok(Some(7)));
+        assert!(opts.has("--stats") && !opts.has("--trace"));
+        assert_eq!(opts.get("--entry"), None);
+    }
+
+    #[test]
+    fn every_command_lists_each_flag_once() {
+        for cmd in COMMANDS {
+            let mut names: Vec<&str> = cmd.flags().map(|(name, _)| name).collect();
+            assert!(
+                names.iter().all(|n| n.starts_with("--") && !n.contains(['[', ']'])),
+                "{names:?}"
+            );
+            names.sort_unstable();
+            let listed = names.len();
+            names.dedup();
+            assert_eq!(names.len(), listed, "duplicate flag in `revmon {}`", cmd.name);
+        }
     }
 }

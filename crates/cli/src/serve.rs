@@ -46,14 +46,14 @@ impl ServeState {
     }
 }
 
-pub(crate) fn run_serve(opts: &[String]) -> Result<(), String> {
-    let addr = crate::get_opt(opts, "--addr")?.unwrap_or_else(|| "127.0.0.1:9494".into());
-    let max_requests: u64 = crate::parse_opt(opts, "--max-requests")?.unwrap_or(0);
-    let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+pub(crate) fn run_serve(opts: &crate::Opts<'_>) -> Result<(), String> {
+    let addr = opts.get("--addr").unwrap_or("127.0.0.1:9494");
+    let max_requests: u64 = opts.num("--max-requests")?.unwrap_or(0);
+    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
 
     let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    if let Some(n) = crate::parse_opt::<u64>(opts, "--trace-sample")? {
+    if let Some(n) = opts.num::<u64>("--trace-sample")? {
         sink.set_sample(n);
     }
     revmon_locks::obs::install(Arc::clone(&sink));
@@ -68,11 +68,8 @@ pub(crate) fn run_serve(opts: &[String]) -> Result<(), String> {
         },
         revmon_obs::StreamSet::none(),
     );
-    if !crate::has_flag(opts, "--no-workload") {
-        spawn_workload(
-            crate::parse_opt(opts, "--low")?.unwrap_or(3),
-            crate::parse_opt(opts, "--high")?.unwrap_or(1),
-        );
+    if !opts.has("--no-workload") {
+        spawn_workload(opts.num("--low")?.unwrap_or(3), opts.num("--high")?.unwrap_or(1));
     }
 
     // The test harness parses this line to find the bound port, so keep

@@ -89,6 +89,16 @@ fn unknown_flags_and_files_fail_cleanly() {
     assert!(!out.status.success());
     let out = bin().args(["frobnicate", &program("counter.rvm")]).output().unwrap();
     assert!(!out.status.success());
+    // A typo'd option must not silently run the default policy.
+    let out = bin()
+        .args(["run", &program("counter.rvm"), "--polcy", "revocation", "--no-such-flag"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--polcy`"), "stderr: {stderr}");
+    assert!(stderr.contains("[--policy "), "accepted options not named: {stderr}");
+    assert!(out.stdout.is_empty(), "the program must not have run");
 }
 
 #[test]

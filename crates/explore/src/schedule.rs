@@ -10,10 +10,13 @@
 //! schedule is supposed to violate, so replays can assert they still
 //! reproduce the original failure.
 //!
-//! The format is a small fixed-shape JSON document, written and parsed
-//! by hand (this workspace deliberately carries no serde dependency).
+//! The format is a small fixed-shape JSON document, written with
+//! `format!` and read back with the workspace's one JSON reader
+//! ([`revmon_obs::json`]; this workspace deliberately carries no serde
+//! dependency).
 
 use revmon_core::InversionPolicy;
+use revmon_obs::json::{esc, Reader, Value};
 use revmon_vm::VmConfig;
 
 /// A portable schedule: program identity + config axes + decisions.
@@ -132,7 +135,7 @@ impl ScheduleFile {
         let decisions: Vec<String> = self.decisions.iter().map(|d| d.to_string()).collect();
         let expect = match &self.expect_invariant {
             None => "null".to_string(),
-            Some(s) => format!("\"{}\"", escape(s)),
+            Some(s) => format!("\"{}\"", esc(s)),
         };
         // The `cores` axis appears only when it deviates from 1: legacy
         // single-core artifacts stay byte-identical to the v1 shape.
@@ -141,10 +144,10 @@ impl ScheduleFile {
         format!(
             "{{\n  \"version\": {},\n  \"program\": \"{}\",\n  \"program_fnv\": \"{}\",\n  \"entry\": \"{}\",\n  \"policy\": \"{}\",\n  \"seed\": {},\n  \"quantum\": {},\n  \"max_steps\": {},\n  \"fault_skip_undo\": {},\n{}  \"decisions\": [{}],\n  \"expect_invariant\": {}\n}}\n",
             self.version,
-            escape(&self.program),
-            escape(&self.program_fnv),
-            escape(&self.entry),
-            escape(&self.policy),
+            esc(&self.program),
+            esc(&self.program_fnv),
+            esc(&self.entry),
+            esc(&self.policy),
             self.seed,
             self.quantum,
             self.max_steps,
@@ -158,8 +161,7 @@ impl ScheduleFile {
     /// Parse a document produced by [`ScheduleFile::to_json`] (or edited
     /// by hand within the same shape).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser { s: text.as_bytes(), i: 0 };
-        p.expect(b'{')?;
+        let mut r = Reader::new(text);
         let mut file = ScheduleFile {
             version: 0,
             program: String::new(),
@@ -174,147 +176,43 @@ impl ScheduleFile {
             decisions: Vec::new(),
             expect_invariant: None,
         };
-        let mut first = true;
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                p.expect(b'}')?;
-                break;
-            }
-            if !first {
-                p.expect(b',')?;
-            }
-            first = false;
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "version" => file.version = p.number()? as u32,
-                "program" => file.program = p.string()?,
-                "program_fnv" => file.program_fnv = p.string()?,
-                "entry" => file.entry = p.string()?,
-                "policy" => file.policy = p.string()?,
-                "seed" => file.seed = p.number()?,
-                "quantum" => file.quantum = p.number()?,
-                "max_steps" => file.max_steps = p.number()?,
-                "fault_skip_undo" => file.fault_skip_undo = p.number()? as u32,
-                "cores" => file.cores = (p.number()? as usize).max(1),
-                "decisions" => file.decisions = p.number_array()?,
-                "expect_invariant" => file.expect_invariant = p.string_or_null()?,
+        r.begin(b'{')?;
+        while r.more(b'}')? {
+            match &*r.key()? {
+                "version" => file.version = r.num()?,
+                "program" => file.program = r.string()?.into_owned(),
+                "program_fnv" => file.program_fnv = r.string()?.into_owned(),
+                "entry" => file.entry = r.string()?.into_owned(),
+                "policy" => file.policy = r.string()?.into_owned(),
+                "seed" => file.seed = r.num()?,
+                "quantum" => file.quantum = r.num()?,
+                "max_steps" => file.max_steps = r.num()?,
+                "fault_skip_undo" => file.fault_skip_undo = r.num()?,
+                "cores" => file.cores = r.num::<usize>()?.max(1),
+                "decisions" => {
+                    file.decisions.clear();
+                    r.begin(b'[')?;
+                    while r.more(b']')? {
+                        file.decisions.push(r.num()?);
+                    }
+                }
+                "expect_invariant" => {
+                    file.expect_invariant = match r.value()? {
+                        Value::Str(s) => Some(s.into_owned()),
+                        Value::Null => None,
+                        Value::Num(n) => {
+                            return Err(format!("expect_invariant: {n} is not a name"))
+                        }
+                    }
+                }
                 other => return Err(format!("unknown key `{other}`")),
             }
         }
+        r.end()?;
         if file.version != 1 {
             return Err(format!("unsupported schedule version {}", file.version));
         }
         Ok(file)
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Minimal JSON reader for the fixed document shape above.
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.s.get(self.i) == Some(&b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.s.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.s.get(self.i).copied().ok_or("dangling escape")?;
-                    self.i += 1;
-                    out.push(match e {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => other as char,
-                    });
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn string_or_null(&mut self) -> Result<Option<String>, String> {
-        if self.peek() == Some(b'n') {
-            if self.s[self.i..].starts_with(b"null") {
-                self.i += 4;
-                return Ok(None);
-            }
-            return Err(format!("expected string or null at byte {}", self.i));
-        }
-        self.string().map(Some)
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .expect("digits are utf8")
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn number_array(&mut self) -> Result<Vec<u32>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.number()? as u32);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-            }
-        }
     }
 }
 
@@ -395,5 +293,52 @@ mod tests {
         assert!(ScheduleFile::parse("{").is_err());
         assert!(ScheduleFile::parse("{\"version\": 2}").is_err());
         assert!(ScheduleFile::parse("{\"mystery\": 1}").is_err());
+        assert!(ScheduleFile::parse("{\"version\": 1} trailing").is_err());
+    }
+
+    #[test]
+    fn ascii_document_shape_is_byte_stable() {
+        let mut f = sample();
+        f.decisions = vec![1, 0, 2];
+        assert_eq!(
+            f.to_json(),
+            "{\n  \"version\": 1,\n  \"program\": \"priority_inversion.rvm\",\n  \
+             \"program_fnv\": \"c4da3103ce9edbd4\",\n  \"entry\": \"main\",\n  \
+             \"policy\": \"revocation\",\n  \"seed\": 24301,\n  \"quantum\": 1,\n  \
+             \"max_steps\": 0,\n  \"fault_skip_undo\": 0,\n  \
+             \"decisions\": [1, 0, 2],\n  \"expect_invariant\": \"rollback-restoration\"\n}\n"
+        );
+    }
+
+    #[test]
+    fn hostile_program_paths_round_trip_exactly() {
+        // Non-ASCII must not come back as mojibake, and tabs and control
+        // characters must be written as escapes, not raw.
+        for path in ["naïve/путь/道.rvm", "tab\there", "cr\rlf\n", "ctl\u{1}\u{1f}", "q\"b\\s/"]
+        {
+            let mut f = sample();
+            f.program = path.to_string();
+            f.expect_invariant = Some(path.to_string());
+            let json = f.to_json();
+            assert!(
+                json.chars().all(|c| c == '\n' || c as u32 >= 0x20),
+                "raw control character in {json:?}"
+            );
+            assert_eq!(ScheduleFile::parse(&json).as_ref(), Ok(&f), "{json}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_positioned_errors_not_wraps() {
+        let json = sample().to_json().replace("[1, 0, ", "[1, 4294967296, ");
+        let at = json.find("4294967296").unwrap();
+        assert_eq!(
+            ScheduleFile::parse(&json),
+            Err(format!("expected an unsigned number that fits its field at byte {at}"))
+        );
+        // DEFAULT_CHOICE (u32::MAX) itself is a legal decision.
+        assert!(ScheduleFile::parse(&sample().to_json()).is_ok());
+        let json = sample().to_json().replace("\"version\": 1", "\"version\": 4294967297");
+        assert!(ScheduleFile::parse(&json).unwrap_err().contains("fits its field at byte"));
     }
 }

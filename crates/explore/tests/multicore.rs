@@ -75,16 +75,15 @@ fn corpus_heap_fingerprints_agree_across_core_counts() {
                     "{name}: emitted output diverged between 1 and {cores} cores"
                 );
             }
-            assert!(
-                multi.violations.is_empty(),
-                "{name} on {cores} cores: {:?}",
-                multi.violations
-            );
+            assert!(multi.violations.is_empty(), "{name} on {cores} cores: {:?}", multi.violations);
             // The same run is bit-identical when repeated: the core
             // interleaving is part of the deterministic machine, not a
             // source of noise.
             let again = corpus_runner(name, config_for(name, cores)).run(&[]);
-            assert_eq!(again.fingerprint, multi.fingerprint, "{name}: {cores}-core run nondeterministic");
+            assert_eq!(
+                again.fingerprint, multi.fingerprint,
+                "{name}: {cores}-core run nondeterministic"
+            );
             assert_eq!(again.clock, multi.clock);
             assert_eq!(again.ipis, multi.ipis);
         }
@@ -98,8 +97,8 @@ fn cross_core_revocation_actually_posts_ipis() {
     // — whose priority inversion forces a revocation — resolves it
     // cross-core once holder and contender sit on different cores, and
     // that the handshake completes (posted == acked, none pending).
-    let out = corpus_runner("priority_inversion.rvm", config_for("priority_inversion.rvm", 2))
-        .run(&[]);
+    let out =
+        corpus_runner("priority_inversion.rvm", config_for("priority_inversion.rvm", 2)).run(&[]);
     assert_eq!(out.terminal, Terminal::Completed);
     let (posted, acked, _stale) = out.ipis;
     assert!(posted > 0, "no cross-core revocation was exercised");

@@ -161,25 +161,33 @@ mod tests {
         // One test owns the whole install lifecycle (tests in this
         // binary share the process-global sink slot), so the
         // generation-cache checks live here too.
+        //
+        // Sibling tests enter monitors concurrently and emit into
+        // whichever sink is installed, so count only this thread's
+        // events, never the sink-wide `recorded()`.
+        let me = obs_tid();
+        let mine = |sink: &EventSink, monitor: u64| {
+            sink.drain().iter().filter(|e| e.thread == me && e.monitor == monitor).count()
+        };
         let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
         install(Arc::clone(&sink));
         assert!(enabled());
         emit(7, EventKind::Acquire);
-        assert_eq!(sink.recorded(), 1, "emit did not reach the installed sink");
+        assert_eq!(mine(&sink, 7), 1, "emit did not reach the installed sink");
 
         let back = uninstall().expect("sink was installed");
         assert!(Arc::ptr_eq(&back, &sink));
         assert!(!enabled());
         emit(7, EventKind::Release);
-        assert_eq!(sink.recorded(), 1, "emit after uninstall leaked into old sink");
+        assert_eq!(mine(&sink, 7), 0, "emit after uninstall leaked into old sink");
 
         // Reinstalling a *different* sink must invalidate the emitting
         // thread's cached handle: the next event lands in the new sink.
         let second = Arc::new(EventSink::new(TsUnit::WallNanos));
         install(Arc::clone(&second));
         emit(8, EventKind::Acquire);
-        assert_eq!(second.recorded(), 1, "stale cached sink survived reinstall");
-        assert_eq!(sink.recorded(), 1);
+        assert_eq!(mine(&second, 8), 1, "stale cached sink survived reinstall");
+        assert_eq!(mine(&sink, 8), 0);
         uninstall();
     }
 }

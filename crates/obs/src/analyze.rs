@@ -23,8 +23,8 @@ use std::io::{self, Write};
 
 use crate::episode::{reconstruct_episodes, Episode, Resolution};
 use crate::event::{Event, EventKind};
-use crate::export::esc;
 use crate::hist::Histogram;
+use crate::json::esc;
 use crate::sink::TsUnit;
 
 /// Per-monitor contention profile.

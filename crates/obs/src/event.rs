@@ -1,13 +1,20 @@
 //! The runtime-agnostic structured event model.
 //!
 //! Both runtimes reduce their monitor activity to the same small event
-//! vocabulary: the VM's `TraceEvent` variants map 1:1 onto
-//! [`EventKind`], and the real-thread library emits the same kinds from
-//! its instrumentation points. Thread and monitor identifiers are plain
-//! `u64`s so the layer carries no dependency on either runtime's types.
+//! vocabulary: the VM and the real-thread library build [`Event`]s with
+//! these [`EventKind`]s at their instrumentation points. Thread and
+//! monitor identifiers are plain `u64`s so the layer carries no
+//! dependency on either runtime's types.
+//!
+//! A kind is spelled out here and nowhere else: the documented enum
+//! variant, its [`EventKind::encode`] and [`EventKind::decode`] arms,
+//! and its [`SCHEMA`] row. The ring codec, the JSONL writer, the
+//! importer and the name/index tables all derive from those.
 
-/// What happened. Mirrors the VM's trace vocabulary, with payloads the
-/// exporters and latency derivation need.
+use crate::json::Value;
+
+/// What happened, with the payloads the exporters and latency
+/// derivation need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Thread acquired the monitor (uncontended, handed off, or
@@ -104,52 +111,41 @@ pub enum EventKind {
     },
 }
 
-/// Number of [`EventKind`] variants (dense tally index space).
-pub(crate) const NKINDS: usize = 17;
-
-/// Stable names indexed by [`EventKind::index`].
-pub(crate) const KIND_NAMES: [&str; NKINDS] = [
-    "Acquire",
-    "Block",
-    "RevokeRequest",
-    "Rollback",
-    "Commit",
-    "Release",
-    "NonRevocable",
-    "DeadlockDetected",
-    "DeadlockBroken",
-    "InversionUnresolved",
-    "GovernorThrottle",
-    "PolicyFallback",
-    "DelegateSubmit",
-    "DelegateExecute",
-    "DelegateComplete",
-    "IpiPosted",
-    "IpiAck",
+/// The event wire format, once. One row per kind, at the kind's
+/// [`EventKind::encode`] tag: its stable name; the JSON names of the
+/// `encode` payload words `(a, b)` in wire order (kinds with fewer
+/// payload fields name fewer); and the index of the field, if any,
+/// written `null` when it holds the [`Event::NO_THREAD`] sentinel. The
+/// JSONL writer, the importer, the Chrome `args` and the tally tables
+/// read this. `stale` travels as 0/1 — the trace subset has no booleans.
+pub(crate) const SCHEMA: &[(&str, &[&str], Option<usize>)] = &[
+    ("Acquire", &[], None),
+    ("Block", &[], None),
+    ("RevokeRequest", &["by"], None),
+    ("Rollback", &["entries", "duration"], None),
+    ("Commit", &[], None),
+    ("Release", &[], None),
+    ("NonRevocable", &[], None),
+    ("DeadlockDetected", &["cycle_len"], None),
+    ("DeadlockBroken", &[], None),
+    ("InversionUnresolved", &["by"], None),
+    ("GovernorThrottle", &["by"], None),
+    ("PolicyFallback", &[], None),
+    ("DelegateSubmit", &["holder", "token"], Some(0)),
+    ("DelegateExecute", &["submitter", "token"], None),
+    ("DelegateComplete", &["submitter", "token"], None),
+    ("IpiPosted", &["by"], None),
+    ("IpiAck", &["by", "stale"], None),
 ];
+
+/// Number of [`EventKind`] variants (dense tally index space).
+pub(crate) const NKINDS: usize = SCHEMA.len();
 
 impl EventKind {
     /// Dense index of the variant, for per-kind tally arrays.
+    #[inline]
     pub(crate) fn index(&self) -> usize {
-        match self {
-            EventKind::Acquire => 0,
-            EventKind::Block => 1,
-            EventKind::RevokeRequest { .. } => 2,
-            EventKind::Rollback { .. } => 3,
-            EventKind::Commit => 4,
-            EventKind::Release => 5,
-            EventKind::NonRevocable => 6,
-            EventKind::DeadlockDetected { .. } => 7,
-            EventKind::DeadlockBroken => 8,
-            EventKind::InversionUnresolved { .. } => 9,
-            EventKind::GovernorThrottle { .. } => 10,
-            EventKind::PolicyFallback => 11,
-            EventKind::DelegateSubmit { .. } => 12,
-            EventKind::DelegateExecute { .. } => 13,
-            EventKind::DelegateComplete { .. } => 14,
-            EventKind::IpiPosted { .. } => 15,
-            EventKind::IpiAck { .. } => 16,
-        }
+        self.encode().0 as usize
     }
 
     /// Whether this kind fires on the monitor fast path (once or more
@@ -164,21 +160,28 @@ impl EventKind {
     }
 
     /// Pack the variant into `(tag, a, b)` words for the fixed-width
-    /// ring slots. Inverse of [`EventKind::decode`].
+    /// ring slots; the tag is the variant's [`SCHEMA`] row. Inverse of
+    /// [`EventKind::decode`].
+    #[inline]
     pub(crate) fn encode(&self) -> (u64, u64, u64) {
-        let tag = self.index() as u64;
         match *self {
-            EventKind::RevokeRequest { by }
-            | EventKind::InversionUnresolved { by }
-            | EventKind::GovernorThrottle { by } => (tag, by, 0),
-            EventKind::Rollback { entries, duration } => (tag, entries, duration),
-            EventKind::DeadlockDetected { cycle_len } => (tag, cycle_len, 0),
-            EventKind::DelegateSubmit { holder, token } => (tag, holder, token),
-            EventKind::DelegateExecute { submitter, token }
-            | EventKind::DelegateComplete { submitter, token } => (tag, submitter, token),
-            EventKind::IpiPosted { by } => (tag, by, 0),
-            EventKind::IpiAck { by, stale } => (tag, by, stale as u64),
-            _ => (tag, 0, 0),
+            EventKind::Acquire => (0, 0, 0),
+            EventKind::Block => (1, 0, 0),
+            EventKind::RevokeRequest { by } => (2, by, 0),
+            EventKind::Rollback { entries, duration } => (3, entries, duration),
+            EventKind::Commit => (4, 0, 0),
+            EventKind::Release => (5, 0, 0),
+            EventKind::NonRevocable => (6, 0, 0),
+            EventKind::DeadlockDetected { cycle_len } => (7, cycle_len, 0),
+            EventKind::DeadlockBroken => (8, 0, 0),
+            EventKind::InversionUnresolved { by } => (9, by, 0),
+            EventKind::GovernorThrottle { by } => (10, by, 0),
+            EventKind::PolicyFallback => (11, 0, 0),
+            EventKind::DelegateSubmit { holder, token } => (12, holder, token),
+            EventKind::DelegateExecute { submitter, token } => (13, submitter, token),
+            EventKind::DelegateComplete { submitter, token } => (14, submitter, token),
+            EventKind::IpiPosted { by } => (15, by, 0),
+            EventKind::IpiAck { by, stale } => (16, by, stale as u64),
         }
     }
 
@@ -209,25 +212,37 @@ impl EventKind {
 
     /// Stable name used by every exporter.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Acquire => "Acquire",
-            EventKind::Block => "Block",
-            EventKind::RevokeRequest { .. } => "RevokeRequest",
-            EventKind::Rollback { .. } => "Rollback",
-            EventKind::Commit => "Commit",
-            EventKind::Release => "Release",
-            EventKind::NonRevocable => "NonRevocable",
-            EventKind::DeadlockDetected { .. } => "DeadlockDetected",
-            EventKind::DeadlockBroken => "DeadlockBroken",
-            EventKind::InversionUnresolved { .. } => "InversionUnresolved",
-            EventKind::GovernorThrottle { .. } => "GovernorThrottle",
-            EventKind::PolicyFallback => "PolicyFallback",
-            EventKind::DelegateSubmit { .. } => "DelegateSubmit",
-            EventKind::DelegateExecute { .. } => "DelegateExecute",
-            EventKind::DelegateComplete { .. } => "DelegateComplete",
-            EventKind::IpiPosted { .. } => "IpiPosted",
-            EventKind::IpiAck { .. } => "IpiAck",
+        SCHEMA[self.index()].0
+    }
+
+    /// The payload as `(JSON field, value)` pairs in wire order; a
+    /// `None` value is written `null`.
+    pub(crate) fn payload(&self) -> impl Iterator<Item = (&'static str, Option<u64>)> {
+        let (tag, a, b) = self.encode();
+        let (_, fields, nullable) = SCHEMA[tag as usize];
+        fields.iter().zip([a, b]).enumerate().map(move |(i, (&field, word))| {
+            (field, (nullable != Some(i) || word != Event::NO_THREAD).then_some(word))
+        })
+    }
+
+    /// Rebuild a kind from its wire `name` and a lookup of its JSON
+    /// payload fields. `None` for a name this version does not know;
+    /// `Some(None)` when a payload field is missing or mistyped.
+    pub(crate) fn from_wire<'v>(
+        name: &str,
+        get: impl Fn(&str) -> Option<&'v Value<'v>>,
+    ) -> Option<Option<EventKind>> {
+        let tag = SCHEMA.iter().position(|row| row.0 == name)?;
+        let (_, fields, nullable) = SCHEMA[tag];
+        let mut words = [0u64; 2];
+        for (i, (word, field)) in words.iter_mut().zip(fields).enumerate() {
+            *word = match get(field) {
+                Some(Value::Null) if nullable == Some(i) => Event::NO_THREAD,
+                Some(Value::Num(n)) => *n,
+                _ => return Some(None),
+            };
         }
+        Some(EventKind::decode(tag as u64, words[0], words[1]))
     }
 }
 
@@ -268,52 +283,88 @@ impl Event {
 mod tests {
     use super::*;
 
+    /// Every kind, twice: once with ordinary payload words and once with
+    /// the all-ones sentinel in both (the nullable field's `null` case).
+    /// Built from `decode` over the schema's tag range, so a new variant
+    /// is covered without touching this list.
+    fn every_kind() -> Vec<EventKind> {
+        let tags = 0..NKINDS as u64;
+        tags.clone()
+            .map(|tag| (tag, 3 + tag, 1))
+            .chain(tags.map(|tag| (tag, u64::MAX, u64::MAX)))
+            .map(|(tag, a, b)| EventKind::decode(tag, a, b).expect("a schema row without a kind"))
+            .collect()
+    }
+
     #[test]
-    fn names_are_stable() {
+    fn every_kind_round_trips_through_every_codec() {
+        // One past the table must not decode: a variant added to the
+        // enum, `encode` and `decode` but not to SCHEMA fails here (and
+        // `name()` on it would index out of bounds).
+        assert_eq!(EventKind::decode(NKINDS as u64, 0, 0), None, "variant without a schema row");
+        let kinds = every_kind();
+        let events: Vec<Event> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| Event {
+                ts: i as u64,
+                thread: 1,
+                monitor: if i % 2 == 0 { 7 } else { Event::NO_MONITOR },
+                core: (i % 3) as u32,
+                kind,
+            })
+            .collect();
+
+        for (i, kind) in kinds.iter().enumerate() {
+            let (tag, a, b) = kind.encode();
+            assert_eq!(tag as usize, i % NKINDS, "tags are the schema row, dense from 0");
+            assert_eq!(kind.index(), tag as usize);
+            assert_eq!(kind.name(), SCHEMA[kind.index()].0);
+            assert_eq!(EventKind::decode(tag, a, b), Some(*kind), "decode(encode) lost {kind:?}");
+            assert_eq!(kind.payload().count(), SCHEMA[kind.index()].1.len());
+        }
+        let mut names: Vec<&str> = SCHEMA.iter().map(|row| row.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), NKINDS, "kind names must be distinct");
+
+        // Ring codec.
+        let ring = crate::spsc::SpscRing::new(events.len(), 0);
+        for ev in &events {
+            assert!(ring.push(*ev));
+        }
+        let mut drained = Vec::new();
+        ring.drain_into(&mut drained);
+        assert_eq!(drained.into_iter().map(|(_, ev)| ev).collect::<Vec<_>>(), events);
+
+        // JSONL writer → importer.
+        let mut buf = Vec::new();
+        crate::write_events_jsonl(&mut buf, &events).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let imp = crate::import_trace_jsonl(&text);
+        assert_eq!(imp.warnings.total(), 0, "clean export re-imported with damage:\n{text}");
+        assert_eq!(imp.events, events);
+    }
+
+    #[test]
+    fn wire_names_and_nullable_fields_are_stable() {
         assert_eq!(EventKind::Acquire.name(), "Acquire");
         assert_eq!(EventKind::RevokeRequest { by: 3 }.name(), "RevokeRequest");
         assert_eq!(EventKind::Rollback { entries: 1, duration: 2 }.name(), "Rollback");
-    }
-
-    fn every_kind() -> Vec<EventKind> {
-        vec![
-            EventKind::Acquire,
-            EventKind::Block,
-            EventKind::RevokeRequest { by: 3 },
-            EventKind::Rollback { entries: 4, duration: 6 },
-            EventKind::Commit,
-            EventKind::Release,
-            EventKind::NonRevocable,
-            EventKind::DeadlockDetected { cycle_len: 2 },
-            EventKind::DeadlockBroken,
-            EventKind::InversionUnresolved { by: 7 },
-            EventKind::GovernorThrottle { by: 9 },
-            EventKind::PolicyFallback,
-            EventKind::DelegateSubmit { holder: Event::NO_THREAD, token: 11 },
-            EventKind::DelegateExecute { submitter: 1, token: 11 },
-            EventKind::DelegateComplete { submitter: 1, token: 11 },
-            EventKind::IpiPosted { by: 5 },
-            EventKind::IpiAck { by: 5, stale: true },
-        ]
-    }
-
-    #[test]
-    fn encode_decode_round_trips_every_variant() {
-        let kinds = every_kind();
-        assert_eq!(kinds.len(), NKINDS);
-        for (i, k) in kinds.iter().enumerate() {
-            assert_eq!(k.index(), i, "index table out of order for {k:?}");
-            assert_eq!(KIND_NAMES[i], k.name(), "name table mismatch for {k:?}");
-            let (tag, a, b) = k.encode();
-            assert_eq!(EventKind::decode(tag, a, b), Some(*k), "round trip lost {k:?}");
-        }
-        assert_eq!(EventKind::decode(99, 0, 0), None);
+        let free = EventKind::DelegateSubmit { holder: Event::NO_THREAD, token: 11 };
+        assert_eq!(free.payload().collect::<Vec<_>>(), [("holder", None), ("token", Some(11))]);
+        // Only the schema's nullable field reads the sentinel as null.
+        let by_max = EventKind::RevokeRequest { by: u64::MAX };
+        assert_eq!(by_max.payload().collect::<Vec<_>>(), [("by", Some(u64::MAX))]);
+        let null = Value::Null;
+        assert_eq!(EventKind::from_wire("RevokeRequest", |_| Some(&null)), Some(None));
+        assert_eq!(EventKind::from_wire("Teleport", |_| None), None);
     }
 
     #[test]
     fn only_fast_path_kinds_are_high_rate() {
         let high: Vec<&str> =
-            every_kind().iter().filter(|k| k.high_rate()).map(|k| k.name()).collect();
+            every_kind()[..NKINDS].iter().filter(|k| k.high_rate()).map(|k| k.name()).collect();
         assert_eq!(high, ["Acquire", "Block", "Commit", "Release"]);
     }
 }

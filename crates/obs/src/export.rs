@@ -6,56 +6,24 @@
 //! `io::Write` so the CLI can target files and tests can target `Vec`s.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
+use crate::json::esc;
 use crate::latency::Histograms;
 use crate::sink::{PipelineStats, TsUnit};
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn kind_extras(kind: &EventKind) -> String {
-    match kind {
-        EventKind::RevokeRequest { by }
-        | EventKind::InversionUnresolved { by }
-        | EventKind::GovernorThrottle { by }
-        | EventKind::IpiPosted { by } => {
-            format!(",\"by\":{by}")
-        }
-        // `stale` renders as 0/1: the flat trace parser speaks numbers,
-        // strings, and null, not JSON booleans.
-        EventKind::IpiAck { by, stale } => format!(",\"by\":{by},\"stale\":{}", *stale as u8),
-        EventKind::Rollback { entries, duration } => {
-            format!(",\"entries\":{entries},\"duration\":{duration}")
-        }
-        EventKind::DeadlockDetected { cycle_len } => format!(",\"cycle_len\":{cycle_len}"),
-        EventKind::DelegateSubmit { holder, token } => {
-            if *holder == Event::NO_THREAD {
-                format!(",\"holder\":null,\"token\":{token}")
-            } else {
-                format!(",\"holder\":{holder},\"token\":{token}")
-            }
-        }
-        EventKind::DelegateExecute { submitter, token }
-        | EventKind::DelegateComplete { submitter, token } => {
-            format!(",\"submitter\":{submitter},\"token\":{token}")
-        }
-        _ => String::new(),
+/// Append `,"field":value` for each payload field of `kind` (`null`
+/// for an absent nullable one) — the tail of a JSONL event line and of
+/// a Chrome instant's `args`.
+fn push_payload(out: &mut String, kind: &EventKind) {
+    for (field, value) in kind.payload() {
+        // Writing to a `String` cannot fail.
+        let _ = match value {
+            Some(v) => write!(out, ",\"{field}\":{v}"),
+            None => write!(out, ",\"{field}\":null"),
+        };
     }
 }
 
@@ -63,24 +31,23 @@ fn kind_extras(kind: &EventKind) -> String {
 /// `core` is written only when non-zero, so single-core traces stay
 /// byte-identical to the pre-multicore format.
 pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
+    // One reused line buffer and one `write_all` per event, so an
+    // unbuffered `w` still sees whole lines.
+    let mut line = String::new();
     for ev in events {
-        let monitor = if ev.monitor == Event::NO_MONITOR {
-            "null".to_string()
-        } else {
-            ev.monitor.to_string()
+        line.clear();
+        let _ = write!(line, "{{\"ts\":{},\"thread\":{},\"monitor\":", ev.ts, ev.thread);
+        let _ = match ev.monitor {
+            Event::NO_MONITOR => write!(line, "null"),
+            m => write!(line, "{m}"),
         };
-        let core =
-            if ev.core == 0 { String::new() } else { format!(",\"core\":{}", ev.core) };
-        writeln!(
-            w,
-            "{{\"ts\":{},\"thread\":{},\"monitor\":{}{},\"kind\":\"{}\"{}}}",
-            ev.ts,
-            ev.thread,
-            monitor,
-            core,
-            ev.kind.name(),
-            kind_extras(&ev.kind),
-        )?;
+        if ev.core != 0 {
+            let _ = write!(line, ",\"core\":{}", ev.core);
+        }
+        let _ = write!(line, ",\"kind\":\"{}\"", ev.kind.name());
+        push_payload(&mut line, &ev.kind);
+        line.push_str("}\n");
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
@@ -228,12 +195,24 @@ pub fn write_trace_jsonl_with<W: Write>(
     names: &std::collections::BTreeMap<u64, String>,
     meta: &RunMeta,
 ) -> io::Result<()> {
+    write_trace_header(w, unit, meta)?;
+    write_monitor_names(w, names)?;
+    write_events_jsonl(w, events)
+}
+
+fn write_trace_header<W: Write>(w: &mut W, unit: TsUnit, meta: &RunMeta) -> io::Result<()> {
     writeln!(
         w,
         "{{\"meta\":\"trace\",\"ts_unit\":\"{}\",\"version\":1{}}}",
         unit.suffix(),
         meta.header_extras()
-    )?;
+    )
+}
+
+fn write_monitor_names<W: Write>(
+    w: &mut W,
+    names: &std::collections::BTreeMap<u64, String>,
+) -> io::Result<()> {
     for (monitor, name) in names {
         writeln!(
             w,
@@ -241,7 +220,7 @@ pub fn write_trace_jsonl_with<W: Write>(
             esc(name)
         )?;
     }
-    write_events_jsonl(w, events)
+    Ok(())
 }
 
 /// Incremental [`write_trace_jsonl_with`]: the background collector
@@ -264,12 +243,7 @@ impl<W: Write> TraceStream<W> {
     /// context is known up front (scheduler, governor); pass
     /// `RunMeta::default()` and let `finish` supply everything else.
     pub fn new(mut w: W, unit: TsUnit, meta: &RunMeta) -> io::Result<Self> {
-        writeln!(
-            w,
-            "{{\"meta\":\"trace\",\"ts_unit\":\"{}\",\"version\":1{}}}",
-            unit.suffix(),
-            meta.header_extras()
-        )?;
+        write_trace_header(&mut w, unit, meta)?;
         Ok(TraceStream { w, events: 0 })
     }
 
@@ -287,13 +261,7 @@ impl<W: Write> TraceStream<W> {
         names: &std::collections::BTreeMap<u64, String>,
         meta: &RunMeta,
     ) -> io::Result<u64> {
-        for (monitor, name) in names {
-            writeln!(
-                self.w,
-                "{{\"meta\":\"monitor_name\",\"monitor\":{monitor},\"name\":\"{}\"}}",
-                esc(name)
-            )?;
-        }
+        write_monitor_names(&mut self.w, names)?;
         writeln!(self.w, "{{\"meta\":\"trace_end\",\"version\":1{}}}", meta.header_extras())?;
         self.w.flush()?;
         Ok(self.events)
@@ -521,12 +489,9 @@ impl<W: Write> ChromeStream<W> {
                     }
                 }
                 _ => {
-                    let args = kind_extras(&ev.kind);
-                    let args_obj = if args.is_empty() {
-                        format!("{{\"monitor\":{}}}", ev.monitor)
-                    } else {
-                        format!("{{\"monitor\":{}{args}}}", ev.monitor)
-                    };
+                    let mut args_obj = format!("{{\"monitor\":{}", ev.monitor);
+                    push_payload(&mut args_obj, &ev.kind);
+                    args_obj.push('}');
                     chrome_emit(
                         w,
                         first,

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::export::esc;
+use crate::json::esc;
 
 /// One observed blocking edge: `waiter` is blocked acquiring `monitor`,
 /// currently held by `holder`.

@@ -15,14 +15,16 @@
 //! * **event lines** — the flat objects [`crate::write_events_jsonl`]
 //!   emits, one [`Event`] each.
 //!
-//! JSON is parsed by hand (flat objects, numeric/string/null values
-//! only) to match the hand-rolled exporters — the build environment has
-//! no serde.
+//! Lines are tokenised by the shared [`crate::json::Reader`] (flat
+//! objects, numeric/string/null values only); which kind carries which
+//! fields comes from the event schema in `event.rs`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
 use crate::export::RunMeta;
+use crate::json::{self, Reader, Value};
 use crate::sink::TsUnit;
 
 /// Damage counters accumulated while importing a trace.
@@ -77,122 +79,22 @@ impl TraceImport {
     }
 }
 
-/// One flat JSON value the trace format uses.
-#[derive(Clone, Debug, PartialEq)]
-enum JVal {
-    Num(u64),
-    Str(String),
-    Null,
+/// One line's `key: value` pairs, in the order written.
+type Obj<'a> = Vec<(Cow<'a, str>, Value<'a>)>;
+
+/// Read one `{"key":value,...}` line of flat JSON (numbers, strings,
+/// `null`) into `out`. Any syntax error, including truncation and
+/// trailing junk, is an `Err`.
+fn read_flat_object<'a>(line: &'a str, out: &mut Obj<'a>) -> Result<(), json::Error> {
+    let mut r = Reader::new(line);
+    r.begin(b'{')?;
+    while r.more(b'}')? {
+        out.push((r.key()?, r.value()?));
+    }
+    r.end()
 }
 
-impl JVal {
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one `{"key":value,...}` line of flat JSON (numbers, strings,
-/// `null`). Returns `None` on any syntax error, including truncation.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, JVal)>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = Vec::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return finishing(chars).then_some(out);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => JVal::Str(parse_string(&mut chars)?),
-            'n' => {
-                for expect in "null".chars() {
-                    if chars.next()? != expect {
-                        return None;
-                    }
-                }
-                JVal::Null
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-                    n = n.checked_mul(10)?.checked_add(d as u64)?;
-                    chars.next();
-                }
-                JVal::Num(n)
-            }
-            _ => return None,
-        };
-        out.push((key, val));
-        skip_ws(&mut chars);
-        match chars.next()? {
-            ',' => continue,
-            '}' => return finishing(chars).then_some(out),
-            _ => return None,
-        }
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-/// After the closing `}`: only whitespace may remain.
-fn finishing(chars: std::iter::Peekable<std::str::Chars<'_>>) -> bool {
-    chars.clone().all(char::is_whitespace)
-}
-
-/// Parse a JSON string literal (cursor on the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(s),
-            '\\' => match chars.next()? {
-                '"' => s.push('"'),
-                '\\' => s.push('\\'),
-                'n' => s.push('\n'),
-                'r' => s.push('\r'),
-                't' => s.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    s.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => s.push(c),
-        }
-    }
-}
-
-fn field<'a>(obj: &'a [(String, JVal)], key: &str) -> Option<&'a JVal> {
+fn field<'a>(obj: &'a [(Cow<'_, str>, Value<'a>)], key: &str) -> Option<&'a Value<'a>> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -207,8 +109,8 @@ enum Line {
 
 /// Parse the [`RunMeta`] fields shared by `trace` headers and trailing
 /// `trace_end` lines.
-fn parse_run_meta(obj: &[(String, JVal)]) -> RunMeta {
-    let num = |key: &str| field(obj, key).and_then(JVal::as_num);
+fn parse_run_meta(obj: &Obj<'_>) -> RunMeta {
+    let num = |key: &str| field(obj, key).and_then(Value::as_num);
     RunMeta {
         recorded: num("recorded"),
         dropped: num("dropped"),
@@ -216,20 +118,20 @@ fn parse_run_meta(obj: &[(String, JVal)]) -> RunMeta {
             (Some(k), Some(b), Some(d)) => Some((k.min(u32::MAX as u64) as u32, b, d)),
             _ => None,
         },
-        scheduler: field(obj, "scheduler").and_then(JVal::as_str).map(str::to_string),
+        scheduler: field(obj, "scheduler").and_then(Value::as_str).map(str::to_string),
         sampled: num("sampled"),
         sample_n: num("sample_n"),
         drops_by_producer: field(obj, "drops_by_producer")
-            .and_then(JVal::as_str)
+            .and_then(Value::as_str)
             .map(str::to_string),
     }
 }
 
-fn classify(obj: &[(String, JVal)]) -> Option<Line> {
+fn classify(obj: &Obj<'_>) -> Option<Line> {
     if let Some(meta) = field(obj, "meta") {
         return Some(match meta.as_str()? {
             "trace" => Line::TraceMeta(
-                match field(obj, "ts_unit").and_then(JVal::as_str) {
+                match field(obj, "ts_unit").and_then(Value::as_str) {
                     Some("ticks") => Some(TsUnit::VirtualTicks),
                     Some("ns") => Some(TsUnit::WallNanos),
                     _ => None,
@@ -250,43 +152,15 @@ fn classify(obj: &[(String, JVal)]) -> Option<Line> {
     let ts = field(obj, "ts")?.as_num()?;
     let thread = field(obj, "thread")?.as_num()?;
     let monitor = match field(obj, "monitor")? {
-        JVal::Null => Event::NO_MONITOR,
+        Value::Null => Event::NO_MONITOR,
         v => v.as_num()?,
     };
-    let num = |key: &str| field(obj, key).and_then(JVal::as_num);
-    let kind = match field(obj, "kind")?.as_str()? {
-        "Acquire" => EventKind::Acquire,
-        "Block" => EventKind::Block,
-        "Commit" => EventKind::Commit,
-        "Release" => EventKind::Release,
-        "NonRevocable" => EventKind::NonRevocable,
-        "DeadlockBroken" => EventKind::DeadlockBroken,
-        "RevokeRequest" => EventKind::RevokeRequest { by: num("by")? },
-        "InversionUnresolved" => EventKind::InversionUnresolved { by: num("by")? },
-        "GovernorThrottle" => EventKind::GovernorThrottle { by: num("by")? },
-        "PolicyFallback" => EventKind::PolicyFallback,
-        "Rollback" => EventKind::Rollback { entries: num("entries")?, duration: num("duration")? },
-        "DeadlockDetected" => EventKind::DeadlockDetected { cycle_len: num("cycle_len")? },
-        "DelegateSubmit" => EventKind::DelegateSubmit {
-            // `null` holder means the monitor was free at submission.
-            holder: match field(obj, "holder")? {
-                JVal::Null => Event::NO_THREAD,
-                v => v.as_num()?,
-            },
-            token: num("token")?,
-        },
-        "DelegateExecute" => {
-            EventKind::DelegateExecute { submitter: num("submitter")?, token: num("token")? }
-        }
-        "DelegateComplete" => {
-            EventKind::DelegateComplete { submitter: num("submitter")?, token: num("token")? }
-        }
-        "IpiPosted" => EventKind::IpiPosted { by: num("by")? },
-        "IpiAck" => EventKind::IpiAck { by: num("by")?, stale: num("stale")? != 0 },
-        _ => return Some(Line::UnknownKind),
+    let Some(kind) = EventKind::from_wire(field(obj, "kind")?.as_str()?, |f| field(obj, f)) else {
+        return Some(Line::UnknownKind);
     };
+    let kind = kind?;
     // `core` is absent in single-core traces (exporters omit core 0).
-    let core = num("core").unwrap_or(0).min(u32::MAX as u64) as u32;
+    let core = field(obj, "core").and_then(Value::as_num).unwrap_or(0).min(u32::MAX as u64) as u32;
     Some(Line::Event(Event { ts, thread, monitor, core, kind }))
 }
 
@@ -295,11 +169,13 @@ fn classify(obj: &[(String, JVal)]) -> Option<Line> {
 pub fn import_trace_jsonl(text: &str) -> TraceImport {
     let mut imp = TraceImport::default();
     let mut last_ts = 0u64;
+    let mut obj = Obj::new();
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
-        let Some(line) = parse_flat_object(line).as_deref().and_then(classify) else {
+        obj.clear();
+        let Some(line) = read_flat_object(line, &mut obj).ok().and_then(|()| classify(&obj)) else {
             imp.warnings.malformed_lines += 1;
             continue;
         };
@@ -337,15 +213,20 @@ pub fn import_trace_jsonl(text: &str) -> TraceImport {
 mod tests {
     use super::*;
 
+    fn parse_flat_object(line: &str) -> Option<Obj<'_>> {
+        let mut obj = Obj::new();
+        read_flat_object(line, &mut obj).ok().map(|()| obj)
+    }
+
     #[test]
     fn flat_parser_handles_the_trace_vocabulary() {
         let obj = parse_flat_object(
             r#"{"ts":10,"thread":1,"monitor":null,"kind":"Rollback","entries":4,"duration":6}"#,
         )
         .expect("parses");
-        assert_eq!(field(&obj, "ts"), Some(&JVal::Num(10)));
-        assert_eq!(field(&obj, "monitor"), Some(&JVal::Null));
-        assert_eq!(field(&obj, "kind"), Some(&JVal::Str("Rollback".into())));
+        assert_eq!(field(&obj, "ts"), Some(&Value::Num(10)));
+        assert_eq!(field(&obj, "monitor"), Some(&Value::Null));
+        assert_eq!(field(&obj, "kind"), Some(&Value::Str("Rollback".into())));
     }
 
     #[test]
@@ -359,7 +240,7 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let obj = parse_flat_object(r#"{"name":"a\"b\\c\nA"}"#).expect("parses");
-        assert_eq!(field(&obj, "name"), Some(&JVal::Str("a\"b\\c\nA".into())));
+        assert_eq!(field(&obj, "name"), Some(&Value::Str("a\"b\\c\nA".into())));
     }
 
     #[test]

@@ -38,6 +38,9 @@
 //!   (p50/p90/p99/max text table), and [`metrics_json`] /
 //!   [`metrics_json_full`] (counters + percentiles + pipeline
 //!   self-telemetry as JSON).
+//! * [`json`] — the workspace's one JSON reader ([`json::Reader`], which
+//!   the trace importer and `.schedule.json` artifacts share) and one
+//!   string escaper ([`json::esc`]).
 //! * `revmon-analyze` — [`import_trace_jsonl`] (lossy-stream-tolerant
 //!   importer), [`reconstruct_episodes`] (priority-inversion episodes
 //!   classified by [`Resolution`], with inversion latency and
@@ -66,6 +69,7 @@ mod flame;
 mod graph;
 mod hist;
 mod import;
+pub mod json;
 mod latency;
 pub mod prof;
 mod sink;

@@ -225,10 +225,10 @@ impl SpscRing {
     /// Exact per-kind tallies (including sampled-out events), visited as
     /// `(kind name, count)` for non-zero kinds.
     pub fn for_each_tally(&self, mut f: impl FnMut(&'static str, u64)) {
-        for (i, t) in self.tallies.iter().enumerate() {
+        for ((name, ..), t) in crate::event::SCHEMA.iter().zip(&self.tallies) {
             let n = t.load(Ordering::Relaxed);
             if n > 0 {
-                f(crate::event::KIND_NAMES[i], n);
+                f(name, n);
             }
         }
     }

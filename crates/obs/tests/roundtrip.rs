@@ -163,3 +163,71 @@ fn import_never_panics_on_fuzzed_prefixes() {
         );
     }
 }
+
+/// Drive the shared reader over `text` the way the importer does (a
+/// flat object of scalars, plus integer arrays as `.schedule.json` has)
+/// and return where it stopped.
+fn walk(text: &str) -> Result<(), revmon_obs::json::Error> {
+    let mut r = revmon_obs::json::Reader::new(text);
+    r.begin(b'{')?;
+    while r.more(b'}')? {
+        r.key()?;
+        if r.begin(b'[').is_ok() {
+            while r.more(b']')? {
+                r.num::<u32>()?;
+            }
+        } else {
+            r.value()?;
+        }
+    }
+    r.end()
+}
+
+/// The reader either accepts or stops at an in-bounds char boundary;
+/// the importer turns the same text into events plus counted damage.
+fn check_hostile(text: &str) {
+    if let Err(e) = walk(text) {
+        assert!(text.is_char_boundary(e.at), "error at {} inside a char of {text:?}", e.at);
+    }
+    let lines = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+    let imp = import_trace_jsonl(text);
+    assert!(imp.events.len() as u64 + imp.warnings.total() <= lines, "{text:?}: {imp:?}");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn reader_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+    ) {
+        check_hostile(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn reader_never_panics_on_mutated_valid_lines(
+        line in 0usize..64,
+        edits in proptest::collection::vec((0usize..4096, proptest::prelude::any::<u8>()), 1..4),
+    ) {
+        // Overwrite, insert or delete a few bytes of one exported line,
+        // drawing replacements mostly from JSON's own alphabet.
+        const ALPHABET: &[u8] = b"{}[]\",:\\u0n9e-. \t\x00\xc3\xa9\xf0";
+        let mut names = BTreeMap::new();
+        names.insert(7u64, "queue \"α\"\t".to_string());
+        let mut buf = Vec::new();
+        write_trace_jsonl(&mut buf, &full_vocabulary_trace(), TsUnit::VirtualTicks, &names).unwrap();
+        let lines: Vec<&[u8]> = buf.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
+        let mut bytes = lines[line % lines.len()].to_vec();
+        for (at, raw) in edits {
+            let at = at % bytes.len().max(1);
+            let byte = ALPHABET[raw as usize % ALPHABET.len()];
+            match raw / 85 {
+                0 if !bytes.is_empty() => bytes[at] = byte,
+                1 => bytes.insert(at.min(bytes.len()), byte),
+                _ if !bytes.is_empty() => drop(bytes.remove(at)),
+                _ => {}
+            }
+        }
+        check_hostile(&String::from_utf8_lossy(&bytes));
+    }
+}

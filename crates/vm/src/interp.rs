@@ -7,7 +7,6 @@ use crate::bytecode::{Insn, NativeOp};
 use crate::error::VmError;
 use crate::heap::{HeapError, Location};
 use crate::thread::{Frame, Snapshot, ThreadState, UndoEntry};
-use crate::trace::TraceEvent;
 use crate::value::{ObjRef, Value, ValueError};
 use crate::vm::{StepOutcome, Vm};
 use rand::Rng;
@@ -429,7 +428,7 @@ impl Vm {
                     self.global.monitors_marked_nonrevocable += flipped;
                     if flipped > 0 {
                         let m = self.thread(tid).sections[0].monitor;
-                        self.emit_trace(TraceEvent::NonRevocable { thread: tid, monitor: m });
+                        self.emit(tid, m, revmon_obs::EventKind::NonRevocable);
                         if self.config.sticky_nonrevocable {
                             let ms: Vec<ObjRef> =
                                 self.thread(tid).sections.iter().map(|s| s.monitor).collect();
@@ -501,7 +500,7 @@ impl Vm {
                         .first()
                         .map(|s| s.monitor)
                         .unwrap_or(ObjRef(0));
-                    self.emit_trace(TraceEvent::NonRevocable { thread: w.writer, monitor: m });
+                    self.emit(w.writer, m, revmon_obs::EventKind::NonRevocable);
                     if self.config.sticky_nonrevocable {
                         let ms: Vec<ObjRef> = self.threads[w.writer.index()]
                             .sections

@@ -87,7 +87,6 @@ pub mod rewrite;
 pub mod sched;
 mod sync;
 pub mod thread;
-pub mod trace;
 pub mod value;
 pub mod verify;
 pub mod vm;
@@ -103,6 +102,5 @@ pub use sched::{
     Candidate, DecisionRecord, SchedContext, SchedulePolicy, SchedulerKind, Scripted,
     DEFAULT_CHOICE,
 };
-pub use trace::{TraceEvent, TraceRecord};
 pub use verify::{verify_program, VerifyError};
 pub use vm::{MonitorReport, RoundOutcome, RunReport, ThreadReport, Vm, VmConfig};

@@ -21,11 +21,11 @@
 
 use crate::error::VmError;
 use crate::thread::ThreadState;
-use crate::trace::TraceEvent;
 use crate::value::ObjRef;
 use crate::vm::Vm;
 use revmon_core::ThreadId;
 use revmon_obs::prof::{timers, Phase};
+use revmon_obs::EventKind;
 
 impl Vm {
     /// Flag `holder` so that its outermost section on `obj` is revoked at
@@ -46,7 +46,7 @@ impl Vm {
         let can = self.thread(holder).sections[idx].can_revoke() && !livelock_denied;
         if !can {
             self.global.inversions_unresolved += 1;
-            self.emit_trace(TraceEvent::InversionUnresolved { by, holder, monitor: obj });
+            self.emit(holder, obj, EventKind::InversionUnresolved { by: by.0 as u64 });
             return Ok(());
         }
         // Adaptive governor: once the (monitor, holder) pair has burnt its
@@ -58,10 +58,10 @@ impl Vm {
             revmon_core::GovernorVerdict::Allow => {}
             revmon_core::GovernorVerdict::Fallback { fresh } => {
                 self.global.governor_throttles += 1;
-                self.emit_trace(TraceEvent::GovernorThrottle { by, holder, monitor: obj });
+                self.emit(holder, obj, EventKind::GovernorThrottle { by: by.0 as u64 });
                 if fresh {
                     self.global.policy_fallbacks += 1;
-                    self.emit_trace(TraceEvent::PolicyFallback { holder, monitor: obj });
+                    self.emit(holder, obj, EventKind::PolicyFallback);
                 }
                 return Ok(());
             }
@@ -76,7 +76,7 @@ impl Vm {
             // next takes its scheduling step, which is a yield point for
             // every thread pinned there. Staleness is re-checked at
             // delivery, not here.
-            self.emit_trace(TraceEvent::RevokeRequest { by, holder, monitor: obj });
+            self.emit(holder, obj, EventKind::RevokeRequest { by: by.0 as u64 });
             let victim_core = self.thread(holder).core;
             self.cores[victim_core].ipis.push_back(crate::vm::Ipi {
                 by,
@@ -85,7 +85,7 @@ impl Vm {
                 monitor: obj,
             });
             self.ipis_posted += 1;
-            self.emit_trace(TraceEvent::IpiPosted { by, holder, monitor: obj });
+            self.emit(holder, obj, EventKind::IpiPosted { by: by.0 as u64 });
             return Ok(());
         }
         // Keep the shallowest (outermost) target if requests pile up.
@@ -99,7 +99,7 @@ impl Vm {
         if replace {
             self.thread_mut(holder).pending_revoke = Some(acq);
         }
-        self.emit_trace(TraceEvent::RevokeRequest { by, holder, monitor: obj });
+        self.emit(holder, obj, EventKind::RevokeRequest { by: by.0 as u64 });
         // Threads suspended at a safe point are revoked immediately: a
         // Ready thread was descheduled *at* a yield point, and blocked or
         // sleeping threads sit at monitor-enter / sleep yield points. On
@@ -138,7 +138,7 @@ impl Vm {
                 || self.thread(victim).section_by_acq(acq).is_none();
             if stale {
                 self.ipis_stale += 1;
-                self.emit_trace(TraceEvent::IpiAck { by, holder: victim, monitor, stale: true });
+                self.emit(victim, monitor, EventKind::IpiAck { by: by.0 as u64, stale: true });
                 continue;
             }
             let idx = self.thread(victim).section_by_acq(acq).expect("checked above");
@@ -153,7 +153,7 @@ impl Vm {
             if replace {
                 self.thread_mut(victim).pending_revoke = Some(acq);
             }
-            self.emit_trace(TraceEvent::IpiAck { by, holder: victim, monitor, stale: false });
+            self.emit(victim, monitor, EventKind::IpiAck { by: by.0 as u64, stale: false });
             match self.thread(victim).state {
                 ThreadState::BlockedEnter(_)
                 | ThreadState::Sleeping(_)
@@ -254,10 +254,7 @@ impl Vm {
         {
             let m = self.thread(tid).sections[idx].monitor;
             let duration = self.clock - t0;
-            self.emit_trace_dur(
-                TraceEvent::Rollback { thread: tid, monitor: m, entries },
-                duration,
-            );
+            self.emit(tid, m, EventKind::Rollback { entries, duration });
         }
         prof.finish(Phase::UndoWalk, t_undo);
 

@@ -16,11 +16,11 @@ use crate::bytecode::MethodId;
 use crate::error::VmError;
 use crate::monitor::DelegatedCall;
 use crate::thread::{DelegatedFrame, Frame, Section, Snapshot, ThreadState};
-use crate::trace::TraceEvent;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 use revmon_core::ThreadId;
 use revmon_core::{InversionPolicy, MonitorId, Priority};
+use revmon_obs::{Event, EventKind};
 
 impl Vm {
     /// `monitorenter` on `obj` by `tid`. Returns whether the monitor was
@@ -39,7 +39,7 @@ impl Vm {
                 }
                 self.thread_mut(tid).metrics.monitor_acquires += 1;
                 self.push_section(tid, obj);
-                self.emit_trace(TraceEvent::Acquire { thread: tid, monitor: obj });
+                self.emit(tid, obj, EventKind::Acquire);
                 Ok(true)
             }
             None => {
@@ -55,7 +55,7 @@ impl Vm {
                 self.thread_mut(tid).metrics.monitor_acquires += 1;
                 self.apply_ceiling(tid);
                 self.push_section(tid, obj);
-                self.emit_trace(TraceEvent::Acquire { thread: tid, monitor: obj });
+                self.emit(tid, obj, EventKind::Acquire);
                 Ok(true)
             }
             Some(owner) => {
@@ -73,7 +73,7 @@ impl Vm {
                 }
                 self.thread_mut(tid).state = ThreadState::BlockedEnter(obj);
                 self.graph.add_wait(tid, MonitorId(obj.0), owner);
-                self.emit_trace(TraceEvent::Block { thread: tid, monitor: obj });
+                self.emit(tid, obj, EventKind::Block);
                 match self.config.policy {
                     InversionPolicy::Blocking | InversionPolicy::PriorityCeiling(_) => {}
                     InversionPolicy::Revocation => {
@@ -110,12 +110,14 @@ impl Vm {
                             self.thread_mut(tid).metrics.inversions_detected += 1;
                         }
                         self.global.delegations_submitted += 1;
-                        self.emit_trace(TraceEvent::DelegateSubmit {
-                            thread: tid,
-                            monitor: obj,
-                            holder: Some(owner),
-                            token,
-                        });
+                        self.emit(
+                            tid,
+                            obj,
+                            EventKind::DelegateSubmit {
+                                holder: owner.0 as u64,
+                                token: token as u64,
+                            },
+                        );
                     }
                 }
                 // The immediate-revocation path may already have granted
@@ -183,12 +185,11 @@ impl Vm {
             // Delegation policy: this section was a contended enter whose
             // continuation was the submission — closing it completes it.
             self.global.delegations_completed += 1;
-            self.emit_trace(TraceEvent::DelegateComplete {
-                executor: tid,
-                monitor: obj,
-                submitter: tid,
-                token,
-            });
+            self.emit(
+                tid,
+                obj,
+                EventKind::DelegateComplete { submitter: tid.0 as u64, token: token as u64 },
+            );
         }
         if self.thread(tid).sections.is_empty() {
             // Outermost exit: updates can no longer be revoked — retire
@@ -201,7 +202,7 @@ impl Vm {
             }
             log.commit_to(sec.mark);
             self.threads[tid.index()].undo = log;
-            self.emit_trace(TraceEvent::Commit { thread: tid, monitor: obj });
+            self.emit(tid, obj, EventKind::Commit);
             self.with_probe(|p, vm| p.on_commit(vm, tid, obj));
             self.governor.record_commit(obj.0 as u64, tid.0 as u64, self.clock);
         }
@@ -230,7 +231,7 @@ impl Vm {
             t.held.remove(p);
         }
         self.recompute_effective(tid);
-        self.emit_trace(TraceEvent::Release { thread: tid, monitor: obj });
+        self.emit(tid, obj, EventKind::Release);
         let next = self.monitors.get_mut(obj).queue.pop();
         if let Some(next) = next {
             self.grant(next, obj)?;
@@ -278,16 +279,18 @@ impl Vm {
                     if let Some(sec) = self.thread_mut(next).sections.last_mut() {
                         sec.delegated = Some(token);
                     }
-                    self.emit_trace(TraceEvent::DelegateExecute {
-                        executor: next,
-                        monitor: obj,
-                        submitter: next,
-                        token,
-                    });
+                    self.emit(
+                        next,
+                        obj,
+                        EventKind::DelegateExecute {
+                            submitter: next.0 as u64,
+                            token: token as u64,
+                        },
+                    );
                 }
             }
         }
-        self.emit_trace(TraceEvent::Acquire { thread: next, monitor: obj });
+        self.emit(next, obj, EventKind::Acquire);
         self.make_ready(next);
         Ok(())
     }
@@ -327,7 +330,7 @@ impl Vm {
             let flipped = self.thread_mut(tid).mark_all_nonrevocable();
             self.global.monitors_marked_nonrevocable += flipped;
             if flipped > 0 {
-                self.emit_trace(TraceEvent::NonRevocable { thread: tid, monitor: obj });
+                self.emit(tid, obj, EventKind::NonRevocable);
             }
             if self.config.sticky_nonrevocable {
                 let monitors: Vec<ObjRef> =
@@ -487,7 +490,11 @@ impl Vm {
             return Ok(());
         };
         self.global.deadlocks_detected += 1;
-        self.emit_trace(TraceEvent::DeadlockDetected { cycle_len: cycle.len() });
+        self.emit_raw(
+            Event::NO_THREAD,
+            Event::NO_MONITOR,
+            EventKind::DeadlockDetected { cycle_len: cycle.len() as u64 },
+        );
         if !self.config.policy.can_break_deadlock() {
             return Ok(()); // will surface as VmError::Stalled
         }
@@ -526,7 +533,7 @@ impl Vm {
         };
         self.thread_mut(victim).pending_revoke = Some(acq);
         self.global.deadlocks_broken += 1;
-        self.emit_trace(TraceEvent::DeadlockBroken { victim });
+        self.emit_raw(victim.0 as u64, Event::NO_MONITOR, EventKind::DeadlockBroken);
         // The victim is blocked (it is part of the cycle) — revoke now.
         self.perform_revocation(victim)?;
         Ok(())
@@ -561,7 +568,14 @@ impl Vm {
             m.peak_submissions = m.peak_submissions.max(m.submissions.len());
         }
         self.global.delegations_submitted += 1;
-        self.emit_trace(TraceEvent::DelegateSubmit { thread: tid, monitor: obj, holder, token });
+        self.emit(
+            tid,
+            obj,
+            EventKind::DelegateSubmit {
+                holder: holder.map_or(Event::NO_THREAD, |h| h.0 as u64),
+                token: token as u64,
+            },
+        );
         token
     }
 
@@ -609,12 +623,14 @@ impl Vm {
             release_on_return,
         });
         self.thread_mut(tid).frames.push(f);
-        self.emit_trace(TraceEvent::DelegateExecute {
-            executor: tid,
-            monitor: obj,
-            submitter: call.submitter,
-            token: call.token,
-        });
+        self.emit(
+            tid,
+            obj,
+            EventKind::DelegateExecute {
+                submitter: call.submitter.0 as u64,
+                token: call.token as u64,
+            },
+        );
     }
 
     /// Acquire the free monitor `obj` and start combining: used by a
@@ -635,7 +651,7 @@ impl Vm {
         self.thread_mut(tid).metrics.monitor_acquires += 1;
         self.apply_ceiling(tid);
         self.push_section(tid, obj);
-        self.emit_trace(TraceEvent::Acquire { thread: tid, monitor: obj });
+        self.emit(tid, obj, EventKind::Acquire);
         self.drain_one_submission(tid, obj, true);
     }
 
@@ -649,12 +665,11 @@ impl Vm {
         result: Value,
     ) -> Result<(), VmError> {
         self.global.delegations_completed += 1;
-        self.emit_trace(TraceEvent::DelegateComplete {
-            executor: tid,
-            monitor: d.monitor,
-            submitter: d.submitter,
-            token: d.token,
-        });
+        self.emit(
+            tid,
+            d.monitor,
+            EventKind::DelegateComplete { submitter: d.submitter.0 as u64, token: d.token as u64 },
+        );
         let awaiter = self
             .threads
             .iter()

@@ -18,14 +18,14 @@ use crate::monitor::MonitorTable;
 use crate::rewrite::rewrite_program;
 use crate::sched::{Candidate, SchedContext, SchedulePolicy};
 use crate::thread::{ThreadState, VmThread};
-use crate::trace::{TraceEvent, TraceRecord};
-use crate::value::Value;
+use crate::value::{ObjRef, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use revmon_core::{
     CostModel, DelegateConfig, DetectionStrategy, Governor, GovernorConfig, InversionPolicy,
     Metrics, Priority, QueueDiscipline, ThreadId, WaitsForGraph,
 };
+use revmon_obs::{Event, EventKind};
 use std::collections::VecDeque;
 
 pub use crate::sched::SchedulerKind;
@@ -79,7 +79,8 @@ pub struct VmConfig {
     /// Strict mode: once any execution of a monitor is marked
     /// non-revocable, all future executions are too (sticky header bit).
     pub sticky_nonrevocable: bool,
-    /// Record a [`TraceRecord`] stream for tests/examples.
+    /// Keep every emitted [`revmon_obs::Event`] in memory for
+    /// [`Vm::take_trace`] (tests, examples, `revmon run --trace`).
     pub trace: bool,
     /// **Test-only fault injection**: skip restoring the newest N undo
     /// entries during each rollback (0 = correct behaviour). Exists so
@@ -402,9 +403,9 @@ pub struct Vm {
     pub(crate) last_dispatched: Option<ThreadId>,
     pub(crate) steps: u64,
     pub(crate) next_background_scan: u64,
-    pub(crate) trace: Vec<TraceRecord>,
-    /// Optional observability sink; trace events are forwarded into it
-    /// (virtual-clock timestamps) independently of `config.trace`.
+    pub(crate) trace: Vec<Event>,
+    /// Optional observability sink; every event is also recorded into
+    /// it, independently of `config.trace`.
     pub(crate) sink: Option<std::sync::Arc<revmon_obs::EventSink>>,
     /// Static write-barrier elision table (when `elide_barriers`).
     pub(crate) elision: Option<crate::analysis::ElisionTable>,
@@ -590,30 +591,24 @@ impl Vm {
         id
     }
 
-    pub(crate) fn emit_trace(&mut self, event: TraceEvent) {
-        if self.config.trace {
-            self.trace.push(TraceRecord { at: self.clock, event });
-        }
-        if let Some(sink) = &self.sink {
-            let mut ev = event.to_obs(self.clock);
-            ev.core = self.active_core;
-            sink.record(ev);
-        }
+    /// Record one monitor event, stamped with the virtual clock and the
+    /// active core, into the in-memory trace and the attached sink.
+    /// `thread` is the event's primary actor (the flagged holder for
+    /// revoke requests), matching the locks runtime's attribution.
+    #[inline]
+    pub(crate) fn emit(&mut self, thread: ThreadId, monitor: ObjRef, kind: EventKind) {
+        self.emit_raw(thread.0 as u64, monitor.0 as u64, kind);
     }
 
-    /// Like [`Vm::emit_trace`] but also carries the event's duration into
-    /// the obs stream (rollbacks: how many virtual ticks the restore
-    /// charged). The public [`TraceEvent`] stays duration-free.
-    pub(crate) fn emit_trace_dur(&mut self, event: TraceEvent, duration: u64) {
+    /// [`Vm::emit`] for events whose thread or monitor is a sentinel
+    /// ([`Event::NO_THREAD`], [`Event::NO_MONITOR`]). With neither
+    /// `config.trace` nor a sink this is two untaken branches.
+    pub(crate) fn emit_raw(&mut self, thread: u64, monitor: u64, kind: EventKind) {
+        let ev = Event { ts: self.clock, thread, monitor, core: self.active_core, kind };
         if self.config.trace {
-            self.trace.push(TraceRecord { at: self.clock, event });
+            self.trace.push(ev);
         }
         if let Some(sink) = &self.sink {
-            let mut ev = event.to_obs(self.clock);
-            ev.core = self.active_core;
-            if let revmon_obs::EventKind::Rollback { duration: d, .. } = &mut ev.kind {
-                *d = duration;
-            }
             sink.record(ev);
         }
     }
@@ -631,8 +626,8 @@ impl Vm {
         self.sink.take()
     }
 
-    /// Consume the recorded trace.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
+    /// Consume the events recorded under `config.trace`.
+    pub fn take_trace(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.trace)
     }
 

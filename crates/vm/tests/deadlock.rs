@@ -59,7 +59,7 @@ fn two_thread_deadlock_is_broken_under_revocation() {
     assert!(report.global.rollbacks >= 1);
     assert_eq!(vm.read_static(0).unwrap(), Value::Int(2), "both inner sections ran");
     let trace = vm.take_trace();
-    assert!(trace.iter().any(|r| matches!(r.event, revmon_vm::TraceEvent::DeadlockBroken { .. })));
+    assert!(trace.iter().any(|e| e.kind == revmon_obs::EventKind::DeadlockBroken));
 }
 
 #[test]
@@ -126,12 +126,10 @@ fn equal_priority_victim_tie_breaks_to_youngest() {
     let trace = vm.take_trace();
     let victim = trace
         .iter()
-        .find_map(|r| match r.event {
-            revmon_vm::TraceEvent::DeadlockBroken { victim } => Some(victim),
-            _ => None,
-        })
-        .expect("victim recorded");
-    assert_eq!(victim, revmon_core::ThreadId(1), "youngest thread revoked on ties");
+        .find(|e| e.kind == revmon_obs::EventKind::DeadlockBroken)
+        .expect("victim recorded")
+        .thread;
+    assert_eq!(victim, 1, "youngest thread revoked on ties");
     assert_eq!(report.threads[0].metrics.rollbacks, 0);
 }
 

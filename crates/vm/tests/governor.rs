@@ -103,7 +103,7 @@ fn decay_reopens_revocation_after_quiet_period() {
 
 #[test]
 fn governor_emits_throttle_and_fallback_trace_events() {
-    use revmon_vm::TraceEvent;
+    use revmon_obs::EventKind;
     let mut cfg = forced_inversion_cfg().with_trace();
     cfg.governor = GovernorConfig { k: 1, backoff: 64, decay: 0 };
     cfg.max_steps = 2_000_000;
@@ -111,9 +111,8 @@ fn governor_emits_throttle_and_fallback_trace_events() {
     vm.run().expect("governed run completes");
     let trace = vm.take_trace();
     let throttles =
-        trace.iter().filter(|r| matches!(r.event, TraceEvent::GovernorThrottle { .. })).count();
-    let fallbacks =
-        trace.iter().filter(|r| matches!(r.event, TraceEvent::PolicyFallback { .. })).count();
+        trace.iter().filter(|e| matches!(e.kind, EventKind::GovernorThrottle { .. })).count();
+    let fallbacks = trace.iter().filter(|e| e.kind == EventKind::PolicyFallback).count();
     assert!(throttles >= 1, "no GovernorThrottle in trace");
     assert!(fallbacks >= 1, "no PolicyFallback in trace");
     assert!(throttles >= fallbacks, "every fresh window implies a throttle");
@@ -121,9 +120,8 @@ fn governor_emits_throttle_and_fallback_trace_events() {
     // the governed monitor: the fallback really did turn into blocking.
     let first_throttle = trace
         .iter()
-        .position(|r| matches!(r.event, TraceEvent::GovernorThrottle { .. }))
+        .position(|e| matches!(e.kind, EventKind::GovernorThrottle { .. }))
         .expect("throttle position");
-    let holder_commit_after =
-        trace[first_throttle..].iter().any(|r| matches!(r.event, TraceEvent::Commit { .. }));
+    let holder_commit_after = trace[first_throttle..].iter().any(|e| e.kind == EventKind::Commit);
     assert!(holder_commit_after, "the throttled holder never committed after the throttle");
 }

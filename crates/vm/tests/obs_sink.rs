@@ -1,4 +1,4 @@
-//! The VM trace hook forwards into a `revmon-obs` sink: the Figure-1
+//! The VM records its events into a `revmon-obs` sink: the Figure-1
 //! inversion scenario must produce the same runtime-agnostic event
 //! stream the locks runtime emits, with virtual-clock timestamps, and
 //! the derived latency histograms must see the episode.
@@ -15,7 +15,7 @@ use std::sync::Arc;
 const LONG: i64 = 5_000;
 const SHORT: i64 = 100;
 
-fn run_figure1(cfg: VmConfig) -> (Arc<EventSink>, revmon_vm::RunReport) {
+fn run_figure1(cfg: VmConfig) -> (Vm, Arc<EventSink>, revmon_vm::RunReport) {
     let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
     let (p, run) = counting_section_program();
     let mut vm = Vm::new(p, cfg);
@@ -24,12 +24,12 @@ fn run_figure1(cfg: VmConfig) -> (Arc<EventSink>, revmon_vm::RunReport) {
     vm.spawn("Tl", run, vec![Value::Ref(lock), Value::Int(LONG)], Priority::LOW);
     vm.spawn("Th", run, vec![Value::Ref(lock), Value::Int(SHORT)], Priority::HIGH);
     let report = vm.run().expect("run");
-    (sink, report)
+    (vm, sink, report)
 }
 
 #[test]
 fn figure1_events_reach_the_sink() {
-    let (sink, report) = run_figure1(VmConfig::modified());
+    let (_, sink, report) = run_figure1(VmConfig::modified());
     assert_eq!(report.global.rollbacks, 1);
 
     let events = sink.drain();
@@ -68,15 +68,28 @@ fn figure1_events_reach_the_sink() {
 }
 
 #[test]
-fn sink_works_without_config_trace() {
-    // The sink is independent of `config.trace` (no TraceRecord buffer).
-    let (sink, _) = run_figure1(VmConfig::modified());
+fn in_memory_trace_and_sink_hold_the_same_events() {
+    // One representation end to end: the `config.trace` buffer and the
+    // sink receive the identical `Event`s (rollback duration included).
+    for cores in [1, 2] {
+        let mut cfg = VmConfig::modified().with_trace();
+        cfg.cores = cores;
+        let (mut vm, sink, _) = run_figure1(cfg);
+        let trace = vm.take_trace();
+        assert!(trace
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Rollback { duration, .. } if duration > 0)));
+        assert_eq!(trace, sink.drain(), "{cores} core(s)");
+    }
+    // And the sink does not depend on `config.trace`.
+    let (mut vm, sink, _) = run_figure1(VmConfig::modified());
     assert!(sink.recorded() > 0);
+    assert!(vm.take_trace().is_empty());
 }
 
 #[test]
 fn unmodified_vm_emits_no_revocation_events() {
-    let (sink, report) = run_figure1(VmConfig::unmodified());
+    let (_, sink, report) = run_figure1(VmConfig::unmodified());
     assert_eq!(report.global.rollbacks, 0);
     let events = sink.drain();
     assert!(events.iter().any(|e| e.kind == EventKind::Acquire));

@@ -6,8 +6,9 @@ mod common;
 
 use common::{counting_section_program, run_contenders};
 use revmon_core::Priority;
+use revmon_obs::{Event, EventKind};
 use revmon_vm::value::Value;
-use revmon_vm::{TraceEvent, Vm, VmConfig};
+use revmon_vm::{Vm, VmConfig};
 
 /// Section long enough (≫ quantum) that a low-priority holder is always
 /// caught inside it.
@@ -35,19 +36,15 @@ fn figure1_low_priority_holder_is_revoked() {
     // Trace tells the Figure-1 story: Tl acquires, Th blocks, revoke
     // request, rollback, Th acquires before Tl's section commits.
     let trace = vm.take_trace();
-    let pos = |pred: &dyn Fn(&TraceEvent) -> bool| {
-        trace.iter().position(|r| pred(&r.event)).expect("event present")
-    };
-    let tl = revmon_core::ThreadId(0);
-    let th = revmon_core::ThreadId(1);
-    let tl_acquire = pos(&|e| matches!(e, TraceEvent::Acquire { thread, .. } if *thread == tl));
-    let th_block = pos(&|e| matches!(e, TraceEvent::Block { thread, .. } if *thread == th));
-    let revoke = pos(
-        &|e| matches!(e, TraceEvent::RevokeRequest { by, holder, .. } if *by == th && *holder == tl),
-    );
-    let rollback = pos(&|e| matches!(e, TraceEvent::Rollback { thread, .. } if *thread == tl));
-    let th_acquire = pos(&|e| matches!(e, TraceEvent::Acquire { thread, .. } if *thread == th));
-    let tl_commit = pos(&|e| matches!(e, TraceEvent::Commit { thread, .. } if *thread == tl));
+    let pos = |pred: &dyn Fn(&Event) -> bool| trace.iter().position(pred).expect("event present");
+    let (tl, th) = (0u64, 1u64);
+    let tl_acquire = pos(&|e| e.thread == tl && e.kind == EventKind::Acquire);
+    let th_block = pos(&|e| e.thread == th && e.kind == EventKind::Block);
+    // A revoke request is attributed to the flagged holder.
+    let revoke = pos(&|e| e.thread == tl && e.kind == EventKind::RevokeRequest { by: th });
+    let rollback = pos(&|e| e.thread == tl && matches!(e.kind, EventKind::Rollback { .. }));
+    let th_acquire = pos(&|e| e.thread == th && e.kind == EventKind::Acquire);
+    let tl_commit = pos(&|e| e.thread == tl && e.kind == EventKind::Commit);
     assert!(tl_acquire < th_block);
     assert!(th_block <= revoke);
     assert!(revoke < rollback);

@@ -79,9 +79,9 @@ fn digest(vm: &mut Vm) -> Vec<String> {
         r.global.monitor_acquires,
         r.global.contended_acquires
     ));
-    for rec in vm.take_trace() {
-        lines.push(format!("{}:{:?}", rec.at, rec.event));
-    }
+    let mut trace = Vec::new();
+    revmon_obs::write_events_jsonl(&mut trace, &vm.take_trace()).expect("writes to a Vec");
+    lines.extend(String::from_utf8(trace).expect("JSONL is UTF-8").lines().map(str::to_string));
     lines
 }
 
@@ -138,205 +138,205 @@ const GOLDEN_COUNTER_RR: &str = r#"
 clock=94748
 output=[0, 2, 1]
 switches=20 rollbacks=7 acquires=25 contended=16
-128:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-5162:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-5162:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-5193:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-10227:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-10227:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-10258:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-15292:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-15292:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-15323:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-20463:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-20591:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-20713:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-20713:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-20713:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-20744:Block { thread: ThreadId(0), monitor: ObjRef(0) }
-20744:RevokeRequest { by: ThreadId(0), holder: ThreadId(2), monitor: ObjRef(0) }
-20944:Rollback { thread: ThreadId(2), monitor: ObjRef(0), entries: 0 }
-20944:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-20944:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-21066:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-26200:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-26200:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-26200:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-26231:Block { thread: ThreadId(0), monitor: ObjRef(0) }
-26231:RevokeRequest { by: ThreadId(0), holder: ThreadId(2), monitor: ObjRef(0) }
-26431:Rollback { thread: ThreadId(2), monitor: ObjRef(0), entries: 0 }
-26431:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-26431:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-26553:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-31687:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-31687:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-31687:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-36832:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-36832:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-36832:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-36863:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-36863:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-37063:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 0 }
-37063:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-37063:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-37185:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-42319:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-42319:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-42319:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-42350:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-42350:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-42550:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 0 }
-42550:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-42550:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-42672:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-47806:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-47806:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-47806:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-47837:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-47837:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-48037:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 0 }
-48037:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-48037:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-48159:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-53293:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-53293:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-53293:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-53324:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-53324:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-53524:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 0 }
-53524:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-53524:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-53646:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-58780:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-58780:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-58780:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-58811:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-58811:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-59011:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 0 }
-59011:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-59011:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-59133:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-64267:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-64267:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-64267:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-69412:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-69412:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-69443:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-74477:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-74477:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-74508:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-79542:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-79542:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-79573:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-84607:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-84607:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-84638:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-89672:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-89672:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-89703:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-94737:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-94737:Release { thread: ThreadId(1), monitor: ObjRef(0) }
+{"ts":128,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":5162,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":5162,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":5193,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":10227,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":10227,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":10258,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":15292,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":15292,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":15323,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":20463,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":20591,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":20713,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":20713,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":20713,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":20744,"thread":0,"monitor":0,"kind":"Block"}
+{"ts":20744,"thread":2,"monitor":0,"kind":"RevokeRequest","by":0}
+{"ts":20944,"thread":2,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":20944,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":20944,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":21066,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":26200,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":26200,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":26200,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":26231,"thread":0,"monitor":0,"kind":"Block"}
+{"ts":26231,"thread":2,"monitor":0,"kind":"RevokeRequest","by":0}
+{"ts":26431,"thread":2,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":26431,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":26431,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":26553,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":31687,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":31687,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":31687,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":36832,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":36832,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":36832,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":36863,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":36863,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":37063,"thread":1,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":37063,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":37063,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":37185,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":42319,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":42319,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":42319,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":42350,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":42350,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":42550,"thread":1,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":42550,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":42550,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":42672,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":47806,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":47806,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":47806,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":47837,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":47837,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":48037,"thread":1,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":48037,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":48037,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":48159,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":53293,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":53293,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":53293,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":53324,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":53324,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":53524,"thread":1,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":53524,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":53524,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":53646,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":58780,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":58780,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":58780,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":58811,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":58811,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":59011,"thread":1,"monitor":0,"kind":"Rollback","entries":0,"duration":200}
+{"ts":59011,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":59011,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":59133,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":64267,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":64267,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":64267,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":69412,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":69412,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":69443,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":74477,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":74477,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":74508,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":79542,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":79542,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":79573,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":84607,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":84607,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":84638,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":89672,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":89672,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":89703,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":94737,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":94737,"thread":1,"monitor":0,"kind":"Release"}
 "#;
 
 const GOLDEN_COUNTER_PRIO: &str = r#"
 clock=91494
 output=[0, 2, 1]
 switches=3 rollbacks=0 acquires=18 contended=0
-128:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-5162:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-5162:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-5193:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-10227:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-10227:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-10258:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-15292:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-15292:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-15323:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-20357:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-20357:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-20388:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-25422:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-25422:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-25453:Acquire { thread: ThreadId(0), monitor: ObjRef(0) }
-30487:Commit { thread: ThreadId(0), monitor: ObjRef(0) }
-30487:Release { thread: ThreadId(0), monitor: ObjRef(0) }
-30626:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-35660:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-35660:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-35691:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-40725:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-40725:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-40756:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-45790:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-45790:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-45821:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-50855:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-50855:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-50886:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-55920:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-55920:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-55951:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-60985:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-60985:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-61124:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-66158:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-66158:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-66189:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-71223:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-71223:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-71254:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-76288:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-76288:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-76319:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-81353:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-81353:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-81384:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-86418:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-86418:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-86449:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-91483:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-91483:Release { thread: ThreadId(1), monitor: ObjRef(0) }
+{"ts":128,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":5162,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":5162,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":5193,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":10227,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":10227,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":10258,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":15292,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":15292,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":15323,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":20357,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":20357,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":20388,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":25422,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":25422,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":25453,"thread":0,"monitor":0,"kind":"Acquire"}
+{"ts":30487,"thread":0,"monitor":0,"kind":"Commit"}
+{"ts":30487,"thread":0,"monitor":0,"kind":"Release"}
+{"ts":30626,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":35660,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":35660,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":35691,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":40725,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":40725,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":40756,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":45790,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":45790,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":45821,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":50855,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":50855,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":50886,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":55920,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":55920,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":55951,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":60985,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":60985,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":61124,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":66158,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":66158,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":66189,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":71223,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":71223,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":71254,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":76288,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":76288,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":76319,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":81353,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":81353,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":81384,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":86418,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":86418,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":86449,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":91483,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":91483,"thread":1,"monitor":0,"kind":"Release"}
 "#;
 
 const GOLDEN_INVERSION_RR: &str = r#"
 clock=968123
 output=[7140]
 switches=11 rollbacks=1 acquires=3 contended=2
-232:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-60573:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-60573:RevokeRequest { by: ThreadId(2), holder: ThreadId(1), monitor: ObjRef(0) }
-67441:Rollback { thread: ThreadId(1), monitor: ObjRef(0), entries: 3334 }
-67441:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-67441:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-67563:Block { thread: ThreadId(1), monitor: ObjRef(0) }
-67688:Commit { thread: ThreadId(2), monitor: ObjRef(0) }
-67688:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-67688:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-968021:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-968021:Release { thread: ThreadId(1), monitor: ObjRef(0) }
+{"ts":232,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":60573,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":60573,"thread":1,"monitor":0,"kind":"RevokeRequest","by":2}
+{"ts":67441,"thread":1,"monitor":0,"kind":"Rollback","entries":3334,"duration":6868}
+{"ts":67441,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":67441,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":67563,"thread":1,"monitor":0,"kind":"Block"}
+{"ts":67688,"thread":2,"monitor":0,"kind":"Commit"}
+{"ts":67688,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":67688,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":968021,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":968021,"thread":1,"monitor":0,"kind":"Release"}
 "#;
 
 const GOLDEN_DEADLOCK_RR: &str = r#"
 clock=723480
 output=[2]
 switches=30 rollbacks=1 acquires=5 contended=2
-236:Acquire { thread: ThreadId(1), monitor: ObjRef(0) }
-20337:Acquire { thread: ThreadId(2), monitor: ObjRef(1) }
-482665:Block { thread: ThreadId(1), monitor: ObjRef(1) }
-482815:Block { thread: ThreadId(2), monitor: ObjRef(0) }
-482815:DeadlockDetected { cycle_len: 2 }
-482815:DeadlockBroken { victim: ThreadId(2) }
-483015:Rollback { thread: ThreadId(2), monitor: ObjRef(1), entries: 0 }
-483015:Release { thread: ThreadId(2), monitor: ObjRef(1) }
-483015:Acquire { thread: ThreadId(1), monitor: ObjRef(1) }
-483147:Release { thread: ThreadId(1), monitor: ObjRef(1) }
-483169:Commit { thread: ThreadId(1), monitor: ObjRef(0) }
-483169:Release { thread: ThreadId(1), monitor: ObjRef(0) }
-483292:Acquire { thread: ThreadId(2), monitor: ObjRef(1) }
-723320:Acquire { thread: ThreadId(2), monitor: ObjRef(0) }
-723352:Release { thread: ThreadId(2), monitor: ObjRef(0) }
-723374:Commit { thread: ThreadId(2), monitor: ObjRef(1) }
-723374:Release { thread: ThreadId(2), monitor: ObjRef(1) }
+{"ts":236,"thread":1,"monitor":0,"kind":"Acquire"}
+{"ts":20337,"thread":2,"monitor":1,"kind":"Acquire"}
+{"ts":482665,"thread":1,"monitor":1,"kind":"Block"}
+{"ts":482815,"thread":2,"monitor":0,"kind":"Block"}
+{"ts":482815,"thread":18446744073709551615,"monitor":null,"kind":"DeadlockDetected","cycle_len":2}
+{"ts":482815,"thread":2,"monitor":null,"kind":"DeadlockBroken"}
+{"ts":483015,"thread":2,"monitor":1,"kind":"Rollback","entries":0,"duration":200}
+{"ts":483015,"thread":2,"monitor":1,"kind":"Release"}
+{"ts":483015,"thread":1,"monitor":1,"kind":"Acquire"}
+{"ts":483147,"thread":1,"monitor":1,"kind":"Release"}
+{"ts":483169,"thread":1,"monitor":0,"kind":"Commit"}
+{"ts":483169,"thread":1,"monitor":0,"kind":"Release"}
+{"ts":483292,"thread":2,"monitor":1,"kind":"Acquire"}
+{"ts":723320,"thread":2,"monitor":0,"kind":"Acquire"}
+{"ts":723352,"thread":2,"monitor":0,"kind":"Release"}
+{"ts":723374,"thread":2,"monitor":1,"kind":"Commit"}
+{"ts":723374,"thread":2,"monitor":1,"kind":"Release"}
 "#;
 
 #[test]

@@ -126,8 +126,8 @@ fn rollback_does_not_reach_beyond_the_wait() {
     let trace = vm.take_trace();
     let rolled: u64 = trace
         .iter()
-        .filter_map(|r| match r.event {
-            revmon_vm::TraceEvent::Rollback { entries, .. } => Some(entries),
+        .filter_map(|e| match e.kind {
+            revmon_obs::EventKind::Rollback { entries, .. } => Some(entries),
             _ => None,
         })
         .sum();

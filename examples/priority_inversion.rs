@@ -10,9 +10,10 @@
 //! Run with `cargo run --release --example priority_inversion`.
 
 use revmon::core::{InversionPolicy, Priority};
+use revmon::obs::EventKind;
 use revmon::vm::builder::{MethodBuilder, ProgramBuilder};
-use revmon::vm::value::Value;
-use revmon::vm::{SchedulerKind, TraceEvent, Vm, VmConfig};
+use revmon::vm::value::{ObjRef, Value};
+use revmon::vm::{SchedulerKind, Vm, VmConfig};
 
 /// `run(lock, iters)`: one synchronized section updating a shared field
 /// `iters` times.
@@ -65,35 +66,27 @@ fn main() {
     vm.spawn("Th", run, vec![Value::Ref(lock), Value::Int(500)], Priority::HIGH);
     vm.run().expect("run");
     println!("Figure 1 event sequence (virtual-clock timestamps):");
-    for rec in vm.take_trace() {
-        let line = match rec.event {
-            TraceEvent::Acquire { thread, monitor } => {
-                format!("T{} enters the synchronized section on {}", thread.0, monitor)
+    for ev in vm.take_trace() {
+        let (thread, monitor) = (ev.thread, ObjRef(ev.monitor as u32));
+        let line = match ev.kind {
+            EventKind::Acquire => format!("T{thread} enters the synchronized section on {monitor}"),
+            EventKind::Block => {
+                format!("T{thread} blocks on {monitor} (held by a lower-priority thread)")
             }
-            TraceEvent::Block { thread, monitor } => {
-                format!("T{} blocks on {} (held by a lower-priority thread)", thread.0, monitor)
+            // A revoke request's `thread` is the flagged holder.
+            EventKind::RevokeRequest { by } => {
+                format!("T{by} flags T{thread} for revocation of its section on {monitor}")
             }
-            TraceEvent::RevokeRequest { by, holder, monitor } => {
+            EventKind::Rollback { entries, .. } => {
                 format!(
-                    "T{} flags T{} for revocation of its section on {}",
-                    by.0, holder.0, monitor
+                    "T{thread} rolls back {entries} logged updates, reverting {monitor}'s state"
                 )
             }
-            TraceEvent::Rollback { thread, monitor, entries } => {
-                format!(
-                    "T{} rolls back {} logged updates, reverting {}'s state",
-                    thread.0, entries, monitor
-                )
-            }
-            TraceEvent::Commit { thread, monitor } => {
-                format!("T{} commits its section on {}", thread.0, monitor)
-            }
-            TraceEvent::Release { thread, monitor } => {
-                format!("T{} releases {}", thread.0, monitor)
-            }
+            EventKind::Commit => format!("T{thread} commits its section on {monitor}"),
+            EventKind::Release => format!("T{thread} releases {monitor}"),
             other => format!("{other:?}"),
         };
-        println!("  [{:>9}] {line}", rec.at);
+        println!("  [{:>9}] {line}", ev.ts);
     }
 
     // --- policy comparison ------------------------------------------------
