@@ -4,9 +4,12 @@
 //! for every schedule (stateless model checking — re-execution instead of
 //! checkpointing), installs a [`Scripted`] policy and the invariant
 //! [`Oracle`], then drives [`Vm::run_round`] one scheduling round at a
-//! time. Before each round it fingerprints the machine; if the round
-//! consumed a scheduling decision (≥ 2 runnable candidates), that
-//! fingerprint identifies the choice point for deduplication.
+//! time. Once the script is used up it fingerprints the machine before
+//! each round; if the round consumed a scheduling decision (≥ 2 runnable
+//! candidates), that fingerprint identifies the choice point for
+//! deduplication. Rounds replaying the scripted prefix are not
+//! fingerprinted: the explorer expanded those choice points when an
+//! ancestor run first passed them and never looks at them again.
 
 use crate::invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
 use revmon_vm::bytecode::{MethodId, Program};
@@ -34,7 +37,8 @@ pub enum Terminal {
 #[derive(Clone, Copy, Debug)]
 pub struct DecisionPoint {
     /// State fingerprint immediately before the scheduling round that
-    /// consumed this decision.
+    /// consumed this decision — or 0 for a decision inside the scripted
+    /// prefix, where nobody reads it and hashing the machine is skipped.
     pub fingerprint: u64,
     /// What was decided.
     pub record: DecisionRecord,
@@ -152,12 +156,13 @@ impl Runner {
         let (oracle, oracle_state) = Oracle::new();
         vm.attach_probe(Box::new(oracle));
         vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
-        self.drive(vm, log, oracle_state)
+        self.drive(vm, script.len(), log, oracle_state)
     }
 
     fn drive(
         &self,
         mut vm: Vm,
+        script_len: usize,
         log: revmon_vm::sched::ScriptLog,
         oracle_state: Arc<Mutex<OracleState>>,
     ) -> RunOutcome {
@@ -166,8 +171,14 @@ impl Runner {
         let mut rounds: u64 = 0;
         let terminal = loop {
             // A round can only consume a decision when ≥ 2 threads are
-            // queued; skip the (expensive) fingerprint otherwise.
-            let fingerprint = if vm.run_queue_len() >= 2 { vm.state_fingerprint() } else { 0 };
+            // queued, and only decisions past the scripted prefix are
+            // ever deduplicated; skip the (expensive) fingerprint
+            // otherwise.
+            let fingerprint = if decisions.len() >= script_len && vm.run_queue_len() >= 2 {
+                vm.state_fingerprint()
+            } else {
+                0
+            };
             let consumed_before = log.lock().expect("script log").len();
             match vm.run_round() {
                 Ok(RoundOutcome::Done) => break Terminal::Completed,
@@ -247,6 +258,23 @@ mod tests {
         assert_eq!(a.output, b.output);
         assert_eq!(a.clock, b.clock);
         assert_eq!(a.choices(), b.choices());
+    }
+
+    #[test]
+    fn only_decisions_past_the_scripted_prefix_are_fingerprinted() {
+        let runner = testprogs::two_incrementers(1);
+        let free = runner.run(&[]);
+        assert!(free.decisions.len() >= 2, "need a prefix and a tail");
+        assert!(free.decisions.iter().all(|d| d.fingerprint != 0));
+        // Replaying the first k choices follows the same schedule: the
+        // prefix is not hashed, the tail hashes to the same states.
+        let k = free.decisions.len() / 2;
+        let scripted = runner.run(&free.choices()[..k]);
+        assert_eq!(scripted.choices(), free.choices());
+        for (d, (s, f)) in scripted.decisions.iter().zip(&free.decisions).enumerate() {
+            assert_eq!(s.fingerprint, if d < k { 0 } else { f.fingerprint }, "decision {d}");
+        }
+        assert_eq!(scripted.fingerprint, free.fingerprint);
     }
 
     #[test]

@@ -1,7 +1,12 @@
-//! The bytecode interpreter: one instruction per `step`, with write
-//! barriers on the three store kinds (§3.1.2), read barriers feeding the
-//! JMM-consistency guard (§2.2), and Java-style program exceptions for
-//! null dereferences, bounds errors, and division by zero.
+//! The bytecode interpreter, in two tiers. `step` executes any one
+//! instruction, with write barriers on the three store kinds (§3.1.2),
+//! read barriers feeding the JMM-consistency guard (§2.2), and
+//! Java-style program exceptions for null dereferences, bounds errors,
+//! and division by zero. `run_local` runs a stretch of *frame-local*
+//! instructions (operand stack, locals, arithmetic, branches) under one
+//! borrow of the frame and settles their accounting in one go; it
+//! hands back to `step` at the next yield point, at any other opcode,
+//! and — having changed nothing — at anything that would fault or trap.
 
 use crate::bytecode::{Insn, NativeOp};
 use crate::error::VmError;
@@ -21,7 +26,173 @@ pub const ARITH_TAG: u32 = 0xFFFF_FF03;
 /// Class tag of the built-in `OutOfMemoryError` (heap-object limit).
 pub const OOM_TAG: u32 = 0xFFFF_FF04;
 
+/// The two topmost operand-stack slots (`a` below `b`), if there are two.
+#[inline(always)]
+fn top2(stack: &[Value]) -> Option<(Value, Value)> {
+    let [.., a, b] = stack else { return None };
+    Some((*a, *b))
+}
+
+/// [`top2`] as integers; `None` also when either is a reference. (Reads
+/// the slots in place: going through `top2`'s copies measurably slows the
+/// loop.)
+#[inline(always)]
+fn top2_int(stack: &[Value]) -> Option<(i64, i64)> {
+    let [.., a, b] = stack else { return None };
+    Some((a.as_int().ok()?, b.as_int().ok()?))
+}
+
 impl Vm {
+    /// Run `tid`'s frame-local instructions — `Const Load Store Dup Pop
+    /// Swap Add Sub Mul Div Rem Neg Goto IfZero IfNonZero IfLt IfGe IfEq
+    /// IfNe Nop` — until one of three exits, and return how many ran and
+    /// whether the last one was a yield point:
+    ///
+    /// * right after a taken backward branch (the only yield point in
+    ///   this opcode set), so the dispatcher's pending-revocation and
+    ///   quantum checks run exactly where they do one `step` at a time;
+    /// * before any other opcode;
+    /// * before an instruction that would fault or trap (operand stack
+    ///   too shallow, local index out of range, a reference where an
+    ///   integer is needed, `Div`/`Rem` by zero or `MIN / -1`, pc past
+    ///   the end, `max_steps` spent). Every check precedes every
+    ///   mutation, so `step` then reproduces the exact `VmError` or
+    ///   thrown exception from an untouched frame.
+    ///
+    /// Nothing in the set reads the clock, so charging the `n`
+    /// instructions at the end is indistinguishable from charging each
+    /// as it runs.
+    pub(crate) fn run_local(&mut self, tid: ThreadId) -> (u64, bool) {
+        #[cfg(test)]
+        if self.step_only {
+            return (0, false);
+        }
+        let budget = match self.config.max_steps {
+            0 => u64::MAX,
+            max => max.saturating_sub(self.steps),
+        };
+        let t = &mut self.threads[tid.index()];
+        let f = t.frames.last_mut().expect("thread has no frames");
+        let code = &self.program.methods[f.method.index()].code[..];
+        let Frame { pc: frame_pc, locals, stack, .. } = f;
+        let mut pc = *frame_pc;
+        let mut n = 0u64;
+        let mut at_yield_point = false;
+
+        // Pop two integers, push `$f(a, b)`; leave when `$f` traps.
+        macro_rules! binop {
+            ($f:expr) => {{
+                let Some((a, b)) = top2_int(stack) else { break };
+                let Some(v) = $f(a, b) else { break };
+                stack.pop();
+                *stack.last_mut().expect("two operands checked") = Value::Int(v);
+                pc + 1
+            }};
+        }
+        // Pop two operands with `$top2`, branch to `$t` when `$cond`.
+        macro_rules! branch2 {
+            ($top2:expr, $t:expr, |$a:ident, $b:ident| $cond:expr) => {{
+                let Some(($a, $b)) = $top2 else { break };
+                stack.truncate(stack.len() - 2);
+                if $cond {
+                    $t
+                } else {
+                    pc + 1
+                }
+            }};
+        }
+
+        while n < budget {
+            let Some(&insn) = code.get(pc as usize) else { break };
+            let next = match insn {
+                Insn::Const(v) => {
+                    stack.push(v);
+                    pc + 1
+                }
+                Insn::Load(i) => {
+                    let Some(&v) = locals.get(i as usize) else { break };
+                    stack.push(v);
+                    pc + 1
+                }
+                Insn::Store(i) => {
+                    let (Some(slot), Some(&v)) = (locals.get_mut(i as usize), stack.last()) else {
+                        break;
+                    };
+                    *slot = v;
+                    stack.pop();
+                    pc + 1
+                }
+                Insn::Dup => {
+                    let Some(&v) = stack.last() else { break };
+                    stack.push(v);
+                    pc + 1
+                }
+                Insn::Pop => {
+                    if stack.pop().is_none() {
+                        break;
+                    }
+                    pc + 1
+                }
+                Insn::Swap => {
+                    let len = stack.len();
+                    if len < 2 {
+                        break;
+                    }
+                    stack.swap(len - 2, len - 1);
+                    pc + 1
+                }
+                Insn::Add => binop!(|a: i64, b: i64| Some(a.wrapping_add(b))),
+                Insn::Sub => binop!(|a: i64, b: i64| Some(a.wrapping_sub(b))),
+                Insn::Mul => binop!(|a: i64, b: i64| Some(a.wrapping_mul(b))),
+                Insn::Div => binop!(|a: i64, b: i64| a.checked_div(b)),
+                Insn::Rem => binop!(|a: i64, b: i64| a.checked_rem(b)),
+                Insn::Neg => {
+                    let Some(top) = stack.last_mut() else { break };
+                    let Ok(a) = top.as_int() else { break };
+                    *top = Value::Int(a.wrapping_neg());
+                    pc + 1
+                }
+                Insn::Goto(t) => t,
+                Insn::IfZero(t) => {
+                    let Some(v) = stack.pop() else { break };
+                    if v.is_truthy() {
+                        pc + 1
+                    } else {
+                        t
+                    }
+                }
+                Insn::IfNonZero(t) => {
+                    let Some(v) = stack.pop() else { break };
+                    if v.is_truthy() {
+                        t
+                    } else {
+                        pc + 1
+                    }
+                }
+                Insn::IfLt(t) => branch2!(top2_int(stack), t, |a, b| a < b),
+                Insn::IfGe(t) => branch2!(top2_int(stack), t, |a, b| a >= b),
+                Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
+                Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
+                Insn::Nop => pc + 1,
+                _ => break,
+            };
+            n += 1;
+            // Only a taken branch leaves `next <= pc`: a loop back-edge,
+            // where Jikes RVM plants its yield points.
+            at_yield_point = next <= pc;
+            pc = next;
+            if at_yield_point {
+                break;
+            }
+        }
+
+        *frame_pc = pc;
+        t.metrics.instructions += n;
+        self.steps += n;
+        self.charge(n.saturating_mul(self.config.cost.instruction));
+        (n, at_yield_point)
+    }
+
     /// Execute one instruction of `tid`. The pc is advanced before
     /// execution (branch targets overwrite it), matching the JVM.
     pub(crate) fn step(&mut self, tid: ThreadId) -> Result<StepOutcome, VmError> {
@@ -401,12 +572,15 @@ impl Vm {
                 if n <= 0 {
                     return cont_yield;
                 }
-                self.thread_mut(tid).state = ThreadState::Sleeping(self.clock + n as u64);
+                self.thread_mut(tid).state =
+                    ThreadState::Sleeping(self.clock.saturating_add(n as u64));
                 Ok(StepOutcome::Descheduled)
             }
             Insn::Now => {
-                let c = self.clock;
-                self.push(tid, Value::Int(c as i64));
+                // A saturated clock reads as the largest integer, not as
+                // a negative one.
+                let c = i64::try_from(self.clock).unwrap_or(i64::MAX);
+                self.push(tid, Value::Int(c));
                 cont
             }
             Insn::RandInt => {
@@ -449,7 +623,7 @@ impl Vm {
             Insn::Work => {
                 let n = self.pop_int(tid)?;
                 if n > 0 {
-                    self.charge(n as u64 * self.config.cost.instruction);
+                    self.charge((n as u64).saturating_mul(self.config.cost.instruction));
                 }
                 cont_yield
             }

@@ -79,6 +79,8 @@ pub mod error;
 mod fingerprint;
 pub mod heap;
 pub mod interp;
+#[cfg(test)]
+mod interp_parity;
 pub mod jmm;
 pub mod monitor;
 pub mod probe;

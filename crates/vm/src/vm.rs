@@ -429,6 +429,11 @@ pub struct Vm {
     /// Ordered map so invariant checks and fingerprints iterate
     /// deterministically.
     pub(crate) delegation_results: std::collections::BTreeMap<u32, Value>,
+    /// Test-only: make [`Vm::run_local`] run nothing, so every
+    /// instruction goes through `step` — the reference the batched loop
+    /// is compared against.
+    #[cfg(test)]
+    pub(crate) step_only: bool,
 }
 
 impl Vm {
@@ -462,7 +467,7 @@ impl Vm {
 
     /// Construct without verification (the program must already have been
     /// rewritten if the config asks for revocation support).
-    fn new_unverified(program: Program, config: VmConfig) -> Self {
+    pub(crate) fn new_unverified(program: Program, config: VmConfig) -> Self {
         let mut heap = Heap::new(program.n_statics as usize);
         for &s in &program.volatile_statics {
             heap.declare_static_volatile(s).expect("volatile static in range");
@@ -506,6 +511,8 @@ impl Vm {
             governor: Governor::new(),
             next_token: 0,
             delegation_results: std::collections::BTreeMap::new(),
+            #[cfg(test)]
+            step_only: false,
         }
     }
 
@@ -631,10 +638,12 @@ impl Vm {
         std::mem::take(&mut self.trace)
     }
 
-    /// Charge `ticks` to the virtual clock and the current quantum.
+    /// Charge `ticks` to the virtual clock and the current quantum. The
+    /// clock saturates: a hostile `work`/`sleep` operand pegs it at
+    /// `u64::MAX` instead of wrapping (release) or panicking (debug).
     #[inline]
     pub(crate) fn charge(&mut self, ticks: u64) {
-        self.clock += ticks;
+        self.clock = self.clock.saturating_add(ticks);
         self.quantum_left = self.quantum_left.saturating_sub(ticks);
     }
 
@@ -835,6 +844,11 @@ impl Vm {
                 self.make_ready(tid);
                 return Ok(());
             }
+            // Frame-local stretch first; `step` takes whatever stopped it.
+            if self.run_local(tid).1 {
+                at_yield_point = true;
+                continue;
+            }
             self.steps += 1;
             if self.config.max_steps != 0 && self.steps > self.config.max_steps {
                 return Err(VmError::StepLimit(self.config.max_steps));
@@ -866,7 +880,7 @@ impl Vm {
         if self.clock < self.next_background_scan {
             return Ok(());
         }
-        self.next_background_scan = self.clock + period;
+        self.next_background_scan = self.clock.saturating_add(period);
         let contended: Vec<(crate::value::ObjRef, ThreadId, Priority)> = self
             .monitors
             .iter()

@@ -431,6 +431,40 @@ fn sleep_advances_virtual_clock() {
     assert!(report.clock >= 1_000_000);
 }
 
+/// Hostile operands must peg the virtual clock at `u64::MAX`: it used to
+/// wrap in release builds (printing a negative `now`) and panic with
+/// "attempt to add with overflow" in debug builds.
+#[test]
+fn virtual_clock_saturates_instead_of_wrapping() {
+    let src = "\
+.method main params=0 locals=0
+    const 9223372036854775807
+    work
+    const 9223372036854775807
+    work
+    const 9223372036854775807
+    work
+    now
+    native emit
+    const 9223372036854775807
+    sleep
+    now
+    native emit
+    retvoid
+.end
+";
+    for cfg in [VmConfig::unmodified(), VmConfig::modified()] {
+        let program = revmon_vm::assemble(src).unwrap();
+        let entry = program.method_by_name("main").unwrap();
+        let mut vm = Vm::new(program, cfg);
+        vm.spawn("main", entry, vec![], Priority::NORM);
+        let report = vm.run().unwrap();
+        assert_eq!(report.clock, u64::MAX);
+        assert_eq!(report.output, vec![Value::Int(i64::MAX); 2]);
+        assert_eq!(report.threads[0].end_time, u64::MAX);
+    }
+}
+
 #[test]
 fn rand_int_is_seed_deterministic_and_bounded() {
     let build = || {
