@@ -2,16 +2,20 @@
 //! Perfetto / `chrome://tracing`), and a human-readable text summary.
 //!
 //! JSON is emitted by hand — the payloads are flat and numeric, and the
-//! build environment has no serde. Everything writes through
-//! `io::Write` so the CLI can target files and tests can target `Vec`s.
+//! build environment has no serde. The two per-event writers (JSONL
+//! lines, Chrome trace elements) build each element in one reused line
+//! buffer from `push_str` and [`push_u64`], timestamps included
+//! ([`push_micros`]): no allocation and no formatter at event rate. The
+//! once-per-run writers (headers, metrics, tables) are `format!`-built.
+//! Everything writes through `io::Write` so the CLI can target files
+//! and tests can target `Vec`s.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
-use crate::json::esc;
-use crate::latency::Histograms;
+use crate::json::{esc, push_u64};
+use crate::latency::{FxMap, Histograms};
 use crate::sink::{PipelineStats, TsUnit};
 
 /// Append `,"field":value` for each payload field of `kind` (`null`
@@ -19,11 +23,13 @@ use crate::sink::{PipelineStats, TsUnit};
 /// a Chrome instant's `args`.
 fn push_payload(out: &mut String, kind: &EventKind) {
     for (field, value) in kind.payload() {
-        // Writing to a `String` cannot fail.
-        let _ = match value {
-            Some(v) => write!(out, ",\"{field}\":{v}"),
-            None => write!(out, ",\"{field}\":null"),
-        };
+        out.push_str(",\"");
+        out.push_str(field);
+        out.push_str("\":");
+        match value {
+            Some(v) => push_u64(out, v),
+            None => out.push_str("null"),
+        }
     }
 }
 
@@ -36,15 +42,22 @@ pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<(
     let mut line = String::new();
     for ev in events {
         line.clear();
-        let _ = write!(line, "{{\"ts\":{},\"thread\":{},\"monitor\":", ev.ts, ev.thread);
-        let _ = match ev.monitor {
-            Event::NO_MONITOR => write!(line, "null"),
-            m => write!(line, "{m}"),
-        };
-        if ev.core != 0 {
-            let _ = write!(line, ",\"core\":{}", ev.core);
+        line.push_str("{\"ts\":");
+        push_u64(&mut line, ev.ts);
+        line.push_str(",\"thread\":");
+        push_u64(&mut line, ev.thread);
+        line.push_str(",\"monitor\":");
+        match ev.monitor {
+            Event::NO_MONITOR => line.push_str("null"),
+            m => push_u64(&mut line, m),
         }
-        let _ = write!(line, ",\"kind\":\"{}\"", ev.kind.name());
+        if ev.core != 0 {
+            line.push_str(",\"core\":");
+            push_u64(&mut line, ev.core as u64);
+        }
+        line.push_str(",\"kind\":\"");
+        line.push_str(ev.kind.name());
+        line.push('"');
         push_payload(&mut line, &ev.kind);
         line.push_str("}\n");
         w.write_all(line.as_bytes())?;
@@ -289,32 +302,111 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, events: &[Event], unit: TsUnit) -
     stream.finish()
 }
 
-/// Emit one trace element, comma-separating after the first.
-fn chrome_emit<W: Write>(w: &mut W, first: &mut bool, json: String) -> io::Result<()> {
-    if *first {
-        *first = false;
-        write!(w, "\n{json}")
-    } else {
-        write!(w, ",\n{json}")
+/// Timestamps below this write their microsecond text from integers.
+/// Up to here `{:.3}` of [`TsUnit::to_micros`] provably prints the same
+/// digits: ticks are exact in an `f64`, and a nanosecond count over
+/// 1000.0 (or the difference of two) is within 1e-6 of a multiple of
+/// 0.001, nowhere near the 0.0005 that would round differently.
+const EXACT_MICROS_BELOW: u64 = 1 << 41;
+
+/// Append the Chrome-trace microsecond text of the interval `since..ts`
+/// (a timestamp is the interval from 0): what
+/// `{:.3}` of `unit.to_micros(ts) - unit.to_micros(since)` prints.
+fn push_micros(out: &mut String, unit: TsUnit, since: u64, ts: u64) {
+    if ts >= EXACT_MICROS_BELOW {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{:.3}", unit.to_micros(ts) - unit.to_micros(since));
+        return;
+    }
+    let d = ts - since;
+    match unit {
+        TsUnit::VirtualTicks => {
+            push_u64(out, d);
+            out.push_str(".000");
+        }
+        TsUnit::WallNanos => {
+            push_u64(out, d / 1000);
+            out.push('.');
+            for place in [100, 10, 1] {
+                out.push(char::from(b'0' + (d % 1000 / place % 10) as u8));
+            }
+        }
     }
 }
 
-/// Chrome renders one process lane per `pid`; simulated cores map to
-/// `pid = core + 1` so core 0 keeps the legacy single-core `pid:1`.
-fn chrome_pid(core: u32) -> u64 {
-    core as u64 + 1
+/// The two duration spans the Chrome trace draws per monitor.
+#[derive(Clone, Copy)]
+enum Span {
+    /// `blocked: monitor N`, category `blocking`.
+    Blocked,
+    /// `monitor N held`, category `monitor`.
+    Held,
 }
 
-fn chrome_span(ph: &str, name: &str, cat: &str, pid: u64, tid: u64, ts: f64) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-        esc(name),
-        cat,
-        ph,
-        pid,
-        tid,
-        ts
-    )
+/// The element writer under [`ChromeStream`]: builds one `traceEvents`
+/// element at a time in a reused line and writes it, comma-separating
+/// after the first.
+struct Elements<W: Write> {
+    w: W,
+    unit: TsUnit,
+    first: bool,
+    line: String,
+}
+
+impl<W: Write> Elements<W> {
+    /// Start an element: the separator the array needs before it, `{`,
+    /// then `head`.
+    fn begin(&mut self, head: &str) {
+        self.line.clear();
+        self.line.push_str(if std::mem::replace(&mut self.first, false) { "\n{" } else { ",\n{" });
+        self.line.push_str(head);
+    }
+
+    /// Append `,"pid":P,"tid":T,"ts":µs` for the lane `(core, thread)`
+    /// and the interval start `ts` (or the timestamp `ts` itself).
+    /// Chrome renders one process lane per `pid`; simulated cores map to
+    /// `pid = core + 1` so core 0 keeps the legacy single-core `pid:1`.
+    fn lane(&mut self, (core, thread): (u32, u64), ts: u64) {
+        self.line.push_str(",\"pid\":");
+        push_u64(&mut self.line, core as u64 + 1);
+        self.line.push_str(",\"tid\":");
+        push_u64(&mut self.line, thread);
+        self.line.push_str(",\"ts\":");
+        push_micros(&mut self.line, self.unit, 0, ts);
+    }
+
+    /// Finish the element with `tail` and write it out.
+    fn end(&mut self, tail: &str) -> io::Result<()> {
+        self.line.push_str(tail);
+        self.w.write_all(self.line.as_bytes())
+    }
+
+    /// One `B`/`E` element of a span on `monitor`.
+    fn span(
+        &mut self,
+        ph: &str,
+        span: Span,
+        monitor: u64,
+        key: (u32, u64),
+        ts: u64,
+    ) -> io::Result<()> {
+        match span {
+            Span::Blocked => {
+                self.begin("\"name\":\"blocked: monitor ");
+                push_u64(&mut self.line, monitor);
+                self.line.push_str("\",\"cat\":\"blocking\",\"ph\":\"");
+            }
+            Span::Held => {
+                self.begin("\"name\":\"monitor ");
+                push_u64(&mut self.line, monitor);
+                self.line.push_str(" held\",\"cat\":\"monitor\",\"ph\":\"");
+            }
+        }
+        self.line.push_str(ph);
+        self.line.push('"');
+        self.lane(key, ts);
+        self.end("}")
+    }
 }
 
 /// Incremental [`write_chrome_trace`]: the tear-repair state machine
@@ -323,20 +415,18 @@ fn chrome_span(ph: &str, name: &str, cat: &str, pid: u64, tid: u64, ts: f64) -> 
 /// batch as it is collected and [`ChromeStream::finish`] balances
 /// whatever is still open when the run ends.
 pub struct ChromeStream<W: Write> {
-    w: W,
-    unit: TsUnit,
-    first: bool,
+    out: Elements<W>,
     /// Per-`(core, thread)` stack of monitors with an open "held" span.
     /// Keying by core as well as thread keeps repair honest when events
     /// carry core ids: two producers that reuse a thread id on
     /// different cores are distinct namespaces, and a tear on one core
     /// must never synthesize a close on another.
-    held: HashMap<(u32, u64), Vec<u64>>,
+    held: FxMap<(u32, u64), Vec<u64>>,
     /// Monitor each `(core, thread)` is currently blocked on.
-    blocked: HashMap<(u32, u64), u64>,
+    blocked: FxMap<(u32, u64), u64>,
     /// Monitors whose held span a rollback force-closed; the unwind's
     /// own Release events for them are expected, not orphans.
-    unwound: HashMap<(u32, u64), Vec<u64>>,
+    unwound: FxMap<(u32, u64), Vec<u64>>,
     repairs: u64,
     last_ts: u64,
 }
@@ -346,12 +436,10 @@ impl<W: Write> ChromeStream<W> {
     pub fn new(mut w: W, unit: TsUnit) -> io::Result<Self> {
         write!(w, "{{\"traceEvents\":[")?;
         Ok(ChromeStream {
-            w,
-            unit,
-            first: true,
-            held: HashMap::new(),
-            blocked: HashMap::new(),
-            unwound: HashMap::new(),
+            out: Elements { w, unit, first: true, line: String::new() },
+            held: FxMap::default(),
+            blocked: FxMap::default(),
+            unwound: FxMap::default(),
             repairs: 0,
             last_ts: 0,
         })
@@ -364,52 +452,30 @@ impl<W: Write> ChromeStream<W> {
 
     /// Append one merged batch of events, repairing tears in place.
     pub fn write_batch(&mut self, events: &[Event]) -> io::Result<()> {
-        let ChromeStream { w, unit, first, held, blocked, unwound, repairs, last_ts } = self;
+        let ChromeStream { out, held, blocked, unwound, repairs, last_ts } = self;
         for ev in events {
             *last_ts = (*last_ts).max(ev.ts);
-            let us = unit.to_micros(ev.ts);
             let key = (ev.core, ev.thread);
-            let pid = chrome_pid(ev.core);
             match ev.kind {
                 EventKind::Block => {
                     if let Some(&m) = blocked.get(&key) {
                         if m != ev.monitor {
                             // The Acquire that ended the old blocked span
                             // was dropped: synthesize its E here.
-                            let name = format!("blocked: monitor {m}");
-                            chrome_emit(
-                                w,
-                                first,
-                                chrome_span("E", &name, "blocking", pid, ev.thread, us),
-                            )?;
+                            out.span("E", Span::Blocked, m, key, ev.ts)?;
                             *repairs += 1;
                             blocked.insert(key, ev.monitor);
-                            let name = format!("blocked: monitor {}", ev.monitor);
-                            chrome_emit(
-                                w,
-                                first,
-                                chrome_span("B", &name, "blocking", pid, ev.thread, us),
-                            )?;
+                            out.span("B", Span::Blocked, ev.monitor, key, ev.ts)?;
                         }
                         // Re-blocking on the same monitor keeps the span open.
                     } else {
                         blocked.insert(key, ev.monitor);
-                        let name = format!("blocked: monitor {}", ev.monitor);
-                        chrome_emit(
-                            w,
-                            first,
-                            chrome_span("B", &name, "blocking", pid, ev.thread, us),
-                        )?;
+                        out.span("B", Span::Blocked, ev.monitor, key, ev.ts)?;
                     }
                 }
                 EventKind::Acquire => {
                     if let Some(m) = blocked.remove(&key) {
-                        let name = format!("blocked: monitor {m}");
-                        chrome_emit(
-                            w,
-                            first,
-                            chrome_span("E", &name, "blocking", pid, ev.thread, us),
-                        )?;
+                        out.span("E", Span::Blocked, m, key, ev.ts)?;
                         if m != ev.monitor {
                             // Blocked on one monitor, acquired another: the
                             // intervening Acquire/Block pair was dropped.
@@ -420,12 +486,7 @@ impl<W: Write> ChromeStream<W> {
                     // Reentrant acquires keep the existing span open.
                     if !stack.contains(&ev.monitor) {
                         stack.push(ev.monitor);
-                        let name = format!("monitor {} held", ev.monitor);
-                        chrome_emit(
-                            w,
-                            first,
-                            chrome_span("B", &name, "monitor", pid, ev.thread, us),
-                        )?;
+                        out.span("B", Span::Held, ev.monitor, key, ev.ts)?;
                     }
                     // A fresh acquire supersedes any stale unwind debt.
                     if let Some(pend) = unwound.get_mut(&key) {
@@ -434,18 +495,14 @@ impl<W: Write> ChromeStream<W> {
                 }
                 EventKind::Release | EventKind::Rollback { .. } => {
                     if let EventKind::Rollback { entries, duration } = ev.kind {
-                        let start = unit.to_micros(ev.ts.saturating_sub(duration));
-                        let dur = unit.to_micros(ev.ts) - start;
-                        chrome_emit(
-                            w,
-                            first,
-                            format!(
-                                "{{\"name\":\"rollback\",\"cat\":\"revocation\",\"ph\":\"X\",\
-                                 \"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                                 \"args\":{{\"entries\":{}}}}}",
-                                pid, ev.thread, start, dur, entries
-                            ),
-                        )?;
+                        let start = ev.ts.saturating_sub(duration);
+                        out.begin("\"name\":\"rollback\",\"cat\":\"revocation\",\"ph\":\"X\"");
+                        out.lane(key, start);
+                        out.line.push_str(",\"dur\":");
+                        push_micros(&mut out.line, out.unit, start, ev.ts);
+                        out.line.push_str(",\"args\":{\"entries\":");
+                        push_u64(&mut out.line, entries);
+                        out.end("}}")?;
                     }
                     // Close spans down to (and including) this monitor so
                     // B/E stay properly nested even if inner sections were
@@ -456,12 +513,7 @@ impl<W: Write> ChromeStream<W> {
                             closed = true;
                             let rollback = matches!(ev.kind, EventKind::Rollback { .. });
                             while let Some(m) = stack.pop() {
-                                let name = format!("monitor {m} held");
-                                chrome_emit(
-                                    w,
-                                    first,
-                                    chrome_span("E", &name, "monitor", pid, ev.thread, us),
-                                )?;
+                                out.span("E", Span::Held, m, key, ev.ts)?;
                                 if rollback {
                                     // The unwind will still emit a Release
                                     // for each monitor closed here.
@@ -489,22 +541,14 @@ impl<W: Write> ChromeStream<W> {
                     }
                 }
                 _ => {
-                    let mut args_obj = format!("{{\"monitor\":{}", ev.monitor);
-                    push_payload(&mut args_obj, &ev.kind);
-                    args_obj.push('}');
-                    chrome_emit(
-                        w,
-                        first,
-                        format!(
-                            "{{\"name\":\"{}\",\"cat\":\"monitor\",\"ph\":\"i\",\"s\":\"t\",\
-                             \"pid\":{},\"tid\":{},\"ts\":{:.3},\"args\":{}}}",
-                            ev.kind.name(),
-                            pid,
-                            ev.thread,
-                            us,
-                            args_obj
-                        ),
-                    )?;
+                    out.begin("\"name\":\"");
+                    out.line.push_str(ev.kind.name());
+                    out.line.push_str("\",\"cat\":\"monitor\",\"ph\":\"i\",\"s\":\"t\"");
+                    out.lane(key, ev.ts);
+                    out.line.push_str(",\"args\":{\"monitor\":");
+                    push_u64(&mut out.line, ev.monitor);
+                    push_payload(&mut out.line, &ev.kind);
+                    out.end("}}")?;
                 }
             }
         }
@@ -514,33 +558,22 @@ impl<W: Write> ChromeStream<W> {
     /// Balance anything still open (normal truncation, not counted as
     /// repairs), close the array, flush. Returns the repair count.
     pub fn finish(mut self) -> io::Result<u64> {
-        let end_us = self.unit.to_micros(self.last_ts);
         // Sorted drains: HashMap order would make the trailer's span
         // order (and so the whole file) vary run to run.
         let mut blocked: Vec<_> = std::mem::take(&mut self.blocked).into_iter().collect();
         blocked.sort_unstable();
-        for ((core, thread), monitor) in blocked {
-            let name = format!("blocked: monitor {monitor}");
-            chrome_emit(
-                &mut self.w,
-                &mut self.first,
-                chrome_span("E", &name, "blocking", chrome_pid(core), thread, end_us),
-            )?;
+        for (key, monitor) in blocked {
+            self.out.span("E", Span::Blocked, monitor, key, self.last_ts)?;
         }
         let mut held: Vec<_> = std::mem::take(&mut self.held).into_iter().collect();
         held.sort_unstable_by_key(|(key, _)| *key);
-        for ((core, thread), stack) in held {
+        for (key, stack) in held {
             for m in stack.into_iter().rev() {
-                let name = format!("monitor {m} held");
-                chrome_emit(
-                    &mut self.w,
-                    &mut self.first,
-                    chrome_span("E", &name, "monitor", chrome_pid(core), thread, end_us),
-                )?;
+                self.out.span("E", Span::Held, m, key, self.last_ts)?;
             }
         }
-        writeln!(self.w, "\n]}}")?;
-        self.w.flush()?;
+        writeln!(self.out.w, "\n]}}")?;
+        self.out.w.flush()?;
         Ok(self.repairs)
     }
 }
@@ -1066,6 +1099,96 @@ mod tests {
         let r2 = s.finish().unwrap();
         assert_eq!(r1, r2);
         assert_eq!(oneshot, streamed, "batch boundaries changed the trace");
+    }
+
+    #[test]
+    fn chrome_stream_matches_one_shot_output_when_batches_split_open_spans() {
+        // Nested held spans, a blocked span, a rollback that unwinds the
+        // inner section, a tear, and spans left open for the trailer:
+        // every batch size from 1 up cuts inside some open span.
+        let mut events = inversion_scenario();
+        events.extend([
+            ev(50, 3, 8, EventKind::Acquire),
+            ev(52, 3, 9, EventKind::Acquire),
+            ev(53, 4, 8, EventKind::Block),
+            ev(60, 3, 8, EventKind::Rollback { entries: 2, duration: 70 }),
+            ev(61, 3, 9, EventKind::Release),
+            ev(62, 3, 8, EventKind::Release),
+            ev(63, 4, 9, EventKind::Block),
+            ev(64, 4, 9, EventKind::Acquire),
+            ev(65, 5, 9, EventKind::Release),
+            ev(66, 6, Event::NO_MONITOR, EventKind::DeadlockDetected { cycle_len: 2 }),
+        ]);
+        for unit in [TsUnit::VirtualTicks, TsUnit::WallNanos] {
+            let mut oneshot = Vec::new();
+            let repairs = write_chrome_trace(&mut oneshot, &events, unit).unwrap();
+            assert_eq!(repairs, 2, "one synthesized close, one orphan release");
+            for size in 1..events.len() {
+                let mut streamed = Vec::new();
+                let mut s = ChromeStream::new(&mut streamed, unit).unwrap();
+                for chunk in events.chunks(size) {
+                    s.write_batch(chunk).unwrap();
+                }
+                assert_eq!(s.finish().unwrap(), repairs);
+                assert_eq!(oneshot, streamed, "batches of {size} changed the trace");
+            }
+        }
+    }
+
+    /// `push_micros` as a string.
+    fn micros(unit: TsUnit, since: u64, ts: u64) -> String {
+        let mut out = String::new();
+        push_micros(&mut out, unit, since, ts);
+        out
+    }
+
+    const UNITS: [TsUnit; 2] = [TsUnit::VirtualTicks, TsUnit::WallNanos];
+
+    #[test]
+    fn timestamp_text_is_exact_at_the_edges() {
+        for unit in UNITS {
+            for ts in [0, 1, 999, 1000, 1001, (1 << 41) - 1, 1 << 41, 1 << 53, u64::MAX] {
+                assert_eq!(micros(unit, 0, ts), format!("{:.3}", unit.to_micros(ts)), "{unit:?}");
+            }
+        }
+        assert_eq!(micros(TsUnit::WallNanos, 0, 1_002_003), "1002.003");
+        assert_eq!(micros(TsUnit::WallNanos, 0, 7), "0.007");
+        assert_eq!(micros(TsUnit::VirtualTicks, 0, 7), "7.000");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The integer timestamp text is what the float formatter
+        /// printed, on both sides of the 2^41 fork.
+        #[test]
+        fn timestamp_text_matches_the_float_formatter(
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            for ts in [raw >> 23, raw >> shift] {
+                for unit in UNITS {
+                    assert_eq!(micros(unit, 0, ts), format!("{:.3}", unit.to_micros(ts)));
+                }
+            }
+        }
+
+        /// A rollback's `dur` is the text of the float subtraction the
+        /// exporter used to do, `duration > ts` included.
+        #[test]
+        fn rollback_dur_text_matches_the_float_subtraction(
+            raw in proptest::prelude::any::<u64>(),
+            ts_shift in 0u32..64,
+            duration in proptest::prelude::any::<u64>(),
+            dur_shift in 0u32..64,
+        ) {
+            let (ts, duration) = (raw >> ts_shift, duration >> dur_shift);
+            let start = ts.saturating_sub(duration);
+            for unit in UNITS {
+                let want = format!("{:.3}", unit.to_micros(ts) - unit.to_micros(start));
+                assert_eq!(micros(unit, start, ts), want, "{unit:?} ts {ts} duration {duration}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The workspace's one JSON reader and one string escaper.
+//! The workspace's one JSON reader, one string escaper and one integer
+//! writer.
 //!
 //! The formats read back here — trace JSONL lines and `.schedule.json`
 //! artifacts — are flat: objects of unsigned integers, strings and
 //! `null`, plus arrays of integers. [`Reader`] is a pull-style cursor
 //! over exactly that subset: the caller asks for the token it expects
 //! and gets it or an [`Error`] carrying the byte offset, so hostile
-//! input degrades to a positioned message, never a panic. Writers stay
-//! `format!`-built and share [`esc`] for string literals.
+//! input degrades to a positioned message, never a panic. Writers share
+//! [`esc`] for string literals; the per-event ones (`export.rs`) append
+//! to a reused line with `push_str` and [`push_u64`], the once-per-run
+//! ones stay `format!`-built.
 
 use std::borrow::Cow;
 
@@ -26,6 +29,21 @@ pub fn esc(s: &str) -> String {
         }
     }
     out
+}
+
+/// Append `n` in decimal — `write!(out, "{n}")` without the formatter.
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Where reading stopped and what was needed there.
@@ -255,6 +273,20 @@ mod tests {
         assert_eq!(esc("\u{1}"), "\\u0001");
         // Unescaped strings borrow from the input.
         assert!(matches!(Reader::new("\"abc\"").string(), Ok(Cow::Borrowed("abc"))));
+    }
+
+    #[test]
+    fn push_u64_writes_what_display_writes() {
+        let mut edges = vec![0, u64::MAX];
+        for exp in 0..20 {
+            let p = 10u64.pow(exp);
+            edges.extend([p - 1, p, p.saturating_add(1)]);
+        }
+        for n in edges {
+            let mut out = String::from("x");
+            push_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

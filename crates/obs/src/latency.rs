@@ -19,12 +19,13 @@ use crate::event::{Event, EventKind};
 use crate::hist::Histogram;
 
 /// Fast multiply-rotate hasher (the Fx construction) for the tracker's
-/// interval maps. The keys are thread/monitor ids the runtimes generate
-/// themselves, so SipHash's flood resistance buys nothing here — but its
-/// cost lands inside every collection pass, which on a saturated box
-/// competes with the traced workload for cycles.
+/// interval maps and the Chrome exporter's open-span maps. The keys are
+/// thread/monitor/core ids the runtimes generate themselves, so
+/// SipHash's flood resistance buys nothing here — but its cost lands
+/// inside every collection pass, which on a saturated box competes with
+/// the traced workload for cycles.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -48,12 +49,17 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The four derived latency histograms, in the producing runtime's
 /// clock units.

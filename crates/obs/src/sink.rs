@@ -428,26 +428,25 @@ impl EventSink {
     fn collect_locked(&self, st: &mut CollectState) {
         let t0 = Instant::now();
         let rings: Vec<Arc<SpscRing>> = lock_clean(&self.rings).clone();
-        let mut batch: Vec<(u64, u64, Event)> = Vec::new();
-        let mut tmp: Vec<(u64, Event)> = Vec::new();
+        // Each ring decoded once, in registry (= producer id) order.
+        let mut batch: Vec<Event> = Vec::new();
         for ring in &rings {
-            tmp.clear();
-            ring.drain_into(&mut tmp);
-            let id = ring.producer();
-            batch.extend(tmp.iter().map(|&(seq, ev)| (id, seq, ev)));
+            batch.reserve(ring.len());
+            ring.drain_with(|_seq, ev| batch.push(ev));
         }
         // Global merge order: timestamp, then producer, then per-thread
-        // seq. Same producer ⇒ ts ties break by seq, so per-thread
-        // order is exact.
-        batch.sort_by_key(|&(id, seq, ev)| (ev.ts, id, seq));
-        let events: Vec<Event> = batch.into_iter().map(|(_, _, ev)| ev).collect();
+        // seq. `batch` is already in (producer, seq) order, so a
+        // *stable* sort by timestamp alone is that order — per-thread
+        // order stays exact — and costs one O(n) scan when a single
+        // producer's timestamps already ascend.
+        batch.sort_by_key(|ev| ev.ts);
         if let Some(stream) = st.stream.as_mut() {
-            stream(&events);
+            stream(&batch);
         }
         st.epochs += 1;
-        st.last_batch = events.len() as u64;
+        st.last_batch = batch.len() as u64;
         st.max_batch = st.max_batch.max(st.last_batch);
-        st.buffer.extend(events);
+        st.buffer.extend(batch);
         if st.buffer.len() > st.retain {
             let excess = st.buffer.len() - st.retain;
             // Evicted events must not vanish from the histograms: fold
@@ -626,6 +625,88 @@ mod tests {
         assert_eq!(after.last_batch, 7);
         assert!(after.epochs >= 1);
         assert!(after.self_cost_ns.0 >= 1, "self-cost sampled at least once");
+    }
+
+    #[test]
+    fn merge_order_is_timestamp_then_producer_then_seq() {
+        const PRODUCERS: u64 = 4;
+        const PER: u64 = 3_000;
+        // Producer `p`'s `i`-th event. Timestamps tie four at a time
+        // within a producer and all the time across producers; the last
+        // producer's run backwards.
+        let script = |p: u64, i: u64| {
+            let ts = if p == PRODUCERS - 1 { (PER - 1 - i) / 4 } else { i / 4 };
+            Event { ts, thread: p, monitor: i, core: 0, kind: EventKind::Acquire }
+        };
+        let sink = EventSink::with_capacity(TsUnit::VirtualTicks, PER as usize);
+        // Producer ids are registration order: take turns recording the
+        // first event, then record the rest all at once.
+        let turn = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (sink, turn) = (&sink, &turn);
+                s.spawn(move || {
+                    while turn.load(Ordering::Acquire) != p {
+                        std::thread::yield_now();
+                    }
+                    sink.record(script(p, 0));
+                    turn.fetch_add(1, Ordering::Release);
+                    while turn.load(Ordering::Acquire) != PRODUCERS {
+                        std::thread::yield_now();
+                    }
+                    for i in 1..PER {
+                        sink.record(script(p, i));
+                    }
+                });
+            }
+        });
+        assert_eq!(sink.dropped(), 0);
+
+        let mut reference: Vec<(u64, u64, Event)> =
+            (0..PRODUCERS).flat_map(|p| (0..PER).map(move |i| (p, i, script(p, i)))).collect();
+        reference.sort_by_key(|&(id, seq, ev)| (ev.ts, id, seq));
+        let reference: Vec<Event> = reference.into_iter().map(|(_, _, ev)| ev).collect();
+        assert!(sink.drain() == reference, "drain() left (ts, producer, seq) order");
+    }
+
+    #[test]
+    fn stream_hook_sees_the_batches_drain_returns() {
+        let sink = EventSink::new(TsUnit::VirtualTicks);
+        let seen = Arc::new(Mutex::new((0u64, Vec::new())));
+        let hook = Arc::clone(&seen);
+        sink.set_stream(Some(Box::new(move |batch: &[Event]| {
+            let mut seen = lock_clean(&hook);
+            seen.0 += 1;
+            seen.1.extend_from_slice(batch);
+        })));
+        // Three passes of two producers each, by three different entry
+        // points; within a pass the second producer's timestamps start
+        // below the first's, so each batch really is merged.
+        let passes: [fn(&EventSink); 3] = [
+            EventSink::sync,
+            |s| {
+                s.snapshot();
+            },
+            |s| {
+                s.histograms();
+            },
+        ];
+        for (pass, collect) in passes.into_iter().enumerate() {
+            let base = pass as u64 * 100;
+            for i in 0..20 {
+                sink.record(ev(base + 10 + i, 1));
+            }
+            std::thread::scope(|s| {
+                s.spawn(|| (0..20).for_each(|i| sink.record(ev(base + 2 * i, 2))));
+            });
+            collect(&sink);
+        }
+        let drained = sink.drain();
+        let seen = lock_clean(&seen);
+        assert_eq!(seen.0, 4, "one batch per pass, the drain's own (empty) pass included");
+        assert_eq!(seen.1.len(), 120);
+        assert!(seen.1 == drained, "streamed batches differ from what drain() returned");
+        assert!(drained.windows(2).any(|w| w[0].thread > w[1].thread), "nothing was merged");
     }
 
     #[test]

@@ -159,15 +159,15 @@ impl SpscRing {
         true
     }
 
-    /// Consumer side: move every published event into `out` as
-    /// `(seq, event)`, oldest first. Only one consumer may run at a time
-    /// (the sink's collect lock enforces this). Returns the number of
-    /// events moved.
-    pub fn drain_into(&self, out: &mut Vec<(u64, Event)>) -> usize {
+    /// Consumer side: hand every published event to `f` as
+    /// `(seq, event)`, oldest first — one decode per slot, no
+    /// intermediate vector. Only one consumer may run at a time (the
+    /// sink's collect lock enforces this). Returns the number of events
+    /// handed over.
+    pub fn drain_with(&self, mut f: impl FnMut(u64, Event)) -> usize {
         let t = self.tail.load(Ordering::Acquire);
         let mut h = self.head.load(Ordering::Relaxed);
         let n = t.wrapping_sub(h) as usize;
-        out.reserve(n);
         while h != t {
             let slot = &self.slots[(h & self.mask) as usize];
             let raw_tag = slot.tag.load(Ordering::Relaxed);
@@ -177,7 +177,7 @@ impl SpscRing {
                 slot.b.load(Ordering::Relaxed),
             )
             .expect("published slot holds an encodable kind");
-            out.push((
+            f(
                 slot.seq.load(Ordering::Relaxed),
                 Event {
                     ts: slot.ts.load(Ordering::Relaxed),
@@ -186,11 +186,18 @@ impl SpscRing {
                     core: (raw_tag >> 32) as u32,
                     kind,
                 },
-            ));
+            );
             h = h.wrapping_add(1);
         }
         self.head.store(h, Ordering::Release);
         n
+    }
+
+    /// [`SpscRing::drain_with`] into a vector of `(seq, event)` pairs:
+    /// the sequence numbers let a consumer see drops as gaps.
+    pub fn drain_into(&self, out: &mut Vec<(u64, Event)>) -> usize {
+        out.reserve(self.len());
+        self.drain_with(|seq, ev| out.push((seq, ev)))
     }
 
     /// Events currently published and not yet drained.

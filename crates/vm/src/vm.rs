@@ -790,10 +790,8 @@ impl Vm {
                 base_priority: threads[tid.index()].base_priority,
             })
             .collect();
-        let ctx = SchedContext {
-            last_dispatched: self.cores[core].last_dispatched,
-            clock: self.clock,
-        };
+        let ctx =
+            SchedContext { last_dispatched: self.cores[core].last_dispatched, clock: self.clock };
         let idx = self.policy.choose(&candidates, &ctx).min(candidates.len() - 1);
         self.cores[core].run_queue.remove(idx)
     }
