@@ -33,6 +33,15 @@ fn push_payload(out: &mut String, kind: &EventKind) {
     }
 }
 
+/// Append a monitor id, `null` for [`Event::NO_MONITOR`]: the sentinel
+/// is `u64::MAX`, a number no JSON consumer holds exactly.
+fn push_monitor(out: &mut String, monitor: u64) {
+    match monitor {
+        Event::NO_MONITOR => out.push_str("null"),
+        m => push_u64(out, m),
+    }
+}
+
 /// Write events as JSON Lines: one flat object per event, in order.
 /// `core` is written only when non-zero, so single-core traces stay
 /// byte-identical to the pre-multicore format.
@@ -47,10 +56,7 @@ pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<(
         line.push_str(",\"thread\":");
         push_u64(&mut line, ev.thread);
         line.push_str(",\"monitor\":");
-        match ev.monitor {
-            Event::NO_MONITOR => line.push_str("null"),
-            m => push_u64(&mut line, m),
-        }
+        push_monitor(&mut line, ev.monitor);
         if ev.core != 0 {
             line.push_str(",\"core\":");
             push_u64(&mut line, ev.core as u64);
@@ -309,8 +315,8 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, events: &[Event], unit: TsUnit) -
 /// 0.001, nowhere near the 0.0005 that would round differently.
 const EXACT_MICROS_BELOW: u64 = 1 << 41;
 
-/// Append the Chrome-trace microsecond text of the interval `since..ts`
-/// (a timestamp is the interval from 0): what
+/// Append the Chrome-trace microsecond text of the interval from
+/// `since` to `ts >= since` (a timestamp is the interval from 0): what
 /// `{:.3}` of `unit.to_micros(ts) - unit.to_micros(since)` prints.
 fn push_micros(out: &mut String, unit: TsUnit, since: u64, ts: u64) {
     if ts >= EXACT_MICROS_BELOW {
@@ -362,9 +368,8 @@ impl<W: Write> Elements<W> {
         self.line.push_str(head);
     }
 
-    /// Append `,"pid":P,"tid":T,"ts":µs` for the lane `(core, thread)`
-    /// and the interval start `ts` (or the timestamp `ts` itself).
-    /// Chrome renders one process lane per `pid`; simulated cores map to
+    /// Append `,"pid":P,"tid":T,"ts":µs`: the lane `(core, thread)` the
+    /// element is drawn in and its timestamp. Chrome renders one process lane per `pid`; simulated cores map to
     /// `pid = core + 1` so core 0 keeps the legacy single-core `pid:1`.
     fn lane(&mut self, (core, thread): (u32, u64), ts: u64) {
         self.line.push_str(",\"pid\":");
@@ -546,7 +551,7 @@ impl<W: Write> ChromeStream<W> {
                     out.line.push_str("\",\"cat\":\"monitor\",\"ph\":\"i\",\"s\":\"t\"");
                     out.lane(key, ev.ts);
                     out.line.push_str(",\"args\":{\"monitor\":");
-                    push_u64(&mut out.line, ev.monitor);
+                    push_monitor(&mut out.line, ev.monitor);
                     push_payload(&mut out.line, &ev.kind);
                     out.end("}}")?;
                 }
@@ -1133,6 +1138,20 @@ mod tests {
                 assert_eq!(oneshot, streamed, "batches of {size} changed the trace");
             }
         }
+    }
+
+    #[test]
+    fn chrome_instant_without_a_monitor_writes_null() {
+        let events = [
+            ev(5, 1, Event::NO_MONITOR, EventKind::DeadlockDetected { cycle_len: 2 }),
+            ev(6, 1, 3, EventKind::DeadlockBroken),
+        ];
+        let mut buf = Vec::new();
+        write_chrome_trace(&mut buf, &events, TsUnit::VirtualTicks).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\"args\":{\"monitor\":null,\"cycle_len\":2}"), "{text}");
+        assert!(text.contains("\"args\":{\"monitor\":3}"), "{text}");
+        assert!(!text.contains(&u64::MAX.to_string()), "NO_MONITOR leaked as a number: {text}");
     }
 
     /// `push_micros` as a string.

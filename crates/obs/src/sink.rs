@@ -13,10 +13,11 @@
 //! Consumption moved off the hot path into **collection passes**: a
 //! pass (run inline by [`EventSink::sync`] / the background
 //! [`Collector`](crate::Collector), serialized by an internal lock)
-//! drains every ring, merges the batch into global order by
-//! `(timestamp, producer, per-thread seq)`, hands it to any streaming
-//! exporters, and appends the merged events to a bounded retained
-//! buffer that [`EventSink::drain`] consumes and
+//! decodes every ring once into one vector, merges it into global order
+//! by `(timestamp, producer, per-thread seq)` — a stable sort by
+//! timestamp over rings laid end to end in producer order — hands it to
+//! any streaming exporters, and moves the merged events into a bounded
+//! retained buffer that [`EventSink::drain`] consumes and
 //! [`EventSink::snapshot`] observes without consuming. The
 //! [`LatencyTracker`] histogram fold is **deferred**: it runs when the
 //! histograms are read, when events are drained, or just before a trim

@@ -1,4 +1,5 @@
-//! Shared program builders for the VM integration tests.
+//! Shared program builders and corpus access for the VM integration
+//! tests.
 //!
 //! Not every test binary uses every helper; silence per-binary dead-code
 //! analysis.
@@ -9,6 +10,25 @@ use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
 use revmon_vm::{Vm, VmConfig};
+
+/// Every `programs/*.rvm` as `(file name, source)`, sorted by name: the
+/// fixed order the pin tests record their runs in.
+pub fn corpus() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("programs/ directory")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 file name"))
+        .filter(|n| n.ends_with(".rvm"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|file| {
+            let src = std::fs::read_to_string(dir.join(&file)).expect("read corpus");
+            (file, src)
+        })
+        .collect()
+}
 
 /// Build the canonical contention workload: `run(lock, iters)` executes
 /// one synchronized section on `lock` whose body increments `static 0`

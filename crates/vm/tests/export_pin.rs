@@ -5,7 +5,7 @@
 //! every corpus program × {1, 4} cores this records the length and the
 //! FNV-1a hash of both exporters' bytes (the full text for
 //! `priority_inversion.rvm`, which is small enough to read), the same
-//! for one dense Figure-5 cell (≈ 2.7 k events, hundreds of rollbacks),
+//! for one dense Figure-5 cell (≈ 2.3 k events),
 //! and the full text of one synthetic wall-clock stream built to reach
 //! what the corpus does not: every event kind with ordinary and all-ones
 //! payloads, non-zero cores, events without a monitor, sub-microsecond
@@ -19,6 +19,8 @@
 //! cargo test -p revmon-vm --test export_pin -- --ignored bless
 //! ```
 
+mod common;
+
 use revmon_bench::{run_cell_sink, BenchParams};
 use revmon_core::Priority;
 use revmon_obs::{write_chrome_trace, write_trace_jsonl, Event, EventKind, EventSink, TsUnit};
@@ -27,10 +29,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
-}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/export_pin.txt")
@@ -195,17 +193,10 @@ fn synthetic() -> Vec<Event> {
 
 /// The whole pin, in a fixed order.
 fn capture() -> String {
-    let mut files: Vec<String> = std::fs::read_dir(repo_path("programs"))
-        .expect("programs/ directory")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 file name"))
-        .filter(|n| n.ends_with(".rvm"))
-        .collect();
-    files.sort();
     let mut out = String::new();
-    for file in &files {
-        let src = std::fs::read_to_string(repo_path("programs").join(file)).expect("read corpus");
+    for (file, src) in &common::corpus() {
         for cores in [1, 4] {
-            let (events, names) = corpus_events(&src, file, cores);
+            let (events, names) = corpus_events(src, file, cores);
             let full = file == "priority_inversion.rvm";
             pin(
                 &mut out,

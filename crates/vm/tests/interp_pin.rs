@@ -16,15 +16,13 @@
 //! cargo test -p revmon-vm --test interp_pin -- --ignored bless
 //! ```
 
+mod common;
+
 use revmon_bench::{run_cell, BenchParams, Scale, MIXES, WRITE_PCTS};
 use revmon_core::{Metrics, Priority};
 use revmon_vm::{assemble, Vm, VmConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
-}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interp_pin.txt")
@@ -62,20 +60,13 @@ fn corpus_line(file: &str, src: &str, flavour: &str, cfg: VmConfig) -> String {
 
 /// The whole pin, one line per run, in a fixed order.
 fn capture() -> String {
-    let mut files: Vec<String> = std::fs::read_dir(repo_path("programs"))
-        .expect("programs/ directory")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 file name"))
-        .filter(|n| n.ends_with(".rvm"))
-        .collect();
-    files.sort();
     let mut out = String::new();
-    for file in &files {
-        let src = std::fs::read_to_string(repo_path("programs").join(file)).expect("read corpus");
+    for (file, src) in &common::corpus() {
         for (flavour, cfg) in
             [("unmodified", VmConfig::unmodified()), ("modified", VmConfig::modified())]
         {
             for cores in [1, 2, 4] {
-                out.push_str(&corpus_line(file, &src, flavour, cfg.with_cores(cores)));
+                out.push_str(&corpus_line(file, src, flavour, cfg.with_cores(cores)));
                 out.push('\n');
             }
         }
