@@ -5,11 +5,10 @@
 //! Run with `cargo bench -p revmon-bench --bench fig5_high_priority_100k`.
 //! Set `REVMON_FULL=1` for the paper-scale (very long) run.
 
-use revmon_bench::{export, gain_pct, print_figure, BenchParams, Scale, Series};
+use revmon_bench::{export, gain_pct, measure, print_figure, BenchParams, Series};
 
 fn main() {
-    let scale =
-        if std::env::var("REVMON_FULL").is_ok() { Scale::paper() } else { Scale::default_scale() };
+    let scale = measure::scale_from_env();
     let figs = print_figure(
         "Figure 5",
         "total time for high-priority threads, 100K-class iterations",

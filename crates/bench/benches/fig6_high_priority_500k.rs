@@ -4,11 +4,10 @@
 //!
 //! Run with `cargo bench -p revmon-bench --bench fig6_high_priority_500k`.
 
-use revmon_bench::{export, gain_pct, print_figure, Scale, Series};
+use revmon_bench::{export, gain_pct, measure, print_figure, Series};
 
 fn main() {
-    let scale =
-        if std::env::var("REVMON_FULL").is_ok() { Scale::paper() } else { Scale::default_scale() };
+    let scale = measure::scale_from_env();
     let figs = print_figure(
         "Figure 6",
         "total time for high-priority threads, 500K-class iterations",
@@ -16,7 +15,13 @@ fn main() {
         &scale,
         Series::HighPriority,
     );
-    match export::write_figure_summary(export::results_dir(), "fig6", "high_priority", &figs) {
+    match export::write_figure_summary_with(
+        export::results_dir(),
+        "fig6",
+        "high_priority",
+        &figs,
+        None,
+    ) {
         Ok(p) => println!("# wrote {}", p.display()),
         Err(e) => eprintln!("# could not write summary JSON: {e}"),
     }

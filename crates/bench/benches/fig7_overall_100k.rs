@@ -3,11 +3,10 @@
 //!
 //! Run with `cargo bench -p revmon-bench --bench fig7_overall_100k`.
 
-use revmon_bench::{export, print_figure, Scale, Series};
+use revmon_bench::{export, measure, print_figure, Series};
 
 fn main() {
-    let scale =
-        if std::env::var("REVMON_FULL").is_ok() { Scale::paper() } else { Scale::default_scale() };
+    let scale = measure::scale_from_env();
     let figs = print_figure(
         "Figure 7",
         "overall time, 100K-class iterations",
@@ -15,7 +14,7 @@ fn main() {
         &scale,
         Series::Overall,
     );
-    match export::write_figure_summary(export::results_dir(), "fig7", "overall", &figs) {
+    match export::write_figure_summary_with(export::results_dir(), "fig7", "overall", &figs, None) {
         Ok(p) => println!("# wrote {}", p.display()),
         Err(e) => eprintln!("# could not write summary JSON: {e}"),
     }

@@ -20,13 +20,13 @@
 //!
 //! Run with `cargo bench -p revmon-bench --bench governor -- [--quick]`.
 
+use revmon_bench::measure::{self, sample, time_ns_per_op, Args};
 use revmon_core::metrics::{ci90_half_width, mean};
 use revmon_core::{GovernorConfig, Priority};
 use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
 use revmon_vm::bytecode::Program;
 use revmon_vm::value::Value;
 use revmon_vm::{assemble, Vm, VmConfig, VmError};
-use std::time::Instant;
 
 /// The corpus program the CLI and CI drive; benched from the same bytes.
 const STAGGERED_SRC: &str = include_str!("../../../programs/repeat_revocation.rvm");
@@ -74,9 +74,9 @@ fn run_staggered(governor: GovernorConfig) -> (RunStats, f64) {
     cfg.governor = governor;
     let mut vm = Vm::new(program, cfg);
     vm.spawn("main", main, vec![], Priority::NORM);
-    let t0 = Instant::now();
-    vm.run().expect("staggered probes terminate under every configuration");
-    let wall = t0.elapsed().as_nanos() as f64;
+    let wall = time_ns_per_op(1, || {
+        vm.run().expect("staggered probes terminate under every configuration");
+    });
     (collect(&vm, true), wall)
 }
 
@@ -102,30 +102,29 @@ fn run_forced(governor: GovernorConfig, iters: i64, max_steps: u64) -> (RunStats
     let lock = vm.heap_mut().alloc(0, 0);
     vm.spawn("a", worker, vec![Value::Ref(lock)], Priority::NORM);
     vm.spawn("b", worker, vec![Value::Ref(lock)], Priority::NORM);
-    let t0 = Instant::now();
-    let completed = match vm.run() {
-        Ok(_) => true,
-        Err(VmError::StepLimit(_)) => false, // the livelock, cut off
-        Err(e) => panic!("unexpected VM fault: {e}"),
-    };
-    let wall = t0.elapsed().as_nanos() as f64;
+    let mut completed = false;
+    let wall = time_ns_per_op(1, || {
+        completed = match vm.run() {
+            Ok(_) => true,
+            Err(VmError::StepLimit(_)) => false, // the livelock, cut off
+            Err(e) => panic!("unexpected VM fault: {e}"),
+        };
+    });
     (collect(&vm, completed), wall)
 }
 
-fn measure(
+fn measure_config(
     config: &'static str,
     governor: GovernorConfig,
     samples: usize,
     mut one: impl FnMut(GovernorConfig) -> (RunStats, f64),
 ) -> ConfigResult {
-    let (_, _warmup) = one(governor);
-    let mut wall_ns = Vec::with_capacity(samples);
     let mut stats = None;
-    for _ in 0..samples {
+    let wall_ns = sample(samples, || {
         let (s, w) = one(governor);
-        wall_ns.push(w);
         stats = Some(s);
-    }
+        w
+    });
     ConfigResult { config, governor, stats: stats.expect("samples >= 1"), wall_ns }
 }
 
@@ -195,19 +194,18 @@ fn print_table(name: &str, runs: &[ConfigResult]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = Args::from_env();
     let (samples, forced_iters, forced_cap) =
-        if quick { (3, 2_000i64, 600_000u64) } else { (10, 2_000i64, 2_000_000u64) };
+        if args.quick { (3, 2_000i64, 600_000u64) } else { (10, 2_000i64, 2_000_000u64) };
 
     let governed = GovernorConfig { k: 1, backoff: 4_096, decay: 0 };
     let governed_forced = GovernorConfig { k: 2, backoff: 64, decay: 0 };
 
-    println!("governor benchmarks ({})", if quick { "quick" } else { "full" });
+    println!("governor benchmarks ({})", args.mode());
 
     let staggered = vec![
-        measure("ungoverned", GovernorConfig::disabled(), samples, run_staggered),
-        measure("governed_k1_b4096", governed, samples, run_staggered),
+        measure_config("ungoverned", GovernorConfig::disabled(), samples, run_staggered),
+        measure_config("governed_k1_b4096", governed, samples, run_staggered),
     ];
     print_table("staggered_probes (repeat_revocation.rvm)", &staggered);
     assert!(
@@ -217,10 +215,10 @@ fn main() {
     assert!(staggered[1].stats.governor_throttles > 0);
 
     let forced = vec![
-        measure("ungoverned", GovernorConfig::disabled(), samples, |g| {
+        measure_config("ungoverned", GovernorConfig::disabled(), samples, |g| {
             run_forced(g, forced_iters, forced_cap)
         }),
-        measure("governed_k2_b64", governed_forced, samples, |g| {
+        measure_config("governed_k2_b64", governed_forced, samples, |g| {
             run_forced(g, forced_iters, forced_cap)
         }),
     ];
@@ -232,15 +230,11 @@ fn main() {
     assert!(forced[1].stats.completed, "the governor must break the livelock");
     assert!(forced[1].stats.max_streak <= governed_forced.k, "bounded-revocation violated");
 
-    let mode = if quick { "quick" } else { "full" };
-    let json = format!(
-        "{{\n  \"figure\": \"governor\",\n  \"mode\": \"{mode}\",\n  \"workloads\": [\n{},\n{}\n  ]\n}}\n",
+    let body = format!(
+        "  \"workloads\": [\n{},\n{}\n  ]",
         workload_json("staggered_probes", &staggered),
         workload_json("forced_inversion", &forced),
     );
-    let dir = revmon_bench::export::results_dir();
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("BENCH_governor.json");
-    std::fs::write(&path, json).expect("write BENCH_governor.json");
-    println!("\nwrote {}", path.display());
+    println!();
+    measure::write_results("governor", args, &body);
 }

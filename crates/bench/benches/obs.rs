@@ -1,149 +1,72 @@
-//! Multi-threaded observability-pipeline benchmarks: what the telemetry
-//! rework (per-thread SPSC rings + background collector) costs under
-//! parallel load.
+//! Telemetry overhead gates: what the always-on phase timers and full
+//! event tracing cost the locks runtime's fast path, as on/off *ratios*.
 //!
-//! Three measurements, written to `bench_results/BENCH_obs.json`:
+//! The absolute costs of the pipeline (`record()` enabled/disabled,
+//! drain, export, import throughput at a zero drop rate) are per-layer
+//! metrics of the repo benchmark (`obs.*` in `BENCHMARK.json`, workload
+//! `trace_pipeline`); a ratio between two configurations of one binary
+//! is what that ledger does not carry. Both measurements below take
+//! interleaved off/on pairs ([`Paired`]) and go to
+//! `bench_results/BENCH_obs.json`:
 //!
-//! 1. **record() path** — raw ns/op of [`revmon_obs::EventSink::record`]
-//!    on one thread, enabled and disabled (the disabled number is the
-//!    cost every event site pays when tracing is off).
-//! 2. **Aggregate throughput** — N producer threads (1/4/16/32) hammer
-//!    one sink while a background [`revmon_obs::Collector`] drains on an
-//!    epoch cadence; reports events/sec and the drop fraction.
-//! 3. **Parallel workload overhead** — the gate. N threads each run
-//!    uncontended revocable-monitor sections (the locks runtime's real
-//!    fast path: Acquire/Commit/Release events around a batch of logged
-//!    writes), tracing off (no sink installed) vs. on (sink + collector),
-//!    interleaved sample-by-sample to cancel drift. With `--check`, the
-//!    tracing-on cost at [`GATE_THREADS`] producers must stay within
-//!    [`OVERHEAD_BUDGET`] of tracing-off or the run fails (exit 1) —
-//!    the parallel complement to hotpath's single-threaded
-//!    `--overhead` gate.
+//! 1. **Phase timers** — uncontended `enter_exit` and `logged_write` on
+//!    one thread with the revocation phase timers (`revmon_obs::prof`)
+//!    force-disabled vs. enabled. Neither path *calls* the timers (they
+//!    fire on the revocation slow path only), so this guards against
+//!    instrumentation creeping into the fast path.
+//! 2. **Event tracing** — N threads (1/4/16/32) each run uncontended
+//!    revocable-monitor sections (Acquire/Commit/Release events around a
+//!    batch of logged writes), tracing off (no sink installed) vs. on
+//!    (sink + background collector).
+//!
+//! With `--check`, every phase-timer row and the tracing row at
+//! [`GATE_THREADS`] producers must stay within [`OVERHEAD_BUDGET`] or the
+//! run fails (exit 1) — the CI `obs-overhead` job.
 //!
 //! Run with
 //! `cargo bench -p revmon-bench --bench obs -- [--quick] [--check]`.
 
-use revmon_core::metrics::{ci90_half_width, mean};
+use revmon_bench::measure::{self, time_ns_per_op, Args, Paired};
+use revmon_core::metrics::ci90_half_width;
 use revmon_core::Priority;
 use revmon_locks::{RevocableMonitor, TCell};
-use revmon_obs::{Collector, CollectorConfig, Event, EventKind, EventSink, StreamSet, TsUnit};
+use revmon_obs::{Collector, CollectorConfig, EventSink, StreamSet, TsUnit};
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-/// Producer-thread counts exercised by the throughput and workload runs.
+/// Producer-thread counts exercised by the tracing workload.
 const THREAD_COUNTS: &[usize] = &[1, 4, 16, 32];
 
-/// The workload gate is enforced at this producer count.
+/// The tracing gate is enforced at this producer count.
 const GATE_THREADS: usize = 16;
 
-/// `--check` gate: the workload with tracing on must cost at most this
-/// multiple of the same workload with tracing off, at [`GATE_THREADS`].
+/// `--check` gate: a path with the feature on must cost at most this
+/// multiple of the same path with it off.
 const OVERHEAD_BUDGET: f64 = 1.10;
 
-/// Logged writes per monitor section in the workload. Sized so one
-/// section is a few microseconds of real work — the shape of the
+/// Logged writes per monitor section in the tracing workload. Sized so
+/// one section is a few microseconds of real work — the shape of the
 /// paper's long aggregator sections — against which the section's three
 /// telemetry events (Acquire/Commit/Release) must stay cheap.
 const SECTION_WRITES: usize = 128;
 
-fn ev(ts: u64) -> Event {
-    Event { ts, thread: 0, monitor: 1, core: 0, kind: EventKind::Acquire }
-}
-
-/// Raw record() ns/op on the calling thread, after ring registration.
-fn bench_record_path(samples: usize, iters: u64) -> (Vec<f64>, Vec<f64>) {
-    let mut enabled = Vec::new();
-    let mut disabled = Vec::new();
-    let sink = EventSink::with_capacity(TsUnit::WallNanos, 1 << 16);
-    sink.record(ev(0)); // register this thread's ring (warmup)
-    for s in 0..=samples {
-        sink.set_enabled(true);
-        let t0 = Instant::now();
-        for i in 0..iters {
-            sink.record(ev(i));
-        }
-        let on = t0.elapsed().as_nanos() as f64 / iters as f64;
-        sink.drain(); // keep the ring from pinning at full
-        sink.set_enabled(false);
-        let t0 = Instant::now();
-        for i in 0..iters {
-            sink.record(ev(i));
-        }
-        let off = t0.elapsed().as_nanos() as f64 / iters as f64;
-        if s > 0 {
-            // first pair is warmup
-            enabled.push(on);
-            disabled.push(off);
-        }
-    }
-    (enabled, disabled)
-}
-
-struct ThroughputRow {
-    threads: usize,
-    events_per_sec: f64,
-    attempted: u64,
-    dropped: u64,
-}
-
-/// N producers record as fast as they can while a collector drains on a
-/// short epoch; aggregate attempts/sec over the wall time.
-fn bench_throughput(threads: usize, per_thread: u64) -> ThroughputRow {
-    let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    let collector = Collector::start(
-        Arc::clone(&sink),
-        CollectorConfig { epoch: std::time::Duration::from_millis(2), retain: Some(4096) },
-        StreamSet::none(),
-    );
-    let start = Arc::new(Barrier::new(threads + 1));
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let sink = Arc::clone(&sink);
-            let start = Arc::clone(&start);
-            thread::spawn(move || {
-                // Register this thread's ring (a ~half-MB allocation on
-                // first record) outside the timed window: the gate
-                // measures steady-state record cost, not setup.
-                sink.record(Event {
-                    ts: 0,
-                    thread: t as u64,
-                    monitor: 1,
-                    core: 0,
-                    kind: EventKind::Commit,
-                });
-                start.wait(); // everyone warmed; main takes the clock
-                start.wait(); // clock running: go
-                for i in 0..per_thread {
-                    sink.record(Event {
-                        ts: i,
-                        thread: t as u64,
-                        monitor: 1,
-                        core: 0,
-                        kind: EventKind::Acquire,
-                    });
-                }
-            })
-        })
-        .collect();
-    // Double barrier: the first waits out per-thread setup (ring
-    // registration); the clock starts between the two, so on a
-    // single-core host neither the setup phase (clock too early) nor a
-    // rescheduled main thread (clock too late) skews the window.
-    start.wait();
-    let t0 = Instant::now();
-    start.wait();
-    for w in workers {
-        w.join().expect("producer thread");
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let attempted = threads as u64 * per_thread;
-    let dropped = sink.dropped();
-    collector
-        .stop(&std::collections::BTreeMap::new(), &revmon_obs::RunMeta::default())
-        .expect("collector stop");
-    ThroughputRow { threads, events_per_sec: attempted as f64 / elapsed, attempted, dropped }
+/// The two fast paths with the phase timers off vs. on. Leaves the
+/// timers enabled (the library default).
+fn phase_timer_rows(samples: usize, iters: u64) -> Vec<(&'static str, Paired)> {
+    let prof = revmon_obs::prof::timers();
+    let m = RevocableMonitor::new();
+    let cell = TCell::new(0i64);
+    let enter_exit = Paired::measure(samples, |on| {
+        prof.set_enabled(on);
+        time_ns_per_op(iters, || m.enter(Priority::NORM, |_tx| {}))
+    });
+    let logged_write = Paired::measure(samples, |on| {
+        prof.set_enabled(on);
+        m.enter(Priority::NORM, |tx| time_ns_per_op(iters, || tx.write(&cell, black_box(7i64))))
+    });
+    vec![("enter_exit", enter_exit), ("logged_write", logged_write)]
 }
 
 /// One timed workload run: `threads` threads, each with its own
@@ -175,8 +98,10 @@ fn workload_ns_per_section(threads: usize, sections: u64) -> f64 {
             })
         })
         .collect();
-    // Same double-barrier clock as the throughput run: setup excluded,
-    // window opened before the workers are released.
+    // Double barrier: the first waits out per-thread setup; the clock
+    // starts between the two, so neither the setup phase (clock too
+    // early) nor a rescheduled main thread (clock too late) skews the
+    // window.
     start.wait();
     let t0 = Instant::now();
     start.wait();
@@ -186,60 +111,14 @@ fn workload_ns_per_section(threads: usize, sections: u64) -> f64 {
     t0.elapsed().as_nanos() as f64 / (threads as u64 * sections) as f64
 }
 
-struct OverheadRow {
-    threads: usize,
-    off: Vec<f64>,
-    on: Vec<f64>,
-}
-
-/// Median: the scheduler on a busy single-core host lands multi-ms
-/// preemption spikes on individual samples, and a mean would let one
-/// spike decide the gate.
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(f64::total_cmp);
-    if s.is_empty() {
-        return 0.0;
-    }
-    let mid = s.len() / 2;
-    if s.len() % 2 == 1 {
-        s[mid]
-    } else {
-        (s[mid - 1] + s[mid]) / 2.0
-    }
-}
-
-impl OverheadRow {
-    fn off_ns(&self) -> f64 {
-        median(&self.off)
-    }
-    fn on_ns(&self) -> f64 {
-        median(&self.on)
-    }
-    /// Median of the paired per-sample ratios: each on-sample is divided
-    /// by the off-sample taken right next to it, so slow drift (thermal,
-    /// host load) cancels before the median discards spike samples.
-    fn ratio(&self) -> f64 {
-        let pairs: Vec<f64> =
-            self.off.iter().zip(&self.on).filter(|(o, _)| **o > 0.0).map(|(o, n)| n / o).collect();
-        if pairs.is_empty() {
-            1.0
-        } else {
-            median(&pairs)
-        }
-    }
-}
-
-/// The gate measurement: the same workload with no sink installed
-/// (tracing off) and with a sink + epoch collector installed (tracing
-/// on), alternating sides every sample so drift cancels.
-fn bench_workload_overhead(threads: usize, samples: usize, total_sections: u64) -> OverheadRow {
+/// The same workload with no sink installed (tracing off) and with a
+/// sink + epoch collector installed (tracing on).
+fn tracing_row(threads: usize, samples: usize, total_sections: u64) -> Paired {
     let sections = (total_sections / threads as u64).max(1);
-    let _ = workload_ns_per_section(threads, sections); // warmup
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    for _ in 0..samples {
-        off.push(workload_ns_per_section(threads, sections));
-
+    Paired::measure(samples, |on| {
+        if !on {
+            return workload_ns_per_section(threads, sections);
+        }
         let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
         revmon_locks::obs::install(Arc::clone(&sink));
         // Same retention window as `revmon serve` / long-running demo:
@@ -249,164 +128,122 @@ fn bench_workload_overhead(threads: usize, samples: usize, total_sections: u64) 
             CollectorConfig { epoch: std::time::Duration::from_millis(2), retain: Some(100_000) },
             StreamSet::none(),
         );
-        on.push(workload_ns_per_section(threads, sections));
+        let ns = workload_ns_per_section(threads, sections);
         revmon_locks::obs::uninstall();
         collector
             .stop(&std::collections::BTreeMap::new(), &revmon_obs::RunMeta::default())
             .expect("collector stop");
-    }
-    OverheadRow { threads, off, on }
+        ns
+    })
 }
 
-fn results_json(
-    mode: &str,
-    rec_on: &[f64],
-    rec_off: &[f64],
-    throughput: &[ThroughputRow],
-    overhead: &[OverheadRow],
-) -> String {
-    let mut out = format!("{{\n  \"figure\": \"obs\",\n  \"mode\": \"{mode}\",\n");
-    out.push_str("  \"unit\": \"ns_per_op\",\n");
-    out.push_str(&format!(
-        "  \"record_path\": {{\"enabled_ns\": {:.2}, \"enabled_ci90_ns\": {:.2}, \
-         \"disabled_ns\": {:.2}, \"disabled_ci90_ns\": {:.2}}},\n",
-        mean(rec_on),
-        ci90_half_width(rec_on),
-        mean(rec_off),
-        ci90_half_width(rec_off),
-    ));
-    out.push_str("  \"throughput\": [\n");
-    let rows: Vec<String> = throughput
+fn results_body(timers: &[(&'static str, Paired)], tracing: &[(usize, Paired)]) -> String {
+    let timer_rows: Vec<String> = timers
         .iter()
-        .map(|r| {
+        .map(|(name, p)| {
             format!(
-                "    {{\"threads\": {}, \"events_per_sec\": {:.0}, \"attempted\": {}, \
-                 \"dropped\": {}}}",
-                r.threads, r.events_per_sec, r.attempted, r.dropped
+                "    {{\"name\": \"{name}\", \"off_ns\": {:.2}, \"on_ns\": {:.2}, \"ratio\": {:.3}}}",
+                p.off_ns(),
+                p.on_ns(),
+                p.ratio()
             )
         })
         .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"workload_overhead\": {{\"budget_ratio\": {OVERHEAD_BUDGET:.2}, \
-         \"gate_threads\": {GATE_THREADS}, \"section_writes\": {SECTION_WRITES}, \"rows\": [\n"
-    ));
-    let rows: Vec<String> = overhead
+    let tracing_rows: Vec<String> = tracing
         .iter()
-        .map(|r| {
+        .map(|(threads, p)| {
             format!(
-                "    {{\"threads\": {}, \"off_ns_per_section\": {:.2}, \"off_ci90_ns\": {:.2}, \
-                 \"on_ns_per_section\": {:.2}, \"on_ci90_ns\": {:.2}, \"ratio\": {:.3}}}",
-                r.threads,
-                r.off_ns(),
-                ci90_half_width(&r.off),
-                r.on_ns(),
-                ci90_half_width(&r.on),
-                r.ratio()
+                "    {{\"threads\": {threads}, \"off_ns_per_section\": {:.2}, \
+                 \"off_ci90_ns\": {:.2}, \"on_ns_per_section\": {:.2}, \"on_ci90_ns\": {:.2}, \
+                 \"ratio\": {:.3}}}",
+                p.off_ns(),
+                ci90_half_width(&p.off),
+                p.on_ns(),
+                ci90_half_width(&p.on),
+                p.ratio()
             )
         })
         .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]}\n}\n");
-    out
+    format!(
+        "  \"unit\": \"ns_per_op\",\n  \"budget_ratio\": {OVERHEAD_BUDGET:.2},\n  \
+         \"phase_timer_overhead\": {{\"rows\": [\n{}\n  ]}},\n  \
+         \"workload_overhead\": {{\"gate_threads\": {GATE_THREADS}, \
+         \"section_writes\": {SECTION_WRITES}, \"rows\": [\n{}\n  ]}}",
+        timer_rows.join(",\n"),
+        tracing_rows.join(",\n")
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
+    let args = Args::from_env();
+    let (samples, timer_iters, total_sections) =
+        if args.quick { (9, 200_000u64, 3_000u64) } else { (15, 1_000_000u64, 8_000u64) };
 
-    let (samples, rec_iters, tput_events, total_sections) = if quick {
-        (9, 200_000u64, 40_000u64, 3_000u64)
-    } else {
-        (15, 1_000_000u64, 200_000u64, 8_000u64)
-    };
+    println!("telemetry overhead gates ({}, budget {OVERHEAD_BUDGET:.2}x)", args.mode());
 
-    println!("observability pipeline benchmarks ({})", if quick { "quick" } else { "full" });
-
-    let (rec_on, rec_off) = bench_record_path(samples, rec_iters);
-    println!(
-        "record():  enabled {:.2} ns/op (±{:.2})   disabled {:.2} ns/op (±{:.2})",
-        mean(&rec_on),
-        ci90_half_width(&rec_on),
-        mean(&rec_off),
-        ci90_half_width(&rec_off)
-    );
-
-    let throughput: Vec<ThroughputRow> =
-        THREAD_COUNTS.iter().map(|&t| bench_throughput(t, tput_events / t as u64)).collect();
-    println!("{:<10} {:>16} {:>12} {:>10}", "producers", "events/sec", "attempted", "dropped");
-    for r in &throughput {
-        println!(
-            "{:<10} {:>16.0} {:>12} {:>10}",
-            r.threads, r.events_per_sec, r.attempted, r.dropped
-        );
+    let timers = phase_timer_rows(samples, timer_iters);
+    println!("phase timers off vs on");
+    println!("{:<16} {:>16} {:>16} {:>8}", "bench", "off ns/op", "on ns/op", "ratio");
+    for (name, p) in &timers {
+        println!("{name:<16} {:>16.2} {:>16.2} {:>7.3}x", p.off_ns(), p.on_ns(), p.ratio());
     }
 
-    let mut overhead: Vec<OverheadRow> = THREAD_COUNTS
-        .iter()
-        .map(|&t| bench_workload_overhead(t, samples, total_sections))
-        .collect();
+    let mut tracing: Vec<(usize, Paired)> =
+        THREAD_COUNTS.iter().map(|&t| (t, tracing_row(t, samples, total_sections))).collect();
     // The budget leaves only a few percent of headroom over the
     // pipeline's real cost, and a busy host can eat that in one bad
     // scheduling window. If the gate row is over budget, measure it once
     // more and keep the better row: a true regression fails both runs, a
     // noise spike does not.
-    if check {
-        let i = THREAD_COUNTS.iter().position(|&t| t == GATE_THREADS).expect("gate count");
+    let gate = THREAD_COUNTS.iter().position(|&t| t == GATE_THREADS).expect("gate count");
+    if args.check {
         for attempt in 0..2 {
-            if overhead[i].ratio() <= OVERHEAD_BUDGET {
+            if tracing[gate].1.ratio() <= OVERHEAD_BUDGET {
                 break;
             }
             eprintln!(
                 "gate row over budget ({:.3}x); re-measuring ({} left) to rule out host noise",
-                overhead[i].ratio(),
+                tracing[gate].1.ratio(),
                 2 - attempt
             );
-            let retry = bench_workload_overhead(GATE_THREADS, samples, total_sections);
-            if retry.ratio() < overhead[i].ratio() {
-                overhead[i] = retry;
+            let retry = tracing_row(GATE_THREADS, samples, total_sections);
+            if retry.ratio() < tracing[gate].1.ratio() {
+                tracing[gate].1 = retry;
             }
         }
     }
     println!(
-        "workload overhead ({SECTION_WRITES}-write sections, tracing off vs on, budget \
-         {OVERHEAD_BUDGET:.2}x at {GATE_THREADS} threads)"
+        "event tracing off vs on ({SECTION_WRITES}-write sections, gate at {GATE_THREADS} threads)"
     );
-    println!("{:<10} {:>16} {:>16} {:>8}", "producers", "off ns/section", "on ns/section", "ratio");
-    for r in &overhead {
-        println!("{:<10} {:>16.2} {:>16.2} {:>7.3}x", r.threads, r.off_ns(), r.on_ns(), r.ratio());
+    println!("{:<16} {:>16} {:>16} {:>8}", "producers", "off ns/section", "on ns/section", "ratio");
+    for (threads, p) in &tracing {
+        println!("{threads:<16} {:>16.2} {:>16.2} {:>7.3}x", p.off_ns(), p.on_ns(), p.ratio());
     }
 
-    let dir = revmon_bench::export::results_dir();
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("BENCH_obs.json");
-    let mode = if quick { "quick" } else { "full" };
-    std::fs::write(&path, results_json(mode, &rec_on, &rec_off, &throughput, &overhead))
-        .expect("write BENCH_obs.json");
-    println!("wrote {}", path.display());
+    measure::write_results("obs", args, &results_body(&timers, &tracing));
 
-    if check {
-        let gate = overhead
+    if args.check {
+        let gated = timers
             .iter()
-            .find(|r| r.threads == GATE_THREADS)
-            .expect("gate thread count was benchmarked");
-        if gate.ratio() > OVERHEAD_BUDGET {
-            eprintln!(
-                "PARALLEL TRACING OVERHEAD: {} threads with tracing on = {:.2} ns/section vs \
-                 {:.2} off ({:.3}x > budget {OVERHEAD_BUDGET:.2}x)",
-                gate.threads,
-                gate.on_ns(),
-                gate.off_ns(),
-                gate.ratio()
-            );
+            .map(|(name, p)| (format!("phase timers, {name}"), p))
+            .chain([(format!("tracing, {GATE_THREADS} threads"), &tracing[gate].1)]);
+        let mut failed = false;
+        for (what, p) in gated {
+            if p.ratio() > OVERHEAD_BUDGET {
+                eprintln!(
+                    "TELEMETRY OVERHEAD: {what}: on = {:.2} ns vs {:.2} off ({:.3}x > budget \
+                     {OVERHEAD_BUDGET:.2}x)",
+                    p.on_ns(),
+                    p.off_ns(),
+                    p.ratio()
+                );
+                failed = true;
+            } else {
+                println!("overhead gate ok: {what} {:.3}x", p.ratio());
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        println!(
-            "parallel overhead gate ok: {} threads {:.3}x (budget {OVERHEAD_BUDGET:.2}x)",
-            gate.threads,
-            gate.ratio()
-        );
     }
 }

@@ -14,20 +14,24 @@
 //! * `inversion_latency` — a HIGH thread's arrival-to-section-complete
 //!   latency while a LOW holder sits mid-section (blocking waits the
 //!   holder out, revocation rolls it back, delegation queues on the
-//!   combiner and runs at release);
-//! * `throughput` — contended counter increments, ns per committed op.
+//!   combiner and runs at release).
+//!
+//! The rows are for comparing the policies with each other in one binary
+//! on one host; the tracked absolute numbers for the revocation policy
+//! (and its contended throughput, `locks.lo_commits_per_s` /
+//! `locks.gain_vs_blocking`) are the repo benchmark's.
 //!
 //! Results go to `bench_results/BENCH_policies.json` in the mean+ci90
 //! shape of the other summaries. Run with
 //! `cargo bench -p revmon-bench --bench policies -- [--quick]`.
 
+use revmon_bench::measure::{self, sample, time_ns_per_op, Args};
 use revmon_core::metrics::{ci90_half_width, mean};
 use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell};
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Instant;
 
 const POLICIES: &[(&str, InversionPolicy)] = &[
     ("blocking", InversionPolicy::Blocking),
@@ -50,23 +54,8 @@ impl Row {
     }
 }
 
-/// Time `iters` repetitions of `op`, returning ns/op.
-fn time_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn sample(
-    name: &'static str,
-    policy: &'static str,
-    samples: usize,
-    mut one: impl FnMut() -> f64,
-) -> Row {
-    let _ = one(); // warmup: thread-local pools, lock inflation state
-    Row { name, policy, samples_ns: (0..samples).map(|_| one()).collect() }
+fn row(name: &'static str, policy: &'static str, samples: usize, one: impl FnMut() -> f64) -> Row {
+    Row { name, policy, samples_ns: sample(samples, one) }
 }
 
 /// Uncontended enter/exit of an empty section under each policy.
@@ -75,7 +64,7 @@ fn bench_enter_exit(samples: usize, iters: u64) -> Vec<Row> {
         .iter()
         .map(|&(tag, policy)| {
             let m = RevocableMonitor::with_policy(policy);
-            sample("enter_exit", tag, samples, || {
+            row("enter_exit", tag, samples, || {
                 time_ns_per_op(iters, || {
                     m.enter(Priority::NORM, |_tx| {});
                 })
@@ -92,7 +81,7 @@ fn bench_section_write(samples: usize, iters: u64) -> Vec<Row> {
         .map(|&(tag, policy)| {
             let m = RevocableMonitor::with_policy(policy);
             let cell = TCell::new(0i64);
-            sample("section_write", tag, samples, || {
+            row("section_write", tag, samples, || {
                 m.enter(Priority::NORM, |tx| {
                     time_ns_per_op(iters, || {
                         tx.write(&cell, black_box(7i64));
@@ -108,7 +97,7 @@ fn bench_section_write(samples: usize, iters: u64) -> Vec<Row> {
 fn bench_submit_round_trip(samples: usize, iters: u64) -> Row {
     let m = RevocableMonitor::with_policy(InversionPolicy::Delegation);
     let cell = TCell::new(0i64);
-    sample("submit_round_trip", "delegation", samples, || {
+    row("submit_round_trip", "delegation", samples, || {
         time_ns_per_op(iters, || {
             let cell = cell.clone();
             m.submit(Priority::NORM, move |tx| {
@@ -127,7 +116,7 @@ fn bench_inversion_latency(samples: usize, episodes: u64, low_writes: u64) -> Ve
     POLICIES
         .iter()
         .map(|&(tag, policy)| {
-            sample("inversion_latency", tag, samples, || {
+            row("inversion_latency", tag, samples, || {
                 let mut total_ns = 0.0;
                 for _ in 0..episodes {
                     let m = Arc::new(RevocableMonitor::with_policy(policy));
@@ -151,19 +140,19 @@ fn bench_inversion_latency(samples: usize, episodes: u64, low_writes: u64) -> Ve
                         })
                     };
                     entered.wait();
-                    let t0 = Instant::now();
-                    if policy == InversionPolicy::Delegation {
-                        let cell = cell.clone();
-                        m.submit(Priority::HIGH, move |tx| {
-                            black_box(tx.read(&cell));
-                        })
-                        .wait();
-                    } else {
-                        m.enter(Priority::HIGH, |tx| {
-                            black_box(tx.read(&cell));
-                        });
-                    }
-                    total_ns += t0.elapsed().as_nanos() as f64;
+                    total_ns += time_ns_per_op(1, || {
+                        if policy == InversionPolicy::Delegation {
+                            let cell = cell.clone();
+                            m.submit(Priority::HIGH, move |tx| {
+                                black_box(tx.read(&cell));
+                            })
+                            .wait();
+                        } else {
+                            m.enter(Priority::HIGH, |tx| {
+                                black_box(tx.read(&cell));
+                            });
+                        }
+                    });
                     low.join().unwrap();
                 }
                 total_ns / episodes as f64
@@ -172,57 +161,7 @@ fn bench_inversion_latency(samples: usize, episodes: u64, low_writes: u64) -> Ve
         .collect()
 }
 
-/// Contended counter: 4 threads × `ops` committed increments each;
-/// reports ns per committed op. Delegation threads submit their
-/// increments to the combiner instead of entering.
-fn bench_throughput(samples: usize, ops: u64) -> Vec<Row> {
-    const THREADS: usize = 4;
-    POLICIES
-        .iter()
-        .map(|&(tag, policy)| {
-            sample("throughput", tag, samples, || {
-                let m = Arc::new(RevocableMonitor::with_policy(policy));
-                let cell = TCell::new(0i64);
-                let start = Arc::new(Barrier::new(THREADS + 1));
-                let handles: Vec<_> = (0..THREADS)
-                    .map(|i| {
-                        let m = Arc::clone(&m);
-                        let cell = cell.clone();
-                        let start = Arc::clone(&start);
-                        let prio = if i == 0 { Priority::HIGH } else { Priority::LOW };
-                        thread::spawn(move || {
-                            start.wait();
-                            for _ in 0..ops {
-                                if policy == InversionPolicy::Delegation {
-                                    let cell = cell.clone();
-                                    m.submit(prio, move |tx| tx.update(&cell, |v| v + 1)).wait();
-                                } else {
-                                    m.enter(prio, |tx| tx.update(&cell, |v| v + 1));
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                start.wait();
-                let t0 = Instant::now();
-                for h in handles {
-                    h.join().unwrap();
-                }
-                let ns = t0.elapsed().as_nanos() as f64;
-                assert_eq!(
-                    cell.read_unsynchronized(),
-                    THREADS as i64 * ops as i64,
-                    "lost updates under {tag}"
-                );
-                ns / (THREADS as u64 * ops) as f64
-            })
-        })
-        .collect()
-}
-
-fn results_json(mode: &str, rows: &[Row]) -> String {
-    let mut out = format!("{{\n  \"figure\": \"policies\",\n  \"mode\": \"{mode}\",\n");
-    out.push_str("  \"unit\": \"ns_per_op\",\n  \"benches\": [\n");
+fn results_body(rows: &[Row]) -> String {
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -235,19 +174,15 @@ fn results_json(mode: &str, rows: &[Row]) -> String {
             )
         })
         .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    format!("  \"unit\": \"ns_per_op\",\n  \"benches\": [\n{}\n  ]", body.join(",\n"))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-
-    let (samples, iters, episodes, low_writes, ops) = if quick {
-        (6, 150_000u64, 8u64, 50_000u64, 3_000u64)
+    let args = Args::from_env();
+    let (samples, iters, episodes, low_writes) = if args.quick {
+        (6, 150_000u64, 8u64, 50_000u64)
     } else {
-        (15, 800_000u64, 40u64, 200_000u64, 15_000u64)
+        (15, 800_000u64, 40u64, 200_000u64)
     };
 
     let mut rows = Vec::new();
@@ -255,9 +190,8 @@ fn main() {
     rows.extend(bench_section_write(samples, iters));
     rows.push(bench_submit_round_trip(samples, iters / 4));
     rows.extend(bench_inversion_latency(samples, episodes, low_writes));
-    rows.extend(bench_throughput(samples, ops));
 
-    println!("three-policy comparison ({})", if quick { "quick" } else { "full" });
+    println!("three-policy comparison ({})", args.mode());
     println!("{:<20} {:<12} {:>14} {:>10}", "bench", "policy", "mean ns/op", "ci90");
     for r in &rows {
         println!("{:<20} {:<12} {:>14.2} {:>10.2}", r.name, r.policy, r.mean_ns(), r.ci90_ns());
@@ -274,10 +208,5 @@ fn main() {
         println!("section_write: delegation/revocation ratio {:.3} (barrier skipped)", del / rev);
     }
 
-    let dir = revmon_bench::export::results_dir();
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("BENCH_policies.json");
-    let mode = if quick { "quick" } else { "full" };
-    std::fs::write(&path, results_json(mode, &rows)).expect("write BENCH_policies.json");
-    println!("wrote {}", path.display());
+    measure::write_results("policies", args, &results_body(&rows));
 }

@@ -1,52 +1,40 @@
 //! Millions-of-monitors scale benchmark.
 //!
-//! Three claims from the compact-monitor + O(1)-queue work, measured:
+//! Two claims from the compact-monitor + O(1)-queue work, measured:
 //!
 //! 1. **Footprint** — a [`MonitorArena`] of 1M monitors (100k in
 //!    `--quick`) costs ≤ [`BYTES_BUDGET`] bytes per *idle* monitor,
 //!    amortized, even after inflate/deflate churn has populated the fat
 //!    side table (pooled records are shared, not per-monitor). Measured
-//!    with a counting global allocator (net live bytes).
+//!    with a counting global allocator (net live bytes). The repo
+//!    benchmark has no footprint metric; this is the one place it is
+//!    taken.
 //! 2. **Queue latency** — `PrioritizedQueue` pop+refill latency is flat
-//!    (within [`FLATNESS_BUDGET`]×) from 1 to 256 waiters; the seed's
-//!    `VecDeque` linear-scan pop, timed side by side from an inline
-//!    model copy, grows linearly.
-//! 3. **No hot-path regression** — uncontended `enter_exit` and
-//!    `logged_write` stay within [`HOTPATH_BUDGET`]× of the committed
-//!    BENCH_hotpath reference numbers (generous vs the 10% acceptance
-//!    band because shared CI runners are noisy; the committed
-//!    BENCH_scale.json carries full-mode numbers).
+//!    (within [`FLATNESS_BUDGET`]×) from 1 to 256 waiters. Only the ratio
+//!    is gated; the absolute figures are `core.queue_push_pop_ns.*` in
+//!    `BENCHMARK.json`, and the seed's linear-scan queue it replaced is
+//!    modelled in `crates/core/tests/queue_differential.rs`.
 //!
 //! Results go to `bench_results/BENCH_scale.json`. `--check` turns the
-//! three budgets into hard gates (exit 1) — the CI `scale-smoke` job.
+//! budgets into hard gates (exit 1) — the CI `scale-smoke` job.
 //!
 //! Run with
 //! `cargo bench -p revmon-bench --bench scale -- [--quick] [--check]`.
 
+use revmon_bench::measure::{self, sample, time_ns_per_op, Args};
 use revmon_core::metrics::{ci90_half_width, mean};
 use revmon_core::{PrioritizedQueue, Priority, QueueDiscipline};
-use revmon_locks::{MonitorArena, RevocableMonitor, TCell};
+use revmon_locks::{MonitorArena, TCell};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 /// Amortized idle bytes per monitor the arena may cost (ISSUE budget).
 const BYTES_BUDGET: f64 = 16.0;
 /// Max allowed pop-latency growth from 1 to 256 waiters (ISSUE budget).
 const FLATNESS_BUDGET: f64 = 1.5;
-/// Hot-path guard: measured / reference ceiling for the `--check` gate.
-/// The acceptance band is 10%; the gate adds headroom for CI-runner
-/// noise, mirroring the hotpath job's 20% tolerance.
-const HOTPATH_BUDGET: f64 = 1.25;
-
-/// Reference numbers from the committed `BENCH_hotpath.json` (full
-/// mode, this container). Refresh alongside that file when the hot path
-/// legitimately moves.
-const HOTPATH_REF_NS: &[(&str, f64)] = &[("enter_exit", 92.83), ("logged_write", 42.44)];
 
 // ------------------------------------------------------- allocator meter
 
@@ -95,20 +83,21 @@ struct MonitorReport {
     idle_bytes_per_monitor: f64,
     churn_inflations: u64,
     churn_deflations: u64,
-    thin_enter_exit_ns: f64,
 }
 
-/// One deterministic inflate/deflate round on `m`: hold it, queue a
-/// delegated section against it (which inflates), release (which drains
-/// and deflates).
-fn churn_round(m: &Arc<RevocableMonitor>, c: &TCell<i64>) {
+/// One deterministic inflate/deflate round on monitor `idx`: hold it,
+/// queue a delegated section against it (which inflates), release (which
+/// drains and deflates).
+fn churn_round(arena: &Arc<MonitorArena>, idx: usize) {
+    let c = TCell::new(0i64);
+    let m = arena.get(idx);
     let queued = Arc::new(AtomicBool::new(false));
     let holder = {
-        let m = Arc::clone(m);
+        let arena = Arc::clone(arena);
         let c = c.clone();
         let queued = Arc::clone(&queued);
         thread::spawn(move || {
-            m.enter(Priority::NORM, |tx| {
+            arena.get(idx).enter(Priority::NORM, |tx| {
                 tx.update(&c, |v| v + 1);
                 while !queued.load(Ordering::Acquire) {
                     std::hint::spin_loop();
@@ -124,63 +113,29 @@ fn churn_round(m: &Arc<RevocableMonitor>, c: &TCell<i64>) {
     queued.store(true, Ordering::Release);
     h.wait();
     holder.join().unwrap();
+    assert_eq!(c.read_unsynchronized(), 2, "churn round lost an update");
 }
 
 fn bench_monitors(count: usize, churn_rounds: usize) -> MonitorReport {
     // Warm process-wide laziness (thread slot, side-table chunk, stats
     // registry growth) *before* the baseline so the arena measurement
     // captures the arena, not one-time globals.
-    {
-        let m = Arc::new(RevocableMonitor::new());
-        let c = TCell::new(0i64);
-        churn_round(&m, &c);
-    }
+    churn_round(&Arc::new(MonitorArena::new(1)), 0);
     let before = live_bytes();
-    let arena = MonitorArena::new(count);
+    let arena = Arc::new(MonitorArena::new(count));
+    let idle_after_create = live_bytes() - before;
     // Touch a scatter of monitors: uncontended thin enter/exit of a live
     // monitor must not allocate (the zero-alloc steady-state invariant,
     // now at arena scale).
-    let idle_after_create = live_bytes() - before;
-    let touch = (0..count).step_by(97.max(count / 10_000).max(1));
-    let t0 = Instant::now();
-    let mut touched = 0u64;
-    for i in touch {
+    for i in (0..count).step_by(97.max(count / 10_000)) {
         arena.get(i).enter_norm(|_tx| {});
-        touched += 1;
     }
-    let thin_ns = t0.elapsed().as_nanos() as f64 / touched.max(1) as f64;
     // Inflate/deflate churn on a scatter of arena monitors exercises the
     // pooled side table at scale; afterwards everything is deflated, so
     // the bytes we see are the *idle* footprint plus the (shared,
     // amortized) pooled records.
-    let arena = Arc::new(arena);
     for r in 0..churn_rounds {
-        let idx = (r * 7919) % count;
-        let c = TCell::new(0i64);
-        let am = arena.get(idx);
-        let queued = Arc::new(AtomicBool::new(false));
-        let holder = {
-            let arena = Arc::clone(&arena);
-            let c = c.clone();
-            let queued = Arc::clone(&queued);
-            thread::spawn(move || {
-                arena.get(idx).enter(Priority::NORM, |tx| {
-                    tx.update(&c, |v| v + 1);
-                    while !queued.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                });
-            })
-        };
-        while am.try_enter(Priority::NORM, |_| ()).is_some() {
-            std::hint::spin_loop();
-        }
-        let c2 = c.clone();
-        let h = am.submit(Priority::HIGH, move |tx| tx.update(&c2, |v| v + 1));
-        queued.store(true, Ordering::Release);
-        h.wait();
-        holder.join().unwrap();
-        assert_eq!(c.read_unsynchronized(), 2, "churn round lost an update");
+        churn_round(&arena, (r * 7919) % count);
     }
     let st = arena.stats();
     let idle_after_churn = live_bytes() - before;
@@ -191,41 +146,10 @@ fn bench_monitors(count: usize, churn_rounds: usize) -> MonitorReport {
         idle_bytes_per_monitor: idle_after_churn.max(idle_after_create) as f64 / count as f64,
         churn_inflations: st.inflations,
         churn_deflations: st.deflations,
-        thin_enter_exit_ns: thin_ns,
     }
 }
 
 // ---------------------------------------------------------------- queue
-
-/// Inline copy of the seed's queue representation: arrival-ordered
-/// `VecDeque`, pop = O(n) `max_by_key` scan (highest priority, earliest
-/// arrival). This is the baseline the O(1) queue replaced; timing it
-/// here keeps the comparison in one binary, same flags, same machine.
-struct SeedQueue {
-    items: VecDeque<(u64, Priority, u64)>,
-    next_seq: u64,
-}
-
-impl SeedQueue {
-    fn new() -> Self {
-        SeedQueue { items: VecDeque::new(), next_seq: 0 }
-    }
-
-    fn push(&mut self, item: u64, priority: Priority) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.items.push_back((item, priority, seq));
-    }
-
-    fn pop(&mut self) -> Option<u64> {
-        let (i, _) = self
-            .items
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &(_, p, s))| (p, std::cmp::Reverse(s)))?;
-        self.items.remove(i).map(|(v, _, _)| v)
-    }
-}
 
 struct Lcg(u64);
 
@@ -243,7 +167,6 @@ struct QueueRow {
     waiters: usize,
     pop_ns: f64,
     pop_ci90_ns: f64,
-    seed_pop_ns: f64,
 }
 
 /// ns per pop+refill cycle at steady population `waiters`.
@@ -251,213 +174,80 @@ fn queue_rows(waiter_counts: &[usize], samples: usize, iters: u64) -> Vec<QueueR
     waiter_counts
         .iter()
         .map(|&w| {
-            let mut new_samples = Vec::with_capacity(samples);
-            let mut seed_samples = Vec::with_capacity(samples);
-            for round in 0..=samples {
-                let mut rng = Lcg(0xA24BAED4963EE407 ^ (w as u64) << 8 ^ round as u64);
+            let mut round = 0u64;
+            let pops = sample(samples, || {
+                let mut rng = Lcg(0xA24BAED4963EE407 ^ (w as u64) << 8 ^ round);
+                round += 1;
                 let mut q = PrioritizedQueue::new(QueueDiscipline::Priority);
                 for i in 0..w {
                     q.push(i as u64, rng.prio());
                 }
-                let t0 = Instant::now();
-                for _ in 0..iters {
+                time_ns_per_op(iters, || {
                     let v = q.pop().expect("population is stable");
                     q.push(black_box(v), rng.prio());
-                }
-                let new_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-                let mut sq = SeedQueue::new();
-                for i in 0..w {
-                    sq.push(i as u64, rng.prio());
-                }
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    let v = sq.pop().expect("population is stable");
-                    sq.push(black_box(v), rng.prio());
-                }
-                let seed_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-                if round > 0 {
-                    // round 0 is warmup
-                    new_samples.push(new_ns);
-                    seed_samples.push(seed_ns);
-                }
-            }
-            QueueRow {
-                waiters: w,
-                pop_ns: mean(&new_samples),
-                pop_ci90_ns: ci90_half_width(&new_samples),
-                seed_pop_ns: mean(&seed_samples),
-            }
+                })
+            });
+            QueueRow { waiters: w, pop_ns: mean(&pops), pop_ci90_ns: ci90_half_width(&pops) }
         })
         .collect()
 }
 
-// -------------------------------------------------------- hotpath guard
-
-struct GuardRow {
-    name: &'static str,
-    ns: f64,
-    ref_ns: f64,
-}
-
-impl GuardRow {
-    fn ratio(&self) -> f64 {
-        self.ns / self.ref_ns
-    }
-}
-
-fn time_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn best_of(samples: usize, mut one: impl FnMut() -> f64) -> f64 {
-    let _ = one(); // warmup
-    (0..samples).map(|_| one()).fold(f64::INFINITY, f64::min)
-}
-
-/// Re-measure the two budgeted hot paths in this binary (min-of-samples:
-/// the guard asks "is the fast path still this fast", not "what is the
-/// mean under noise").
-fn hotpath_guard(samples: usize, iters: u64) -> Vec<GuardRow> {
-    let lookup = |n: &str| HOTPATH_REF_NS.iter().find(|(k, _)| *k == n).map(|&(_, v)| v);
-    let mut rows = Vec::new();
-    {
-        let m = RevocableMonitor::new();
-        let ns = best_of(samples, || time_ns_per_op(iters, || m.enter(Priority::NORM, |_tx| {})));
-        rows.push(GuardRow { name: "enter_exit", ns, ref_ns: lookup("enter_exit").unwrap() });
-    }
-    {
-        let m = RevocableMonitor::new();
-        let cell = TCell::new(0i64);
-        let ns = best_of(samples, || {
-            m.enter(Priority::NORM, |tx| time_ns_per_op(iters, || tx.write(&cell, black_box(7i64))))
-        });
-        rows.push(GuardRow { name: "logged_write", ns, ref_ns: lookup("logged_write").unwrap() });
-    }
-    rows
-}
-
 // ----------------------------------------------------------------- main
 
-fn results_json(
-    mode: &str,
-    mon: &MonitorReport,
-    queue: &[QueueRow],
-    flatness: f64,
-    guard: &[GuardRow],
-) -> String {
-    let mut out = format!("{{\n  \"figure\": \"scale\",\n  \"mode\": \"{mode}\",\n");
-    out.push_str(&format!(
-        "  \"monitors\": {{\"count\": {}, \"idle_bytes_per_monitor\": {:.2}, \
-         \"budget_bytes\": {:.1}, \"churn_inflations\": {}, \"churn_deflations\": {}, \
-         \"thin_enter_exit_ns\": {:.2}}},\n",
-        mon.count,
-        mon.idle_bytes_per_monitor,
-        BYTES_BUDGET,
-        mon.churn_inflations,
-        mon.churn_deflations,
-        mon.thin_enter_exit_ns
-    ));
-    out.push_str(&format!(
-        "  \"queue\": {{\"flatness_ratio\": {flatness:.3}, \"budget_ratio\": \
-         {FLATNESS_BUDGET:.1}, \"rows\": [\n"
-    ));
+fn results_body(mon: &MonitorReport, queue: &[QueueRow], flatness: f64) -> String {
     let rows: Vec<String> = queue
         .iter()
         .map(|r| {
             format!(
-                "    {{\"waiters\": {}, \"pop_ns\": {:.2}, \"ci90_ns\": {:.2}, \
-                 \"seed_pop_ns\": {:.2}}}",
-                r.waiters, r.pop_ns, r.pop_ci90_ns, r.seed_pop_ns
+                "    {{\"waiters\": {}, \"pop_ns\": {:.2}, \"ci90_ns\": {:.2}}}",
+                r.waiters, r.pop_ns, r.pop_ci90_ns
             )
         })
         .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]},\n");
-    out.push_str(&format!(
-        "  \"hotpath_guard\": {{\"budget_ratio\": {HOTPATH_BUDGET:.2}, \"rows\": [\n"
-    ));
-    let rows: Vec<String> = guard
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"ns\": {:.2}, \"ref_ns\": {:.2}, \"ratio\": {:.3}}}",
-                r.name,
-                r.ns,
-                r.ref_ns,
-                r.ratio()
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]}\n}\n");
-    out
+    format!(
+        "  \"monitors\": {{\"count\": {}, \"idle_bytes_per_monitor\": {:.2}, \
+         \"budget_bytes\": {BYTES_BUDGET:.1}, \"churn_inflations\": {}, \
+         \"churn_deflations\": {}}},\n  \
+         \"queue\": {{\"flatness_ratio\": {flatness:.3}, \
+         \"budget_ratio\": {FLATNESS_BUDGET:.1}, \"rows\": [\n{}\n  ]}}",
+        mon.count,
+        mon.idle_bytes_per_monitor,
+        mon.churn_inflations,
+        mon.churn_deflations,
+        rows.join(",\n")
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-
+    let args = Args::from_env();
     let (monitors, churn, samples, iters) =
-        if quick { (100_000, 32, 6, 100_000u64) } else { (1_000_000, 256, 12, 500_000u64) };
+        if args.quick { (100_000, 32, 6, 100_000u64) } else { (1_000_000, 256, 12, 500_000u64) };
     let waiter_counts = [1usize, 4, 16, 64, 256];
 
-    println!("scale benchmark ({})", if quick { "quick" } else { "full" });
+    println!("scale benchmark ({})", args.mode());
 
     let mon = bench_monitors(monitors, churn);
     println!(
-        "monitors: {} live, {:.2} bytes/monitor idle (budget {:.1}), thin enter/exit {:.2} ns, \
+        "monitors: {} live, {:.2} bytes/monitor idle (budget {:.1}), \
          churn {} inflations / {} deflations",
         mon.count,
         mon.idle_bytes_per_monitor,
         BYTES_BUDGET,
-        mon.thin_enter_exit_ns,
         mon.churn_inflations,
         mon.churn_deflations
     );
 
     let queue = queue_rows(&waiter_counts, samples, iters);
-    println!("{:<10} {:>14} {:>10} {:>16}", "waiters", "pop ns (new)", "ci90", "pop ns (seed)");
+    println!("{:<10} {:>14} {:>10}", "waiters", "pop ns", "ci90");
     for r in &queue {
-        println!(
-            "{:<10} {:>14.2} {:>10.2} {:>16.2}",
-            r.waiters, r.pop_ns, r.pop_ci90_ns, r.seed_pop_ns
-        );
+        println!("{:<10} {:>14.2} {:>10.2}", r.waiters, r.pop_ns, r.pop_ci90_ns);
     }
     let flatness = queue.last().unwrap().pop_ns / queue.first().unwrap().pop_ns;
-    println!(
-        "flatness (256 vs 1 waiters): {:.3}x new (budget {:.1}x) vs {:.3}x seed",
-        flatness,
-        FLATNESS_BUDGET,
-        queue.last().unwrap().seed_pop_ns / queue.first().unwrap().seed_pop_ns
-    );
+    println!("flatness (256 vs 1 waiters): {flatness:.3}x (budget {FLATNESS_BUDGET:.1}x)");
 
-    let guard = hotpath_guard(samples, iters);
-    for r in &guard {
-        println!(
-            "hotpath guard: {} = {:.2} ns vs ref {:.2} ns ({:.3}x, budget {:.2}x)",
-            r.name,
-            r.ns,
-            r.ref_ns,
-            r.ratio(),
-            HOTPATH_BUDGET
-        );
-    }
+    measure::write_results("scale", args, &results_body(&mon, &queue, flatness));
 
-    let dir = revmon_bench::export::results_dir();
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("BENCH_scale.json");
-    let mode = if quick { "quick" } else { "full" };
-    std::fs::write(&path, results_json(mode, &mon, &queue, flatness, &guard))
-        .expect("write BENCH_scale.json");
-    println!("wrote {}", path.display());
-
-    if check {
+    if args.check {
         let mut failed = false;
         if mon.idle_bytes_per_monitor > BYTES_BUDGET {
             eprintln!(
@@ -479,19 +269,6 @@ fn main() {
                  (budget {FLATNESS_BUDGET:.1}x)"
             );
             failed = true;
-        }
-        for r in &guard {
-            if r.ratio() > HOTPATH_BUDGET {
-                eprintln!(
-                    "HOTPATH REGRESSION: {} = {:.2} ns vs ref {:.2} ns ({:.3}x > {:.2}x)",
-                    r.name,
-                    r.ns,
-                    r.ref_ns,
-                    r.ratio(),
-                    HOTPATH_BUDGET
-                );
-                failed = true;
-            }
         }
         if failed {
             std::process::exit(1);

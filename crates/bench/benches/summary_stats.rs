@@ -9,11 +9,10 @@
 //!
 //! Run with `cargo bench -p revmon-bench --bench summary_stats`.
 
-use revmon_bench::{figure_series, gain_pct, Scale, Series, MIXES};
+use revmon_bench::{figure_series, gain_pct, measure, Series, MIXES};
 
 fn main() {
-    let scale =
-        if std::env::var("REVMON_FULL").is_ok() { Scale::paper() } else { Scale::default_scale() };
+    let scale = measure::scale_from_env();
     println!("# Headline statistics over the Figure 5-8 grid (scaled workload)");
 
     let mut all_gains: Vec<f64> = Vec::new();

@@ -25,20 +25,14 @@ use std::sync::Arc;
 ///
 /// Values are the normalized elapsed times straight from
 /// [`FigureRow`]; `ci90` is the 90 % confidence-interval half-width
-/// (`revmon_core::metrics::ci90_half_width`) in the same units.
-pub fn figure_summary_json(
-    figure: &str,
-    series: &str,
-    figs: &[((usize, usize), Vec<FigureRow>)],
-) -> String {
-    figure_summary_json_with(figure, series, figs, None)
-}
-
-/// [`figure_summary_json`] plus an optional `episodes` block summarizing
-/// one representative observed run's priority-inversion episodes: count,
-/// per-resolution counts, mean/p99 inversion latency (virtual ticks) and
-/// wasted undo entries — the run-quality context behind the mean+ci90
-/// timing rows.
+/// (`revmon_core::metrics::ci90_half_width`) in the same units. They are
+/// virtual-clock results, so the document carries no `mode` or host
+/// header and regenerates byte for byte.
+///
+/// With `episodes`, an `episodes` block summarizes one representative
+/// observed run's priority-inversion episodes: count, per-resolution
+/// counts, mean/p99 inversion latency (virtual ticks) and wasted undo
+/// entries — the run-quality context behind the mean+ci90 timing rows.
 pub fn figure_summary_json_with(
     figure: &str,
     series: &str,
@@ -96,19 +90,18 @@ pub fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
 }
 
-/// Write a figure's summary to `dir/BENCH_<figure>.json`, creating `dir`
-/// if needed. Returns the path written.
-pub fn write_figure_summary(
-    dir: impl AsRef<Path>,
-    figure: &str,
-    series: &str,
-    figs: &[((usize, usize), Vec<FigureRow>)],
-) -> io::Result<PathBuf> {
-    write_figure_summary_with(dir, figure, series, figs, None)
+/// Write `contents` to `dir/BENCH_<name>.json`, creating `dir` if needed.
+/// Returns the path written.
+pub fn write_bench_file(dir: impl AsRef<Path>, name: &str, contents: &str) -> io::Result<PathBuf> {
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, contents)?;
+    Ok(path.canonicalize().unwrap_or(path))
 }
 
-/// [`write_figure_summary`] with an episode summary block (see
-/// [`figure_summary_json_with`]).
+/// Write a figure's summary (see [`figure_summary_json_with`]) to
+/// `dir/BENCH_<figure>.json`. Returns the path written.
 pub fn write_figure_summary_with(
     dir: impl AsRef<Path>,
     figure: &str,
@@ -116,11 +109,7 @@ pub fn write_figure_summary_with(
     figs: &[((usize, usize), Vec<FigureRow>)],
     episodes: Option<&revmon_obs::Analysis>,
 ) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{figure}.json"));
-    std::fs::write(&path, figure_summary_json_with(figure, series, figs, episodes))?;
-    Ok(path.canonicalize().unwrap_or(path))
+    write_bench_file(dir, figure, &figure_summary_json_with(figure, series, figs, episodes))
 }
 
 /// Execute one cell with a sink attached and analyze its event stream:
@@ -150,12 +139,8 @@ pub fn run_cell_observed(p: &BenchParams) -> (CellResult, String) {
 /// Run one cell observed and write its metrics JSON to
 /// `dir/BENCH_<tag>_run_metrics.json`. Returns the path written.
 pub fn write_run_metrics(dir: impl AsRef<Path>, tag: &str, p: &BenchParams) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
     let (_, json) = run_cell_observed(p);
-    let path = dir.join(format!("BENCH_{tag}_run_metrics.json"));
-    std::fs::write(&path, json)?;
-    Ok(path.canonicalize().unwrap_or(path))
+    write_bench_file(dir, &format!("{tag}_run_metrics"), &json)
 }
 
 #[cfg(test)]
@@ -185,7 +170,7 @@ mod tests {
     #[test]
     fn summary_json_is_balanced_and_complete() {
         let figs = vec![((2, 8), rows()), ((8, 2), rows())];
-        let json = figure_summary_json("fig5", "high_priority", &figs);
+        let json = figure_summary_json_with("fig5", "high_priority", &figs, None);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"figure\": \"fig5\""));
@@ -220,7 +205,8 @@ mod tests {
         // The timing rows are untouched by the new block.
         assert!(json.contains("\"write_pct\": 100"));
         // Without an analysis the block is absent (other figures).
-        assert!(!figure_summary_json("fig5", "high_priority", &figs).contains("episodes"));
+        let bare = figure_summary_json_with("fig5", "high_priority", &figs, None);
+        assert!(!bare.contains("episodes"));
     }
 
     #[test]

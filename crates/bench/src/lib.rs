@@ -12,7 +12,11 @@
 //!   confidence interval, matching the paper's 5-iteration averaging,
 //! * [`figure_series`] — a full figure's normalized series,
 //! * the `benches/` harnesses (`cargo bench -p revmon-bench`) printing
-//!   each figure's rows and checking its qualitative shape.
+//!   each figure's rows and checking its qualitative shape,
+//! * [`measure`] — the timing, pairing, flag and results-file helpers the
+//!   remaining wall-clock benches (ratio, footprint and flatness gates,
+//!   policy and governor comparisons) share. Absolute timings of the
+//!   system live in the repo benchmark (`benchmark/`), not here.
 //!
 //! ## Scaling
 //!
@@ -29,6 +33,7 @@
 #![deny(missing_docs)]
 
 pub mod export;
+pub mod measure;
 pub mod workload;
 
 use revmon_core::metrics::{ci90_half_width, mean};

@@ -6,11 +6,13 @@
 //!
 //! The graph records, for each blocked thread, the monitor it waits on and
 //! that monitor's owner. A cycle in the thread→thread relation is a
-//! deadlock. Resolution revokes a *victim*: the lowest-priority thread in
-//! the cycle (ties broken by highest thread id, i.e. youngest), provided
-//! its blocking section is revocable. The paper notes that repeated
-//! revocation can livelock; callers guard against that by rotating victims
-//! or bounding revocations (see `revmon-vm::deadlock`).
+//! deadlock. Resolution revokes a *victim*
+//! ([`WaitsForGraph::choose_victim`], the one rule both runtimes run):
+//! the lowest-priority thread in the cycle (ties broken by highest thread
+//! id, i.e. youngest) among those holding a revocable section on the
+//! monitor their predecessor in the cycle waits for. The paper notes that
+//! repeated revocation can livelock; callers guard against that by
+//! bounding revocations (`max_consecutive_revocations`, the governor).
 
 use crate::priority::{MonitorId, Priority, ThreadId};
 use std::collections::HashMap;
@@ -27,18 +29,17 @@ pub struct Edge {
     pub owner: ThreadId,
 }
 
-/// A deadlock victim: which thread to revoke and the monitor whose
-/// acquisition it is blocked on (its revocation target is the section in
-/// which it blocked).
+/// A deadlock victim: which thread to revoke, and which of its sections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Victim {
+pub struct Victim<H> {
     /// Thread chosen for revocation.
     pub thread: ThreadId,
-    /// Monitor the victim is blocked on (edge that closes the cycle).
-    pub blocked_on: MonitorId,
-    /// All threads participating in the detected cycle, in cycle order
-    /// starting at `thread`. Bounded copy for diagnostics.
-    pub cycle_len: usize,
+    /// The monitor `thread` holds that its predecessor in the cycle waits
+    /// for; revoking `thread`'s section on it breaks the cycle.
+    pub monitor: MonitorId,
+    /// What the runtime's holder lookup returned for that section — its
+    /// handle for flagging the revocation.
+    pub section: H,
 }
 
 /// Waits-for graph over blocked threads.
@@ -151,39 +152,38 @@ impl WaitsForGraph {
     }
 
     /// Choose a victim for a detected cycle: the lowest-priority member
-    /// whose section is revocable (per `revocable`), ties broken by the
-    /// *highest* thread id (youngest thread has done the least work).
-    /// Returns `None` if no member is revocable — the deadlock cannot be
+    /// (ties broken by the *highest* thread id — the youngest thread has
+    /// done the least work) among those holding a revocable section on
+    /// the monitor their predecessor in the cycle waits for.
+    ///
+    /// `holder(thread, monitor)` is the runtime's lookup: `Some` with the
+    /// holder's priority and a section handle when `thread` holds a
+    /// section on `monitor` that can still be revoked, `None` otherwise.
+    /// Returns `None` if no member qualifies — the deadlock cannot be
     /// broken (all sections non-revocable), matching the paper's fallback
     /// to unresolvable cases.
-    pub fn choose_victim(
+    pub fn choose_victim<H>(
         &self,
         cycle: &[ThreadId],
-        priority_of: impl Fn(ThreadId) -> Priority,
-        revocable: impl Fn(ThreadId) -> bool,
-    ) -> Option<Victim> {
-        let mut best: Option<(Priority, ThreadId)> = None;
-        for &t in cycle {
-            if !revocable(t) {
+        mut holder: impl FnMut(ThreadId, MonitorId) -> Option<(Priority, H)>,
+    ) -> Option<Victim<H>> {
+        let mut best: Option<(Priority, Victim<H>)> = None;
+        for &thread in cycle {
+            // predecessor = the cycle member whose edge points at `thread`
+            let Some(pred) =
+                cycle.iter().filter_map(|&p| self.edge_of(p)).find(|e| e.owner == thread)
+            else {
                 continue;
-            }
-            let p = priority_of(t);
-            best = match best {
-                None => Some((p, t)),
-                Some((bp, bt)) => {
-                    if p < bp || (p == bp && t > bt) {
-                        Some((p, t))
-                    } else {
-                        Some((bp, bt))
-                    }
-                }
             };
+            let Some((priority, section)) = holder(thread, pred.monitor) else { continue };
+            let better = best.as_ref().is_none_or(|(best_priority, b)| {
+                priority < *best_priority || (priority == *best_priority && thread > b.thread)
+            });
+            if better {
+                best = Some((priority, Victim { thread, monitor: pred.monitor, section }));
+            }
         }
-        best.map(|(_, t)| Victim {
-            thread: t,
-            blocked_on: self.edges[&t].0,
-            cycle_len: cycle.len(),
-        })
+        best.map(|(_, v)| v)
     }
 }
 
@@ -242,51 +242,66 @@ mod tests {
         assert!(!c.contains(&t(0)));
     }
 
-    #[test]
-    fn victim_is_lowest_priority_revocable() {
+    /// T1 holds M1 and waits on M2; T2 holds M2 and waits on M1.
+    fn two_cycle() -> (WaitsForGraph, Vec<ThreadId>) {
         let mut g = WaitsForGraph::new();
         g.add_wait(t(1), m(2), t(2));
         g.add_wait(t(2), m(1), t(1));
         let cycle = g.find_any_cycle().unwrap();
+        (g, cycle)
+    }
+
+    #[test]
+    fn victim_is_lowest_priority_revocable() {
+        let (g, cycle) = two_cycle();
         let v = g
-            .choose_victim(
-                &cycle,
-                |th| if th == t(1) { Priority::HIGH } else { Priority::LOW },
-                |_| true,
-            )
+            .choose_victim(&cycle, |th, mon| {
+                Some((if th == t(1) { Priority::HIGH } else { Priority::LOW }, mon.0 * 10))
+            })
             .unwrap();
         assert_eq!(v.thread, t(2));
-        assert_eq!(v.blocked_on, m(1));
-        assert_eq!(v.cycle_len, 2);
+        // T2's predecessor T1 waits on M2: that is the section to revoke,
+        // and the handle the lookup returned for it rides along.
+        assert_eq!(v.monitor, m(2));
+        assert_eq!(v.section, 20);
     }
 
     #[test]
     fn victim_skips_non_revocable_members() {
-        let mut g = WaitsForGraph::new();
-        g.add_wait(t(1), m(2), t(2));
-        g.add_wait(t(2), m(1), t(1));
-        let cycle = g.find_any_cycle().unwrap();
-        let v = g.choose_victim(&cycle, |_| Priority::LOW, |th| th == t(1)).unwrap();
+        let (g, cycle) = two_cycle();
+        let v =
+            g.choose_victim(&cycle, |th, _| (th == t(1)).then_some((Priority::LOW, ()))).unwrap();
         assert_eq!(v.thread, t(1));
+        assert_eq!(v.monitor, m(1));
     }
 
     #[test]
     fn no_victim_when_all_non_revocable() {
-        let mut g = WaitsForGraph::new();
-        g.add_wait(t(1), m(2), t(2));
-        g.add_wait(t(2), m(1), t(1));
-        let cycle = g.find_any_cycle().unwrap();
-        assert!(g.choose_victim(&cycle, |_| Priority::LOW, |_| false).is_none());
+        let (g, cycle) = two_cycle();
+        assert!(g.choose_victim(&cycle, |_, _| None::<(Priority, ())>).is_none());
     }
 
     #[test]
     fn equal_priority_tie_breaks_to_youngest() {
+        let (g, cycle) = two_cycle();
+        let v = g.choose_victim(&cycle, |_, _| Some((Priority::NORM, ()))).unwrap();
+        assert_eq!(v.thread, t(2));
+    }
+
+    #[test]
+    fn holder_is_asked_about_the_monitor_the_predecessor_waits_for() {
         let mut g = WaitsForGraph::new();
         g.add_wait(t(1), m(2), t(2));
-        g.add_wait(t(2), m(1), t(1));
-        let cycle = g.find_any_cycle().unwrap();
-        let v = g.choose_victim(&cycle, |_| Priority::NORM, |_| true).unwrap();
-        assert_eq!(v.thread, t(2));
+        g.add_wait(t(2), m(3), t(3));
+        g.add_wait(t(3), m(1), t(1));
+        let cycle = g.find_cycle_from(t(1)).unwrap();
+        let mut asked = Vec::new();
+        g.choose_victim(&cycle, |th, mon| {
+            asked.push((th, mon));
+            None::<(Priority, ())>
+        });
+        asked.sort();
+        assert_eq!(asked, [(t(1), m(1)), (t(2), m(2)), (t(3), m(3))]);
     }
 
     #[test]

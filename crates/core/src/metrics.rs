@@ -5,32 +5,61 @@
 //! mean and the 90 % confidence interval the paper reports ("we show 90 %
 //! confidence intervals in our results", §4.1).
 
-/// Define [`Metrics`] from a single field list so the struct, `merge`,
-/// `FIELD_NAMES`, and the by-name accessors can never drift apart: a
-/// field added here is automatically summed by `merge`, visited by
-/// `for_each_field`, and exported by name.
-macro_rules! define_metrics {
-    ($( $(#[$doc:meta])* $field:ident ),+ $(,)?) => {
-        /// Counters describing one run.
+/// Define a counter struct — and, when asked, its atomic twin — from a
+/// single field list, so the struct, `merge`, `FIELD_NAMES`, the by-name
+/// accessors and the twin's `snapshot` can never drift apart: a field
+/// added to the list is automatically summed by `merge`, visited by
+/// `for_each_field`, exported by name and copied by `snapshot`.
+///
+/// ```
+/// revmon_core::define_counters! {
+///     /// A point-in-time copy.
+///     pub struct Snapshot {
+///         /// Things that happened.
+///         events,
+///         /// Things that did not.
+///         misses,
+///     }
+///     /// The live counters, bumped with relaxed atomics.
+///     pub atomic Live;
+/// }
+///
+/// let live = Live::default();
+/// live.events.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// let mut total = live.snapshot();
+/// total.merge(&Snapshot::uniform(1));
+/// assert_eq!((total.events, total.misses), (3, 1));
+/// assert_eq!(Snapshot::FIELD_NAMES, ["events", "misses"]);
+/// ```
+#[macro_export]
+macro_rules! define_counters {
+    (
+        $(#[$meta:meta])* $vis:vis struct $name:ident {
+            $( $(#[$doc:meta])* $field:ident ),+ $(,)?
+        }
+        $( $(#[$ameta:meta])* $avis:vis atomic $atomic:ident; )?
+    ) => {
+        $(#[$meta])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct Metrics {
+        $vis struct $name {
             $( $(#[$doc])* pub $field: u64, )+
         }
 
-        impl Metrics {
+        impl $name {
             /// Every counter's name, in declaration order.
             pub const FIELD_NAMES: &'static [&'static str] = &[
                 $( stringify!($field), )+
             ];
 
-            /// Fresh, zeroed metrics.
+            /// Fresh, zeroed counters.
             pub fn new() -> Self {
                 Self::default()
             }
 
-            /// Component-wise sum, for aggregating per-thread metrics.
-            /// Generated from the field list, so it cannot drop a field.
-            pub fn merge(&mut self, other: &Metrics) {
+            /// Component-wise sum, for aggregating across threads or
+            /// monitors. Generated from the field list, so it cannot
+            /// drop a field.
+            pub fn merge(&mut self, other: &$name) {
                 $( self.$field += other.$field; )+
             }
 
@@ -48,61 +77,88 @@ macro_rules! define_metrics {
                 }
             }
 
-            /// Metrics with every counter set to `v` (test helper for
-            /// exhaustiveness checks).
+            /// Every counter set to `v` (test helper for exhaustiveness
+            /// checks).
             pub fn uniform(v: u64) -> Self {
-                Metrics { $( $field: v, )+ }
+                $name { $( $field: v, )+ }
+            }
+        }
+
+        $crate::define_counters! {
+            @atomic $name { $( $field )+ } $( $(#[$ameta])* $avis atomic $atomic; )?
+        }
+    };
+    (@atomic $name:ident { $( $field:ident )+ }) => {};
+    (
+        @atomic $name:ident { $( $field:ident )+ }
+        $(#[$ameta:meta])* $avis:vis atomic $atomic:ident;
+    ) => {
+        $(#[$ameta])*
+        #[derive(Debug, Default)]
+        $avis struct $atomic {
+            $( pub $field: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        impl $atomic {
+            /// A relaxed point-in-time copy of every counter.
+            $avis fn snapshot(&self) -> $name {
+                $name {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+
+                }
             }
         }
     };
 }
 
-define_metrics! {
-    /// Bytecode instructions executed (VM) / data operations (locks).
-    instructions,
-    /// Monitor acquisitions that succeeded immediately.
-    monitor_acquires,
-    /// Monitor acquisitions that found the monitor held.
-    contended_acquires,
-    /// Context switches between green threads.
-    context_switches,
-    /// Undo-log entries written (write-barrier slow path executions).
-    log_entries,
-    /// Write-barrier fast-path executions (every store on modified VM).
-    barrier_fast_paths,
-    /// Write-barrier slow-path executions (in-section stores that logged
-    /// an undo entry and went through the JMM guard).
-    barrier_slow_paths,
-    /// Stores that skipped the barrier thanks to static elision.
-    barriers_elided,
-    /// Revocations requested (holder flagged by a higher-priority thread).
-    revocations_requested,
-    /// Rollbacks actually performed.
-    rollbacks,
-    /// Undo-log entries restored by rollbacks.
-    entries_rolled_back,
-    /// Synchronized-section executions that committed.
-    sections_committed,
-    /// Priority-inversion events detected.
-    inversions_detected,
-    /// Inversions left unresolved because the monitor was non-revocable.
-    inversions_unresolved,
-    /// Monitors marked non-revocable by the JMM-consistency guard.
-    monitors_marked_nonrevocable,
-    /// Deadlock cycles detected.
-    deadlocks_detected,
-    /// Deadlocks broken by revoking a victim.
-    deadlocks_broken,
-    /// Priority boosts applied (priority-inheritance baseline).
-    priority_boosts,
-    /// Revocations denied by the governor's retry budget.
-    governor_throttles,
-    /// Fresh fallback-to-blocking windows opened by the governor.
-    policy_fallbacks,
-    /// Critical sections submitted to a monitor's combiner (delegation).
-    delegations_submitted,
-    /// Delegated sections executed to completion by a combiner.
-    delegations_completed,
+define_counters! {
+    /// Counters describing one run.
+    pub struct Metrics {
+        /// Bytecode instructions executed (VM) / data operations (locks).
+        instructions,
+        /// Monitor acquisitions that succeeded immediately.
+        monitor_acquires,
+        /// Monitor acquisitions that found the monitor held.
+        contended_acquires,
+        /// Context switches between green threads.
+        context_switches,
+        /// Undo-log entries written (write-barrier slow path executions).
+        log_entries,
+        /// Write-barrier fast-path executions (every store on modified VM).
+        barrier_fast_paths,
+        /// Write-barrier slow-path executions (in-section stores that logged
+        /// an undo entry and went through the JMM guard).
+        barrier_slow_paths,
+        /// Stores that skipped the barrier thanks to static elision.
+        barriers_elided,
+        /// Revocations requested (holder flagged by a higher-priority thread).
+        revocations_requested,
+        /// Rollbacks actually performed.
+        rollbacks,
+        /// Undo-log entries restored by rollbacks.
+        entries_rolled_back,
+        /// Synchronized-section executions that committed.
+        sections_committed,
+        /// Priority-inversion events detected.
+        inversions_detected,
+        /// Inversions left unresolved because the monitor was non-revocable.
+        inversions_unresolved,
+        /// Monitors marked non-revocable by the JMM-consistency guard.
+        monitors_marked_nonrevocable,
+        /// Deadlock cycles detected.
+        deadlocks_detected,
+        /// Deadlocks broken by revoking a victim.
+        deadlocks_broken,
+        /// Priority boosts applied (priority-inheritance baseline).
+        priority_boosts,
+        /// Revocations denied by the governor's retry budget.
+        governor_throttles,
+        /// Fresh fallback-to-blocking windows opened by the governor.
+        policy_fallbacks,
+        /// Critical sections submitted to a monitor's combiner (delegation).
+        delegations_submitted,
+        /// Delegated sections executed to completion by a combiner.
+        delegations_completed,
+    }
 }
 
 /// Arithmetic mean of `xs`. Returns 0.0 for an empty slice.

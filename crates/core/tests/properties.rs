@@ -187,6 +187,52 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The deadlock victim is the minimum of (priority, youngest first)
+    /// over the members whose holder lookup succeeds, each asked about
+    /// the monitor its predecessor waits for — on random rings entered
+    /// through a random tail, with random priorities and revocability.
+    #[test]
+    fn victim_matches_reference_rule(
+        members in proptest::collection::vec((1u8..=10, any::<bool>()), 2..8),
+        tail in 0u32..3,
+        rotate in 0usize..8,
+    ) {
+        // Thread t holds monitor t and waits on its successor's; `rotate`
+        // picks the member the walk enters the ring at, so cycle order
+        // and id order differ. Tail threads chain into the ring and are
+        // never asked about.
+        let n = members.len() as u32;
+        let id = |i: u32| ThreadId((i + rotate as u32) % n);
+        let mut g = WaitsForGraph::new();
+        for i in 0..n {
+            let next = id((i + 1) % n);
+            g.add_wait(id(i), revmon_core::MonitorId(next.0), next);
+        }
+        for k in 0..tail {
+            let owner = if k == 0 { id(0) } else { ThreadId(100 + k - 1) };
+            g.add_wait(ThreadId(100 + k), revmon_core::MonitorId(owner.0), owner);
+        }
+        let start = if tail > 0 { ThreadId(100 + tail - 1) } else { id(0) };
+        let cycle = g.find_cycle_from(start).expect("ring");
+        prop_assert_eq!(cycle.len(), members.len());
+
+        let victim = g.choose_victim(&cycle, |t, m| {
+            assert_eq!(m.0, t.0, "asked about a monitor the member does not hold");
+            let (level, revocable) = members[t.0 as usize];
+            revocable.then_some((Priority::new(level), t.0 + 1000))
+        });
+        let expect = (0..n)
+            .filter(|&t| members[t as usize].1)
+            .min_by_key(|&t| (members[t as usize].0, std::cmp::Reverse(t)));
+        prop_assert_eq!(victim.map(|v| v.thread.0), expect);
+        if let Some(v) = victim {
+            prop_assert_eq!(v.monitor.0, v.thread.0);
+            prop_assert_eq!(v.section, v.thread.0 + 1000);
+        }
+    }
+}
+
 // ---------------------------------------------------- statistics helpers
 
 proptest! {

@@ -36,7 +36,7 @@ use crate::obs;
 use crate::stats::{MonitorStats, StatsSnapshot};
 use crate::tx::{self, SectionCtx, ThreadSlot};
 use parking_lot::Mutex;
-use revmon_core::{MonitorId, Priority, ThreadId, WaitsForGraph};
+use revmon_core::{MonitorId, Priority, ThreadId, Victim, WaitsForGraph};
 use revmon_obs::{Event, EventKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,35 +164,17 @@ pub(crate) fn on_block(monitor_id: u64, slot: &Arc<ThreadSlot>, priority: Priori
     };
     DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
     obs::emit(Event::NO_MONITOR, EventKind::DeadlockDetected { cycle_len: cycle.len() as u64 });
-    // Victim: lowest-priority (youngest on ties) member holding a
-    // *revocable* section on the monitor its predecessor waits for. The
-    // flagging handles are cloned during the scan: holder shards are not
-    // pinned by the graph lock, so the chosen entry must not be
+    // The flagging handles are cloned during the scan: holder shards are
+    // not pinned by the graph lock, so the chosen entry must not be
     // re-fetched after the scan.
-    type Candidate = (Priority, std::cmp::Reverse<u32>, u64, Arc<SectionCtx>, Arc<ThreadSlot>);
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for &v in &cycle {
-        let Some(pred_edge) =
-            cycle.iter().filter_map(|&p| g.graph.edge_of(p)).find(|e| e.owner == v)
-        else {
-            continue;
-        };
-        let held_monitor = pred_edge.monitor.0 as u64;
+    let victim = g.graph.choose_victim(&cycle, |v, monitor| {
+        let held_monitor = monitor.0 as u64;
         let shard = holder_shard(held_monitor).lock();
-        let Some(h) = shard.get(&held_monitor) else { continue };
-        if h.thread != v || !h.ctx.revocable() || h.ctx.revoke.load(Ordering::Acquire) {
-            continue;
-        }
-        candidates.push((
-            h.priority,
-            std::cmp::Reverse(v.0),
-            held_monitor,
-            Arc::clone(&h.ctx),
-            Arc::clone(&h.slot),
-        ));
-    }
-    candidates.sort_by_key(|a| (a.0, a.1, a.2));
-    let Some((_, _, victim_monitor, ctx, victim)) = candidates.into_iter().next() else {
+        let h = shard.get(&held_monitor)?;
+        let revocable = h.thread == v && h.ctx.revocable() && !h.ctx.revoke.load(Ordering::Acquire);
+        revocable.then(|| (h.priority, (Arc::clone(&h.ctx), Arc::clone(&h.slot))))
+    });
+    let Some(Victim { monitor: victim_monitor, section: (ctx, victim), .. }) = victim else {
         return false; // unbreakable (all non-revocable): threads stay blocked
     };
     // Section flag before the cached thread flag (both Release): the
@@ -202,7 +184,7 @@ pub(crate) fn on_block(monitor_id: u64, slot: &Arc<ThreadSlot>, priority: Priori
     victim.pending_revoke.store(true, Ordering::Release);
     victim.handle.unpark();
     DEADLOCKS_BROKEN.fetch_add(1, Ordering::Relaxed);
-    obs::emit_for(victim.obs, victim_monitor, EventKind::DeadlockBroken);
+    obs::emit_for(victim.obs, victim_monitor.0 as u64, EventKind::DeadlockBroken);
     true
 }
 

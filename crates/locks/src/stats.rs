@@ -5,53 +5,6 @@
 //! ([`StatsSnapshot`]), so `snapshot`, `merge`, and the by-name export
 //! can never drift out of sync with the counter set.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-macro_rules! define_stats {
-    ($( $(#[$doc:meta])* $field:ident ),+ $(,)?) => {
-        /// Internal atomic counters of one monitor.
-        #[derive(Debug, Default)]
-        pub(crate) struct MonitorStats {
-            $( pub $field: AtomicU64, )+
-        }
-
-        /// A point-in-time copy of a monitor's counters.
-        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct StatsSnapshot {
-            $( $(#[$doc])* pub $field: u64, )+
-        }
-
-        impl MonitorStats {
-            pub(crate) fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $field: self.$field.load(Ordering::Relaxed), )+
-                }
-            }
-        }
-
-        impl StatsSnapshot {
-            /// Component-wise sum, for aggregating across monitors.
-            /// Generated from the field list, so it cannot drop a field.
-            pub fn merge(&mut self, other: &StatsSnapshot) {
-                $( self.$field += other.$field; )+
-            }
-
-            /// Visit every counter as `(name, value)`, in declaration
-            /// order.
-            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
-                $( f(stringify!($field), self.$field); )+
-            }
-
-            /// Snapshot with every counter set to `v` (test helper for
-            /// exhaustiveness checks).
-            #[doc(hidden)]
-            pub fn uniform(v: u64) -> Self {
-                StatsSnapshot { $( $field: v, )+ }
-            }
-        }
-    };
-}
-
 impl MonitorStats {
     /// Snapshot with the fast-path split folded back together.
     ///
@@ -72,55 +25,61 @@ impl MonitorStats {
     }
 }
 
-define_stats! {
-    /// Successful acquisitions (uncontended + granted + reentrant).
-    acquires,
-    /// Acquisitions that completed on the thin-lock fast path (one CAS,
-    /// no state lock). `acquires - thin_acquires` went through the fat
-    /// (inflated) path.
-    thin_acquires,
-    /// Thin→fat transitions (contention, wait/notify, or revocation).
-    inflations,
-    /// Fat→thin transitions after the queues drained.
-    deflations,
-    /// Blocking episodes on the entry queue.
-    contended,
-    /// Revocation flags raised against holders of this monitor.
-    revocations_requested,
-    /// Sections of this monitor rolled back.
-    rollbacks,
-    /// Undo entries restored by those rollbacks.
-    entries_rolled_back,
-    /// Sections committed. Derived at snapshot read points as
-    /// `acquires − rollbacks` (exact at quiescence); the atomic itself
-    /// stays zero so the commit fast path pays no shared-counter RMW.
-    commits,
-    /// Inversions left unresolved (holder non-revocable).
-    inversions_unresolved,
-    /// Undo-log entries written (write-barrier slow paths).
-    log_entries,
-    /// Sections marked non-revocable.
-    nonrevocable_marks,
-    /// Deadlocks broken by revoking a holder of this monitor.
-    deadlocks_broken,
-    /// Priority-inheritance / ceiling boosts applied.
-    priority_boosts,
-    /// Revocations denied by the governor's retry budget (the contender
-    /// blocked on the prioritized queue instead).
-    governor_throttles,
-    /// Fresh fallback-to-blocking windows the governor opened.
-    policy_fallbacks,
-    /// Critical sections submitted to the combiner (`submit`).
-    delegations_submitted,
-    /// Submitted sections executed to completion. At quiescence equals
-    /// `delegations_submitted`; the live difference is the combiner
-    /// queue depth.
-    delegations_completed,
+revmon_core::define_counters! {
+    /// A point-in-time copy of a monitor's counters.
+    pub struct StatsSnapshot {
+        /// Successful acquisitions (uncontended + granted + reentrant).
+        acquires,
+        /// Acquisitions that completed on the thin-lock fast path (one CAS,
+        /// no state lock). `acquires - thin_acquires` went through the fat
+        /// (inflated) path.
+        thin_acquires,
+        /// Thin→fat transitions (contention, wait/notify, or revocation).
+        inflations,
+        /// Fat→thin transitions after the queues drained.
+        deflations,
+        /// Blocking episodes on the entry queue.
+        contended,
+        /// Revocation flags raised against holders of this monitor.
+        revocations_requested,
+        /// Sections of this monitor rolled back.
+        rollbacks,
+        /// Undo entries restored by those rollbacks.
+        entries_rolled_back,
+        /// Sections committed. Derived at snapshot read points as
+        /// `acquires − rollbacks` (exact at quiescence); the atomic itself
+        /// stays zero so the commit fast path pays no shared-counter RMW.
+        commits,
+        /// Inversions left unresolved (holder non-revocable).
+        inversions_unresolved,
+        /// Undo-log entries written (write-barrier slow paths).
+        log_entries,
+        /// Sections marked non-revocable.
+        nonrevocable_marks,
+        /// Deadlocks broken by revoking a holder of this monitor.
+        deadlocks_broken,
+        /// Priority-inheritance / ceiling boosts applied.
+        priority_boosts,
+        /// Revocations denied by the governor's retry budget (the contender
+        /// blocked on the prioritized queue instead).
+        governor_throttles,
+        /// Fresh fallback-to-blocking windows the governor opened.
+        policy_fallbacks,
+        /// Critical sections submitted to the combiner (`submit`).
+        delegations_submitted,
+        /// Submitted sections executed to completion. At quiescence equals
+        /// `delegations_submitted`; the live difference is the combiner
+        /// queue depth.
+        delegations_completed,
+    }
+    /// Internal atomic counters of one monitor.
+    pub(crate) atomic MonitorStats;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn merge_cannot_drop_a_field() {

@@ -307,12 +307,6 @@ pub(crate) fn log_write(entry: UndoEntry) {
     RT.with(|rt| rt.undo.borrow_mut().push(entry));
 }
 
-/// Depth of section nesting on the current thread (0 outside any
-/// synchronized section). Exposed for diagnostics.
-pub fn section_depth() -> usize {
-    RT.with(|rt| rt.depth.get())
-}
-
 // ------------------------------------------------------------ yield points
 
 /// Poll revocation flags; unwind with a rollback signal when flagged.

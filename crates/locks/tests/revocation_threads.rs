@@ -4,7 +4,7 @@
 use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell, VolatileCell};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -286,6 +286,106 @@ fn wait_notify_handshake() {
     consumer.join().unwrap();
     assert_eq!(result.read_unsynchronized(), 99);
     assert!(m.stats().nonrevocable_marks >= 1, "waiting pinned the section");
+}
+
+/// `notify_one` wakes exactly one of two waiters; the other stays in the
+/// wait set until it gets a notify of its own.
+#[test]
+fn notify_one_wakes_exactly_one_waiter() {
+    let m = Arc::new(RevocableMonitor::new());
+    let waiting = TCell::new(0i64);
+    let wakeups = TCell::new(0i64);
+    let (done_tx, done_rx) = mpsc::channel();
+    let waiters: Vec<_> = (0..2)
+        .map(|_| {
+            let m = Arc::clone(&m);
+            let (waiting, wakeups) = (waiting.clone(), wakeups.clone());
+            let done_tx = done_tx.clone();
+            thread::spawn(move || {
+                // `wait` pins the section, so it runs once; it has no
+                // spurious wake-ups, so one return is one notification.
+                m.enter(Priority::NORM, |tx| {
+                    tx.update(&waiting, |v| v + 1);
+                    tx.wait();
+                    tx.update(&wakeups, |v| v + 1);
+                });
+                done_tx.send(()).unwrap();
+            })
+        })
+        .collect();
+    // A waiter holds the monitor from its increment until `wait` parks
+    // it, so seeing 2 from inside the monitor means both are parked.
+    while m.enter(Priority::NORM, |tx| tx.read(&waiting)) < 2 {
+        thread::yield_now();
+    }
+
+    m.enter(Priority::NORM, |tx| tx.notify_one());
+    done_rx.recv().expect("the notified waiter finishes");
+    assert!(
+        done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "one notify_one released both waiters"
+    );
+    assert_eq!(m.enter(Priority::NORM, |tx| tx.read(&wakeups)), 1);
+
+    m.enter(Priority::NORM, |tx| tx.notify_one());
+    done_rx.recv().expect("the second waiter finishes on its own notify");
+    for w in waiters {
+        w.join().unwrap();
+    }
+    assert_eq!(wakeups.read_unsynchronized(), 2);
+}
+
+/// `read_volatile` is a yield point: a flagged holder whose only data
+/// access is a volatile read still rolls back and retries.
+#[test]
+fn volatile_read_is_a_yield_point() {
+    let m = Arc::new(RevocableMonitor::new());
+    let cell = TCell::new(0i64);
+    let stop = VolatileCell::new(0);
+    let entered = Arc::new(Barrier::new(2));
+
+    let low = {
+        let m = Arc::clone(&m);
+        let (cell, stop) = (cell.clone(), stop.clone());
+        let entered = Arc::clone(&entered);
+        thread::spawn(move || {
+            let mut attempts = 0u32;
+            m.enter(Priority::LOW, |tx| {
+                attempts += 1;
+                tx.write(&cell, 7);
+                if attempts == 1 {
+                    entered.wait();
+                    // Left only by the revocation unwinding out of
+                    // `read_volatile` (or by the test's bail-out below).
+                    while tx.read_volatile(&stop) == 0 {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            attempts
+        })
+    };
+    entered.wait();
+    let (seen_tx, seen_rx) = mpsc::channel();
+    let hi = {
+        let m = Arc::clone(&m);
+        let cell = cell.clone();
+        thread::spawn(move || {
+            seen_tx.send(m.enter(Priority::HIGH, |tx| tx.read(&cell))).unwrap();
+        })
+    };
+    // If the volatile read did not poll, LOW would spin forever holding
+    // the monitor: bail it out after a generous wait so the test fails
+    // instead of hanging.
+    let seen = seen_rx.recv_timeout(Duration::from_secs(20));
+    stop.store_unsynchronized(1);
+    hi.join().unwrap();
+    let attempts = low.join().unwrap();
+
+    assert_eq!(seen, Ok(0), "HIGH must get in through a rollback of LOW's write");
+    assert_eq!(attempts, 2, "LOW rolled back once and retried");
+    assert!(m.stats().rollbacks >= 1);
+    assert_eq!(cell.read_unsynchronized(), 7, "the retry committed");
 }
 
 /// Monitors are independent: no cross-monitor contention effects.

@@ -14,8 +14,9 @@
 //! * when disabled, an instrumentation site costs one relaxed atomic
 //!   load ([`PhaseTimers::enabled`]) and a branch;
 //! * the process-global [`timers()`] instance is **on by default** —
-//!   the CI self-overhead gate (`hotpath --overhead`) holds the
-//!   enabled/disabled delta on the fast-path benches under 10%.
+//!   the CI self-overhead gate (`cargo bench -p revmon-bench --bench
+//!   obs -- --check`) holds the enabled/disabled ratio on the fast-path
+//!   rows under 1.10×.
 //!
 //! Both runtimes record **wall-clock nanoseconds** here, including the
 //! deterministic VM: phase timers measure the *host's* cost of running

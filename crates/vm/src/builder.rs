@@ -196,10 +196,6 @@ impl MethodBuilder {
     pub fn new_object(&mut self, class_tag: u32, fields: u16) {
         self.emit(Insn::New { class_tag, fields, volatile_mask: 0 });
     }
-    /// Allocate an object with volatile fields per `mask`.
-    pub fn new_object_volatile(&mut self, class_tag: u32, fields: u16, mask: u64) {
-        self.emit(Insn::New { class_tag, fields, volatile_mask: mask });
-    }
     /// Pop length, push new array ref.
     pub fn new_array(&mut self) {
         self.emit(Insn::NewArray);
@@ -332,11 +328,6 @@ impl MethodBuilder {
     pub fn wait_on_local(&mut self, local: u16) {
         self.load(local);
         self.emit(Insn::Wait);
-    }
-    /// `Object.notify()` on the popped ref.
-    pub fn notify_local(&mut self, local: u16) {
-        self.load(local);
-        self.emit(Insn::Notify);
     }
     /// `Object.notifyAll()` on the popped ref.
     pub fn notify_all_local(&mut self, local: u16) {

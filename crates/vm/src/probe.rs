@@ -57,11 +57,6 @@ impl Vm {
         self.probe = Some(probe);
     }
 
-    /// Detach and return the probe, if one was attached.
-    pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.probe.take()
-    }
-
     /// Run `f` against the attached probe (if any) with the probe
     /// temporarily moved out, so it can borrow the whole VM immutably.
     #[inline]

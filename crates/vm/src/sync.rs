@@ -19,7 +19,7 @@ use crate::thread::{DelegatedFrame, Frame, Section, Snapshot, ThreadState};
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 use revmon_core::ThreadId;
-use revmon_core::{InversionPolicy, MonitorId, Priority};
+use revmon_core::{InversionPolicy, MonitorId, Priority, Victim};
 use revmon_obs::{Event, EventKind};
 
 impl Vm {
@@ -498,37 +498,12 @@ impl Vm {
         if !self.config.policy.can_break_deadlock() {
             return Ok(()); // will surface as VmError::Stalled
         }
-        // Victim: lowest-priority member (youngest on ties) that holds a
-        // revocable section on the monitor its predecessor in the cycle
-        // waits for.
-        let mut candidates: Vec<(Priority, std::cmp::Reverse<u32>, ThreadId, ObjRef, u64)> =
-            Vec::new();
-        for &v in &cycle {
-            // predecessor = the cycle member whose edge points at v
-            let Some(pred) = cycle
-                .iter()
-                .copied()
-                .find(|&p| self.graph.edge_of(p).map(|e| e.owner == v).unwrap_or(false))
-            else {
-                continue;
-            };
-            let Some(edge) = self.graph.edge_of(pred) else { continue };
-            let held_monitor = ObjRef(edge.monitor.0);
+        let victim = self.graph.choose_victim(&cycle, |v, monitor| {
             let t = self.thread(v);
-            let Some(idx) = t.outermost_section_on(held_monitor) else { continue };
-            if !t.sections[idx].can_revoke() {
-                continue;
-            }
-            candidates.push((
-                t.base_priority,
-                std::cmp::Reverse(v.0),
-                v,
-                held_monitor,
-                t.sections[idx].acq_id,
-            ));
-        }
-        candidates.sort();
-        let Some(&(_, _, victim, _monitor, acq)) = candidates.first() else {
+            let section = &t.sections[t.outermost_section_on(ObjRef(monitor.0))?];
+            section.can_revoke().then_some((t.base_priority, section.acq_id))
+        });
+        let Some(Victim { thread: victim, section: acq, .. }) = victim else {
             return Ok(()); // unbreakable: all sections non-revocable
         };
         self.thread_mut(victim).pending_revoke = Some(acq);

@@ -152,12 +152,6 @@ impl VmConfig {
         self
     }
 
-    /// Builder-style: set the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Builder-style: enable tracing.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -173,12 +167,6 @@ impl VmConfig {
     /// Builder-style: set the step safety limit.
     pub fn with_max_steps(mut self, n: u64) -> Self {
         self.max_steps = n;
-        self
-    }
-
-    /// Builder-style: set the revocation governor.
-    pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
-        self.governor = governor;
         self
     }
 
@@ -628,11 +616,6 @@ impl Vm {
         self.sink = Some(sink);
     }
 
-    /// Detach and return the sink, if one was attached.
-    pub fn detach_sink(&mut self) -> Option<std::sync::Arc<revmon_obs::EventSink>> {
-        self.sink.take()
-    }
-
     /// Consume the events recorded under `config.trace`.
     pub fn take_trace(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.trace)
@@ -925,13 +908,6 @@ impl Vm {
         &self.jmm
     }
 
-    /// The run queues' current contents, cores concatenated in order,
-    /// each front first. On a single core this is exactly the historical
-    /// global run queue.
-    pub fn run_queue_snapshot(&self) -> Vec<ThreadId> {
-        self.cores.iter().flat_map(|c| c.run_queue.iter().copied()).collect()
-    }
-
     /// Number of threads currently queued to run, summed over cores. A
     /// scheduling round can only present a choice when this is at least
     /// 2, which lets callers skip per-round work (e.g. state
@@ -944,11 +920,6 @@ impl Vm {
     /// The thread holding / last holding a time slice on any core.
     pub fn last_dispatched(&self) -> Option<ThreadId> {
         self.last_dispatched
-    }
-
-    /// Number of simulated cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
     }
 
     /// Cross-core revocation IPIs posted so far.
