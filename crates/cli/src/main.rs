@@ -767,11 +767,17 @@ fn run_explore(
             script_len: opts.num("--fuzz-len")?.unwrap_or(FuzzPlan::default().script_len),
             ..FuzzPlan::default()
         };
+        let started = std::time::Instant::now();
         let report = fuzz(&runner, plan);
+        let wall = started.elapsed();
         println!(
             "fuzzed {} schedules: {} completed, {} stalled, {} rollbacks verified",
             report.iters, report.completed, report.stalls, report.rollbacks
         );
+        if opts.has("--stats") {
+            println!("--- stats ---");
+            print_schedule_rate(report.iters, wall);
+        }
         if let Some(path) = &metrics {
             let counters = [
                 ("fuzz_iters", report.iters),
@@ -800,7 +806,9 @@ fn run_explore(
         max_schedules: opts.num("--max-schedules")?.unwrap_or(0),
         stop_on_first_failure: !opts.has("--all-failures"),
     };
+    let started = std::time::Instant::now();
     let report = explore(&runner, bounds);
+    let wall = started.elapsed();
     let s = &report.stats;
     println!(
         "explored {} schedules ({} decision points) under preemption bound {}",
@@ -825,12 +833,19 @@ fn run_explore(
     }
     if opts.has("--stats") {
         println!("--- stats ---");
-        println!("{s:#?}");
+        print_schedule_rate(s.schedules, wall);
+        println!(
+            "dedup hit ratio    : {:.3} ({} of {} expansions already visited)",
+            s.dedup_hit_ratio(),
+            s.pruned_visited,
+            s.expansions
+        );
     }
     if let Some(path) = &metrics {
         let counters = [
             ("explore_schedules", s.schedules),
             ("explore_decision_points", s.decision_points),
+            ("explore_expansions", s.expansions),
             ("explore_pruned_visited", s.pruned_visited),
             ("explore_pruned_preemption", s.pruned_preemption),
             ("explore_stalls", s.stalls),
@@ -852,6 +867,17 @@ fn run_explore(
             handle_failure(&runner, f.schedule.clone(), v.invariant, &v.detail)?;
         }
         Err(format!("{n} invariant-violating schedule(s)"))
+    }
+}
+
+/// The wall-clock half of `explore --stats`: how long the search took
+/// and what one schedule cost.
+fn print_schedule_rate(schedules: u64, wall: std::time::Duration) {
+    let secs = wall.as_secs_f64();
+    println!("wall time          : {secs:.3} s");
+    if schedules > 0 && secs > 0.0 {
+        println!("schedules/s        : {:.1}", schedules as f64 / secs);
+        println!("us per schedule    : {:.1}", secs * 1e6 / schedules as f64);
     }
 }
 

@@ -22,45 +22,7 @@
 //! - [`Governor::record_revocation`] after a rollback completes;
 //! - [`Governor::record_commit`] when the holder finally commits.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Fast multiply-rotate hasher (the Fx construction) for the pair map.
-/// The keys are monitor/thread ids the runtimes generate themselves, so
-/// SipHash's flood resistance buys nothing here — but `consult` sits on
-/// the inversion-detection hot path, where a million-monitor run hashes
-/// a pair per contended enter.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+use crate::fx::FxMap;
 
 /// Tuning knobs for the revocation governor.
 ///

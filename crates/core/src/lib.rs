@@ -28,6 +28,8 @@
 //! * [`cost`]     — the virtual-clock cost model used by the simulator,
 //! * [`metrics`]  — counters and small statistics helpers (means,
 //!   confidence intervals) used by the benchmark harness,
+//! * [`fx`]       — the one fast hasher for maps keyed by ids the
+//!   runtimes generate themselves,
 //! * [`governor`] — the adaptive revocation governor (bounded retries,
 //!   exponential backoff, per-monitor fallback to blocking),
 //! * [`delegate`] — combiner handoff rules and completion handles for
@@ -39,6 +41,7 @@
 pub mod cost;
 pub mod deadlock;
 pub mod delegate;
+pub mod fx;
 pub mod governor;
 pub mod metrics;
 pub mod policy;
@@ -49,6 +52,7 @@ pub mod undo;
 pub use cost::CostModel;
 pub use deadlock::{Victim, WaitsForGraph};
 pub use delegate::{DelegateConfig, Pending};
+pub use fx::{FxHasher, FxMap, FxSet};
 pub use governor::{Governor, GovernorConfig, GovernorVerdict, PairHistory};
 pub use metrics::Metrics;
 pub use policy::{DetectionStrategy, InversionPolicy, QueueDiscipline};

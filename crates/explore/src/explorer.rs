@@ -24,7 +24,7 @@
 //!   visit.
 
 use crate::runner::{RunOutcome, Runner, Terminal};
-use std::collections::HashSet;
+use revmon_core::FxSet;
 
 /// Search limits.
 #[derive(Clone, Copy, Debug)]
@@ -52,7 +52,11 @@ pub struct Stats {
     pub schedules: u64,
     /// Decision points encountered across all runs.
     pub decision_points: u64,
-    /// Sibling expansions skipped because the state was already expanded.
+    /// Decision points at or past a run's prefix edge — the choice points
+    /// the search tried to expand, i.e. lookups in the visited-state set.
+    pub expansions: u64,
+    /// Sibling expansions skipped because the state was already expanded
+    /// (the lookups that hit).
     pub pruned_visited: u64,
     /// Sibling expansions skipped by the preemption bound.
     pub pruned_preemption: u64,
@@ -65,6 +69,18 @@ pub struct Stats {
     /// True when `max_schedules` stopped the search before the frontier
     /// drained — the enumeration is then a *sample*, not a proof.
     pub capped: bool,
+}
+
+impl Stats {
+    /// Share of attempted expansions that state dedup cut short:
+    /// `pruned_visited / expansions` (0 before any expansion).
+    pub fn dedup_hit_ratio(&self) -> f64 {
+        if self.expansions == 0 {
+            0.0
+        } else {
+            self.pruned_visited as f64 / self.expansions as f64
+        }
+    }
 }
 
 /// A schedule that violated an invariant.
@@ -102,9 +118,10 @@ impl ExploreReport {
 /// `bounds`.
 pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
     let mut report = ExploreReport::default();
-    let mut terminal_fps: HashSet<u64> = HashSet::new();
+    // Both sets are keyed by state fingerprints — 64-bit hashes already.
+    let mut terminal_fps: FxSet<u64> = FxSet::default();
     // (fingerprint at choice point, preemptions spent reaching it).
-    let mut expanded: HashSet<(u64, u32)> = HashSet::new();
+    let mut expanded: FxSet<(u64, u32)> = FxSet::default();
     let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
 
     while let Some(prefix) = frontier.pop() {
@@ -125,6 +142,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
             _ => {}
         }
         let failed = !out.violations.is_empty();
+        let choices = out.choices();
 
         // Expand siblings of every decision at or past the prefix edge.
         // Decisions inside the prefix were expanded when the ancestor run
@@ -133,6 +151,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
         for (d, dp) in out.decisions.iter().enumerate() {
             let this_preempts = dp.record.is_preemption() as u32;
             if d >= prefix.len() {
+                report.stats.expansions += 1;
                 if !expanded.insert((dp.fingerprint, preemptions)) {
                     report.stats.pruned_visited += 1;
                     preemptions += this_preempts;
@@ -147,8 +166,8 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
                         report.stats.pruned_preemption += 1;
                         continue;
                     }
-                    let mut next: Vec<u32> =
-                        out.decisions[..d].iter().map(|p| p.record.chosen).collect();
+                    let mut next = Vec::with_capacity(d + 1);
+                    next.extend_from_slice(&choices[..d]);
                     next.push(alt);
                     frontier.push(next);
                 }
@@ -157,7 +176,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
         }
 
         if failed {
-            report.failures.push(Failure { prefix, schedule: out.choices(), outcome: out });
+            report.failures.push(Failure { prefix, schedule: choices, outcome: out });
             if bounds.stop_on_first_failure {
                 break;
             }
@@ -182,6 +201,12 @@ mod tests {
         assert!(!report.stats.capped);
         assert!(report.stats.schedules > 1, "search must branch");
         assert!(report.stats.decision_points > 0);
+        // Every schedule but the first came from an expansion, and only
+        // decisions past a prefix edge are expanded.
+        let s = report.stats;
+        assert!(s.pruned_visited <= s.expansions && s.expansions <= s.decision_points);
+        assert!(s.pruned_visited > 0, "a counter revisits states");
+        assert!(s.dedup_hit_ratio() > 0.0 && s.dedup_hit_ratio() < 1.0);
     }
 
     #[test]

@@ -12,20 +12,22 @@
 //!   location logged under each active section and, when a rollback
 //!   completes, verifies the heap actually reads those pre-section values
 //!   again (the paper's §3.1.2 claim that the undo log restores *"the
-//!   (old) value itself"*). It also mirrors the speculative-write map to
-//!   prove the JMM guard's soundness end to end: a value observed by
-//!   another thread must never be rolled back (§2.2, Figs. 2–3).
+//!   (old) value itself"*). It also mirrors the speculative-write stamps
+//!   to prove the JMM guard's soundness end to end: a value observed by
+//!   another thread must never be rolled back (§2.2, Figs. 2–3). The
+//!   oracle owns its state while the VM runs and hands it back when
+//!   detached ([`Oracle::detach`]), so a hook costs a few indexed or
+//!   hashed updates and no lock.
 //!
 //! Every violated check becomes a [`Violation`] with a stable name, so
 //! schedule artifacts can assert "this schedule reproduces *that* bug".
 
-use revmon_core::ThreadId;
+use revmon_core::{FxMap, ThreadId};
 use revmon_vm::heap::Location;
 use revmon_vm::thread::ThreadState;
 use revmon_vm::value::{ObjRef, Value};
 use revmon_vm::{Probe, Vm};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::any::Any;
 
 /// A broken invariant, with a stable machine-readable name and a
 /// human-readable account of what was observed.
@@ -228,13 +230,13 @@ pub fn check_terminal(vm: &Vm) -> Vec<Violation> {
             return v; // not a terminal state; only the general checks apply
         }
     }
-    if !vm.jmm_guard().is_empty() {
+    if vm.heap().speculative_len() != 0 {
         v.push(Violation {
             invariant: "jmm-drained",
             detail: format!(
                 "{} speculative writes live after all threads terminated: {:?}",
-                vm.jmm_guard().len(),
-                vm.jmm_guard().entries()
+                vm.heap().speculative_len(),
+                vm.heap().speculative_writes().collect::<Vec<_>>()
             ),
         });
     }
@@ -286,10 +288,12 @@ pub fn check_terminal(vm: &Vm) -> Vec<Violation> {
 #[derive(Debug)]
 struct Layer {
     mark_len: usize,
-    expected: HashMap<Location, Value>,
+    expected: FxMap<Location, Value>,
 }
 
-/// Shared oracle state, read by the runner after the VM run finishes.
+/// What the oracle has seen and concluded. The [`Oracle`] owns it for
+/// the length of a run — its hooks are plain field updates, no lock —
+/// and [`Oracle::detach`] hands it back by value afterwards.
 #[derive(Debug, Default)]
 pub struct OracleState {
     /// Violations detected by the probe hooks.
@@ -298,34 +302,54 @@ pub struct OracleState {
     pub rollbacks_checked: u64,
     /// Commits observed.
     pub commits: u64,
-    /// Per-thread mirror of active section layers.
-    layers: HashMap<ThreadId, Vec<Layer>>,
-    /// Mirror of the speculative-write map: location → (writer, value),
+    /// Mirror of each thread's active section layers, indexed by
+    /// `ThreadId`.
+    layers: Vec<Vec<Layer>>,
+    /// Mirror of the speculative-write stamps: location → (writer, value),
     /// plus whether a *different* thread has observed the value.
-    speculative: HashMap<Location, (ThreadId, Value, bool)>,
+    speculative: FxMap<Location, (ThreadId, Value, bool)>,
+}
+
+impl OracleState {
+    /// `tid`'s layer stack, grown on a thread's first section.
+    fn layers_of(&mut self, tid: ThreadId) -> &mut Vec<Layer> {
+        if self.layers.len() <= tid.index() {
+            self.layers.resize_with(tid.index() + 1, Vec::new);
+        }
+        &mut self.layers[tid.index()]
+    }
 }
 
 /// The execution probe that mirrors the write barrier and verifies
-/// rollbacks. Construct with [`Oracle::new`]; hand the probe to
-/// [`Vm::attach_probe`] and keep the state handle.
-#[derive(Debug)]
+/// rollbacks. Hand a fresh one to [`Vm::attach_probe`]; when the run is
+/// over, [`Oracle::detach`] takes it off the VM and returns its findings.
+#[derive(Debug, Default)]
 pub struct Oracle {
-    state: Arc<Mutex<OracleState>>,
+    state: OracleState,
 }
 
 impl Oracle {
-    /// A fresh oracle and its shared state handle.
-    pub fn new() -> (Self, Arc<Mutex<OracleState>>) {
-        let state = Arc::new(Mutex::new(OracleState::default()));
-        (Oracle { state: state.clone() }, state)
+    /// A fresh oracle.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Detach `vm`'s probe and return its state, or `None` if the probe
+    /// attached to `vm` is not an `Oracle` (or there is none).
+    pub fn detach(vm: &mut Vm) -> Option<OracleState> {
+        let oracle = vm.detach_probe()?.into_any().downcast::<Oracle>().ok()?;
+        Some(oracle.state)
     }
 }
 
 impl Probe for Oracle {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+
     fn on_section_enter(&mut self, vm: &Vm, tid: ThreadId, _monitor: ObjRef) {
-        let mut st = self.state.lock().expect("oracle state");
         let mark_len = vm.vm_threads()[tid.index()].undo.len();
-        st.layers.entry(tid).or_default().push(Layer { mark_len, expected: HashMap::new() });
+        self.state.layers_of(tid).push(Layer { mark_len, expected: FxMap::default() });
     }
 
     fn on_heap_write(
@@ -342,17 +366,15 @@ impl Probe for Oracle {
             // where the writer cannot have live speculative entries.
             return;
         }
-        let mut st = self.state.lock().expect("oracle state");
-        let st = &mut *st;
-        if let Some(top) = st.layers.get_mut(&tid).and_then(|layers| layers.last_mut()) {
+        let st = &mut self.state;
+        if let Some(top) = st.layers.get_mut(tid.index()).and_then(|layers| layers.last_mut()) {
             top.expected.entry(loc).or_insert(old);
         }
         st.speculative.insert(loc, (tid, new, false));
     }
 
     fn on_heap_read(&mut self, _vm: &Vm, tid: ThreadId, loc: Location, value: Value) {
-        let mut st = self.state.lock().expect("oracle state");
-        if let Some(entry) = st.speculative.get_mut(&loc) {
+        if let Some(entry) = self.state.speculative.get_mut(&loc) {
             if entry.0 != tid && entry.1 == value {
                 entry.2 = true; // a foreign thread observed the speculation
             }
@@ -360,9 +382,9 @@ impl Probe for Oracle {
     }
 
     fn on_commit(&mut self, vm: &Vm, tid: ThreadId, _monitor: ObjRef) {
-        let mut st = self.state.lock().expect("oracle state");
+        let st = &mut self.state;
         st.commits += 1;
-        st.layers.remove(&tid);
+        st.layers_of(tid).clear();
         st.speculative.retain(|_, &mut (w, _, _)| w != tid);
         // The VM retired the whole log at outermost exit; double-check.
         if !vm.vm_threads()[tid.index()].undo.is_empty() {
@@ -374,18 +396,17 @@ impl Probe for Oracle {
     }
 
     fn on_rollback(&mut self, vm: &Vm, tid: ThreadId, monitor: ObjRef, _entries: u64) {
-        let mut st = self.state.lock().expect("oracle state");
-        let st = &mut *st;
+        let st = &mut self.state;
         st.rollbacks_checked += 1;
         // Everything past the post-rollback log length was undone.
         let restored_to = vm.vm_threads()[tid.index()].undo.len();
-        let layers = st.layers.remove(&tid).unwrap_or_default();
-        let (kept, undone): (Vec<Layer>, Vec<Layer>) =
+        let layers = std::mem::take(st.layers_of(tid));
+        let (mut kept, undone): (Vec<Layer>, Vec<Layer>) =
             layers.into_iter().partition(|l| l.mark_len < restored_to);
 
         // Merge expectations outermost-first: the value a location must
         // read after rollback is the *oldest* logged pre-value.
-        let mut expected: HashMap<Location, Value> = HashMap::new();
+        let mut expected: FxMap<Location, Value> = FxMap::default();
         for layer in &undone {
             for (&loc, &old) in &layer.expected {
                 expected.entry(loc).or_insert(old);
@@ -423,14 +444,11 @@ impl Probe for Oracle {
 
         // The surviving (post-wait restart) section, if any, starts a
         // fresh expectation layer at the restored log length.
-        let mut layers = kept;
         let live_sections = vm.vm_threads()[tid.index()].sections.len();
-        while layers.len() < live_sections {
-            layers.push(Layer { mark_len: restored_to, expected: HashMap::new() });
+        while kept.len() < live_sections {
+            kept.push(Layer { mark_len: restored_to, expected: FxMap::default() });
         }
-        if !layers.is_empty() {
-            st.layers.insert(tid, layers);
-        }
+        *st.layers_of(tid) = kept;
     }
 }
 
@@ -441,7 +459,24 @@ mod tests {
     use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
     use revmon_vm::VmConfig;
 
-    fn run_with_oracle(fault_skip: u32) -> (Arc<Mutex<OracleState>>, Vm) {
+    /// Run `program`, its threads started by `spawn`, under an oracle
+    /// and hand back what it found.
+    fn run_with_oracle(
+        program: revmon_vm::bytecode::Program,
+        fault_skip: u32,
+        spawn: impl FnOnce(&mut Vm),
+    ) -> (OracleState, Vm) {
+        let mut cfg = VmConfig::modified();
+        cfg.fault_skip_undo = fault_skip;
+        let mut vm = Vm::new(program, cfg);
+        spawn(&mut vm);
+        vm.attach_probe(Box::new(Oracle::new()));
+        vm.run().expect("run completes");
+        let state = Oracle::detach(&mut vm).expect("the oracle attached above");
+        (state, vm)
+    }
+
+    fn run_inversion(fault_skip: u32) -> (OracleState, Vm) {
         // A low thread holds the lock through long work; a high thread
         // arrives and revokes it. The section bumps two statics so a
         // skipped restore is observable.
@@ -450,50 +485,113 @@ mod tests {
         let worker = pb.declare_method("worker", 1);
         let mut b = MethodBuilder::new(1, 1);
         b.sync_on_local(0, |b| {
-            b.get_static(0);
-            b.const_i(1);
-            b.add();
-            b.put_static(0);
-            b.get_static(1);
-            b.const_i(10);
-            b.add();
-            b.put_static(1);
+            b.add_static(0, 1);
+            b.add_static(1, 10);
             b.const_i(60_000);
             b.work();
         });
         b.ret_void();
         pb.implement(worker, b);
-        let program = pb.finish();
-
-        let mut cfg = VmConfig::modified();
-        cfg.fault_skip_undo = fault_skip;
-        let mut vm = Vm::new(program, cfg);
-        let lock = vm.heap_mut().alloc(0, 0);
-        vm.spawn("low", worker, vec![Value::Ref(lock)], Priority::LOW);
-        vm.spawn("high", worker, vec![Value::Ref(lock)], Priority::HIGH);
-        let (oracle, state) = Oracle::new();
-        vm.attach_probe(Box::new(oracle));
-        vm.run().expect("run completes");
-        (state, vm)
+        run_with_oracle(pb.finish(), fault_skip, |vm| {
+            let lock = vm.heap_mut().alloc(0, 0);
+            vm.spawn("low", worker, vec![Value::Ref(lock)], Priority::LOW);
+            vm.spawn("high", worker, vec![Value::Ref(lock)], Priority::HIGH);
+        })
     }
 
     #[test]
     fn correct_rollback_passes_the_oracle() {
-        let (state, vm) = run_with_oracle(0);
-        let st = state.lock().unwrap();
+        let (st, mut vm) = run_inversion(0);
         assert!(st.rollbacks_checked > 0, "scenario must actually revoke");
+        assert!(st.commits >= 2, "both workers commit");
         assert!(st.violations.is_empty(), "violations: {:?}", st.violations);
         assert!(check_terminal(&vm).is_empty());
+        assert!(Oracle::detach(&mut vm).is_none(), "the state is handed back once");
     }
 
     #[test]
     fn injected_rollback_fault_is_caught() {
-        let (state, _vm) = run_with_oracle(1);
-        let st = state.lock().unwrap();
+        let (st, _vm) = run_inversion(1);
         assert!(
             st.violations.iter().any(|v| v.invariant == "rollback-restoration"),
             "fault not caught: {:?}",
             st.violations
+        );
+    }
+
+    /// low(a, b): sync a { s0 += 1; sync b { 5000 × { s1 += 1; s0 += 100 } } }
+    /// high(b):   sleep; sync b { read s1 }
+    ///
+    /// `high` revokes only low's *inner* section. The rollback must put
+    /// `s0` back to 1 — the outer section's own speculative value, which
+    /// only the inner layer's expectation holds; the outer layer's
+    /// pre-value for `s0` (`Null`) must stay out of the merge.
+    fn run_nested_inversion(fault_skip: u32) -> (OracleState, Vm) {
+        let mut pb = ProgramBuilder::new();
+        pb.statics(2);
+        let low = pb.declare_method("low", 2);
+        let mut b = MethodBuilder::new(2, 3);
+        b.sync_on_local(0, |b| {
+            b.add_static(0, 1);
+            b.sync_on_local(1, |b| {
+                b.repeat(2, 5_000, |b| {
+                    b.add_static(1, 1);
+                    b.add_static(0, 100);
+                });
+            });
+        });
+        b.ret_void();
+        pb.implement(low, b);
+        let high = pb.declare_method("high", 1);
+        let mut h = MethodBuilder::new(1, 1);
+        h.const_i(30_000);
+        h.sleep();
+        h.sync_on_local(0, |b| {
+            b.get_static(1);
+            b.pop();
+        });
+        h.ret_void();
+        pb.implement(high, h);
+        run_with_oracle(pb.finish(), fault_skip, |vm| {
+            let a = vm.heap_mut().alloc(0, 0);
+            let b = vm.heap_mut().alloc(0, 0);
+            vm.spawn("low", low, vec![Value::Ref(a), Value::Ref(b)], Priority::LOW);
+            vm.spawn("high", high, vec![Value::Ref(b)], Priority::HIGH);
+        })
+    }
+
+    #[test]
+    fn inner_rollback_is_checked_against_the_inner_layer_only() {
+        let (st, vm) = run_nested_inversion(0);
+        assert!(st.rollbacks_checked > 0, "the inner section must be revoked");
+        assert!(st.violations.is_empty(), "violations: {:?}", st.violations);
+        assert_eq!(vm.heap().read(Location::Static(0)).unwrap(), Value::Int(500_001));
+        assert!(check_terminal(&vm).is_empty());
+    }
+
+    #[test]
+    fn skipped_restores_in_a_nested_rollback_name_the_inner_pre_values() {
+        // Skip every restore (skipping only the newest is masked by the
+        // older entries of the same word): both statics keep their
+        // speculative values where the inner layer expects 1 and `Null`.
+        let (st, _vm) = run_nested_inversion(u32::MAX);
+        let mut restoration: Vec<&str> = st
+            .violations
+            .iter()
+            .filter(|v| v.invariant == "rollback-restoration")
+            .map(|v| v.detail.as_str())
+            .collect();
+        restoration.sort_unstable();
+        assert_eq!(restoration.len(), 2, "violations: {:?}", st.violations);
+        assert!(
+            restoration[0].contains("Static(0)") && restoration[0].ends_with("value 1"),
+            "s0 must be checked against the outer section's speculative 1: {}",
+            restoration[0]
+        );
+        assert!(
+            restoration[1].contains("Static(1)") && restoration[1].ends_with("value null"),
+            "{}",
+            restoration[1]
         );
     }
 

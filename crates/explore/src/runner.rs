@@ -1,21 +1,21 @@
 //! Deterministic re-execution of one program under one decision script.
 //!
-//! The runner is the explorer's execution substrate: it builds a fresh VM
-//! for every schedule (stateless model checking — re-execution instead of
-//! checkpointing), installs a [`Scripted`] policy and the invariant
-//! [`Oracle`], then drives [`Vm::run_round`] one scheduling round at a
-//! time. Once the script is used up it fingerprints the machine before
+//! The runner is the explorer's execution substrate: it rewrites and
+//! verifies its program once, builds a fresh VM from that prepared
+//! program for every schedule (stateless model checking — re-execution
+//! instead of checkpointing), installs a [`Scripted`] policy and the
+//! invariant [`Oracle`], then drives [`Vm::run_round`] one scheduling
+//! round at a time. Once the script is used up it fingerprints the machine before
 //! each round; if the round consumed a scheduling decision (≥ 2 runnable
 //! candidates), that fingerprint identifies the choice point for
 //! deduplication. Rounds replaying the scripted prefix are not
 //! fingerprinted: the explorer expanded those choice points when an
 //! ancestor run first passed them and never looks at them again.
 
-use crate::invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
+use crate::invariants::{check_state, check_terminal, Oracle, Violation};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
-use revmon_vm::{DecisionRecord, RoundOutcome, Scripted, Vm, VmConfig, VmError};
-use std::sync::{Arc, Mutex};
+use revmon_vm::{DecisionRecord, PreparedProgram, RoundOutcome, Scripted, Vm, VmConfig, VmError};
 
 /// How a scripted run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,7 +97,11 @@ impl RunOutcome {
 /// A reusable harness: program + entry + base configuration.
 #[derive(Clone, Debug)]
 pub struct Runner {
+    /// The program as given (what [`Runner::program`] returns).
     program: Program,
+    /// The same program rewritten for `config` and verified — what every
+    /// run executes.
+    prepared: PreparedProgram,
     entry: MethodId,
     entry_name: String,
     config: VmConfig,
@@ -115,6 +119,10 @@ impl Runner {
     /// The scheduler named in `config` is ignored — every run is driven
     /// by a [`Scripted`] policy — but everything else (inversion policy,
     /// cost model, seed, fault injection) applies as configured.
+    ///
+    /// The program is rewritten (if `config` asks) and verified here,
+    /// once; a program the verifier rejects is an `Err` listing its
+    /// findings.
     pub fn new(program: Program, entry_name: &str, config: VmConfig) -> Result<Self, String> {
         let entry = program
             .method_by_name(entry_name)
@@ -122,8 +130,13 @@ impl Runner {
         if program.method(entry).params != 0 {
             return Err(format!("entry method `{entry_name}` must take no parameters"));
         }
+        let prepared = PreparedProgram::new(program.clone(), &config).map_err(|errors| {
+            let findings: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
+            format!("program failed verification:\n  {}", findings.join("\n  "))
+        })?;
         Ok(Runner {
             program,
+            prepared,
             entry,
             entry_name: entry_name.to_string(),
             config,
@@ -150,22 +163,15 @@ impl Runner {
     /// Execute the program once under `script`, collecting decisions,
     /// fingerprints and violations.
     pub fn run(&self, script: &[u32]) -> RunOutcome {
-        let mut vm = Vm::new(self.program.clone(), self.config);
+        let mut vm = Vm::from_prepared(&self.prepared, self.config);
         let (policy, log) = Scripted::new(script.to_vec());
         vm.set_schedule_policy(Box::new(policy));
-        let (oracle, oracle_state) = Oracle::new();
-        vm.attach_probe(Box::new(oracle));
+        vm.attach_probe(Box::new(Oracle::new()));
         vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
-        self.drive(vm, script.len(), log, oracle_state)
+        self.drive(vm, script.len(), log)
     }
 
-    fn drive(
-        &self,
-        mut vm: Vm,
-        script_len: usize,
-        log: revmon_vm::sched::ScriptLog,
-        oracle_state: Arc<Mutex<OracleState>>,
-    ) -> RunOutcome {
+    fn drive(&self, mut vm: Vm, script_len: usize, log: revmon_vm::sched::ScriptLog) -> RunOutcome {
         let mut decisions: Vec<DecisionPoint> = Vec::new();
         let mut violations: Vec<Violation> = Vec::new();
         let mut rounds: u64 = 0;
@@ -211,8 +217,8 @@ impl Runner {
         } else if !self.check_every_round {
             violations.extend(check_state(&vm));
         }
-        let st = oracle_state.lock().expect("oracle state");
-        violations.extend(st.violations.iter().cloned());
+        let oracle = Oracle::detach(&mut vm).expect("run() attached the oracle");
+        violations.extend(oracle.violations);
 
         let statics = (0..vm.heap().static_count())
             .map(|i| {
@@ -227,7 +233,7 @@ impl Runner {
             statics,
             violations,
             rounds,
-            rollbacks: st.rollbacks_checked,
+            rollbacks: oracle.rollbacks_checked,
             clock: vm.clock(),
             heap_fingerprint: vm.heap_fingerprint(),
             ipis: (vm.ipis_posted(), vm.ipis_acked(), vm.ipis_stale()),

@@ -15,8 +15,9 @@ use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
 use crate::json::{esc, push_u64};
-use crate::latency::{FxMap, Histograms};
+use crate::latency::Histograms;
 use crate::sink::{PipelineStats, TsUnit};
+use revmon_core::FxMap;
 
 /// Append `,"field":value` for each payload field of `kind` (`null`
 /// for an absent nullable one) — the tail of a JSONL event line and of

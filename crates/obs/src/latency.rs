@@ -12,54 +12,9 @@
 //! * **inversion resolution** — `RevokeRequest` → the requester's
 //!   `Acquire` of the contended monitor.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::event::{Event, EventKind};
 use crate::hist::Histogram;
-
-/// Fast multiply-rotate hasher (the Fx construction) for the tracker's
-/// interval maps and the Chrome exporter's open-span maps. The keys are
-/// thread/monitor/core ids the runtimes generate themselves, so
-/// SipHash's flood resistance buys nothing here — but its cost lands
-/// inside every collection pass, which on a saturated box competes with
-/// the traced workload for cycles.
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+use revmon_core::FxMap;
 
 /// The four derived latency histograms, in the producing runtime's
 /// clock units.

@@ -197,9 +197,8 @@ impl Vm {
         }
 
         // Live speculative writes (sorted by location).
-        let spec = self.jmm.entries();
-        spec.len().hash(&mut h);
-        for (loc, w) in spec {
+        self.heap.speculative_len().hash(&mut h);
+        for (loc, w) in self.heap.speculative_writes() {
             loc.hash(&mut h);
             w.writer.hash(&mut h);
             (w.log_pos as u64).hash(&mut h);

@@ -7,8 +7,16 @@
 //! (statics); the JMM guard (crate::jmm) consults it only for diagnostics —
 //! the non-revocability rule treats any cross-thread read of a speculative
 //! write identically, which subsumes the volatile case of Fig. 3.
+//!
+//! The guard's own state lives here too: every word has a
+//! [`Stamp`](crate::jmm) beside it (a vector parallel to each object's
+//! slots, a field of each static slot) naming the still-active section
+//! write that last stored to it, so the read and write barriers reach it
+//! by the index the access itself uses instead of through a side table.
 
+use crate::jmm::{SpeculativeWrite, Stamp};
 use crate::value::{ObjRef, Value, ValueError};
+use revmon_core::ThreadId;
 
 /// A heap location: the unit of write-barrier logging and of the
 /// JMM-consistency map. One logged entry = one location + old value.
@@ -27,6 +35,8 @@ pub struct Object {
     pub class_tag: u32,
     /// Field / element slots.
     slots: Vec<Value>,
+    /// JMM-guard stamp of each slot (same length as `slots`).
+    stamps: Vec<Stamp>,
     /// Bitmask of volatile slots (bit i set = slot i volatile). Objects
     /// with more than 64 fields cannot declare volatiles past slot 63;
     /// arrays have no volatile elements (as in Java).
@@ -57,6 +67,7 @@ impl Object {
 pub struct StaticSlot {
     value: Value,
     volatile: bool,
+    stamp: Stamp,
 }
 
 /// The heap: object store + static table.
@@ -64,6 +75,8 @@ pub struct StaticSlot {
 pub struct Heap {
     objects: Vec<Object>,
     statics: Vec<StaticSlot>,
+    /// Number of words whose stamp is live (the guard's `len`).
+    speculative: usize,
 }
 
 /// Heap access fault.
@@ -104,7 +117,11 @@ impl Heap {
     /// An empty heap with `n_statics` static slots (all `Null`,
     /// non-volatile; use [`Heap::declare_static_volatile`] to flag).
     pub fn new(n_statics: usize) -> Self {
-        Heap { objects: Vec::new(), statics: vec![StaticSlot::default(); n_statics] }
+        Heap {
+            objects: Vec::new(),
+            statics: vec![StaticSlot::default(); n_statics],
+            speculative: 0,
+        }
     }
 
     /// Feed the complete heap contents — every object slot and every
@@ -143,6 +160,7 @@ impl Heap {
         self.objects.push(Object {
             class_tag,
             slots: vec![Value::Null; fields as usize],
+            stamps: vec![Stamp::NONE; fields as usize],
             volatile_mask: mask,
             is_array: false,
         });
@@ -155,6 +173,7 @@ impl Heap {
         self.objects.push(Object {
             class_tag: u32::MAX,
             slots: vec![Value::Int(0); len as usize],
+            stamps: vec![Stamp::NONE; len as usize],
             volatile_mask: 0,
             is_array: true,
         });
@@ -188,6 +207,90 @@ impl Heap {
                 Ok(std::mem::replace(&mut slot.value, v))
             }
         }
+    }
+
+    // --- the JMM guard's per-word state (see crate::jmm) -----------------
+
+    #[inline]
+    fn stamp(&self, loc: Location) -> Option<&Stamp> {
+        match loc {
+            Location::Obj(r, off) => self.objects.get(r.index())?.stamps.get(off as usize),
+            Location::Static(s) => self.statics.get(s as usize).map(|sl| &sl.stamp),
+        }
+    }
+
+    #[inline]
+    fn stamp_mut(&mut self, loc: Location) -> Option<&mut Stamp> {
+        match loc {
+            Location::Obj(r, off) => self.objects.get_mut(r.index())?.stamps.get_mut(off as usize),
+            Location::Static(s) => self.statics.get_mut(s as usize).map(|sl| &mut sl.stamp),
+        }
+    }
+
+    /// Record a speculative write to `loc` by `writer` at position
+    /// `log_pos` of its undo log — the write-barrier slow path, after the
+    /// store itself succeeded. A later write to the same word supersedes
+    /// the stamp (sections enclosing the earlier write necessarily
+    /// enclose the later one, since marks only grow).
+    ///
+    /// # Panics
+    /// If `loc` is not in the heap.
+    #[inline]
+    pub fn record_write(&mut self, loc: Location, writer: ThreadId, log_pos: usize) {
+        let new = Stamp::new(writer, log_pos);
+        let stamp = self.stamp_mut(loc).expect("speculative write to a word outside the heap");
+        let fresh = stamp.get().is_none();
+        *stamp = new;
+        self.speculative += fresh as usize;
+    }
+
+    /// Read-barrier check: does `reader`'s read of `loc` observe another
+    /// thread's speculative write? Returns the write if so; the caller
+    /// must then mark the writer's enclosing sections non-revocable.
+    /// A `loc` outside the heap observes nothing (the barrier runs before
+    /// the access is bounds-checked).
+    #[inline]
+    pub fn check_read(&self, loc: Location, reader: ThreadId) -> Option<SpeculativeWrite> {
+        if self.speculative == 0 {
+            return None; // fast path: nothing speculative anywhere
+        }
+        self.stamp(loc)?.get().filter(|w| w.writer != reader)
+    }
+
+    /// Drop the stamp on `loc` if it belongs to `writer` — called for
+    /// each log entry when the writer commits (outermost `MonitorExit`)
+    /// or rolls the entry back. Another thread's later stamp stays.
+    #[inline]
+    pub fn clear_speculative(&mut self, loc: Location, writer: ThreadId) {
+        if let Some(stamp) = self.stamp_mut(loc) {
+            if stamp.get().is_some_and(|w| w.writer == writer) {
+                *stamp = Stamp::NONE;
+                self.speculative -= 1;
+            }
+        }
+    }
+
+    /// Number of words carrying a live speculative write.
+    pub fn speculative_len(&self) -> usize {
+        self.speculative
+    }
+
+    /// All live speculative writes in [`Location`] order — a
+    /// deterministic view for invariant checking and state
+    /// fingerprinting. Stops scanning once every live stamp was seen, so
+    /// it costs nothing while no section has logged a write.
+    pub fn speculative_writes(&self) -> impl Iterator<Item = (Location, SpeculativeWrite)> + '_ {
+        let in_objects = self.objects.iter().enumerate().flat_map(|(r, o)| {
+            o.stamps.iter().enumerate().filter_map(move |(off, s)| {
+                Some((Location::Obj(ObjRef(r as u32), off as u32), s.get()?))
+            })
+        });
+        let in_statics = self
+            .statics
+            .iter()
+            .enumerate()
+            .filter_map(|(i, sl)| Some((Location::Static(i as u32), sl.stamp.get()?)));
+        in_objects.chain(in_statics).take(self.speculative)
     }
 
     /// Whether `loc` is a volatile slot.

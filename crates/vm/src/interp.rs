@@ -665,7 +665,7 @@ impl Vm {
     fn read_shared(&mut self, tid: ThreadId, loc: Location) -> Result<StepOutcome, VmError> {
         if self.config.jmm_guard {
             self.charge(self.config.cost.barrier_fast);
-            if let Some(w) = self.jmm.check_read(loc, tid) {
+            if let Some(w) = self.heap.check_read(loc, tid) {
                 let flipped = self.threads[w.writer.index()].mark_nonrevocable_enclosing(w.log_pos);
                 self.global.monitors_marked_nonrevocable += flipped;
                 if flipped > 0 {
@@ -747,7 +747,7 @@ impl Vm {
                             t.metrics.barrier_slow_paths += 1;
                             let pos = t.undo.len() - 1;
                             if self.config.jmm_guard {
-                                self.jmm.record_write(loc, tid, pos);
+                                self.heap.record_write(loc, tid, pos);
                             }
                             ticks += self.config.cost.barrier_slow;
                         }

@@ -47,7 +47,7 @@ fn program(code: Vec<Insn>, locals: u16, handlers: Vec<Handler>) -> Program {
 }
 
 fn observe(program: &Program, cfg: VmConfig, threads: usize, step_only: bool) -> Observed {
-    let mut vm = Vm::new_unverified(program.clone(), cfg);
+    let mut vm = Vm::new_unverified(std::sync::Arc::new(program.clone()), cfg);
     vm.step_only = step_only;
     for i in 0..threads {
         vm.spawn(&format!("t{i}"), MethodId(0), vec![], Priority::NORM);

@@ -9,12 +9,20 @@
 //! between a write performed within M and a read performed by another
 //! thread."*
 //!
-//! The guard keeps a map from heap location to the latest *speculative*
-//! write (one performed inside a still-active synchronized section).
-//! Entries are added by the write-barrier slow path, and removed when the
-//! writer's outermost section commits or when the entries are rolled
-//! back. A read by a different thread that hits a live entry marks every
-//! enclosing active section of the writer non-revocable.
+//! The guard keeps, beside every heap word, a *stamp* naming the latest
+//! *speculative* write to it (one performed inside a still-active
+//! synchronized section): the writing thread and the write's position in
+//! that thread's undo log. The stamps live in the heap itself
+//! ([`crate::heap`]: a vector parallel to each object's slots, a field of
+//! each static slot), so the barriers reach them by the index the access
+//! has already computed — the paper's write barrier is a fast-path test
+//! plus a sequential log append (§3.1.2), and a hash-table probe per
+//! access would dwarf both. Stamps are set by the write-barrier slow
+//! path ([`Heap::record_write`]) and dropped when the writer's outermost
+//! section commits or when the entries are rolled back
+//! ([`Heap::clear_speculative`]). A read by a different thread that hits
+//! a live stamp ([`Heap::check_read`]) marks every enclosing active
+//! section of the writer non-revocable.
 //!
 //! This single rule covers both problem cases in the paper:
 //!
@@ -32,9 +40,9 @@
 //! discipline never forfeits revocability, matching the paper's
 //! intuition.
 
-use crate::heap::Location;
+#[cfg(doc)]
+use crate::heap::Heap;
 use revmon_core::ThreadId;
-use std::collections::HashMap;
 
 /// Information about the latest speculative write to a location.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,92 +55,74 @@ pub struct SpeculativeWrite {
     pub log_pos: usize,
 }
 
-/// The read-barrier map.
-#[derive(Debug, Default)]
-pub struct JmmGuard {
-    map: HashMap<Location, SpeculativeWrite>,
+/// The guard's state for one heap word: a [`SpeculativeWrite`] or none,
+/// packed into 8 bytes (half a [`Value`](crate::value::Value)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    /// Writing thread's id, or [`Stamp::NO_WRITER`].
+    writer: u32,
+    log_pos: u32,
 }
 
-impl JmmGuard {
-    /// Empty guard.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl Stamp {
+    /// Thread ids index the VM's thread vector, so this one is never
+    /// issued.
+    const NO_WRITER: u32 = u32::MAX;
 
-    /// Record a speculative write by `writer` at log position `log_pos`.
-    /// A later write to the same location supersedes the entry (sections
-    /// enclosing the earlier write necessarily enclose the later one,
-    /// since marks only grow).
+    /// No speculative write to this word is live.
+    pub(crate) const NONE: Stamp = Stamp { writer: Self::NO_WRITER, log_pos: 0 };
+
+    /// The stamp of a write by `writer` at undo-log position `log_pos`.
     #[inline]
-    pub fn record_write(&mut self, loc: Location, writer: ThreadId, log_pos: usize) {
-        self.map.insert(loc, SpeculativeWrite { writer, log_pos });
+    pub(crate) fn new(writer: ThreadId, log_pos: usize) -> Self {
+        assert!(writer.0 != Self::NO_WRITER, "thread id reserved for the empty stamp");
+        // A log that long could not be held in memory.
+        let log_pos = u32::try_from(log_pos).expect("undo-log position fits in 32 bits");
+        Stamp { writer: writer.0, log_pos }
     }
 
-    /// Read-barrier check: does `reader`'s read of `loc` observe another
-    /// thread's speculative write? Returns the write if so; the caller
-    /// must then mark the writer's enclosing sections non-revocable.
+    /// The write this stamp records, if any.
     #[inline]
-    pub fn check_read(&self, loc: Location, reader: ThreadId) -> Option<SpeculativeWrite> {
-        if self.map.is_empty() {
-            return None; // fast path: nothing speculative anywhere
-        }
-        match self.map.get(&loc) {
-            Some(w) if w.writer != reader => Some(*w),
-            _ => None,
-        }
+    pub(crate) fn get(self) -> Option<SpeculativeWrite> {
+        (self.writer != Self::NO_WRITER).then_some(SpeculativeWrite {
+            writer: ThreadId(self.writer),
+            log_pos: self.log_pos as usize,
+        })
     }
+}
 
-    /// Remove the entry for `loc` if it belongs to `writer` — called for
-    /// each log entry when the writer commits (outermost `MonitorExit`)
-    /// or rolls the entry back.
-    #[inline]
-    pub fn clear(&mut self, loc: Location, writer: ThreadId) {
-        if let Some(w) = self.map.get(&loc) {
-            if w.writer == writer {
-                self.map.remove(&loc);
-            }
-        }
-    }
-
-    /// All live speculative writes, sorted by location — a deterministic
-    /// view for invariant checking and state fingerprinting.
-    pub fn entries(&self) -> Vec<(Location, SpeculativeWrite)> {
-        let mut v: Vec<(Location, SpeculativeWrite)> =
-            self.map.iter().map(|(&l, &w)| (l, w)).collect();
-        v.sort_by_key(|&(l, _)| l);
-        v
-    }
-
-    /// Number of live speculative entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no speculative write is live.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+impl Default for Stamp {
+    fn default() -> Self {
+        Stamp::NONE
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ObjRef;
+    use crate::heap::{Heap, Location};
+
+    /// A heap with one 3-slot object and one static; `loc(i)` is slot `i`.
+    fn heap() -> Heap {
+        let mut h = Heap::new(1);
+        h.alloc(0, 3);
+        h
+    }
 
     fn loc(i: u32) -> Location {
-        Location::Obj(ObjRef(0), i)
+        Location::Obj(crate::value::ObjRef(0), i)
     }
 
     #[test]
     fn own_reads_never_flag() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(loc(0), ThreadId(1), 0);
         assert_eq!(g.check_read(loc(0), ThreadId(1)), None);
     }
 
     #[test]
     fn cross_thread_read_flags() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(loc(0), ThreadId(1), 7);
         let w = g.check_read(loc(0), ThreadId(2)).expect("flagged");
         assert_eq!(w.writer, ThreadId(1));
@@ -141,22 +131,22 @@ mod tests {
 
     #[test]
     fn committed_entries_no_longer_flag() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(loc(0), ThreadId(1), 0);
-        g.clear(loc(0), ThreadId(1));
+        g.clear_speculative(loc(0), ThreadId(1));
         assert_eq!(g.check_read(loc(0), ThreadId(2)), None);
-        assert!(g.is_empty());
+        assert_eq!(g.speculative_len(), 0);
     }
 
     #[test]
     fn clear_ignores_entries_superseded_by_another_writer() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(loc(0), ThreadId(1), 0);
         // Thread 2 later writes the same location speculatively (it could
         // do so after thread 1 committed but before 1's per-entry clears
         // run — clears must not wipe 2's entry).
         g.record_write(loc(0), ThreadId(2), 3);
-        g.clear(loc(0), ThreadId(1));
+        g.clear_speculative(loc(0), ThreadId(1));
         assert_eq!(
             g.check_read(loc(0), ThreadId(1)),
             Some(SpeculativeWrite { writer: ThreadId(2), log_pos: 3 })
@@ -165,19 +155,31 @@ mod tests {
 
     #[test]
     fn later_write_supersedes_position() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(loc(0), ThreadId(1), 2);
         g.record_write(loc(0), ThreadId(1), 9);
         assert_eq!(g.check_read(loc(0), ThreadId(2)).unwrap().log_pos, 9);
+        assert_eq!(g.speculative_len(), 1);
     }
 
     #[test]
     fn distinct_locations_tracked_independently() {
-        let mut g = JmmGuard::new();
+        let mut g = heap();
         g.record_write(Location::Static(0), ThreadId(1), 0);
         g.record_write(loc(1), ThreadId(1), 1);
         assert!(g.check_read(Location::Static(0), ThreadId(2)).is_some());
         assert!(g.check_read(loc(2), ThreadId(2)).is_none());
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.speculative_len(), 2);
+        // Listed in `Location` order: object slots before statics.
+        let locs: Vec<Location> = g.speculative_writes().map(|(l, _)| l).collect();
+        assert_eq!(locs, [loc(1), Location::Static(0)]);
+    }
+
+    #[test]
+    fn reads_outside_the_heap_observe_nothing() {
+        let mut g = heap();
+        g.record_write(loc(0), ThreadId(1), 0);
+        assert_eq!(g.check_read(loc(3), ThreadId(2)), None);
+        assert_eq!(g.check_read(Location::Static(1), ThreadId(2)), None);
     }
 }

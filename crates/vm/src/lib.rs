@@ -105,4 +105,4 @@ pub use sched::{
     DEFAULT_CHOICE,
 };
 pub use verify::{verify_program, VerifyError};
-pub use vm::{MonitorReport, RoundOutcome, RunReport, ThreadReport, Vm, VmConfig};
+pub use vm::{MonitorReport, PreparedProgram, RoundOutcome, RunReport, ThreadReport, Vm, VmConfig};

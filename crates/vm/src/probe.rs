@@ -11,6 +11,7 @@ use crate::heap::Location;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 use revmon_core::ThreadId;
+use std::any::Any;
 
 /// Read-only observer of VM execution events.
 ///
@@ -18,7 +19,13 @@ use revmon_core::ThreadId;
 /// they need. The `&Vm` argument is the machine state *after* the event
 /// took effect.
 #[allow(unused_variables)]
-pub trait Probe: Send {
+pub trait Probe: Any + Send {
+    /// The probe as `Any` (implement as `{ self }`), so whoever attached
+    /// it can downcast what [`Vm::detach_probe`] returns and take back
+    /// the state the probe accumulated — owned by the probe during the
+    /// run, with no shared handle for the hooks to lock.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+
     /// A synchronized section was entered (its record pushed): `tid` now
     /// holds `monitor` with fresh undo mark. The heap at this instant is
     /// the state a rollback of this section must restore.
@@ -55,6 +62,11 @@ impl Vm {
     /// Attach an execution probe (replacing any previous one).
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
+    }
+
+    /// Remove and return the attached probe, if any.
+    pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.probe.take()
     }
 
     /// Run `f` against the attached probe (if any) with the probe

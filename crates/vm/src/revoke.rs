@@ -226,15 +226,14 @@ impl Vm {
         {
             let mut log = std::mem::take(&mut self.threads[tid.index()].undo);
             let heap = &mut self.heap;
-            let jmm = &mut self.jmm;
             let guard = self.config.jmm_guard;
             // Test-only fault injection: silently drop the restore of the
-            // newest N entries (but still clear the JMM map and count them,
+            // newest N entries (but still clear the JMM stamps and count them,
             // as the buggy rollback the fault models would).
             let mut skip = self.config.fault_skip_undo;
             log.rollback_to(mark, |e| {
                 if guard {
-                    jmm.clear(e.loc, tid);
+                    heap.clear_speculative(e.loc, tid);
                 }
                 if skip > 0 {
                     skip -= 1;

@@ -19,7 +19,7 @@ use crate::thread::{DelegatedFrame, Frame, Section, Snapshot, ThreadState};
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 use revmon_core::ThreadId;
-use revmon_core::{InversionPolicy, MonitorId, Priority, Victim};
+use revmon_core::{InversionPolicy, LogMark, MonitorId, Priority, Victim};
 use revmon_obs::{Event, EventKind};
 
 impl Vm {
@@ -166,6 +166,18 @@ impl Vm {
         self.with_probe(|p, vm| p.on_section_enter(vm, tid, obj));
     }
 
+    /// Retire `tid`'s undo entries since `mark` — they can no longer be
+    /// revoked — dropping the JMM-guard stamp each one set.
+    fn commit_log(&mut self, tid: ThreadId, mark: LogMark) {
+        let log = &mut self.threads[tid.index()].undo;
+        if self.config.jmm_guard {
+            for e in log.since(mark) {
+                self.heap.clear_speculative(e.loc, tid);
+            }
+        }
+        log.commit_to(mark);
+    }
+
     /// Pop the innermost section (must be on `obj`), commit the undo log
     /// if it was the outermost, and release one recursion level. Shared
     /// by `MonitorExit` and user-exception unwinding.
@@ -192,16 +204,8 @@ impl Vm {
             );
         }
         if self.thread(tid).sections.is_empty() {
-            // Outermost exit: updates can no longer be revoked — retire
-            // the log and un-speculate the JMM map.
-            let mut log = std::mem::take(&mut self.threads[tid.index()].undo);
-            if self.config.jmm_guard {
-                for e in log.since(sec.mark) {
-                    self.jmm.clear(e.loc, tid);
-                }
-            }
-            log.commit_to(sec.mark);
-            self.threads[tid.index()].undo = log;
+            // Outermost exit: updates can no longer be revoked.
+            self.commit_log(tid, sec.mark);
             self.emit(tid, obj, EventKind::Commit);
             self.with_probe(|p, vm| p.on_commit(vm, tid, obj));
             self.governor.record_commit(obj.0 as u64, tid.0 as u64, self.clock);
@@ -343,14 +347,7 @@ impl Vm {
             // Single section on `obj`: commit the pre-wait updates and
             // move the restart point past the wait.
             let mark = self.thread(tid).sections[0].mark;
-            let mut log = std::mem::take(&mut self.threads[tid.index()].undo);
-            if self.config.jmm_guard {
-                for e in log.since(mark) {
-                    self.jmm.clear(e.loc, tid);
-                }
-            }
-            log.commit_to(mark);
-            self.threads[tid.index()].undo = log;
+            self.commit_log(tid, mark);
             let t = self.thread_mut(tid);
             let new_mark = t.undo.mark();
             let resume_pc = t.frame().pc; // already advanced past Wait

@@ -13,7 +13,6 @@
 use crate::bytecode::{MethodId, Program};
 use crate::error::VmError;
 use crate::heap::Heap;
-use crate::jmm::JmmGuard;
 use crate::monitor::MonitorTable;
 use crate::rewrite::rewrite_program;
 use crate::sched::{Candidate, SchedContext, SchedulePolicy};
@@ -27,6 +26,7 @@ use revmon_core::{
 };
 use revmon_obs::{Event, EventKind};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 pub use crate::sched::SchedulerKind;
 
@@ -357,10 +357,34 @@ pub(crate) struct CoreState {
     pub(crate) ipis: VecDeque<Ipi>,
 }
 
+/// A program ready to execute under one configuration: rewritten if the
+/// configuration asks for revocation support, and accepted by the
+/// [bytecode verifier](crate::verify). Prepare once, then start any
+/// number of VMs from it with [`Vm::from_prepared`] — what a model
+/// checker re-executing one program under thousands of schedules needs.
+#[derive(Clone, Debug)]
+pub struct PreparedProgram {
+    program: Arc<Program>,
+    rewritten: bool,
+}
+
+impl PreparedProgram {
+    /// Rewrite (if `config.rewrite`) and verify `program`, returning the
+    /// verifier's findings on failure.
+    pub fn new(
+        program: Program,
+        config: &VmConfig,
+    ) -> Result<Self, Vec<crate::verify::VerifyError>> {
+        let program = if config.rewrite { rewrite_program(&program) } else { program };
+        crate::verify::verify_program(&program)?;
+        Ok(PreparedProgram { program: Arc::new(program), rewritten: config.rewrite })
+    }
+}
+
 /// The virtual machine.
 pub struct Vm {
     /// The (possibly rewritten) program.
-    pub(crate) program: Program,
+    pub(crate) program: Arc<Program>,
     pub(crate) heap: Heap,
     pub(crate) monitors: MonitorTable,
     pub(crate) threads: Vec<VmThread>,
@@ -381,7 +405,6 @@ pub struct Vm {
     pub(crate) clock: u64,
     pub(crate) quantum_left: u64,
     pub(crate) rng: SmallRng,
-    pub(crate) jmm: JmmGuard,
     pub(crate) graph: WaitsForGraph,
     pub(crate) config: VmConfig,
     /// VM-global counters (per-thread counters live on the threads).
@@ -448,14 +471,26 @@ impl Vm {
         program: Program,
         config: VmConfig,
     ) -> Result<Self, Vec<crate::verify::VerifyError>> {
-        let program = if config.rewrite { rewrite_program(&program) } else { program };
-        crate::verify::verify_program(&program)?;
-        Ok(Self::new_unverified(program, config))
+        Ok(Self::from_prepared(&PreparedProgram::new(program, &config)?, config))
+    }
+
+    /// Build a VM for an already rewritten and verified program.
+    ///
+    /// # Panics
+    /// If `config.rewrite` differs from the setting `prepared` was built
+    /// under: the program would lack (or carry unasked-for) rollback
+    /// scopes.
+    pub fn from_prepared(prepared: &PreparedProgram, config: VmConfig) -> Self {
+        assert_eq!(
+            prepared.rewritten, config.rewrite,
+            "program was prepared under a different `rewrite` setting"
+        );
+        Self::new_unverified(prepared.program.clone(), config)
     }
 
     /// Construct without verification (the program must already have been
     /// rewritten if the config asks for revocation support).
-    pub(crate) fn new_unverified(program: Program, config: VmConfig) -> Self {
+    pub(crate) fn new_unverified(program: Arc<Program>, config: VmConfig) -> Self {
         let mut heap = Heap::new(program.n_statics as usize);
         for &s in &program.volatile_statics {
             heap.declare_static_volatile(s).expect("volatile static in range");
@@ -480,7 +515,6 @@ impl Vm {
             clock: 0,
             quantum_left: 0,
             rng: SmallRng::seed_from_u64(config.seed),
-            jmm: JmmGuard::new(),
             graph: WaitsForGraph::new(),
             config,
             global: Metrics::new(),
@@ -901,11 +935,6 @@ impl Vm {
     /// The monitor table (every object ever synchronized on).
     pub fn monitor_table(&self) -> &MonitorTable {
         &self.monitors
-    }
-
-    /// The JMM-consistency guard's speculative-write map.
-    pub fn jmm_guard(&self) -> &JmmGuard {
-        &self.jmm
     }
 
     /// Number of threads currently queued to run, summed over cores. A

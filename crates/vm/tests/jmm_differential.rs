@@ -14,19 +14,18 @@
 use proptest::prelude::*;
 use revmon_core::ThreadId;
 use revmon_vm::heap::{Heap, Location};
-use revmon_vm::jmm::{JmmGuard, SpeculativeWrite};
+use revmon_vm::jmm::SpeculativeWrite;
 use revmon_vm::value::ObjRef;
 use std::collections::BTreeMap;
 
-/// The system under test: a heap and the guard over it.
+/// The system under test: the heap, which carries the guard's stamps.
 struct Sut {
     heap: Heap,
-    guard: JmmGuard,
 }
 
 impl Sut {
     fn new(n_statics: usize) -> Self {
-        Sut { heap: Heap::new(n_statics), guard: JmmGuard::new() }
+        Sut { heap: Heap::new(n_statics) }
     }
 
     fn alloc(&mut self, len: u32, array: bool) -> ObjRef {
@@ -38,27 +37,27 @@ impl Sut {
     }
 
     fn record_write(&mut self, loc: Location, writer: ThreadId, log_pos: usize) {
-        self.guard.record_write(loc, writer, log_pos);
+        self.heap.record_write(loc, writer, log_pos);
     }
 
     fn check_read(&self, loc: Location, reader: ThreadId) -> Option<SpeculativeWrite> {
-        self.guard.check_read(loc, reader)
+        self.heap.check_read(loc, reader)
     }
 
     fn clear(&mut self, loc: Location, writer: ThreadId) {
-        self.guard.clear(loc, writer);
+        self.heap.clear_speculative(loc, writer);
     }
 
     fn entries(&self) -> Vec<(Location, SpeculativeWrite)> {
-        self.guard.entries()
+        self.heap.speculative_writes().collect()
     }
 
     fn len(&self) -> usize {
-        self.guard.len()
+        self.heap.speculative_len()
     }
 
     fn is_empty(&self) -> bool {
-        self.guard.is_empty()
+        self.heap.speculative_len() == 0
     }
 }
 
