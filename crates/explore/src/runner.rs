@@ -5,10 +5,10 @@
 //! program for every schedule (stateless model checking — re-execution
 //! instead of checkpointing), installs a [`Scripted`] policy and the
 //! invariant [`Oracle`], then drives [`Vm::run_round`] one scheduling
-//! round at a time. Once the script is used up it fingerprints the machine before
-//! each round; if the round consumed a scheduling decision (≥ 2 runnable
-//! candidates), that fingerprint identifies the choice point for
-//! deduplication. Rounds replaying the scripted prefix are not
+//! round at a time. Once the script is used up it fingerprints the
+//! machine before each round; if the round consumed a scheduling decision
+//! (≥ 2 runnable candidates), that fingerprint identifies the choice
+//! point for deduplication. Rounds replaying the scripted prefix are not
 //! fingerprinted: the explorer expanded those choice points when an
 //! ancestor run first passed them and never looks at them again.
 

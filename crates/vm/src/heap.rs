@@ -117,11 +117,7 @@ impl Heap {
     /// An empty heap with `n_statics` static slots (all `Null`,
     /// non-volatile; use [`Heap::declare_static_volatile`] to flag).
     pub fn new(n_statics: usize) -> Self {
-        Heap {
-            objects: Vec::new(),
-            statics: vec![StaticSlot::default(); n_statics],
-            speculative: 0,
-        }
+        Heap { statics: vec![StaticSlot::default(); n_statics], ..Heap::default() }
     }
 
     /// Feed the complete heap contents — every object slot and every
