@@ -5,11 +5,15 @@
 //! analysis.
 #![allow(dead_code)]
 
+use revmon_bench::{run_cell_sink, BenchParams};
 use revmon_core::Priority;
+use revmon_obs::{Event, EventKind, EventSink, TsUnit};
 use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
-use revmon_vm::{Vm, VmConfig};
+use revmon_vm::{assemble, Vm, VmConfig};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Every `programs/*.rvm` as `(file name, source)`, sorted by name: the
 /// fixed order the pin tests record their runs in.
@@ -28,6 +32,164 @@ pub fn corpus() -> Vec<(String, String)> {
             (file, src)
         })
         .collect()
+}
+
+/// FNV-1a of `bytes`: the digest the byte pins record beside a length.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// One corpus program run to its end under `cfg` with a sink attached:
+/// the sink, still holding the whole trace, and the monitor names (runs
+/// that end in a `VmError`, like the unbroken deadlock, keep what they
+/// saw).
+pub fn traced_corpus_run(
+    src: &str,
+    file: &str,
+    cfg: VmConfig,
+) -> (Arc<EventSink>, BTreeMap<u64, String>) {
+    let program = assemble(src).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let entry = program.method_by_name("main").expect("corpus program has a main");
+    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
+    let mut vm = Vm::new(program, cfg);
+    vm.attach_sink(Arc::clone(&sink));
+    vm.spawn("main", entry, vec![], Priority::NORM);
+    let _ = vm.run();
+    assert_eq!(sink.dropped(), 0, "{file}: the pin needs the whole trace");
+    (sink, vm.monitor_names())
+}
+
+/// One dense cell of the paper's microbenchmark, traced: the shape of
+/// trace the repo benchmark's `trace_pipeline` replays, a hundredth its
+/// size (≈ 2.3 k events).
+pub fn traced_fig5_cell() -> (Arc<EventSink>, BTreeMap<u64, String>) {
+    let sink = Arc::new(EventSink::with_capacity(TsUnit::VirtualTicks, 1 << 14));
+    let cell = BenchParams {
+        high_threads: 2,
+        low_threads: 8,
+        high_iters: 20,
+        low_iters: 100,
+        sections: 50,
+        write_pct: 50,
+        modified: true,
+        seed: 0xC0FFEE,
+        quantum: 1_200,
+    };
+    run_cell_sink(&cell, VmConfig::modified(), Some(Arc::clone(&sink)));
+    assert_eq!(sink.dropped(), 0, "the pin needs the whole trace");
+    (sink, BTreeMap::from([(0u64, "lock".to_string())]))
+}
+
+/// Every kind with the given payload words. The `match` has no wildcard
+/// arm on purpose: a new variant fails to compile here until it is
+/// added to the list below.
+pub fn every_kind(a: u64, b: u64) -> Vec<EventKind> {
+    fn listed(k: &EventKind) {
+        match k {
+            EventKind::Acquire
+            | EventKind::Block
+            | EventKind::RevokeRequest { .. }
+            | EventKind::Rollback { .. }
+            | EventKind::Commit
+            | EventKind::Release
+            | EventKind::NonRevocable
+            | EventKind::DeadlockDetected { .. }
+            | EventKind::DeadlockBroken
+            | EventKind::InversionUnresolved { .. }
+            | EventKind::GovernorThrottle { .. }
+            | EventKind::PolicyFallback
+            | EventKind::DelegateSubmit { .. }
+            | EventKind::DelegateExecute { .. }
+            | EventKind::DelegateComplete { .. }
+            | EventKind::IpiPosted { .. }
+            | EventKind::IpiAck { .. } => {}
+        }
+    }
+    let kinds = vec![
+        EventKind::Acquire,
+        EventKind::Block,
+        EventKind::RevokeRequest { by: a },
+        EventKind::Rollback { entries: a, duration: b },
+        EventKind::Commit,
+        EventKind::Release,
+        EventKind::NonRevocable,
+        EventKind::DeadlockDetected { cycle_len: a },
+        EventKind::DeadlockBroken,
+        EventKind::InversionUnresolved { by: a },
+        EventKind::GovernorThrottle { by: a },
+        EventKind::PolicyFallback,
+        EventKind::DelegateSubmit { holder: a, token: b },
+        EventKind::DelegateExecute { submitter: a, token: b },
+        EventKind::DelegateComplete { submitter: a, token: b },
+        EventKind::IpiPosted { by: a },
+        EventKind::IpiAck { by: a, stale: b != 0 },
+    ];
+    kinds.iter().for_each(listed);
+    kinds
+}
+
+/// A synthetic wall-clock stream built to reach what the corpus does
+/// not: every event kind with ordinary and all-ones payloads, non-zero
+/// cores, events without a monitor, sub-microsecond and beyond-2^53
+/// timestamps, a rollback longer than its own timestamp, mid-stream
+/// tears and timestamps that run backwards.
+pub fn synthetic() -> Vec<Event> {
+    let mut events = Vec::new();
+    let mut ts = 0u64;
+    // Every kind twice — ordinary payloads, then all-ones — on rotating
+    // cores, every third without a monitor, at timestamps that are not
+    // whole microseconds.
+    for (a, b) in [(3, 1), (u64::MAX, u64::MAX)] {
+        for (i, kind) in every_kind(a, b).into_iter().enumerate() {
+            ts += 1_234_567 + i as u64;
+            events.push(Event {
+                ts,
+                thread: 1 + (i % 2) as u64,
+                monitor: if i % 3 == 2 { Event::NO_MONITOR } else { 7 + (i % 2) as u64 },
+                core: (i % 3) as u32,
+                kind,
+            });
+        }
+    }
+    let mk = |ts, thread, monitor, core, kind| Event { ts, thread, monitor, core, kind };
+    let t0 = ts + 1_000;
+    events.extend([
+        // Nested sections, a rollback of the outer one that unwinds the
+        // inner, then the unwind's own releases.
+        mk(t0, 5, 20, 1, EventKind::Acquire),
+        mk(t0 + 999, 5, 21, 1, EventKind::Acquire),
+        mk(t0 + 1_000, 5, 21, 1, EventKind::Acquire),
+        mk(t0 + 1_001, 6, 20, 1, EventKind::Block),
+        mk(t0 + 2_500, 5, 20, 1, EventKind::RevokeRequest { by: 6 }),
+        mk(t0 + 3_000, 5, 20, 1, EventKind::Rollback { entries: 9, duration: 400 }),
+        mk(t0 + 3_010, 5, 21, 1, EventKind::Release),
+        mk(t0 + 3_020, 5, 20, 1, EventKind::Release),
+        mk(t0 + 3_030, 6, 20, 1, EventKind::Acquire),
+        // Tears: thread 8's Acquire(30) vanished between Block(30) and
+        // Block(31); it then acquires 32 while blocked on 31; thread 9
+        // releases a monitor it never acquired; thread 8 re-blocks on
+        // the monitor it is already blocked on.
+        mk(t0 + 4_000, 8, 30, 0, EventKind::Block),
+        mk(t0 + 4_100, 8, 31, 0, EventKind::Block),
+        mk(t0 + 4_150, 8, 31, 0, EventKind::Block),
+        mk(t0 + 4_200, 8, 32, 0, EventKind::Acquire),
+        mk(t0 + 4_300, 9, 32, 0, EventKind::Release),
+        // The same thread id on another core is another lane.
+        mk(t0 + 4_400, 8, 32, 2, EventKind::Acquire),
+        mk(t0 + 4_500, 8, 32, 2, EventKind::Release),
+        // A rollback that claims to have started before time began.
+        mk(250, 11, 40, 0, EventKind::Acquire),
+        mk(300, 11, 40, 0, EventKind::Rollback { entries: 1, duration: 5_000 }),
+        // Timestamps past 2^41 ns (25 days), past f64's integers, and
+        // the saturated clock; spans left open for the trailer.
+        mk((1 << 41) - 1, 12, 50, 0, EventKind::Acquire),
+        mk(1 << 41, 12, 51, 0, EventKind::Acquire),
+        mk((1 << 41) + 1_001, 13, 50, 3, EventKind::Block),
+        mk((1 << 53) + 1, 12, 51, 0, EventKind::Rollback { entries: 2, duration: (1 << 53) - 7 }),
+        mk(u64::MAX - 1, 14, 52, 0, EventKind::Commit),
+        mk(u64::MAX, 14, 52, 0, EventKind::Acquire),
+    ]);
+    events
 }
 
 /// Build the canonical contention workload: `run(lock, iters)` executes
