@@ -596,9 +596,15 @@ fn run_program(
 
 /// `revmon analyze`: import a JSONL trace (`run`/`demo --trace-out`)
 /// and report priority-inversion episodes and per-monitor contention.
+/// The file goes line by line straight into the analyzer: what stays in
+/// memory is the trace's names, run context and damage report, and the
+/// episodes found.
 fn run_analyze(file: &str, opts: &Opts<'_>) -> Result<(), String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let imp = revmon_obs::import_trace_jsonl(&text);
+    let cannot_read = |e: std::io::Error| format!("cannot read {file}: {e}");
+    let trace = std::io::BufReader::new(std::fs::File::open(file).map_err(cannot_read)?);
+    let mut imp = revmon_obs::TraceImport::default();
+    let mut analyzer = revmon_obs::Analyzer::default();
+    imp.read(trace, |ev| analyzer.observe(ev)).map_err(cannot_read)?;
     if imp.warnings.total() > 0 {
         let w = &imp.warnings;
         eprintln!(
@@ -609,10 +615,10 @@ fn run_analyze(file: &str, opts: &Opts<'_>) -> Result<(), String> {
             w.out_of_order
         );
     }
-    if imp.events.is_empty() {
+    let mut analysis = analyzer.finish();
+    if analysis.events == 0 {
         return Err(format!("{file}: no importable events"));
     }
-    let mut analysis = revmon_obs::Analysis::from_events(&imp.events);
     // Damaged (thread, monitor) pairs cannot be classified honestly —
     // their resolution events may be among the skipped lines — so their
     // unresolved verdicts are reported as `truncated`, not as real

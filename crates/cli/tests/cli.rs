@@ -161,6 +161,29 @@ fn analyze_tolerates_damage_and_rejects_empty_input() {
     assert!(out.status.success(), "damage must degrade, not fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("skipped 1 damaged line"));
 
+    // A line that is not even UTF-8 is one more damaged line, not a
+    // failed read: the report is the clean trace's plus the damage note.
+    let clean = dir.join("revmon-cli-clean.jsonl");
+    let out = bin()
+        .args(["run", &program("priority_inversion.rvm"), "--trace-out", clean.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let mut bytes = std::fs::read(&clean).unwrap();
+    let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes.splice(second_line..second_line, *b"{\"name\":\"\xff\xfe\n");
+    let garbled = dir.join("revmon-cli-garbled.jsonl");
+    std::fs::write(&garbled, bytes).unwrap();
+    let want = bin().args(["analyze", clean.to_str().unwrap()]).output().unwrap();
+    let got = bin().args(["analyze", garbled.to_str().unwrap()]).output().unwrap();
+    assert!(got.status.success(), "stderr: {}", String::from_utf8_lossy(&got.stderr));
+    assert!(String::from_utf8_lossy(&got.stderr).contains("skipped 1 damaged line(s) (1 malformed"));
+    let got = String::from_utf8(got.stdout).unwrap();
+    assert!(got.contains("  damage: 1 skipped lines"), "report:\n{got}");
+    let without_note: Vec<&str> = got.lines().filter(|l| !l.starts_with("  damage:")).collect();
+    let want = String::from_utf8(want.stdout).unwrap();
+    assert_eq!(without_note, want.lines().collect::<Vec<_>>());
+
     let empty = dir.join("revmon-cli-empty.jsonl");
     std::fs::write(&empty, "").unwrap();
     let out = bin().args(["analyze", empty.to_str().unwrap()]).output().unwrap();

@@ -1,6 +1,7 @@
 //! `revmon-analyze`: turn an event stream into answers.
 //!
-//! [`Analysis::from_events`] makes one pass over a trace and produces:
+//! [`Analyzer`] folds a trace one event at a time — it never needs the
+//! whole of it — and [`Analyzer::finish`] produces the [`Analysis`]:
 //!
 //! * the reconstructed [`Episode`]s (see [`crate::episode`]) with
 //!   per-resolution counts and exact inversion-latency statistics
@@ -11,8 +12,9 @@
 //!   by blocking time so the worst offender tops every report;
 //! * stream totals and a damage-aware event census.
 //!
-//! Three renderers share the result: [`write_report`] (human text),
-//! [`analysis_json`] (machine JSON), and [`write_prometheus`]
+//! [`Analysis::from_events`] is the same fold over a slice already in
+//! memory. Three renderers share the result: [`write_report`] (human
+//! text), [`analysis_json`] (machine JSON), and [`write_prometheus`]
 //! (Prometheus text exposition format, for scraping live processes or
 //! pushing post-hoc). All three take the monitor-name table from the
 //! trace (or the runtimes' naming APIs) so output reads
@@ -21,13 +23,17 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::episode::{reconstruct_episodes, Episode, Resolution};
-use crate::event::{Event, EventKind};
+use revmon_core::FxMap;
+
+use crate::episode::{Episode, EpisodeBuilder, Resolution};
+use crate::event::{Event, EventKind, NKINDS, SCHEMA};
 use crate::hist::Histogram;
 use crate::json::esc;
+use crate::latency::Intervals;
 use crate::sink::TsUnit;
 
 /// Per-monitor contention profile.
+#[derive(Default)]
 pub struct MonitorProfile {
     /// Monitor id.
     pub monitor: u64,
@@ -61,40 +67,22 @@ pub struct MonitorProfile {
     pub held: Histogram,
 }
 
-impl MonitorProfile {
-    fn new(monitor: u64) -> Self {
-        MonitorProfile {
-            monitor,
-            acquires: 0,
-            blocks: 0,
-            revoke_requests: 0,
-            rollbacks: 0,
-            commits: 0,
-            unresolved: 0,
-            governor_throttles: 0,
-            policy_fallbacks: 0,
-            wasted_entries: 0,
-            delegations: 0,
-            delegated_completes: 0,
-            total_blocked: 0,
-            blocking: Histogram::new(),
-            held: Histogram::new(),
-        }
-    }
-}
-
 /// Exact statistics over a small set of values (episode latencies).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExactStats {
     values: Vec<u64>, // kept sorted
 }
 
-impl ExactStats {
-    fn push(&mut self, v: u64) {
-        let at = self.values.partition_point(|&x| x <= v);
-        self.values.insert(at, v);
+/// Collects the values in any order and sorts them once.
+impl FromIterator<u64> for ExactStats {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut values: Vec<u64> = iter.into_iter().collect();
+        values.sort_unstable();
+        ExactStats { values }
     }
+}
 
+impl ExactStats {
     /// Number of values.
     pub fn count(&self) -> u64 {
         self.values.len() as u64
@@ -158,103 +146,112 @@ pub struct Analysis {
     pub skipped_lines: u64,
 }
 
-impl Analysis {
-    /// One pass: episodes + profiles + census.
-    pub fn from_events(events: &[Event]) -> Analysis {
-        let mut profiles: BTreeMap<u64, MonitorProfile> = BTreeMap::new();
-        let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut block_since: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut section_since: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut last_ts = 0u64;
+/// The streaming fold behind every [`Analysis`]: [`Analyzer::observe`]
+/// each event in stream order, then [`Analyzer::finish`]. What it holds
+/// grows with the monitors, the threads in flight and the episodes
+/// found, not with the length of the trace.
+#[derive(Default)]
+pub struct Analyzer {
+    intervals: Intervals,
+    profiles: FxMap<u64, MonitorProfile>,
+    episodes: EpisodeBuilder,
+    /// Event census by [`EventKind::index`].
+    kinds: [u64; NKINDS],
+    events: u64,
+    last_ts: u64,
+}
 
-        for ev in events {
-            *kind_counts.entry(ev.kind.name()).or_insert(0) += 1;
-            last_ts = last_ts.max(ev.ts);
-            if ev.monitor == Event::NO_MONITOR {
-                continue;
-            }
-            let p = profiles.entry(ev.monitor).or_insert_with(|| MonitorProfile::new(ev.monitor));
-            let key = (ev.thread, ev.monitor);
-            match ev.kind {
-                EventKind::Acquire => {
-                    p.acquires += 1;
-                    if let Some(t0) = block_since.remove(&key) {
-                        let waited = ev.ts.saturating_sub(t0);
-                        p.total_blocked += waited;
-                        p.blocking.record(waited);
-                    }
-                    section_since.entry(key).or_insert(ev.ts);
-                }
-                EventKind::Block => {
-                    p.blocks += 1;
-                    block_since.entry(key).or_insert(ev.ts);
-                }
-                EventKind::RevokeRequest { .. } => p.revoke_requests += 1,
-                EventKind::Rollback { entries, .. } => {
-                    p.rollbacks += 1;
-                    p.wasted_entries += entries;
-                    section_since.remove(&key);
-                }
-                EventKind::Commit => p.commits += 1,
-                EventKind::Release => {
-                    if let Some(t0) = section_since.remove(&key) {
-                        p.held.record(ev.ts.saturating_sub(t0));
-                    }
-                }
-                EventKind::InversionUnresolved { .. } => p.unresolved += 1,
-                EventKind::GovernorThrottle { .. } => p.governor_throttles += 1,
-                EventKind::PolicyFallback => p.policy_fallbacks += 1,
-                EventKind::DelegateSubmit { .. } => p.delegations += 1,
-                EventKind::DelegateComplete { .. } => p.delegated_completes += 1,
-                EventKind::DelegateExecute { .. }
-                | EventKind::NonRevocable
-                | EventKind::DeadlockDetected { .. }
-                | EventKind::DeadlockBroken
-                | EventKind::IpiPosted { .. }
-                | EventKind::IpiAck { .. } => {}
-            }
+impl Analyzer {
+    /// Fold one event into the census, its monitor's profile and the
+    /// episode automaton.
+    pub fn observe(&mut self, ev: &Event) {
+        self.events += 1;
+        self.kinds[ev.kind.index()] += 1;
+        self.last_ts = self.last_ts.max(ev.ts);
+        let closed = self.intervals.observe(ev);
+        self.episodes.observe(ev, closed, &self.intervals);
+        if ev.monitor == Event::NO_MONITOR {
+            return;
         }
-
-        let episodes = reconstruct_episodes(events);
-        let mut inversion_latency = ExactStats::default();
-        let mut wasted_entries = 0;
-        let mut wasted_time = 0;
-        let mut governor_throttles = 0;
-        let mut policy_fallbacks = 0;
-        let mut delegation_queue_wait = ExactStats::default();
-        let mut delegation_exec_time = ExactStats::default();
-        for e in &episodes {
-            if let Some(l) = e.latency() {
-                inversion_latency.push(l);
+        let p = self
+            .profiles
+            .entry(ev.monitor)
+            .or_insert_with(|| MonitorProfile { monitor: ev.monitor, ..MonitorProfile::default() });
+        match ev.kind {
+            EventKind::Acquire => {
+                p.acquires += 1;
+                if let Some(waited) = closed {
+                    p.total_blocked += waited;
+                    p.blocking.record(waited);
+                }
             }
-            wasted_entries += e.wasted_entries;
-            wasted_time += e.wasted_time;
-            governor_throttles += e.governor_throttles;
-            policy_fallbacks += e.policy_fallbacks;
-            if e.resolution == Resolution::Delegated {
-                delegation_queue_wait.push(e.queue_wait);
-                delegation_exec_time.push(e.exec_time);
+            EventKind::Block => p.blocks += 1,
+            EventKind::RevokeRequest { .. } => p.revoke_requests += 1,
+            EventKind::Rollback { entries, .. } => {
+                p.rollbacks += 1;
+                p.wasted_entries += entries;
             }
+            EventKind::Commit => p.commits += 1,
+            EventKind::Release => {
+                if let Some(held) = closed {
+                    p.held.record(held);
+                }
+            }
+            EventKind::InversionUnresolved { .. } => p.unresolved += 1,
+            EventKind::GovernorThrottle { .. } => p.governor_throttles += 1,
+            EventKind::PolicyFallback => p.policy_fallbacks += 1,
+            EventKind::DelegateSubmit { .. } => p.delegations += 1,
+            EventKind::DelegateComplete { .. } => p.delegated_completes += 1,
+            EventKind::DelegateExecute { .. }
+            | EventKind::NonRevocable
+            | EventKind::DeadlockDetected { .. }
+            | EventKind::DeadlockBroken
+            | EventKind::IpiPosted { .. }
+            | EventKind::IpiAck { .. } => {}
         }
+    }
 
-        let mut profiles: Vec<MonitorProfile> = profiles.into_values().collect();
+    /// Close the stream: open episodes end unresolved, profiles are
+    /// ranked, the totals over episodes are taken.
+    pub fn finish(self) -> Analysis {
+        let episodes = self.episodes.finish();
+        let delegated = || episodes.iter().filter(|e| e.resolution == Resolution::Delegated);
+        let mut profiles: Vec<MonitorProfile> = self.profiles.into_values().collect();
         profiles.sort_by_key(|p| (std::cmp::Reverse(p.total_blocked), p.monitor));
-
         Analysis {
-            episodes,
             profiles,
-            kind_counts,
-            events: events.len() as u64,
-            last_ts,
-            inversion_latency,
-            wasted_entries,
-            wasted_time,
-            governor_throttles,
-            policy_fallbacks,
-            delegation_queue_wait,
-            delegation_exec_time,
+            kind_counts: SCHEMA
+                .iter()
+                .zip(self.kinds)
+                .filter(|&(_, n)| n > 0)
+                .map(|(row, n)| (row.0, n))
+                .collect(),
+            events: self.events,
+            last_ts: self.last_ts,
+            inversion_latency: episodes.iter().filter_map(Episode::latency).collect(),
+            wasted_entries: episodes.iter().map(|e| e.wasted_entries).sum(),
+            wasted_time: episodes.iter().map(|e| e.wasted_time).sum(),
+            governor_throttles: episodes.iter().map(|e| e.governor_throttles).sum(),
+            policy_fallbacks: episodes.iter().map(|e| e.policy_fallbacks).sum(),
+            delegation_queue_wait: delegated().map(|e| e.queue_wait).collect(),
+            delegation_exec_time: delegated().map(|e| e.exec_time).collect(),
             skipped_lines: 0,
+            episodes,
         }
+    }
+}
+
+/// Reconstruct the episodes of a complete event stream.
+pub fn reconstruct_episodes(events: &[Event]) -> Vec<Episode> {
+    Analysis::from_events(events).episodes
+}
+
+impl Analysis {
+    /// The whole fold over a trace already in memory.
+    pub fn from_events(events: &[Event]) -> Analysis {
+        let mut analyzer = Analyzer::default();
+        events.iter().for_each(|ev| analyzer.observe(ev));
+        analyzer.finish()
     }
 
     /// Reclassify truncation artifacts after a damaged import.
@@ -713,15 +710,28 @@ mod tests {
 
     #[test]
     fn exact_stats_are_exact() {
-        let mut s = ExactStats::default();
-        for v in [5u64, 1, 9, 3] {
-            s.push(v);
-        }
+        let s: ExactStats = [5u64, 1, 9, 3].into_iter().collect();
         assert_eq!(s.count(), 4);
         assert_eq!(s.percentile(50.0), 3);
         assert_eq!(s.percentile(99.0), 9);
         assert_eq!(s.max(), 9);
         assert!((s.mean() - 4.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exact_stats_do_not_depend_on_arrival_order() {
+        // 1..=1000 with every multiple of ten twice, arriving scrambled
+        // (389 is coprime to 1100).
+        let sorted: Vec<u64> =
+            (1..=1000u64).flat_map(|v| [v].repeat(1 + (v % 10 == 0) as usize)).collect();
+        let shuffled: ExactStats =
+            (0..sorted.len()).map(|i| sorted[i * 389 % sorted.len()]).collect();
+        assert_eq!(shuffled, sorted.iter().copied().collect());
+        assert_eq!(shuffled.count(), 1100);
+        assert_eq!(shuffled.percentile(50.0), sorted[549]);
+        assert_eq!(shuffled.percentile(99.0), sorted[1088]);
+        assert_eq!(shuffled.max(), 1000);
+        assert!((shuffled.mean() - 551_000.0 / 1100.0).abs() < 1e-9);
     }
 
     #[test]

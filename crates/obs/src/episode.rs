@@ -15,16 +15,19 @@
 //!   discarded section time re-executed later, and the repeat-revocation
 //!   count (a livelock signal when it climbs).
 //!
-//! The builder is runtime-agnostic: it consumes [`Event`]s whether they
+//! The automaton is runtime-agnostic: it consumes [`Event`]s whether they
 //! came live from an [`EventSink`](crate::EventSink) drain or from a
-//! re-imported JSONL trace, in either clock domain.
+//! re-imported JSONL trace, in either clock domain. It is one of the
+//! accumulators [`Analyzer`](crate::Analyzer) drives, and reads its waits
+//! and sections from the stream's one [`Intervals`] matcher.
 
-use std::collections::HashMap;
+use revmon_core::FxMap;
 
 use crate::event::{Event, EventKind};
+use crate::latency::Intervals;
 
 /// How an episode ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Resolution {
     /// The holder was revoked (rolled back) and the requester got in.
     Revocation,
@@ -38,6 +41,7 @@ pub enum Resolution {
     DeadlockBreak,
     /// The stream ended with the requester still waiting (non-revocable
     /// holder that never released, or a truncated trace).
+    #[default]
     Unresolved,
     /// The episode touched events on skipped (torn/out-of-order) trace
     /// lines: its real outcome is unknowable from what survived, so it
@@ -75,7 +79,7 @@ impl Resolution {
 }
 
 /// One reconstructed priority-inversion episode.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Episode {
     /// Contended monitor.
     pub monitor: u64,
@@ -205,52 +209,28 @@ struct OpenDelegation {
     exec_ts: Option<u64>,
 }
 
-/// In-flight episode state (one per contended monitor).
+/// In-flight episode (one per contended monitor): the episode so far,
+/// its `end` and `resolution` still to be decided.
 struct OpenEpisode {
-    holder: u64,
-    requester: u64,
-    start: u64,
-    rollbacks: u64,
-    wasted_entries: u64,
-    wasted_time: u64,
-    revoke_requests: u64,
-    unresolvable_marks: u64,
-    governor_throttles: u64,
-    policy_fallbacks: u64,
+    so_far: Episode,
+    /// The deadlock breaker picked this episode's holder as its victim.
     deadlock: bool,
-    first_revoke: Option<u64>,
-    last_rollback_end: Option<u64>,
-    last_rollback_duration: u64,
 }
 
 impl OpenEpisode {
-    fn close(self, monitor: u64, end: Option<u64>, resolution: Resolution) -> Episode {
-        Episode {
-            monitor,
-            holder: self.holder,
-            requester: self.requester,
-            start: self.start,
-            end,
-            resolution,
-            rollbacks: self.rollbacks,
-            wasted_entries: self.wasted_entries,
-            wasted_time: self.wasted_time,
-            revoke_requests: self.revoke_requests,
-            unresolvable_marks: self.unresolvable_marks,
-            governor_throttles: self.governor_throttles,
-            policy_fallbacks: self.policy_fallbacks,
-            first_revoke: self.first_revoke,
-            last_rollback_end: self.last_rollback_end,
-            last_rollback_duration: self.last_rollback_duration,
-            queue_wait: 0,
-            exec_time: 0,
-        }
+    fn new(monitor: u64, holder: u64, requester: u64, start: u64) -> Self {
+        let so_far = Episode { monitor, holder, requester, start, ..Episode::default() };
+        OpenEpisode { so_far, deadlock: false }
+    }
+
+    fn close(self, end: Option<u64>, resolution: Resolution) -> Episode {
+        Episode { end, resolution, ..self.so_far }
     }
 
     fn resolution_on_acquire(&self) -> Resolution {
         if self.deadlock {
             Resolution::DeadlockBreak
-        } else if self.rollbacks > 0 {
+        } else if self.so_far.rollbacks > 0 {
             Resolution::Revocation
         } else {
             Resolution::NaturalRelease
@@ -258,59 +238,35 @@ impl OpenEpisode {
     }
 }
 
-/// Streaming reconstruction: feed events in order, then
-/// [`EpisodeBuilder::finish`].
+/// The per-monitor episode automaton: feed events in stream order (the
+/// importer and sink drains guarantee it), each after the stream's
+/// [`Intervals`] has seen it, then [`EpisodeBuilder::finish`].
 #[derive(Default)]
-pub struct EpisodeBuilder {
+pub(crate) struct EpisodeBuilder {
     /// Open episode per monitor.
-    open: HashMap<u64, OpenEpisode>,
-    /// `(thread, monitor)` → block timestamp (entry-queue waits).
-    block_since: HashMap<(u64, u64), u64>,
-    /// `(thread, monitor)` → outermost-acquire timestamp (open sections).
-    section_since: HashMap<(u64, u64), u64>,
+    open: FxMap<u64, OpenEpisode>,
     /// Threads flagged by the deadlock breaker whose rollback has not
     /// been seen yet (the VM emits `DeadlockBroken` without a monitor;
     /// the victim's next rollback names it).
-    deadlock_victims: HashMap<u64, u64>,
+    deadlock_victims: FxMap<u64, u64>,
     /// `(monitor, token)` → in-flight delegated submission.
-    delegations: HashMap<(u64, u64), OpenDelegation>,
+    delegations: FxMap<(u64, u64), OpenDelegation>,
     done: Vec<Episode>,
 }
 
 impl EpisodeBuilder {
-    /// Fresh builder with no open state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one event into the reconstruction. Events must arrive in
-    /// stream order (the importer and sink drains guarantee this).
-    pub fn observe(&mut self, ev: &Event) {
-        let key = (ev.thread, ev.monitor);
+    /// Fold one event into the reconstruction. `closed` is what
+    /// `intervals` returned for this event.
+    pub(crate) fn observe(&mut self, ev: &Event, closed: Option<u64>, intervals: &Intervals) {
         match ev.kind {
-            EventKind::Block => {
-                self.block_since.entry(key).or_insert(ev.ts);
-            }
             EventKind::RevokeRequest { by }
             | EventKind::InversionUnresolved { by }
             | EventKind::GovernorThrottle { by } => {
-                let start = self.block_since.get(&(by, ev.monitor)).copied().unwrap_or(ev.ts);
-                let ep = self.open.entry(ev.monitor).or_insert(OpenEpisode {
-                    holder: ev.thread,
-                    requester: by,
-                    start,
-                    rollbacks: 0,
-                    wasted_entries: 0,
-                    wasted_time: 0,
-                    revoke_requests: 0,
-                    unresolvable_marks: 0,
-                    governor_throttles: 0,
-                    policy_fallbacks: 0,
-                    deadlock: false,
-                    first_revoke: None,
-                    last_rollback_end: None,
-                    last_rollback_duration: 0,
+                let open = self.open.entry(ev.monitor).or_insert_with(|| {
+                    let start = intervals.blocked_since(by, ev.monitor).unwrap_or(ev.ts);
+                    OpenEpisode::new(ev.monitor, ev.thread, by, start)
                 });
+                let ep = &mut open.so_far;
                 match ev.kind {
                     EventKind::InversionUnresolved { .. } => ep.unresolvable_marks += 1,
                     EventKind::GovernorThrottle { .. } => ep.governor_throttles += 1,
@@ -321,74 +277,48 @@ impl EpisodeBuilder {
                 }
             }
             EventKind::PolicyFallback => {
-                if let Some(ep) = self.open.get_mut(&ev.monitor) {
-                    ep.policy_fallbacks += 1;
+                if let Some(open) = self.open.get_mut(&ev.monitor) {
+                    open.so_far.policy_fallbacks += 1;
                 }
             }
             EventKind::Rollback { entries, duration } => {
                 let deadlock = self.deadlock_victims.remove(&ev.thread);
-                let section_start = self.section_since.remove(&key);
-                let ep = match self.open.get_mut(&ev.monitor) {
-                    Some(ep) => ep,
-                    None => {
-                        // No revoke request observed for this monitor —
-                        // only the deadlock breaker revokes without one.
-                        let start = deadlock.unwrap_or(ev.ts);
-                        self.open.entry(ev.monitor).or_insert(OpenEpisode {
-                            holder: ev.thread,
-                            requester: Event::NO_THREAD,
-                            start,
-                            rollbacks: 0,
-                            wasted_entries: 0,
-                            wasted_time: 0,
-                            revoke_requests: 0,
-                            unresolvable_marks: 0,
-                            governor_throttles: 0,
-                            policy_fallbacks: 0,
-                            deadlock: false,
-                            first_revoke: None,
-                            last_rollback_end: None,
-                            last_rollback_duration: 0,
-                        })
-                    }
-                };
+                // No revoke request observed for this monitor? Only the
+                // deadlock breaker revokes without one.
+                let open = self.open.entry(ev.monitor).or_insert_with(|| {
+                    let start = deadlock.unwrap_or(ev.ts);
+                    OpenEpisode::new(ev.monitor, ev.thread, Event::NO_THREAD, start)
+                });
+                open.deadlock |= deadlock.is_some();
+                let ep = &mut open.so_far;
                 ep.rollbacks += 1;
                 ep.wasted_entries += entries;
                 ep.last_rollback_end = Some(ev.ts);
                 ep.last_rollback_duration = duration;
-                if deadlock.is_some() {
-                    ep.deadlock = true;
-                }
-                if let Some(t0) = section_start {
-                    // Everything from the acquire to the end of the
-                    // rollback is work the holder must redo.
-                    ep.wasted_time += ev.ts.saturating_sub(t0);
-                }
+                // Everything from the acquire to the end of the rollback
+                // is work the holder must redo.
+                ep.wasted_time += closed.unwrap_or(0);
             }
             EventKind::Acquire => {
-                self.block_since.remove(&key);
-                self.section_since.entry(key).or_insert(ev.ts);
-                let closes = self.open.get(&ev.monitor).is_some_and(|ep| {
+                let closes = self.open.get(&ev.monitor).is_some_and(|open| {
+                    let ep = &open.so_far;
                     ev.thread == ep.requester
                         || (ep.requester == Event::NO_THREAD && ev.thread != ep.holder)
                 });
                 if closes {
-                    let ep = self.open.remove(&ev.monitor).expect("checked above");
-                    let resolution = ep.resolution_on_acquire();
-                    self.done.push(ep.close(ev.monitor, Some(ev.ts), resolution));
+                    let open = self.open.remove(&ev.monitor).expect("checked above");
+                    let resolution = open.resolution_on_acquire();
+                    self.done.push(open.close(Some(ev.ts), resolution));
                 }
             }
-            EventKind::Release => {
-                self.section_since.remove(&key);
-            }
             EventKind::DeadlockBroken => {
-                if ev.monitor == Event::NO_MONITOR {
-                    // VM shape: the victim's next rollback carries the monitor.
-                    self.deadlock_victims.insert(ev.thread, ev.ts);
-                } else if let Some(ep) = self.open.get_mut(&ev.monitor) {
-                    ep.deadlock = true;
-                } else {
-                    self.deadlock_victims.insert(ev.thread, ev.ts);
+                // VM shape: no monitor here; the victim's next rollback
+                // carries it.
+                match self.open.get_mut(&ev.monitor) {
+                    Some(open) if ev.monitor != Event::NO_MONITOR => open.deadlock = true,
+                    _ => {
+                        self.deadlock_victims.insert(ev.thread, ev.ts);
+                    }
                 }
             }
             EventKind::DelegateSubmit { holder, token } => {
@@ -410,35 +340,28 @@ impl EpisodeBuilder {
             EventKind::DelegateComplete { token, .. } => {
                 if let Some(d) = self.delegations.remove(&(ev.monitor, token)) {
                     let exec = d.exec_ts.unwrap_or(ev.ts);
-                    // Submissions to a free monitor recorded no holder:
-                    // the completing executor served them.
-                    let holder = if d.holder == Event::NO_THREAD { ev.thread } else { d.holder };
                     self.done.push(Episode {
                         monitor: ev.monitor,
-                        holder,
+                        // Submissions to a free monitor recorded no
+                        // holder: the completing executor served them.
+                        holder: if d.holder == Event::NO_THREAD { ev.thread } else { d.holder },
                         requester: d.submitter,
                         start: d.submit_ts,
                         end: Some(ev.ts),
                         resolution: Resolution::Delegated,
-                        rollbacks: 0,
-                        wasted_entries: 0,
-                        wasted_time: 0,
-                        revoke_requests: 0,
-                        unresolvable_marks: 0,
-                        governor_throttles: 0,
-                        policy_fallbacks: 0,
-                        first_revoke: None,
-                        last_rollback_end: None,
-                        last_rollback_duration: 0,
                         queue_wait: exec.saturating_sub(d.submit_ts),
                         exec_time: ev.ts.saturating_sub(exec),
+                        ..Episode::default()
                     });
                 }
             }
-            // IPI posts/acks are transport detail of a cross-core
+            // Waits and sections are the matcher's business. IPI
+            // posts/acks are transport detail of a cross-core
             // revocation; the RevokeRequest/Rollback they bracket carry
             // the episode semantics.
-            EventKind::Commit
+            EventKind::Block
+            | EventKind::Release
+            | EventKind::Commit
             | EventKind::NonRevocable
             | EventKind::DeadlockDetected { .. }
             | EventKind::IpiPosted { .. }
@@ -449,53 +372,29 @@ impl EpisodeBuilder {
     /// Close the stream: anything still open becomes an unresolved
     /// episode. Episodes are returned ordered by start time (monitor id
     /// breaks ties) so reports are deterministic.
-    pub fn finish(mut self) -> Vec<Episode> {
-        let mut open: Vec<(u64, OpenEpisode)> = self.open.drain().collect();
-        open.sort_by_key(|(m, ep)| (ep.start, *m));
-        for (monitor, ep) in open {
-            self.done.push(ep.close(monitor, None, Resolution::Unresolved));
-        }
-        let mut open_d: Vec<((u64, u64), OpenDelegation)> = self.delegations.drain().collect();
+    pub(crate) fn finish(mut self) -> Vec<Episode> {
+        self.done
+            .extend(self.open.into_values().map(|open| open.close(None, Resolution::Unresolved)));
+        // Submissions that tie on (start, monitor) stay in token order
+        // through the stable sort below.
+        let mut open_d: Vec<((u64, u64), OpenDelegation)> = self.delegations.into_iter().collect();
         open_d.sort_by_key(|&((m, tok), ref d)| (d.submit_ts, m, tok));
-        for ((monitor, _token), d) in open_d {
-            self.done.push(Episode {
-                monitor,
-                holder: d.holder,
-                requester: d.submitter,
-                start: d.submit_ts,
-                end: None,
-                resolution: Resolution::Unresolved,
-                rollbacks: 0,
-                wasted_entries: 0,
-                wasted_time: 0,
-                revoke_requests: 0,
-                unresolvable_marks: 0,
-                governor_throttles: 0,
-                policy_fallbacks: 0,
-                first_revoke: None,
-                last_rollback_end: None,
-                last_rollback_duration: 0,
-                queue_wait: 0,
-                exec_time: 0,
-            });
-        }
+        self.done.extend(open_d.into_iter().map(|((monitor, _token), d)| Episode {
+            monitor,
+            holder: d.holder,
+            requester: d.submitter,
+            start: d.submit_ts,
+            ..Episode::default()
+        }));
         self.done.sort_by_key(|e| (e.start, e.monitor));
         self.done
     }
 }
 
-/// Reconstruct the episodes of a complete event stream.
-pub fn reconstruct_episodes(events: &[Event]) -> Vec<Episode> {
-    let mut b = EpisodeBuilder::new();
-    for ev in events {
-        b.observe(ev);
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::reconstruct_episodes;
 
     fn ev(ts: u64, thread: u64, monitor: u64, kind: EventKind) -> Event {
         Event { ts, thread, monitor, core: 0, kind }

@@ -127,7 +127,7 @@ impl FoldedStacks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::episode::reconstruct_episodes;
+    use crate::analyze::reconstruct_episodes;
     use crate::event::{Event, EventKind};
 
     #[test]

@@ -18,9 +18,15 @@
 //! Lines are tokenised by the shared [`crate::json::Reader`] (flat
 //! objects, numeric/string/null values only); which kind carries which
 //! fields comes from the event schema in `event.rs`.
+//!
+//! The importer works a line at a time ([`TraceImport::line`]), so a
+//! trace never has to be in memory: [`TraceImport::read`] pulls lines
+//! from any [`BufRead`] and hands each surviving event on, and
+//! [`import_trace_jsonl`] is the wrapper that keeps them all.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::io::{self, BufRead};
 
 use crate::event::{Event, EventKind};
 use crate::export::RunMeta;
@@ -51,7 +57,9 @@ impl ImportWarnings {
 /// table, the declared clock domain, and the damage report.
 #[derive(Debug, Default)]
 pub struct TraceImport {
-    /// Events that parsed cleanly, in stream order.
+    /// Events that parsed cleanly, in stream order. Filled by
+    /// [`import_trace_jsonl`]; the line-at-a-time methods hand events to
+    /// their caller instead.
     pub events: Vec<Event>,
     /// Monitor id → human name, from `monitor_name` meta lines.
     pub names: BTreeMap<u64, String>,
@@ -69,6 +77,11 @@ pub struct TraceImport {
     /// drops — so analysis reclassifies them as *truncated* rather than
     /// letting them bias the `unresolved` count.
     pub damaged: std::collections::BTreeSet<(u64, u64)>,
+    /// Timestamp of the last accepted event.
+    last_ts: u64,
+    /// The emptied field list of the previous line, kept for its
+    /// allocation.
+    scratch: Obj<'static>,
 }
 
 impl TraceImport {
@@ -164,46 +177,87 @@ fn classify(obj: &Obj<'_>) -> Option<Line> {
     Some(Line::Event(Event { ts, thread, monitor, core, kind }))
 }
 
-/// Import a JSONL trace from text. Never fails: damage is skipped and
-/// counted in [`TraceImport::warnings`].
-pub fn import_trace_jsonl(text: &str) -> TraceImport {
-    let mut imp = TraceImport::default();
-    let mut last_ts = 0u64;
-    let mut obj = Obj::new();
-    for line in text.lines() {
+/// Re-type an emptied field list so that it can outlive the line it
+/// borrowed from. Nothing is left to convert, and `Vec` collects a
+/// mapped `into_iter` of same-sized items in place, so this hands back
+/// the same allocation.
+fn recycle(mut obj: Obj<'_>) -> Obj<'static> {
+    obj.clear();
+    obj.into_iter().map(|_| unreachable!("cleared above")).collect()
+}
+
+impl TraceImport {
+    /// Import one line. Meta lines update the name table, clock domain
+    /// and run context; damage is skipped and counted; blank lines are
+    /// nothing. An event line that survives is returned, not stored.
+    pub fn line(&mut self, line: &str) -> Option<Event> {
         if line.trim().is_empty() {
-            continue;
+            return None;
         }
-        obj.clear();
-        let Some(line) = read_flat_object(line, &mut obj).ok().and_then(|()| classify(&obj)) else {
-            imp.warnings.malformed_lines += 1;
-            continue;
-        };
-        match line {
-            Line::Event(ev) => {
-                if ev.ts < last_ts {
-                    imp.warnings.out_of_order += 1;
-                    // The parsed-but-skipped event still tells us *which*
-                    // episodes lost data: remember the pair so analysis
-                    // can classify them as truncated, not unresolved.
-                    imp.damaged.insert((ev.thread, ev.monitor));
-                    continue;
-                }
-                last_ts = ev.ts;
-                imp.events.push(ev);
+        let mut obj: Obj<'_> = std::mem::take(&mut self.scratch);
+        let parsed = read_flat_object(line, &mut obj).ok().and_then(|()| classify(&obj));
+        self.scratch = recycle(obj);
+        match parsed {
+            None => self.warnings.malformed_lines += 1,
+            Some(Line::Event(ev)) if ev.ts < self.last_ts => {
+                self.warnings.out_of_order += 1;
+                // The parsed-but-skipped event still tells us *which*
+                // episodes lost data: remember the pair so analysis
+                // can classify them as truncated, not unresolved.
+                self.damaged.insert((ev.thread, ev.monitor));
             }
-            Line::TraceMeta(unit, meta) => {
-                imp.ts_unit = unit.or(imp.ts_unit);
+            Some(Line::Event(ev)) => {
+                self.last_ts = ev.ts;
+                return Some(ev);
+            }
+            Some(Line::TraceMeta(unit, meta)) => {
+                self.ts_unit = unit.or(self.ts_unit);
                 // Field-wise: a trailing `trace_end` overrides the
                 // counters it carries without erasing header-only
                 // context (scheduler, governor), and vice versa.
-                imp.run_meta.merge_from(meta);
+                self.run_meta.merge_from(meta);
             }
-            Line::NameMeta(monitor, name) => {
-                imp.names.insert(monitor, name);
+            Some(Line::NameMeta(monitor, name)) => {
+                self.names.insert(monitor, name);
             }
-            Line::UnknownMeta => {}
-            Line::UnknownKind => imp.warnings.unknown_kinds += 1,
+            Some(Line::UnknownMeta) => {}
+            Some(Line::UnknownKind) => self.warnings.unknown_kinds += 1,
+        }
+        None
+    }
+
+    /// Import every line `r` yields, handing each surviving event to
+    /// `on_event` in stream order. A line that is not UTF-8 (a torn
+    /// multi-byte name, binary garbage) is one more malformed line; only
+    /// an I/O error stops the read.
+    pub fn read(
+        &mut self,
+        mut r: impl BufRead,
+        mut on_event: impl FnMut(&Event),
+    ) -> io::Result<()> {
+        let mut buf = Vec::new();
+        while r.read_until(b'\n', &mut buf)? > 0 {
+            match std::str::from_utf8(&buf) {
+                Ok(line) => {
+                    if let Some(ev) = self.line(line) {
+                        on_event(&ev);
+                    }
+                }
+                Err(_) => self.warnings.malformed_lines += 1,
+            }
+            buf.clear();
+        }
+        Ok(())
+    }
+}
+
+/// Import a JSONL trace from text, keeping every surviving event. Never
+/// fails: damage is skipped and counted in [`TraceImport::warnings`].
+pub fn import_trace_jsonl(text: &str) -> TraceImport {
+    let mut imp = TraceImport::default();
+    for line in text.lines() {
+        if let Some(ev) = imp.line(line) {
+            imp.events.push(ev);
         }
     }
     imp

@@ -1,7 +1,8 @@
 //! Online derivation of latency metrics from the event stream.
 //!
-//! The tracker watches events as they are recorded and folds them into
-//! four histograms:
+//! [`Intervals`] matches the stream's waits and sections, for every
+//! consumer in the crate; the sink's tracker folds them, as events are
+//! collected, into four histograms:
 //!
 //! * **entry blocking** — `Block` → next `Acquire` by the same thread
 //!   on the same monitor;
@@ -41,35 +42,65 @@ impl Histograms {
     }
 }
 
-/// Mutable matching state: who is blocked where, open sections, and
-/// pending revoke requests.
+/// The interval rule of the monitor-event stream, once: a `Block` opens
+/// a wait, the same thread's `Acquire` on that monitor closes it and
+/// opens a section (reentrant acquires re-emit `Acquire`; only the
+/// outermost opens one), a `Release` closes the section and a
+/// `Rollback` discards it. The sink's histograms, the per-monitor
+/// profiles and the episode automaton all read their intervals from
+/// here.
 #[derive(Default)]
-pub struct LatencyTracker {
+pub(crate) struct Intervals {
+    /// `(thread, monitor)` → block timestamp (entry-queue waits).
     block_since: FxMap<(u64, u64), u64>,
+    /// `(thread, monitor)` → outermost-acquire timestamp (open sections).
     section_since: FxMap<(u64, u64), u64>,
+}
+
+impl Intervals {
+    /// Fold one event in and return the length of the interval it
+    /// closed, if any: the wait an `Acquire` ended, the section a
+    /// `Release` completed or a `Rollback` threw away.
+    pub(crate) fn observe(&mut self, ev: &Event) -> Option<u64> {
+        let key = (ev.thread, ev.monitor);
+        let since = match ev.kind {
+            EventKind::Block => {
+                self.block_since.entry(key).or_insert(ev.ts);
+                None
+            }
+            EventKind::Acquire => {
+                self.section_since.entry(key).or_insert(ev.ts);
+                self.block_since.remove(&key)
+            }
+            EventKind::Release | EventKind::Rollback { .. } => self.section_since.remove(&key),
+            _ => None,
+        };
+        since.map(|t0| ev.ts.saturating_sub(t0))
+    }
+
+    /// When `thread` blocked on `monitor`, if it is still waiting there.
+    pub(crate) fn blocked_since(&self, thread: u64, monitor: u64) -> Option<u64> {
+        self.block_since.get(&(thread, monitor)).copied()
+    }
+}
+
+/// Folds events into a sink's [`Histograms`]: the intervals, plus the
+/// pending revoke request per monitor.
+#[derive(Default)]
+pub(crate) struct LatencyTracker {
+    intervals: Intervals,
     revoke_pending: FxMap<u64, (u64, u64)>,
 }
 
 impl LatencyTracker {
-    /// Fresh tracker with no open intervals.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fold one event into the histograms.
-    pub fn observe(&mut self, ev: &Event, hists: &Histograms) {
-        let key = (ev.thread, ev.monitor);
+    pub(crate) fn observe(&mut self, ev: &Event, hists: &Histograms) {
+        let closed = self.intervals.observe(ev);
         match ev.kind {
-            EventKind::Block => {
-                self.block_since.entry(key).or_insert(ev.ts);
-            }
             EventKind::Acquire => {
-                if let Some(t0) = self.block_since.remove(&key) {
-                    hists.entry_blocking.record(ev.ts.saturating_sub(t0));
+                if let Some(waited) = closed {
+                    hists.entry_blocking.record(waited);
                 }
-                // Reentrant acquires re-emit Acquire; only the
-                // outermost one opens the section interval.
-                self.section_since.entry(key).or_insert(ev.ts);
                 if let Some(&(requester, t0)) = self.revoke_pending.get(&ev.monitor) {
                     if requester == ev.thread {
                         hists.inversion_resolution.record(ev.ts.saturating_sub(t0));
@@ -78,16 +109,13 @@ impl LatencyTracker {
                 }
             }
             EventKind::Release => {
-                if let Some(t0) = self.section_since.remove(&key) {
-                    hists.section_length.record(ev.ts.saturating_sub(t0));
+                if let Some(held) = closed {
+                    hists.section_length.record(held);
                 }
             }
-            EventKind::Rollback { duration, .. } => {
-                hists.rollback_duration.record(duration);
-                // The revoked holder's section is gone; drop its open
-                // interval so the retry measures from its new acquire.
-                self.section_since.remove(&key);
-            }
+            // The revoked holder's section contributes no length; its
+            // retry measures from its new acquire.
+            EventKind::Rollback { duration, .. } => hists.rollback_duration.record(duration),
             EventKind::RevokeRequest { by } => {
                 self.revoke_pending.entry(ev.monitor).or_insert((by, ev.ts));
             }
@@ -107,7 +135,7 @@ mod tests {
     #[test]
     fn blocking_and_section_lengths_derive() {
         let h = Histograms::default();
-        let mut t = LatencyTracker::new();
+        let mut t = LatencyTracker::default();
         for e in [
             ev(10, 1, 7, EventKind::Acquire),
             ev(12, 2, 7, EventKind::Block),
@@ -127,7 +155,7 @@ mod tests {
     #[test]
     fn reentrant_acquires_do_not_reset_section_start() {
         let h = Histograms::default();
-        let mut t = LatencyTracker::new();
+        let mut t = LatencyTracker::default();
         for e in [
             ev(10, 1, 7, EventKind::Acquire),
             ev(15, 1, 7, EventKind::Acquire), // reentry
@@ -142,7 +170,7 @@ mod tests {
     #[test]
     fn inversion_resolution_matches_requester() {
         let h = Histograms::default();
-        let mut t = LatencyTracker::new();
+        let mut t = LatencyTracker::default();
         for e in [
             ev(10, 1, 7, EventKind::Acquire),
             ev(20, 2, 7, EventKind::Block),

@@ -41,12 +41,19 @@
 //! * [`json`] — the workspace's one JSON reader ([`json::Reader`], which
 //!   the trace importer and `.schedule.json` artifacts share) and one
 //!   string escaper ([`json::esc`]).
-//! * `revmon-analyze` — [`import_trace_jsonl`] (lossy-stream-tolerant
-//!   importer), [`reconstruct_episodes`] (priority-inversion episodes
-//!   classified by [`Resolution`], with inversion latency and
-//!   wasted-work accounting), and [`Analysis`] (episodes + per-monitor
-//!   contention profiles, rendered by [`write_report`],
-//!   [`analysis_json`], and [`write_prometheus`]).
+//! * `revmon-analyze` — the read side, shaped like the write side: one
+//!   streaming form with a collect-everything wrapper each.
+//!   [`TraceImport::read`] is the lossy-stream-tolerant importer, a line
+//!   at a time from any `BufRead` ([`import_trace_jsonl`] keeps the
+//!   whole trace); [`Analyzer`] folds events one at a time into an
+//!   [`Analysis`] ([`Analysis::from_events`] does it for a slice):
+//!   priority-inversion [`Episode`]s classified by [`Resolution`], with
+//!   inversion latency and wasted-work accounting, per-monitor
+//!   contention profiles and the event census, rendered by
+//!   [`write_report`], [`analysis_json`], and [`write_prometheus`]. One
+//!   interval matcher (`Block` → `Acquire` → `Release`/`Rollback` per
+//!   thread and monitor) feeds the sink's histograms, the profiles and
+//!   the episodes alike.
 //!
 //! * profiling ([`prof`]) — always-on slow-path phase timers
 //!   ([`PhaseTimers`]), wait-for graph snapshots ([`GraphSnapshot`],
@@ -76,11 +83,11 @@ mod sink;
 mod spsc;
 
 pub use analyze::{
-    analysis_json, monitor_label, write_prometheus, write_report, Analysis, ExactStats,
-    MonitorProfile,
+    analysis_json, monitor_label, reconstruct_episodes, write_prometheus, write_report, Analysis,
+    Analyzer, ExactStats, MonitorProfile,
 };
 pub use collect::{Collector, CollectorConfig, CollectorReport, StreamSet};
-pub use episode::{reconstruct_episodes, CriticalPath, Episode, EpisodeBuilder, Resolution};
+pub use episode::{CriticalPath, Episode, Resolution};
 pub use event::{Event, EventKind};
 pub use export::{
     metrics_json, metrics_json_full, metrics_json_with, pipeline_json, write_chrome_trace,
@@ -91,7 +98,7 @@ pub use flame::FoldedStacks;
 pub use graph::{GraphEdge, GraphSnapshot};
 pub use hist::Histogram;
 pub use import::{import_trace_jsonl, ImportWarnings, TraceImport};
-pub use latency::{Histograms, LatencyTracker};
+pub use latency::Histograms;
 pub use prof::{Phase, PhaseTimers};
 pub use sink::{EventSink, PipelineStats, TsUnit};
 pub use spsc::SpscRing;

@@ -19,7 +19,7 @@
 //! any streaming exporters, and moves the merged events into a bounded
 //! retained buffer that [`EventSink::drain`] consumes and
 //! [`EventSink::snapshot`] observes without consuming. The
-//! [`LatencyTracker`] histogram fold is **deferred**: it runs when the
+//! latency-histogram fold (`latency.rs`) is **deferred**: it runs when the
 //! histograms are read, when events are drained, or just before a trim
 //! evicts them — never on the collector's epoch tick, which would
 //! charge tracker cost against the traced workload. Per-thread order
@@ -220,7 +220,7 @@ impl EventSink {
             sample_n: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
             collect: Mutex::new(CollectState {
-                tracker: LatencyTracker::new(),
+                tracker: LatencyTracker::default(),
                 buffer: VecDeque::new(),
                 folded: 0,
                 retain: usize::MAX,

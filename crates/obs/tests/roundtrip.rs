@@ -4,9 +4,10 @@
 
 use revmon_obs::{
     import_trace_jsonl, reconstruct_episodes, write_trace_jsonl, write_trace_jsonl_with, Analysis,
-    Event, EventKind, EventSink, Resolution, RunMeta, TsUnit,
+    Event, EventKind, EventSink, Resolution, RunMeta, TraceImport, TsUnit,
 };
 use std::collections::BTreeMap;
+use std::io::BufReader;
 
 fn ev(ts: u64, thread: u64, monitor: u64, kind: EventKind) -> Event {
     Event { ts, thread, monitor, core: 0, kind }
@@ -29,6 +30,26 @@ fn full_vocabulary_trace() -> Vec<Event> {
         ev(40, 2, 7, EventKind::Commit),
         ev(40, 2, 7, EventKind::Release),
     ]
+}
+
+/// Import `text` all at once and again a line at a time, through a
+/// reader whose buffer is shorter than any line; the two must agree on
+/// everything. Returns the import.
+fn import_both_ways(text: &str) -> TraceImport {
+    let whole = import_trace_jsonl(text);
+    let mut streamed = TraceImport::default();
+    let mut events = Vec::new();
+    streamed
+        .read(BufReader::with_capacity(7, text.as_bytes()), |ev| events.push(*ev))
+        .expect("reading from memory");
+    assert_eq!(events, whole.events, "events of {text:?}");
+    assert!(streamed.events.is_empty(), "the streaming form hands events on, it keeps none");
+    assert_eq!(streamed.names, whole.names, "names of {text:?}");
+    assert_eq!(streamed.ts_unit, whole.ts_unit, "unit of {text:?}");
+    assert_eq!(streamed.run_meta, whole.run_meta, "run meta of {text:?}");
+    assert_eq!(streamed.warnings, whole.warnings, "warnings of {text:?}");
+    assert_eq!(streamed.damaged, whole.damaged, "damaged pairs of {text:?}");
+    whole
 }
 
 #[test]
@@ -118,8 +139,15 @@ fn ring_overflow_shows_up_in_the_trace_meta_header() {
 
 #[test]
 fn corrupt_fixture_degrades_to_counted_warnings() {
+    // The fixture ends in a truncated line without a newline; CRLF line
+    // endings and blank lines between the lines change nothing.
     let text = include_str!("fixtures/corrupt_trace.jsonl");
-    let imp = import_trace_jsonl(text);
+    let imp = import_both_ways(text);
+    for respaced in [text.replace('\n', "\r\n"), text.replace('\n', "\n\n \t\r\n")] {
+        let again = import_both_ways(&respaced);
+        assert_eq!(again.events, imp.events);
+        assert_eq!((again.warnings, &again.damaged), (imp.warnings, &imp.damaged));
+    }
 
     // Damage census: one truncated line + one non-JSON line, one
     // unknown kind, one backwards timestamp. The unknown meta kind
@@ -130,6 +158,7 @@ fn corrupt_fixture_degrades_to_counted_warnings() {
     assert_eq!(imp.events.len(), 7);
     assert_eq!(imp.ts_unit, Some(TsUnit::VirtualTicks));
     assert_eq!(imp.names.get(&3).map(String::as_str), Some("queue"));
+    assert_eq!(imp.damaged.iter().copied().collect::<Vec<_>>(), [(9, 3)]);
 
     // The surviving events still analyze into the expected episode.
     let episodes = reconstruct_episodes(&imp.events);
@@ -146,21 +175,24 @@ fn corrupt_fixture_degrades_to_counted_warnings() {
 fn import_never_panics_on_fuzzed_prefixes() {
     // Chop a clean export at every byte boundary: every prefix must
     // import without panicking, with at most one malformed-line count
-    // (the torn final line).
+    // (the torn final line) — whole or a line at a time, with either
+    // line ending.
     let events = full_vocabulary_trace();
     let mut buf = Vec::new();
     write_trace_jsonl(&mut buf, &events, TsUnit::VirtualTicks, &BTreeMap::new()).unwrap();
     let text = String::from_utf8(buf).unwrap();
-    for cut in 0..text.len() {
-        if !text.is_char_boundary(cut) {
-            continue;
+    for text in [text.replace('\n', "\r\n"), text] {
+        for cut in 0..text.len() {
+            if !text.is_char_boundary(cut) {
+                continue;
+            }
+            let imp = import_both_ways(&text[..cut]);
+            assert!(
+                imp.warnings.malformed_lines <= 1,
+                "prefix of len {cut} produced {:?}",
+                imp.warnings
+            );
         }
-        let imp = import_trace_jsonl(&text[..cut]);
-        assert!(
-            imp.warnings.malformed_lines <= 1,
-            "prefix of len {cut} produced {:?}",
-            imp.warnings
-        );
     }
 }
 
@@ -184,14 +216,20 @@ fn walk(text: &str) -> Result<(), revmon_obs::json::Error> {
 }
 
 /// The reader either accepts or stops at an in-bounds char boundary;
-/// the importer turns the same text into events plus counted damage.
-fn check_hostile(text: &str) {
+/// the importer turns the same text into events plus counted damage,
+/// and the raw bytes — UTF-8 or not — into no more than that.
+fn check_hostile(bytes: &[u8]) {
+    let text = &*String::from_utf8_lossy(bytes);
     if let Err(e) = walk(text) {
         assert!(text.is_char_boundary(e.at), "error at {} inside a char of {text:?}", e.at);
     }
     let lines = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
-    let imp = import_trace_jsonl(text);
+    let imp = import_both_ways(text);
     assert!(imp.events.len() as u64 + imp.warnings.total() <= lines, "{text:?}: {imp:?}");
+
+    let (mut raw, mut events) = (TraceImport::default(), 0);
+    raw.read(bytes, |_| events += 1).expect("reading from memory");
+    assert!(events + raw.warnings.total() <= lines, "{bytes:?}: {events} events, {raw:?}");
 }
 
 proptest::proptest! {
@@ -201,7 +239,7 @@ proptest::proptest! {
     fn reader_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
     ) {
-        check_hostile(&String::from_utf8_lossy(&bytes));
+        check_hostile(&bytes);
     }
 
     #[test]
@@ -228,6 +266,6 @@ proptest::proptest! {
                 _ => {}
             }
         }
-        check_hostile(&String::from_utf8_lossy(&bytes));
+        check_hostile(&bytes);
     }
 }

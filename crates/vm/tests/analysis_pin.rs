@@ -97,19 +97,19 @@ fn capture() -> String {
     let governed = GovernorConfig { k: 1, backoff: 4096, decay: 0 };
     for (file, src) in &common::corpus() {
         for cores in [1, 4] {
-            let mut runs = vec![(String::new(), VmConfig::modified().with_cores(cores))];
-            if file == "delegation_storm.rvm" {
+            let base = VmConfig::modified().with_cores(cores);
+            let runs = match file.as_str() {
                 // As `--policy delegation` configures it: no rollback, so
                 // no write barriers.
-                runs[0].0 = " delegation".into();
-                runs[0].1.policy = InversionPolicy::Delegation;
-                runs[0].1.barriers = false;
-            }
-            if file == "repeat_revocation.rvm" {
-                let mut cfg = runs[0].1.clone();
-                cfg.governor = governed;
-                runs.push((" governed".into(), cfg));
-            }
+                "delegation_storm.rvm" => {
+                    let policy = InversionPolicy::Delegation;
+                    vec![(" delegation", VmConfig { policy, barriers: false, ..base })]
+                }
+                "repeat_revocation.rvm" => {
+                    vec![("", base), (" governed", VmConfig { governor: governed, ..base })]
+                }
+                _ => vec![("", base)],
+            };
             for (variant, cfg) in runs {
                 let (sink, names) = common::traced_corpus_run(src, file, cfg);
                 let a = Analysis::from_events(&sink.snapshot());
