@@ -354,7 +354,6 @@ impl Probe for Oracle {
 
     fn on_heap_write(
         &mut self,
-        _vm: &Vm,
         tid: ThreadId,
         loc: Location,
         old: Value,
@@ -373,7 +372,7 @@ impl Probe for Oracle {
         st.speculative.insert(loc, (tid, new, false));
     }
 
-    fn on_heap_read(&mut self, _vm: &Vm, tid: ThreadId, loc: Location, value: Value) {
+    fn on_heap_read(&mut self, tid: ThreadId, loc: Location, value: Value) {
         if let Some(entry) = self.state.speculative.get_mut(&loc) {
             if entry.0 != tid && entry.1 == value {
                 entry.2 = true; // a foreign thread observed the speculation

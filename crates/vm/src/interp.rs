@@ -1,21 +1,28 @@
 //! The bytecode interpreter, in two tiers. `step` executes any one
-//! instruction, with write barriers on the three store kinds (§3.1.2),
-//! read barriers feeding the JMM-consistency guard (§2.2), and
-//! Java-style program exceptions for null dereferences, bounds errors,
-//! and division by zero. `run_local` runs a stretch of *frame-local*
-//! instructions (operand stack, locals, arithmetic, branches) under one
-//! borrow of the frame and settles their accounting in one go; it
-//! hands back to `step` at the next yield point, at any other opcode,
-//! and — having changed nothing — at anything that would fault or trap.
+//! instruction, with Java-style program exceptions for null
+//! dereferences, bounds errors and division by zero. `run_local` runs a
+//! stretch of instructions that stay on the running thread — operand
+//! stack, locals, arithmetic, branches, and shared-heap accesses that
+//! succeed — under one borrow of the frame and settles their accounting
+//! in one go; it hands back to `step` at the next yield point, at any
+//! other opcode, and — having changed nothing — at anything that would
+//! fault, trap or touch another thread.
+//!
+//! Both tiers reach the heap through `Shared`, the one place the
+//! write barrier on the three store kinds (§3.1.2) and the read barrier
+//! feeding the JMM-consistency guard (§2.2) are written.
 
-use crate::bytecode::{Insn, NativeOp};
+use crate::analysis::ElisionTable;
+use crate::bytecode::{Insn, MethodId, NativeOp};
 use crate::error::VmError;
-use crate::heap::{HeapError, Location};
-use crate::thread::{Frame, Snapshot, ThreadState, UndoEntry};
+use crate::heap::{Heap, HeapError, Location};
+use crate::jmm::SpeculativeWrite;
+use crate::probe::Probe;
+use crate::thread::{Frame, Snapshot, ThreadState, UndoEntry, VmThread};
 use crate::value::{ObjRef, Value, ValueError};
 use crate::vm::{StepOutcome, Vm};
 use rand::Rng;
-use revmon_core::ThreadId;
+use revmon_core::{Metrics, ThreadId, UndoLog};
 
 /// Class tag of the built-in `NullPointerException`.
 pub const NPE_TAG: u32 = 0xFFFF_FF01;
@@ -42,11 +49,157 @@ fn top2_int(stack: &[Value]) -> Option<(i64, i64)> {
     Some((a.as_int().ok()?, b.as_int().ok()?))
 }
 
+/// An array index as the heap takes it; `None` for a reference, a
+/// negative number, or one past `u32` (no array is that long).
+#[inline(always)]
+fn array_index(i: Value) -> Option<u32> {
+    u32::try_from(i.as_int().ok()?).ok()
+}
+
+/// Everything a shared-heap access of the running thread touches,
+/// borrowed apart from its frames so that `run_local` can hold both at
+/// once: the heap, the thread's undo log and counters, and what the
+/// barriers are configured to do. [`Shared::read`] and [`Shared::write`]
+/// are the read and the write barrier; nothing else in the crate checks
+/// the guard, logs a store, stamps a word, counts a barrier, charges one
+/// or calls the heap hooks of the probe.
+struct Shared<'a> {
+    heap: &'a mut Heap,
+    undo: &'a mut UndoLog<UndoEntry>,
+    metrics: &'a mut Metrics,
+    elision: Option<&'a ElisionTable>,
+    probe: Option<&'a mut dyn Probe>,
+    tid: ThreadId,
+    /// Whether the thread is inside a synchronized section — the write
+    /// barrier's fast-path test. No access changes it.
+    in_section: bool,
+    barriers: bool,
+    jmm_guard: bool,
+    barrier_fast: u64,
+    barrier_slow: u64,
+    /// Barrier ticks run up and not yet charged to the clock. No access
+    /// reads the clock, so whoever built the context charges them when
+    /// it is done with it (saturating, like every charge).
+    ticks: u64,
+}
+
+impl Shared<'_> {
+    /// The JMM guard's question (§2.2): would a read of `loc` observe a
+    /// write another thread made in a section that may yet roll back?
+    #[inline(always)]
+    fn foreign_write(&self, loc: Location) -> Option<SpeculativeWrite> {
+        if self.jmm_guard {
+            self.heap.check_read(loc, self.tid)
+        } else {
+            None
+        }
+    }
+
+    /// The read barrier and the read, for the fast loop: `None`, with
+    /// nothing changed or charged, when the guard has something to say
+    /// or `loc` is not in the heap.
+    #[inline(always)]
+    fn read(&mut self, loc: Location) -> Option<Value> {
+        if self.foreign_write(loc).is_some() {
+            return None;
+        }
+        self.load(loc).ok()
+    }
+
+    /// What is left of a read once the guard was consulted. The paper's
+    /// conclusion notes such read barriers could be elided outside
+    /// locked regions — disabling `jmm_guard` models that elision.
+    /// Nothing is charged for a read that fails.
+    #[inline(always)]
+    fn load(&mut self, loc: Location) -> Result<Value, HeapError> {
+        let v = self.heap.read(loc)?;
+        if self.jmm_guard {
+            self.ticks = self.ticks.saturating_add(self.barrier_fast);
+        }
+        if let Some(p) = &mut self.probe {
+            p.on_heap_read(self.tid, loc, v);
+        }
+        Ok(v)
+    }
+
+    /// The store and its write barrier: a fast-path "in a synchronized
+    /// section?" test on every store when barriers are compiled in, the
+    /// slow path logging the old value and stamping the word when inside
+    /// one (§3.1.2). The store at `method`/`pc` skips the barrier
+    /// entirely if it was statically proven to never execute inside a
+    /// section (§1.1's elision). Fails, with nothing changed, when `loc`
+    /// is not in the heap.
+    #[inline(always)]
+    fn write(
+        &mut self,
+        loc: Location,
+        v: Value,
+        method: MethodId,
+        pc: u32,
+    ) -> Result<(), HeapError> {
+        let old = self.heap.write(loc, v)?;
+        let mut logged = false;
+        if self.barriers {
+            if self.elision.is_some_and(|t| t.is_elided(method.index(), pc)) {
+                debug_assert!(
+                    !self.in_section,
+                    "elided store executed inside a synchronized section"
+                );
+                self.metrics.barriers_elided += 1;
+            } else {
+                let mut ticks = self.barrier_fast;
+                self.metrics.barrier_fast_paths += 1;
+                if self.in_section {
+                    logged = true;
+                    self.undo.push(UndoEntry { loc, old });
+                    self.metrics.log_entries += 1;
+                    self.metrics.barrier_slow_paths += 1;
+                    if self.jmm_guard {
+                        self.heap.record_write(loc, self.tid, self.undo.len() - 1);
+                    }
+                    ticks = ticks.saturating_add(self.barrier_slow);
+                }
+                self.ticks = self.ticks.saturating_add(ticks);
+            }
+        }
+        if let Some(p) = &mut self.probe {
+            p.on_heap_write(self.tid, loc, old, v, logged);
+        }
+        Ok(())
+    }
+}
+
 impl Vm {
-    /// Run `tid`'s frame-local instructions — `Const Load Store Dup Pop
-    /// Swap Add Sub Mul Div Rem Neg Goto IfZero IfNonZero IfLt IfGe IfEq
-    /// IfNe Nop` — until one of three exits, and return how many ran and
-    /// whether the last one was a yield point:
+    /// Borrow the VM apart for `tid`: its shared-access context, its top
+    /// frame, and that frame's code.
+    #[inline(always)]
+    fn split(&mut self, tid: ThreadId) -> (Shared<'_>, &mut Frame, &[Insn]) {
+        let VmThread { frames, sections, undo, metrics, .. } = &mut self.threads[tid.index()];
+        let frame = frames.last_mut().expect("thread has no frames");
+        let code = &self.program.methods[frame.method.index()].code[..];
+        let shared = Shared {
+            heap: &mut self.heap,
+            undo,
+            metrics,
+            elision: self.elision.as_ref(),
+            probe: self.probe.as_deref_mut(),
+            tid,
+            in_section: !sections.is_empty(),
+            barriers: self.config.barriers,
+            jmm_guard: self.config.jmm_guard,
+            barrier_fast: self.config.cost.barrier_fast,
+            barrier_slow: self.config.cost.barrier_slow,
+            ticks: 0,
+        };
+        (shared, frame, code)
+    }
+
+    /// Run `tid`'s instructions that need nothing but its own frame and
+    /// the heap — `Const Load Store Dup Pop Swap Add Sub Mul Div Rem Neg
+    /// Goto IfZero IfNonZero IfLt IfGe IfEq IfNe Nop` and the shared
+    /// accesses `GetField PutField ALoad AStore GetStatic PutStatic` —
+    /// until one of four exits, and return how many ran and whether the
+    /// last one was a yield point:
     ///
     /// * right after a taken backward branch (the only yield point in
     ///   this opcode set), so the dispatcher's pending-revocation and
@@ -55,13 +208,19 @@ impl Vm {
     /// * before an instruction that would fault or trap (operand stack
     ///   too shallow, local index out of range, a reference where an
     ///   integer is needed, `Div`/`Rem` by zero or `MIN / -1`, pc past
-    ///   the end, `max_steps` spent). Every check precedes every
-    ///   mutation, so `step` then reproduces the exact `VmError` or
-    ///   thrown exception from an untouched frame.
+    ///   the end, `max_steps` spent);
+    /// * before a shared access [`Shared`] declines: receiver `Null` or
+    ///   not a reference, index not an in-range `u32`, no such object,
+    ///   slot or static, or a read of a word carrying another thread's
+    ///   live stamp (which has consequences for *that* thread).
+    ///
+    /// Every check precedes every mutation, so `step` then reproduces
+    /// the exact `VmError`, thrown exception or `NonRevocable` marking
+    /// from an untouched frame.
     ///
     /// Nothing in the set reads the clock, so charging the `n`
-    /// instructions at the end is indistinguishable from charging each
-    /// as it runs.
+    /// instructions and the barrier ticks at the end is
+    /// indistinguishable from charging each as it runs.
     pub(crate) fn run_local(&mut self, tid: ThreadId) -> (u64, bool) {
         #[cfg(test)]
         if self.step_only {
@@ -71,10 +230,9 @@ impl Vm {
             0 => u64::MAX,
             max => max.saturating_sub(self.steps),
         };
-        let t = &mut self.threads[tid.index()];
-        let f = t.frames.last_mut().expect("thread has no frames");
-        let code = &self.program.methods[f.method.index()].code[..];
-        let Frame { pc: frame_pc, locals, stack, .. } = f;
+        let (mut sh, f, code) = self.split(tid);
+        let Frame { method, pc: frame_pc, locals, stack, .. } = f;
+        let method = *method;
         let mut pc = *frame_pc;
         let mut n = 0u64;
         let mut at_yield_point = false;
@@ -174,6 +332,50 @@ impl Vm {
                 Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
                 Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
                 Insn::Nop => pc + 1,
+                Insn::GetField(off) => {
+                    let Some(top @ &mut Value::Ref(r)) = stack.last_mut() else { break };
+                    let Some(v) = sh.read(Location::Obj(r, off as u32)) else { break };
+                    *top = v;
+                    pc + 1
+                }
+                Insn::PutField(off) => {
+                    let [.., Value::Ref(r), v] = stack[..] else { break };
+                    if sh.write(Location::Obj(r, off as u32), v, method, pc).is_err() {
+                        break;
+                    }
+                    stack.truncate(stack.len() - 2);
+                    pc + 1
+                }
+                Insn::ALoad => {
+                    let [.., Value::Ref(r), i] = stack[..] else { break };
+                    let Some(i) = array_index(i) else { break };
+                    let Some(v) = sh.read(Location::Obj(r, i)) else { break };
+                    stack.pop();
+                    *stack.last_mut().expect("two operands checked") = v;
+                    pc + 1
+                }
+                Insn::AStore => {
+                    let [.., Value::Ref(r), i, v] = stack[..] else { break };
+                    let Some(i) = array_index(i) else { break };
+                    if sh.write(Location::Obj(r, i), v, method, pc).is_err() {
+                        break;
+                    }
+                    stack.truncate(stack.len() - 3);
+                    pc + 1
+                }
+                Insn::GetStatic(s) => {
+                    let Some(v) = sh.read(Location::Static(s as u32)) else { break };
+                    stack.push(v);
+                    pc + 1
+                }
+                Insn::PutStatic(s) => {
+                    let Some(&v) = stack.last() else { break };
+                    if sh.write(Location::Static(s as u32), v, method, pc).is_err() {
+                        break;
+                    }
+                    stack.pop();
+                    pc + 1
+                }
                 _ => break,
             };
             n += 1;
@@ -187,9 +389,10 @@ impl Vm {
         }
 
         *frame_pc = pc;
-        t.metrics.instructions += n;
+        sh.metrics.instructions += n;
+        let barrier_ticks = sh.ticks;
         self.steps += n;
-        self.charge(n.saturating_mul(self.config.cost.instruction));
+        self.charge(n.saturating_mul(self.config.cost.instruction).saturating_add(barrier_ticks));
         (n, at_yield_point)
     }
 
@@ -310,7 +513,12 @@ impl Vm {
                 if self.heap_exhausted() {
                     return self.throw_builtin(tid, OOM_TAG);
                 }
-                let r = self.heap.alloc_array(n as u32);
+                // No array is longer than `u32::MAX`: a length past it
+                // is memory the heap does not have.
+                let Ok(n) = u32::try_from(n) else {
+                    return self.throw_builtin(tid, OOM_TAG);
+                };
+                let r = self.heap.alloc_array(n);
                 self.push(tid, Value::Ref(r));
                 cont
             }
@@ -327,8 +535,7 @@ impl Vm {
                     Ok(r) => r,
                     Err(outcome) => return Ok(outcome),
                 };
-                let e = self.store_elided(mid, pc);
-                self.write_shared(tid, Location::Obj(r, off as u32), v, e)
+                self.write_shared(tid, Location::Obj(r, off as u32), v, mid, pc)
             }
             Insn::ALoad => {
                 let i = self.pop_int(tid)?;
@@ -336,10 +543,11 @@ impl Vm {
                     Ok(r) => r,
                     Err(outcome) => return Ok(outcome),
                 };
-                if i < 0 {
+                // Negative, or past any array's length.
+                let Ok(i) = u32::try_from(i) else {
                     return self.throw_builtin(tid, OOB_TAG);
-                }
-                self.read_shared(tid, Location::Obj(r, i as u32))
+                };
+                self.read_shared(tid, Location::Obj(r, i))
             }
             Insn::AStore => {
                 let v = self.pop(tid)?;
@@ -348,17 +556,15 @@ impl Vm {
                     Ok(r) => r,
                     Err(outcome) => return Ok(outcome),
                 };
-                if i < 0 {
+                let Ok(i) = u32::try_from(i) else {
                     return self.throw_builtin(tid, OOB_TAG);
-                }
-                let e = self.store_elided(mid, pc);
-                self.write_shared(tid, Location::Obj(r, i as u32), v, e)
+                };
+                self.write_shared(tid, Location::Obj(r, i), v, mid, pc)
             }
             Insn::GetStatic(s) => self.read_shared(tid, Location::Static(s as u32)),
             Insn::PutStatic(s) => {
                 let v = self.pop(tid)?;
-                let e = self.store_elided(mid, pc);
-                self.write_shared(tid, Location::Static(s as u32), v, e)
+                self.write_shared(tid, Location::Static(s as u32), v, mid, pc)
             }
             Insn::ArrayLen => {
                 let r = match self.pop_obj(tid)? {
@@ -658,109 +864,85 @@ impl Vm {
 
     // --- shared-data access with barriers ------------------------------
 
-    /// Read barrier + heap read + push. The read barrier is the JMM
-    /// guard's dependency check (§2.2); the paper's conclusion notes such
-    /// read barriers could be elided outside locked regions — disabling
-    /// `jmm_guard` models that elision.
+    /// Run `f` on `tid`'s shared-access context, then charge the barrier
+    /// ticks it ran up.
+    fn with_shared<R>(&mut self, tid: ThreadId, f: impl FnOnce(&mut Shared<'_>) -> R) -> R {
+        let (mut sh, ..) = self.split(tid);
+        let r = f(&mut sh);
+        let ticks = sh.ticks;
+        self.charge(ticks);
+        r
+    }
+
+    /// `step`'s shared read: [`Shared::read`] taken apart, because here
+    /// a word carrying another thread's live stamp is read all the same
+    /// and its writer pays for it.
     fn read_shared(&mut self, tid: ThreadId, loc: Location) -> Result<StepOutcome, VmError> {
-        if self.config.jmm_guard {
-            self.charge(self.config.cost.barrier_fast);
-            if let Some(w) = self.heap.check_read(loc, tid) {
-                let flipped = self.threads[w.writer.index()].mark_nonrevocable_enclosing(w.log_pos);
-                self.global.monitors_marked_nonrevocable += flipped;
-                if flipped > 0 {
-                    let m = self.threads[w.writer.index()]
-                        .sections
-                        .first()
-                        .map(|s| s.monitor)
-                        .unwrap_or(ObjRef(0));
-                    self.emit(w.writer, m, revmon_obs::EventKind::NonRevocable);
-                    if self.config.sticky_nonrevocable {
-                        let ms: Vec<ObjRef> = self.threads[w.writer.index()]
-                            .sections
-                            .iter()
-                            .filter(|s| !s.revocable)
-                            .map(|s| s.monitor)
-                            .collect();
-                        for m in ms {
-                            self.monitors.get_mut(m).sticky_nonrevocable = true;
-                        }
-                    }
+        let (observed, v) = self.with_shared(tid, |sh| (sh.foreign_write(loc), sh.load(loc)));
+        match v {
+            Ok(v) => {
+                if let Some(w) = observed {
+                    self.mark_observed(w);
+                }
+                self.push(tid, v);
+                Ok(StepOutcome::Continue { yield_point: false })
+            }
+            Err(e) => {
+                // The read barrier ran before the access faulted.
+                if self.config.jmm_guard {
+                    self.charge(self.config.cost.barrier_fast);
+                }
+                self.heap_fault(tid, e)
+            }
+        }
+    }
+
+    /// Another thread read speculative write `w`: rolling it back could
+    /// now take a value that thread used out of thin air, so every
+    /// section of the writer enclosing it stops being revocable (§2.2).
+    fn mark_observed(&mut self, w: SpeculativeWrite) {
+        let flipped = self.threads[w.writer.index()].mark_nonrevocable_enclosing(w.log_pos);
+        self.global.monitors_marked_nonrevocable += flipped;
+        if flipped > 0 {
+            let sections = &self.threads[w.writer.index()].sections;
+            let m = sections.first().map(|s| s.monitor).unwrap_or(ObjRef(0));
+            self.emit(w.writer, m, revmon_obs::EventKind::NonRevocable);
+            if self.config.sticky_nonrevocable {
+                let ms: Vec<ObjRef> = self.threads[w.writer.index()]
+                    .sections
+                    .iter()
+                    .filter(|s| !s.revocable)
+                    .map(|s| s.monitor)
+                    .collect();
+                for m in ms {
+                    self.monitors.get_mut(m).sticky_nonrevocable = true;
                 }
             }
         }
-        match self.heap.read(loc) {
-            Ok(v) => {
-                self.push(tid, v);
-                self.with_probe(|p, vm| p.on_heap_read(vm, tid, loc, v));
-                Ok(StepOutcome::Continue { yield_point: false })
-            }
-            Err(HeapError::BadOffset(..)) | Err(HeapError::BadStatic(_)) => {
-                self.throw_builtin(tid, OOB_TAG)
-            }
-            Err(e) => Err(e.into()),
-        }
     }
 
-    /// Whether the store at `mid`/`pc` was statically proven to never
-    /// execute inside a synchronized section (§1.1's elision).
-    #[inline]
-    fn store_elided(&self, mid: crate::bytecode::MethodId, pc: u32) -> bool {
-        match &self.elision {
-            Some(t) => t.is_elided(mid.index(), pc),
-            None => false,
-        }
-    }
-
-    /// Write barrier + heap write: fast-path "in a synchronized section?"
-    /// test on every store when barriers are compiled in, slow-path
-    /// logging of the old value when inside one (§3.1.2). `elided` stores
-    /// skip the barrier entirely (statically proven never-in-monitor).
+    /// `step`'s shared store.
     fn write_shared(
         &mut self,
         tid: ThreadId,
         loc: Location,
         v: Value,
-        elided: bool,
+        method: MethodId,
+        pc: u32,
     ) -> Result<StepOutcome, VmError> {
-        match self.heap.write(loc, v) {
-            Ok(old) => {
-                let mut logged = false;
-                if self.config.barriers {
-                    if elided {
-                        debug_assert!(
-                            !self.thread(tid).in_section(),
-                            "elided store executed inside a synchronized section"
-                        );
-                        self.thread_mut(tid).metrics.barriers_elided += 1;
-                    } else {
-                        // One borrow covers the fast-path counter, the
-                        // in-section test, and the slow-path logging; the
-                        // clock is charged once at the end.
-                        let mut ticks = self.config.cost.barrier_fast;
-                        let t = &mut self.threads[tid.index()];
-                        t.metrics.barrier_fast_paths += 1;
-                        if t.in_section() {
-                            logged = true;
-                            t.undo.push(UndoEntry { loc, old });
-                            t.metrics.log_entries += 1;
-                            t.metrics.barrier_slow_paths += 1;
-                            let pos = t.undo.len() - 1;
-                            if self.config.jmm_guard {
-                                self.heap.record_write(loc, tid, pos);
-                            }
-                            ticks += self.config.cost.barrier_slow;
-                        }
-                        self.charge(ticks);
-                    }
-                }
-                self.with_probe(|p, vm| p.on_heap_write(vm, tid, loc, old, v, logged));
-                Ok(StepOutcome::Continue { yield_point: false })
-            }
-            Err(HeapError::BadOffset(..)) | Err(HeapError::BadStatic(_)) => {
-                self.throw_builtin(tid, OOB_TAG)
-            }
-            Err(e) => Err(e.into()),
+        match self.with_shared(tid, |sh| sh.write(loc, v, method, pc)) {
+            Ok(()) => Ok(StepOutcome::Continue { yield_point: false }),
+            Err(e) => self.heap_fault(tid, e),
+        }
+    }
+
+    /// A shared access outside the heap: past an object's slots or the
+    /// static table is Java's `ArrayIndexOutOfBounds`, anything else a
+    /// machine fault.
+    fn heap_fault(&mut self, tid: ThreadId, e: HeapError) -> Result<StepOutcome, VmError> {
+        match e {
+            HeapError::BadOffset(..) | HeapError::BadStatic(_) => self.throw_builtin(tid, OOB_TAG),
+            e => Err(e.into()),
         }
     }
 

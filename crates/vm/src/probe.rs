@@ -3,9 +3,17 @@
 //!
 //! A [`Probe`] lets an external oracle (the `revmon-explore` invariant
 //! checker) observe every shared heap access, section entry, commit, and
-//! rollback *as it happens*, with full read access to the VM at each
-//! hook. Probes cannot mutate VM state; they exist to check it. When no
-//! probe is attached the hooks cost one `Option` test.
+//! rollback *as it happens*. Probes cannot mutate VM state; they exist to
+//! check it. When no probe is attached the hooks cost one `Option` test.
+//!
+//! The two kinds of hook differ in what they are handed. The monitor
+//! hooks (`on_section_enter`, `on_commit`, `on_rollback`) fire from the
+//! slow paths in `sync`/`revoke` and get the whole VM to read. The heap
+//! hooks (`on_heap_read`, `on_heap_write`) fire from inside the barrier
+//! (`interp::Shared`), which both interpreter tiers call — `run_local`'s
+//! fast loop while it holds the running frame and the heap borrowed
+//! apart — so they get the access itself and no `&Vm`: everything an
+//! oracle needs to mirror the write barrier is in the arguments.
 
 use crate::heap::Location;
 use crate::value::{ObjRef, Value};
@@ -16,8 +24,8 @@ use std::any::Any;
 /// Read-only observer of VM execution events.
 ///
 /// All hooks have empty default bodies so oracles implement only what
-/// they need. The `&Vm` argument is the machine state *after* the event
-/// took effect.
+/// they need. Where a hook has a `&Vm` argument it is the machine state
+/// *after* the event took effect.
 #[allow(unused_variables)]
 pub trait Probe: Any + Send {
     /// The probe as `Any` (implement as `{ self }`), so whoever attached
@@ -35,7 +43,6 @@ pub trait Probe: Any + Send {
     /// barrier's slow path appended an undo entry for it.
     fn on_heap_write(
         &mut self,
-        vm: &Vm,
         tid: ThreadId,
         loc: Location,
         old: Value,
@@ -45,7 +52,7 @@ pub trait Probe: Any + Send {
     }
 
     /// A shared-heap word was read by `tid`.
-    fn on_heap_read(&mut self, vm: &Vm, tid: ThreadId, loc: Location, value: Value) {}
+    fn on_heap_read(&mut self, tid: ThreadId, loc: Location, value: Value) {}
 
     /// `tid`'s outermost section on `monitor` committed (undo log
     /// retired, updates now permanent).
