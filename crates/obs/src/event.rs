@@ -9,7 +9,8 @@
 //! A kind is spelled out here and nowhere else: the documented enum
 //! variant, its [`EventKind::encode`] and [`EventKind::decode`] arms,
 //! and its [`SCHEMA`] row. The ring codec, the JSONL writer, the
-//! importer and the name/index tables all derive from those.
+//! importer and the name/index tables all derive from those. The keys
+//! every event line starts with are spelled beside it, in [`envelope`].
 
 use crate::json::Value;
 
@@ -137,6 +138,20 @@ pub(crate) const SCHEMA: &[(&str, &[&str], Option<usize>)] = &[
     ("IpiPosted", &["by"], None),
     ("IpiAck", &["by", "stale"], None),
 ];
+
+/// The envelope of a JSONL event line, once: the literals that
+/// introduce `ts`, `thread`, `monitor`, `core` (written only when
+/// non-zero) and the kind's name, in the order they are written; the
+/// kind's [`SCHEMA`] payload follows the name. `write_events_jsonl`
+/// writes these and the importer's canonical decoder steps over them, so
+/// a renamed or reordered key changes both or neither.
+pub(crate) mod envelope {
+    pub(crate) const TS: &str = "{\"ts\":";
+    pub(crate) const THREAD: &str = ",\"thread\":";
+    pub(crate) const MONITOR: &str = ",\"monitor\":";
+    pub(crate) const CORE: &str = ",\"core\":";
+    pub(crate) const KIND: &str = ",\"kind\":\"";
+}
 
 /// Number of [`EventKind`] variants (dense tally index space).
 pub(crate) const NKINDS: usize = SCHEMA.len();

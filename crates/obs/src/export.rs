@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use crate::event::{Event, EventKind};
+use crate::event::{envelope, Event, EventKind};
 use crate::json::{esc, push_u64};
 use crate::latency::Histograms;
 use crate::sink::{PipelineStats, TsUnit};
@@ -52,17 +52,17 @@ pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<(
     let mut line = String::new();
     for ev in events {
         line.clear();
-        line.push_str("{\"ts\":");
+        line.push_str(envelope::TS);
         push_u64(&mut line, ev.ts);
-        line.push_str(",\"thread\":");
+        line.push_str(envelope::THREAD);
         push_u64(&mut line, ev.thread);
-        line.push_str(",\"monitor\":");
+        line.push_str(envelope::MONITOR);
         push_monitor(&mut line, ev.monitor);
         if ev.core != 0 {
-            line.push_str(",\"core\":");
+            line.push_str(envelope::CORE);
             push_u64(&mut line, ev.core as u64);
         }
-        line.push_str(",\"kind\":\"");
+        line.push_str(envelope::KIND);
         line.push_str(ev.kind.name());
         line.push('"');
         push_payload(&mut line, &ev.kind);

@@ -15,9 +15,22 @@
 //! * **event lines** — the flat objects [`crate::write_events_jsonl`]
 //!   emits, one [`Event`] each.
 //!
-//! Lines are tokenised by the shared [`crate::json::Reader`] (flat
-//! objects, numeric/string/null values only); which kind carries which
-//! fields comes from the event schema in `event.rs`.
+//! A line goes through up to two stages. The **canonical decoder**
+//! ([`canonical`]) recognises an event line spelled exactly the way
+//! [`crate::write_events_jsonl`] spells it — the envelope literals of
+//! `event.rs` in their order, the kind's schema payload in wire order,
+//! no whitespace, no escapes, nothing after the `}` but the line ending
+//! — and decodes it straight from the bytes: that is every event line
+//! of every trace this crate wrote, at a third of the general reader's
+//! cost. It is a recogniser, not a judge: on *any* deviation it returns
+//! `None` and counts nothing. The **general reader** then tokenises the
+//! line with the shared [`crate::json::Reader`] (flat objects,
+//! numeric/string/null values only) and classifies it; it alone accepts
+//! meta lines and hand-edited or foreign spellings, and it alone decides
+//! what kind of damage a bad line is. Which kind carries which fields
+//! comes from the event schema in `event.rs` in both. The timestamp
+//! order check sits behind the two, so it does not matter which stage
+//! read a line.
 //!
 //! The importer works a line at a time ([`TraceImport::line`]), so a
 //! trace never has to be in memory: [`TraceImport::read`] pulls lines
@@ -28,7 +41,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 
-use crate::event::{Event, EventKind};
+use crate::event::{envelope, Event, EventKind, SCHEMA};
 use crate::export::RunMeta;
 use crate::json::{self, Reader, Value};
 use crate::sink::TsUnit;
@@ -90,6 +103,79 @@ impl TraceImport {
     pub fn unit(&self) -> TsUnit {
         self.ts_unit.unwrap_or(TsUnit::VirtualTicks)
     }
+}
+
+/// What is left of a line the canonical decoder is stepping through.
+struct Canon<'a>(&'a [u8]);
+
+impl Canon<'_> {
+    /// Step over `lit` if it comes next.
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit.as_bytes())?;
+        Some(())
+    }
+
+    /// A run of one or more digits as a `u64`; `None` if it does not
+    /// fit.
+    fn num(&mut self) -> Option<u64> {
+        let mut n = 0u64;
+        let mut len = 0;
+        while let Some(digit) = self.0.get(len).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+            n = n.checked_mul(10)?.checked_add(digit as u64)?;
+            len += 1;
+        }
+        self.0 = &self.0[len..];
+        (len > 0).then_some(n)
+    }
+
+    /// A number, or `null` standing for `sentinel`.
+    fn num_or_null(&mut self, sentinel: u64) -> Option<u64> {
+        match self.lit("null") {
+            Some(()) => Some(sentinel),
+            None => self.num(),
+        }
+    }
+}
+
+/// Decode an event line spelled exactly as [`crate::write_events_jsonl`]
+/// spells it (module docs), line ending included or not. `None` for
+/// anything else — whitespace, another key order, a duplicate, unknown
+/// or escaped key, a number that does not fit its field, an unknown
+/// kind, a payload that is not the schema's, bytes after the object —
+/// with nothing counted: the general reader gives such a line its
+/// verdict. Whatever this returns, the general reader would have
+/// returned too (`canonical_agrees_with_the_general_path`).
+fn canonical(line: &[u8]) -> Option<Event> {
+    let mut c = Canon(line);
+    c.lit(envelope::TS)?;
+    let ts = c.num()?;
+    c.lit(envelope::THREAD)?;
+    let thread = c.num()?;
+    c.lit(envelope::MONITOR)?;
+    let monitor = c.num_or_null(Event::NO_MONITOR)?;
+    let core = match c.lit(envelope::CORE) {
+        // The general reader clamps a core past `u32`; leave it to it.
+        Some(()) => u32::try_from(c.num()?).ok()?,
+        None => 0,
+    };
+    c.lit(envelope::KIND)?;
+    let name = &c.0[..c.0.iter().position(|&b| b == b'"')?];
+    let tag = SCHEMA.iter().position(|row| row.0.as_bytes() == name)?;
+    c.0 = &c.0[name.len() + 1..];
+    let (_, fields, nullable) = SCHEMA[tag];
+    let mut words = [0u64; 2];
+    for (i, (word, field)) in words.iter_mut().zip(fields).enumerate() {
+        c.lit(",\"")?;
+        c.lit(field)?;
+        c.lit("\":")?;
+        *word = if nullable == Some(i) { c.num_or_null(Event::NO_THREAD)? } else { c.num()? };
+    }
+    c.lit("}")?;
+    if !matches!(c.0, b"" | b"\n" | b"\r\n") {
+        return None;
+    }
+    let kind = EventKind::decode(tag as u64, words[0], words[1])?;
+    Some(Event { ts, thread, monitor, core, kind })
 }
 
 /// One line's `key: value` pairs, in the order written.
@@ -191,6 +277,14 @@ impl TraceImport {
     /// and run context; damage is skipped and counted; blank lines are
     /// nothing. An event line that survives is returned, not stored.
     pub fn line(&mut self, line: &str) -> Option<Event> {
+        match canonical(line.as_bytes()) {
+            Some(ev) => self.in_order(ev),
+            None => self.general(line),
+        }
+    }
+
+    /// The second stage: any line the canonical decoder declined.
+    fn general(&mut self, line: &str) -> Option<Event> {
         if line.trim().is_empty() {
             return None;
         }
@@ -199,17 +293,7 @@ impl TraceImport {
         self.scratch = recycle(obj);
         match parsed {
             None => self.warnings.malformed_lines += 1,
-            Some(Line::Event(ev)) if ev.ts < self.last_ts => {
-                self.warnings.out_of_order += 1;
-                // The parsed-but-skipped event still tells us *which*
-                // episodes lost data: remember the pair so analysis
-                // can classify them as truncated, not unresolved.
-                self.damaged.insert((ev.thread, ev.monitor));
-            }
-            Some(Line::Event(ev)) => {
-                self.last_ts = ev.ts;
-                return Some(ev);
-            }
+            Some(Line::Event(ev)) => return self.in_order(ev),
             Some(Line::TraceMeta(unit, meta)) => {
                 self.ts_unit = unit.or(self.ts_unit);
                 // Field-wise: a trailing `trace_end` overrides the
@@ -226,6 +310,21 @@ impl TraceImport {
         None
     }
 
+    /// An event either stage read: accepted unless its timestamp runs
+    /// backwards.
+    fn in_order(&mut self, ev: Event) -> Option<Event> {
+        if ev.ts < self.last_ts {
+            self.warnings.out_of_order += 1;
+            // The parsed-but-skipped event still tells us *which*
+            // episodes lost data: remember the pair so analysis
+            // can classify them as truncated, not unresolved.
+            self.damaged.insert((ev.thread, ev.monitor));
+            return None;
+        }
+        self.last_ts = ev.ts;
+        Some(ev)
+    }
+
     /// Import every line `r` yields, handing each surviving event to
     /// `on_event` in stream order. A line that is not UTF-8 (a torn
     /// multi-byte name, binary garbage) is one more malformed line; only
@@ -237,13 +336,20 @@ impl TraceImport {
     ) -> io::Result<()> {
         let mut buf = Vec::new();
         while r.read_until(b'\n', &mut buf)? > 0 {
-            match std::str::from_utf8(&buf) {
-                Ok(line) => {
-                    if let Some(ev) = self.line(line) {
-                        on_event(&ev);
+            // A canonical line is ASCII by construction, so the decoder
+            // takes the raw bytes and only the rest pay for a UTF-8 pass.
+            let ev = match canonical(&buf) {
+                Some(ev) => self.in_order(ev),
+                None => match std::str::from_utf8(&buf) {
+                    Ok(line) => self.general(line),
+                    Err(_) => {
+                        self.warnings.malformed_lines += 1;
+                        None
                     }
-                }
-                Err(_) => self.warnings.malformed_lines += 1,
+                },
+            };
+            if let Some(ev) = ev {
+                on_event(&ev);
             }
             buf.clear();
         }
@@ -263,13 +369,173 @@ pub fn import_trace_jsonl(text: &str) -> TraceImport {
     imp
 }
 
+/// The import pin's corpus of re-spellings (`tests/import_pin.rs`),
+/// included by path: the pin sees only what the importer returns, the
+/// tests below also which stage returned it.
+#[cfg(test)]
+#[path = "../tests/spellings/mod.rs"]
+mod spellings;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::NKINDS;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::OnceLock;
 
     fn parse_flat_object(line: &str) -> Option<Obj<'_>> {
         let mut obj = Obj::new();
         read_flat_object(line, &mut obj).ok().map(|()| obj)
+    }
+
+    /// Every kind — from `decode` over the schema's tag range, so a new
+    /// variant is covered without touching this — with ordinary and
+    /// all-ones payloads, on cores 0, 3 and `u32::MAX`, with and
+    /// without a monitor, at rising timestamps; and the line
+    /// `write_events_jsonl` writes for each.
+    fn exported() -> (Vec<Event>, Vec<String>) {
+        let mut events = Vec::new();
+        for (a, b) in [(3, 1), (u64::MAX, u64::MAX)] {
+            for tag in 0..NKINDS as u64 {
+                let kind = EventKind::decode(tag, a, b).expect("a schema row without a kind");
+                for core in [0, 3, u32::MAX] {
+                    for monitor in [7, Event::NO_MONITOR] {
+                        let n = events.len() as u64;
+                        events.push(Event { ts: 10 + n, thread: 1 + n % 2, monitor, core, kind });
+                    }
+                }
+            }
+        }
+        let mut buf = Vec::new();
+        crate::write_events_jsonl(&mut buf, &events).expect("write to memory");
+        let text = String::from_utf8(buf).expect("the exporter writes UTF-8");
+        (events, text.lines().map(str::to_string).collect())
+    }
+
+    /// If the canonical decoder takes `line`, the general reader alone
+    /// must read exactly the same event from it. Returns whether it did.
+    fn agrees(line: &[u8]) -> bool {
+        let Some(ev) = canonical(line) else {
+            return false;
+        };
+        let text = std::str::from_utf8(line).expect("a canonical line is ASCII");
+        let general = parse_flat_object(text).and_then(|obj| classify(&obj));
+        assert!(
+            matches!(general, Some(Line::Event(g)) if g == ev),
+            "{text:?}: the canonical decoder read {ev:?}, the general reader did not"
+        );
+        true
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        // Not a test of its own: `canonical_agrees_with_the_general_path`
+        // calls it. Built like `roundtrip.rs`'s mutated-valid-lines
+        // test: overwrite, insert or delete one to three bytes of an
+        // exported line, drawing mostly from JSON's own alphabet.
+        fn canonical_agrees_on_mutated_lines(
+            line in 0usize..4096,
+            edits in proptest::collection::vec((0usize..4096, proptest::prelude::any::<u8>()), 1..4),
+        ) {
+            const ALPHABET: &[u8] = b"{}[]\",:\\u0n9e-. \t\x00\xc3\xa9\xf0";
+            let lines = MUTATED_LINES.get_or_init(|| exported().1);
+            let mut bytes = lines[line % lines.len()].clone().into_bytes();
+            for (at, raw) in edits {
+                let at = at % bytes.len().max(1);
+                let byte = ALPHABET[raw as usize % ALPHABET.len()];
+                match raw / 85 {
+                    0 if !bytes.is_empty() => bytes[at] = byte,
+                    1 => bytes.insert(at.min(bytes.len()), byte),
+                    _ if !bytes.is_empty() => drop(bytes.remove(at)),
+                    _ => {}
+                }
+            }
+            MUTATED_TAKEN.fetch_add(agrees(&bytes) as u32, Ordering::Relaxed);
+        }
+    }
+
+    /// The lines `canonical_agrees_on_mutated_lines` mutates, and how
+    /// many of its cases the canonical decoder took.
+    static MUTATED_LINES: OnceLock<Vec<String>> = OnceLock::new();
+    static MUTATED_TAKEN: AtomicU32 = AtomicU32::new(0);
+
+    #[test]
+    fn canonical_agrees_with_the_general_path() {
+        let (_, lines) = exported();
+        let mut took = 0;
+        for (_, respell) in spellings::RESPELLINGS {
+            for line in lines.iter().flat_map(|line| respell(line)) {
+                for ending in ["", "\n", "\r\n"] {
+                    took += agrees(format!("{line}{ending}").as_bytes()) as u32;
+                }
+            }
+        }
+        for (_, text) in spellings::lone(&lines[0]) {
+            took += agrees(text.as_bytes()) as u32;
+        }
+        for line in spellings::STREAM.split_inclusive('\n') {
+            took += agrees(line.as_bytes()) as u32;
+        }
+        // Not vacuous: the decoder took every exported line and some
+        // re-spellings (an explicit `"core":0`, leading zeros, …).
+        assert!(took > 3 * lines.len() as u32, "only {took} corpus lines took the fast path");
+
+        canonical_agrees_on_mutated_lines();
+        let took = MUTATED_TAKEN.load(Ordering::Relaxed);
+        // Most edits break the spelling, which is the point — near
+        // misses are what the decoder must decline or read the same —
+        // but some must survive for the comparison to have happened.
+        assert!(took >= 25, "only {took} of 2000 mutated lines took the fast path");
+    }
+
+    #[test]
+    fn every_exported_line_is_canonical() {
+        // With the line ending `TraceImport::read` leaves on, too: a
+        // decoder that wanted the `}` to be the last byte would hand
+        // every streamed line to the general reader, and only a
+        // stopwatch would notice.
+        let (events, lines) = exported();
+        for (ev, line) in events.iter().zip(&lines) {
+            for ending in ["", "\n", "\r\n"] {
+                assert_eq!(canonical(format!("{line}{ending}").as_bytes()), Some(*ev), "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn meta_blank_and_non_utf8_lines_take_the_general_path() {
+        let names = BTreeMap::from([(7u64, "queue".to_string())]);
+        let meta =
+            RunMeta { recorded: Some(2), scheduler: Some("priority".into()), ..RunMeta::default() };
+        let mut buf = Vec::new();
+        crate::write_trace_jsonl_with(&mut buf, &[], TsUnit::WallNanos, &names, &meta)
+            .expect("write to memory");
+        let header = String::from_utf8(buf).expect("the exporter writes UTF-8");
+        assert_eq!(header.lines().count(), 2, "a trace header and one name:\n{header}");
+        let trace_end = "{\"meta\":\"trace_end\",\"version\":1,\"dropped\":0}";
+        for line in header.lines().chain(["", " ", "\t", "\u{a0}", "{}", trace_end]) {
+            for ending in ["", "\n", "\r\n"] {
+                assert_eq!(canonical(format!("{line}{ending}").as_bytes()), None, "{line:?}");
+            }
+        }
+
+        // Through `read`: the meta lines land, the blank line is
+        // nothing, the line that is not UTF-8 is one malformed line, and
+        // the events around them arrive in order.
+        let (events, lines) = exported();
+        let mut bytes = header.into_bytes();
+        bytes.extend_from_slice(format!("{}\n \r\n", lines[0]).as_bytes());
+        bytes.extend_from_slice(b"{\"name\":\"\xff\xfe\n");
+        bytes.extend_from_slice(format!("{}\r\n{trace_end}", lines[1]).as_bytes());
+        let mut imp = TraceImport::default();
+        let mut seen = Vec::new();
+        imp.read(&bytes[..], |ev| seen.push(*ev)).expect("reading from memory");
+        assert_eq!(seen, events[..2]);
+        assert_eq!(imp.warnings, ImportWarnings { malformed_lines: 1, ..Default::default() });
+        assert_eq!(imp.ts_unit, Some(TsUnit::WallNanos));
+        assert_eq!(imp.names, names);
+        assert_eq!(imp.run_meta, RunMeta { dropped: Some(0), ..meta });
     }
 
     #[test]
