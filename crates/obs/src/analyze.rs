@@ -93,7 +93,9 @@ impl ExactStats {
         if self.values.is_empty() {
             0.0
         } else {
-            self.values.iter().sum::<u64>() as f64 / self.values.len() as f64
+            // In `u128`: two latencies a hostile trace claims can sum
+            // past `u64`; below that the result is bit-identical.
+            self.values.iter().map(|&v| v as u128).sum::<u128>() as f64 / self.values.len() as f64
         }
     }
 
@@ -181,7 +183,7 @@ impl Analyzer {
             EventKind::Acquire => {
                 p.acquires += 1;
                 if let Some(waited) = closed {
-                    p.total_blocked += waited;
+                    p.total_blocked = p.total_blocked.saturating_add(waited);
                     p.blocking.record(waited);
                 }
             }
@@ -189,7 +191,7 @@ impl Analyzer {
             EventKind::RevokeRequest { .. } => p.revoke_requests += 1,
             EventKind::Rollback { entries, .. } => {
                 p.rollbacks += 1;
-                p.wasted_entries += entries;
+                p.wasted_entries = p.wasted_entries.saturating_add(entries);
             }
             EventKind::Commit => p.commits += 1,
             EventKind::Release => {
@@ -216,6 +218,9 @@ impl Analyzer {
     pub fn finish(self) -> Analysis {
         let episodes = self.episodes.finish();
         let delegated = || episodes.iter().filter(|e| e.resolution == Resolution::Delegated);
+        // A trace line can claim any rollback size or timestamp, so the
+        // totals saturate instead of wrapping (or panicking in debug).
+        let total = |of: fn(&Episode) -> u64| episodes.iter().map(of).fold(0, u64::saturating_add);
         let mut profiles: Vec<MonitorProfile> = self.profiles.into_values().collect();
         profiles.sort_by_key(|p| (std::cmp::Reverse(p.total_blocked), p.monitor));
         Analysis {
@@ -229,10 +234,10 @@ impl Analyzer {
             events: self.events,
             last_ts: self.last_ts,
             inversion_latency: episodes.iter().filter_map(Episode::latency).collect(),
-            wasted_entries: episodes.iter().map(|e| e.wasted_entries).sum(),
-            wasted_time: episodes.iter().map(|e| e.wasted_time).sum(),
-            governor_throttles: episodes.iter().map(|e| e.governor_throttles).sum(),
-            policy_fallbacks: episodes.iter().map(|e| e.policy_fallbacks).sum(),
+            wasted_entries: total(|e| e.wasted_entries),
+            wasted_time: total(|e| e.wasted_time),
+            governor_throttles: total(|e| e.governor_throttles),
+            policy_fallbacks: total(|e| e.policy_fallbacks),
             delegation_queue_wait: delegated().map(|e| e.queue_wait).collect(),
             delegation_exec_time: delegated().map(|e| e.exec_time).collect(),
             skipped_lines: 0,
@@ -796,6 +801,75 @@ mod tests {
         let prom = String::from_utf8(buf).unwrap();
         assert!(prom.contains("revmon_governor_throttles_total 1"), "{prom}");
         assert!(prom.contains("revmon_policy_fallbacks_total 1"), "{prom}");
+    }
+
+    #[test]
+    fn hostile_numbers_saturate_the_sums() {
+        // ROADMAP item 10's reproducer: two rollbacks in one episode
+        // whose sizes add up past `u64`. A release build used to report
+        // "1 undo entries", a debug build died in `episode.rs`.
+        let max = u64::MAX;
+        let text = format!(
+            concat!(
+                "{{\"meta\":\"trace\",\"ts_unit\":\"ticks\",\"version\":1}}\n",
+                "{{\"ts\":10,\"thread\":1,\"monitor\":3,\"kind\":\"Acquire\"}}\n",
+                "{{\"ts\":20,\"thread\":2,\"monitor\":3,\"kind\":\"Block\"}}\n",
+                "{{\"ts\":22,\"thread\":1,\"monitor\":3,\"kind\":\"RevokeRequest\",\"by\":2}}\n",
+                "{{\"ts\":30,\"thread\":1,\"monitor\":3,\"kind\":\"Rollback\",\"entries\":{},\"duration\":6}}\n",
+                "{{\"ts\":31,\"thread\":1,\"monitor\":3,\"kind\":\"Acquire\"}}\n",
+                "{{\"ts\":35,\"thread\":1,\"monitor\":3,\"kind\":\"Rollback\",\"entries\":2,\"duration\":3}}\n",
+                "{{\"ts\":36,\"thread\":2,\"monitor\":3,\"kind\":\"Acquire\"}}\n",
+                "{{\"ts\":40,\"thread\":2,\"monitor\":3,\"kind\":\"Release\"}}\n",
+            ),
+            max
+        );
+        let imp = crate::import_trace_jsonl(&text);
+        assert_eq!((imp.events.len(), imp.warnings.total()), (8, 0));
+        let mut events = imp.events;
+        // Then the same on two more monitors at once, so that the totals
+        // over episodes overflow too, with sections and waits that each
+        // last nearly all of time.
+        for (monitor, holder) in [(5, 10), (7, 20)] {
+            events.extend([
+                ev(41, holder, monitor, EventKind::Acquire),
+                ev(42, holder + 1, monitor, EventKind::Block),
+                ev(43, holder + 2, monitor, EventKind::Block),
+                ev(44, holder, monitor, EventKind::RevokeRequest { by: holder + 1 }),
+            ]);
+        }
+        for (monitor, holder) in [(5, 10), (7, 20)] {
+            events.extend([
+                ev(max - 1, holder, monitor, EventKind::Rollback { entries: max, duration: 1 }),
+                ev(max - 1, holder + 1, monitor, EventKind::Acquire),
+                ev(max - 1, holder + 1, monitor, EventKind::Release),
+                ev(max, holder + 2, monitor, EventKind::Acquire),
+            ]);
+        }
+
+        let a = Analysis::from_events(&events);
+        assert_eq!(a.episodes.len(), 3);
+        assert_eq!(a.episodes[0].wasted_entries, max, "two rollbacks of one episode");
+        assert_eq!(a.wasted_entries, max, "the total over episodes");
+        assert_eq!(a.wasted_time, max, "two discarded sections of nearly all of time");
+        let profile = |m| a.profiles.iter().find(|p| p.monitor == m).expect("profiled");
+        assert_eq!(profile(3).wasted_entries, max);
+        assert_eq!(profile(5).total_blocked, max, "two waits of nearly all of time");
+
+        let names = BTreeMap::new();
+        let mut report = Vec::new();
+        write_report(&mut report, &a, &names, TsUnit::VirtualTicks).unwrap();
+        let report = String::from_utf8(report).unwrap();
+        assert!(
+            report.contains(&format!("wasted work: {max} undo entries rolled back")),
+            "{report}"
+        );
+        let json = analysis_json(&a, &names, TsUnit::VirtualTicks);
+        assert!(json.contains(&format!("\"wasted_entries\": {max}")), "{json}");
+        let mut prom = Vec::new();
+        write_prometheus(&mut prom, &a, &names, TsUnit::VirtualTicks).unwrap();
+        let prom = String::from_utf8(prom).unwrap();
+        assert!(prom.contains(&format!("revmon_wasted_undo_entries_total {max}")), "{prom}");
+        assert!(!crate::FoldedStacks::from_episodes(&a.episodes, &names).folded().is_empty());
     }
 
     #[test]

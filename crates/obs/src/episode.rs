@@ -292,12 +292,13 @@ impl EpisodeBuilder {
                 open.deadlock |= deadlock.is_some();
                 let ep = &mut open.so_far;
                 ep.rollbacks += 1;
-                ep.wasted_entries += entries;
+                // Hostile input can claim anything: these sums saturate.
+                ep.wasted_entries = ep.wasted_entries.saturating_add(entries);
                 ep.last_rollback_end = Some(ev.ts);
                 ep.last_rollback_duration = duration;
                 // Everything from the acquire to the end of the rollback
                 // is work the holder must redo.
-                ep.wasted_time += closed.unwrap_or(0);
+                ep.wasted_time = ep.wasted_time.saturating_add(closed.unwrap_or(0));
             }
             EventKind::Acquire => {
                 let closes = self.open.get(&ev.monitor).is_some_and(|open| {

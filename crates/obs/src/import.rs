@@ -21,8 +21,8 @@
 //! `event.rs` in their order, the kind's schema payload in wire order,
 //! no whitespace, no escapes, nothing after the `}` but the line ending
 //! — and decodes it straight from the bytes: that is every event line
-//! of every trace this crate wrote, at a third of the general reader's
-//! cost. It is a recogniser, not a judge: on *any* deviation it returns
+//! of every trace this crate wrote, at a quarter of the general
+//! reader's cost. It is a recogniser, not a judge: on *any* deviation it returns
 //! `None` and counts nothing. The **general reader** then tokenises the
 //! line with the shared [`crate::json::Reader`] (flat objects,
 //! numeric/string/null values only) and classifies it; it alone accepts

@@ -42,7 +42,7 @@ fn set(fields: &mut Vec<(String, String)>, key: &str, value: &str) {
         Some(at) => fields[at].1 = value.to_string(),
         None => {
             let kind = position(fields, "kind").expect("every line has a kind");
-            fields.insert(kind, (format!("\"{key}\""), value.to_string()));
+            fields.insert(kind, pair(key, value));
         }
     }
 }
@@ -77,6 +77,25 @@ fn each_number(line: &str, with: &str) -> Vec<String> {
         .collect()
 }
 
+/// The line once per payload field it carries, that field's value
+/// replaced by `with(value)`.
+fn each_payload_field(line: &str, with: fn(&str) -> String) -> Vec<String> {
+    let fields = split(line);
+    (payload(&fields)..fields.len())
+        .map(|at| {
+            let mut fields = fields.clone();
+            fields[at].1 = with(&fields[at].1);
+            join(&fields, ",", ":")
+        })
+        .collect()
+}
+
+/// A field as [`split`] returns them: the key in its quotes, the raw
+/// value.
+fn pair(key: &str, value: &str) -> (String, String) {
+    (format!("\"{key}\""), value.to_string())
+}
+
 fn without_byte(line: &str, at: usize) -> Vec<String> {
     vec![format!("{}{}", &line[..at], &line[at + 1..])]
 }
@@ -99,10 +118,8 @@ pub const RESPELLINGS: &[(&str, Respell)] = &[
     ("space-after-separators", |l| vec![join(&split(l), ", ", ": ")]),
     ("tab-indented", |l| vec![format!("\t{l}")]),
     ("trailing-space", |l| vec![format!("{l} ")]),
-    ("duplicate-ts-adjacent", |l| {
-        edited(l, |f| f.insert(1, ("\"ts\"".to_string(), "999".to_string())))
-    }),
-    ("duplicate-ts-last", |l| edited(l, |f| f.push(("\"ts\"".to_string(), "999".to_string())))),
+    ("duplicate-ts-adjacent", |l| edited(l, |f| f.insert(1, pair("ts", "999")))),
+    ("duplicate-ts-last", |l| edited(l, |f| f.push(pair("ts", "999")))),
     ("escaped-ts-key", |l| edited(l, |f| f[0].0 = "\"t\\u0073\"".to_string())),
     ("escaped-kind-name", |l| {
         edited(l, |f| {
@@ -128,26 +145,8 @@ pub const RESPELLINGS: &[(&str, Respell)] = &[
     ("monitor-as-string", |l| edited(l, |f| set(f, "monitor", "\"x\""))),
     ("core-as-string", |l| edited(l, |f| set(f, "core", "\"x\""))),
     ("kind-as-number", |l| edited(l, |f| set(f, "kind", "5"))),
-    ("null-in-each-payload-field", |l| {
-        let fields = split(l);
-        (payload(&fields)..fields.len())
-            .map(|at| {
-                let mut fields = fields.clone();
-                fields[at].1 = "null".to_string();
-                join(&fields, ",", ":")
-            })
-            .collect()
-    }),
-    ("string-in-each-payload-field", |l| {
-        let fields = split(l);
-        (payload(&fields)..fields.len())
-            .map(|at| {
-                let mut fields = fields.clone();
-                fields[at].1 = format!("\"{}\"", fields[at].1);
-                join(&fields, ",", ":")
-            })
-            .collect()
-    }),
+    ("null-in-each-payload-field", |l| each_payload_field(l, |_| "null".to_string())),
+    ("string-in-each-payload-field", |l| each_payload_field(l, |v| format!("\"{v}\""))),
     ("stale-as-bool", |l| {
         let mut fields = split(l);
         match position(&fields, "stale") {
@@ -173,7 +172,7 @@ pub const RESPELLINGS: &[(&str, Respell)] = &[
         fields.pop();
         vec![join(&fields, ",", ":")]
     }),
-    ("payload-field-extra", |l| edited(l, |f| f.push(("\"extra\"".to_string(), "1".to_string())))),
+    ("payload-field-extra", |l| edited(l, |f| f.push(pair("extra", "1")))),
     // The first payload field renamed to one some other kind carries;
     // kinds without a payload get one they have no use for.
     ("payload-of-another-kind", |l| {
@@ -182,7 +181,7 @@ pub const RESPELLINGS: &[(&str, Respell)] = &[
             match f.get(first).map(|(k, _)| k.as_str()) {
                 Some("\"by\"") => f[first].0 = "\"entries\"".to_string(),
                 Some(_) => f[first].0 = "\"by\"".to_string(),
-                None => f.push(("\"by\"".to_string(), "9".to_string())),
+                None => f.push(pair("by", "9")),
             }
         })
     }),

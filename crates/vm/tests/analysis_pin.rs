@@ -127,9 +127,9 @@ fn capture() -> String {
     // the first); the sink merges by timestamp before it folds.
     let mut events = common::synthetic();
     for ev in &mut events {
-        // Analysis adds rollback sizes up with `+=`: the all-ones payload
-        // would overflow the sum (a debug-build panic), so this pin
-        // clips it; the exporters' pin keeps it whole.
+        // Clipped since before analysis summed with saturation, and kept
+        // so that the golden does not move; the stream goes through whole
+        // in `the_unclipped_synthetic_stream_saturates_instead_of_overflowing`.
         if let EventKind::Rollback { entries, .. } = &mut ev.kind {
             *entries = (*entries).min(u32::MAX as u64);
         }
@@ -160,6 +160,20 @@ fn analysis_bytes_match_the_pinned_golden() {
         assert_eq!(got, want, "analysis output drifted from the pinned golden at line {}", n + 1);
     }
     assert_eq!(actual.lines().count(), golden.lines().count(), "pinned line count changed");
+}
+
+/// The synthetic stream as written — two rollbacks of `u64::MAX` entries,
+/// timestamps up to `u64::MAX` — through the fold and all four renderers:
+/// sums of numbers a trace line can claim saturate; they neither wrap
+/// (release) nor panic (debug, where this test earns its keep).
+#[test]
+fn the_unclipped_synthetic_stream_saturates_instead_of_overflowing() {
+    let events = common::synthetic();
+    let a = Analysis::from_events(&events);
+    assert_eq!(a.wasted_entries, u64::MAX);
+    let mut out = String::new();
+    pin(&mut out, "unclipped", &a, &replayed(&events, TsUnit::WallNanos), &BTreeMap::new(), true);
+    assert!(out.contains("18446744073709551615 undo entries"), "{out}");
 }
 
 /// Rewrites the golden file. Run with `--ignored`.
