@@ -56,7 +56,9 @@
 //! be minimized and saved as replayable `.schedule.json` artifacts. See
 //! `docs/exploration.md`.
 
-use revmon_core::{DetectionStrategy, GovernorConfig, InversionPolicy, Priority, QueueDiscipline};
+use revmon_core::{
+    DetectionStrategy, GovernorConfig, InversionPolicy, PolicyNameError, Priority, QueueDiscipline,
+};
 use revmon_obs::{EventSink, TsUnit};
 use revmon_vm::{
     assemble, disassemble, rewrite_program, verify_program, SchedulerKind, Vm, VmConfig,
@@ -398,17 +400,10 @@ fn parse_vm_config(opts: &Opts<'_>) -> Result<VmConfig, String> {
         Some(o) => return Err(format!("--config must be modified|unmodified, got {o}")),
     };
     if let Some(p) = opts.get("--policy") {
-        cfg.policy = match p {
-            "blocking" => InversionPolicy::Blocking,
-            "revocation" => InversionPolicy::Revocation,
-            "inherit" => InversionPolicy::PriorityInheritance,
-            "delegation" => InversionPolicy::Delegation,
-            s if s.starts_with("ceiling=") => {
-                let n: u8 = s[8..].parse().map_err(|_| "bad ceiling level".to_string())?;
-                InversionPolicy::PriorityCeiling(Priority::new(n))
-            }
-            o => return Err(format!("unknown policy `{o}`")),
-        };
+        cfg.policy = p.parse().map_err(|e| match e {
+            PolicyNameError::BadCeiling => "bad ceiling level".to_string(),
+            PolicyNameError::Unknown => format!("unknown policy `{p}`"),
+        })?;
         // Delegation never rolls back: sections are pinned non-revocable,
         // so the undo-log write barriers are not compiled in — the whole
         // point of the combiner path.

@@ -55,7 +55,7 @@ pub use delegate::{DelegateConfig, Pending};
 pub use fx::{FxHasher, FxMap, FxSet};
 pub use governor::{Governor, GovernorConfig, GovernorVerdict, PairHistory};
 pub use metrics::Metrics;
-pub use policy::{DetectionStrategy, InversionPolicy, QueueDiscipline};
+pub use policy::{DetectionStrategy, InversionPolicy, PolicyNameError, QueueDiscipline};
 pub use priority::{MonitorId, Priority, ThreadId};
 pub use queue::PrioritizedQueue;
 pub use undo::{LogMark, UndoLog};

@@ -6,6 +6,8 @@
 //! baselines (experiment A1 in DESIGN.md).
 
 use crate::priority::Priority;
+use std::fmt;
+use std::str::FromStr;
 
 /// What a runtime does when a high-priority thread finds the monitor it
 /// wants held by a lower-priority thread.
@@ -69,6 +71,51 @@ impl InversionPolicy {
     }
 }
 
+/// The policy's name on the command line (`--policy`) and in schedule
+/// files: `blocking`, `revocation`, `inherit`, `ceiling=N`, `delegation`.
+impl fmt::Display for InversionPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InversionPolicy::Blocking => f.write_str("blocking"),
+            InversionPolicy::Revocation => f.write_str("revocation"),
+            InversionPolicy::PriorityInheritance => f.write_str("inherit"),
+            InversionPolicy::PriorityCeiling(p) => write!(f, "ceiling={}", p.level()),
+            InversionPolicy::Delegation => f.write_str("delegation"),
+        }
+    }
+}
+
+/// Why a policy name did not parse; the caller words the message.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PolicyNameError {
+    /// `ceiling=` followed by something that is not a `u8` level.
+    BadCeiling,
+    /// Not a policy name at all.
+    Unknown,
+}
+
+/// Inverse of the [`Display`](fmt::Display) names (a ceiling level is
+/// clamped into `1..=10` as [`Priority::new`] does).
+impl FromStr for InversionPolicy {
+    type Err = PolicyNameError;
+
+    fn from_str(name: &str) -> Result<Self, PolicyNameError> {
+        Ok(match name {
+            "blocking" => InversionPolicy::Blocking,
+            "revocation" => InversionPolicy::Revocation,
+            "inherit" => InversionPolicy::PriorityInheritance,
+            "delegation" => InversionPolicy::Delegation,
+            _ => match name.strip_prefix("ceiling=") {
+                Some(level) => {
+                    let level: u8 = level.parse().map_err(|_| PolicyNameError::BadCeiling)?;
+                    InversionPolicy::PriorityCeiling(Priority::new(level))
+                }
+                None => return Err(PolicyNameError::Unknown),
+            },
+        })
+    }
+}
+
 /// How priority inversion is detected (§1.1: "either at lock acquisition,
 /// or periodically in the background").
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -118,6 +165,27 @@ mod tests {
         assert!(InversionPolicy::Revocation.can_break_deadlock());
         assert!(!InversionPolicy::PriorityInheritance.can_break_deadlock());
         assert!(!InversionPolicy::Delegation.can_break_deadlock());
+    }
+
+    #[test]
+    fn names_round_trip_and_misspellings_say_which_part_is_wrong() {
+        for (policy, name) in [
+            (InversionPolicy::Blocking, "blocking"),
+            (InversionPolicy::Revocation, "revocation"),
+            (InversionPolicy::PriorityInheritance, "inherit"),
+            (InversionPolicy::PriorityCeiling(Priority::new(7)), "ceiling=7"),
+            (InversionPolicy::Delegation, "delegation"),
+        ] {
+            assert_eq!(policy.to_string(), name);
+            assert_eq!(name.parse(), Ok(policy));
+        }
+        assert_eq!("ceiling=200".parse(), Ok(InversionPolicy::PriorityCeiling(Priority::MAX)));
+        for bad in ["ceiling=", "ceiling=high", "ceiling=-1", "ceiling=256"] {
+            assert_eq!(bad.parse::<InversionPolicy>(), Err(PolicyNameError::BadCeiling), "{bad}");
+        }
+        for bad in ["", "Blocking", "ceiling", "revocation "] {
+            assert_eq!(bad.parse::<InversionPolicy>(), Err(PolicyNameError::Unknown), "{bad}");
+        }
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub use explorer::{explore, Bounds, ExploreReport, Failure, Stats};
 pub use fuzz::{fuzz, FuzzPlan, FuzzReport};
 pub use invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
 pub use runner::{DecisionPoint, RunOutcome, Runner, Terminal};
-pub use schedule::{fnv1a, policy_tag, ScheduleFile};
+pub use schedule::{fnv1a, ScheduleFile};
 pub use shrink::{minimize, Minimized};

@@ -15,7 +15,7 @@
 //! ([`revmon_obs::json`]; this workspace deliberately carries no serde
 //! dependency).
 
-use revmon_core::InversionPolicy;
+use revmon_core::PolicyNameError;
 use revmon_obs::json::{esc, Reader, Value};
 use revmon_vm::VmConfig;
 
@@ -61,32 +61,6 @@ pub fn fnv1a(text: &str) -> u64 {
     h
 }
 
-/// The policy tag for a configuration.
-pub fn policy_tag(cfg: &VmConfig) -> String {
-    match cfg.policy {
-        InversionPolicy::Revocation => "revocation".into(),
-        InversionPolicy::Blocking => "blocking".into(),
-        InversionPolicy::PriorityInheritance => "inherit".into(),
-        InversionPolicy::PriorityCeiling(p) => format!("ceiling={}", p.level()),
-        InversionPolicy::Delegation => "delegation".into(),
-    }
-}
-
-/// Parse a policy tag back into an [`InversionPolicy`].
-pub fn parse_policy_tag(tag: &str) -> Result<InversionPolicy, String> {
-    Ok(match tag {
-        "revocation" => InversionPolicy::Revocation,
-        "blocking" => InversionPolicy::Blocking,
-        "inherit" => InversionPolicy::PriorityInheritance,
-        "delegation" => InversionPolicy::Delegation,
-        t if t.starts_with("ceiling=") => {
-            let n: u8 = t[8..].parse().map_err(|_| format!("bad ceiling in `{t}`"))?;
-            InversionPolicy::PriorityCeiling(revmon_core::Priority::new(n))
-        }
-        t => return Err(format!("unknown policy tag `{t}`")),
-    })
-}
-
 impl ScheduleFile {
     /// Build an artifact from a run's context.
     pub fn new(
@@ -102,7 +76,7 @@ impl ScheduleFile {
             program: program_name.to_string(),
             program_fnv: format!("{:016x}", fnv1a(program_src)),
             entry: entry.to_string(),
-            policy: policy_tag(cfg),
+            policy: cfg.policy.to_string(),
             seed: cfg.seed,
             quantum: cfg.cost.quantum,
             max_steps: cfg.max_steps,
@@ -116,7 +90,10 @@ impl ScheduleFile {
     /// Apply the artifact's configuration axes onto `cfg` (policy, seed,
     /// quantum, step cap, fault level, core count).
     pub fn apply_to(&self, cfg: &mut VmConfig) -> Result<(), String> {
-        cfg.policy = parse_policy_tag(&self.policy)?;
+        cfg.policy = self.policy.parse().map_err(|e| match e {
+            PolicyNameError::BadCeiling => format!("bad ceiling in `{}`", self.policy),
+            PolicyNameError::Unknown => format!("unknown policy tag `{}`", self.policy),
+        })?;
         cfg.seed = self.seed;
         cfg.cost.quantum = self.quantum;
         cfg.max_steps = self.max_steps;
@@ -260,13 +237,9 @@ mod tests {
         let f = sample();
         let mut cfg = revmon_vm::VmConfig::unmodified();
         f.apply_to(&mut cfg).unwrap();
-        assert_eq!(schedule_cfg_tag(&cfg), f.policy);
+        assert_eq!(cfg.policy.to_string(), f.policy);
         assert_eq!(cfg.cost.quantum, f.quantum);
         assert_eq!(cfg.seed, f.seed);
-    }
-
-    fn schedule_cfg_tag(cfg: &revmon_vm::VmConfig) -> String {
-        policy_tag(cfg)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! The paper's conclusion floats that optimization as future work; we
 //! document the soundness caveat here instead.
 
-use crate::bytecode::{Insn, Method, Program};
+use crate::bytecode::{Barrier, Insn, Method, Program};
 
 /// Per-method, per-pc elision table: `true` = this store's write barrier
 /// is statically removable.
@@ -49,7 +49,7 @@ impl ElisionTable {
 }
 
 fn is_store(i: &Insn) -> bool {
-    matches!(i, Insn::PutField(_) | Insn::PutStatic(_) | Insn::AStore)
+    i.op().barrier == Barrier::Write
 }
 
 /// Whether `pc` lies inside any of the method's synchronized regions.
@@ -60,18 +60,8 @@ fn in_region(m: &Method, pc: u32) -> bool {
 /// Conservative escape hatch: any branch from outside a region into its
 /// interior (not its entry) makes lexical reasoning unsound.
 fn has_irregular_region_entry(m: &Method) -> bool {
-    let targets = |i: &Insn| match *i {
-        Insn::Goto(t)
-        | Insn::IfZero(t)
-        | Insn::IfNonZero(t)
-        | Insn::IfLt(t)
-        | Insn::IfGe(t)
-        | Insn::IfEq(t)
-        | Insn::IfNe(t) => Some(t),
-        _ => None,
-    };
     for (pc, i) in m.code.iter().enumerate() {
-        let Some(t) = targets(i) else { continue };
+        let Some(t) = i.target() else { continue };
         for r in &m.sync_regions {
             let from_outside = !(pc as u32 >= r.enter && (pc as u32) < r.exit);
             let into_interior = t > r.enter && t < r.exit;

@@ -49,9 +49,10 @@
 //! emit the monitor bracketing and record the region metadata the
 //! rewrite pass needs. Comments run from `;` to end of line.
 
-use crate::bytecode::{CatchKind, Handler, Insn, Method, MethodId, NativeOp, Program, SyncRegion};
+use crate::builder::{Label, MethodBuilder, ProgramBuilder};
+use crate::bytecode::{CatchKind, Handler, MethodId, NativeOp, Op, OperandKind, Program};
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// An assembly error with its 1-based source line.
@@ -75,29 +76,29 @@ fn err(line: usize, message: impl Into<String>) -> AsmError {
     AsmError { line, message: message.into() }
 }
 
-/// Parse assembly text into a [`Program`].
+/// The most static slots a program may declare: what a `u16` `sN`
+/// operand can reach.
+const MAX_STATICS: u32 = u16::MAX as u32 + 1;
+
+/// Parse assembly text into a [`Program`]: a line parser in front of
+/// [`ProgramBuilder`] and [`MethodBuilder`], which own labels, fixups,
+/// `sync` bracketing and program assembly. What the builders would
+/// assert is checked here first and reported with its line.
 pub fn assemble(src: &str) -> Result<Program, AsmError> {
     // Pass 1: method name table (for forward call/spawn references).
-    let mut names: HashMap<String, MethodId> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut pb = ProgramBuilder::new();
+    let mut names: HashMap<&str, MethodId> = HashMap::new();
     for (i, raw) in src.lines().enumerate() {
-        let line = strip(raw);
-        if let Some(rest) = line.strip_prefix(".method") {
+        if let Some(rest) = strip(raw).strip_prefix(".method") {
             let name =
                 rest.split_whitespace().next().ok_or_else(|| err(i + 1, ".method needs a name"))?;
-            if names.contains_key(name) {
+            if names.insert(name, pb.declare_method(name, 0)).is_some() {
                 return Err(err(i + 1, format!("duplicate method `{name}`")));
             }
-            names.insert(name.to_string(), MethodId(order.len() as u32));
-            order.push(name.to_string());
         }
     }
 
-    let mut n_statics: u32 = 0;
-    let mut volatile_statics: Vec<u32> = Vec::new();
-    let mut class_names: std::collections::BTreeMap<u32, String> =
-        std::collections::BTreeMap::new();
-    let mut methods: Vec<Option<Method>> = vec![None; order.len()];
+    let mut class_names: BTreeMap<u32, String> = BTreeMap::new();
     let mut cur: Option<MethodAsm> = None;
 
     for (i, raw) in src.lines().enumerate() {
@@ -107,19 +108,18 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix(".statics") {
-            n_statics = n_statics.max(parse_num(rest.trim(), ln)? as u32);
+            pb.statics(parse_upto(rest.trim(), ".statics count", MAX_STATICS, ln)?);
             continue;
         }
         if let Some(rest) = line.strip_prefix(".volatile") {
-            let s = parse_num(rest.trim(), ln)? as u32;
-            volatile_statics.push(s);
-            n_statics = n_statics.max(s + 1);
+            let slot: u16 = parse_upto(rest.trim(), ".volatile slot", u16::MAX, ln)?;
+            pb.volatile_static(slot.into());
             continue;
         }
         if let Some(rest) = line.strip_prefix(".class") {
             let mut parts = rest.split_whitespace();
-            let tag =
-                parse_num(parts.next().ok_or_else(|| err(ln, ".class needs a tag"))?, ln)? as u32;
+            let tag = parts.next().ok_or_else(|| err(ln, ".class needs a tag"))?;
+            let tag = parse_upto(tag, "class tag", u32::MAX, ln)?;
             let name = parts.next().ok_or_else(|| err(ln, ".class needs a name after the tag"))?;
             if parts.next().is_some() {
                 return Err(err(ln, ".class takes exactly a tag and a name"));
@@ -138,9 +138,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
         }
         if line == ".end" {
             let m = cur.take().ok_or_else(|| err(ln, ".end outside a method"))?;
-            let (name, method) = m.finish(ln)?;
-            let id = names[&name];
-            methods[id.index()] = Some(method);
+            pb.implement(names[m.name], m.finish(ln)?);
             continue;
         }
         if let Some(rest) = line.strip_prefix(".handler") {
@@ -154,13 +152,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
     if cur.is_some() {
         return Err(err(src.lines().count(), "unterminated .method (missing .end)"));
     }
-
-    let methods: Vec<Method> = methods
-        .into_iter()
-        .zip(&order)
-        .map(|(m, n)| m.unwrap_or_else(|| panic!("method {n} declared but unparsed")))
-        .collect();
-    Ok(Program { methods, n_statics, volatile_statics, class_names })
+    Ok(Program { class_names, ..pb.finish() })
 }
 
 /// Strip comments and surrounding whitespace.
@@ -175,304 +167,204 @@ fn parse_num(s: &str, ln: usize) -> Result<i64, AsmError> {
     s.parse::<i64>().map_err(|_| err(ln, format!("expected a number, got `{s}`")))
 }
 
-fn parse_kv(tok: &str, key: &str, ln: usize) -> Result<i64, AsmError> {
-    tok.strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| err(ln, format!("expected {key}=N, got `{tok}`")))
-        .and_then(|v| parse_num(v, ln))
+/// A number that must lie in `0..=max`: the one range check every
+/// narrowed operand and count goes through.
+fn parse_upto<T>(s: &str, what: &str, max: T, ln: usize) -> Result<T, AsmError>
+where
+    T: TryFrom<i64> + PartialOrd + fmt::Display,
+{
+    let n = parse_num(s, ln)?;
+    T::try_from(n)
+        .ok()
+        .filter(|v| *v <= max)
+        .ok_or_else(|| err(ln, format!("{what} {n} is out of range (0..={max})")))
 }
 
-fn parse_local(tok: &str, ln: usize) -> Result<u16, AsmError> {
-    tok.strip_prefix('l')
+/// A slot operand: `prefix` then a `u16`, like `l0` or `s0`.
+fn parse_slot(tok: &str, prefix: char, what: &str, ln: usize) -> Result<u16, AsmError> {
+    tok.strip_prefix(prefix)
         .and_then(|r| r.parse::<u16>().ok())
-        .ok_or_else(|| err(ln, format!("expected a local like l0, got `{tok}`")))
+        .ok_or_else(|| err(ln, format!("expected a {what} like {prefix}0, got `{tok}`")))
 }
 
-fn parse_static(tok: &str, ln: usize) -> Result<u16, AsmError> {
-    tok.strip_prefix('s')
-        .and_then(|r| r.parse::<u16>().ok())
-        .ok_or_else(|| err(ln, format!("expected a static like s0, got `{tok}`")))
-}
-
-/// In-progress method assembly.
-struct MethodAsm {
-    name: String,
-    params: u16,
-    locals: u16,
-    synchronized: bool,
-    code: Vec<Insn>,
-    labels: HashMap<String, u32>,
-    /// (insn index, label, line) to patch.
-    fixups: Vec<(usize, String, usize)>,
-    /// open `sync lN {` blocks: (local, enter pc).
-    sync_stack: Vec<(u16, u32)>,
-    sync_regions: Vec<SyncRegion>,
+/// In-progress method assembly: the builder, and what only source text
+/// has — label names and the lines they were used on.
+struct MethodAsm<'s> {
+    name: &'s str,
+    b: MethodBuilder,
+    /// label name → its builder label and the line of its first use by a
+    /// branch (where "undefined label" points).
+    labels: HashMap<&'s str, (Label, Option<usize>)>,
     /// raw handler directives: (start, end, target labels, kind, line).
-    handler_dirs: Vec<(String, String, String, CatchKind, usize)>,
+    handler_dirs: Vec<([&'s str; 3], CatchKind, usize)>,
 }
 
-impl MethodAsm {
-    fn start(rest: &str, ln: usize) -> Result<Self, AsmError> {
+impl<'s> MethodAsm<'s> {
+    fn start(rest: &'s str, ln: usize) -> Result<Self, AsmError> {
         let mut toks = rest.split_whitespace();
-        let name = toks.next().ok_or_else(|| err(ln, ".method needs a name"))?.to_string();
+        let name = toks.next().ok_or_else(|| err(ln, ".method needs a name"))?;
         let mut params = None;
         let mut locals = None;
         let mut synchronized = false;
         for t in toks {
-            if t == "synchronized" {
-                synchronized = true;
-            } else if t.starts_with("params=") {
-                params = Some(parse_kv(t, "params", ln)? as u16);
-            } else if t.starts_with("locals=") {
-                locals = Some(parse_kv(t, "locals", ln)? as u16);
-            } else {
-                return Err(err(ln, format!("unknown .method attribute `{t}`")));
+            match t.split_once('=') {
+                None if t == "synchronized" => synchronized = true,
+                Some(("params", n)) => params = Some(parse_upto(n, "params", u16::MAX, ln)?),
+                Some(("locals", n)) => locals = Some(parse_upto(n, "locals", u16::MAX, ln)?),
+                _ => return Err(err(ln, format!("unknown .method attribute `{t}`"))),
             }
         }
         let params = params.ok_or_else(|| err(ln, ".method needs params=N"))?;
         let locals = locals.unwrap_or(params).max(params);
         Ok(MethodAsm {
             name,
-            params,
-            locals,
-            synchronized,
-            code: Vec::new(),
+            b: MethodBuilder::from_header(params, locals, synchronized),
             labels: HashMap::new(),
-            fixups: Vec::new(),
-            sync_stack: Vec::new(),
-            sync_regions: Vec::new(),
             handler_dirs: Vec::new(),
         })
     }
 
-    fn handler_directive(&mut self, rest: &str, ln: usize) -> Result<(), AsmError> {
+    fn handler_directive(&mut self, rest: &'s str, ln: usize) -> Result<(), AsmError> {
         let toks: Vec<&str> = rest.split_whitespace().collect();
-        if toks.len() != 4 {
+        let &[start, end, target, kind] = toks.as_slice() else {
             return Err(err(ln, ".handler START END TARGET class=N|all"));
-        }
-        let kind = if toks[3] == "all" {
-            CatchKind::All
-        } else {
-            CatchKind::Class(parse_kv(toks[3], "class", ln)? as u32)
         };
-        self.handler_dirs.push((
-            toks[0].to_string(),
-            toks[1].to_string(),
-            toks[2].to_string(),
-            kind,
-            ln,
-        ));
+        let kind = match kind.split_once('=') {
+            None if kind == "all" => CatchKind::All,
+            Some(("class", n)) => CatchKind::Class(parse_upto(n, "class tag", u32::MAX, ln)?),
+            _ => return Err(err(ln, format!("expected class=N, got `{kind}`"))),
+        };
+        self.handler_dirs.push(([start, end, target], kind, ln));
         Ok(())
     }
 
-    fn emit(&mut self, i: Insn) {
-        self.code.push(i);
-    }
-
-    fn branch(&mut self, label: &str, ln: usize, make: fn(u32) -> Insn) {
-        self.code.push(make(u32::MAX));
-        self.fixups.push((self.code.len() - 1, label.to_string(), ln));
+    /// The builder label behind `name`, made on first mention; `used`
+    /// is the line of a branch to it.
+    fn label(&mut self, name: &'s str, used: Option<usize>) -> Label {
+        let entry = self.labels.entry(name).or_insert_with(|| (self.b.new_label(), None));
+        entry.1 = entry.1.or(used);
+        entry.0
     }
 
     fn line(
         &mut self,
-        line: &str,
+        line: &'s str,
         ln: usize,
-        names: &HashMap<String, MethodId>,
+        names: &HashMap<&str, MethodId>,
     ) -> Result<(), AsmError> {
         // label?
         if let Some(l) = line.strip_suffix(':') {
             let l = l.trim();
-            if self.labels.insert(l.to_string(), self.code.len() as u32).is_some() {
+            let label = self.label(l, None);
+            if self.b.placed(label).is_some() {
                 return Err(err(ln, format!("duplicate label `{l}`")));
             }
+            self.b.place(label);
             return Ok(());
         }
         // sync block close?
         if line == "}" {
-            let (local, enter) = self.sync_stack.pop().ok_or_else(|| err(ln, "unmatched `}`"))?;
-            self.emit(Insn::Load(local));
-            self.emit(Insn::MonitorExit);
-            self.sync_regions.push(SyncRegion { enter, exit: self.code.len() as u32 });
-            return Ok(());
+            return if self.b.sync_close() { Ok(()) } else { Err(err(ln, "unmatched `}`")) };
         }
         let mut toks = line.split_whitespace();
-        let op = toks.next().expect("nonempty line");
-        let rest: Vec<&str> = toks.collect();
-        let arg = |i: usize| -> Result<&str, AsmError> {
-            rest.get(i).copied().ok_or_else(|| err(ln, format!("`{op}` needs an operand")))
-        };
-        match op {
-            "sync" => {
-                // `sync lN {`
-                let local = parse_local(arg(0)?, ln)?;
-                if rest.get(1) != Some(&"{") {
-                    return Err(err(ln, "expected `sync lN {`"));
-                }
-                self.emit(Insn::Load(local));
-                let enter = self.code.len() as u32;
-                self.emit(Insn::MonitorEnter);
-                self.sync_stack.push((local, enter));
+        let mnemonic = toks.next().expect("nonempty line");
+        // What follows the mnemonic; all but `new` read the first word only.
+        let arg =
+            || toks.clone().next().ok_or_else(|| err(ln, format!("`{mnemonic}` needs an operand")));
+        if mnemonic == "sync" {
+            // `sync lN {`
+            let local = parse_slot(arg()?, 'l', "local", ln)?;
+            if toks.clone().nth(1) != Some("{") {
+                return Err(err(ln, "expected `sync lN {`"));
             }
-            "const" => {
-                let t = arg(0)?;
-                let v = if t == "null" { Value::Null } else { Value::Int(parse_num(t, ln)?) };
-                self.emit(Insn::Const(v));
+            self.b.sync_open(local);
+            return Ok(());
+        }
+        // One parser per operand kind; the row says which and builds the
+        // instruction from what it read.
+        let insn = match Op::named(mnemonic).map(|op| op.operand) {
+            Some(OperandKind::Plain(insn)) => insn,
+            Some(OperandKind::Local(make)) => make(parse_slot(arg()?, 'l', "local", ln)?),
+            Some(OperandKind::Static(make)) => make(parse_slot(arg()?, 's', "static", ln)?),
+            Some(OperandKind::Field(make)) => {
+                make(parse_upto(arg()?, "field offset", u16::MAX, ln)?)
             }
-            "load" => {
-                let l = parse_local(arg(0)?, ln)?;
-                self.emit(Insn::Load(l));
+            Some(OperandKind::Label(make)) => {
+                let label = self.label(arg()?, Some(ln));
+                self.b.branch(label, make);
+                return Ok(());
             }
-            "store" => {
-                let l = parse_local(arg(0)?, ln)?;
-                self.emit(Insn::Store(l));
+            Some(OperandKind::Method(make)) => {
+                let name = arg()?;
+                make(*names.get(name).ok_or_else(|| err(ln, format!("unknown method `{name}`")))?)
             }
-            "dup" => self.emit(Insn::Dup),
-            "pop" => self.emit(Insn::Pop),
-            "swap" => self.emit(Insn::Swap),
-            "add" => self.emit(Insn::Add),
-            "sub" => self.emit(Insn::Sub),
-            "mul" => self.emit(Insn::Mul),
-            "div" => self.emit(Insn::Div),
-            "rem" => self.emit(Insn::Rem),
-            "neg" => self.emit(Insn::Neg),
-            "goto" => self.branch(arg(0)?, ln, Insn::Goto),
-            "if_zero" => self.branch(arg(0)?, ln, Insn::IfZero),
-            "if_nonzero" => self.branch(arg(0)?, ln, Insn::IfNonZero),
-            "if_lt" => self.branch(arg(0)?, ln, Insn::IfLt),
-            "if_ge" => self.branch(arg(0)?, ln, Insn::IfGe),
-            "if_eq" => self.branch(arg(0)?, ln, Insn::IfEq),
-            "if_ne" => self.branch(arg(0)?, ln, Insn::IfNe),
-            "new" => {
-                let mut class_tag = 0u32;
-                let mut fields = 0u16;
-                let mut volatile_mask = 0u64;
-                for t in &rest {
-                    if t.starts_with("class=") {
-                        class_tag = parse_kv(t, "class", ln)? as u32;
-                    } else if t.starts_with("fields=") {
-                        fields = parse_kv(t, "fields", ln)? as u16;
-                    } else if t.starts_with("volatile=") {
-                        volatile_mask = parse_kv(t, "volatile", ln)? as u64;
-                    } else {
-                        return Err(err(ln, format!("unknown new attribute `{t}`")));
+            Some(OperandKind::Const(make)) => make(match arg()? {
+                "null" => Value::Null,
+                t => Value::Int(parse_num(t, ln)?),
+            }),
+            Some(OperandKind::Native(make)) => make(match arg()? {
+                "print" => NativeOp::Print,
+                "emit" => NativeOp::Emit,
+                other => return Err(err(ln, format!("unknown native `{other}`"))),
+            }),
+            Some(OperandKind::New(make)) => {
+                let (mut class_tag, mut fields, mut volatile_mask) = (0, 0, 0);
+                for t in toks.clone() {
+                    match t.split_once('=') {
+                        Some(("class", n)) => class_tag = parse_upto(n, "class tag", u32::MAX, ln)?,
+                        Some(("fields", n)) => fields = parse_upto(n, "field count", u16::MAX, ln)?,
+                        Some(("volatile", n)) => {
+                            volatile_mask = parse_upto(n, "volatile mask", u64::MAX, ln)?
+                        }
+                        _ => return Err(err(ln, format!("unknown new attribute `{t}`"))),
                     }
                 }
-                self.emit(Insn::New { class_tag, fields, volatile_mask });
+                make(class_tag, fields, volatile_mask)
             }
-            "newarray" => self.emit(Insn::NewArray),
-            "getfield" => {
-                let o = parse_num(arg(0)?, ln)? as u16;
-                self.emit(Insn::GetField(o));
+            Some(OperandKind::Injected) | None => {
+                return Err(err(ln, format!("unknown instruction `{mnemonic}`")));
             }
-            "putfield" => {
-                let o = parse_num(arg(0)?, ln)? as u16;
-                self.emit(Insn::PutField(o));
-            }
-            "aload" => self.emit(Insn::ALoad),
-            "astore" => self.emit(Insn::AStore),
-            "getstatic" => {
-                let s = parse_static(arg(0)?, ln)?;
-                self.emit(Insn::GetStatic(s));
-            }
-            "putstatic" => {
-                let s = parse_static(arg(0)?, ln)?;
-                self.emit(Insn::PutStatic(s));
-            }
-            "arraylen" => self.emit(Insn::ArrayLen),
-            "monitorenter" => self.emit(Insn::MonitorEnter),
-            "monitorexit" => self.emit(Insn::MonitorExit),
-            "wait" => self.emit(Insn::Wait),
-            "notify" => self.emit(Insn::Notify),
-            "notifyall" => self.emit(Insn::NotifyAll),
-            "call" | "spawn" | "delegate" => {
-                let name = arg(0)?;
-                let id =
-                    *names.get(name).ok_or_else(|| err(ln, format!("unknown method `{name}`")))?;
-                self.emit(match op {
-                    "call" => Insn::Call(id),
-                    "spawn" => Insn::Spawn(id),
-                    _ => Insn::Delegate(id),
-                });
-            }
-            "await" => self.emit(Insn::Await),
-            "join" => self.emit(Insn::Join),
-            "ret" => self.emit(Insn::Ret),
-            "retvoid" => self.emit(Insn::RetVoid),
-            "throw" => self.emit(Insn::Throw),
-            "yield" => self.emit(Insn::Yield),
-            "sleep" => self.emit(Insn::Sleep),
-            "now" => self.emit(Insn::Now),
-            "randint" => self.emit(Insn::RandInt),
-            "native" => {
-                let o = match arg(0)? {
-                    "print" => NativeOp::Print,
-                    "emit" => NativeOp::Emit,
-                    other => return Err(err(ln, format!("unknown native `{other}`"))),
-                };
-                self.emit(Insn::Native(o));
-            }
-            "work" => self.emit(Insn::Work),
-            "nop" => self.emit(Insn::Nop),
-            other => return Err(err(ln, format!("unknown instruction `{other}`"))),
-        }
+        };
+        self.b.emit(insn);
         Ok(())
     }
 
-    fn finish(mut self, ln: usize) -> Result<(String, Method), AsmError> {
-        if !self.sync_stack.is_empty() {
+    /// What the builder's `finish` would assert, checked with a line to
+    /// point at; then the handlers, now that every label has a pc.
+    fn finish(mut self, ln: usize) -> Result<MethodBuilder, AsmError> {
+        if self.b.in_sync() {
             return Err(err(ln, "unclosed sync block"));
         }
-        for (at, label, l) in std::mem::take(&mut self.fixups) {
-            let &pc = self
-                .labels
-                .get(&label)
-                .ok_or_else(|| err(l, format!("undefined label `{label}`")))?;
-            self.code[at] = match self.code[at] {
-                Insn::Goto(_) => Insn::Goto(pc),
-                Insn::IfZero(_) => Insn::IfZero(pc),
-                Insn::IfNonZero(_) => Insn::IfNonZero(pc),
-                Insn::IfLt(_) => Insn::IfLt(pc),
-                Insn::IfGe(_) => Insn::IfGe(pc),
-                Insn::IfEq(_) => Insn::IfEq(pc),
-                Insn::IfNe(_) => Insn::IfNe(pc),
-                other => unreachable!("fixup on non-branch {other:?}"),
-            };
+        let pc = |name: &str| self.labels.get(name).and_then(|&(label, _)| self.b.placed(label));
+        // The earliest branch to a label no line defines.
+        let undefined = self
+            .labels
+            .iter()
+            .filter(|(name, _)| pc(name).is_none())
+            .filter_map(|(name, &(_, used))| Some((used?, name)))
+            .min();
+        if let Some((l, name)) = undefined {
+            return Err(err(l, format!("undefined label `{name}`")));
         }
-        let mut handlers = Vec::new();
-        for (s, e, t, kind, l) in std::mem::take(&mut self.handler_dirs) {
-            let lookup = |lab: &str| {
-                self.labels
-                    .get(lab)
-                    .copied()
-                    .ok_or_else(|| err(l, format!("undefined label `{lab}`")))
-            };
-            handlers.push(Handler {
-                start: lookup(&s)?,
-                end: lookup(&e)?,
-                target: lookup(&t)?,
-                kind,
-            });
-        }
-        Ok((
-            self.name.clone(),
-            Method {
-                name: self.name,
-                params: self.params,
-                locals: self.locals,
-                code: self.code,
-                handlers,
-                sync_regions: self.sync_regions,
-                synchronized: self.synchronized,
-                rollback_scopes: vec![],
-            },
-        ))
+        let handlers = self
+            .handler_dirs
+            .iter()
+            .map(|&(names, kind, l)| {
+                let [start, end, target] = names.map(|name| {
+                    pc(name).ok_or_else(|| err(l, format!("undefined label `{name}`")))
+                });
+                Ok(Handler { start: start?, end: end?, target: target?, kind })
+            })
+            .collect::<Result<Vec<_>, AsmError>>()?;
+        handlers.into_iter().for_each(|h| self.b.raw_handler(h));
+        Ok(self.b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Insn;
     use crate::value::Value as V;
     use crate::{Vm, VmConfig};
     use revmon_core::Priority;
@@ -610,5 +502,89 @@ catch:
         assert!(p.methods[0].synchronized);
         let r = crate::rewrite::rewrite_program(&p);
         assert!(r.method_by_name("inc$sync").is_some());
+    }
+    /// `src` must be refused at `line` with a message holding every part
+    /// of `wants`.
+    fn refused(src: &str, line: usize, wants: &[&str]) {
+        let e = assemble(src).expect_err(src);
+        assert_eq!(e.line, line, "{src:?}: {e}");
+        assert!(wants.iter().all(|w| e.message.contains(w)), "{src:?}: {e}");
+        assert!(e.to_string().starts_with(&format!("line {line}: ")));
+    }
+
+    #[test]
+    fn narrowed_operands_are_range_checked_with_their_line() {
+        // Each of these used to assemble to a different program:
+        // `getfield +0`, `putfield +65535`, `class=4294967295 fields=1`,
+        // 4 464 params.
+        let body = |insn: &str| format!(".method m params=0\n{insn}\nretvoid\n.end\n");
+        refused(&body("getfield 65536"), 2, &["field offset 65536", "0..=65535"]);
+        refused(&body("putfield -1"), 2, &["field offset -1", "0..=65535"]);
+        refused(&body("new class=-1 fields=2"), 2, &["class tag -1", "0..=4294967295"]);
+        refused(&body("new class=4294967296"), 2, &["class tag 4294967296"]);
+        refused(&body("new class=1 fields=65537"), 2, &["field count 65537", "0..=65535"]);
+        refused(&body("new volatile=-1"), 2, &["volatile mask -1"]);
+        refused(".method main params=70000\nretvoid\n.end\n", 1, &["params 70000", "0..=65535"]);
+        refused(".method main params=0 locals=-2\nretvoid\n.end\n", 1, &["locals -2"]);
+        refused("\n.class 4294967296 Big\n", 2, &["class tag 4294967296"]);
+        refused(
+            ".method m params=0\na:\nretvoid\n.handler a a a class=-7\n.end\n",
+            4,
+            &["class tag -7"],
+        );
+    }
+
+    #[test]
+    fn static_counts_beyond_any_operand_are_refused() {
+        // `.volatile 4294967295` overflowed `s + 1` (a panic in debug, "0
+        // statics (1 volatile)" in release); `.statics -1` asked the heap
+        // for 2^32 slots.
+        refused(".volatile 4294967295\n", 1, &[".volatile slot 4294967295", "0..=65535"]);
+        refused(".volatile 65536\n", 1, &[".volatile slot 65536"]);
+        refused(".volatile -1\n", 1, &[".volatile slot -1"]);
+        refused(".statics 1\n.statics -1\n", 2, &[".statics count -1", "0..=65536"]);
+        refused(".statics 65537\n", 1, &[".statics count 65537", "0..=65536"]);
+        refused(".statics 4294967296\n", 1, &[".statics count 4294967296"]);
+    }
+
+    #[test]
+    fn the_largest_in_range_operands_assemble_as_written() {
+        let src = ".statics 65536\n.volatile 65535\n.class 4294967295 Top\n\
+                   .method m params=65535 locals=65535\n\
+                   new class=4294967295 fields=65535 volatile=9223372036854775807\n\
+                   getfield 65535\nputfield 0\nload l65535\ngetstatic s65535\nretvoid\n.end\n";
+        let p = assemble(src).unwrap();
+        assert_eq!((p.n_statics, &p.volatile_statics[..]), (65_536, &[65_535][..]));
+        assert_eq!(p.class_names[&u32::MAX], "Top");
+        let m = &p.methods[0];
+        assert_eq!((m.params, m.locals), (u16::MAX, u16::MAX));
+        assert_eq!(
+            m.code[..5],
+            [
+                Insn::New { class_tag: u32::MAX, fields: u16::MAX, volatile_mask: i64::MAX as u64 },
+                Insn::GetField(u16::MAX),
+                Insn::PutField(0),
+                Insn::Load(u16::MAX),
+                Insn::GetStatic(u16::MAX),
+            ]
+        );
+    }
+
+    #[test]
+    fn no_builder_assertion_is_reachable_from_source_text() {
+        // What `MethodBuilder::{new, set_synchronized, load, place}` and
+        // `ProgramBuilder::finish` assert, source text may say: each is
+        // an `AsmError` or a program for the verifier to refuse.
+        let p = assemble(".method m params=0 synchronized\nload l9\nsync l8 {\n}\nretvoid\n.end\n")
+            .unwrap();
+        assert!(p.methods[0].synchronized);
+        assert!(crate::verify::verify_program(&p).is_err());
+        assert_eq!(
+            assemble(".method m params=3 locals=1\nretvoid\n.end\n").unwrap().methods[0].locals,
+            3
+        );
+        refused(".method m params=0\na:\na:\nretvoid\n.end\n", 3, &["duplicate label `a`"]);
+        refused(".method m params=0\ngoto a\nretvoid\n.end\n", 2, &["undefined label `a`"]);
+        refused(".method m params=0\nretvoid\n", 2, &["unterminated .method"]);
     }
 }

@@ -42,6 +42,8 @@ pub struct MethodBuilder {
     labels: Vec<Option<u32>>,
     /// (instruction index, label) to patch at finish.
     fixups: Vec<(usize, Label)>,
+    /// open synchronized blocks: (local, pc of the `MonitorEnter`).
+    open_syncs: Vec<(u16, u32)>,
 }
 
 impl MethodBuilder {
@@ -49,15 +51,25 @@ impl MethodBuilder {
     /// local slots (`locals >= params`).
     pub fn new(params: u16, locals: u16) -> Self {
         assert!(locals >= params, "locals must include parameter slots");
+        Self::from_header(params, locals, false)
+    }
+
+    /// A builder for a `.method` header as the assembler read it. It
+    /// asserts nothing: what [`new`](Self::new),
+    /// [`set_synchronized`](Self::set_synchronized) and the local-slot
+    /// emitters would panic on in a program, source text may say, and
+    /// the verifier reports it.
+    pub(crate) fn from_header(params: u16, locals: u16, synchronized: bool) -> Self {
         MethodBuilder {
             params,
             locals,
             code: Vec::new(),
             handlers: Vec::new(),
             sync_regions: Vec::new(),
-            synchronized: false,
+            synchronized,
             labels: Vec::new(),
             fixups: Vec::new(),
+            open_syncs: Vec::new(),
         }
     }
 
@@ -92,14 +104,21 @@ impl MethodBuilder {
         l
     }
 
-    fn emit(&mut self, i: Insn) -> usize {
-        self.code.push(i);
-        self.code.len() - 1
+    /// Where `label` was placed, if it has been.
+    pub(crate) fn placed(&self, label: Label) -> Option<u32> {
+        self.labels[label.0]
     }
 
-    fn emit_branch(&mut self, label: Label, make: fn(u32) -> Insn) {
-        let at = self.emit(make(u32::MAX));
-        self.fixups.push((at, label));
+    /// Append one instruction as given.
+    pub(crate) fn emit(&mut self, i: Insn) {
+        self.code.push(i);
+    }
+
+    /// Append the branch `make` builds, aimed at `label` once it is
+    /// placed.
+    pub(crate) fn branch(&mut self, label: Label, make: fn(u32) -> Insn) {
+        self.fixups.push((self.code.len(), label));
+        self.emit(make(u32::MAX));
     }
 
     // --- straight-line emitters ------------------------------------------
@@ -163,31 +182,31 @@ impl MethodBuilder {
 
     /// Unconditional jump.
     pub fn goto(&mut self, l: Label) {
-        self.emit_branch(l, Insn::Goto);
+        self.branch(l, Insn::Goto);
     }
     /// Jump if popped value is zero/null.
     pub fn if_zero(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfZero);
+        self.branch(l, Insn::IfZero);
     }
     /// Jump if popped value is non-zero.
     pub fn if_non_zero(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfNonZero);
+        self.branch(l, Insn::IfNonZero);
     }
     /// Pop b, a; jump if `a < b`.
     pub fn if_lt(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfLt);
+        self.branch(l, Insn::IfLt);
     }
     /// Pop b, a; jump if `a >= b`.
     pub fn if_ge(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfGe);
+        self.branch(l, Insn::IfGe);
     }
     /// Pop b, a; jump if `a == b`.
     pub fn if_eq(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfEq);
+        self.branch(l, Insn::IfEq);
     }
     /// Pop b, a; jump if `a != b`.
     pub fn if_ne(&mut self, l: Label) {
-        self.emit_branch(l, Insn::IfNe);
+        self.branch(l, Insn::IfNe);
     }
 
     // --- heap ------------------------------------------------------------------
@@ -245,14 +264,34 @@ impl MethodBuilder {
     /// Structured `synchronized (local) { body }`. Emits the enter/exit
     /// bracketing and records the [`SyncRegion`].
     pub fn sync_on_local(&mut self, local: u16, body: impl FnOnce(&mut Self)) {
-        self.load(local);
-        let enter = self.pc();
-        self.emit(Insn::MonitorEnter);
+        assert!(local < self.locals, "local {local} out of range");
+        self.sync_open(local);
         body(self);
-        self.load(local);
+        self.sync_close();
+    }
+
+    /// Open a `synchronized (local) {` block: the enter half of the
+    /// bracketing.
+    pub(crate) fn sync_open(&mut self, local: u16) {
+        self.emit(Insn::Load(local));
+        self.open_syncs.push((local, self.pc()));
+        self.emit(Insn::MonitorEnter);
+    }
+
+    /// Close the innermost open block: the exit half of the bracketing
+    /// and the block's [`SyncRegion`]. False when no block is open.
+    pub(crate) fn sync_close(&mut self) -> bool {
+        let Some((local, enter)) = self.open_syncs.pop() else { return false };
+        self.emit(Insn::Load(local));
         self.emit(Insn::MonitorExit);
-        let exit = self.pc();
-        self.sync_regions.push(SyncRegion { enter, exit });
+        self.sync_regions.push(SyncRegion { enter, exit: self.pc() });
+        true
+    }
+
+    /// Whether a block opened by [`sync_open`](Self::sync_open) is still
+    /// open.
+    pub(crate) fn in_sync(&self) -> bool {
+        !self.open_syncs.is_empty()
     }
 
     /// Structured counted loop: `for local := 0; local < bound(); local++
@@ -375,9 +414,8 @@ impl MethodBuilder {
     pub fn join(&mut self) {
         self.emit(Insn::Join);
     }
-    /// Submit `m` to the combiner of the popped monitor object
-    /// (arguments pushed first, monitor ref on top); pushes the
-    /// completion token.
+    /// Submit `m` to the combiner of the popped monitor object (monitor
+    /// ref pushed first, arguments on top); pushes the completion token.
     pub fn delegate(&mut self, m: MethodId) {
         self.emit(Insn::Delegate(m));
     }
@@ -467,16 +505,7 @@ impl MethodBuilder {
     fn finish(mut self, name: &str) -> Method {
         for (at, label) in std::mem::take(&mut self.fixups) {
             let pc = self.labels[label.0].expect("unplaced label");
-            self.code[at] = match self.code[at] {
-                Insn::Goto(_) => Insn::Goto(pc),
-                Insn::IfZero(_) => Insn::IfZero(pc),
-                Insn::IfNonZero(_) => Insn::IfNonZero(pc),
-                Insn::IfLt(_) => Insn::IfLt(pc),
-                Insn::IfGe(_) => Insn::IfGe(pc),
-                Insn::IfEq(_) => Insn::IfEq(pc),
-                Insn::IfNe(_) => Insn::IfNe(pc),
-                other => panic!("fixup on non-branch {other:?}"),
-            };
+            self.code[at] = self.code[at].with_target(pc);
         }
         Method {
             name: name.to_string(),

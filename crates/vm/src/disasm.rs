@@ -3,7 +3,7 @@
 //! coverage and injected rollback scopes are annotated inline, which
 //! makes rewrite-pass output inspectable at a glance.
 
-use crate::bytecode::{CatchKind, Insn, Method, Program};
+use crate::bytecode::{CatchKind, Insn, Method, Operand, Program};
 use std::fmt::Write;
 
 /// Disassemble one method.
@@ -42,7 +42,7 @@ pub fn disassemble_method(m: &Method) -> String {
         }
         let note =
             if notes.is_empty() { String::new() } else { format!("   ; {}", notes.join(", ")) };
-        let _ = writeln!(out, "  {pc:>4}: {}{note}", render(insn));
+        let _ = writeln!(out, "  {pc:>4}: {}{note}", render(*insn));
     }
     out
 }
@@ -67,60 +67,26 @@ pub fn disassemble(p: &Program) -> String {
     out
 }
 
-fn render(i: &Insn) -> String {
-    match i {
-        Insn::Const(v) => format!("const        {v}"),
-        Insn::Load(i) => format!("load         l{i}"),
-        Insn::Store(i) => format!("store        l{i}"),
-        Insn::Dup => "dup".into(),
-        Insn::Pop => "pop".into(),
-        Insn::Swap => "swap".into(),
-        Insn::Add => "add".into(),
-        Insn::Sub => "sub".into(),
-        Insn::Mul => "mul".into(),
-        Insn::Div => "div".into(),
-        Insn::Rem => "rem".into(),
-        Insn::Neg => "neg".into(),
-        Insn::Goto(t) => format!("goto         -> {t}"),
-        Insn::IfZero(t) => format!("if_zero      -> {t}"),
-        Insn::IfNonZero(t) => format!("if_nonzero   -> {t}"),
-        Insn::IfLt(t) => format!("if_lt        -> {t}"),
-        Insn::IfGe(t) => format!("if_ge        -> {t}"),
-        Insn::IfEq(t) => format!("if_eq        -> {t}"),
-        Insn::IfNe(t) => format!("if_ne        -> {t}"),
-        Insn::New { class_tag, fields, .. } => {
-            format!("new          class={class_tag} fields={fields}")
-        }
-        Insn::NewArray => "newarray".into(),
-        Insn::GetField(o) => format!("getfield     +{o}"),
-        Insn::PutField(o) => format!("putfield     +{o}   ; write-barrier site"),
-        Insn::ALoad => "aload".into(),
-        Insn::AStore => "astore              ; write-barrier site".into(),
-        Insn::GetStatic(s) => format!("getstatic    s{s}"),
-        Insn::PutStatic(s) => format!("putstatic    s{s}   ; write-barrier site"),
-        Insn::ArrayLen => "arraylen".into(),
-        Insn::MonitorEnter => "monitorenter".into(),
-        Insn::MonitorExit => "monitorexit".into(),
-        Insn::Wait => "wait".into(),
-        Insn::Notify => "notify".into(),
-        Insn::NotifyAll => "notifyall".into(),
-        Insn::Call(m) => format!("call         {m}"),
-        Insn::Spawn(m) => format!("spawn        {m}   ; irrevocable"),
-        Insn::Delegate(m) => format!("delegate     {m}   ; combiner submission"),
-        Insn::Await => "await".into(),
-        Insn::Join => "join".into(),
-        Insn::Ret => "ret".into(),
-        Insn::RetVoid => "retvoid".into(),
-        Insn::Throw => "throw".into(),
-        Insn::Yield => "yield".into(),
-        Insn::Sleep => "sleep".into(),
-        Insn::Now => "now".into(),
-        Insn::RandInt => "randint".into(),
-        Insn::Native(op) => format!("native       {op:?}   ; irrevocable"),
-        Insn::Work => "work".into(),
-        Insn::Nop => "nop".into(),
-        Insn::SaveState => "savestate           ; injected by rewrite".into(),
-        Insn::RollbackHandler => "rollbackhandler     ; injected by rewrite".into(),
+/// One instruction from its [`ISA`](crate::bytecode::ISA) row: the
+/// mnemonic, the operand printed by kind, the row's note.
+fn render(i: Insn) -> String {
+    let op = i.op();
+    let operand = match i.operand() {
+        Operand::None => String::new(),
+        Operand::Const(v) => v.to_string(),
+        Operand::Local(l) => format!("l{l}"),
+        Operand::Static(s) => format!("s{s}"),
+        Operand::Field(o) => format!("+{o}"),
+        Operand::Label(t) => format!("-> {t}"),
+        Operand::Method(m) => m.to_string(),
+        Operand::Native(n) => format!("{n:?}"),
+        Operand::New { class_tag, fields, .. } => format!("class={class_tag} fields={fields}"),
+    };
+    match (operand.is_empty(), op.note.is_empty()) {
+        (true, true) => op.mnemonic.to_string(),
+        (true, false) => format!("{:<20}; {}", op.mnemonic, op.note),
+        (false, true) => format!("{:<13}{operand}", op.mnemonic),
+        (false, false) => format!("{:<13}{operand}   ; {}", op.mnemonic, op.note),
     }
 }
 

@@ -126,7 +126,7 @@ fn inject_rollback_scopes(m: &mut Method) {
         if inserts.binary_search(&(pc as u32)).is_ok() {
             code.push(Insn::SaveState);
         }
-        code.push(remap_insn(*insn, &shift));
+        code.push(insn.target().map_or(*insn, |t| insn.with_target(t + shift(t))));
     }
 
     // Remap exception table and regions.
@@ -162,19 +162,6 @@ fn inject_rollback_scopes(m: &mut Method) {
     }
 
     m.code = code;
-}
-
-fn remap_insn(i: Insn, shift: &impl Fn(u32) -> u32) -> Insn {
-    match i {
-        Insn::Goto(t) => Insn::Goto(t + shift(t)),
-        Insn::IfZero(t) => Insn::IfZero(t + shift(t)),
-        Insn::IfNonZero(t) => Insn::IfNonZero(t + shift(t)),
-        Insn::IfLt(t) => Insn::IfLt(t + shift(t)),
-        Insn::IfGe(t) => Insn::IfGe(t + shift(t)),
-        Insn::IfEq(t) => Insn::IfEq(t + shift(t)),
-        Insn::IfNe(t) => Insn::IfNe(t + shift(t)),
-        other => other,
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! program, so a builder or rewrite-pass bug is caught at construction
 //! time instead of as a runtime fault.
 
-use crate::bytecode::{CatchKind, Insn, Method, Program};
+use crate::bytecode::{CatchKind, Insn, Method, Operand, Program};
 use std::fmt;
 
 /// A verification failure.
@@ -148,45 +148,6 @@ fn return_arities(p: &Program, errors: &mut Vec<VerifyError>) -> Vec<u16> {
         .collect()
 }
 
-/// (pops, pushes, terminal) effect of an instruction; `Call` handled
-/// separately.
-fn effect(i: Insn) -> (u16, u16, bool) {
-    match i {
-        Insn::Const(_) | Insn::Load(_) | Insn::Now => (0, 1, false),
-        Insn::Store(_) | Insn::Pop | Insn::IfZero(_) | Insn::IfNonZero(_) | Insn::PutStatic(_) => {
-            (1, 0, false)
-        }
-        Insn::Dup => (1, 2, false),
-        Insn::Swap => (2, 2, false),
-        Insn::Add | Insn::Sub | Insn::Mul | Insn::Div | Insn::Rem => (2, 1, false),
-        Insn::Neg | Insn::NewArray | Insn::GetField(_) | Insn::ArrayLen | Insn::RandInt => {
-            (1, 1, false)
-        }
-        Insn::Await => (1, 1, false),   // token -> result
-        Insn::Goto(_) => (0, 0, false), // successor handled explicitly
-        Insn::IfLt(_) | Insn::IfGe(_) | Insn::IfEq(_) | Insn::IfNe(_) => (2, 0, false),
-        Insn::New { .. } | Insn::GetStatic(_) => (0, 1, false),
-        Insn::PutField(_) => (2, 0, false),
-        Insn::ALoad => (2, 1, false),
-        Insn::AStore => (3, 0, false),
-        Insn::MonitorEnter
-        | Insn::MonitorExit
-        | Insn::Wait
-        | Insn::Notify
-        | Insn::NotifyAll
-        | Insn::Sleep
-        | Insn::Work
-        | Insn::Native(_) => (1, 0, false),
-        Insn::Call(_) | Insn::Spawn(_) | Insn::Delegate(_) => (0, 0, false), // handled at the call site
-        Insn::Join => (1, 0, false),
-        Insn::Ret => (1, 0, true),
-        Insn::RetVoid => (0, 0, true),
-        Insn::Throw => (1, 0, true),
-        Insn::Yield | Insn::Nop | Insn::SaveState => (0, 0, false),
-        Insn::RollbackHandler => (0, 0, true), // intrinsic; never falls through
-    }
-}
-
 fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<VerifyError>) {
     let n = m.code.len() as u32;
     let name = || m.name.clone();
@@ -256,61 +217,31 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
 
     while let Some((pc, h)) = work.pop() {
         let insn = m.code[pc as usize];
-        // Local bounds.
-        if let Insn::Load(i) | Insn::Store(i) = insn {
+        let op = insn.op();
+        if let Operand::Local(i) = insn.operand() {
             if i >= m.locals {
                 errors.push(VerifyError::LocalOutOfRange { method: name(), pc, index: i });
                 continue;
             }
         }
-        // Effects.
-        let (pops, pushes, terminal) = match insn {
-            Insn::Call(callee) => {
-                let Some(cm) = p.methods.get(callee.index()) else {
-                    errors.push(VerifyError::BadCallTarget {
-                        method: name(),
-                        pc,
-                        target: callee.0,
-                    });
-                    continue;
-                };
-                (cm.params, arities[callee.index()], false)
+        // The row's fixed effect, plus what a callee takes and returns.
+        let (mut pops, mut pushes) = (op.pops, op.pushes);
+        if let Operand::Method(callee) = insn.operand() {
+            let Some(cm) = p.methods.get(callee.index()) else {
+                errors.push(VerifyError::BadCallTarget { method: name(), pc, target: callee.0 });
+                continue;
+            };
+            pops = pops.saturating_add(cm.params);
+            if matches!(insn, Insn::Call(_)) {
+                pushes += arities[callee.index()];
             }
-            Insn::Spawn(callee) => {
-                let Some(cm) = p.methods.get(callee.index()) else {
-                    errors.push(VerifyError::BadCallTarget {
-                        method: name(),
-                        pc,
-                        target: callee.0,
-                    });
-                    continue;
-                };
-                // pops: args + priority; pushes: the thread id
-                (cm.params + 1, 1, false)
-            }
-            Insn::Delegate(callee) => {
-                let Some(cm) = p.methods.get(callee.index()) else {
-                    errors.push(VerifyError::BadCallTarget {
-                        method: name(),
-                        pc,
-                        target: callee.0,
-                    });
-                    continue;
-                };
-                // pops: args + monitor ref; pushes: the completion token
-                (cm.params + 1, 1, false)
-            }
-            other => effect(other),
-        };
+        }
         if h < pops {
             errors.push(VerifyError::StackUnderflow { method: name(), pc, needs: pops, have: h });
             continue;
         }
         let out = h - pops + pushes;
-        if terminal {
-            continue;
-        }
-        // Successors.
+        // Successors: the branch target first, then the next pc.
         let mut add = |target: u32, errors: &mut Vec<VerifyError>| {
             if target >= n {
                 // Falling through past the last instruction is a missing
@@ -324,18 +255,11 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
                 errors.push(e);
             }
         };
-        match insn {
-            Insn::Goto(t) => add(t, errors),
-            Insn::IfZero(t)
-            | Insn::IfNonZero(t)
-            | Insn::IfLt(t)
-            | Insn::IfGe(t)
-            | Insn::IfEq(t)
-            | Insn::IfNe(t) => {
-                add(t, errors);
-                add(pc + 1, errors);
-            }
-            _ => add(pc + 1, errors),
+        if let Some(target) = insn.target() {
+            add(target, errors);
+        }
+        if op.flow.falls_through() {
+            add(pc + 1, errors);
         }
     }
 }
@@ -486,6 +410,21 @@ mod tests {
         let p = raw_method(vec![Insn::Call(MethodId(9)), Insn::RetVoid], 0, 0);
         let errs = verify_program(&p).unwrap_err();
         assert!(errs.iter().any(|e| matches!(e, VerifyError::BadCallTarget { .. })));
+    }
+
+    #[test]
+    fn operands_beside_the_most_parameters_are_an_underflow_not_an_overflow() {
+        // `spawn` pops the priority beside the callee's parameters:
+        // 65 535 + 1 used to overflow (a panic in debug, "needs 0" in
+        // release).
+        let mut p = raw_method(vec![Insn::Spawn(MethodId(1)), Insn::Pop, Insn::RetVoid], 0, 0);
+        p.methods.push(Method { name: "wide".into(), params: u16::MAX, ..p.methods[0].clone() });
+        p.methods[1].code = vec![Insn::RetVoid];
+        p.methods[1].locals = u16::MAX;
+        let errs = verify_program(&p).unwrap_err();
+        let wanted =
+            VerifyError::StackUnderflow { method: "m".into(), pc: 0, needs: u16::MAX, have: 0 };
+        assert_eq!(errs, vec![wanted]);
     }
 
     #[test]
