@@ -43,11 +43,13 @@
 //! .end
 //! ```
 //!
-//! Directives: `.statics N`, `.volatile N`, `.method NAME params=N
-//! locals=N [synchronized]` … `.end`, `.handler START END TARGET
-//! class=N|all` (labels). Labels end with `:`; `sync lN { … }` blocks
-//! emit the monitor bracketing and record the region metadata the
-//! rewrite pass needs. Comments run from `;` to end of line.
+//! Directives: `.statics N`, `.volatile N`, `.class TAG NAME`, `.method
+//! NAME params=N locals=N [synchronized]` … `.end`, `.handler START END
+//! TARGET class=N|all` (labels). Labels end with `:`; `sync lN { … }`
+//! blocks emit the monitor bracketing and record the region metadata the
+//! rewrite pass needs. Comments run from `;` to end of line. The
+//! instructions are the rows of [`bytecode`](crate::bytecode)'s opcode
+//! table; docs/ASSEMBLY.md is the reference.
 
 use crate::builder::{Label, MethodBuilder, ProgramBuilder};
 use crate::bytecode::{CatchKind, Handler, MethodId, NativeOp, Op, OperandKind, Program};
@@ -335,17 +337,17 @@ impl<'s> MethodAsm<'s> {
         if self.b.in_sync() {
             return Err(err(ln, "unclosed sync block"));
         }
-        let pc = |name: &str| self.labels.get(name).and_then(|&(label, _)| self.b.placed(label));
         // The earliest branch to a label no line defines.
         let undefined = self
             .labels
             .iter()
-            .filter(|(name, _)| pc(name).is_none())
+            .filter(|(_, &(label, _))| self.b.placed(label).is_none())
             .filter_map(|(name, &(_, used))| Some((used?, name)))
             .min();
         if let Some((l, name)) = undefined {
             return Err(err(l, format!("undefined label `{name}`")));
         }
+        let pc = |name: &str| self.labels.get(name).and_then(|&(label, _)| self.b.placed(label));
         let handlers = self
             .handler_dirs
             .iter()

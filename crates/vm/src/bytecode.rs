@@ -833,6 +833,10 @@ mod tests {
         }
     }
 
+    /// The walk holds each row to the code that reads it. What a row
+    /// *says* — its `(pops, pushes)`, its note — is held to the code it
+    /// replaced by `tests/frontend_pin.rs`, whose golden measured every
+    /// opcode's stack effect through the old per-file `match`es.
     #[test]
     fn every_row_agrees_with_the_assembler_the_listing_and_the_verifier() {
         use crate::verify::{verify_program, VerifyError};
@@ -917,6 +921,16 @@ mod tests {
                 assert_eq!(built.with_target(77), built);
             }
         }
+    }
+
+    #[test]
+    fn barriers_sit_on_exactly_the_papers_opcodes() {
+        // §3.1.2: write barriers on `putfield`, `putstatic`, `Xastore`;
+        // the loads beside them are what the JMM guard checks.
+        let of =
+            |b| ISA.iter().filter(|op| op.barrier == b).map(|op| op.mnemonic).collect::<Vec<_>>();
+        assert_eq!(of(Barrier::Write), ["putfield", "astore", "putstatic"]);
+        assert_eq!(of(Barrier::Read), ["getfield", "aload", "getstatic"]);
     }
 
     #[test]
