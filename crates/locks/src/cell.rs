@@ -9,16 +9,33 @@
 //! observe a speculative value, so rollback can never manufacture
 //! out-of-thin-air reads.
 //!
-//! Storage is a single small mutex around the live value *and* a pooled
-//! stash of displaced old values: the write barrier swaps the new value
-//! in and pushes the old one onto the stash in the same (uncontended)
-//! lock hold. Both the stash and the thread's undo log retain their
+//! Storage is a single small mutex around the live value *and* the old
+//! values a rollback would put back. The write barrier logs a cell
+//! **once per section**, not once per store: each saved old value
+//! carries a [`Stamp`] — the ids of the writing thread's outermost and
+//! innermost live sections — and a store whose stamp matches the newest
+//! saved entry only swaps the value in. That is a deliberate divergence
+//! from the paper (§3.1.2 logs every store, and so does `revmon-vm`): a
+//! rollback to a section's mark needs the value the cell held when the
+//! section first wrote it, and nothing in between.
+//!
+//! | operation | called from | work (one cell-lock hold each) |
+//! |---|---|---|
+//! | first write in a section | `Tx::write`/`update` | top entry is this transaction's but another section's (or none): push `(stamp, old)`; one undo-log entry |
+//! | first write over a stale entry | same | top entry is another transaction's: drop every saved entry, push `(stamp, old)`; one undo-log entry |
+//! | repeat write | same | top entry is this section's: swap the value, nothing saved, nothing logged |
+//! | rollback | `tx::rollback_section`, once per log entry | pop the top entry back into the value if it is this transaction's, else nothing |
+//! | commit | `tx::commit_top_section` | **no cell is visited**: the log drops its `Arc`s; the entries go stale and are dropped by the cell's next first write (or with the cell) |
+//!
+//! Both the saved-entry buffer and the thread's undo log retain their
 //! capacity across sections, so a logged write performs **no heap
 //! allocation** in steady state. Correct use keeps each cell
 //! consistently protected by one monitor (the paper's
 //! data-protected-by-its-lock discipline) — misuse is memory-safe but,
 //! exactly as with the previous `Arc<Mutex<T>>` storage, can observe
-//! speculative values.
+//! speculative values; a rollback that finds another transaction's
+//! entry on top (two monitors guarding one cell) restores nothing
+//! rather than someone else's value.
 //!
 //! [`VolatileCell`] is the deliberate escape hatch, mirroring Java
 //! `volatile` (Fig. 3): it is readable *without* a monitor at any time.
@@ -31,34 +48,52 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Live value plus the stash of displaced old values (oldest first).
-/// The stash is popped newest-first by rollback, or retired entry by
-/// entry at the outermost commit; its capacity is the pool that makes
-/// logged writes allocation-free.
+/// Who saved an old value: the process-unique ids (never reused — see
+/// [`SectionCtx::id`](crate::tx::SectionCtx)) of the writing thread's
+/// outermost live section (`tx`, the unit that commits) and of its
+/// innermost one (`section`, the unit a rollback can target). Section
+/// ids start at 1, so [`Stamp::NONE`] matches no entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    pub(crate) tx: u64,
+    pub(crate) section: u64,
+}
+
+impl Stamp {
+    /// The stamp of a thread that is in no section.
+    pub(crate) const NONE: Stamp = Stamp { tx: 0, section: 0 };
+}
+
+/// An old value and the section that displaced it.
+struct Saved<T> {
+    stamp: Stamp,
+    old: T,
+}
+
+/// Live value plus the saved old values (oldest first), at most one per
+/// section that wrote the cell. All entries belong to one transaction:
+/// a first write that finds another transaction's entry on top drops
+/// them all. The buffer's capacity is the pool that makes logged writes
+/// allocation-free.
 pub(crate) struct CellState<T> {
     pub(crate) value: T,
-    stash: Vec<T>,
+    saved: Vec<Saved<T>>,
 }
 
 /// Shared storage behind a [`TCell`]; doubles as its own undo-log entry
-/// (the log records an `Arc<CellCore>` per write — a refcount bump, not
-/// a boxed closure).
+/// (the log records an `Arc<CellCore>` per first write — a refcount
+/// bump, not a boxed closure).
 pub(crate) struct CellCore<T> {
     pub(crate) state: Mutex<CellState<T>>,
 }
 
 impl<T: Send> UndoSink for CellCore<T> {
-    fn restore_one(&self) {
+    fn restore_one(&self, tx: u64) {
         let mut s = self.state.lock();
-        if let Some(old) = s.stash.pop() {
-            s.value = old;
+        if s.saved.last().is_some_and(|e| e.stamp.tx == tx) {
+            let e = s.saved.pop().expect("checked by last()");
+            s.value = e.old;
         }
-    }
-
-    fn forget_one(&self) {
-        // Pop-and-drop keeps the stash aligned with the undo log while
-        // retaining the buffer's capacity for the next section.
-        self.state.lock().stash.pop();
     }
 }
 
@@ -67,6 +102,14 @@ impl<T: Send> UndoSink for CellCore<T> {
 /// All access goes through [`Tx::read`](crate::tx::Tx::read) /
 /// [`Tx::write`](crate::tx::Tx::write); the cell itself exposes only
 /// construction and (for tests/reporting) a post-synchronization snapshot.
+///
+/// **Deferred drop.** The value a section's first write displaced is
+/// kept for rollback, and a commit visits no cell — so after the commit
+/// that value stays in the cell until the cell's next logged first write
+/// (which drops it) or until the cell itself is dropped: at most one
+/// retained `T` per nesting level that wrote the cell, never leaked. For
+/// a large `T` (e.g. [`BoundedQueue`](crate::collections::BoundedQueue)'s
+/// `TCell<VecDeque<T>>`) that is one extra copy held between sections.
 pub struct TCell<T> {
     pub(crate) core: Arc<CellCore<T>>,
 }
@@ -81,7 +124,7 @@ impl<T> TCell<T> {
     /// A new cell with the given initial value.
     pub fn new(value: T) -> Self {
         TCell {
-            core: Arc::new(CellCore { state: Mutex::new(CellState { value, stash: Vec::new() }) }),
+            core: Arc::new(CellCore { state: Mutex::new(CellState { value, saved: Vec::new() }) }),
         }
     }
 }
@@ -103,26 +146,41 @@ impl<T: Clone> TCell<T> {
         self.core.state.lock().value.clone()
     }
 
-    /// The write barrier's storage half: swap `v` in, stash the old
-    /// value for rollback. One uncontended lock hold, no allocation once
-    /// the stash has warmed up.
-    pub(crate) fn stash_and_set(&self, v: T) {
+    /// The write barrier's storage half, in one uncontended lock hold:
+    /// swap `v` in and — unless `stamp`'s section already saved this
+    /// cell's old value — save the displaced one under `stamp`. Returns
+    /// whether it saved (the caller then appends the undo-log entry). No
+    /// allocation once the buffer has warmed up.
+    pub(crate) fn store(&self, v: T, stamp: Stamp) -> bool {
         let mut s = self.core.state.lock();
+        let first = match s.saved.last() {
+            Some(top) if top.stamp.section == stamp.section => false,
+            Some(top) if top.stamp.tx != stamp.tx => {
+                // A committed (or foreign) transaction's leftovers.
+                s.saved.clear();
+                true
+            }
+            _ => true,
+        };
         let old = std::mem::replace(&mut s.value, v);
-        s.stash.push(old);
+        if first {
+            s.saved.push(Saved { stamp, old });
+        }
+        first
     }
 
-    /// Plain store, no stash: the barrier-free write used by policies
-    /// that never roll back (the owning section is pinned non-revocable,
-    /// so no rollback can ever look for a stashed old value here).
+    /// Plain store, nothing saved: the barrier-free write used by
+    /// policies that never roll back (the owning section is pinned
+    /// non-revocable, so no rollback can ever look for an old value
+    /// here). Stale saved entries are left for the next logged write.
     pub(crate) fn set(&self, v: T) {
         self.core.state.lock().value = v;
     }
 
-    /// Number of stashed (still-revocable) old values — test visibility.
+    /// Number of saved old values, stale ones included — test visibility.
     #[cfg(test)]
-    pub(crate) fn stash_len(&self) -> usize {
-        self.core.state.lock().stash.len()
+    pub(crate) fn saved_len(&self) -> usize {
+        self.core.state.lock().saved.len()
     }
 }
 
@@ -190,28 +248,59 @@ mod tests {
         assert_eq!(b.read_unsynchronized(), 5);
     }
 
+    const OUTER: Stamp = Stamp { tx: 1, section: 1 };
+    const INNER: Stamp = Stamp { tx: 1, section: 2 };
+    const LATER: Stamp = Stamp { tx: 3, section: 3 };
+
     #[test]
-    fn stash_and_restore_round_trip() {
+    fn one_entry_per_section_and_restore_round_trip() {
         let c = TCell::new(1i64);
-        c.stash_and_set(2);
-        c.stash_and_set(3);
-        assert_eq!(c.read_unsynchronized(), 3);
-        c.core.restore_one();
-        assert_eq!(c.read_unsynchronized(), 2);
-        c.core.restore_one();
-        assert_eq!(c.read_unsynchronized(), 1);
-        // Empty stash: restore is a no-op, not a panic.
-        c.core.restore_one();
+        assert!(c.store(2, OUTER), "first write saves");
+        assert!(!c.store(3, OUTER), "repeat write does not");
+        assert!(c.store(4, INNER), "an inner section's first write saves again");
+        assert!(!c.store(5, INNER));
+        assert_eq!(c.saved_len(), 2);
+        c.core.restore_one(1);
+        assert_eq!(c.read_unsynchronized(), 3, "value at inner entry");
+        c.core.restore_one(1);
+        assert_eq!(c.read_unsynchronized(), 1, "value at outer entry");
+        // Nothing saved: restore is a no-op, not a panic.
+        c.core.restore_one(1);
         assert_eq!(c.read_unsynchronized(), 1);
     }
 
     #[test]
-    fn forget_retires_without_changing_value() {
+    fn stale_entries_are_dropped_by_the_next_first_write() {
         let c = TCell::new(1i64);
-        c.stash_and_set(2);
-        c.core.forget_one();
-        assert_eq!(c.read_unsynchronized(), 2);
-        assert_eq!(c.stash_len(), 0);
+        c.store(2, OUTER);
+        c.store(3, INNER);
+        // The transaction committed without visiting the cell; a later
+        // one finds its two entries and replaces them with its own.
+        assert!(c.store(4, LATER));
+        assert_eq!(c.saved_len(), 1);
+        c.core.restore_one(3);
+        assert_eq!(c.read_unsynchronized(), 3);
+        assert_eq!(c.saved_len(), 0);
+    }
+
+    #[test]
+    fn foreign_entries_are_not_restored() {
+        let c = TCell::new(1i64);
+        c.store(2, OUTER);
+        c.core.restore_one(3);
+        assert_eq!(c.read_unsynchronized(), 2, "another transaction's entry stays put");
+        assert_eq!(c.saved_len(), 1);
+    }
+
+    #[test]
+    fn plain_set_leaves_stale_entries_for_the_next_logged_write() {
+        let c = TCell::new(1i64);
+        c.store(2, OUTER);
+        c.set(7);
+        assert_eq!(c.saved_len(), 1);
+        assert!(c.store(8, LATER));
+        c.core.restore_one(3);
+        assert_eq!(c.read_unsynchronized(), 7, "the plain store's value, not the stale entry's");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * [`RevocableMonitor::enter`] runs a closure as a synchronized
 //!   section at a given [`Priority`];
 //! * shared data lives in [`TCell`]s, accessed through the [`Tx`] handle
-//!   — every write is *logged* (the paper's compiler-injected write
-//!   barrier) and every access is a *yield point* that polls for
+//!   — a section's first write to a cell is *logged* (the paper's
+//!   compiler-injected write barrier, which logs every store; a stamp
+//!   beside the saved value makes later writes by the same section plain
+//!   stores) and every access is a *yield point* that polls for
 //!   revocation;
 //! * when a higher-priority thread contends, the holder is preempted at
 //!   its next yield point: its updates are rolled back newest-first, the

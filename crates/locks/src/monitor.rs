@@ -668,8 +668,9 @@ impl<'a> MonRef<'a> {
         self.release_slow(ctx);
     }
 
-    /// Flush the attempt's locally-counted log entries into the shared
-    /// counter (once per attempt, off the write hot path).
+    /// Flush the attempt's locally-counted log entries (first writes)
+    /// into the shared counter (once per attempt, off the write hot
+    /// path).
     #[inline]
     fn flush_logged(self, tx: &Tx<'_>) {
         let n = tx.logged.get();
@@ -1036,8 +1037,8 @@ impl<'a> MonRef<'a> {
         obs::emit(self.id, EventKind::Rollback { entries, duration });
     }
 
-    /// Commit the section (retiring the undo entries if outermost) and
-    /// release one recursion level.
+    /// Commit the section (truncating the undo log if outermost — no
+    /// cell is visited) and release one recursion level.
     fn commit_and_release(self, ctx: &Arc<SectionCtx>) {
         // No commit counter here: `commits` is derived at snapshot time
         // (acquires − rollbacks), keeping the uncontended exit at zero
@@ -1071,7 +1072,8 @@ impl<'a> MonRef<'a> {
             let now = obs::now_ns();
             // Discarded time ≈ the rollback's own duration on this
             // runtime (sections carry no entry timestamp); undo entries
-            // are the primary waste measure.
+            // — distinct cells written per section, not stores — are the
+            // primary waste measure.
             let wasted = now.saturating_sub(t0.unwrap_or(now));
             let mut g = self.shared.governor.lock();
             let (cfg, gov) = &mut *g;

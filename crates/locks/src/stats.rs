@@ -44,7 +44,9 @@ revmon_core::define_counters! {
         revocations_requested,
         /// Sections of this monitor rolled back.
         rollbacks,
-        /// Undo entries restored by those rollbacks.
+        /// Undo entries restored by those rollbacks: one per cell per
+        /// section that wrote it (a cell is logged at a section's first
+        /// write to it), not one per store.
         entries_rolled_back,
         /// Sections committed. Derived at snapshot read points as
         /// `acquires − rollbacks` (exact at quiescence); the atomic itself
@@ -52,7 +54,9 @@ revmon_core::define_counters! {
         commits,
         /// Inversions left unresolved (holder non-revocable).
         inversions_unresolved,
-        /// Undo-log entries written (write-barrier slow paths).
+        /// Undo-log entries written: first writes, i.e. distinct cells per
+        /// section attempt. Repeat writes to a cell log nothing and are
+        /// not counted.
         log_entries,
         /// Sections marked non-revocable.
         nonrevocable_marks,

@@ -15,16 +15,26 @@
 //! `revmon_core::UndoLog` per thread (only the owning thread appends or
 //! drains it, so it is unsynchronized), whose backing buffer is reused
 //! across sections, holding inline typed entries — an `Arc` to the
-//! written cell, which stashes displaced old values in its own pooled
+//! written cell, which keeps the displaced old value in its own pooled
 //! buffer. `SectionCtx`s themselves are pooled per thread.
+//!
+//! A cell is logged **once per section** (see [`crate::cell`]): the
+//! thread's current [`Stamp`] — outermost and innermost live section —
+//! goes with every store, and the cell skips the save when its newest
+//! saved entry already carries it. So the log holds one entry per cell
+//! per section that wrote it, a rollback walks distinct cells rather
+//! than stores, and the outermost commit truncates the log without
+//! visiting a cell: what it leaves behind in the cells is recognised as
+//! stale by stamp at the next first write. The paper (§3.1.2) and
+//! `revmon-vm` log every store; this is `revmon-locks`' divergence.
 
-use crate::cell::{TCell, VolatileCell};
+use crate::cell::{Stamp, TCell, VolatileCell};
 use crate::signal::RollbackSignal;
 use parking_lot::Mutex;
 use revmon_core::{LogMark, UndoLog};
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 
@@ -36,8 +46,18 @@ use std::thread::Thread;
 /// written exclusively while the `Arc` is unique (fresh allocation or
 /// pool reuse through `Arc::get_mut`) and read-only once shared.
 pub(crate) struct SectionCtx {
-    /// Unique per-execution id (the paper's acquisition identity).
+    /// Unique per-execution id (the paper's acquisition identity),
+    /// nonzero and **never reused within the process**: cells keep it in
+    /// the [`Stamp`] of a saved value long after the section is gone, and
+    /// a recycled id would make a stale entry read as "already logged by
+    /// this section" — the rollback would then skip the cell. Hence a
+    /// 64-bit id space handed to threads in blocks ([`ID_BLOCK`]), not a
+    /// wrapping per-thread 32-bit counter.
     pub id: u64,
+    /// The thread's stamp before this section began — what
+    /// [`exit_section`] puts back. [`Stamp::NONE`] marks the outermost
+    /// section, the one whose commit retires the log.
+    pub enclosing: Stamp,
     /// Monitor this section synchronizes on.
     pub monitor_id: u64,
     /// Position of this thread's undo log at section entry; everything
@@ -74,23 +94,24 @@ impl SectionCtx {
     }
 }
 
-/// One undo-log entry: a handle to the cell whose old value was stashed.
+/// One undo-log entry: a handle to the cell whose old value was saved.
 ///
 /// Cloning the `Arc` is the whole write barrier's bookkeeping — no boxed
-/// closure, no allocation. Restoring pops the cell's newest stashed
-/// value; since both the log and each cell's stash are stacks filled in
-/// program order, draining the log newest-first pops every stash in
-/// exactly reverse write order.
+/// closure, no allocation. Restoring pops the cell's newest saved
+/// value; since both the log and each cell's saved entries are stacks
+/// filled in program order, draining the log newest-first pops every
+/// cell in exactly reverse first-write order.
 pub(crate) type UndoEntry = Arc<dyn UndoSink>;
 
-/// A store that can take back (or retire) its most recently stashed
-/// old value. Implemented by the cells.
+/// A store that can take back its most recently saved old value.
+/// Implemented by the cells.
 pub(crate) trait UndoSink: Send + Sync {
-    /// Pop the newest stashed old value back into the live value
-    /// (rollback, newest-first).
-    fn restore_one(&self);
-    /// Pop and drop the newest stashed old value (outermost commit).
-    fn forget_one(&self);
+    /// Pop the newest saved old value back into the live value
+    /// (rollback, newest-first) — if transaction `tx` saved it; a no-op
+    /// otherwise (nothing saved, or another transaction's entry: the
+    /// cell is guarded by two monitors, which is misuse but must stay
+    /// memory-safe and panic-free).
+    fn restore_one(&self, tx: u64);
 }
 
 // ---------------------------------------------------------------- threads
@@ -139,19 +160,34 @@ struct ThreadRt {
     /// The shared slot (registered in the global table).
     slot: Arc<ThreadSlot>,
     /// The undo log. Unsynchronized: only this thread appends (write
-    /// barrier) or drains (rollback / outermost commit); the backing
-    /// buffer is reused across sections.
+    /// barrier), drains (rollback) or truncates (outermost commit); the
+    /// backing buffer is reused across sections.
     undo: RefCell<UndoLog<UndoEntry>>,
     /// Recycled `SectionCtx` allocations.
     pool: RefCell<Vec<Arc<SectionCtx>>>,
-    /// Per-thread section-id counter (combined with the dense thread id
-    /// into process-unique ids without touching a shared atomic).
-    next_local: Cell<u32>,
-    /// Live (not-yet-exited) section count. Private to the thread, so
-    /// the exit path learns "was that the outermost?" from a plain cell
-    /// instead of locking the section stack.
-    depth: Cell<usize>,
+    /// Next section id of this thread's current block, and the block's
+    /// end (equal when the thread holds no ids).
+    next_id: Cell<u64>,
+    id_end: Cell<u64>,
+    /// Outermost and innermost live (not-yet-exited) section, the stamp
+    /// every logged store carries; [`Stamp::NONE`] outside any section.
+    /// Private to the thread, so the write barrier and the exit path
+    /// ("was that the outermost?") read a plain cell instead of locking
+    /// the section stack. Not taken from the `Tx` handle: an inner
+    /// closure may capture and write through an *outer* section's `Tx`,
+    /// and that store must still be undone by a rollback to the inner
+    /// mark.
+    stamp: Cell<Stamp>,
 }
+
+/// Section ids a thread takes from [`NEXT_ID_BLOCK`] at a time: the
+/// shared atomic is touched once per 2²⁰ sections, and 2⁶⁴ ids outlast
+/// any process.
+const ID_BLOCK: u64 = 1 << 20;
+
+/// First id of the next unclaimed block. Starts at 1: id 0 is
+/// [`Stamp::NONE`].
+static NEXT_ID_BLOCK: AtomicU64 = AtomicU64::new(1);
 
 impl ThreadRt {
     fn init() -> Self {
@@ -169,9 +205,23 @@ impl ThreadRt {
             slot,
             undo: RefCell::new(UndoLog::new()),
             pool: RefCell::new(Vec::new()),
-            next_local: Cell::new(0),
-            depth: Cell::new(0),
+            next_id: Cell::new(0),
+            id_end: Cell::new(0),
+            stamp: Cell::new(Stamp::NONE),
         }
+    }
+
+    /// A fresh section id (see [`SectionCtx::id`]).
+    #[inline]
+    fn fresh_id(&self) -> u64 {
+        let mut id = self.next_id.get();
+        if id == self.id_end.get() {
+            // Relaxed: the counter publishes nothing but itself.
+            id = NEXT_ID_BLOCK.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            self.id_end.set(id + ID_BLOCK);
+        }
+        self.next_id.set(id + 1);
+        id
     }
 }
 
@@ -200,9 +250,9 @@ pub(crate) fn my_dense() -> u32 {
 /// state.
 pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
     RT.with(|rt| {
-        let local = rt.next_local.get().wrapping_add(1);
-        rt.next_local.set(local);
-        let id = ((rt.slot.dense as u64) << 32) | local as u64;
+        let id = rt.fresh_id();
+        let enclosing = rt.stamp.get();
+        let tx = if enclosing == Stamp::NONE { id } else { enclosing.tx };
         let mark = rt.undo.borrow().mark();
         let mut pool = rt.pool.borrow_mut();
         let mut stack = rt.slot.sections.lock();
@@ -219,6 +269,7 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
         let recycled = pool.pop().map(|mut arc| {
             let c = Arc::get_mut(&mut arc).expect("pooled contexts are unique");
             c.id = id;
+            c.enclosing = enclosing;
             c.monitor_id = monitor_id;
             c.mark = mark;
             *c.revoke.get_mut() = false;
@@ -229,6 +280,7 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
         let ctx = recycled.unwrap_or_else(|| {
             Arc::new(SectionCtx {
                 id,
+                enclosing,
                 monitor_id,
                 mark,
                 revoke: AtomicBool::new(false),
@@ -237,7 +289,7 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
             })
         });
         stack.push(Arc::clone(&ctx));
-        rt.depth.set(rt.depth.get() + 1);
+        rt.stamp.set(Stamp { tx, section: id });
         ctx
     })
 }
@@ -245,13 +297,13 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
 /// Exit the innermost section without touching the section-stack lock:
 /// one `Release` store (ordered before the owner's exit CAS, so an
 /// inflater that observes the post-exit word also observes the flag) and
-/// a private depth decrement. Used by the rollback path and by
-/// fast-path CAS losers (`abandon`); the commit path goes through
-/// [`commit_top_section`].
+/// the thread's stamp set back to the enclosing section's. Used by the
+/// rollback path and by fast-path CAS losers (`abandon`); the commit
+/// path goes through [`commit_top_section`].
 #[inline]
 pub(crate) fn exit_section(ctx: &SectionCtx) {
     ctx.exited.store(true, Ordering::Release);
-    RT.with(|rt| rt.depth.set(rt.depth.get().saturating_sub(1)));
+    RT.with(|rt| rt.stamp.set(ctx.enclosing));
 }
 
 /// Abandon a just-begun section whose fast-path CAS lost its race. No
@@ -261,8 +313,10 @@ pub(crate) fn abandon_section(ctx: &SectionCtx) {
 }
 
 /// Commit the innermost section: mark it exited and — when it was this
-/// thread's outermost — retire its undo entries (drop each cell's
-/// stashed value, newest first). Nested commits leave the entries in the
+/// thread's outermost — retire its undo entries by truncating the log.
+/// No cell is visited: the saved values stay where they are, stamped
+/// with a transaction id no later section will carry, until each cell's
+/// next first write drops them. Nested commits leave the entries in the
 /// log: updates stay revocable until the *outermost* exit, exactly as
 /// the paper keeps the whole log until the outermost `monitorexit`.
 /// Returns whether this was the outermost section.
@@ -270,14 +324,10 @@ pub(crate) fn abandon_section(ctx: &SectionCtx) {
 pub(crate) fn commit_top_section(ctx: &SectionCtx) -> bool {
     ctx.exited.store(true, Ordering::Release);
     RT.with(|rt| {
-        let depth = rt.depth.get().saturating_sub(1);
-        rt.depth.set(depth);
-        let outermost = depth == 0;
+        rt.stamp.set(ctx.enclosing);
+        let outermost = ctx.enclosing == Stamp::NONE;
         if outermost {
-            // Reverse drain (not `commit_to`): each entry must release
-            // its cell's stashed old value, and newest-first keeps the
-            // stash pops aligned with the log entries.
-            rt.undo.borrow_mut().rollback_to(ctx.mark, |e| e.forget_one());
+            rt.undo.borrow_mut().commit_to(ctx.mark);
         }
         outermost
     })
@@ -285,26 +335,36 @@ pub(crate) fn commit_top_section(ctx: &SectionCtx) -> bool {
 
 /// Roll back the undo entries made since `ctx` was entered (its own and
 /// those of sections nested inside it), newest first. Returns how many
-/// entries were restored.
+/// entries were restored: one per cell per section that wrote it, not
+/// one per store. Call before [`exit_section`].
 pub(crate) fn rollback_section(ctx: &SectionCtx) -> usize {
     // Slow-path phase timer: the undo-log walk is the data-restoration
     // cost the paper's §3.1.2 step 1 pays on every revocation.
     let prof = revmon_obs::prof::timers();
     let t0 = prof.start(revmon_obs::Phase::UndoWalk);
     let n = RT.with(|rt| {
+        let tx = rt.stamp.get().tx;
         let mut log = rt.undo.borrow_mut();
         let n = log.len().saturating_sub(ctx.mark.position());
-        log.rollback_to(ctx.mark, |e| e.restore_one());
+        log.rollback_to(ctx.mark, |e| e.restore_one(tx));
         n
     });
     prof.finish(revmon_obs::Phase::UndoWalk, t0);
     n
 }
 
-/// Append one write-barrier entry to this thread's undo log.
+/// The logging write barrier: store `v` under this thread's current
+/// stamp and, when that was the section's first write to the cell,
+/// append the cell to the undo log. Returns whether it logged.
 #[inline]
-pub(crate) fn log_write(entry: UndoEntry) {
-    RT.with(|rt| rt.undo.borrow_mut().push(entry));
+pub(crate) fn logged_store<T: Clone + Send + 'static>(cell: &TCell<T>, v: T) -> bool {
+    RT.with(|rt| {
+        let first = cell.store(v, rt.stamp.get());
+        if first {
+            rt.undo.borrow_mut().push(cell.undo_entry());
+        }
+        first
+    })
 }
 
 // ------------------------------------------------------------ yield points
@@ -384,16 +444,16 @@ pub struct Tx<'m> {
     /// `Copy` view of the monitor this section holds (standalone or
     /// arena slot — the protocol is identical).
     pub(crate) mon: crate::monitor::MonRef<'m>,
-    /// Writes logged through this handle during one attempt of the
-    /// section; flushed into the monitor's `log_entries` counter when
-    /// the attempt ends, keeping the shared stats atomic off the write
-    /// hot path.
+    /// First writes logged through this handle during one attempt of
+    /// the section (repeat writes to a cell log nothing); flushed into
+    /// the monitor's `log_entries` counter when the attempt ends,
+    /// keeping the shared stats atomic off the write hot path.
     pub(crate) logged: Cell<u64>,
     /// Whether writes go through the undo barrier. `false` under
     /// policies that never roll a section back
     /// (`InversionPolicy::needs_logging() == false` — blocking,
     /// inheritance, ceiling, **delegation**): the monitor pins such
-    /// sections non-revocable at creation, so skipping the stash+log is
+    /// sections non-revocable at creation, so skipping the save+log is
     /// sound and the write barrier disappears entirely.
     pub(crate) logging: bool,
 }
@@ -405,25 +465,26 @@ impl Tx<'_> {
         cell.get()
     }
 
-    /// Write a cell, logging the old value for rollback. A yield point.
+    /// Write a cell, logging the old value for rollback if this is the
+    /// section's first write to it. A yield point.
     pub fn write<T: Clone + Send + 'static>(&self, cell: &TCell<T>, v: T) {
         poll_revocation();
         self.write_logged(cell, v);
     }
 
     /// The write barrier without the yield point (shared by
-    /// `write`/`update`): stash the old value in the cell, log the cell,
-    /// count the entry locally. Zero heap allocations in steady state.
+    /// `write`/`update`): on the section's first write to the cell, save
+    /// the old value in the cell, log the cell and count the entry
+    /// locally; on a repeat write, just store. Zero heap allocations in
+    /// steady state.
     fn write_logged<T: Clone + Send + 'static>(&self, cell: &TCell<T>, v: T) {
         if !self.logging {
-            // Non-rollback policy: plain store, no stash, no log entry
-            // (the section was pinned non-revocable at creation).
+            // Non-rollback policy: plain store, nothing saved, no log
+            // entry (the section was pinned non-revocable at creation).
             cell.set(v);
-            return;
+        } else if logged_store(cell, v) {
+            self.logged.set(self.logged.get() + 1);
         }
-        cell.stash_and_set(v);
-        log_write(cell.undo_entry());
-        self.logged.set(self.logged.get() + 1);
     }
 
     /// Update a cell in place (read-modify-write). A yield point — one
@@ -509,7 +570,7 @@ mod tests {
     fn reset_thread() {
         RT.with(|rt| {
             rt.slot.sections.lock().clear();
-            rt.depth.set(0);
+            rt.stamp.set(Stamp::NONE);
             rt.undo.borrow_mut().clear();
         });
     }
@@ -524,13 +585,10 @@ mod tests {
         let a = TCell::new(1i64);
         let b = TCell::new(2i64);
         let ctx = begin_section(1);
-        a.stash_and_set(10);
-        log_write(a.undo_entry());
-        b.stash_and_set(20);
-        log_write(b.undo_entry());
-        a.stash_and_set(100);
-        log_write(a.undo_entry());
-        assert_eq!(rollback_section(&ctx), 3);
+        assert!(logged_store(&a, 10));
+        assert!(logged_store(&b, 20));
+        assert!(!logged_store(&a, 100), "a repeat write logs nothing");
+        assert_eq!(rollback_section(&ctx), 2, "one entry per cell, not per store");
         assert_eq!(a.read_unsynchronized(), 1);
         assert_eq!(b.read_unsynchronized(), 2);
         assert_eq!(rollback_section(&ctx), 0, "log emptied");
@@ -542,11 +600,9 @@ mod tests {
         reset_thread();
         let c = TCell::new(0i64);
         let outer = begin_section(1);
-        c.stash_and_set(1);
-        log_write(c.undo_entry());
+        logged_store(&c, 1);
         let inner = begin_section(2);
-        c.stash_and_set(2);
-        log_write(c.undo_entry());
+        assert!(logged_store(&c, 2), "the inner section logs the cell again");
         // Inner commit: not outermost, entries stay revocable.
         assert!(!commit_top_section(&inner));
         assert_eq!(log_len(), 2);
@@ -557,17 +613,75 @@ mod tests {
     }
 
     #[test]
+    fn inner_rollback_restores_the_value_at_inner_entry() {
+        reset_thread();
+        let c = TCell::new(0i64);
+        let outer = begin_section(1);
+        logged_store(&c, 1);
+        let inner = begin_section(2);
+        logged_store(&c, 2);
+        logged_store(&c, 3);
+        assert_eq!(rollback_section(&inner), 1);
+        exit_section(&inner);
+        assert_eq!(c.read_unsynchronized(), 1, "the outer section's write survives");
+        assert!(!logged_store(&c, 4), "and the outer section's entry is still the newest");
+        assert_eq!(rollback_section(&outer), 1);
+        assert_eq!(c.read_unsynchronized(), 0);
+        abandon_section(&outer);
+    }
+
+    #[test]
     fn outermost_commit_retires_entries() {
         reset_thread();
         let c = TCell::new(0i64);
         let ctx = begin_section(1);
-        c.stash_and_set(5);
-        log_write(c.undo_entry());
+        logged_store(&c, 5);
         assert!(commit_top_section(&ctx));
         assert_eq!(log_len(), 0);
         assert_eq!(c.read_unsynchronized(), 5, "committed value stands");
-        // The stash was retired: a later rollback has nothing to restore.
-        assert_eq!(c.stash_len(), 0);
+        // The saved 0 is still in the cell, stale; the next section's
+        // first write replaces it and a rollback restores 5, not 0.
+        assert_eq!(c.saved_len(), 1);
+        let next = begin_section(1);
+        assert!(logged_store(&c, 6));
+        assert_eq!(c.saved_len(), 1);
+        assert_eq!(rollback_section(&next), 1);
+        assert_eq!(c.read_unsynchronized(), 5);
+        abandon_section(&next);
+    }
+
+    #[test]
+    fn the_stamp_follows_the_innermost_live_section() {
+        reset_thread();
+        let stamp = || RT.with(|rt| rt.stamp.get());
+        assert_eq!(stamp(), Stamp::NONE);
+        let outer = begin_section(1);
+        assert_eq!(stamp(), Stamp { tx: outer.id, section: outer.id });
+        let inner = begin_section(2);
+        assert_eq!(stamp(), Stamp { tx: outer.id, section: inner.id });
+        assert!(!commit_top_section(&inner));
+        assert_eq!(stamp(), Stamp { tx: outer.id, section: outer.id });
+        assert!(commit_top_section(&outer));
+        assert_eq!(stamp(), Stamp::NONE);
+    }
+
+    #[test]
+    fn section_ids_cross_block_boundaries_without_repeating() {
+        reset_thread();
+        // Leave this thread one id short of its block's end.
+        let last = RT.with(|rt| {
+            rt.fresh_id();
+            let last = rt.id_end.get() - 1;
+            rt.next_id.set(last);
+            last
+        });
+        let a = begin_section(1);
+        abandon_section(&a);
+        let b = begin_section(1);
+        abandon_section(&b);
+        assert_eq!(a.id, last);
+        assert!(b.id != 0 && b.id != a.id);
+        assert_eq!(b.id % ID_BLOCK, 1, "a fresh block, claimed from the shared counter");
     }
 
     #[test]

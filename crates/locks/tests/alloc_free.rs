@@ -1,12 +1,13 @@
 //! Steady-state allocation test: after one warmup pass has populated the
-//! per-thread pools (section contexts, undo-log buffer, cell stashes),
-//! the uncontended enter → logged-write → commit cycle must perform
-//! **zero heap allocations** — the tentpole claim of the hot-path
-//! overhaul. A counting `#[global_allocator]` proves it.
+//! per-thread pools (section contexts, undo-log buffer, the cells'
+//! saved-value buffers), the uncontended enter → logged-write → commit
+//! cycle must perform **zero heap allocations** — the tentpole claim of
+//! the hot-path overhaul. A counting `#[global_allocator]` proves it.
 //!
 //! The same file also checks the pooled rollback end to end: a revoked
-//! section's writes (including repeated writes to one cell) are restored
-//! newest-first, so the retry observes exactly the pre-section values.
+//! section's writes (including repeated writes to one cell, which are
+//! logged once) are undone, so the retry observes exactly the
+//! pre-section values.
 //!
 //! Kept as a single `#[test]` on purpose: the allocation counter is
 //! process-global, and a sibling test running on another harness thread
@@ -62,8 +63,8 @@ fn steady_state_makes_no_allocations() {
             });
         });
     };
-    // Warmup: grows the undo log, the cells' stash buffers, and the
-    // section-context pool to their steady-state capacity.
+    // Warmup: grows the undo log, the cells' saved-value buffers, and
+    // the section-context pool to their steady-state capacity.
     for i in 0..16 {
         workload(i);
     }
@@ -92,9 +93,10 @@ fn rollback_restores_pre_section_values_newest_first() {
             m.enter(Priority::LOW, |tx| {
                 attempt += 1;
                 if attempt > 1 {
-                    // The rollback drained a's stash [1, 10] newest-first
-                    // (30 → 10 → 1) and b's [2]; any ordering bug leaves
-                    // a at 10 or 30 here.
+                    // The rollback put back a's one saved value (the 1
+                    // displaced by the first write; the write of 30
+                    // saved nothing) and b's 2; a stamp bug leaves a at
+                    // 10 or 30 here.
                     seen_on_retry = Some((tx.read(&a), tx.read(&b)));
                     return;
                 }
@@ -116,7 +118,11 @@ fn rollback_restores_pre_section_values_newest_first() {
     assert_eq!(low.join().unwrap(), Some((1, 2)), "the retry starts from restored state");
     let st = m.stats();
     assert_eq!(st.rollbacks, 1);
-    assert_eq!(st.entries_rolled_back, 3, "three logged writes, three restores");
+    assert_eq!(
+        st.entries_rolled_back, 2,
+        "three writes to two cells: a cell is logged once per section (its first write), \
+         so the rollback restores two entries, not three"
+    );
 }
 
 #[test]

@@ -1,0 +1,372 @@
+//! First-write-only logging against log-everything.
+//!
+//! `revmon-locks` saves a cell's old value once per section (the stamp
+//! beside the saved value decides; see `cell.rs`), where the paper and
+//! the VM log every store. Whether that loses anything is a question
+//! about nested marks, retries and stale entries, so it is put to a
+//! reference model that *does* save every store: random single-thread
+//! programs — write, enter an inner section, commit it, roll one of the
+//! open sections back and retry it — run on the real monitors and on the
+//! model, and the four cells must agree after every step. The cases the
+//! stamp can get wrong are spelled out below as named tests.
+//!
+//! A section is rolled back the only way the public API allows: a
+//! `HIGH` thread contends for its monitor (one monitor per nesting
+//! level) while the program's `LOW` thread spins at a yield point. The
+//! contender never touches a cell, so the unsynchronized reads the
+//! comparison uses are race-free.
+
+use proptest::prelude::*;
+use revmon_core::{InversionPolicy, Priority};
+use revmon_locks::{RevocableMonitor, TCell, Tx};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+use std::thread::{self, Scope};
+use std::time::{Duration, Instant};
+
+const CELLS: usize = 4;
+const MAX_DEPTH: usize = 3;
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Store into the innermost open section, through the `Tx` handle of
+    /// the section `via % depth` levels out from it — an inner closure
+    /// may write through a captured outer handle, and that store still
+    /// belongs to the inner section. Skipped outside any section.
+    Write { cell: usize, value: i64, via: usize },
+    /// Enter a section one level deeper (skipped at `MAX_DEPTH`).
+    Enter,
+    /// Leave the innermost section normally.
+    Commit,
+    /// Revoke open section `level % depth` (0 = outermost): it and
+    /// everything nested in it roll back, and it retries from the next
+    /// op. Skipped outside any section.
+    RollBack { level: usize },
+}
+
+/// The reference: an undo log with one entry per store.
+#[derive(Default)]
+struct Model {
+    values: [i64; CELLS],
+    log: Vec<(usize, i64)>,
+    /// Log position at entry of each open section, outermost first.
+    marks: Vec<usize>,
+}
+
+impl Model {
+    fn write(&mut self, cell: usize, value: i64) {
+        self.log.push((cell, self.values[cell]));
+        self.values[cell] = value;
+    }
+
+    fn commit(&mut self) {
+        self.marks.pop();
+        if self.marks.is_empty() {
+            self.log.clear();
+        }
+    }
+
+    /// Roll open section `level` back; it stays open (the retry).
+    fn roll_back(&mut self, level: usize) {
+        while self.log.len() > self.marks[level] {
+            let (cell, old) = self.log.pop().expect("above the mark");
+            self.values[cell] = old;
+        }
+        self.marks.truncate(level + 1);
+    }
+}
+
+/// Have a `HIGH` thread contend for `monitor`, then spin at `tx`'s yield
+/// points until the revocation unwinds the caller.
+fn be_revoked<'s>(scope: &'s Scope<'s, '_>, monitor: &'s RevocableMonitor, tx: &Tx<'_>) -> ! {
+    scope.spawn(move || monitor.enter(Priority::HIGH, |_| {}));
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_secs(20) {
+        tx.checkpoint();
+    }
+    panic!("the contender never revoked this section");
+}
+
+/// One program run: the real cells and monitors beside the model.
+struct Run<'p> {
+    ops: &'p [Op],
+    pc: Cell<usize>,
+    model: RefCell<Model>,
+    cells: Vec<TCell<i64>>,
+    /// One monitor per nesting level.
+    monitors: Vec<RevocableMonitor>,
+}
+
+impl<'p> Run<'p> {
+    fn new(ops: &'p [Op]) -> Self {
+        Run {
+            ops,
+            pc: Cell::new(0),
+            model: RefCell::default(),
+            cells: (0..CELLS).map(|_| TCell::new(0)).collect(),
+            monitors: (0..MAX_DEPTH).map(|_| RevocableMonitor::new()).collect(),
+        }
+    }
+
+    fn next_op(&self) -> Option<Op> {
+        let pc = self.pc.get();
+        self.pc.set(pc + 1);
+        self.ops.get(pc).copied()
+    }
+
+    fn values(&self) -> [i64; CELLS] {
+        std::array::from_fn(|i| self.cells[i].read_unsynchronized())
+    }
+
+    /// The step just taken left the cells where the model says.
+    fn agree(&self) {
+        assert_eq!(
+            self.values(),
+            self.model.borrow().values,
+            "cells (left) and log-everything model (right) differ after op {} of {:?}",
+            self.pc.get(),
+            self.ops
+        );
+    }
+
+    /// Run a section nested inside the open sections whose handles are
+    /// `outer`, until its `Commit` (or the end of the program).
+    fn section<'s>(&'s self, scope: &'s Scope<'s, '_>, outer: &[&Tx<'_>]) {
+        self.monitors[outer.len()].enter(Priority::LOW, |tx| {
+            // First entry, or the retry after a rollback to this level.
+            self.agree();
+            let mut open: Vec<&Tx<'_>> = outer.to_vec();
+            open.push(tx);
+            while let Some(op) = self.next_op() {
+                match op {
+                    Op::Write { cell, value, via } => {
+                        open[open.len() - 1 - via % open.len()].write(&self.cells[cell], value);
+                        self.model.borrow_mut().write(cell, value);
+                    }
+                    Op::Enter if open.len() < MAX_DEPTH => {
+                        let mark = self.model.borrow().log.len();
+                        self.model.borrow_mut().marks.push(mark);
+                        self.section(scope, &open);
+                    }
+                    Op::Enter => {}
+                    Op::Commit => break,
+                    Op::RollBack { level } => {
+                        let level = level % open.len();
+                        self.model.borrow_mut().roll_back(level);
+                        be_revoked(scope, &self.monitors[level], tx);
+                    }
+                }
+                self.agree();
+            }
+            self.model.borrow_mut().commit();
+        });
+        self.agree();
+    }
+
+    /// Run the whole program; returns the cells' final values.
+    fn run(&self) -> [i64; CELLS] {
+        thread::scope(|scope| {
+            while let Some(op) = self.next_op() {
+                if let Op::Enter = op {
+                    self.model.borrow_mut().marks.push(0);
+                    self.section(scope, &[]);
+                }
+            }
+        });
+        self.agree();
+        self.values()
+    }
+}
+
+fn run(ops: &[Op]) -> [i64; CELLS] {
+    Run::new(ops).run()
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (0..CELLS, 1i64..1000, 0..MAX_DEPTH)
+            .prop_map(|(cell, value, via)| Op::Write { cell, value, via }),
+        2 => Just(Op::Enter),
+        2 => Just(Op::Commit),
+        1 => (0..MAX_DEPTH).prop_map(|level| Op::RollBack { level }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn random_programs_agree_with_log_everything(
+        ops in proptest::collection::vec(op(), 1..60),
+    ) {
+        run(&ops);
+    }
+}
+
+// ------------------------------------------------- the cases by name
+
+fn w(cell: usize, value: i64) -> Op {
+    Op::Write { cell, value, via: 0 }
+}
+
+/// The inner section's first write to a cell the outer one already
+/// logged must be saved again: rolling the inner section back restores
+/// the value at *inner* entry. (A stamp compared by transaction alone
+/// skips that save and leaves 3.)
+#[test]
+fn outer_writes_then_inner_writes_then_inner_rolls_back() {
+    use Op::*;
+    let end =
+        run(&[Enter, w(0, 1), Enter, w(0, 2), w(0, 3), RollBack { level: 1 }, Commit, Commit]);
+    assert_eq!(end[0], 1, "the outer section's write, not the inner one's and not the initial 0");
+}
+
+/// The same through a captured outer handle: the store is the inner
+/// section's whichever `Tx` it goes through.
+#[test]
+fn inner_write_through_the_outer_handle_rolls_back_with_the_inner_section() {
+    use Op::*;
+    let inner_via_outer = Write { cell: 0, value: 2, via: 1 };
+    let end = run(&[Enter, w(0, 1), Enter, inner_via_outer, RollBack { level: 1 }, Commit, Commit]);
+    assert_eq!(end[0], 1);
+}
+
+/// A committed inner section's entry is this transaction's, not stale:
+/// the outer section's next write must be saved *above* it, not over it,
+/// or the outer rollback restores the inner section's 2.
+#[test]
+fn inner_commits_then_outer_rewrites_then_outer_rolls_back() {
+    use Op::*;
+    let end = run(&[Enter, Enter, w(0, 2), Commit, w(0, 3), RollBack { level: 0 }, Commit]);
+    assert_eq!(end[0], 0, "everything the transaction wrote is undone");
+}
+
+/// A retry is a new section with a new stamp: its first writes are
+/// logged again, so a second rollback undoes them too.
+#[test]
+fn rollback_then_retry_writes_the_same_cells() {
+    use Op::*;
+    let end = run(&[
+        Enter,
+        w(0, 1),
+        w(1, 2),
+        RollBack { level: 0 },
+        w(0, 3),
+        w(1, 4),
+        RollBack { level: 0 },
+        w(0, 5),
+        Commit,
+    ]);
+    assert_eq!(end[..2], [5, 0]);
+}
+
+/// What thread A's committed section left in the cell is stale to thread
+/// B: B's first write replaces it, and B's rollback restores A's
+/// committed value — not A's saved one, and not nothing.
+#[test]
+fn committed_by_one_thread_then_first_written_by_another() {
+    let m = RevocableMonitor::new();
+    let c = TCell::new(0i64);
+    thread::scope(|scope| {
+        scope.spawn(|| m.enter(Priority::LOW, |tx| tx.write(&c, 1))).join().unwrap();
+        let mut attempts = 0;
+        let seen = m.enter(Priority::LOW, |tx| {
+            attempts += 1;
+            if attempts == 1 {
+                tx.write(&c, 2);
+                be_revoked(scope, &m, tx);
+            }
+            tx.read(&c)
+        });
+        assert_eq!(seen, 1);
+    });
+    assert_eq!(m.stats().rollbacks, 1);
+}
+
+/// A policy that never rolls back stores without saving, over whatever
+/// an earlier section left behind; the next logged write must treat that
+/// leftover as stale and save the plainly-stored value.
+#[test]
+fn plain_store_over_a_stale_entry() {
+    let revoking = RevocableMonitor::new();
+    let blocking = RevocableMonitor::with_policy(InversionPolicy::Blocking);
+    let c = TCell::new(0i64);
+    revoking.enter(Priority::LOW, |tx| tx.write(&c, 1));
+    blocking.enter(Priority::LOW, |tx| tx.write(&c, 7));
+    assert_eq!(blocking.stats().log_entries, 0);
+    thread::scope(|scope| {
+        let mut attempts = 0;
+        let seen = revoking.enter(Priority::LOW, |tx| {
+            attempts += 1;
+            if attempts == 1 {
+                tx.write(&c, 8);
+                be_revoked(scope, &revoking, tx);
+            }
+            tx.read(&c)
+        });
+        assert_eq!(seen, 7);
+    });
+}
+
+// ---------------------------------------------------- deferred drop
+
+/// A value that counts its live instances.
+struct Counted(Arc<AtomicIsize>);
+
+impl Counted {
+    fn new(live: &Arc<AtomicIsize>) -> Self {
+        live.fetch_add(1, Ordering::Relaxed);
+        Counted(Arc::clone(live))
+    }
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        Counted::new(&self.0)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A commit visits no cell, so the value a section's first write
+/// displaced outlives the commit — until the cell's next first write or
+/// the cell's drop, one per nesting level that wrote it, never leaked.
+#[test]
+fn a_committed_sections_saved_value_is_dropped_by_the_next_first_write_or_with_the_cell() {
+    let live = Arc::new(AtomicIsize::new(0));
+    let count = || live.load(Ordering::Relaxed);
+    let (outer, inner) = (RevocableMonitor::new(), RevocableMonitor::new());
+    let c = TCell::new(Counted::new(&live));
+    assert_eq!(count(), 1);
+
+    outer.enter(Priority::NORM, |tx| {
+        tx.write(&c, Counted::new(&live));
+        assert_eq!(count(), 2, "the value and the one saved for rollback");
+        tx.write(&c, Counted::new(&live));
+        assert_eq!(count(), 2, "a repeat write saves nothing and drops what it displaced");
+    });
+    assert_eq!(count(), 2, "the commit retains the saved value");
+
+    outer.enter(Priority::NORM, |tx| {
+        tx.write(&c, Counted::new(&live));
+        assert_eq!(count(), 2, "the next first write drops it and saves its own");
+        inner.enter(Priority::NORM, |tx2| {
+            tx2.write(&c, Counted::new(&live));
+            assert_eq!(count(), 3, "one more per nesting level that wrote the cell");
+        });
+        tx.write(&c, Counted::new(&live));
+        assert_eq!(count(), 4, "the outer section writing again after the inner one committed");
+    });
+    assert_eq!(count(), 4);
+
+    outer.enter(Priority::NORM, |tx| tx.write(&c, Counted::new(&live)));
+    assert_eq!(count(), 2, "all of the committed transaction's entries go at once");
+
+    drop(c);
+    assert_eq!(count(), 0, "nothing outlives the cell");
+}

@@ -6,7 +6,23 @@ use revmon_locks::{RevocableMonitor, TCell, VolatileCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Keep the calling section open, running `step` (the section's yield
+/// points), until `arrived()` — the caller's evidence that its contender
+/// has reached the monitor. A section that must be caught mid-flight
+/// waits to *see* the contender rather than looping "long enough": how
+/// long a loop of writes lasts is a property of the build (repeat writes
+/// to one cell stopped being logged and got several times cheaper), not
+/// of the protocol. Bounded at 20 s, so a broken protocol fails the
+/// caller's assertions instead of hanging; `|| false` holds until the
+/// section is unwound from inside `step`.
+fn hold_section_until(arrived: impl Fn() -> bool, mut step: impl FnMut()) {
+    let t0 = Instant::now();
+    while !arrived() && t0.elapsed() < Duration::from_secs(20) {
+        step();
+    }
+}
 
 /// Low-priority thread holds the monitor doing a long update loop; a
 /// high-priority thread arrives and must preempt it.
@@ -28,16 +44,14 @@ fn high_priority_contender_revokes_low_holder() {
                 attempt += 1;
                 tx.write(&cell, 1);
                 if attempt == 1 {
-                    entered.wait(); // let the high thread know we hold it
-                }
-                // long in-section loop with yield points; runs until the
-                // high-priority thread preempts us (first execution) or
-                // to completion (retry)
-                for i in 0..2_000_000i64 {
-                    tx.update(&cell, |v| v + 1);
-                    if i % 1024 == 0 && hi_done.load(Ordering::Relaxed) {
-                        break; // retry execution: stop early, we proved it
-                    }
+                    // Let the high thread know we hold it, then loop over
+                    // yield points: left only by that thread preempting
+                    // us out of an `update` (the retry skips the loop).
+                    entered.wait();
+                    hold_section_until(
+                        || hi_done.load(Ordering::Relaxed),
+                        || tx.update(&cell, |v| v + 1),
+                    );
                 }
             });
         })
@@ -146,14 +160,23 @@ fn volatile_write_pins_section() {
         let flag = flag.clone();
         let entered = Arc::clone(&entered);
         thread::spawn(move || {
+            let mut updates = 0i64;
             m.enter(Priority::LOW, |tx| {
                 tx.write_volatile(&flag, 1); // publishes → non-revocable
                 assert!(!tx.is_revocable());
                 entered.wait();
-                for _ in 0..50_000i64 {
-                    tx.update(&cell, |v| v + 1);
-                }
+                // Stay pinned until the contender has arrived and been
+                // refused (this used to be 50 000 updates, which outlast
+                // a thread spawn only when every one of them is logged).
+                hold_section_until(
+                    || m.stats().inversions_unresolved >= 1,
+                    || {
+                        tx.update(&cell, |v| v + 1);
+                        updates += 1;
+                    },
+                );
             });
+            updates
         })
     };
     entered.wait();
@@ -164,9 +187,9 @@ fn volatile_write_pins_section() {
         thread::spawn(move || m.enter(Priority::HIGH, |tx| tx.read(&cell)))
     };
     let seen = hi.join().unwrap();
-    low.join().unwrap();
+    let updates = low.join().unwrap();
     // The high thread entered only after the low section *completed*.
-    assert_eq!(seen, 50_000);
+    assert_eq!(seen, updates);
     assert_eq!(m.stats().rollbacks, 0);
     assert!(m.stats().nonrevocable_marks >= 1);
     assert!(m.stats().inversions_unresolved >= 1);
@@ -190,9 +213,9 @@ fn irrevocable_effects_happen_once() {
                 tx.irrevocable();
                 effects.fetch_add(1, Ordering::Relaxed); // "println"
                 entered.wait();
-                for _ in 0..20_000i64 {
-                    tx.update(&cell, |v| v + 1);
-                }
+                // Hold until the contender is queued behind us, so it
+                // really is an irrevocable section that it meets.
+                hold_section_until(|| m.stats().contended >= 1, || tx.update(&cell, |v| v + 1));
             });
         })
     };
@@ -233,10 +256,7 @@ fn nested_sections_roll_back_together() {
                 });
                 if attempt == 0 {
                     entered.wait(); // signal: first attempt is mid-section
-                    for _ in 0..1_000_000i64 {
-                        tx.checkpoint();
-                        std::hint::spin_loop();
-                    }
+                    hold_section_until(|| false, || tx.checkpoint());
                 }
             });
         })
