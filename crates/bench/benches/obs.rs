@@ -9,9 +9,11 @@
 //! interleaved off/on pairs ([`Paired`]) and go to
 //! `bench_results/BENCH_obs.json`:
 //!
-//! 1. **Phase timers** — uncontended `enter_exit` and `logged_write` on
-//!    one thread with the revocation phase timers (`revmon_obs::prof`)
-//!    force-disabled vs. enabled. Neither path *calls* the timers (they
+//! 1. **Phase timers** — uncontended `enter_exit` and `logged_write`
+//!    (one cell written repeatedly inside one section: the barrier's
+//!    repeat-write path) on one thread with the revocation phase timers
+//!    (`revmon_obs::prof`) force-disabled vs. enabled. Neither path
+//!    *calls* the timers (they
 //!    fire on the revocation slow path only), so this guards against
 //!    instrumentation creeping into the fast path.
 //! 2. **Event tracing** — N threads (1/4/16/32) each run uncontended
@@ -49,8 +51,14 @@ const OVERHEAD_BUDGET: f64 = 1.10;
 /// Logged writes per monitor section in the tracing workload. Sized so
 /// one section is a few microseconds of real work — the shape of the
 /// paper's long aggregator sections — against which the section's three
-/// telemetry events (Acquire/Commit/Release) must stay cheap.
-const SECTION_WRITES: usize = 128;
+/// telemetry events (Acquire/Commit/Release) must stay cheap. Each goes
+/// to a cell of its own: `revmon-locks` logs a cell once per section, so
+/// N writes to one cell would be one logged write and N − 1 plain
+/// stores. The count is sized in time: the budget was set against a
+/// ≈ 3.3 µs section (128 writes when every store was logged and the
+/// commit visited each entry); a first write is cheaper now, and 192 of
+/// them are the same ≈ 3.3 µs for the same three events.
+const SECTION_WRITES: usize = 192;
 
 /// The two fast paths with the phase timers off vs. on. Leaves the
 /// timers enabled (the library default).
@@ -70,7 +78,7 @@ fn phase_timer_rows(samples: usize, iters: u64) -> Vec<(&'static str, Paired)> {
 }
 
 /// One timed workload run: `threads` threads, each with its own
-/// (uncontended) monitor and cell, running `sections` sections of
+/// (uncontended) monitor and cells, running `sections` sections of
 /// [`SECTION_WRITES`] logged writes. Returns ns per section.
 fn workload_ns_per_section(threads: usize, sections: u64) -> f64 {
     let start = Arc::new(Barrier::new(threads + 1));
@@ -79,21 +87,24 @@ fn workload_ns_per_section(threads: usize, sections: u64) -> f64 {
             let start = Arc::clone(&start);
             thread::spawn(move || {
                 let m = RevocableMonitor::new();
-                let cell = TCell::new(0i64);
+                let cells: Vec<TCell<i64>> = (0..SECTION_WRITES).map(|_| TCell::new(0)).collect();
+                let section = || {
+                    m.enter(Priority::NORM, |tx| {
+                        for cell in &cells {
+                            tx.write(cell, black_box(7i64));
+                        }
+                    })
+                };
                 // One warm section before the barrier: with tracing on,
                 // a thread's first event registers its ring (a ~half-MB
                 // zeroed allocation) — setup cost, not the steady-state
                 // per-event cost the gate is about. Symmetric on the
                 // tracing-off side.
-                m.enter(Priority::NORM, |tx| tx.write(&cell, black_box(7i64)));
+                section();
                 start.wait(); // everyone warmed; main takes the clock
                 start.wait(); // clock running: go
                 for _ in 0..sections {
-                    m.enter(Priority::NORM, |tx| {
-                        for _ in 0..SECTION_WRITES {
-                            tx.write(&cell, black_box(7i64));
-                        }
-                    });
+                    section();
                 }
             })
         })

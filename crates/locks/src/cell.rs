@@ -12,7 +12,7 @@
 //! Storage is a single small mutex around the live value *and* the old
 //! values a rollback would put back. The write barrier logs a cell
 //! **once per section**, not once per store: each saved old value
-//! carries a [`Stamp`] — the ids of the writing thread's outermost and
+//! carries a `Stamp` — the ids of the writing thread's outermost and
 //! innermost live sections — and a store whose stamp matches the newest
 //! saved entry only swaps the value in. That is a deliberate divergence
 //! from the paper (§3.1.2 logs every store, and so does `revmon-vm`): a
@@ -70,11 +70,12 @@ struct Saved<T> {
     old: T,
 }
 
-/// Live value plus the saved old values (oldest first), at most one per
-/// section that wrote the cell. All entries belong to one transaction:
-/// a first write that finds another transaction's entry on top drops
-/// them all. The buffer's capacity is the pool that makes logged writes
-/// allocation-free.
+/// Live value plus the saved old values (oldest first): one per run of
+/// writes by one section (a section that writes the cell again after a
+/// nested one wrote it saves again). All entries belong to one
+/// transaction: a first write that finds another transaction's entry on
+/// top drops them all. The buffer's capacity is the pool that makes
+/// logged writes allocation-free.
 pub(crate) struct CellState<T> {
     pub(crate) value: T,
     saved: Vec<Saved<T>>,
@@ -106,9 +107,10 @@ impl<T: Send> UndoSink for CellCore<T> {
 /// **Deferred drop.** The value a section's first write displaced is
 /// kept for rollback, and a commit visits no cell — so after the commit
 /// that value stays in the cell until the cell's next logged first write
-/// (which drops it) or until the cell itself is dropped: at most one
-/// retained `T` per nesting level that wrote the cell, never leaked. For
-/// a large `T` (e.g. [`BoundedQueue`](crate::collections::BoundedQueue)'s
+/// (which drops it) or until the cell itself is dropped: one retained
+/// `T` per section of the committed transaction that logged the cell,
+/// never leaked. For a large `T` (e.g.
+/// [`BoundedQueue`](crate::collections::BoundedQueue)'s
 /// `TCell<VecDeque<T>>`) that is one extra copy held between sections.
 pub struct TCell<T> {
     pub(crate) core: Arc<CellCore<T>>,

@@ -19,7 +19,7 @@
 //! buffer. `SectionCtx`s themselves are pooled per thread.
 //!
 //! A cell is logged **once per section** (see [`crate::cell`]): the
-//! thread's current [`Stamp`] — outermost and innermost live section —
+//! thread's current `Stamp` — outermost and innermost live section —
 //! goes with every store, and the cell skips the save when its newest
 //! saved entry already carries it. So the log holds one entry per cell
 //! per section that wrote it, a rollback walks distinct cells rather
