@@ -54,10 +54,8 @@ const OVERHEAD_BUDGET: f64 = 1.10;
 /// telemetry events (Acquire/Commit/Release) must stay cheap. Each goes
 /// to a cell of its own: `revmon-locks` logs a cell once per section, so
 /// N writes to one cell would be one logged write and N − 1 plain
-/// stores. The count is sized in time: the budget was set against a
-/// ≈ 3.3 µs section (128 writes when every store was logged and the
-/// commit visited each entry); a first write is cheaper now, and 192 of
-/// them are the same ≈ 3.3 µs for the same three events.
+/// stores. The count is sized in time: 192 first writes are the
+/// ≈ 3.3 µs section the [`OVERHEAD_BUDGET`] was set against.
 const SECTION_WRITES: usize = 192;
 
 /// The two fast paths with the phase timers off vs. on. Leaves the

@@ -12,11 +12,11 @@ use std::time::{Duration, Instant};
 /// points), until `arrived()` — the caller's evidence that its contender
 /// has reached the monitor. A section that must be caught mid-flight
 /// waits to *see* the contender rather than looping "long enough": how
-/// long a loop of writes lasts is a property of the build (repeat writes
-/// to one cell stopped being logged and got several times cheaper), not
-/// of the protocol. Bounded at 20 s, so a broken protocol fails the
-/// caller's assertions instead of hanging; `|| false` holds until the
-/// section is unwound from inside `step`.
+/// long a loop of writes lasts is a property of the build (a repeat
+/// write to a cell is a plain store of a few nanoseconds), not of the
+/// protocol. Bounded at 20 s, so a broken protocol fails the caller's
+/// assertions instead of hanging; `|| false` holds until the section is
+/// unwound from inside `step`.
 fn hold_section_until(arrived: impl Fn() -> bool, mut step: impl FnMut()) {
     let t0 = Instant::now();
     while !arrived() && t0.elapsed() < Duration::from_secs(20) {
@@ -166,8 +166,8 @@ fn volatile_write_pins_section() {
                 assert!(!tx.is_revocable());
                 entered.wait();
                 // Stay pinned until the contender has arrived and been
-                // refused (this used to be 50 000 updates, which outlast
-                // a thread spawn only when every one of them is logged).
+                // refused: the assertions below are about that meeting,
+                // and no fixed number of updates guarantees it.
                 hold_section_until(
                     || m.stats().inversions_unresolved >= 1,
                     || {
