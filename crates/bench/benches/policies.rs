@@ -6,9 +6,17 @@
 //! policies side by side on the axes that argument rests on:
 //!
 //! * `enter_exit` — uncontended enter/exit of an empty section;
-//! * `section_write` — a shared-cell write inside a held section (the
-//!   write barrier: logged under revocation, plain under blocking and
-//!   delegation);
+//! * `section_first_write` — a section's first write to a cell: the
+//!   write barrier proper (old value saved in the cell and the cell
+//!   logged under revocation; a plain store under blocking and
+//!   delegation). Fresh sections over 64 distinct cells, so each write
+//!   also carries 1/64 of an `enter_exit`;
+//! * `section_repeat_write` — one cell written again and again inside
+//!   one held section: since undo logging became first-write-only every
+//!   policy stores plainly here, and the rows should agree;
+//! * `section_update` — `Tx::update` in that same repeat regime: against
+//!   `section_repeat_write` it prices the clone and the closure, in the
+//!   same single cell-lock hold;
 //! * `submit_round_trip` — delegation only: uncontended `submit` +
 //!   `wait`, the combiner's analogue of enter/exit;
 //! * `inversion_latency` — a HIGH thread's arrival-to-section-complete
@@ -73,23 +81,58 @@ fn bench_enter_exit(samples: usize, iters: u64) -> Vec<Row> {
         .collect()
 }
 
-/// A shared-cell write inside one long held section: revocation pays
-/// the undo-log write barrier, blocking and delegation do not.
-fn bench_section_write(samples: usize, iters: u64) -> Vec<Row> {
+/// Cells a `section_first_write` section writes, once each.
+const FIRST_WRITE_CELLS: usize = 64;
+
+/// A section's first write to a cell: revocation pays the undo-log
+/// write barrier (save + log), blocking and delegation do not. Each
+/// timed operation is a fresh section writing every cell once; the
+/// reading is per write.
+fn bench_section_first_write(samples: usize, iters: u64) -> Vec<Row> {
     POLICIES
         .iter()
         .map(|&(tag, policy)| {
             let m = RevocableMonitor::with_policy(policy);
-            let cell = TCell::new(0i64);
-            row("section_write", tag, samples, || {
-                m.enter(Priority::NORM, |tx| {
-                    time_ns_per_op(iters, || {
-                        tx.write(&cell, black_box(7i64));
-                    })
-                })
+            let cells: Vec<TCell<i64>> = (0..FIRST_WRITE_CELLS).map(|_| TCell::new(0)).collect();
+            row("section_first_write", tag, samples, || {
+                let sections = iters / FIRST_WRITE_CELLS as u64;
+                let per_section = time_ns_per_op(sections, || {
+                    m.enter(Priority::NORM, |tx| {
+                        for c in &cells {
+                            tx.write(c, black_box(7i64));
+                        }
+                    });
+                });
+                per_section / FIRST_WRITE_CELLS as f64
             })
         })
         .collect()
+}
+
+/// One cell stored `iters` times inside one long held section — every
+/// store after the first is a repeat write, which no policy logs — as a
+/// `write` and as an `update`.
+fn bench_section_repeat(samples: usize, iters: u64) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for update in [false, true] {
+        for &(tag, policy) in POLICIES {
+            let m = RevocableMonitor::with_policy(policy);
+            let cell = TCell::new(0i64);
+            let name = if update { "section_update" } else { "section_repeat_write" };
+            rows.push(row(name, tag, samples, || {
+                m.enter(Priority::NORM, |tx| {
+                    time_ns_per_op(iters, || {
+                        if update {
+                            tx.update(&cell, |v| black_box(v + 1));
+                        } else {
+                            tx.write(&cell, black_box(7i64));
+                        }
+                    })
+                })
+            }));
+        }
+    }
+    rows
 }
 
 /// Delegation only: uncontended submit + wait (section executes inline
@@ -187,25 +230,29 @@ fn main() {
 
     let mut rows = Vec::new();
     rows.extend(bench_enter_exit(samples, iters));
-    rows.extend(bench_section_write(samples, iters));
+    rows.extend(bench_section_first_write(samples, iters));
+    rows.extend(bench_section_repeat(samples, iters));
     rows.push(bench_submit_round_trip(samples, iters / 4));
     rows.extend(bench_inversion_latency(samples, episodes, low_writes));
 
     println!("three-policy comparison ({})", args.mode());
-    println!("{:<20} {:<12} {:>14} {:>10}", "bench", "policy", "mean ns/op", "ci90");
+    println!("{:<22} {:<12} {:>14} {:>10}", "bench", "policy", "mean ns/op", "ci90");
     for r in &rows {
-        println!("{:<20} {:<12} {:>14.2} {:>10.2}", r.name, r.policy, r.mean_ns(), r.ci90_ns());
+        println!("{:<22} {:<12} {:>14.2} {:>10.2}", r.name, r.policy, r.mean_ns(), r.ci90_ns());
     }
 
-    // The headline check in numbers: delegation's section writes must be
+    // The headline check in numbers: delegation's first writes must be
     // barrier-free (comparable to blocking, well under revocation).
     let m = |name: &str, pol: &str| {
         rows.iter().find(|r| r.name == name && r.policy == pol).map(Row::mean_ns)
     };
     if let (Some(rev), Some(del)) =
-        (m("section_write", "revocation"), m("section_write", "delegation"))
+        (m("section_first_write", "revocation"), m("section_first_write", "delegation"))
     {
-        println!("section_write: delegation/revocation ratio {:.3} (barrier skipped)", del / rev);
+        println!(
+            "section_first_write: delegation/revocation ratio {:.3} (barrier skipped)",
+            del / rev
+        );
     }
 
     measure::write_results("policies", args, &results_body(&rows));

@@ -30,11 +30,15 @@
 //!   order before releasing, so inversion is avoided without rolling
 //!   anyone back — and without write barriers (`needs_logging()` is
 //!   false, so `Tx` writes are plain stores);
-//! * the JMM-consistency concerns of §2 are handled *statically*:
-//!   [`TCell`]s are unreachable outside a `Tx`, so speculative state
-//!   cannot leak; the deliberate leak — Java `volatile` — exists as
-//!   [`VolatileCell`], and writing one inside a section pins the section
-//!   non-revocable, exactly the paper's rule;
+//! * the JMM-consistency concerns of §2 are handled *statically*, by
+//!   two properties together: [`TCell`]s are unreachable outside a
+//!   `Tx`, and a [`Tx`] cannot leave the thread that entered the section
+//!   (it is `!Send`: it borrows that thread's stamp and undo log, so
+//!   every store through it is logged where the section's rollback will
+//!   find it) — so speculative state cannot leak; the deliberate leak —
+//!   Java `volatile` — exists as [`VolatileCell`], and writing one
+//!   inside a section pins the section non-revocable, exactly the
+//!   paper's rule;
 //! * irrevocable effects ([`Tx::irrevocable`]) model native calls, and
 //!   `wait`/`notify` are supported with the conservative §2.2 treatment.
 //!

@@ -49,7 +49,6 @@ use revmon_core::{
 };
 use revmon_obs::prof::{timers, Phase};
 use revmon_obs::EventKind;
-use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -516,24 +515,32 @@ impl<'a> MonRef<'a> {
     }
 
     /// See [`RevocableMonitor::enter`].
-    fn enter<R>(self, priority: Priority, mut f: impl FnMut(&mut Tx<'_>) -> R) -> R {
+    fn enter<R>(self, priority: Priority, f: impl FnMut(&mut Tx<'_>) -> R) -> R {
+        self.run_section(|| Some(self.acquire(priority)), f)
+            .expect("a blocking acquire always returns a section")
+    }
+
+    /// See [`RevocableMonitor::try_enter`].
+    fn try_enter<R>(self, priority: Priority, f: impl FnMut(&mut Tx<'_>) -> R) -> Option<R> {
+        self.run_section(|| self.try_acquire(priority), f)
+    }
+
+    /// The section loop under `enter` and `try_enter`: acquire, run one
+    /// attempt of `f`, commit — or, when the attempt was revoked, roll
+    /// back, release and go round again. `None` as soon as `acquire`
+    /// declines (only `try_enter`'s does), on a retry included.
+    #[inline]
+    fn run_section<R>(
+        self,
+        mut acquire: impl FnMut() -> Option<Arc<SectionCtx>>,
+        mut f: impl FnMut(&mut Tx<'_>) -> R,
+    ) -> Option<R> {
         loop {
-            let ctx = self.acquire(priority);
-            let result = {
-                let mut tx = Tx {
-                    ctx: &ctx,
-                    mon: self,
-                    logged: Cell::new(0),
-                    logging: self.policy.needs_logging(),
-                };
-                let r = catch_unwind(AssertUnwindSafe(|| f(&mut tx)));
-                self.flush_logged(&tx);
-                r
-            };
-            match result {
+            let ctx = acquire()?;
+            match self.attempt(&ctx, &mut f) {
                 Ok(r) => {
                     self.commit_and_release(&ctx);
-                    return r;
+                    return Some(r);
                 }
                 Err(payload) => {
                     if let Some(sig) = as_rollback(&*payload) {
@@ -542,8 +549,9 @@ impl<'a> MonRef<'a> {
                         if retry {
                             // This frame is the revocation target: retry.
                             // (Ownership was handed to the queue head —
-                            // the high-priority thread — so our re-entry
-                            // queues behind it, as in Fig. 1(d–e).)
+                            // the high-priority thread — so a blocking
+                            // re-entry queues behind it, as in
+                            // Fig. 1(d–e).)
                             continue;
                         }
                         // An enclosing section is the target: keep
@@ -559,40 +567,24 @@ impl<'a> MonRef<'a> {
         }
     }
 
-    /// See [`RevocableMonitor::try_enter`].
-    fn try_enter<R>(self, priority: Priority, mut f: impl FnMut(&mut Tx<'_>) -> R) -> Option<R> {
-        loop {
-            let ctx = self.try_acquire(priority)?;
-            let result = {
-                let mut tx = Tx {
-                    ctx: &ctx,
-                    mon: self,
-                    logged: Cell::new(0),
-                    logging: self.policy.needs_logging(),
-                };
-                let r = catch_unwind(AssertUnwindSafe(|| f(&mut tx)));
-                self.flush_logged(&tx);
-                r
-            };
-            match result {
-                Ok(r) => {
-                    self.commit_and_release(&ctx);
-                    return Some(r);
-                }
-                Err(payload) => {
-                    if let Some(sig) = as_rollback(&*payload) {
-                        let retry = sig.target == ctx.id;
-                        self.rollback_and_release(&ctx);
-                        if retry {
-                            continue; // retry without blocking
-                        }
-                        resume_unwind(payload);
-                    }
-                    self.commit_and_release(&ctx);
-                    resume_unwind(payload);
-                }
-            }
+    /// One attempt of a section body, under the section's `Tx`
+    /// ([`tx::with_tx`]): catches whatever unwinds out of `body` — a
+    /// rollback signal or a user panic — and flushes the attempt's
+    /// locally counted log entries (first writes) into the shared
+    /// counter, once, off the write hot path. Every body the monitor
+    /// runs goes through here: `enter`, `try_enter`, and both combiner
+    /// paths.
+    #[inline]
+    fn attempt<R>(
+        self,
+        ctx: &Arc<SectionCtx>,
+        body: impl FnOnce(&mut Tx<'_>) -> R,
+    ) -> thread::Result<R> {
+        let (r, logged) = tx::with_tx(ctx, self, |tx| catch_unwind(AssertUnwindSafe(|| body(tx))));
+        if logged > 0 {
+            self.shared.stats.log_entries.fetch_add(logged, Ordering::Relaxed);
         }
+        r
     }
 
     // ------------------------------------------------------------ fast path
@@ -666,17 +658,6 @@ impl<'a> MonRef<'a> {
             }
         }
         self.release_slow(ctx);
-    }
-
-    /// Flush the attempt's locally-counted log entries (first writes)
-    /// into the shared counter (once per attempt, off the write hot
-    /// path).
-    #[inline]
-    fn flush_logged(self, tx: &Tx<'_>) {
-        let n = tx.logged.get();
-        if n > 0 {
-            self.shared.stats.log_entries.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     // ------------------------------------------------------------ internals
@@ -1299,16 +1280,7 @@ impl<'a> MonRef<'a> {
                 );
                 obs::emit(self.id, EventKind::DelegateExecute { submitter: obs::obs_tid(), token });
                 let t_exec = timers().start(Phase::CombinerExec);
-                {
-                    let mut tx = Tx {
-                        ctx: &ctx,
-                        mon: self,
-                        logged: Cell::new(0),
-                        logging: self.policy.needs_logging(),
-                    };
-                    run(&mut tx);
-                    self.flush_logged(&tx);
-                }
+                settle(self.attempt(&ctx, run));
                 timers().finish(Phase::CombinerExec, t_exec);
                 obs::emit(
                     self.id,
@@ -1377,16 +1349,7 @@ impl<'a> MonRef<'a> {
             timers().finish(Phase::CombinerDrain, t_drain);
             obs::emit(self.id, EventKind::DelegateExecute { submitter: sub.obs, token: sub.token });
             let t_exec = timers().start(Phase::CombinerExec);
-            {
-                let mut tx = Tx {
-                    ctx: &ctx,
-                    mon: self,
-                    logged: Cell::new(0),
-                    logging: self.policy.needs_logging(),
-                };
-                (sub.run)(&mut tx);
-                self.flush_logged(&tx);
-            }
+            settle(self.attempt(&ctx, sub.run));
             timers().finish(Phase::CombinerExec, t_exec);
             tx::commit_top_section(&ctx);
             obs::emit(
@@ -1432,8 +1395,10 @@ impl<'a> MonRef<'a> {
     }
 }
 
-/// Unwrap a combiner-side result on the submitter: a caught panic from
-/// the submitted closure resumes unwinding here.
+/// Unwrap a caught result: a panic resumes unwinding here — on the
+/// submitter, for a combiner-side result of its closure; on the
+/// combiner, for a submission wrapper's own (those catch their closure's
+/// panics themselves, so there it is a bug surfacing, not control flow).
 fn settle<T>(r: thread::Result<T>) -> T {
     match r {
         Ok(v) => v,

@@ -9,7 +9,10 @@
 //! (`ThreadSlot::pending_revoke`); only when a contender or the
 //! deadlock breaker has raised it does the slow path scan the section
 //! stack for the outermost flagged section and unwind with a rollback
-//! signal.
+//! signal. The `Tx` reaches the flag, the stamp and the undo log through
+//! the `&ThreadRt` it was built with — the section body runs inside the
+//! `enter` frame's one `thread_local!` access — so a data access looks
+//! nothing up; and since that reference is not `Send`, neither is `Tx`.
 //!
 //! Undo logging is likewise allocation-free in steady state: one
 //! `revmon_core::UndoLog` per thread (only the owning thread appends or
@@ -155,8 +158,9 @@ pub(crate) fn slot_by_dense(dense: u32) -> Option<Arc<ThreadSlot>> {
 const CTX_POOL_MAX: usize = 64;
 
 /// Everything the runtime keeps per thread, behind a single
-/// `thread_local` so hot-path helpers pay one TLS lookup.
-struct ThreadRt {
+/// `thread_local`: section entry and exit pay one TLS lookup each, and a
+/// section's data accesses none (its [`Tx`] holds the reference).
+pub(crate) struct ThreadRt {
     /// The shared slot (registered in the global table).
     slot: Arc<ThreadSlot>,
     /// The undo log. Unsynchronized: only this thread appends (write
@@ -222,6 +226,50 @@ impl ThreadRt {
         }
         self.next_id.set(id + 1);
         id
+    }
+
+    /// Poll revocation flags; unwind with a rollback signal when
+    /// flagged. This is the library's yield point, run by every `Tx`
+    /// data access and exposed as [`Tx::checkpoint`] for long compute
+    /// stretches.
+    ///
+    /// Fast path: one relaxed load of the thread's cached flag and a
+    /// branch. Contenders raise the per-section flag *before* the cached
+    /// flag (both with `Release`), so the slow path's scan cannot miss
+    /// the section that caused the wake-up.
+    #[inline]
+    fn poll_revocation(&self) {
+        if self.slot.pending_revoke.load(Ordering::Relaxed) {
+            self.poll_revocation_slow();
+        }
+    }
+
+    /// Uses `resume_unwind` rather than `panic_any`: the signal is
+    /// control flow (always caught by an `enter` frame), so the
+    /// process-global panic hook must not fire for it.
+    #[cold]
+    fn poll_revocation_slow(&self) {
+        self.slot.pending_revoke.swap(false, Ordering::AcqRel);
+        if let Some(target) = self.outermost_flagged() {
+            resume_unwind(Box::new(RollbackSignal { target }));
+        }
+        // Spurious or pinned (non-revocable): keep running. If a new flag
+        // lands after our swap, the contender's store re-raises the cached
+        // flag, so the next poll takes the slow path again.
+    }
+
+    /// See the free [`outermost_flagged`].
+    fn outermost_flagged(&self) -> Option<u64> {
+        self.slot
+            .sections
+            .lock()
+            .iter()
+            .find(|c| {
+                !c.exited.load(Ordering::Acquire)
+                    && c.revoke.load(Ordering::Acquire)
+                    && c.revocable()
+            })
+            .map(|c| c.id)
     }
 }
 
@@ -353,67 +401,13 @@ pub(crate) fn rollback_section(ctx: &SectionCtx) -> usize {
     n
 }
 
-/// The logging write barrier: store `v` under this thread's current
-/// stamp and, when that was the section's first write to the cell,
-/// append the cell to the undo log. Returns whether it logged.
-#[inline]
-pub(crate) fn logged_store<T: Clone + Send + 'static>(cell: &TCell<T>, v: T) -> bool {
-    RT.with(|rt| {
-        let first = cell.store(v, rt.stamp.get());
-        if first {
-            rt.undo.borrow_mut().push(cell.undo_entry());
-        }
-        first
-    })
-}
-
 // ------------------------------------------------------------ yield points
 
-/// Poll revocation flags; unwind with a rollback signal when flagged.
-/// This is the library's yield point, called from every `Tx` data access
-/// and exposed as [`Tx::checkpoint`] for long compute stretches.
-///
-/// Fast path: one relaxed load of the thread's cached flag and a branch.
-/// Contenders raise the per-section flag *before* the cached flag (both
-/// with `Release`), so the slow path's scan cannot miss the section that
-/// caused the wake-up.
-#[inline]
-pub(crate) fn poll_revocation() {
-    if RT.with(|rt| rt.slot.pending_revoke.load(Ordering::Relaxed)) {
-        poll_revocation_slow();
-    }
-}
-
-/// Uses `resume_unwind` rather than `panic_any`: the signal is control
-/// flow (always caught by an `enter` frame), so the process-global panic
-/// hook must not fire for it.
-#[cold]
-fn poll_revocation_slow() {
-    RT.with(|rt| rt.slot.pending_revoke.swap(false, Ordering::AcqRel));
-    if let Some(target) = outermost_flagged() {
-        resume_unwind(Box::new(RollbackSignal { target }));
-    }
-    // Spurious or pinned (non-revocable): keep running. If a new flag
-    // lands after our swap, the contender's store re-raises the cached
-    // flag, so the next poll takes the slow path again.
-}
-
-/// The outermost *flagged and revocable* section, if any — the rollback
-/// target a yield point must unwind to. Slow path (park wake-ups, slow
-/// polls).
+/// The outermost *flagged and revocable* section of this thread, if any
+/// — the rollback target a yield point must unwind to. Slow path (park
+/// wake-ups, slow polls).
 pub(crate) fn outermost_flagged() -> Option<u64> {
-    RT.with(|rt| {
-        rt.slot
-            .sections
-            .lock()
-            .iter()
-            .find(|c| {
-                !c.exited.load(Ordering::Acquire)
-                    && c.revoke.load(Ordering::Acquire)
-                    && c.revocable()
-            })
-            .map(|c| c.id)
-    })
+    RT.with(ThreadRt::outermost_flagged)
 }
 
 /// Mark every enclosing section non-revocable (native-effect /
@@ -437,7 +431,36 @@ pub(crate) fn mark_all_nonrevocable() -> u64 {
 /// Carries no data itself — it witnesses that the current thread holds
 /// the monitor, and routes all shared accesses through the write-barrier
 /// (undo logging) and yield-point (revocation polling) machinery.
+///
+/// A `Tx` stays on the thread that entered the section: it borrows that
+/// thread's runtime state, which is what a store must be stamped and
+/// logged with for the section's rollback to undo it. So it is not
+/// `Send` — a scoped thread cannot be handed `&mut Tx` and write under
+/// its own (empty) stamp into its own undo log:
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>() {}
+/// assert_send::<revmon_locks::Tx<'static>>();
+/// ```
+///
+/// (The same line compiles for the data: `assert_send::<TCell<i64>>()`.)
+///
+/// ```
+/// fn assert_send<T: Send>() {}
+/// assert_send::<revmon_locks::TCell<i64>>();
+/// ```
+///
+/// Closures given to [`submit`](crate::monitor::RevocableMonitor::submit)
+/// are unaffected: they are `Send` themselves and *receive* the `Tx` of
+/// whichever thread runs them.
 pub struct Tx<'m> {
+    /// The running thread's runtime state — cached revocation flag,
+    /// stamp, undo log — so no data access pays a `thread_local!`
+    /// lookup. Holds `Cell`s, hence `Tx: !Send`.
+    rt: &'m ThreadRt,
+    /// `rt.slot.dense`, read once: every cell access hands it to the
+    /// cell's re-entrance check.
+    dense: u32,
     /// Borrowed, not cloned: the `enter` frame owns the `Arc`, and a
     /// refcount bump per monitor entry is measurable on the fast path.
     pub(crate) ctx: &'m Arc<SectionCtx>,
@@ -445,61 +468,112 @@ pub struct Tx<'m> {
     /// arena slot — the protocol is identical).
     pub(crate) mon: crate::monitor::MonRef<'m>,
     /// First writes logged through this handle during one attempt of
-    /// the section (repeat writes to a cell log nothing); flushed into
-    /// the monitor's `log_entries` counter when the attempt ends,
-    /// keeping the shared stats atomic off the write hot path.
-    pub(crate) logged: Cell<u64>,
+    /// the section (repeat writes to a cell log nothing); handed back by
+    /// [`with_tx`] for the monitor's `log_entries` counter when the
+    /// attempt ends, keeping the shared stats atomic off the write hot
+    /// path.
+    logged: Cell<u64>,
     /// Whether writes go through the undo barrier. `false` under
     /// policies that never roll a section back
     /// (`InversionPolicy::needs_logging() == false` — blocking,
     /// inheritance, ceiling, **delegation**): the monitor pins such
     /// sections non-revocable at creation, so skipping the save+log is
     /// sound and the write barrier disappears entirely.
-    pub(crate) logging: bool,
+    logging: bool,
+}
+
+/// Run `body` with the [`Tx`] of one attempt of section `ctx` on `mon` —
+/// the only place a `Tx` is built, inside the one `thread_local!` access
+/// the attempt's data accesses share. Returns `body`'s result and the
+/// number of first writes it logged.
+#[inline]
+pub(crate) fn with_tx<R>(
+    ctx: &Arc<SectionCtx>,
+    mon: crate::monitor::MonRef<'_>,
+    body: impl FnOnce(&mut Tx<'_>) -> R,
+) -> (R, u64) {
+    RT.with(|rt| {
+        let mut tx = Tx {
+            rt,
+            dense: rt.slot.dense,
+            ctx,
+            mon,
+            logged: Cell::new(0),
+            logging: mon.policy.needs_logging(),
+        };
+        let r = body(&mut tx);
+        (r, tx.logged.get())
+    })
 }
 
 impl Tx<'_> {
     /// Read a cell. A yield point.
     pub fn read<T: Clone + Send + 'static>(&self, cell: &TCell<T>) -> T {
-        poll_revocation();
-        cell.get()
+        self.rt.poll_revocation();
+        cell.get(self.dense)
     }
 
     /// Write a cell, logging the old value for rollback if this is the
     /// section's first write to it. A yield point.
     pub fn write<T: Clone + Send + 'static>(&self, cell: &TCell<T>, v: T) {
-        poll_revocation();
-        self.write_logged(cell, v);
-    }
-
-    /// The write barrier without the yield point (shared by
-    /// `write`/`update`): on the section's first write to the cell, save
-    /// the old value in the cell, log the cell and count the entry
-    /// locally; on a repeat write, just store. Zero heap allocations in
-    /// steady state.
-    fn write_logged<T: Clone + Send + 'static>(&self, cell: &TCell<T>, v: T) {
-        if !self.logging {
-            // Non-rollback policy: plain store, nothing saved, no log
-            // entry (the section was pinned non-revocable at creation).
-            cell.set(v);
-        } else if logged_store(cell, v) {
-            self.logged.set(self.logged.get() + 1);
+        self.rt.poll_revocation();
+        if cell.store(self.dense, v, self.stamp()) {
+            self.log(cell);
         }
     }
 
-    /// Update a cell in place (read-modify-write). A yield point — one
-    /// poll per update: the previous `read`+`write` pair polled twice,
-    /// which bought nothing (a flag raised between the two is caught at
-    /// the next access or checkpoint anyway).
+    /// Update a cell in place (read-modify-write): `f` gets the current
+    /// value and returns the new one, which is stored as by
+    /// [`write`](Self::write). A yield point — one poll per update.
+    ///
+    /// **`f` runs while the cell's own lock is held** (that is what makes
+    /// an update one lock hold instead of a read's plus a write's). So:
+    ///
+    /// * `f` must not touch the cell it is updating —
+    ///   `tx.update(&c, |v| v + tx.read(&c))` panics with "a TCell was
+    ///   accessed from inside its own update closure" (a reported error,
+    ///   not a hang; the panic leaves the section like any user panic).
+    ///   Use the argument: `|v| v + v`.
+    /// * Everything else is allowed: other cells, yield points, nested
+    ///   sections on this or other monitors, blocking. A revocation that
+    ///   lands while `f` runs unwinds out of it as out of any other
+    ///   code.
+    /// * If `f` unwinds — a panic, or such a revocation — the cell is
+    ///   exactly as it was: nothing is stored, saved or logged.
+    /// * [`TCell::read_unsynchronized`] from another thread waits for
+    ///   `f`.
+    /// * A cell guarded by *two* monitors is misuse already (see
+    ///   [`crate::cell`]); with closures under the lock it can now
+    ///   deadlock — two updates whose closures read each other's cell —
+    ///   where it used to race.
     pub fn update<T: Clone + Send + 'static>(&self, cell: &TCell<T>, f: impl FnOnce(T) -> T) {
-        poll_revocation();
-        let v = cell.get();
-        self.write_logged(cell, f(v));
+        self.rt.poll_revocation();
+        if cell.update(self.dense, f, self.stamp()) {
+            self.log(cell);
+        }
+    }
+
+    /// The stamp a store carries: this thread's current one (not this
+    /// handle's section's — see `ThreadRt::stamp`), or `None` when the
+    /// policy never rolls back and the store is barrier-free.
+    #[inline]
+    fn stamp(&self) -> Option<Stamp> {
+        self.logging.then(|| self.rt.stamp.get())
+    }
+
+    /// The write barrier's log half, after a store that was its
+    /// section's first to `cell` (the cell saved the old value): append
+    /// the cell to the undo log and count the entry. Zero heap
+    /// allocations in steady state.
+    #[inline]
+    fn log<T: Send + 'static>(&self, cell: &TCell<T>) {
+        self.rt.undo.borrow_mut().push(cell.undo_entry());
+        self.logged.set(self.logged.get() + 1);
     }
 
     /// Read a volatile cell (always allowed, lock-free). A yield point.
     pub fn read_volatile(&self, cell: &VolatileCell) -> i64 {
-        poll_revocation();
+        self.rt.poll_revocation();
         cell.load()
     }
 
@@ -508,7 +582,7 @@ impl Tx<'_> {
     /// becomes **non-revocable** (§2.2, Fig. 3) — the write is *not*
     /// undone by a rollback that can no longer happen.
     pub fn write_volatile(&self, cell: &VolatileCell, v: i64) {
-        poll_revocation();
+        self.rt.poll_revocation();
         let flipped = mark_all_nonrevocable();
         self.mon.shared.stats.nonrevocable_marks.fetch_add(flipped, Ordering::Relaxed);
         if flipped > 0 {
@@ -521,7 +595,7 @@ impl Tx<'_> {
     /// with no data accesses (the analogue of loop back-edge yield
     /// points).
     pub fn checkpoint(&self) {
-        poll_revocation();
+        self.rt.poll_revocation();
     }
 
     /// Declare an irrevocable effect (the analogue of a native call):
@@ -577,6 +651,23 @@ mod tests {
 
     fn log_len() -> usize {
         RT.with(|rt| rt.undo.borrow().len())
+    }
+
+    /// `Tx::write`'s barrier without a monitor to get a `Tx` from: store
+    /// under the thread's current stamp, log a first write. Returns
+    /// whether it logged.
+    fn logged_store(cell: &TCell<i64>, v: i64) -> bool {
+        RT.with(|rt| {
+            let first = cell.store(rt.slot.dense, v, Some(rt.stamp.get()));
+            if first {
+                rt.undo.borrow_mut().push(cell.undo_entry());
+            }
+            first
+        })
+    }
+
+    fn poll_revocation() {
+        RT.with(ThreadRt::poll_revocation);
     }
 
     #[test]

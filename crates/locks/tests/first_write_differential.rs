@@ -5,7 +5,8 @@
 //! the VM log every store. Whether that loses anything is a question
 //! about nested marks, retries and stale entries, so it is put to a
 //! reference model that *does* save every store: random single-thread
-//! programs — write, enter an inner section, commit it, roll one of the
+//! programs — write or update, enter an inner section (from the section
+//! body or from inside an update's closure), commit it, roll one of the
 //! open sections back and retry it — run on the real monitors and on the
 //! model, and the four cells must agree after every step. The cases the
 //! stamp can get wrong are spelled out below as named tests.
@@ -16,6 +17,9 @@
 //! contender never touches a cell, so the unsynchronized reads the
 //! comparison uses are race-free.
 
+mod common;
+
+use common::be_revoked;
 use proptest::prelude::*;
 use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell, Tx};
@@ -23,10 +27,25 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Scope};
-use std::time::{Duration, Instant};
 
 const CELLS: usize = 4;
 const MAX_DEPTH: usize = 3;
+
+/// How a store is made.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum How {
+    /// `Tx::write` of the op's value.
+    Write,
+    /// `Tx::update` storing `mix(old, value)`.
+    Update,
+    /// The same update, whose closure first runs a section one level
+    /// deeper (a plain update at `MAX_DEPTH`): the ops up to its `Commit`
+    /// are that section's, its stores go to *other* cells (the closure's
+    /// own is locked — see `Run::free_cell`), and a `RollBack` in there
+    /// either retries it inside the closure or unwinds out through the
+    /// closure, in which case the update never happens.
+    UpdateEnter,
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -34,7 +53,7 @@ enum Op {
     /// the section `via % depth` levels out from it — an inner closure
     /// may write through a captured outer handle, and that store still
     /// belongs to the inner section. Skipped outside any section.
-    Write { cell: usize, value: i64, via: usize },
+    Store { cell: usize, value: i64, via: usize, how: How },
     /// Enter a section one level deeper (skipped at `MAX_DEPTH`).
     Enter,
     /// Leave the innermost section normally.
@@ -43,6 +62,11 @@ enum Op {
     /// everything nested in it roll back, and it retries from the next
     /// op. Skipped outside any section.
     RollBack { level: usize },
+}
+
+/// What an update's closure returns.
+fn mix(old: i64, value: i64) -> i64 {
+    old.wrapping_mul(3).wrapping_add(value)
 }
 
 /// The reference: an undo log with one entry per store.
@@ -77,17 +101,6 @@ impl Model {
     }
 }
 
-/// Have a `HIGH` thread contend for `monitor`, then spin at `tx`'s yield
-/// points until the revocation unwinds the caller.
-fn be_revoked<'s>(scope: &'s Scope<'s, '_>, monitor: &'s RevocableMonitor, tx: &Tx<'_>) -> ! {
-    scope.spawn(move || monitor.enter(Priority::HIGH, |_| {}));
-    let t0 = Instant::now();
-    while t0.elapsed() < Duration::from_secs(20) {
-        tx.checkpoint();
-    }
-    panic!("the contender never revoked this section");
-}
-
 /// One program run: the real cells and monitors beside the model.
 struct Run<'p> {
     ops: &'p [Op],
@@ -96,6 +109,11 @@ struct Run<'p> {
     cells: Vec<TCell<i64>>,
     /// One monitor per nesting level.
     monitors: Vec<RevocableMonitor>,
+    /// Cells whose update closure is running, each with the nesting
+    /// level of the section that issued the update. Such a cell is
+    /// locked by this very thread, so nothing may touch it — the
+    /// comparison included — until the closure is over.
+    in_closure: RefCell<Vec<(usize, usize)>>,
 }
 
 impl<'p> Run<'p> {
@@ -106,7 +124,21 @@ impl<'p> Run<'p> {
             model: RefCell::default(),
             cells: (0..CELLS).map(|_| TCell::new(0)).collect(),
             monitors: (0..MAX_DEPTH).map(|_| RevocableMonitor::new()).collect(),
+            in_closure: RefCell::default(),
         }
+    }
+
+    fn is_in_closure(&self, cell: usize) -> bool {
+        self.in_closure.borrow().iter().any(|&(_, c)| c == cell)
+    }
+
+    /// `cell`, or the next one up that no running closure has locked
+    /// (at most `MAX_DEPTH - 1` of the `CELLS` are).
+    fn free_cell(&self, cell: usize) -> usize {
+        (0..CELLS)
+            .map(|i| (cell + i) % CELLS)
+            .find(|&c| !self.is_in_closure(c))
+            .expect("a free cell")
     }
 
     fn next_op(&self) -> Option<Op> {
@@ -115,8 +147,17 @@ impl<'p> Run<'p> {
         self.ops.get(pc).copied()
     }
 
+    /// The cells' values; the model's own for a cell locked by a running
+    /// closure (neither side has stored into it yet, and it is compared
+    /// once the closure is over).
     fn values(&self) -> [i64; CELLS] {
-        std::array::from_fn(|i| self.cells[i].read_unsynchronized())
+        std::array::from_fn(|i| {
+            if self.is_in_closure(i) {
+                self.model.borrow().values[i]
+            } else {
+                self.cells[i].read_unsynchronized()
+            }
+        })
     }
 
     /// The step just taken left the cells where the model says.
@@ -133,22 +174,43 @@ impl<'p> Run<'p> {
     /// Run a section nested inside the open sections whose handles are
     /// `outer`, until its `Commit` (or the end of the program).
     fn section<'s>(&'s self, scope: &'s Scope<'s, '_>, outer: &[&Tx<'_>]) {
-        self.monitors[outer.len()].enter(Priority::LOW, |tx| {
-            // First entry, or the retry after a rollback to this level.
+        let level = outer.len();
+        self.monitors[level].enter(Priority::LOW, |tx| {
+            // First entry, or the retry after a rollback to this level:
+            // closures of this section and of deeper ones were unwound.
+            self.in_closure.borrow_mut().retain(|&(issuer, _)| issuer < level);
             self.agree();
             let mut open: Vec<&Tx<'_>> = outer.to_vec();
             open.push(tx);
+            let enter = |open: &[&Tx<'_>]| {
+                let mark = self.model.borrow().log.len();
+                self.model.borrow_mut().marks.push(mark);
+                self.section(scope, open);
+            };
             while let Some(op) = self.next_op() {
                 match op {
-                    Op::Write { cell, value, via } => {
-                        open[open.len() - 1 - via % open.len()].write(&self.cells[cell], value);
-                        self.model.borrow_mut().write(cell, value);
+                    Op::Store { cell, value, via, how } => {
+                        let cell = self.free_cell(cell);
+                        let via = open[level - via % open.len()];
+                        let was = self.model.borrow().values[cell];
+                        let stored = if how == How::Write {
+                            via.write(&self.cells[cell], value);
+                            value
+                        } else {
+                            via.update(&self.cells[cell], |old| {
+                                assert_eq!(old, was, "the closure's argument");
+                                if how == How::UpdateEnter && open.len() < MAX_DEPTH {
+                                    self.in_closure.borrow_mut().push((level, cell));
+                                    enter(&open);
+                                    self.in_closure.borrow_mut().pop();
+                                }
+                                mix(old, value)
+                            });
+                            mix(was, value)
+                        };
+                        self.model.borrow_mut().write(cell, stored);
                     }
-                    Op::Enter if open.len() < MAX_DEPTH => {
-                        let mark = self.model.borrow().log.len();
-                        self.model.borrow_mut().marks.push(mark);
-                        self.section(scope, &open);
-                    }
+                    Op::Enter if open.len() < MAX_DEPTH => enter(&open),
                     Op::Enter => {}
                     Op::Commit => break,
                     Op::RollBack { level } => {
@@ -185,8 +247,13 @@ fn run(ops: &[Op]) -> [i64; CELLS] {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (0..CELLS, 1i64..1000, 0..MAX_DEPTH)
-            .prop_map(|(cell, value, via)| Op::Write { cell, value, via }),
+        8 => (
+            0..CELLS,
+            1i64..1000,
+            0..MAX_DEPTH,
+            prop_oneof![3 => Just(How::Write), 3 => Just(How::Update), 2 => Just(How::UpdateEnter)],
+        )
+            .prop_map(|(cell, value, via, how)| Op::Store { cell, value, via, how }),
         2 => Just(Op::Enter),
         2 => Just(Op::Commit),
         1 => (0..MAX_DEPTH).prop_map(|level| Op::RollBack { level }),
@@ -207,8 +274,15 @@ proptest! {
 // ------------------------------------------------- the cases by name
 
 fn w(cell: usize, value: i64) -> Op {
-    Op::Write { cell, value, via: 0 }
+    Op::Store { cell, value, via: 0, how: How::Write }
 }
+
+fn u(cell: usize, value: i64) -> Op {
+    Op::Store { cell, value, via: 0, how: How::Update }
+}
+
+/// An update of cell 0 whose closure runs the section the next ops make.
+const NESTED: Op = Op::Store { cell: 0, value: 5, via: 0, how: How::UpdateEnter };
 
 /// The inner section's first write to a cell the outer one already
 /// logged must be saved again: rolling the inner section back restores
@@ -227,7 +301,7 @@ fn outer_writes_then_inner_writes_then_inner_rolls_back() {
 #[test]
 fn inner_write_through_the_outer_handle_rolls_back_with_the_inner_section() {
     use Op::*;
-    let inner_via_outer = Write { cell: 0, value: 2, via: 1 };
+    let inner_via_outer = Store { cell: 0, value: 2, via: 1, how: How::Write };
     let end = run(&[Enter, w(0, 1), Enter, inner_via_outer, RollBack { level: 1 }, Commit, Commit]);
     assert_eq!(end[0], 1);
 }
@@ -259,6 +333,47 @@ fn rollback_then_retry_writes_the_same_cells() {
         Commit,
     ]);
     assert_eq!(end[..2], [5, 0]);
+}
+
+/// An update is a store like any other: the inner section's first one
+/// is saved again above the outer section's.
+#[test]
+fn outer_updates_then_inner_updates_then_inner_rolls_back() {
+    use Op::*;
+    let end =
+        run(&[Enter, u(0, 1), Enter, u(0, 2), u(0, 3), RollBack { level: 1 }, Commit, Commit]);
+    assert_eq!(end[0], mix(0, 1));
+}
+
+/// A section run from inside an update's closure logs its cells *before*
+/// the update logs its own; it commits into the outer log, and the outer
+/// rollback undoes both.
+#[test]
+fn a_closures_section_commits_then_the_outer_section_rolls_back() {
+    use Op::*;
+    // `w(0, 7)` is the nested section's: cell 0 is locked, it goes to cell 1.
+    let end = run(&[Enter, NESTED, w(0, 7), Commit, w(2, 9), RollBack { level: 0 }, Commit]);
+    assert_eq!(end, [0; CELLS]);
+}
+
+/// Rolled back and retried inside the closure, the nested section leaves
+/// only its retry's writes, and the update then stores as if nothing
+/// had happened.
+#[test]
+fn a_closures_section_is_rolled_back_and_retried_inside_the_closure() {
+    use Op::*;
+    let end = run(&[Enter, NESTED, w(1, 7), RollBack { level: 1 }, w(2, 9), Commit, Commit]);
+    assert_eq!(end, [mix(0, 5), 0, 9, 0]);
+}
+
+/// A revocation of the *outer* section caught inside the closure's
+/// section unwinds out through the closure: the update never happens,
+/// the cell keeps no trace of it, and the retry's write is a first write.
+#[test]
+fn an_outer_rollback_unwinds_through_the_closure() {
+    use Op::*;
+    let end = run(&[Enter, w(0, 1), NESTED, w(1, 7), RollBack { level: 0 }, w(0, 2), Commit]);
+    assert_eq!(end, [2, 0, 0, 0]);
 }
 
 /// What thread A's committed section left in the cell is stale to thread
@@ -301,6 +416,30 @@ fn plain_store_over_a_stale_entry() {
             attempts += 1;
             if attempts == 1 {
                 tx.write(&c, 8);
+                be_revoked(scope, &revoking, tx);
+            }
+            tx.read(&c)
+        });
+        assert_eq!(seen, 7);
+    });
+}
+
+/// The same for `update`: under a policy that never rolls back it saves
+/// and logs nothing.
+#[test]
+fn plain_update_over_a_stale_entry() {
+    let revoking = RevocableMonitor::new();
+    let blocking = RevocableMonitor::with_policy(InversionPolicy::Blocking);
+    let c = TCell::new(0i64);
+    revoking.enter(Priority::LOW, |tx| tx.write(&c, 1));
+    blocking.enter(Priority::LOW, |tx| tx.update(&c, |v| v + 6));
+    assert_eq!(blocking.stats().log_entries, 0);
+    thread::scope(|scope| {
+        let mut attempts = 0;
+        let seen = revoking.enter(Priority::LOW, |tx| {
+            attempts += 1;
+            if attempts == 1 {
+                tx.update(&c, |v| v + 1);
                 be_revoked(scope, &revoking, tx);
             }
             tx.read(&c)

@@ -1,28 +1,15 @@
 //! Real-OS-thread behaviour of the revocable monitor: preemption of
 //! low-priority holders, atomicity under rollback, policy baselines.
 
+mod common;
+
+use common::hold_section_until;
 use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell, VolatileCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
-use std::time::{Duration, Instant};
-
-/// Keep the calling section open, running `step` (the section's yield
-/// points), until `arrived()` — the caller's evidence that its contender
-/// has reached the monitor. A section that must be caught mid-flight
-/// waits to *see* the contender rather than looping "long enough": how
-/// long a loop of writes lasts is a property of the build (a repeat
-/// write to a cell is a plain store of a few nanoseconds), not of the
-/// protocol. Bounded at 20 s, so a broken protocol fails the caller's
-/// assertions instead of hanging; `|| false` holds until the section is
-/// unwound from inside `step`.
-fn hold_section_until(arrived: impl Fn() -> bool, mut step: impl FnMut()) {
-    let t0 = Instant::now();
-    while !arrived() && t0.elapsed() < Duration::from_secs(20) {
-        step();
-    }
-}
+use std::time::Duration;
 
 /// Low-priority thread holds the monitor doing a long update loop; a
 /// high-priority thread arrives and must preempt it.
