@@ -27,12 +27,12 @@
 //! | operation | called from | work (one cell-lock hold each) |
 //! |---|---|---|
 //! | read | `Tx::read` | clone the value |
-//! | first write in a section | `Tx::write`/`update` | top entry is this transaction's but another section's (or none): push `(stamp, old)`; one undo-log entry |
-//! | first write over a stale entry | same | top entry is another transaction's: drop every saved entry, push `(stamp, old)`; one undo-log entry |
+//! | first write in a section | `Tx::write`/`update` | top entry is this transaction's but another section's (or none): push `(stamp, old)`; one undo-log entry — the log advances over the handle it already stores at that position if it is this cell's (`TCell::is_entry`), else drops its stored tail from there and pushes a clone |
+//! | first write over a stale entry | same | top entry is another transaction's: drop every saved entry, push `(stamp, old)`; one undo-log entry, as above |
 //! | repeat write | same | top entry is this section's: swap the value, nothing saved, nothing logged |
 //! | update | `Tx::update` | clone the value, set `busy`, run the closure on the clone, clear `busy`, then store the result as a first or repeat write; a closure that unwinds has changed nothing |
-//! | rollback | `tx::rollback_section`, once per log entry | pop the top entry back into the value if it is this transaction's, else nothing |
-//! | commit | `tx::commit_top_section` | **no cell is visited**: the log drops its `Arc`s; the entries go stale and are dropped by the cell's next first write (or with the cell) |
+//! | rollback | `tx::rollback_section`, once per live log entry | pop the top entry back into the value if it is this transaction's, else nothing; the log keeps its handle for the retry |
+//! | commit | `tx::commit_top_section` | **no cell is visited and no handle dropped**: the log's live length goes back to the section's mark; the saved entries go stale and are dropped by the cell's next first write (or with the cell), the log's handles by the first write that differs at their position (or with the thread) |
 //!
 //! Both the saved-entry buffer and the thread's undo log retain their
 //! capacity across sections, so a logged write performs **no heap
@@ -187,6 +187,16 @@ impl<T: Send> UndoSink for CellCore<T> {
 /// never leaked. For a large `T` (e.g.
 /// [`BoundedQueue`](crate::collections::BoundedQueue)'s
 /// `TCell<VecDeque<T>>`) that is one extra copy held between sections.
+///
+/// The cell itself can outlive its last `TCell` handle: the writing
+/// thread's undo log keeps a handle to each cell of its latest write
+/// set (at most 256 per thread), so that a loop writing the same cells
+/// logs them without touching a reference count. Such a cell — value,
+/// retained old value and all — is dropped when that thread's first
+/// write at the same log position is to a different cell, or when the
+/// thread exits. Either way it is dropped outside the log's own
+/// bookkeeping and while the thread's runtime state is usable, so a `T`
+/// whose destructor enters a monitor is fine.
 pub struct TCell<T> {
     core: Arc<CellCore<T>>,
 }
@@ -276,12 +286,29 @@ impl<T: Clone> TCell<T> {
     pub(crate) fn saved_len(&self) -> usize {
         self.core.state.lock().saved.len()
     }
+
+    /// Number of handles to this cell's storage, `TCell`s and undo-log
+    /// entries alike — test visibility.
+    #[cfg(test)]
+    pub(crate) fn handles(&self) -> usize {
+        Arc::strong_count(&self.core)
+    }
 }
 
 impl<T: Send + 'static> TCell<T> {
     /// This cell's undo-log entry: just a refcount bump.
     pub(crate) fn undo_entry(&self) -> crate::tx::UndoEntry {
         Arc::clone(&self.core) as crate::tx::UndoEntry
+    }
+
+    /// Whether `entry` is a handle to this very cell: the two `Arc`s
+    /// point at the same data. It cannot alias — `entry` keeps its
+    /// allocation alive, so no other cell can be at that address while
+    /// the comparison is made, and an `Arc` allocation starts with its
+    /// two counters, so even zero-sized data has an address of its own.
+    #[inline]
+    pub(crate) fn is_entry(&self, entry: &crate::tx::UndoEntry) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(entry), Arc::as_ptr(&self.core))
     }
 }
 

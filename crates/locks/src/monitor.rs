@@ -1018,8 +1018,8 @@ impl<'a> MonRef<'a> {
         obs::emit(self.id, EventKind::Rollback { entries, duration });
     }
 
-    /// Commit the section (truncating the undo log if outermost — no
-    /// cell is visited) and release one recursion level.
+    /// Commit the section (retiring the undo log's entries if outermost
+    /// — no cell is visited) and release one recursion level.
     fn commit_and_release(self, ctx: &Arc<SectionCtx>) {
         // No commit counter here: `commits` is derived at snapshot time
         // (acquires − rollbacks), keeping the uncontended exit at zero

@@ -15,21 +15,36 @@
 //! nothing up; and since that reference is not `Send`, neither is `Tx`.
 //!
 //! Undo logging is likewise allocation-free in steady state: one
-//! `revmon_core::UndoLog` per thread (only the owning thread appends or
-//! drains it, so it is unsynchronized), whose backing buffer is reused
-//! across sections, holding inline typed entries — an `Arc` to the
-//! written cell, which keeps the displaced old value in its own pooled
-//! buffer. `SectionCtx`s themselves are pooled per thread.
+//! `CellLog` per thread (only the owning thread appends or walks it, so
+//! it is unsynchronized), whose backing buffer is reused across
+//! sections, holding inline typed entries — an `Arc` to the written
+//! cell, which keeps the displaced old value in its own pooled buffer.
+//! `SectionCtx`s themselves are pooled per thread.
 //!
 //! A cell is logged **once per section** (see [`crate::cell`]): the
 //! thread's current `Stamp` — outermost and innermost live section —
 //! goes with every store, and the cell skips the save when its newest
 //! saved entry already carries it. So the log holds one entry per cell
 //! per section that wrote it, a rollback walks distinct cells rather
-//! than stores, and the outermost commit truncates the log without
-//! visiting a cell: what it leaves behind in the cells is recognised as
-//! stale by stamp at the next first write. The paper (§3.1.2) and
-//! `revmon-vm` log every store; this is `revmon-locks`' divergence.
+//! than stores, and the outermost commit visits no cell: what it leaves
+//! behind in the cells is recognised as stale by stamp at the next
+//! first write. The paper (§3.1.2) and `revmon-vm` log every store; this
+//! is `revmon-locks`' divergence.
+//!
+//! The log also **remembers its last write set**. Its *live length* —
+//! the entries of the open transaction — is kept apart from what it
+//! stores: the outermost commit and a rollback set the live length back
+//! and drop no handle, and a first write whose position already stores a
+//! handle to *this cell* (data-pointer compare) advances the live length
+//! over it. A loop whose sections write the same cells in the same order
+//! — and the retry of a revoked section — therefore touches no reference
+//! count; the first write that differs drops the stored tail from its
+//! position on and pushes a clone. The price is retention: up to
+//! `TAIL_MAX` (256) cells stay alive through this thread's log after
+//! their transaction committed, until a differing write takes their
+//! position or the thread exits. Handles the log gives up are dropped
+//! only after its `RefCell` borrow has ended — a cell's value may have a
+//! destructor that enters a monitor.
 
 use crate::cell::{Stamp, TCell, VolatileCell};
 use crate::signal::RollbackSignal;
@@ -99,11 +114,12 @@ impl SectionCtx {
 
 /// One undo-log entry: a handle to the cell whose old value was saved.
 ///
-/// Cloning the `Arc` is the whole write barrier's bookkeeping — no boxed
-/// closure, no allocation. Restoring pops the cell's newest saved
-/// value; since both the log and each cell's saved entries are stacks
-/// filled in program order, draining the log newest-first pops every
-/// cell in exactly reverse first-write order.
+/// Cloning the `Arc` is the most the write barrier's bookkeeping costs —
+/// no boxed closure, no allocation — and a [`CellLog`] that already
+/// stores this cell at this position does not even clone. Restoring pops
+/// the cell's newest saved value; since both the log and each cell's
+/// saved entries are stacks filled in program order, walking the log
+/// newest-first pops every cell in exactly reverse first-write order.
 pub(crate) type UndoEntry = Arc<dyn UndoSink>;
 
 /// A store that can take back its most recently saved old value.
@@ -115,6 +131,87 @@ pub(crate) trait UndoSink: Send + Sync {
     /// cell is guarded by two monitors, which is misuse but must stay
     /// memory-safe and panic-free).
     fn restore_one(&self, tx: u64);
+}
+
+// ------------------------------------------------------------------- log
+
+/// Most entries a thread's log keeps stored once no transaction is open:
+/// the longest write set it can recognise again, and so the most cells
+/// it can keep alive after every other handle to them is gone.
+const TAIL_MAX: usize = 256;
+
+/// The per-thread undo log: the open transaction's first writes in
+/// program order (`stored[..live]`), then the *remembered tail* — the
+/// handles earlier transactions left behind, which a first write to the
+/// same cell at the same position takes over without a clone.
+///
+/// The live length is an `UndoLog<()>` because that is what makes and
+/// compares the [`LogMark`]s sections carry (marks have no other
+/// constructor; the VM's fingerprint gets its origin mark the same
+/// way) — with unit entries it is a counter. It never exceeds
+/// `stored.len()`.
+#[derive(Default)]
+pub(crate) struct CellLog {
+    stored: Vec<UndoEntry>,
+    live: UndoLog<()>,
+    /// Handles taken out of `stored` and not dropped yet: the operation
+    /// that displaced them says so, and [`ThreadRt::log_op`] drops them
+    /// once its borrow of the log has ended. Keeps its capacity, like
+    /// `stored`.
+    displaced: Vec<UndoEntry>,
+}
+
+impl CellLog {
+    /// Take a mark at the live length (at section entry).
+    fn mark(&self) -> LogMark {
+        self.live.mark()
+    }
+
+    /// Log a first write to `cell`: advance over the stored entry at the
+    /// live position when it is this very cell, otherwise replace the
+    /// stored tail from there with a fresh handle. Returns whether that
+    /// displaced handles the caller now has to drop.
+    #[inline]
+    fn push<T: Send + 'static>(&mut self, cell: &TCell<T>) -> bool {
+        let at = self.live.len();
+        self.live.push(());
+        if self.stored.get(at).is_some_and(|e| cell.is_entry(e)) {
+            return false;
+        }
+        let displaced = self.displace_from(at);
+        self.stored.push(cell.undo_entry());
+        displaced
+    }
+
+    /// Move the stored handles from position `at` on (none of them
+    /// live) to `displaced`; whether there is now anything to drop.
+    fn displace_from(&mut self, at: usize) -> bool {
+        self.displaced.extend(self.stored.drain(at..));
+        !self.displaced.is_empty()
+    }
+
+    /// Retire the entries since `mark` without restoring (outermost
+    /// commit): they become the remembered tail, trimmed to
+    /// [`TAIL_MAX`]. Returns whether the trim displaced handles.
+    #[inline]
+    fn commit_to(&mut self, mark: LogMark) -> bool {
+        self.live.commit_to(mark);
+        let keep = TAIL_MAX.max(self.live.len());
+        self.stored.len() > keep && self.displace_from(keep)
+    }
+
+    /// Roll back to `mark`: restore the live entries since it **newest
+    /// first**, by reference — they stay stored for the retry to take
+    /// over. Returns how many there were.
+    fn rollback_to(&mut self, mark: LogMark, tx: u64) -> usize {
+        let live = self.live.len();
+        let cut = mark.position().min(live);
+        for e in self.stored[cut..live].iter().rev() {
+            e.restore_one(tx);
+        }
+        self.live.commit_to(mark);
+        live - cut
+    }
 }
 
 // ---------------------------------------------------------------- threads
@@ -164,9 +261,9 @@ pub(crate) struct ThreadRt {
     /// The shared slot (registered in the global table).
     slot: Arc<ThreadSlot>,
     /// The undo log. Unsynchronized: only this thread appends (write
-    /// barrier), drains (rollback) or truncates (outermost commit); the
+    /// barrier), walks (rollback) or retires (outermost commit); the
     /// backing buffer is reused across sections.
-    undo: RefCell<UndoLog<UndoEntry>>,
+    undo: RefCell<CellLog>,
     /// Recycled `SectionCtx` allocations.
     pool: RefCell<Vec<Arc<SectionCtx>>>,
     /// Next section id of this thread's current block, and the block's
@@ -207,7 +304,7 @@ impl ThreadRt {
         drop(table);
         ThreadRt {
             slot,
-            undo: RefCell::new(UndoLog::new()),
+            undo: RefCell::default(),
             pool: RefCell::new(Vec::new()),
             next_id: Cell::new(0),
             id_end: Cell::new(0),
@@ -223,6 +320,9 @@ impl ThreadRt {
             // Relaxed: the counter publishes nothing but itself.
             id = NEXT_ID_BLOCK.fetch_add(ID_BLOCK, Ordering::Relaxed);
             self.id_end.set(id + ID_BLOCK);
+            // A thread's first section is the first thing that can log:
+            // arm the exit hook, from here so that it is younger than `RT`.
+            AT_EXIT.with(|_| ());
         }
         self.next_id.set(id + 1);
         id
@@ -258,6 +358,34 @@ impl ThreadRt {
         // flag, so the next poll takes the slow path again.
     }
 
+    /// Run `op` on the undo log and, if it says it displaced handles,
+    /// drop them — after the borrow `op` ran under has ended.
+    #[inline]
+    fn log_op(&self, op: impl FnOnce(&mut CellLog) -> bool) {
+        let displaced = op(&mut self.undo.borrow_mut());
+        if displaced {
+            self.drop_displaced();
+        }
+    }
+
+    /// Drop the handles the log displaced, each outside any borrow of
+    /// the log: the last handle to a cell drops the cell's values, and a
+    /// destructor among them may enter a monitor on this thread — which
+    /// marks and appends to this log. One that unwinds leaves the rest
+    /// for the next caller (or thread exit).
+    #[cold]
+    fn drop_displaced(&self) {
+        loop {
+            let Some(e) = self.undo.borrow_mut().displaced.pop() else { break };
+            drop(e);
+        }
+    }
+
+    /// Give up every handle the log remembers (thread exit, [`AtExit`]).
+    fn release_log(&self) {
+        self.log_op(|log| log.displace_from(log.live.len()));
+    }
+
     /// See the free [`outermost_flagged`].
     fn outermost_flagged(&self) -> Option<u64> {
         self.slot
@@ -275,6 +403,24 @@ impl ThreadRt {
 
 thread_local! {
     static RT: ThreadRt = ThreadRt::init();
+    static AT_EXIT: AtExit = const { AtExit };
+}
+
+/// Releases the handles a thread's log remembers when the thread exits
+/// — *before* `RT` is destroyed, so that a value whose destructor enters
+/// a monitor finds the runtime state it needs, at thread exit as
+/// anywhere else. That order is std's practice, not its promise:
+/// thread-local destructors run newest-registered first, and this one
+/// registers at its first access, which [`ThreadRt::fresh_id`] makes
+/// from inside `RT`. Run the other way round there would be nothing left
+/// to do here, `RT`'s own drop would release the handles, and such a
+/// destructor would be refused the thread-local by a panic.
+struct AtExit;
+
+impl Drop for AtExit {
+    fn drop(&mut self) {
+        let _ = RT.try_with(ThreadRt::release_log);
+    }
 }
 
 /// This thread's slot.
@@ -361,13 +507,16 @@ pub(crate) fn abandon_section(ctx: &SectionCtx) {
 }
 
 /// Commit the innermost section: mark it exited and — when it was this
-/// thread's outermost — retire its undo entries by truncating the log.
-/// No cell is visited: the saved values stay where they are, stamped
-/// with a transaction id no later section will carry, until each cell's
-/// next first write drops them. Nested commits leave the entries in the
-/// log: updates stay revocable until the *outermost* exit, exactly as
-/// the paper keeps the whole log until the outermost `monitorexit`.
-/// Returns whether this was the outermost section.
+/// thread's outermost — retire its undo entries by setting the log's
+/// live length back to the section's mark. No cell is visited and no
+/// handle dropped (short of the [`TAIL_MAX`] trim): the saved values
+/// stay where they are, stamped with a transaction id no later section
+/// will carry, until each cell's next first write drops them, and the
+/// handles stay stored for the next transaction to take over. Nested
+/// commits leave the entries live: updates stay revocable until the
+/// *outermost* exit, exactly as the paper keeps the whole log until the
+/// outermost `monitorexit`. Returns whether this was the outermost
+/// section.
 #[inline]
 pub(crate) fn commit_top_section(ctx: &SectionCtx) -> bool {
     ctx.exited.store(true, Ordering::Release);
@@ -375,7 +524,7 @@ pub(crate) fn commit_top_section(ctx: &SectionCtx) -> bool {
         rt.stamp.set(ctx.enclosing);
         let outermost = ctx.enclosing == Stamp::NONE;
         if outermost {
-            rt.undo.borrow_mut().commit_to(ctx.mark);
+            rt.log_op(|log| log.commit_to(ctx.mark));
         }
         outermost
     })
@@ -392,10 +541,7 @@ pub(crate) fn rollback_section(ctx: &SectionCtx) -> usize {
     let t0 = prof.start(revmon_obs::Phase::UndoWalk);
     let n = RT.with(|rt| {
         let tx = rt.stamp.get().tx;
-        let mut log = rt.undo.borrow_mut();
-        let n = log.len().saturating_sub(ctx.mark.position());
-        log.rollback_to(ctx.mark, |e| e.restore_one(tx));
-        n
+        rt.undo.borrow_mut().rollback_to(ctx.mark, tx)
     });
     prof.finish(revmon_obs::Phase::UndoWalk, t0);
     n
@@ -564,11 +710,12 @@ impl Tx<'_> {
     /// The write barrier's log half, after a store that was its
     /// section's first to `cell` (the cell saved the old value): append
     /// the cell to the undo log and count the entry. Zero heap
-    /// allocations in steady state.
+    /// allocations in steady state, and no reference count touched when
+    /// the log remembers the cell at this position.
     #[inline]
     fn log<T: Send + 'static>(&self, cell: &TCell<T>) {
-        self.rt.undo.borrow_mut().push(cell.undo_entry());
         self.logged.set(self.logged.get() + 1);
+        self.rt.log_op(|log| log.push(cell));
     }
 
     /// Read a volatile cell (always allowed, lock-free). A yield point.
@@ -645,12 +792,12 @@ mod tests {
         RT.with(|rt| {
             rt.slot.sections.lock().clear();
             rt.stamp.set(Stamp::NONE);
-            rt.undo.borrow_mut().clear();
+            rt.undo.take();
         });
     }
 
     fn log_len() -> usize {
-        RT.with(|rt| rt.undo.borrow().len())
+        RT.with(|rt| rt.undo.borrow().live.len())
     }
 
     /// `Tx::write`'s barrier without a monitor to get a `Tx` from: store
@@ -660,7 +807,7 @@ mod tests {
         RT.with(|rt| {
             let first = cell.store(rt.slot.dense, v, Some(rt.stamp.get()));
             if first {
-                rt.undo.borrow_mut().push(cell.undo_entry());
+                rt.log_op(|log| log.push(cell));
             }
             first
         })
@@ -739,6 +886,35 @@ mod tests {
         assert_eq!(rollback_section(&next), 1);
         assert_eq!(c.read_unsynchronized(), 5);
         abandon_section(&next);
+    }
+
+    #[test]
+    fn the_log_takes_over_the_handles_it_remembers_without_cloning() {
+        reset_thread();
+        let (a, b, c) = (TCell::new(1i64), TCell::new(2i64), TCell::new(3i64));
+        let handles = || (a.handles(), b.handles(), c.handles());
+        let section = |first: &TCell<i64>, second: &TCell<i64>| {
+            let ctx = begin_section(1);
+            assert!(logged_store(first, 10) && logged_store(second, 20));
+            ctx
+        };
+        assert!(commit_top_section(&section(&a, &b)));
+        assert_eq!((log_len(), handles()), (0, (2, 2, 1)), "committed, and still stored");
+        // The same cells in the same order: live again, no handle made.
+        let again = section(&a, &b);
+        assert_eq!((log_len(), handles()), (2, (2, 2, 1)));
+        // Restored by reference; the retry takes the same handles over.
+        assert_eq!(rollback_section(&again), 2);
+        assert_eq!((a.read_unsynchronized(), b.read_unsynchronized()), (10, 20));
+        exit_section(&again);
+        assert!(commit_top_section(&section(&a, &b)));
+        assert_eq!(handles(), (2, 2, 1));
+        // Another cell in `b`'s place: `b`'s handle goes, `c` gets one.
+        assert!(commit_top_section(&section(&a, &c)));
+        assert_eq!(handles(), (2, 1, 2));
+        // And in `a`'s place, everything from there on.
+        assert!(commit_top_section(&section(&b, &a)));
+        assert_eq!(handles(), (2, 2, 1));
     }
 
     #[test]

@@ -9,6 +9,10 @@ use std::sync::mpsc;
 use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
 
+/// `tx.rs`'s `TAIL_MAX`: the handles a thread's undo log keeps stored past
+/// an outermost commit, and so the most cells it keeps alive by itself.
+pub const LOG_TAIL_MAX: usize = 256;
+
 /// How long a section that must be caught mid-flight keeps itself open.
 const HOLD: Duration = Duration::from_secs(20);
 

@@ -11,6 +11,16 @@
 //! model, and the four cells must agree after every step. The cases the
 //! stamp can get wrong are spelled out below as named tests.
 //!
+//! The thread's undo log has a decision of its own to get wrong: it
+//! remembers the handles of the transactions before, and a first write
+//! takes over the one at its position *if it is to the same cell*
+//! (`tx.rs`, `CellLog`). A program's transactions all run on the one
+//! `LOW` thread, so every transaction after the first meets a remembered
+//! tail; `runs_of_transactions_agree_with_log_everything` makes those
+//! meetings systematic — the same write set again, permuted, cut short,
+//! extended, moved to other cells, under a policy that logs nothing —
+//! and the case that needs cells of its own is named at the end.
+//!
 //! A section is rolled back the only way the public API allows: a
 //! `HIGH` thread contends for its monitor (one monitor per nesting
 //! level) while the program's `LOW` thread spins at a yield point. The
@@ -19,7 +29,7 @@
 
 mod common;
 
-use common::be_revoked;
+use common::{be_revoked, LOG_TAIL_MAX};
 use proptest::prelude::*;
 use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell, Tx};
@@ -56,6 +66,11 @@ enum Op {
     Store { cell: usize, value: i64, via: usize, how: How },
     /// Enter a section one level deeper (skipped at `MAX_DEPTH`).
     Enter,
+    /// Outside any section: a whole transaction on a monitor whose
+    /// policy never rolls back — its stores, up to its `Commit`, save and
+    /// log nothing and leave the thread's log as it was; every other op
+    /// in there is skipped. Skipped inside a section.
+    EnterPlain,
     /// Leave the innermost section normally.
     Commit,
     /// Revoke open section `level % depth` (0 = outermost): it and
@@ -109,6 +124,8 @@ struct Run<'p> {
     cells: Vec<TCell<i64>>,
     /// One monitor per nesting level.
     monitors: Vec<RevocableMonitor>,
+    /// The monitor of the `EnterPlain` transactions.
+    plain: RevocableMonitor,
     /// Cells whose update closure is running, each with the nesting
     /// level of the section that issued the update. Such a cell is
     /// locked by this very thread, so nothing may touch it — the
@@ -124,6 +141,7 @@ impl<'p> Run<'p> {
             model: RefCell::default(),
             cells: (0..CELLS).map(|_| TCell::new(0)).collect(),
             monitors: (0..MAX_DEPTH).map(|_| RevocableMonitor::new()).collect(),
+            plain: RevocableMonitor::with_policy(InversionPolicy::Blocking),
             in_closure: RefCell::default(),
         }
     }
@@ -211,7 +229,7 @@ impl<'p> Run<'p> {
                         self.model.borrow_mut().write(cell, stored);
                     }
                     Op::Enter if open.len() < MAX_DEPTH => enter(&open),
-                    Op::Enter => {}
+                    Op::Enter | Op::EnterPlain => {}
                     Op::Commit => break,
                     Op::RollBack { level } => {
                         let level = level % open.len();
@@ -226,13 +244,43 @@ impl<'p> Run<'p> {
         self.agree();
     }
 
+    /// Run an `EnterPlain` transaction until its `Commit` (or the end of
+    /// the program). Nothing can roll it back, so the model just stores.
+    fn plain_section(&self) {
+        self.plain.enter(Priority::LOW, |tx| {
+            while let Some(op) = self.next_op() {
+                match op {
+                    Op::Store { cell, value, how, .. } => {
+                        let was = self.model.borrow().values[cell];
+                        let stored = if how == How::Write {
+                            tx.write(&self.cells[cell], value);
+                            value
+                        } else {
+                            tx.update(&self.cells[cell], |old| mix(old, value));
+                            mix(was, value)
+                        };
+                        self.model.borrow_mut().values[cell] = stored;
+                    }
+                    Op::Commit => break,
+                    _ => {}
+                }
+                self.agree();
+            }
+        });
+        assert_eq!(self.plain.stats().log_entries, 0);
+    }
+
     /// Run the whole program; returns the cells' final values.
     fn run(&self) -> [i64; CELLS] {
         thread::scope(|scope| {
             while let Some(op) = self.next_op() {
-                if let Op::Enter = op {
-                    self.model.borrow_mut().marks.push(0);
-                    self.section(scope, &[]);
+                match op {
+                    Op::Enter => {
+                        self.model.borrow_mut().marks.push(0);
+                        self.section(scope, &[]);
+                    }
+                    Op::EnterPlain => self.plain_section(),
+                    _ => {}
                 }
             }
         });
@@ -255,6 +303,7 @@ fn op() -> impl Strategy<Value = Op> {
         )
             .prop_map(|(cell, value, via, how)| Op::Store { cell, value, via, how }),
         2 => Just(Op::Enter),
+        1 => Just(Op::EnterPlain),
         2 => Just(Op::Commit),
         1 => (0..MAX_DEPTH).prop_map(|level| Op::RollBack { level }),
     ]
@@ -267,6 +316,96 @@ proptest! {
     fn random_programs_agree_with_log_everything(
         ops in proptest::collection::vec(op(), 1..60),
     ) {
+        run(&ops);
+    }
+}
+
+// ------------------------------------------- runs of transactions
+
+/// What one transaction of a run writes, relative to the run's base
+/// write set (the numbers are reduced to fit it).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// The base cells in the base order: the log takes every handle over.
+    Same,
+    /// The base cells, rotated: same set, every position differs.
+    Permuted(usize),
+    /// The first cells of the base: the log's tail outlives the section.
+    Prefix(usize),
+    /// The base and then one more cell.
+    Superset(usize),
+    /// As many cells, each the base's plus a shift: cells the log does
+    /// not hold, in positions where it holds others.
+    Shifted(usize),
+    /// The base, then a nested section writing the first cell again, then
+    /// the outer section writing it a third time: one cell, three entries.
+    TwiceThroughANestedSection,
+    /// The base under the policy that logs nothing.
+    Plain,
+}
+
+/// The ops of one transaction: its stores (writes and updates by turns),
+/// and with `revoked` a rollback after them and the same stores again as
+/// the retry — which finds its own handles still stored.
+fn transaction(base: &[usize], shape: Shape, revoked: bool, seq: i64) -> Vec<Op> {
+    let n = base.len();
+    let cells: Vec<usize> = match shape {
+        Shape::Same | Shape::TwiceThroughANestedSection | Shape::Plain => base.to_vec(),
+        Shape::Permuted(by) => (0..n).map(|i| base[(i + by) % n]).collect(),
+        Shape::Prefix(len) => base[..1 + len % n].to_vec(),
+        Shape::Superset(extra) => base.iter().copied().chain([extra % CELLS]).collect(),
+        Shape::Shifted(by) => base.iter().map(|c| (c + 1 + by % (CELLS - 1)) % CELLS).collect(),
+    };
+    let stores = |round: i64| {
+        cells.iter().enumerate().map(move |(i, &cell)| {
+            let how = if i % 2 == 0 { How::Write } else { How::Update };
+            Op::Store { cell, value: seq * 100 + round * 10 + i as i64, via: 0, how }
+        })
+    };
+    if let Shape::Plain = shape {
+        return [Op::EnterPlain].into_iter().chain(stores(0)).chain([Op::Commit]).collect();
+    }
+    let mut ops = vec![Op::Enter];
+    for round in 0..=i64::from(revoked) {
+        ops.extend(stores(round));
+        if let Shape::TwiceThroughANestedSection = shape {
+            ops.extend([Op::Enter, w(base[0], -seq), Op::Commit, w(base[0], -seq - 1)]);
+        }
+        if round == 0 && revoked {
+            ops.push(Op::RollBack { level: 0 });
+        }
+    }
+    ops.push(Op::Commit);
+    ops
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        3 => Just(Shape::Same),
+        2 => (1..CELLS).prop_map(Shape::Permuted),
+        2 => (0..CELLS).prop_map(Shape::Prefix),
+        2 => (0..CELLS).prop_map(Shape::Superset),
+        2 => (0..CELLS).prop_map(Shape::Shifted),
+        1 => Just(Shape::TwiceThroughANestedSection),
+        1 => Just(Shape::Plain),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn runs_of_transactions_agree_with_log_everything(
+        (first, stride) in (0..CELLS, prop_oneof![Just(1), Just(CELLS - 1)]),
+        len in 1..CELLS,
+        run_of in proptest::collection::vec((shape(), 0..10u32), 2..10),
+    ) {
+        // The base write set: `len` cells, up or down from `first`.
+        let base: Vec<usize> = (0..len).map(|i| (first + i * stride) % CELLS).collect();
+        let ops: Vec<Op> = (1..)
+            .zip(&run_of)
+            .flat_map(|(seq, &(shape, revoked))| transaction(&base, shape, revoked < 3, seq))
+            .collect();
         run(&ops);
     }
 }
@@ -448,6 +587,39 @@ fn plain_update_over_a_stale_entry() {
     });
 }
 
+/// A handle the log remembers must never stand in for another cell. A
+/// cell that was written, committed and dropped stays remembered at
+/// position 0; each round then writes two cells allocated just now —
+/// in positions the log holds the round before's cells in — and is
+/// revoked: both restores must land on the cells that were written.
+/// (A log that takes whatever it stores for "this cell" restores the
+/// dropped cell and leaves 100 in the fresh one.)
+#[test]
+fn fresh_cells_written_where_the_log_remembers_dropped_ones_then_revoked() {
+    let m = RevocableMonitor::new();
+    thread::scope(|scope| {
+        let gone = TCell::new(0i64);
+        m.enter(Priority::LOW, |tx| tx.write(&gone, 1));
+        drop(gone);
+        for round in 1..=8i64 {
+            let (fresh, second) = (TCell::new(round), TCell::new(-round));
+            let mut attempts = 0;
+            let seen = m.enter(Priority::LOW, |tx| {
+                attempts += 1;
+                if attempts == 1 {
+                    tx.write(&fresh, 100);
+                    tx.update(&second, |v| v - 100);
+                    be_revoked(scope, &m, tx);
+                }
+                (tx.read(&fresh), tx.read(&second))
+            });
+            assert_eq!(seen, (round, -round), "round {round}");
+        }
+    });
+    let st = m.stats();
+    assert_eq!((st.rollbacks, st.entries_rolled_back), (8, 16));
+}
+
 // ---------------------------------------------------- deferred drop
 
 /// A value that counts its live instances.
@@ -475,6 +647,8 @@ impl Drop for Counted {
 /// A commit visits no cell, so the value a section's first write
 /// displaced outlives the commit — until the cell's next first write or
 /// the cell's drop, one per nesting level that wrote it, never leaked.
+/// The cell's drop is not its last `TCell` handle's: the thread's undo
+/// log remembers the cell until a different one is logged in its place.
 #[test]
 fn a_committed_sections_saved_value_is_dropped_by_the_next_first_write_or_with_the_cell() {
     let live = Arc::new(AtomicIsize::new(0));
@@ -507,5 +681,52 @@ fn a_committed_sections_saved_value_is_dropped_by_the_next_first_write_or_with_t
     assert_eq!(count(), 2, "all of the committed transaction's entries go at once");
 
     drop(c);
+    assert_eq!(count(), 2, "this thread's log still remembers the cell");
+    let other = TCell::new(0i64);
+    outer.enter(Priority::NORM, |tx| tx.write(&other, 1));
     assert_eq!(count(), 0, "nothing outlives the cell");
+}
+
+/// However many cells a transaction wrote and dropped, its thread's log
+/// keeps no more than its bound of them alive after the commit, and a
+/// transaction that differs from the first position on gives those up.
+#[test]
+fn a_threads_log_keeps_at_most_its_bound_of_dead_cells_alive() {
+    let live = Arc::new(AtomicIsize::new(0));
+    let count = || live.load(Ordering::Relaxed);
+    let m = RevocableMonitor::new();
+    let kept = LOG_TAIL_MAX as isize;
+    let cells = kept + 44;
+    m.enter(Priority::NORM, |tx| {
+        for _ in 0..cells {
+            let c = TCell::new(Counted::new(&live));
+            tx.write(&c, Counted::new(&live));
+        }
+        assert_eq!(count(), 2 * cells, "each cell's value and the one saved for rollback");
+    });
+    assert_eq!(count(), 2 * kept, "the commit trims what the log stores to its bound");
+    let other = TCell::new(0i64);
+    m.enter(Priority::NORM, |tx| tx.write(&other, 1));
+    assert_eq!(count(), 0);
+}
+
+/// What a thread's log still remembers is released when the thread exits.
+#[test]
+fn a_threads_remembered_cells_go_with_the_thread() {
+    let live = Arc::new(AtomicIsize::new(0));
+    let m = RevocableMonitor::new();
+    let at_exit = thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            m.enter(Priority::NORM, |tx| {
+                for _ in 0..3 {
+                    let c = TCell::new(Counted::new(&live));
+                    tx.write(&c, Counted::new(&live));
+                }
+            });
+            live.load(Ordering::Relaxed)
+        });
+        worker.join().unwrap()
+    });
+    assert_eq!(at_exit, 6, "remembered for as long as the thread runs");
+    assert_eq!(live.load(Ordering::Relaxed), 0, "and no longer");
 }
