@@ -1,28 +1,24 @@
-//! Three-policy comparison: blocking vs revocation vs delegation.
+//! Policy comparison on real threads: blocking vs revocation.
 //!
-//! The delegation combiner's pitch is that it resolves priority
-//! inversion *without* the revocation machinery's costs: no undo log,
-//! no write barriers, no rollback. This bench puts the three inversion
-//! policies side by side on the axes that argument rests on:
+//! What revocation buys (a HIGH thread is not held up by a LOW holder)
+//! and what it costs (the undo-log write barrier), side by side with the
+//! blocking baseline:
 //!
 //! * `enter_exit` — uncontended enter/exit of an empty section;
 //! * `section_first_write` — a section's first write to a cell: the
 //!   write barrier proper (old value saved in the cell and the cell
-//!   logged under revocation; a plain store under blocking and
-//!   delegation). Fresh sections over 64 distinct cells, so each write
-//!   also carries 1/64 of an `enter_exit`;
+//!   logged under revocation; a plain store under blocking). Fresh
+//!   sections over 64 distinct cells, so each write also carries 1/64
+//!   of an `enter_exit`;
 //! * `section_repeat_write` — one cell written again and again inside
 //!   one held section: since undo logging became first-write-only every
 //!   policy stores plainly here, and the rows should agree;
 //! * `section_update` — `Tx::update` in that same repeat regime: against
 //!   `section_repeat_write` it prices the clone and the closure, in the
 //!   same single cell-lock hold;
-//! * `submit_round_trip` — delegation only: uncontended `submit` +
-//!   `wait`, the combiner's analogue of enter/exit;
 //! * `inversion_latency` — a HIGH thread's arrival-to-section-complete
 //!   latency while a LOW holder sits mid-section (blocking waits the
-//!   holder out, revocation rolls it back, delegation queues on the
-//!   combiner and runs at release).
+//!   holder out, revocation rolls it back).
 //!
 //! The rows are for comparing the policies with each other in one binary
 //! on one host; the tracked absolute numbers for the revocation policy
@@ -41,11 +37,8 @@ use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-const POLICIES: &[(&str, InversionPolicy)] = &[
-    ("blocking", InversionPolicy::Blocking),
-    ("revocation", InversionPolicy::Revocation),
-    ("delegation", InversionPolicy::Delegation),
-];
+const POLICIES: &[(&str, InversionPolicy)] =
+    &[("blocking", InversionPolicy::Blocking), ("revocation", InversionPolicy::Revocation)];
 
 struct Row {
     name: &'static str,
@@ -85,9 +78,8 @@ fn bench_enter_exit(samples: usize, iters: u64) -> Vec<Row> {
 const FIRST_WRITE_CELLS: usize = 64;
 
 /// A section's first write to a cell: revocation pays the undo-log
-/// write barrier (save + log), blocking and delegation do not. Each
-/// timed operation is a fresh section writing every cell once; the
-/// reading is per write.
+/// write barrier (save + log), blocking does not. Each timed operation
+/// is a fresh section writing every cell once; the reading is per write.
 fn bench_section_first_write(samples: usize, iters: u64) -> Vec<Row> {
     POLICIES
         .iter()
@@ -135,22 +127,6 @@ fn bench_section_repeat(samples: usize, iters: u64) -> Vec<Row> {
     rows
 }
 
-/// Delegation only: uncontended submit + wait (section executes inline
-/// on the submitting thread).
-fn bench_submit_round_trip(samples: usize, iters: u64) -> Row {
-    let m = RevocableMonitor::with_policy(InversionPolicy::Delegation);
-    let cell = TCell::new(0i64);
-    row("submit_round_trip", "delegation", samples, || {
-        time_ns_per_op(iters, || {
-            let cell = cell.clone();
-            m.submit(Priority::NORM, move |tx| {
-                tx.write(&cell, black_box(7i64));
-            })
-            .wait();
-        })
-    })
-}
-
 /// A HIGH-priority thread arrives while a LOW holder is mid-way through
 /// a fixed-length section; measure the HIGH thread's latency from
 /// arrival to the completion of *its own* section. The LOW section
@@ -184,17 +160,9 @@ fn bench_inversion_latency(samples: usize, episodes: u64, low_writes: u64) -> Ve
                     };
                     entered.wait();
                     total_ns += time_ns_per_op(1, || {
-                        if policy == InversionPolicy::Delegation {
-                            let cell = cell.clone();
-                            m.submit(Priority::HIGH, move |tx| {
-                                black_box(tx.read(&cell));
-                            })
-                            .wait();
-                        } else {
-                            m.enter(Priority::HIGH, |tx| {
-                                black_box(tx.read(&cell));
-                            });
-                        }
+                        m.enter(Priority::HIGH, |tx| {
+                            black_box(tx.read(&cell));
+                        });
                     });
                     low.join().unwrap();
                 }
@@ -232,27 +200,23 @@ fn main() {
     rows.extend(bench_enter_exit(samples, iters));
     rows.extend(bench_section_first_write(samples, iters));
     rows.extend(bench_section_repeat(samples, iters));
-    rows.push(bench_submit_round_trip(samples, iters / 4));
     rows.extend(bench_inversion_latency(samples, episodes, low_writes));
 
-    println!("three-policy comparison ({})", args.mode());
+    println!("policy comparison ({})", args.mode());
     println!("{:<22} {:<12} {:>14} {:>10}", "bench", "policy", "mean ns/op", "ci90");
     for r in &rows {
         println!("{:<22} {:<12} {:>14.2} {:>10.2}", r.name, r.policy, r.mean_ns(), r.ci90_ns());
     }
 
-    // The headline check in numbers: delegation's first writes must be
-    // barrier-free (comparable to blocking, well under revocation).
+    // The headline in numbers: what the write barrier costs a first
+    // write, against the same store without it.
     let m = |name: &str, pol: &str| {
         rows.iter().find(|r| r.name == name && r.policy == pol).map(Row::mean_ns)
     };
-    if let (Some(rev), Some(del)) =
-        (m("section_first_write", "revocation"), m("section_first_write", "delegation"))
+    if let (Some(blk), Some(rev)) =
+        (m("section_first_write", "blocking"), m("section_first_write", "revocation"))
     {
-        println!(
-            "section_first_write: delegation/revocation ratio {:.3} (barrier skipped)",
-            del / rev
-        );
+        println!("section_first_write: blocking/revocation ratio {:.3} (the barrier)", blk / rev);
     }
 
     measure::write_results("policies", args, &results_body(&rows));

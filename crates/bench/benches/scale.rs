@@ -28,7 +28,6 @@ use revmon_locks::{MonitorArena, TCell};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 
 /// Amortized idle bytes per monitor the arena may cost (ISSUE budget).
@@ -85,34 +84,32 @@ struct MonitorReport {
     churn_deflations: u64,
 }
 
-/// One deterministic inflate/deflate round on monitor `idx`: hold it,
-/// queue a delegated section against it (which inflates), release (which
-/// drains and deflates).
-fn churn_round(arena: &Arc<MonitorArena>, idx: usize) {
+/// One deterministic inflate/deflate round on monitor `idx`: a holder
+/// keeps its section open until a contender has blocked on the monitor
+/// (which inflates it), then exits and hands over; the contender's exit
+/// finds nothing queued and deflates.
+fn churn_round(arena: &MonitorArena, idx: usize) {
     let c = TCell::new(0i64);
     let m = arena.get(idx);
-    let queued = Arc::new(AtomicBool::new(false));
-    let holder = {
-        let arena = Arc::clone(arena);
-        let c = c.clone();
-        let queued = Arc::clone(&queued);
-        thread::spawn(move || {
-            arena.get(idx).enter(Priority::NORM, |tx| {
+    let before = arena.stats().contended;
+    let inside = AtomicBool::new(false);
+    thread::scope(|s| {
+        s.spawn(|| {
+            m.enter(Priority::NORM, |tx| {
                 tx.update(&c, |v| v + 1);
-                while !queued.load(Ordering::Acquire) {
+                inside.store(true, Ordering::Release);
+                while arena.stats().contended == before {
                     std::hint::spin_loop();
                 }
             });
-        })
-    };
-    while m.try_enter(Priority::NORM, |_| ()).is_some() {
-        std::hint::spin_loop();
-    }
-    let c2 = c.clone();
-    let h = m.submit(Priority::HIGH, move |tx| tx.update(&c2, |v| v + 1));
-    queued.store(true, Ordering::Release);
-    h.wait();
-    holder.join().unwrap();
+        });
+        // Touch the monitor only once the holder owns it, then block
+        // behind it.
+        while !inside.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        m.enter(Priority::NORM, |tx| tx.update(&c, |v| v + 1));
+    });
     assert_eq!(c.read_unsynchronized(), 2, "churn round lost an update");
 }
 
@@ -120,9 +117,9 @@ fn bench_monitors(count: usize, churn_rounds: usize) -> MonitorReport {
     // Warm process-wide laziness (thread slot, side-table chunk, stats
     // registry growth) *before* the baseline so the arena measurement
     // captures the arena, not one-time globals.
-    churn_round(&Arc::new(MonitorArena::new(1)), 0);
+    churn_round(&MonitorArena::new(1), 0);
     let before = live_bytes();
-    let arena = Arc::new(MonitorArena::new(count));
+    let arena = MonitorArena::new(count);
     let idle_after_create = live_bytes() - before;
     // Touch a scatter of monitors: uncontended thin enter/exit of a live
     // monitor must not allocate (the zero-alloc steady-state invariant,

@@ -181,17 +181,6 @@ fn route(path: &str, state: &ServeState) -> Result<(&'static str, &'static str, 
                 writeln!(tail, "# HELP revmon_events_dropped_total Events lost to ring overflow.");
             let _ = writeln!(tail, "# TYPE revmon_events_dropped_total counter");
             let _ = writeln!(tail, "revmon_events_dropped_total {}", state.sink.dropped());
-            // Combiner queue depth: submitted − completed across every
-            // monitor in the process. Zero at quiescence; a persistent
-            // positive value means delegated sections are stranded.
-            let agg = revmon_locks::aggregate_snapshot();
-            let depth = agg.delegations_submitted.saturating_sub(agg.delegations_completed);
-            let _ = writeln!(
-                tail,
-                "# HELP revmon_combiner_queue_depth Delegated sections submitted but not yet executed."
-            );
-            let _ = writeln!(tail, "# TYPE revmon_combiner_queue_depth gauge");
-            let _ = writeln!(tail, "revmon_combiner_queue_depth {depth}");
             // The telemetry pipeline's own health: per-producer drops,
             // collector cadence/backlog, record-path self-cost.
             let mut pipeline = Vec::new();

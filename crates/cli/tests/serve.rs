@@ -42,7 +42,6 @@ fn serve_exposes_metrics_health_and_graph() {
     assert!(metrics.contains("revmon_episodes_total"), "analysis series missing:\n{metrics}");
     assert!(metrics.contains("revmon_revocation_phase_ns"), "phase timers missing:\n{metrics}");
     assert!(metrics.contains("revmon_events_recorded_total"), "sink counters missing:\n{metrics}");
-    assert!(metrics.contains("revmon_combiner_queue_depth"), "combiner gauge missing:\n{metrics}");
     assert!(metrics.contains("revmon_obs_producers"), "pipeline gauges missing:\n{metrics}");
     assert!(metrics.contains("revmon_obs_backlog"), "pipeline backlog gauge missing:\n{metrics}");
     assert!(

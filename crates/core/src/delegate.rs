@@ -5,22 +5,17 @@
 //! Under delegation a thread never *holds* a contended monitor across an
 //! inversion: it submits its critical section to the monitor's combiner
 //! queue and the current holder — the *combiner* — executes pending
-//! submissions in priority order before releasing. This module holds the
-//! pieces both runtimes share:
-//!
-//! * [`DelegateConfig`] — the combiner handoff rules (most importantly
-//!   the bounded drain budget that stops the combiner starving);
-//! * [`Pending`] — the future-like completion handle a submission
-//!   returns, with blocking and non-blocking readers.
+//! submissions in priority order before releasing. Only the VM
+//! implements it (`revmon-locks` treats the policy as blocking); what
+//! lives here is [`DelegateConfig`], the combiner handoff rules — most
+//! importantly the bounded drain budget that stops the combiner
+//! starving.
 //!
 //! Ordering semantics piggyback on
 //! [`PrioritizedQueue`](crate::PrioritizedQueue): the combiner drains
 //! the submission queue priority-major, FIFO within a priority class —
 //! exactly the paper's prioritized entry-queue discipline, applied to
 //! closures instead of parked threads.
-
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Combiner handoff rules for a delegation monitor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,124 +44,6 @@ impl Default for DelegateConfig {
     }
 }
 
-/// Internal completion state of a [`Pending`].
-#[derive(Debug)]
-enum State<T> {
-    /// Not executed yet.
-    Waiting,
-    /// Executed; the result is ready to take.
-    Done(T),
-    /// The result was already taken.
-    Taken,
-}
-
-/// A future-like handle to a submitted critical section.
-///
-/// The submitter keeps one clone and continues; the combiner completes
-/// the other after executing the section. Completion is signalled via a
-/// condvar so a blocked [`wait`](Pending::wait) wakes immediately, but
-/// pollers can use [`try_take`](Pending::try_take) /
-/// [`is_done`](Pending::is_done) without ever blocking.
-#[derive(Debug)]
-pub struct Pending<T> {
-    inner: Arc<(Mutex<State<T>>, Condvar)>,
-}
-
-impl<T> Clone for Pending<T> {
-    fn clone(&self) -> Self {
-        Pending { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl<T> Default for Pending<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Pending<T> {
-    /// A fresh, incomplete handle.
-    pub fn new() -> Self {
-        Pending { inner: Arc::new((Mutex::new(State::Waiting), Condvar::new())) }
-    }
-
-    /// Complete the handle with the section's result and wake waiters.
-    /// Completing an already-completed handle is a logic error (each
-    /// section executes exactly once) and panics.
-    pub fn complete(&self, value: T) {
-        let (lock, cv) = &*self.inner;
-        let mut st = lock.lock().expect("pending mutex");
-        match *st {
-            State::Waiting => *st = State::Done(value),
-            State::Done(_) | State::Taken => {
-                panic!("delegated section completed twice (exactly-once violation)")
-            }
-        }
-        cv.notify_all();
-    }
-
-    /// Whether the section has executed (result ready or already taken).
-    pub fn is_done(&self) -> bool {
-        let (lock, _) = &*self.inner;
-        !matches!(*lock.lock().expect("pending mutex"), State::Waiting)
-    }
-
-    /// Take the result if it is ready; `None` if still pending or
-    /// already taken.
-    pub fn try_take(&self) -> Option<T> {
-        let (lock, _) = &*self.inner;
-        let mut st = lock.lock().expect("pending mutex");
-        match std::mem::replace(&mut *st, State::Taken) {
-            State::Done(v) => Some(v),
-            other => {
-                *st = other;
-                None
-            }
-        }
-    }
-
-    /// Block until the section executes, then take its result. Panics if
-    /// the result was already taken (each result is delivered once).
-    pub fn wait(&self) -> T {
-        let (lock, cv) = &*self.inner;
-        let mut st = lock.lock().expect("pending mutex");
-        loop {
-            match std::mem::replace(&mut *st, State::Taken) {
-                State::Done(v) => return v,
-                State::Taken => panic!("delegated result taken twice"),
-                State::Waiting => {
-                    *st = State::Waiting;
-                    st = cv.wait(st).expect("pending mutex");
-                }
-            }
-        }
-    }
-
-    /// Like [`wait`](Self::wait) with a timeout; `None` on timeout (the
-    /// handle stays usable).
-    pub fn wait_timeout(&self, dur: Duration) -> Option<T> {
-        let (lock, cv) = &*self.inner;
-        let mut st = lock.lock().expect("pending mutex");
-        let deadline = std::time::Instant::now() + dur;
-        loop {
-            match std::mem::replace(&mut *st, State::Taken) {
-                State::Done(v) => return Some(v),
-                State::Taken => panic!("delegated result taken twice"),
-                State::Waiting => {
-                    *st = State::Waiting;
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (guard, _timeout) =
-                        cv.wait_timeout(st, deadline - now).expect("pending mutex");
-                    st = guard;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,43 +56,5 @@ mod tests {
         assert!(cfg.exhausted(8));
         let unbounded = DelegateConfig { drain_budget: 0 };
         assert!(!unbounded.exhausted(u32::MAX));
-    }
-
-    #[test]
-    fn complete_then_take() {
-        let p = Pending::new();
-        assert!(!p.is_done());
-        assert_eq!(p.try_take(), None);
-        p.complete(42);
-        assert!(p.is_done());
-        assert_eq!(p.try_take(), Some(42));
-        assert_eq!(p.try_take(), None);
-        assert!(p.is_done()); // taken still counts as executed
-    }
-
-    #[test]
-    fn wait_blocks_until_completed_cross_thread() {
-        let p: Pending<i64> = Pending::new();
-        let q = p.clone();
-        let h = std::thread::spawn(move || q.wait());
-        std::thread::sleep(Duration::from_millis(10));
-        p.complete(7);
-        assert_eq!(h.join().unwrap(), 7);
-    }
-
-    #[test]
-    fn wait_timeout_expires_then_succeeds() {
-        let p: Pending<i64> = Pending::new();
-        assert_eq!(p.wait_timeout(Duration::from_millis(5)), None);
-        p.complete(9);
-        assert_eq!(p.wait_timeout(Duration::from_millis(5)), Some(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly-once")]
-    fn double_complete_panics() {
-        let p = Pending::new();
-        p.complete(1);
-        p.complete(2);
     }
 }

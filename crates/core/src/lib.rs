@@ -32,8 +32,8 @@
 //!   runtimes generate themselves,
 //! * [`governor`] — the adaptive revocation governor (bounded retries,
 //!   exponential backoff, per-monitor fallback to blocking),
-//! * [`delegate`] — combiner handoff rules and completion handles for
-//!   delegated critical sections (the `Delegation` policy).
+//! * [`delegate`] — combiner handoff rules for delegated critical
+//!   sections (the `Delegation` policy).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -51,7 +51,7 @@ pub mod undo;
 
 pub use cost::CostModel;
 pub use deadlock::{Victim, WaitsForGraph};
-pub use delegate::{DelegateConfig, Pending};
+pub use delegate::DelegateConfig;
 pub use fx::{FxHasher, FxMap, FxSet};
 pub use governor::{Governor, GovernorConfig, GovernorVerdict, PairHistory};
 pub use metrics::Metrics;

@@ -24,12 +24,6 @@
 //!   retries (Fig. 1 of the paper);
 //! * deadlocks across monitors are detected on blocking and broken by
 //!   revoking the lowest-priority cycle member;
-//! * a third policy, **delegation** ([`RevocableMonitor::submit`]),
-//!   queues the critical section itself instead of the thread: the
-//!   holder (the *combiner*) executes pending submissions in priority
-//!   order before releasing, so inversion is avoided without rolling
-//!   anyone back — and without write barriers (`needs_logging()` is
-//!   false, so `Tx` writes are plain stores);
 //! * the JMM-consistency concerns of §2 are handled *statically*, by
 //!   two properties together: [`TCell`]s are unreachable outside a
 //!   `Tx`, and a [`Tx`] cannot leave the thread that entered the section
@@ -86,9 +80,8 @@ pub mod tx;
 pub use cell::{TCell, VolatileCell};
 pub use monitor::{
     fat_record_high_water, fat_records_pooled, ArenaMonitor, MonitorArena, RevocableMonitor,
-    SubmitHandle,
 };
 pub use registry::{aggregate_snapshot, wait_graph_snapshot, DEADLOCKS_BROKEN, DEADLOCKS_DETECTED};
-pub use revmon_core::{DelegateConfig, InversionPolicy, Pending, Priority};
+pub use revmon_core::{InversionPolicy, Priority};
 pub use stats::StatsSnapshot;
 pub use tx::Tx;

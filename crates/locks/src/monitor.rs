@@ -44,17 +44,15 @@ use crate::stats::{MonitorStats, StatsSnapshot};
 use crate::tx::{self, SectionCtx, Tx};
 use parking_lot::{Mutex, MutexGuard};
 use revmon_core::{
-    DelegateConfig, Governor, GovernorConfig, GovernorVerdict, InversionPolicy, Pending,
-    PrioritizedQueue, Priority,
+    Governor, GovernorConfig, GovernorVerdict, InversionPolicy, PrioritizedQueue, Priority,
 };
 use revmon_obs::prof::{timers, Phase};
 use revmon_obs::EventKind;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
-use std::time::Duration;
 
 static NEXT_MONITOR_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -78,8 +76,8 @@ static NEXT_MONITOR_ID: AtomicU64 = AtomicU64::new(1);
 // 0/thin are single CASes; an inflated word is only written by the
 // inflater *after* locking the leased record, and only cleared
 // (deflation) under the record lock by a full release that leaves no
-// queue, grant, wait-set, or submission entries — at which point the
-// record's generation is bumped and it returns to the pool.
+// queue, grant, or wait-set entries — at which point the record's
+// generation is bumped and it returns to the pool.
 
 /// Word bit marking the monitor as inflated (fat).
 const INFLATED: u64 = 1 << 63;
@@ -151,19 +149,6 @@ fn spin_then_park(flag: &AtomicBool) {
     thread::park();
 }
 
-/// A critical section queued with [`RevocableMonitor::submit`], waiting
-/// to be executed by whichever thread holds the monitor (the *combiner*).
-struct Submission {
-    /// The type-erased section body; completes the submitter's
-    /// [`Pending`] when run (exactly once).
-    run: Box<dyn FnOnce(&mut Tx<'_>) + Send>,
-    /// Observability id of the submitting thread (events are attributed
-    /// to the submitter, not the combiner that happens to run it).
-    obs: u64,
-    /// Submission token tying Submit/Execute/Complete events together.
-    token: u64,
-}
-
 #[derive(Debug)]
 struct WaitSetEntry {
     handle: Thread,
@@ -189,9 +174,14 @@ struct MState {
     /// Handoff token: the thread ownership was transferred to.
     grant: Option<thread::ThreadId>,
     wait_set: Vec<WaitSetEntry>,
-    /// Combiner queue: sections submitted while the monitor was held,
-    /// drained in priority order by the holder's release path.
-    submissions: PrioritizedQueue<Submission>,
+}
+
+impl MState {
+    /// Free and not reserved for anyone, or reserved for `me` by
+    /// `grant_next`: the states in which `me` may become the owner.
+    fn available_to(&self, me: thread::ThreadId) -> bool {
+        self.grant == Some(me) || (self.owner.is_none() && self.grant.is_none())
+    }
 }
 
 impl std::fmt::Debug for MState {
@@ -201,7 +191,6 @@ impl std::fmt::Debug for MState {
             .field("recursion", &self.recursion)
             .field("queue_len", &self.queue.len())
             .field("wait_set_len", &self.wait_set.len())
-            .field("submissions_len", &self.submissions.len())
             .field("grant", &self.grant)
             .finish()
     }
@@ -250,10 +239,10 @@ impl DerefMut for FatGuard {
 
 /// Identity-independent monitor state shared by [`RevocableMonitor`]
 /// (one per monitor) and [`MonitorArena`] (one per *arena*): stats,
-/// governor, delegation config. Everything per-monitor and hot lives in
-/// the lock word; everything here is either cold or meaningfully
-/// shareable across an arena's monitors (the governor keys its history
-/// by monitor id, so one instance serves many monitors).
+/// governor. Everything per-monitor and hot lives in the lock word;
+/// everything here is either cold or meaningfully shareable across an
+/// arena's monitors (the governor keys its history by monitor id, so one
+/// instance serves many monitors).
 #[derive(Debug)]
 pub(crate) struct MonitorShared {
     pub(crate) stats: Arc<MonitorStats>,
@@ -265,11 +254,6 @@ pub(crate) struct MonitorShared {
     /// history. Leaf lock, acquired (rarely) with or without a fat
     /// guard held.
     governor: Mutex<(GovernorConfig, Governor)>,
-    /// Next combiner-submission token (events key on it).
-    next_token: AtomicU64,
-    /// Max submissions a releasing combiner drains while entry-queue
-    /// waiters exist; 0 = unbounded (see [`DelegateConfig`]).
-    delegate_budget: AtomicU32,
 }
 
 impl MonitorShared {
@@ -280,8 +264,6 @@ impl MonitorShared {
             stats,
             governed: AtomicBool::new(false),
             governor: Mutex::new((GovernorConfig::disabled(), Governor::new())),
-            next_token: AtomicU64::new(0),
-            delegate_budget: AtomicU32::new(DelegateConfig::default().drain_budget),
         }
     }
 
@@ -293,10 +275,6 @@ impl MonitorShared {
 
     fn governor_max_streak(&self) -> u32 {
         self.governor.lock().1.max_streak()
-    }
-
-    fn set_drain_budget(&self, budget: u32) {
-        self.delegate_budget.store(budget, Ordering::Relaxed);
     }
 }
 
@@ -351,7 +329,8 @@ impl RevocableMonitor {
     }
 
     /// A monitor under an explicit policy (blocking / inheritance /
-    /// ceiling baselines).
+    /// ceiling baselines). `InversionPolicy::Delegation` has no combiner
+    /// on this runtime: a monitor under it behaves as under `Blocking`.
     pub fn with_policy(policy: InversionPolicy) -> Self {
         RevocableMonitor {
             id: NEXT_MONITOR_ID.fetch_add(1, Ordering::Relaxed),
@@ -364,20 +343,6 @@ impl RevocableMonitor {
     #[inline]
     pub(crate) fn as_ref(&self) -> MonRef<'_> {
         MonRef { id: self.id, policy: self.policy, word: &self.word, shared: &self.shared }
-    }
-
-    /// Set the combiner drain budget: the maximum number of submissions
-    /// one releasing holder executes while entry-queue waiters exist
-    /// (`0` = unbounded). With no waiter to inherit the queue the budget
-    /// is ignored — a parked submitter must not be stranded.
-    pub fn set_drain_budget(&self, budget: u32) {
-        self.shared.set_drain_budget(budget);
-    }
-
-    /// Current combiner queue depth (submitted, not yet executed).
-    /// `0` whenever the monitor is thin — submitting inflates it.
-    pub fn pending_submissions(&self) -> usize {
-        self.as_ref().fat_guard().map_or(0, |s| s.submissions.len())
     }
 
     /// A named revocation-policy monitor — shorthand for
@@ -454,32 +419,9 @@ impl RevocableMonitor {
     pub fn try_enter<R>(&self, priority: Priority, f: impl FnMut(&mut Tx<'_>) -> R) -> Option<R> {
         self.as_ref().try_enter(priority, f)
     }
-
-    /// Submit a critical section to this monitor's combiner instead of
-    /// entering it (the ActiveMonitor-style delegation path).
-    ///
-    /// If the monitor is free the caller becomes its own combiner: the
-    /// section runs inline (one acquisition, no queueing) and the handle
-    /// is already complete on return. If another thread holds the
-    /// monitor, the section is queued at `priority` and the holder
-    /// executes it — in priority order, ahead of handing the monitor to
-    /// any entry-queue waiter — on its release path. Either way the
-    /// section runs **exactly once**, and its effects are irrevocable
-    /// the moment its result is delivered: delegated sections are never
-    /// rolled back, never logged, and never chosen as deadlock victims.
-    ///
-    /// A panic from `f` is caught on the combiner and re-raised on the
-    /// submitter when it [`wait`](SubmitHandle::wait)s.
-    pub fn submit<T, F>(&self, priority: Priority, f: F) -> SubmitHandle<'_, T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Tx<'_>) -> T + Send + 'static,
-    {
-        self.as_ref().submit(priority, f)
-    }
 }
 
-impl<'a> MonRef<'a> {
+impl MonRef<'_> {
     /// Consult the governor about revoking the holder (identified by its
     /// observability id). A denial is counted, emitted, and answered
     /// `false`: the contender must block on the prioritized queue.
@@ -572,8 +514,7 @@ impl<'a> MonRef<'a> {
     /// rollback signal or a user panic — and flushes the attempt's
     /// locally counted log entries (first writes) into the shared
     /// counter, once, off the write hot path. Every body the monitor
-    /// runs goes through here: `enter`, `try_enter`, and both combiner
-    /// paths.
+    /// runs goes through here.
     #[inline]
     fn attempt<R>(
         self,
@@ -798,42 +739,23 @@ impl<'a> MonRef<'a> {
     #[cold]
     fn acquire_slow(self, eff: Priority) -> Arc<SectionCtx> {
         let slot = tx::my_slot();
-        let me = slot.handle.clone();
-        let granted_flag = Arc::new(AtomicBool::new(false));
-        let mut counted_contended = false;
-        let mut enqueued = false;
+        let me = slot.handle.id();
+        let mut queued = None;
         let mut s = self.inflate();
         loop {
             // Reentrant path (inflated while we hold it).
-            if s.owner == Some(me.id()) {
-                s.recursion += 1;
-                let ctx = self.new_section();
-                s.holder_ctxs.push(Arc::clone(&ctx));
-                drop(s);
-                self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-                obs::emit(self.id, EventKind::Acquire);
-                return ctx;
+            if s.owner == Some(me) {
+                return self.reenter_fat(s);
             }
-            // Free (and not reserved for someone else) or granted to us.
-            let granted = s.grant == Some(me.id());
-            if granted || (s.owner.is_none() && s.grant.is_none()) {
-                if granted {
-                    s.grant = None;
-                }
-                s.owner = Some(me.id());
-                s.recursion = 1;
-                s.holder_priority = eff;
+            if s.available_to(me) {
                 let ctx = self.new_section();
-                s.holder_ctxs = vec![Arc::clone(&ctx)];
-                if enqueued {
-                    s.queue.remove_where(|w| w.tid == me.id());
-                }
                 // Detection at acquisition, holder side: a higher-priority
                 // waiter may have queued while this grant was in flight —
                 // it must not sit out our whole section. Self-flag so the
                 // first yield point rolls us (cheaply, log still empty)
                 // back behind it. `peek` names exactly the waiter `pop`
-                // would grant (class bitmap + FIFO-within-class).
+                // would grant (class bitmap + FIFO-within-class); our own
+                // entry, if still queued, is at `eff` and so never it.
                 if matches!(self.policy, InversionPolicy::Revocation) {
                     let top = s.queue.peek().map(|(w, p)| (w.obs, p));
                     if let Some((by, top_prio)) = top {
@@ -845,18 +767,14 @@ impl<'a> MonRef<'a> {
                         }
                     }
                 }
-                s.owner_slot = Some(Arc::clone(&slot));
-                drop(s);
-                registry::on_unblock();
-                registry::on_acquire(self.id, Arc::clone(&slot), eff, Arc::clone(&ctx));
                 self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-                obs::emit(self.id, EventKind::Acquire);
+                self.take_fat(s, &slot, queued.is_some(), eff, 1, vec![Arc::clone(&ctx)]);
                 return ctx;
             }
-            // Contended.
-            if !counted_contended {
+            // Contended: counted and reported once, on the way into
+            // the queue.
+            if queued.is_none() {
                 self.shared.stats.contended.fetch_add(1, Ordering::Relaxed);
-                counted_contended = true;
                 obs::emit(self.id, EventKind::Block);
             }
             match self.policy {
@@ -920,53 +838,24 @@ impl<'a> MonRef<'a> {
                         self.shared.stats.priority_boosts.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                InversionPolicy::Blocking | InversionPolicy::PriorityCeiling(_) => {}
-                InversionPolicy::Delegation => {
-                    // Delegation resolves inversion on the *submit* path:
-                    // a queued section is executed by the releasing holder
-                    // in priority order, so a high-priority submission is
-                    // served before any lower-priority waiter gets the
-                    // monitor. A plain `enter` under this policy simply
-                    // blocks on the prioritized queue (and the holder
-                    // drains the combiner queue before handing off).
-                }
+                InversionPolicy::Blocking
+                | InversionPolicy::PriorityCeiling(_)
+                | InversionPolicy::Delegation => {}
             }
-            if !enqueued {
-                s.queue.push(
-                    Waiter {
-                        handle: me.clone(),
-                        tid: me.id(),
-                        obs: slot.obs,
-                        granted: Arc::clone(&granted_flag),
-                    },
-                    eff,
-                );
-                enqueued = true;
-                drop(s);
-                registry::on_block(self.id, &slot, eff);
-            } else {
-                drop(s);
-            }
-            spin_then_park(&granted_flag);
+            s = self.queue_and_park(s, &slot, &mut queued, eff);
             // Woken: revoked while parked? (deadlock victim, or an
             // enclosing section flagged by another monitor's contender)
             if let Some(target) = tx::outermost_flagged() {
-                // Being queued (or granted) pins the word inflated, so
-                // the validated guard is always obtainable here.
-                let mut s2 = self.fat_guard().expect("queued waiter keeps the monitor inflated");
-                s2.queue.remove_where(|w| w.tid == me.id());
-                if s2.grant == Some(me.id()) {
+                s.queue.remove_where(|w| w.tid == me);
+                if s.grant == Some(me) {
                     // We were simultaneously granted: pass it on.
-                    s2.grant = None;
-                    self.grant_next(&mut s2);
+                    s.grant = None;
+                    self.grant_next(&mut s);
                 }
-                self.maybe_deflate(s2);
+                self.maybe_deflate(s);
                 registry::on_unblock();
                 resume_unwind(Box::new(RollbackSignal { target }));
             }
-            // Still queued or granted, so the word stayed inflated;
-            // `inflate()` degenerates to the validated record lock.
-            s = self.inflate();
         }
     }
 
@@ -982,33 +871,101 @@ impl<'a> MonRef<'a> {
         if w != 0 && w & INFLATED == 0 && thin_owner(w) != slot.dense {
             return None; // thin, held by another thread: busy
         }
-        let me = slot.handle.clone();
-        let mut s = self.inflate();
-        if s.owner == Some(me.id()) {
-            s.recursion += 1;
-            let ctx = self.new_section();
-            s.holder_ctxs.push(Arc::clone(&ctx));
-            drop(s);
-            self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-            obs::emit(self.id, EventKind::Acquire);
-            return Some(ctx);
+        let me = slot.handle.id();
+        let s = self.inflate();
+        if s.owner == Some(me) {
+            return Some(self.reenter_fat(s));
         }
-        if s.owner.is_some() || s.grant.is_some() {
+        if !s.available_to(me) {
             // Busy: leave the fat state to its holder's release path
             // (which deflates once the queues drain).
             return None;
         }
-        s.owner = Some(me.id());
-        s.owner_slot = Some(Arc::clone(&slot));
-        s.recursion = 1;
-        s.holder_priority = eff;
         let ctx = self.new_section();
-        s.holder_ctxs = vec![Arc::clone(&ctx)];
+        self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
+        self.take_fat(s, &slot, false, eff, 1, vec![Arc::clone(&ctx)]);
+        Some(ctx)
+    }
+
+    /// One more recursion level for the thread that owns the fat record:
+    /// a new section on top of its others.
+    fn reenter_fat(self, mut s: FatGuard) -> Arc<SectionCtx> {
+        s.recursion += 1;
+        let ctx = self.new_section();
+        s.holder_ctxs.push(Arc::clone(&ctx));
         drop(s);
-        registry::on_acquire(self.id, slot, eff, Arc::clone(&ctx));
         self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
         obs::emit(self.id, EventKind::Acquire);
-        Some(ctx)
+        ctx
+    }
+
+    /// Make the calling thread the owner of a record that is
+    /// [`available_to`](MState::available_to) it — `recursion` levels
+    /// deep over the sections `ctxs` (outermost first), `priority`
+    /// deposited — and leave the entry queue if it had `queued` there.
+    fn take_fat(
+        self,
+        mut s: FatGuard,
+        slot: &Arc<tx::ThreadSlot>,
+        queued: bool,
+        priority: Priority,
+        recursion: u32,
+        ctxs: Vec<Arc<SectionCtx>>,
+    ) {
+        let me = slot.handle.id();
+        let outer = Arc::clone(ctxs.first().expect("an owner holds at least one section"));
+        s.grant = None;
+        s.owner = Some(me);
+        s.owner_slot = Some(Arc::clone(slot));
+        s.recursion = recursion;
+        s.holder_priority = priority;
+        s.holder_ctxs = ctxs;
+        if queued {
+            s.queue.remove_where(|w| w.tid == me);
+        }
+        drop(s);
+        if queued {
+            registry::on_unblock();
+        }
+        registry::on_acquire(self.id, Arc::clone(slot), priority, outer);
+        obs::emit(self.id, EventKind::Acquire);
+    }
+
+    /// One wait on the entry queue: join it at `priority` the first time
+    /// round (`granted` is `None` until then), park until `grant_next`
+    /// flags this thread or something else unparks it, and return the
+    /// record re-validated — being queued or granted pins the word
+    /// inflated, so `inflate()` degenerates to the validated record lock.
+    fn queue_and_park(
+        self,
+        mut s: FatGuard,
+        slot: &Arc<tx::ThreadSlot>,
+        granted: &mut Option<Arc<AtomicBool>>,
+        priority: Priority,
+    ) -> FatGuard {
+        let flag = match granted {
+            Some(flag) => {
+                drop(s);
+                flag
+            }
+            None => {
+                let flag = granted.insert(Arc::new(AtomicBool::new(false)));
+                s.queue.push(
+                    Waiter {
+                        handle: slot.handle.clone(),
+                        tid: slot.handle.id(),
+                        obs: slot.obs,
+                        granted: Arc::clone(flag),
+                    },
+                    priority,
+                );
+                drop(s);
+                registry::on_block(self.id, slot, priority);
+                flag
+            }
+        };
+        spin_then_park(flag);
+        self.inflate()
     }
 
     /// Emit a `Rollback` event whose duration is measured from `t0`
@@ -1077,13 +1034,6 @@ impl<'a> MonRef<'a> {
         if s.recursion > 0 {
             return;
         }
-        // Combiner handoff: before giving the monitor up, execute queued
-        // submissions in priority order — a high-priority submission is
-        // served ahead of every entry-queue waiter, which is how the
-        // delegation policy avoids inversion without revoking anyone.
-        if !s.submissions.is_empty() {
-            s = self.drain_submissions(s);
-        }
         let owner = s.owner.take();
         s.owner_slot = None;
         s.holder_ctxs.clear();
@@ -1112,7 +1062,6 @@ impl<'a> MonRef<'a> {
             && g.grant.is_none()
             && g.queue.is_empty()
             && g.wait_set.is_empty()
-            && g.submissions.is_empty()
             && self
                 .word
                 .compare_exchange(pack_fat(g.idx, g.gen), 0, Ordering::AcqRel, Ordering::Relaxed)
@@ -1145,29 +1094,39 @@ impl<'a> MonRef<'a> {
         timers().finish(Phase::Requeue, t_requeue);
     }
 
-    /// `Object.wait` for the current holder (called via [`Tx::wait`]).
-    pub(crate) fn wait_current(self, ctx: &Arc<SectionCtx>) {
-        // Conservative §2.2 treatment: waiting pins every enclosing
-        // section non-revocable.
+    /// §2.2: pin every section the calling thread is inside
+    /// non-revocable (a volatile write, a native-call-like effect, a
+    /// wait), counting and reporting the ones that flipped.
+    pub(crate) fn pin_nonrevocable(self) {
         let flipped = tx::mark_all_nonrevocable();
         self.shared.stats.nonrevocable_marks.fetch_add(flipped, Ordering::Relaxed);
         if flipped > 0 {
             obs::emit(self.id, EventKind::NonRevocable);
         }
+    }
+
+    /// `Object.wait` for the current holder (called via [`Tx::wait`]).
+    pub(crate) fn wait_current(self) {
+        // Conservative §2.2 treatment: waiting pins every enclosing
+        // section non-revocable.
+        self.pin_nonrevocable();
         let slot = tx::my_slot();
-        let me = slot.handle.clone();
+        let me = slot.handle.id();
         let notified = Arc::new(AtomicBool::new(false));
         let (rec, saved_ctxs, prio) = {
             // Waiting needs the wait set, which only the fat state has.
             let mut s = self.inflate();
-            assert_eq!(s.owner, Some(me.id()), "wait on an unowned monitor");
+            assert_eq!(s.owner, Some(me), "wait on an unowned monitor");
             let rec = s.recursion;
             let prio = s.holder_priority;
             let saved = std::mem::take(&mut s.holder_ctxs);
             s.recursion = 0;
             s.owner = None;
             s.owner_slot = None;
-            s.wait_set.push(WaitSetEntry { handle: me.clone(), notified: Arc::clone(&notified) });
+            s.wait_set.push(WaitSetEntry {
+                handle: slot.handle.clone(),
+                notified: Arc::clone(&notified),
+            });
             obs::emit(self.id, EventKind::Release);
             self.grant_next(&mut s);
             (rec, saved, prio)
@@ -1180,52 +1139,17 @@ impl<'a> MonRef<'a> {
             spin_then_park(&notified);
         }
         // Re-acquire to the saved depth through the prioritized queue.
-        // `inflate()` each time around: the notifier may have deflated
-        // the monitor after emptying the wait set, and a re-validated
-        // lease is required before trusting any fat state.
-        let granted_flag = Arc::new(AtomicBool::new(false));
-        let mut enqueued = false;
+        // `inflate()`, not `fat_guard()`: the notifier may have deflated
+        // the monitor after emptying the wait set.
+        let mut queued = None;
         let mut s = self.inflate();
-        loop {
-            let granted = s.grant == Some(me.id());
-            if granted || (s.owner.is_none() && s.grant.is_none()) {
-                if granted {
-                    s.grant = None;
-                }
-                s.owner = Some(me.id());
-                s.owner_slot = Some(Arc::clone(&slot));
-                s.recursion = rec;
-                s.holder_priority = prio;
-                s.holder_ctxs = saved_ctxs;
-                if enqueued {
-                    s.queue.remove_where(|w| w.tid == me.id());
-                }
-                drop(s);
-                registry::on_unblock();
-                registry::on_acquire(self.id, slot, prio, Arc::clone(ctx));
-                obs::emit(self.id, EventKind::Acquire);
-                return;
-            }
-            if !enqueued {
-                s.queue.push(
-                    Waiter {
-                        handle: me.clone(),
-                        tid: me.id(),
-                        obs: slot.obs,
-                        granted: Arc::clone(&granted_flag),
-                    },
-                    prio,
-                );
-                enqueued = true;
+        while !s.available_to(me) {
+            if queued.is_none() {
                 obs::emit(self.id, EventKind::Block);
-                drop(s);
-                registry::on_block(self.id, &slot, prio);
-            } else {
-                drop(s);
             }
-            spin_then_park(&granted_flag);
-            s = self.inflate();
+            s = self.queue_and_park(s, &slot, &mut queued, prio);
         }
+        self.take_fat(s, &slot, queued.is_some(), prio, rec, saved_ctxs);
     }
 
     /// Wake one or all waiters (they re-contend for the monitor).
@@ -1252,209 +1176,13 @@ impl<'a> MonRef<'a> {
             w.handle.unpark();
         }
     }
-
-    // ------------------------------------------------------------ delegation
-
-    /// See [`RevocableMonitor::submit`].
-    fn submit<T, F>(self, priority: Priority, f: F) -> SubmitHandle<'a, T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Tx<'_>) -> T + Send + 'static,
-    {
-        let eff = self.effective(priority);
-        let pending: Pending<thread::Result<T>> = Pending::new();
-        let done = pending.clone();
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.delegations_submitted.fetch_add(1, Ordering::Relaxed);
-        let run: Box<dyn FnOnce(&mut Tx<'_>) + Send> = Box::new(move |tx| {
-            // Catch here so a panicking section unwinds to its
-            // *submitter*, not through the combiner's unrelated frame.
-            done.complete(catch_unwind(AssertUnwindSafe(|| f(tx))));
-        });
-        loop {
-            // Free (or already ours): be our own combiner.
-            if let Some(ctx) = self.try_acquire(priority) {
-                obs::emit(
-                    self.id,
-                    EventKind::DelegateSubmit { holder: revmon_obs::Event::NO_THREAD, token },
-                );
-                obs::emit(self.id, EventKind::DelegateExecute { submitter: obs::obs_tid(), token });
-                let t_exec = timers().start(Phase::CombinerExec);
-                settle(self.attempt(&ctx, run));
-                timers().finish(Phase::CombinerExec, t_exec);
-                obs::emit(
-                    self.id,
-                    EventKind::DelegateComplete { submitter: obs::obs_tid(), token },
-                );
-                self.shared.stats.delegations_completed.fetch_add(1, Ordering::Relaxed);
-                // Release also drains anything queued behind us meanwhile.
-                self.commit_and_release(&ctx);
-                return SubmitHandle { mon: self, pending, priority: eff };
-            }
-            let mut s = self.inflate();
-            if s.owner.is_none() && s.grant.is_none() {
-                // Raced free between the try and the state lock: retry
-                // the inline path rather than queueing with no combiner.
-                drop(s);
-                continue;
-            }
-            // Held (or granted): queue for the combiner's release-path
-            // drain. Delegation never revokes the holder — contention is
-            // resolved by the priority-ordered drain instead — but the
-            // contention itself is still recorded for the governor's
-            // history and the episode reports.
-            let holder = s.owner_slot.as_ref().map_or(revmon_obs::Event::NO_THREAD, |o| o.obs);
-            self.shared.stats.contended.fetch_add(1, Ordering::Relaxed);
-            s.submissions.push(Submission { run, obs: obs::obs_tid(), token }, eff);
-            drop(s);
-            obs::emit(self.id, EventKind::DelegateSubmit { holder, token });
-            return SubmitHandle { mon: self, pending, priority: eff };
-        }
-    }
-
-    /// Execute queued submissions as the current holder (the combiner),
-    /// in priority order, each in a fresh pinned section. Called with
-    /// the fat guard held (`recursion == 0`, `owner` still set); drops
-    /// and re-takes the record lock around each section body and returns
-    /// the re-taken guard.
-    ///
-    /// The drain budget only applies while entry-queue waiters exist:
-    /// the budget's job is to stop a combiner being conscripted forever
-    /// while a parked *thread* could take over, and a remaining
-    /// submission is inherited by that waiter's own release. With no
-    /// waiter, the queue is drained dry — a parked submitter cannot
-    /// drain for itself, so leaving its submission queued would strand
-    /// it (its `wait` would have to rescue it via helping).
-    fn drain_submissions(self, mut s: FatGuard) -> FatGuard {
-        let budget =
-            DelegateConfig { drain_budget: self.shared.delegate_budget.load(Ordering::Relaxed) };
-        let mut drained = 0u32;
-        loop {
-            if s.submissions.is_empty() || (budget.exhausted(drained) && !s.queue.is_empty()) {
-                return s;
-            }
-            let t_drain = timers().start(Phase::CombinerDrain);
-            let sub = s.submissions.pop().expect("checked non-empty");
-            let ctx = self.new_section();
-            // Exactly-once delivery is irrevocable: pin this section and
-            // (under the revocation policy) every enclosing one, exactly
-            // like a native call — nothing may unwind through a drained
-            // execution whose result the submitter can already observe.
-            ctx.non_revocable.store(true, Ordering::Release);
-            let flipped = tx::mark_all_nonrevocable();
-            self.shared.stats.nonrevocable_marks.fetch_add(flipped, Ordering::Relaxed);
-            s.holder_ctxs.push(Arc::clone(&ctx));
-            s.recursion += 1;
-            drop(s);
-            timers().finish(Phase::CombinerDrain, t_drain);
-            obs::emit(self.id, EventKind::DelegateExecute { submitter: sub.obs, token: sub.token });
-            let t_exec = timers().start(Phase::CombinerExec);
-            settle(self.attempt(&ctx, sub.run));
-            timers().finish(Phase::CombinerExec, t_exec);
-            tx::commit_top_section(&ctx);
-            obs::emit(
-                self.id,
-                EventKind::DelegateComplete { submitter: sub.obs, token: sub.token },
-            );
-            self.shared.stats.delegations_completed.fetch_add(1, Ordering::Relaxed);
-            drained += 1;
-            // As owner we keep the word inflated; re-validate the lease.
-            s = self.fat_guard().expect("combiner keeps the monitor inflated");
-            if let Some(pos) = s.holder_ctxs.iter().position(|c| c.id == ctx.id) {
-                s.holder_ctxs.remove(pos);
-            }
-            s.recursion = s.recursion.saturating_sub(1);
-        }
-    }
-
-    /// Best-effort helping for a blocked submitter. If the monitor is
-    /// free, acquire and immediately release it — the release path
-    /// drains the combiner queue (including, possibly, the caller's own
-    /// submission). If the *caller* holds the monitor, drain in place:
-    /// awaiting one's own submission must make progress, not deadlock.
-    fn help_drain(self, priority: Priority) {
-        let mine = {
-            let w = self.word.load(Ordering::Acquire);
-            if w & INFLATED == 0 {
-                w != 0 && thin_owner(w) == tx::my_dense()
-            } else {
-                self.fat_guard().is_some_and(|s| s.owner == Some(thread::current().id()))
-            }
-        };
-        if mine {
-            let s = self.inflate();
-            if s.owner == Some(thread::current().id()) && !s.submissions.is_empty() {
-                let s = self.drain_submissions(s);
-                drop(s);
-            }
-            return;
-        }
-        if let Some(ctx) = self.try_acquire(priority) {
-            self.commit_and_release(&ctx);
-        }
-    }
-}
-
-/// Unwrap a caught result: a panic resumes unwinding here — on the
-/// submitter, for a combiner-side result of its closure; on the
-/// combiner, for a submission wrapper's own (those catch their closure's
-/// panics themselves, so there it is a bug surfacing, not control flow).
-fn settle<T>(r: thread::Result<T>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// A future-like handle to a section queued with
-/// [`RevocableMonitor::submit`].
-///
-/// The section runs exactly once — inline at submission when the monitor
-/// was free, otherwise on the holder's release path. Dropping the handle
-/// without taking the result is allowed; the section still executes.
-#[must_use = "the submitted section's result is delivered through this handle"]
-pub struct SubmitHandle<'m, T> {
-    mon: MonRef<'m>,
-    pending: Pending<thread::Result<T>>,
-    priority: Priority,
-}
-
-impl<T: Send + 'static> SubmitHandle<'_, T> {
-    /// Whether the section has executed.
-    pub fn is_done(&self) -> bool {
-        self.pending.is_done()
-    }
-
-    /// Take the result without blocking; `None` while still queued.
-    pub fn try_take(&self) -> Option<T> {
-        self.pending.try_take().map(settle)
-    }
-
-    /// Block until the section has executed and return its result.
-    ///
-    /// Waiting is cooperative: a free monitor is taken and released so
-    /// the release path drains the queue (a parked submitter cannot
-    /// count on an entry-queue successor existing), and a monitor the
-    /// caller itself holds is drained in place (awaiting one's own
-    /// submission from inside a section must not self-deadlock).
-    pub fn wait(self) -> T {
-        loop {
-            if let Some(r) = self.pending.try_take() {
-                return settle(r);
-            }
-            self.mon.help_drain(self.priority);
-            if let Some(r) = self.pending.wait_timeout(Duration::from_micros(100)) {
-                return settle(r);
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------------ arena
 
 /// A block of compact monitors: one `AtomicU64` lock word per monitor,
-/// all sharing one stats/governor/delegation-config block
-/// (`MonitorShared`). This is the millions-of-monitors representation — the
+/// all sharing one stats/governor block (`MonitorShared`). This is the
+/// millions-of-monitors representation — the
 /// per-monitor footprint is 8 bytes plus the amortized arena header,
 /// because fat state is pooled in the global side table and leased only
 /// while a monitor is actually contended.
@@ -1533,12 +1261,6 @@ impl MonitorArena {
     pub fn set_governor(&self, cfg: GovernorConfig) {
         self.shared.set_governor(cfg);
     }
-
-    /// Combiner drain budget for the whole arena (see
-    /// [`RevocableMonitor::set_drain_budget`]).
-    pub fn set_drain_budget(&self, budget: u32) {
-        self.shared.set_drain_budget(budget);
-    }
 }
 
 /// One monitor of a [`MonitorArena`]: a `Copy` handle running the full
@@ -1546,7 +1268,7 @@ impl MonitorArena {
 #[derive(Clone, Copy)]
 pub struct ArenaMonitor<'a>(MonRef<'a>);
 
-impl<'a> ArenaMonitor<'a> {
+impl ArenaMonitor<'_> {
     /// See [`RevocableMonitor::enter`].
     pub fn enter<R>(&self, priority: Priority, f: impl FnMut(&mut Tx<'_>) -> R) -> R {
         self.0.enter(priority, f)
@@ -1560,15 +1282,6 @@ impl<'a> ArenaMonitor<'a> {
     /// See [`RevocableMonitor::try_enter`].
     pub fn try_enter<R>(&self, priority: Priority, f: impl FnMut(&mut Tx<'_>) -> R) -> Option<R> {
         self.0.try_enter(priority, f)
-    }
-
-    /// See [`RevocableMonitor::submit`].
-    pub fn submit<T, F>(&self, priority: Priority, f: F) -> SubmitHandle<'a, T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Tx<'_>) -> T + Send + 'static,
-    {
-        self.0.submit(priority, f)
     }
 
     /// The id this monitor carries in trace events.

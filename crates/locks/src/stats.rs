@@ -69,12 +69,6 @@ revmon_core::define_counters! {
         governor_throttles,
         /// Fresh fallback-to-blocking windows the governor opened.
         policy_fallbacks,
-        /// Critical sections submitted to the combiner (`submit`).
-        delegations_submitted,
-        /// Submitted sections executed to completion. At quiescence equals
-        /// `delegations_submitted`; the live difference is the combiner
-        /// queue depth.
-        delegations_completed,
     }
     /// Internal atomic counters of one monitor.
     pub(crate) atomic MonitorStats;

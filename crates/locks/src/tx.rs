@@ -595,10 +595,6 @@ pub(crate) fn mark_all_nonrevocable() -> u64 {
 /// fn assert_send<T: Send>() {}
 /// assert_send::<revmon_locks::TCell<i64>>();
 /// ```
-///
-/// Closures given to [`submit`](crate::monitor::RevocableMonitor::submit)
-/// are unaffected: they are `Send` themselves and *receive* the `Tx` of
-/// whichever thread runs them.
 pub struct Tx<'m> {
     /// The running thread's runtime state — cached revocation flag,
     /// stamp, undo log — so no data access pays a `thread_local!`
@@ -730,11 +726,7 @@ impl Tx<'_> {
     /// undone by a rollback that can no longer happen.
     pub fn write_volatile(&self, cell: &VolatileCell, v: i64) {
         self.rt.poll_revocation();
-        let flipped = mark_all_nonrevocable();
-        self.mon.shared.stats.nonrevocable_marks.fetch_add(flipped, Ordering::Relaxed);
-        if flipped > 0 {
-            crate::obs::emit(self.ctx.monitor_id, revmon_obs::EventKind::NonRevocable);
-        }
+        self.mon.pin_nonrevocable();
         cell.value.store(v, Ordering::SeqCst);
     }
 
@@ -749,11 +741,7 @@ impl Tx<'_> {
     /// every enclosing section becomes non-revocable, after which the
     /// closure can safely perform I/O or other non-undoable work.
     pub fn irrevocable(&self) {
-        let flipped = mark_all_nonrevocable();
-        self.mon.shared.stats.nonrevocable_marks.fetch_add(flipped, Ordering::Relaxed);
-        if flipped > 0 {
-            crate::obs::emit(self.ctx.monitor_id, revmon_obs::EventKind::NonRevocable);
-        }
+        self.mon.pin_nonrevocable();
     }
 
     /// `Object.wait()`: release the monitor and park until notified.
@@ -763,7 +751,7 @@ impl Tx<'_> {
     /// additionally permits post-`wait` restart points for non-nested
     /// waits (implemented in the VM; kept simple here).
     pub fn wait(&self) {
-        self.mon.wait_current(self.ctx);
+        self.mon.wait_current();
     }
 
     /// `Object.notify()`.

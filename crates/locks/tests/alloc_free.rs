@@ -9,26 +9,37 @@
 //! logged once) are undone, so the retry observes exactly the
 //! pre-section values.
 //!
-//! Kept as a single `#[test]` on purpose: the allocation counter is
-//! process-global, and a sibling test running on another harness thread
-//! would pollute the count.
+//! Only the measuring thread counts: the allocator reads a thread-local
+//! flag, so what libtest's main thread (or a sibling test) allocates
+//! while the window is open is not seen.
 
 use revmon_core::Priority;
 use revmon_locks::{RevocableMonitor, TCell};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set on the measuring thread for the measured window. `const`, and
+    /// a `Cell<bool>` has no destructor: reading it from inside `alloc`
+    /// neither allocates nor registers anything.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// `System`, plus a counter armed only inside the measured window.
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
+/// `System`, plus a counter armed only inside the measured window, on
+/// the thread that opened it.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -39,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -69,11 +80,11 @@ fn steady_state_makes_no_allocations() {
         workload(i);
     }
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     for i in 0..1_000 {
         workload(i);
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(n, 0, "steady-state enter + logged write must not allocate (saw {n} allocations)");
 }

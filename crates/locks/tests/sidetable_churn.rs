@@ -8,48 +8,36 @@
 //! (`pooled == high-water`) need this process to have no other monitor
 //! activity in flight.
 
+mod common;
+
+use common::hold_section_until;
 use revmon_core::Priority;
 use revmon_locks::{fat_record_high_water, fat_records_pooled, RevocableMonitor, TCell};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 
-/// One deterministic inflate/deflate round on `m`: the holder pins the
-/// monitor until a submitter has queued a section (queuing against a
-/// held monitor inflates it), then exits — the release path drains the
-/// submission and deflates.
-fn churn_round(m: &Arc<RevocableMonitor>, c: &TCell<i64>) {
-    let queued = Arc::new(AtomicBool::new(false));
-    let handle = {
-        let m2 = Arc::clone(m);
-        let c2 = c.clone();
-        let queued2 = Arc::clone(&queued);
-        let holder = thread::spawn({
-            let m = Arc::clone(m);
-            let c = c.clone();
-            let queued = Arc::clone(&queued);
-            move || {
-                m.enter(Priority::NORM, |tx| {
-                    tx.update(&c, |v| v + 1);
-                    // Hold until the submitter has forced inflation.
-                    while !queued.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                });
-            }
+/// One deterministic inflate/deflate round on `m`: the holder keeps its
+/// section open until a contender has blocked on the monitor (blocking
+/// on a held monitor inflates it), then exits — the release path hands
+/// the monitor to the contender, whose own exit deflates it.
+fn churn_round(m: &RevocableMonitor, c: &TCell<i64>) {
+    let before = m.stats().contended;
+    let inside = AtomicBool::new(false);
+    thread::scope(|s| {
+        s.spawn(|| {
+            m.enter(Priority::NORM, |tx| {
+                tx.update(c, |v| v + 1);
+                inside.store(true, Ordering::Release);
+                hold_section_until(|| m.stats().contended > before, std::hint::spin_loop);
+            });
         });
-        // Wait until the holder owns the monitor, then queue behind it.
-        while m2.try_enter(Priority::NORM, |_| ()).is_some() {
+        // Touch the monitor only once the holder owns it, then block
+        // behind it.
+        while !inside.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
-        let h = m2.submit(Priority::HIGH, move |tx| {
-            tx.update(&c2, |v| v + 1);
-        });
-        queued2.store(true, Ordering::Release);
-        h.wait();
-        holder
-    };
-    handle.join().unwrap();
+        m.enter(Priority::NORM, |tx| tx.update(c, |v| v + 1));
+    });
 }
 
 #[test]
@@ -63,7 +51,7 @@ fn churn_recycles_records_and_reuse_is_safe() {
     let workers: Vec<_> = (0..PAIRS)
         .map(|_| {
             thread::spawn(|| {
-                let m = Arc::new(RevocableMonitor::new());
+                let m = RevocableMonitor::new();
                 let c = TCell::new(0i64);
                 for _ in 0..ROUNDS {
                     churn_round(&m, &c);
@@ -74,7 +62,7 @@ fn churn_recycles_records_and_reuse_is_safe() {
                     st.inflations, st.deflations,
                     "every inflation must deflate back to thin"
                 );
-                // 2 per round: holder's update + delegated update.
+                // 2 per round: holder's update + contender's update.
                 assert_eq!(c.read_unsynchronized(), 2 * ROUNDS as i64);
             })
         })
@@ -99,8 +87,8 @@ fn churn_recycles_records_and_reuse_is_safe() {
     // alternately inflate and deflate on one thread pair, so the *same*
     // pooled record serves both under successive generations. Any stale
     // (index, generation) acceptance would cross their state.
-    let ma = Arc::new(RevocableMonitor::new());
-    let mb = Arc::new(RevocableMonitor::new());
+    let ma = RevocableMonitor::new();
+    let mb = RevocableMonitor::new();
     let ca = TCell::new(0i64);
     let cb = TCell::new(0i64);
     for _ in 0..25 {

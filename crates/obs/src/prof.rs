@@ -52,6 +52,8 @@ pub enum Phase {
     Deflate,
     /// Combiner release path: dequeueing submissions and delivering
     /// results (delegation policy; excludes the sections' own run time).
+    /// No runtime records it — the VM does not time its combiner — but
+    /// `benchmark/src/phases.rs` names this pair.
     CombinerDrain,
     /// Executing one delegated section on the combiner.
     CombinerExec,
