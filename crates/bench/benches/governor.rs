@@ -228,7 +228,10 @@ fn main() {
         "ungoverned forced inversion must livelock into the step budget"
     );
     assert!(forced[1].stats.completed, "the governor must break the livelock");
-    assert!(forced[1].stats.max_streak <= governed_forced.k, "bounded-revocation violated");
+    assert!(
+        (1..=governed_forced.k).contains(&forced[1].stats.max_streak),
+        "bounded-revocation violated, or nothing was revoked"
+    );
 
     let body = format!(
         "  \"workloads\": [\n{},\n{}\n  ]",

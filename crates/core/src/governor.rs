@@ -1,12 +1,19 @@
-//! Adaptive revocation governor: bounded retries, exponential backoff,
-//! and per-monitor fallback to the blocking baseline.
+//! The revocation request verdict and the adaptive revocation governor:
+//! bounded retries, exponential backoff, and per-monitor fallback to the
+//! blocking baseline.
+//!
+//! When a contender finds a monitor held by a lower-priority thread
+//! (§1.1), the holder's section is either revoked at its next yield
+//! point or — when it is non-revocable (§2.2) — left alone. The governor
+//! adds a third answer, "block instead". [`revocation_verdict`] is that
+//! decision, written once for both runtimes; each maps its three arms to
+//! the same counters and events.
 //!
 //! The paper's revocable monitors can livelock: a low-priority holder
 //! that is repeatedly revoked re-executes its synchronized section
 //! forever while high-priority contenders keep preempting it. The
 //! governor bounds that behaviour. It tracks, per `(monitor, holder)`
-//! pair, the streak of consecutive revocations together with the undo
-//! entries and section ticks they discarded. Once the streak reaches
+//! pair, the streak of consecutive revocations. Once the streak reaches
 //! the retry budget `k`, the next contender is told to *block on the
 //! prioritized entry queue* instead of revoking — a per-monitor,
 //! reversible degradation to the paper's blocking baseline. Each
@@ -18,7 +25,8 @@
 //! clock and the locks runtime with wall-clock nanoseconds. Both call
 //! the same three entry points:
 //!
-//! - [`Governor::consult`] before acting on a detected inversion;
+//! - [`Governor::consult`] before acting on a detected inversion (through
+//!   [`revocation_verdict`]);
 //! - [`Governor::record_revocation`] after a rollback completes;
 //! - [`Governor::record_commit`] when the holder finally commits.
 
@@ -67,16 +75,55 @@ pub enum GovernorVerdict {
     Allow,
     /// The retry budget is exhausted: the contender must block on the
     /// prioritized entry queue instead of revoking. `fresh` is true
-    /// exactly when this consult *opened* a new fallback window (the
-    /// caller should emit a `PolicyFallback` event); repeat denials
-    /// inside an open window report `fresh: false`.
+    /// exactly when this consult *opened* a new fallback window;
+    /// repeat denials inside an open window report `fresh: false`.
     Fallback {
         /// True when this denial opened a new backoff window.
         fresh: bool,
     },
 }
 
-/// Per-`(monitor, holder)` revocation history.
+/// What a contender does about a lower-priority holder of the monitor it
+/// wants (§1.1): the answer of [`revocation_verdict`]. Both runtimes map
+/// each arm to the same counters and events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RevocationVerdict {
+    /// The holder's section is non-revocable: nothing is requested and
+    /// the contender waits the section out (`inversions_unresolved`,
+    /// `InversionUnresolved { by }`).
+    Unresolvable,
+    /// The governor denied the revocation: the contender blocks on the
+    /// prioritized entry queue (`governor_throttles`,
+    /// `GovernorThrottle { by }`; when `fresh`, also `policy_fallbacks`,
+    /// `PolicyFallback`).
+    Throttled {
+        /// True when this denial opened a new fallback window.
+        fresh: bool,
+    },
+    /// Flag the holder's section for revocation at its next yield point
+    /// (`revocations_requested`, `RevokeRequest { by }`).
+    Request,
+}
+
+/// The one revocation decision: a non-revocable holder is
+/// [`Unresolvable`](RevocationVerdict::Unresolvable) and the governor is
+/// never consulted — no throttle is counted and no window opens;
+/// otherwise `consult`, the runtime's call of [`Governor::consult`] for
+/// this `(monitor, holder)` pair, decides.
+pub fn revocation_verdict(
+    revocable: bool,
+    consult: impl FnOnce() -> GovernorVerdict,
+) -> RevocationVerdict {
+    if !revocable {
+        return RevocationVerdict::Unresolvable;
+    }
+    match consult() {
+        GovernorVerdict::Allow => RevocationVerdict::Request,
+        GovernorVerdict::Fallback { fresh } => RevocationVerdict::Throttled { fresh },
+    }
+}
+
+/// Per-`(monitor, holder)` revocation state: streak, level and window.
 #[derive(Clone, Copy, Debug, Default)]
 struct PairState {
     /// Consecutive revocations since the holder last committed (or the
@@ -87,10 +134,6 @@ struct PairState {
     level: u32,
     /// Tick until which contenders must block (exclusive). 0 = open.
     fallback_until: u64,
-    /// Undo entries discarded by this pair's revocations.
-    entries_rolled_back: u64,
-    /// Section ticks discarded by this pair's revocations.
-    ticks_discarded: u64,
     /// Tick of the last revocation or commit (not of consult denials,
     /// so an idle governed pair can still decay).
     last_event: u64,
@@ -99,37 +142,14 @@ struct PairState {
 /// Runtime revocation governor. See the module docs for the protocol.
 ///
 /// Keyed by `(monitor, holder)` in a hash map (Fx construction — this
-/// sits on the inversion-detection hot path). Hash-map iteration order
-/// is not deterministic, so no introspection result may be computed by
-/// bare iteration: aggregates ([`max_streak`](Self::max_streak),
-/// [`entries_rolled_back`](Self::entries_rolled_back), …) are
-/// order-independent reductions, and anything that *lists* pairs goes
-/// through the sorted [`history`](Self::history) view, which the
-/// schedule explorer's determinism relies on.
+/// sits on the inversion-detection hot path). Nothing is computed by
+/// iterating the map, so its order never shows.
 #[derive(Debug, Default)]
 pub struct Governor {
     pairs: FxMap<(u64, u64), PairState>,
-    throttles: u64,
-    fallbacks: u64,
-}
-
-/// One `(monitor, holder)` pair's revocation history, as reported by
-/// the sorted [`Governor::history`] introspection view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PairHistory {
-    /// Governed monitor id.
-    pub monitor: u64,
-    /// Holder thread id.
-    pub holder: u64,
-    /// Consecutive revocations since the holder last committed (or the
-    /// history decayed).
-    pub streak: u32,
-    /// Fallback windows served so far (the exponential-backoff level).
-    pub level: u32,
-    /// Undo entries discarded by this pair's revocations.
-    pub entries_rolled_back: u64,
-    /// Section ticks discarded by this pair's revocations.
-    pub ticks_discarded: u64,
+    /// Largest streak any pair has reached (see
+    /// [`max_streak`](Self::max_streak)).
+    max_streak: u32,
 }
 
 /// Cap on the exponential shift so `backoff << level` cannot overflow.
@@ -166,7 +186,6 @@ impl Governor {
             st.fallback_until = 0;
         }
         if now < st.fallback_until {
-            self.throttles += 1;
             return GovernorVerdict::Fallback { fresh: false };
         }
         if st.streak >= cfg.k {
@@ -174,33 +193,20 @@ impl Governor {
             let window = cfg.backoff.saturating_shl(shift);
             st.fallback_until = now.saturating_add(window.max(1));
             st.level = st.level.saturating_add(1);
-            self.throttles += 1;
-            self.fallbacks += 1;
             return GovernorVerdict::Fallback { fresh: true };
         }
         GovernorVerdict::Allow
     }
 
-    /// Record a completed revocation of `holder` on `monitor`:
-    /// `entries` undo entries were rolled back and `ticks` of section
-    /// work were discarded.
-    pub fn record_revocation(
-        &mut self,
-        cfg: GovernorConfig,
-        monitor: u64,
-        holder: u64,
-        now: u64,
-        entries: u64,
-        ticks: u64,
-    ) {
+    /// Record a completed revocation of `holder` on `monitor` at `now`.
+    pub fn record_revocation(&mut self, cfg: GovernorConfig, monitor: u64, holder: u64, now: u64) {
         if !cfg.enabled() {
             return;
         }
         let st = self.pairs.entry((monitor, holder)).or_default();
         st.streak = st.streak.saturating_add(1);
-        st.entries_rolled_back += entries;
-        st.ticks_discarded += ticks;
         st.last_event = now;
+        self.max_streak = self.max_streak.max(st.streak);
     }
 
     /// Record that `holder` committed a section of `monitor`: the
@@ -214,11 +220,15 @@ impl Governor {
         }
     }
 
-    /// Largest consecutive-revocation streak ever tolerated on any
-    /// pair's *current* history. Under a governor with budget `k` this
-    /// never exceeds `k` — the bounded-revocation explore invariant.
+    /// High-water mark: the longest consecutive-revocation streak any
+    /// pair has reached so far, commits and decay notwithstanding (0
+    /// when ungoverned). A streak only grows in
+    /// [`record_revocation`](Self::record_revocation), so under a budget
+    /// of `k` this is at most `k` exactly when every pair's streak was at
+    /// most `k` at every moment — the bounded-revocation invariant,
+    /// checkable after the run.
     pub fn max_streak(&self) -> u32 {
-        self.pairs.values().map(|s| s.streak).max().unwrap_or(0)
+        self.max_streak
     }
 
     /// The current consecutive-revocation streak of one `(monitor,
@@ -227,48 +237,6 @@ impl Governor {
     /// how close its pair is to a fallback window.
     pub fn streak(&self, monitor: u64, holder: u64) -> u32 {
         self.pairs.get(&(monitor, holder)).map(|s| s.streak).unwrap_or(0)
-    }
-
-    /// Total consult denials (throttled revocation attempts).
-    pub fn throttles(&self) -> u64 {
-        self.throttles
-    }
-
-    /// Total fresh fallback windows opened.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
-    /// Total undo entries discarded across all governed pairs.
-    pub fn entries_rolled_back(&self) -> u64 {
-        self.pairs.values().map(|s| s.entries_rolled_back).sum()
-    }
-
-    /// Total section ticks discarded across all governed pairs.
-    pub fn ticks_discarded(&self) -> u64 {
-        self.pairs.values().map(|s| s.ticks_discarded).sum()
-    }
-
-    /// Every governed pair's history, sorted by `(monitor, holder)` —
-    /// the same order the old `BTreeMap` representation iterated in.
-    /// This is the only pair-listing introspection surface; it keeps
-    /// deterministic output (explorer fingerprints, `--stats` dumps)
-    /// independent of the hash map's iteration order.
-    pub fn history(&self) -> Vec<PairHistory> {
-        let mut out: Vec<PairHistory> = self
-            .pairs
-            .iter()
-            .map(|(&(monitor, holder), st)| PairHistory {
-                monitor,
-                holder,
-                streak: st.streak,
-                level: st.level,
-                entries_rolled_back: st.entries_rolled_back,
-                ticks_discarded: st.ticks_discarded,
-            })
-            .collect();
-        out.sort_unstable_by_key(|h| (h.monitor, h.holder));
-        out
     }
 }
 
@@ -296,10 +264,10 @@ mod tests {
         let mut g = Governor::new();
         for now in 0..100 {
             assert_eq!(g.consult(GovernorConfig::disabled(), 1, 2, now), GovernorVerdict::Allow);
-            g.record_revocation(GovernorConfig::disabled(), 1, 2, now, 5, 5);
+            g.record_revocation(GovernorConfig::disabled(), 1, 2, now);
         }
         assert_eq!(g.max_streak(), 0);
-        assert_eq!(g.throttles(), 0);
+        assert_eq!(g.streak(1, 2), 0);
     }
 
     #[test]
@@ -308,7 +276,7 @@ mod tests {
         let mut g = Governor::new();
         for i in 0..3u64 {
             assert_eq!(g.consult(c, 1, 2, i), GovernorVerdict::Allow);
-            g.record_revocation(c, 1, 2, i, 1, 1);
+            g.record_revocation(c, 1, 2, i);
         }
         assert_eq!(g.max_streak(), 3);
     }
@@ -319,21 +287,19 @@ mod tests {
         let mut g = Governor::new();
         for i in 0..2u64 {
             assert_eq!(g.consult(c, 1, 2, i), GovernorVerdict::Allow);
-            g.record_revocation(c, 1, 2, i, 1, 1);
+            g.record_revocation(c, 1, 2, i);
         }
         // Budget spent: the next consult opens a window...
         assert_eq!(g.consult(c, 1, 2, 2), GovernorVerdict::Fallback { fresh: true });
         // ...and repeat consults inside it are stale denials.
         assert_eq!(g.consult(c, 1, 2, 5), GovernorVerdict::Fallback { fresh: false });
-        assert_eq!(g.throttles(), 2);
-        assert_eq!(g.fallbacks(), 1);
     }
 
     #[test]
     fn windows_escalate_exponentially() {
         let c = cfg(1, 10, 0);
         let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 1, 1);
+        g.record_revocation(c, 1, 2, 0);
         // Window 1: [0, 10).
         assert_eq!(g.consult(c, 1, 2, 0), GovernorVerdict::Fallback { fresh: true });
         assert_eq!(g.consult(c, 1, 2, 9), GovernorVerdict::Fallback { fresh: false });
@@ -347,12 +313,12 @@ mod tests {
     fn commit_resets_streak_but_not_level() {
         let c = cfg(1, 10, 0);
         let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 1, 1);
+        g.record_revocation(c, 1, 2, 0);
         assert_eq!(g.consult(c, 1, 2, 0), GovernorVerdict::Fallback { fresh: true });
         g.record_commit(1, 2, 12);
         // Streak forgiven: revocation allowed again.
         assert_eq!(g.consult(c, 1, 2, 13), GovernorVerdict::Allow);
-        g.record_revocation(c, 1, 2, 13, 1, 1);
+        g.record_revocation(c, 1, 2, 13);
         // But the level survived, so the next window is the escalated one.
         assert_eq!(g.consult(c, 1, 2, 14), GovernorVerdict::Fallback { fresh: true });
         assert_eq!(g.consult(c, 1, 2, 14 + 19), GovernorVerdict::Fallback { fresh: false });
@@ -362,19 +328,36 @@ mod tests {
     fn decay_forgives_history() {
         let c = cfg(1, 10, 50);
         let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 1, 1);
+        g.record_revocation(c, 1, 2, 0);
         assert_eq!(g.consult(c, 1, 2, 1), GovernorVerdict::Fallback { fresh: true });
         // Quiet for >= decay ticks since the last revocation/commit:
         // streak and level both reset, revocation allowed again.
         assert_eq!(g.consult(c, 1, 2, 55), GovernorVerdict::Allow);
-        assert_eq!(g.max_streak(), 0);
+        assert_eq!(g.streak(1, 2), 0);
+    }
+
+    #[test]
+    fn max_streak_is_a_high_water_mark() {
+        // A commit resets the pair's streak; the largest streak reached
+        // stays readable after the run, which is when it is checked.
+        let c = cfg(3, 10, 0);
+        let mut g = Governor::new();
+        g.record_revocation(c, 1, 2, 0);
+        g.record_revocation(c, 1, 2, 1);
+        g.record_revocation(c, 7, 9, 2);
+        g.record_commit(1, 2, 3);
+        g.record_commit(7, 9, 4);
+        assert_eq!((g.streak(1, 2), g.streak(7, 9)), (0, 0));
+        assert_eq!(g.max_streak(), 2);
+        g.record_revocation(c, 7, 9, 5);
+        assert_eq!(g.max_streak(), 2, "a shorter streak leaves the mark where it was");
     }
 
     #[test]
     fn pairs_are_independent() {
         let c = cfg(1, 10, 0);
         let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 1, 1);
+        g.record_revocation(c, 1, 2, 0);
         assert_eq!(g.consult(c, 1, 2, 1), GovernorVerdict::Fallback { fresh: true });
         // Different holder on the same monitor: untouched budget.
         assert_eq!(g.consult(c, 1, 3, 1), GovernorVerdict::Allow);
@@ -383,49 +366,44 @@ mod tests {
     }
 
     #[test]
-    fn accumulators_track_waste() {
-        let c = cfg(5, 10, 0);
-        let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 7, 100);
-        g.record_revocation(c, 1, 2, 1, 3, 50);
-        g.record_revocation(c, 2, 9, 2, 1, 5);
-        assert_eq!(g.entries_rolled_back(), 11);
-        assert_eq!(g.ticks_discarded(), 155);
-    }
-
-    #[test]
-    fn history_iterates_in_sorted_pair_order() {
-        // Regression for the BTreeMap → FxHash map swap: introspection
-        // must still list pairs in ascending `(monitor, holder)` order,
-        // whatever order they were inserted in and however the hash map
-        // scatters them.
-        let c = cfg(5, 10, 0);
-        let mut g = Governor::new();
-        let pairs = [(9u64, 1u64), (2, 7), (9, 0), (2, 3), (1, 100), (500, 4), (2, 1)];
-        for (i, &(m, h)) in pairs.iter().enumerate() {
-            g.record_revocation(c, m, h, i as u64, i as u64 + 1, 10 * (i as u64 + 1));
-        }
-        let hist = g.history();
-        let keys: Vec<(u64, u64)> = hist.iter().map(|p| (p.monitor, p.holder)).collect();
-        let mut sorted = pairs.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "introspection order changed");
-        // Spot-check payload routing survived the representation swap.
-        let p = hist.iter().find(|p| (p.monitor, p.holder) == (500, 4)).unwrap();
-        assert_eq!((p.streak, p.entries_rolled_back, p.ticks_discarded), (1, 6, 60));
-        // And repeated reads are identical (no hidden iteration-order
-        // dependence).
-        assert_eq!(g.history(), hist);
-    }
-
-    #[test]
     fn zero_backoff_still_denies_once_per_tick_boundary() {
         // A degenerate backoff of 0 must still produce a non-empty
         // window so `fresh` denials cannot fire unboundedly per tick.
         let c = cfg(1, 0, 0);
         let mut g = Governor::new();
-        g.record_revocation(c, 1, 2, 0, 1, 1);
+        g.record_revocation(c, 1, 2, 0);
         assert_eq!(g.consult(c, 1, 2, 5), GovernorVerdict::Fallback { fresh: true });
         assert_eq!(g.consult(c, 1, 2, 5), GovernorVerdict::Fallback { fresh: false });
+    }
+
+    #[test]
+    fn revocation_verdict_table() {
+        use RevocationVerdict::*;
+        let c = cfg(1, 10, 0);
+        let mut g = Governor::new();
+        let verdict = |g: &mut Governor, revocable: bool, now: u64| {
+            revocation_verdict(revocable, || g.consult(c, 1, 2, now))
+        };
+        // Revocable, within budget: request.
+        assert_eq!(verdict(&mut g, true, 0), Request);
+        g.record_revocation(c, 1, 2, 0);
+        // Budget spent, but the holder is non-revocable: reported, and
+        // the governor is not consulted — no window opens.
+        assert_eq!(verdict(&mut g, false, 1), Unresolvable);
+        assert_eq!(verdict(&mut g, false, 2), Unresolvable);
+        // The first revocable contender opens the window, the next one
+        // inside it is a stale denial.
+        assert_eq!(verdict(&mut g, true, 3), Throttled { fresh: true });
+        assert_eq!(verdict(&mut g, true, 4), Throttled { fresh: false });
+        // Ungoverned: every revocable holder is a request.
+        let mut off = Governor::new();
+        assert_eq!(
+            revocation_verdict(true, || off.consult(GovernorConfig::disabled(), 1, 2, 0)),
+            Request
+        );
+        assert_eq!(
+            revocation_verdict(false, || off.consult(GovernorConfig::disabled(), 1, 2, 0)),
+            Unresolvable
+        );
     }
 }

@@ -30,8 +30,9 @@
 //!   confidence intervals) used by the benchmark harness,
 //! * [`fx`]       — the one fast hasher for maps keyed by ids the
 //!   runtimes generate themselves,
-//! * [`governor`] — the adaptive revocation governor (bounded retries,
-//!   exponential backoff, per-monitor fallback to blocking),
+//! * [`governor`] — the revocation request verdict and the adaptive
+//!   revocation governor (bounded retries, exponential backoff,
+//!   per-monitor fallback to blocking),
 //! * [`delegate`] — combiner handoff rules for delegated critical
 //!   sections (the `Delegation` policy).
 
@@ -53,7 +54,9 @@ pub use cost::CostModel;
 pub use deadlock::{Victim, WaitsForGraph};
 pub use delegate::DelegateConfig;
 pub use fx::{FxHasher, FxMap, FxSet};
-pub use governor::{Governor, GovernorConfig, GovernorVerdict, PairHistory};
+pub use governor::{
+    revocation_verdict, Governor, GovernorConfig, GovernorVerdict, RevocationVerdict,
+};
 pub use metrics::Metrics;
 pub use policy::{DetectionStrategy, InversionPolicy, PolicyNameError, QueueDiscipline};
 pub use priority::{MonitorId, Priority, ThreadId};

@@ -44,7 +44,8 @@ use crate::stats::{MonitorStats, StatsSnapshot};
 use crate::tx::{self, SectionCtx, Tx};
 use parking_lot::{Mutex, MutexGuard};
 use revmon_core::{
-    Governor, GovernorConfig, GovernorVerdict, InversionPolicy, PrioritizedQueue, Priority,
+    revocation_verdict, Governor, GovernorConfig, GovernorVerdict, InversionPolicy,
+    PrioritizedQueue, Priority, RevocationVerdict,
 };
 use revmon_obs::prof::{timers, Phase};
 use revmon_obs::EventKind;
@@ -385,9 +386,10 @@ impl RevocableMonitor {
         self.shared.set_governor(cfg);
     }
 
-    /// Largest current consecutive-revocation streak the governor has
-    /// tracked on this monitor (0 when ungoverned). Under a budget of
-    /// `k` this never exceeds `k` — the bounded-revocation guarantee.
+    /// High-water mark: the longest consecutive-revocation streak the
+    /// governor has seen on this monitor, commits notwithstanding (0
+    /// when ungoverned). Under a budget of `k` it never exceeds `k` —
+    /// the bounded-revocation guarantee, checkable after the run.
     pub fn governor_max_streak(&self) -> u32 {
         self.shared.governor_max_streak()
     }
@@ -422,36 +424,38 @@ impl RevocableMonitor {
 }
 
 impl MonRef<'_> {
-    /// Consult the governor about revoking the holder (identified by its
-    /// observability id). A denial is counted, emitted, and answered
-    /// `false`: the contender must block on the prioritized queue.
-    fn governor_allows(self, holder_obs: u64) -> bool {
-        if !self.shared.governed.load(Ordering::Relaxed) {
-            return true;
-        }
-        let verdict = {
+    /// Act on an inversion against `holder`'s section `target`: the
+    /// verdict of [`revocation_verdict`] — the section's revocability,
+    /// then the governor — mapped to the counters and events the VM maps
+    /// it to. `by` is the contender's observability id.
+    fn request_revocation(self, holder: &tx::ThreadSlot, target: &SectionCtx, by: u64) {
+        let verdict = revocation_verdict(target.revocable(), || {
+            if !self.shared.governed.load(Ordering::Relaxed) {
+                return GovernorVerdict::Allow;
+            }
             let mut g = self.shared.governor.lock();
             let (cfg, gov) = &mut *g;
-            gov.consult(*cfg, self.id, holder_obs, obs::now_ns())
-        };
+            gov.consult(*cfg, self.id, holder.obs, obs::now_ns())
+        });
+        let stats = &self.shared.stats;
         match verdict {
-            GovernorVerdict::Allow => true,
-            GovernorVerdict::Fallback { fresh } => {
-                self.shared.stats.governor_throttles.fetch_add(1, Ordering::Relaxed);
+            RevocationVerdict::Unresolvable => {
+                stats.inversions_unresolved.fetch_add(1, Ordering::Relaxed);
+                obs::emit_for(holder.obs, self.id, EventKind::InversionUnresolved { by });
+            }
+            RevocationVerdict::Throttled { fresh } => {
+                stats.governor_throttles.fetch_add(1, Ordering::Relaxed);
+                obs::emit_for(holder.obs, self.id, EventKind::GovernorThrottle { by });
                 if fresh {
-                    self.shared.stats.policy_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    stats.policy_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    obs::emit_for(holder.obs, self.id, EventKind::PolicyFallback);
                 }
-                if obs::enabled() {
-                    obs::emit_for(
-                        holder_obs,
-                        self.id,
-                        EventKind::GovernorThrottle { by: obs::obs_tid() },
-                    );
-                    if fresh {
-                        obs::emit_for(holder_obs, self.id, EventKind::PolicyFallback);
-                    }
+            }
+            RevocationVerdict::Request => {
+                if holder.signal_revoke(target) {
+                    stats.revocations_requested.fetch_add(1, Ordering::Relaxed);
+                    obs::emit_for(holder.obs, self.id, EventKind::RevokeRequest { by });
                 }
-                false
             }
         }
     }
@@ -757,13 +761,9 @@ impl MonRef<'_> {
                 // would grant (class bitmap + FIFO-within-class); our own
                 // entry, if still queued, is at `eff` and so never it.
                 if matches!(self.policy, InversionPolicy::Revocation) {
-                    let top = s.queue.peek().map(|(w, p)| (w.obs, p));
-                    if let Some((by, top_prio)) = top {
-                        if top_prio > eff && self.governor_allows(slot.obs) {
-                            ctx.revoke.store(true, Ordering::Release);
-                            slot.pending_revoke.store(true, Ordering::Release);
-                            self.shared.stats.revocations_requested.fetch_add(1, Ordering::Relaxed);
-                            obs::emit(self.id, EventKind::RevokeRequest { by });
+                    if let Some((top, top_prio)) = s.queue.peek() {
+                        if top_prio > eff {
+                            self.request_revocation(&slot, &ctx, top.obs);
                         }
                     }
                 }
@@ -781,50 +781,11 @@ impl MonRef<'_> {
                 InversionPolicy::Revocation => {
                     if eff > s.holder_priority {
                         let t_signal = timers().start(Phase::SignalVictim);
-                        if let Some(target) = s.holder_ctxs.first().cloned() {
-                            let holder_obs = s.owner_slot.as_ref().map_or(0, |o| o.obs);
-                            if !target.revocable() {
-                                self.shared
-                                    .stats
-                                    .inversions_unresolved
-                                    .fetch_add(1, Ordering::Relaxed);
-                                if obs::enabled() {
-                                    obs::emit_for(
-                                        holder_obs,
-                                        self.id,
-                                        EventKind::InversionUnresolved { by: obs::obs_tid() },
-                                    );
-                                }
-                            } else if self.governor_allows(holder_obs) {
-                                // Section flag first, cached thread flag
-                                // second (both Release): the holder's
-                                // slow poll consumes the cached flag and
-                                // then scans, so this order guarantees
-                                // the scan sees the flagged section. The
-                                // cached flag is re-raised every loop
-                                // iteration in case a slow poll consumed
-                                // it without unwinding.
-                                if !target.revoke.swap(true, Ordering::AcqRel) {
-                                    self.shared
-                                        .stats
-                                        .revocations_requested
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    if obs::enabled() {
-                                        obs::emit_for(
-                                            holder_obs,
-                                            self.id,
-                                            EventKind::RevokeRequest { by: obs::obs_tid() },
-                                        );
-                                    }
-                                }
-                                if let Some(holder) = &s.owner_slot {
-                                    holder.pending_revoke.store(true, Ordering::Release);
-                                    // Wake the holder wherever it is
-                                    // parked so it reaches a yield point
-                                    // promptly.
-                                    holder.handle.unpark();
-                                }
-                            }
+                        // Asked every time round: each wake-up re-raises
+                        // the holder's cached flag.
+                        if let (Some(target), Some(holder)) = (s.holder_ctxs.first(), &s.owner_slot)
+                        {
+                            self.request_revocation(holder, target, slot.obs);
                         }
                         timers().finish(Phase::SignalVictim, t_signal);
                     }
@@ -968,13 +929,6 @@ impl MonRef<'_> {
         self.inflate()
     }
 
-    /// Emit a `Rollback` event whose duration is measured from `t0`
-    /// (nanoseconds, observability clock).
-    fn emit_rollback(self, entries: u64, t0: u64) {
-        let duration = obs::now_ns().saturating_sub(t0);
-        obs::emit(self.id, EventKind::Rollback { entries, duration });
-    }
-
     /// Commit the section (retiring the undo log's entries if outermost
     /// — no cell is visited) and release one recursion level.
     fn commit_and_release(self, ctx: &Arc<SectionCtx>) {
@@ -997,25 +951,19 @@ impl MonRef<'_> {
     /// Restore shared state *before* releasing (§3.1.2), then release
     /// one recursion level.
     fn rollback_and_release(self, ctx: &Arc<SectionCtx>) {
-        let governed = self.shared.governed.load(Ordering::Relaxed);
-        let t0 = (obs::enabled() || governed).then(obs::now_ns);
+        let t0 = obs::enabled().then(obs::now_ns);
         let n = tx::rollback_section(ctx);
         self.shared.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
         self.shared.stats.entries_rolled_back.fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(t0) = t0.filter(|_| obs::enabled()) {
-            self.emit_rollback(n as u64, t0);
+        if let Some(t0) = t0 {
+            let duration = obs::now_ns().saturating_sub(t0);
+            obs::emit(self.id, EventKind::Rollback { entries: n as u64, duration });
         }
-        if governed {
+        if self.shared.governed.load(Ordering::Relaxed) {
             let obs_id = tx::my_slot().obs;
-            let now = obs::now_ns();
-            // Discarded time ≈ the rollback's own duration on this
-            // runtime (sections carry no entry timestamp); undo entries
-            // — distinct cells written per section, not stores — are the
-            // primary waste measure.
-            let wasted = now.saturating_sub(t0.unwrap_or(now));
             let mut g = self.shared.governor.lock();
             let (cfg, gov) = &mut *g;
-            gov.record_revocation(*cfg, self.id, obs_id, now, n as u64, wasted);
+            gov.record_revocation(*cfg, self.id, obs_id, obs::now_ns());
         }
         tx::exit_section(ctx);
         self.fast_release(ctx);

@@ -177,12 +177,7 @@ pub(crate) fn on_block(monitor_id: u64, slot: &Arc<ThreadSlot>, priority: Priori
     let Some(Victim { monitor: victim_monitor, section: (ctx, victim), .. }) = victim else {
         return false; // unbreakable (all non-revocable): threads stay blocked
     };
-    // Section flag before the cached thread flag (both Release): the
-    // victim's slow poll consumes the cached flag and then scans, so
-    // this order guarantees the scan sees the flagged section.
-    ctx.revoke.store(true, Ordering::Release);
-    victim.pending_revoke.store(true, Ordering::Release);
-    victim.handle.unpark();
+    victim.signal_revoke(&ctx);
     DEADLOCKS_BROKEN.fetch_add(1, Ordering::Relaxed);
     obs::emit_for(victim.obs, victim_monitor.0 as u64, EventKind::DeadlockBroken);
     true

@@ -240,6 +240,28 @@ pub(crate) struct ThreadSlot {
     pub sections: Mutex<Vec<Arc<SectionCtx>>>,
 }
 
+impl ThreadSlot {
+    /// Flag `ctx`, one of this thread's sections, for revocation — the
+    /// one place a section's flag is raised — and wake the thread
+    /// wherever it is parked so it reaches a yield point promptly.
+    /// Returns whether the section flag was newly raised.
+    ///
+    /// Section flag first, cached thread flag second (both `Release`):
+    /// the thread's slow poll consumes the cached flag and *then* scans
+    /// its sections, so this order guarantees the scan sees the flagged
+    /// section. The cached flag is raised even when the section flag
+    /// already was, in case a slow poll consumed it without unwinding.
+    /// A thread that flags itself is left an unpark token; every park
+    /// site re-checks its condition in a loop, so that costs one spurious
+    /// wake-up.
+    pub(crate) fn signal_revoke(&self, ctx: &SectionCtx) -> bool {
+        let fresh = !ctx.revoke.swap(true, Ordering::AcqRel);
+        self.pending_revoke.store(true, Ordering::Release);
+        self.handle.unpark();
+        fresh
+    }
+}
+
 /// Dense-id → slot lookup table (weak: a slot dies with its thread).
 fn slot_table() -> &'static Mutex<Vec<Weak<ThreadSlot>>> {
     static TABLE: OnceLock<Mutex<Vec<Weak<ThreadSlot>>>> = OnceLock::new();

@@ -23,14 +23,15 @@ use crate::error::VmError;
 use crate::thread::ThreadState;
 use crate::value::ObjRef;
 use crate::vm::Vm;
-use revmon_core::ThreadId;
+use revmon_core::{revocation_verdict, RevocationVerdict, ThreadId};
 use revmon_obs::prof::{timers, Phase};
 use revmon_obs::EventKind;
 
 impl Vm {
     /// Flag `holder` so that its outermost section on `obj` is revoked at
-    /// its next yield point. No-op (counted as unresolved) when the
-    /// section is non-revocable, sticky-blocked, or livelock-guarded.
+    /// its next yield point — or, as [`revocation_verdict`] decides, count
+    /// it unresolved (non-revocable, sticky-blocked or livelock-guarded
+    /// section) or throttled (the governor's fallback window).
     pub(crate) fn request_revocation(
         &mut self,
         by: ThreadId,
@@ -40,34 +41,37 @@ impl Vm {
         let Some(idx) = self.thread(holder).outermost_section_on(obj) else {
             return Ok(()); // already released in the meantime
         };
+        // The livelock guard is one more reason a section is not revocable.
         let livelock_denied = self.config.max_consecutive_revocations != 0
             && self.thread(holder).consecutive_revocations
                 >= self.config.max_consecutive_revocations;
-        let can = self.thread(holder).sections[idx].can_revoke() && !livelock_denied;
-        if !can {
-            self.global.inversions_unresolved += 1;
-            self.emit(holder, obj, EventKind::InversionUnresolved { by: by.0 as u64 });
-            return Ok(());
-        }
-        // Adaptive governor: once the (monitor, holder) pair has burnt its
-        // retry budget, the contender stays blocked on the prioritized
-        // entry queue instead of revoking — per-monitor degradation to the
-        // blocking baseline, reversible after the decay window.
-        match self.governor.consult(self.config.governor, obj.0 as u64, holder.0 as u64, self.clock)
-        {
-            revmon_core::GovernorVerdict::Allow => {}
-            revmon_core::GovernorVerdict::Fallback { fresh } => {
+        let revocable = self.thread(holder).sections[idx].can_revoke() && !livelock_denied;
+        let (cfg, now) = (self.config.governor, self.clock);
+        let governor = &mut self.governor;
+        let verdict = revocation_verdict(revocable, || {
+            governor.consult(cfg, obj.0 as u64, holder.0 as u64, now)
+        });
+        let by_id = by.0 as u64;
+        match verdict {
+            RevocationVerdict::Unresolvable => {
+                self.global.inversions_unresolved += 1;
+                self.emit(holder, obj, EventKind::InversionUnresolved { by: by_id });
+                return Ok(());
+            }
+            RevocationVerdict::Throttled { fresh } => {
                 self.global.governor_throttles += 1;
-                self.emit(holder, obj, EventKind::GovernorThrottle { by: by.0 as u64 });
+                self.emit(holder, obj, EventKind::GovernorThrottle { by: by_id });
                 if fresh {
                     self.global.policy_fallbacks += 1;
                     self.emit(holder, obj, EventKind::PolicyFallback);
                 }
                 return Ok(());
             }
+            RevocationVerdict::Request => {}
         }
         let acq = self.thread(holder).sections[idx].acq_id;
         self.global.revocations_requested += 1;
+        self.emit(holder, obj, EventKind::RevokeRequest { by: by_id });
         if self.thread(by).core != self.thread(holder).core {
             // Cross-core: the requester cannot touch the victim's
             // revocation flag directly — on real hardware the victim may
@@ -76,7 +80,6 @@ impl Vm {
             // next takes its scheduling step, which is a yield point for
             // every thread pinned there. Staleness is re-checked at
             // delivery, not here.
-            self.emit(holder, obj, EventKind::RevokeRequest { by: by.0 as u64 });
             let victim_core = self.thread(holder).core;
             self.cores[victim_core].ipis.push_back(crate::vm::Ipi {
                 by,
@@ -85,41 +88,10 @@ impl Vm {
                 monitor: obj,
             });
             self.ipis_posted += 1;
-            self.emit(holder, obj, EventKind::IpiPosted { by: by.0 as u64 });
+            self.emit(holder, obj, EventKind::IpiPosted { by: by_id });
             return Ok(());
         }
-        // Keep the shallowest (outermost) target if requests pile up.
-        let replace = match self.thread(holder).pending_revoke {
-            None => true,
-            Some(existing) => match self.thread(holder).section_by_acq(existing) {
-                Some(ei) => idx < ei,
-                None => true, // stale target
-            },
-        };
-        if replace {
-            self.thread_mut(holder).pending_revoke = Some(acq);
-        }
-        self.emit(holder, obj, EventKind::RevokeRequest { by: by.0 as u64 });
-        // Threads suspended at a safe point are revoked immediately: a
-        // Ready thread was descheduled *at* a yield point, and blocked or
-        // sleeping threads sit at monitor-enter / sleep yield points. On
-        // one core the holder can never be Running while the requester
-        // runs, so in practice every same-core revocation happens at the
-        // holder's current yield point — the paper's "next yield point"
-        // with zero scheduling delay. (A Running holder — possible only
-        // via the background scanner firing mid-dispatch — is still
-        // deferred to its next yield point in the dispatch loop.)
-        match self.thread(holder).state {
-            ThreadState::BlockedEnter(_)
-            | ThreadState::Sleeping(_)
-            | ThreadState::BlockedJoin(_)
-            | ThreadState::AwaitingDelegation(_)
-            | ThreadState::Ready => {
-                self.perform_revocation(holder)?;
-            }
-            _ => {}
-        }
-        Ok(())
+        self.arm_revocation(holder, idx, acq)
     }
 
     /// Deliver every IPI pending on `core`, FIFO. Called at the head of
@@ -127,53 +99,56 @@ impl Vm {
     /// so delivery is the explicit revoker→victim handshake: each IPI is
     /// acknowledged exactly once (`IpiAck`), either as stale (the holder
     /// released, committed, or terminated while the request was in
-    /// flight) or by arming `pending_revoke` and, for victims suspended
-    /// at a safe point, performing the rollback on the spot.
+    /// flight) or by [`arm_revocation`](Self::arm_revocation).
     pub(crate) fn deliver_ipis(&mut self, core: usize) -> Result<(), VmError> {
         while let Some(ipi) = self.cores[core].ipis.pop_front() {
             self.ipis_acked += 1;
             let crate::vm::Ipi { by, victim, acq, monitor } = ipi;
-            let stale = self.thread(victim).is_terminated()
-                || self.monitors.get(monitor).and_then(|m| m.owner) != Some(victim)
-                || self.thread(victim).section_by_acq(acq).is_none();
-            if stale {
+            let live = !self.thread(victim).is_terminated()
+                && self.monitors.get(monitor).and_then(|m| m.owner) == Some(victim);
+            let Some(idx) = self.thread(victim).section_by_acq(acq).filter(|_| live) else {
                 self.ipis_stale += 1;
                 self.emit(victim, monitor, EventKind::IpiAck { by: by.0 as u64, stale: true });
                 continue;
-            }
-            let idx = self.thread(victim).section_by_acq(acq).expect("checked above");
-            // Same shallowest-target merge as the same-core request path.
-            let replace = match self.thread(victim).pending_revoke {
-                None => true,
-                Some(existing) => match self.thread(victim).section_by_acq(existing) {
-                    Some(ei) => idx < ei,
-                    None => true, // stale target
-                },
             };
-            if replace {
-                self.thread_mut(victim).pending_revoke = Some(acq);
-            }
             self.emit(victim, monitor, EventKind::IpiAck { by: by.0 as u64, stale: false });
-            match self.thread(victim).state {
-                ThreadState::BlockedEnter(_)
-                | ThreadState::Sleeping(_)
-                | ThreadState::BlockedJoin(_)
-                | ThreadState::AwaitingDelegation(_)
-                | ThreadState::Ready => {
-                    self.perform_revocation(victim)?;
-                }
-                // Defensive: with cores advancing one at a time nothing is
-                // Running during delivery, but a flagged thread would
-                // still honour it at its next dispatch yield point.
-                _ => {}
-            }
+            self.arm_revocation(victim, idx, acq)?;
         }
         Ok(())
     }
 
+    /// Arm `victim`'s `pending_revoke` with its section `idx` (acquisition
+    /// `acq`) — keeping the shallowest (outermost) target if requests pile
+    /// up; an armed target whose section is gone is replaced — and perform
+    /// the revocation at once if the victim is suspended at a safe point.
+    ///
+    /// A Ready thread was descheduled *at* a yield point, and blocked or
+    /// sleeping threads sit at monitor-enter / sleep yield points. On one
+    /// core the holder can never be Running while the requester runs, so
+    /// in practice every same-core revocation happens at the holder's
+    /// current yield point — the paper's "next yield point" with zero
+    /// scheduling delay; with cores advancing one at a time nothing is
+    /// Running during IPI delivery either. A Running holder — possible
+    /// only via the background scanner firing mid-dispatch — honours the
+    /// flag at its next yield point in the dispatch loop.
+    fn arm_revocation(&mut self, victim: ThreadId, idx: usize, acq: u64) -> Result<(), VmError> {
+        let t = self.thread_mut(victim);
+        if t.pending_revoke.and_then(|p| t.section_by_acq(p)).is_none_or(|armed| idx < armed) {
+            t.pending_revoke = Some(acq);
+        }
+        match t.state {
+            ThreadState::BlockedEnter(_)
+            | ThreadState::Sleeping(_)
+            | ThreadState::BlockedJoin(_)
+            | ThreadState::AwaitingDelegation(_)
+            | ThreadState::Ready => self.perform_revocation(victim),
+            _ => Ok(()),
+        }
+    }
+
     /// Act on a pending revocation. Called at the holder's yield points
-    /// and, for suspended holders, directly from `request_revocation` /
-    /// the deadlock breaker.
+    /// and, for suspended holders, directly from `arm_revocation` / the
+    /// deadlock breaker.
     pub(crate) fn perform_revocation(&mut self, tid: ThreadId) -> Result<(), VmError> {
         let Some(acq) = self.thread_mut(tid).pending_revoke.take() else {
             return Ok(());
@@ -246,8 +221,6 @@ impl Vm {
             });
             self.threads[tid.index()].undo = log;
         }
-        let entered_at = self.thread(tid).sections[idx].entered_at;
-        let discarded_ticks = self.clock.saturating_sub(entered_at);
         let t0 = self.clock;
         self.charge(self.config.cost.rollback(entries as usize));
         {
@@ -295,8 +268,6 @@ impl Vm {
             target.monitor.0 as u64,
             tid.0 as u64,
             self.clock,
-            entries,
-            discarded_ticks,
         );
         prof.finish(Phase::Restore, t_restore);
 

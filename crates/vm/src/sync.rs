@@ -148,7 +148,6 @@ impl Vm {
             && self.monitors.get(obj).map(|m| m.sticky_nonrevocable).unwrap_or(false);
         let acq_id = self.next_acq_id;
         self.next_acq_id += 1;
-        let entered_at = self.clock;
         let t = self.thread_mut(tid);
         let snapshot = t.pending_snapshot.take();
         let mark = t.undo.mark();
@@ -160,7 +159,6 @@ impl Vm {
             snapshot,
             revocable: !sticky_blocked,
             region,
-            entered_at,
             delegated: None,
         });
         self.with_probe(|p, vm| p.on_section_enter(vm, tid, obj));

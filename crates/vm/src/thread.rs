@@ -111,10 +111,6 @@ pub struct Section {
     /// exceptions. `None` (raw unstructured enter) pessimistically covers
     /// the whole method.
     pub region: Option<(u32, u32)>,
-    /// Virtual-clock tick at which this execution entered the section.
-    /// A rollback discards `now − entered_at` ticks of section work; the
-    /// revocation governor accounts them against the monitor.
-    pub entered_at: u64,
     /// Under the delegation policy, the submission token assigned when
     /// this section's thread blocked on a contended `MonitorEnter`: the
     /// section *is* the submitted continuation, and popping it emits the
@@ -330,7 +326,6 @@ mod tests {
                 snapshot: None,
                 revocable: true,
                 region: None,
-                entered_at: 0,
                 delegated: None,
             });
         }
@@ -352,7 +347,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            entered_at: 0,
             delegated: None,
         });
         t.undo.push(UndoEntry { loc: Location::Static(1), old: Value::Null });
@@ -365,7 +359,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            entered_at: 0,
             delegated: None,
         });
         // A write at log position 1 is enclosed only by the outer section.
@@ -387,7 +380,6 @@ mod tests {
                 snapshot: None,
                 revocable: true,
                 region: None,
-                entered_at: 0,
                 delegated: None,
             });
         }
@@ -405,7 +397,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            entered_at: 0,
             delegated: None,
         };
         assert!(!s.can_revoke());

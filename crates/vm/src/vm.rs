@@ -905,14 +905,16 @@ impl Vm {
                 (top > m.holder_priority).then_some((obj, owner, top))
             })
             .collect();
-        for (obj, owner, _top) in contended {
-            // Re-use the acquisition-time request path; requester identity
-            // is synthesized from the queue's best waiter.
+        for (obj, owner, top) in contended {
+            // Re-use the acquisition-time request path; the requester is
+            // the waiter whose priority triggered the scan, the earliest
+            // arrival queued at `top` (`peek`'s waiter under the priority
+            // discipline) — the arrival head may be a lower-priority one.
             let by = self
                 .monitors
                 .get(obj)
-                .and_then(|m| m.queue.iter().next().copied())
-                .unwrap_or(owner);
+                .and_then(|m| m.queue.iter_entries().find(|&(_, p)| p == top))
+                .map_or(owner, |(&t, _)| t);
             self.request_revocation(by, owner, obj)?;
         }
         Ok(())

@@ -61,12 +61,10 @@ fn governed_run_completes_with_bounded_streaks() {
     // Atomicity still holds through rollback + fallback.
     assert_eq!(vm.read_static(0).unwrap(), Value::Int(2 * LONG));
     // The bounded-revocation guarantee: no (monitor, holder) pair was
-    // revoked more than K times in a row.
-    assert!(
-        vm.governor().max_streak() <= K,
-        "streak {} exceeded budget {K}",
-        vm.governor().max_streak()
-    );
+    // revoked more than K times in a row — and some pair was revoked, so
+    // the high-water mark is not vacuously 0.
+    let streak = vm.governor().max_streak();
+    assert!((1..=K).contains(&streak), "streak high-water {streak} outside 1..={K}");
     assert!(report.global.governor_throttles >= 1, "governor never intervened");
     assert!(report.global.policy_fallbacks >= 1, "no fallback window opened");
     assert!(report.global.rollbacks >= 1, "workload should still revoke before throttling");

@@ -142,11 +142,38 @@ fn livelock_guard_caps_consecutive_revocations() {
 
 #[test]
 fn background_detection_also_triggers_revocation() {
-    let mut cfg = VmConfig::modified();
-    cfg.detection = revmon_core::DetectionStrategy::Background { period: 5_000 };
-    let (vm, report) = run_contenders(cfg, 2, LONG, 1, SHORT);
-    assert_eq!(vm.read_static(0).unwrap(), Value::Int(2 * LONG + SHORT));
-    assert!(report.global.rollbacks >= 1, "background scanner should find the inversion");
+    // Threads 0 and 1 are LOW, thread 2 is HIGH. The scan fires on the
+    // HIGH waiter, so HIGH is the requester even when a LOW waiter
+    // arrived first; at two cores HIGH shares the holder's core 0, so the
+    // request takes the same-core path, not an IPI.
+    const HIGH: u64 = 2;
+    for cores in [1, 2] {
+        let mut cfg = VmConfig::modified().with_trace();
+        cfg.detection = revmon_core::DetectionStrategy::Background { period: 5_000 };
+        cfg.cores = cores;
+        let (mut vm, report) = run_contenders(cfg, 2, LONG, 1, SHORT);
+        assert_eq!(vm.read_static(0).unwrap(), Value::Int(2 * LONG + SHORT));
+        assert!(report.global.rollbacks >= 1, "background scanner should find the inversion");
+        let trace = vm.take_trace();
+        let requesters: Vec<u64> = trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::RevokeRequest { by } => Some(by),
+                _ => None,
+            })
+            .collect();
+        assert!(!requesters.is_empty(), "cores={cores}: no RevokeRequest");
+        assert!(
+            requesters.iter().all(|&by| by == HIGH),
+            "cores={cores}: requesters {requesters:?}"
+        );
+        if cores == 2 {
+            assert!(
+                !trace.iter().any(|e| matches!(e.kind, EventKind::IpiPosted { .. })),
+                "the requester shares the holder's core: no IPI"
+            );
+        }
+    }
 }
 
 #[test]
