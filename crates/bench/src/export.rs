@@ -127,12 +127,11 @@ pub fn run_cell_analyzed(p: &BenchParams) -> (CellResult, revmon_obs::Analysis) 
 /// result plus its metrics JSON (all `Metrics` counters + latency
 /// percentiles), the same payload the CLI's `--metrics-json` emits.
 pub fn run_cell_observed(p: &BenchParams) -> (CellResult, String) {
-    let cfg = if p.modified { VmConfig::modified() } else { VmConfig::unmodified() };
-    let sink = Arc::new(revmon_obs::EventSink::new(revmon_obs::TsUnit::VirtualTicks));
-    let cell = run_cell_sink(p, cfg, Some(Arc::clone(&sink)));
+    let (cell, analysis) = run_cell_analyzed(p);
     let mut counters = Vec::new();
     cell.metrics.for_each_field(|name, v| counters.push((name, v)));
-    let json = revmon_obs::metrics_json(&counters, sink.histograms(), sink.ts_unit());
+    let unit = revmon_obs::TsUnit::VirtualTicks;
+    let json = revmon_obs::metrics_json(&counters, &analysis.histograms, unit, None, None);
     (cell, json)
 }
 

@@ -298,14 +298,16 @@ impl<'a> ObsOuts<'a> {
             || self.flame.is_some()
     }
 
-    /// Write every requested artifact from the run's drained `events`.
-    /// `counters` is the run's counter set for `--metrics-json`; `names`
-    /// labels monitors in the trace and Prometheus outputs; `meta` is the
-    /// run context stamped into the trace header so `analyze` can label
-    /// governed runs and account for ring-buffer drops.
+    /// Write every requested artifact from the run's drained `events`
+    /// and their `analysis`. `counters` is the run's counter set for
+    /// `--metrics-json`; `names` labels monitors in the trace and
+    /// Prometheus outputs; `meta` is the run context stamped into the
+    /// trace header so `analyze` can label governed runs and account for
+    /// ring-buffer drops.
     fn export(
         &self,
         events: &[revmon_obs::Event],
+        analysis: &revmon_obs::Analysis,
         sink: &EventSink,
         counters: &[(&str, u64)],
         names: &std::collections::BTreeMap<u64, String>,
@@ -331,9 +333,9 @@ impl<'a> ObsOuts<'a> {
             }
         }
         if let Some(path) = &self.metrics {
-            let json = revmon_obs::metrics_json_full(
+            let json = revmon_obs::metrics_json(
                 counters,
-                sink.histograms(),
+                &analysis.histograms,
                 sink.ts_unit(),
                 Some(revmon_obs::prof::timers()),
                 Some(&sink.pipeline_stats()),
@@ -341,21 +343,18 @@ impl<'a> ObsOuts<'a> {
             std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("revmon: wrote metrics to {path}");
         }
-        if self.prometheus.is_some() || self.flame.is_some() {
-            let analysis = revmon_obs::Analysis::from_events(events);
-            if let Some(path) = &self.prometheus {
-                let mut f = create(path)?;
-                revmon_obs::write_prometheus(&mut f, &analysis, names, sink.ts_unit())
-                    .and_then(|()| revmon_obs::prof::timers().write_prometheus(&mut f))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("revmon: wrote Prometheus metrics to {path}");
-            }
-            if let Some(path) = &self.flame {
-                let stacks = revmon_obs::FoldedStacks::from_episodes(&analysis.episodes, names);
-                let mut f = create(path)?;
-                stacks.write_folded(&mut f).map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("revmon: wrote {} folded stacks to {path}", stacks.len());
-            }
+        if let Some(path) = &self.prometheus {
+            let mut f = create(path)?;
+            revmon_obs::write_prometheus(&mut f, analysis, names, sink.ts_unit())
+                .and_then(|()| revmon_obs::prof::timers().write_prometheus(&mut f))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("revmon: wrote Prometheus metrics to {path}");
+        }
+        if let Some(path) = &self.flame {
+            let stacks = revmon_obs::FoldedStacks::from_episodes(&analysis.episodes, names);
+            let mut f = create(path)?;
+            stacks.write_folded(&mut f).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("revmon: wrote {} folded stacks to {path}", stacks.len());
         }
         Ok(())
     }
@@ -381,7 +380,7 @@ fn pipeline_meta(meta: &mut revmon_obs::RunMeta, sink: &EventSink) {
 }
 
 /// Parse `--trace-sample N` and arm the sink's high-rate event sampler.
-fn apply_trace_sample(opts: &Opts<'_>, sink: &EventSink) -> Result<(), String> {
+pub(crate) fn apply_trace_sample(opts: &Opts<'_>, sink: &EventSink) -> Result<(), String> {
     if let Some(n) = opts.num::<u64>("--trace-sample")? {
         if n == 0 {
             return Err("--trace-sample must be positive (1 = keep everything)".into());
@@ -512,6 +511,13 @@ fn run_program(
     }
     vm.spawn(entry_name, entry, vec![], Priority::NORM);
     let report = vm.run().map_err(|e| format!("{file}: VM fault: {e}"))?;
+    // The sink's events, drained once; every number reported below comes
+    // from this one analysis of them.
+    let observed = sink.as_ref().map(|sink| {
+        let events = sink.drain();
+        let analysis = revmon_obs::Analysis::from_events(&events);
+        (sink, events, analysis)
+    });
 
     if cfg.trace {
         println!("--- trace ---");
@@ -541,20 +547,8 @@ fn run_program(
                 );
             }
         }
-        if let Some(sink) = &sink {
-            println!("--- latency histograms ---");
-            let mut out = std::io::stdout().lock();
-            revmon_obs::write_summary(
-                &mut out,
-                sink.histograms(),
-                sink.ts_unit(),
-                sink.recorded(),
-                sink.dropped(),
-            )
-            .map_err(|e| format!("writing summary: {e}"))?;
-            println!("--- telemetry pipeline ---");
-            revmon_obs::write_pipeline_table(&mut out, &sink.pipeline_stats())
-                .map_err(|e| format!("writing pipeline table: {e}"))?;
+        if let Some((sink, _, analysis)) = &observed {
+            print_sink_stats(sink, analysis)?;
         }
         println!("--- revocation phases (host-clock) ---");
         let mut out = std::io::stdout().lock();
@@ -562,10 +556,9 @@ fn run_program(
             .write_table(&mut out)
             .map_err(|e| format!("writing phase table: {e}"))?;
     }
-    if let Some(sink) = &sink {
+    if let Some((sink, events, analysis)) = &observed {
         let mut counters = Vec::new();
         report.global.for_each_field(|name, v| counters.push((name, v)));
-        let events = sink.drain();
         let mut meta = revmon_obs::RunMeta {
             recorded: Some(sink.recorded()),
             dropped: Some(sink.dropped()),
@@ -584,9 +577,27 @@ fn run_program(
             ..revmon_obs::RunMeta::default()
         };
         pipeline_meta(&mut meta, sink);
-        outs.export(&events, sink, &counters, &vm.monitor_names(), &meta)?;
+        outs.export(events, analysis, sink, &counters, &vm.monitor_names(), &meta)?;
     }
     Ok(())
+}
+
+/// The sink half of `--stats`: the latency histograms of the run's
+/// analysis, then the telemetry pipeline's own table.
+fn print_sink_stats(sink: &EventSink, analysis: &revmon_obs::Analysis) -> Result<(), String> {
+    println!("--- latency histograms ---");
+    let mut out = std::io::stdout().lock();
+    revmon_obs::write_summary(
+        &mut out,
+        &analysis.histograms,
+        sink.ts_unit(),
+        sink.recorded(),
+        sink.dropped(),
+    )
+    .map_err(|e| format!("writing summary: {e}"))?;
+    println!("--- telemetry pipeline ---");
+    revmon_obs::write_pipeline_table(&mut out, &sink.pipeline_stats())
+        .map_err(|e| format!("writing pipeline table: {e}"))
 }
 
 /// `revmon analyze`: import a JSONL trace (`run`/`demo --trace-out`)
@@ -889,6 +900,8 @@ fn write_metrics(path: &str, counters: &[(&str, u64)]) -> Result<(), String> {
         counters,
         &revmon_obs::Histograms::default(),
         TsUnit::VirtualTicks,
+        None,
+        None,
     );
     std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("revmon: wrote metrics to {path}");
@@ -921,15 +934,24 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
     let outs = ObsOuts::parse(opts);
     let watch = opts.has("--watch");
     let sink = (outs.wanted() || watch).then(|| Arc::new(EventSink::new(TsUnit::WallNanos)));
+    // Anything analysed — `--stats`, the metrics, Prometheus and
+    // flamegraph outputs, `--watch` — reads the whole run, so the sink
+    // keeps it all; stream-only runs cap the retained buffer so
+    // arbitrarily long demos stay flat.
+    let needs_history = watch
+        || opts.has("--stats")
+        || outs.metrics.is_some()
+        || outs.prometheus.is_some()
+        || outs.flame.is_some();
     let mut collector: Option<revmon_obs::Collector> = None;
     if let Some(sink) = &sink {
         apply_trace_sample(opts, sink)?;
         revmon_locks::obs::install(Arc::clone(sink));
 
         // A background collector drains the per-thread rings on an epoch
-        // cadence, folds histograms off the hot path, and streams the
-        // merged order incrementally into `--trace-out`/`--chrome-trace`
-        // — the trace files grow during the run, not after it.
+        // cadence and streams the merged order incrementally into
+        // `--trace-out`/`--chrome-trace` — the trace files grow during
+        // the run, not after it.
         let mut streams = revmon_obs::StreamSet::none();
         let header =
             revmon_obs::RunMeta { scheduler: Some("os".into()), ..revmon_obs::RunMeta::default() };
@@ -947,10 +969,6 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
                     .map_err(|e| format!("writing {path}: {e}"))?,
             );
         }
-        // Analysis artifacts (reports, flamegraphs, Prometheus) need the
-        // whole run in memory; stream-only runs cap the retained buffer
-        // so arbitrarily long demos stay flat.
-        let needs_history = watch || outs.prometheus.is_some() || outs.flame.is_some();
         collector = Some(revmon_obs::Collector::start(
             Arc::clone(sink),
             revmon_obs::CollectorConfig {
@@ -1058,34 +1076,6 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         counter.read_unsynchronized()
     );
 
-    // Aggregate over every monitor in the process (here: the one), the
-    // library-wide view the per-monitor snapshots can't give.
-    if opts.has("--stats") {
-        println!("--- stats (all monitors) ---");
-        let total = revmon_locks::aggregate_snapshot();
-        total.for_each_field(|name, v| println!("{name:<24}: {v}"));
-        if let Some(sink) = &sink {
-            println!("--- latency histograms ---");
-            let mut out = std::io::stdout().lock();
-            revmon_obs::write_summary(
-                &mut out,
-                sink.histograms(),
-                sink.ts_unit(),
-                sink.recorded(),
-                sink.dropped(),
-            )
-            .map_err(|e| format!("writing summary: {e}"))?;
-            println!("--- telemetry pipeline ---");
-            revmon_obs::write_pipeline_table(&mut out, &sink.pipeline_stats())
-                .map_err(|e| format!("writing pipeline table: {e}"))?;
-        }
-        println!("--- revocation phases ---");
-        let mut out = std::io::stdout().lock();
-        revmon_obs::prof::timers()
-            .write_table(&mut out)
-            .map_err(|e| format!("writing phase table: {e}"))?;
-    }
-
     // Stop the live reporter (snapshots are non-consuming; nothing to
     // hand back).
     if let Some(watcher) = watcher {
@@ -1093,19 +1083,17 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         watcher.join().map_err(|_| "watch reporter panicked".to_string())?;
     }
 
+    let names = revmon_locks::obs::monitor_names();
+    let mut meta = revmon_obs::RunMeta {
+        governor: None, // locks governors are per-monitor, not a run-wide config
+        scheduler: Some("os".into()),
+        ..revmon_obs::RunMeta::default()
+    };
+    let mut analysis = None;
     if let Some(sink) = &sink {
         revmon_locks::obs::uninstall();
-        let names = revmon_locks::obs::monitor_names();
-        let mut counters = Vec::new();
-        let total = revmon_locks::aggregate_snapshot();
-        total.for_each_field(|name, v| counters.push((name, v)));
-        let mut meta = revmon_obs::RunMeta {
-            recorded: Some(sink.recorded()),
-            dropped: Some(sink.dropped()),
-            governor: None, // locks governors are per-monitor, not a run-wide config
-            scheduler: Some("os".into()),
-            ..revmon_obs::RunMeta::default()
-        };
+        meta.recorded = Some(sink.recorded());
+        meta.dropped = Some(sink.dropped());
         pipeline_meta(&mut meta, sink);
         // The collector has been streaming `--trace-out`/`--chrome-trace`
         // all along; stopping it writes the final catch-up batch, the
@@ -1128,21 +1116,36 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
                 }
             }
         }
-        // The remaining one-shot artifacts come from the retained
-        // history (complete whenever an analysis output was requested).
-        let events = sink.snapshot();
-        let remaining = ObsOuts {
-            trace_out: None,
-            chrome: None,
-            metrics: outs.metrics,
-            prometheus: outs.prometheus,
-            flame: outs.flame,
-        };
-        remaining.export(&events, sink, &counters, &names, &meta)?;
+        // The whole run, when anything reads it (`needs_history`).
+        analysis = needs_history.then(|| revmon_obs::Analysis::from_events(&sink.drain()));
+    }
+
+    // Aggregate over every monitor in the process (here: the one), the
+    // library-wide view the per-monitor snapshots can't give.
+    if opts.has("--stats") {
+        println!("--- stats (all monitors) ---");
+        let total = revmon_locks::aggregate_snapshot();
+        total.for_each_field(|name, v| println!("{name:<24}: {v}"));
+        if let (Some(sink), Some(analysis)) = (&sink, &analysis) {
+            print_sink_stats(sink, analysis)?;
+        }
+        println!("--- revocation phases ---");
+        let mut out = std::io::stdout().lock();
+        revmon_obs::prof::timers()
+            .write_table(&mut out)
+            .map_err(|e| format!("writing phase table: {e}"))?;
+    }
+
+    if let (Some(sink), Some(analysis)) = (&sink, &analysis) {
+        let mut counters = Vec::new();
+        let total = revmon_locks::aggregate_snapshot();
+        total.for_each_field(|name, v| counters.push((name, v)));
+        // The trace files were streamed; the rest come from the analysis.
+        let remaining = ObsOuts { trace_out: None, chrome: None, ..outs };
+        remaining.export(&[], analysis, sink, &counters, &names, &meta)?;
         if watch {
-            let a = revmon_obs::Analysis::from_events(&events);
             let mut out = std::io::stdout().lock();
-            revmon_obs::write_report(&mut out, &a, &names, sink.ts_unit())
+            revmon_obs::write_report(&mut out, analysis, &names, sink.ts_unit())
                 .map_err(|e| format!("writing report: {e}"))?;
         }
     }

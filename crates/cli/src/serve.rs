@@ -49,13 +49,11 @@ impl ServeState {
 pub(crate) fn run_serve(opts: &crate::Opts<'_>) -> Result<(), String> {
     let addr = opts.get("--addr").unwrap_or("127.0.0.1:9494");
     let max_requests: u64 = opts.num("--max-requests")?.unwrap_or(0);
+    let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
+    crate::apply_trace_sample(opts, &sink)?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
 
-    let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    if let Some(n) = opts.num::<u64>("--trace-sample")? {
-        sink.set_sample(n);
-    }
     revmon_locks::obs::install(Arc::clone(&sink));
     // Background collector: drains the per-thread rings on an epoch
     // cadence and keeps the retained window bounded, so request handlers

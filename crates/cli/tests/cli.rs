@@ -190,6 +190,78 @@ fn analyze_tolerates_damage_and_rejects_empty_input() {
     assert!(!out.status.success(), "no events must be an error");
 }
 
+/// The number right after the first `key` in `text`, if any.
+fn number_after(text: &str, key: &str) -> Option<u64> {
+    let rest = &text[text.find(key)? + key.len()..];
+    let digits: String =
+        rest.chars().skip_while(|c| !c.is_ascii_digit()).take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
+}
+
+#[test]
+fn demo_metrics_agree_with_its_streamed_trace() {
+    let dir = std::env::temp_dir();
+    let metrics = dir.join(format!("revmon-cli-demo-{}.json", std::process::id()));
+    let trace = dir.join(format!("revmon-cli-demo-{}.jsonl", std::process::id()));
+    let (metrics, trace) = (metrics.to_str().unwrap(), trace.to_str().unwrap());
+    let out = bin()
+        .args(["demo", "--low", "2", "--high", "1", "--sections", "10", "--stats"])
+        .args(["--metrics-json", metrics, "--trace-out", trace])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("--- latency histograms ---"), "stats:\n{stdout}");
+
+    // `--stats` keeps the whole run: the ten HIGH sections at least.
+    let json = std::fs::read_to_string(metrics).unwrap();
+    let count = |hist: &str| number_after(&json, &format!("\"{hist}\": {{\"count\":"));
+    assert!(count("section_length").unwrap() >= 10, "metrics:\n{json}");
+
+    let out = bin().args(["analyze", trace, "--json"]).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("skipped"), "the streamed trace imported with warnings: {stderr}");
+    let analysis = String::from_utf8_lossy(&out.stdout);
+    let kinds = analysis.lines().find(|l| l.contains("\"kinds\"")).expect("kinds line");
+    let rollbacks = number_after(kinds, "\"Rollback\":").unwrap_or(0);
+    assert_eq!(count("rollback_duration"), Some(rollbacks), "metrics:\n{json}\n{analysis}");
+}
+
+#[test]
+fn serve_rejects_a_zero_trace_sample_as_run_does() {
+    let trace =
+        std::env::temp_dir().join(format!("revmon-cli-sample-{}.jsonl", std::process::id()));
+    let run = bin()
+        .args(["run", &program("counter.rvm"), "--trace-out", trace.to_str().unwrap()])
+        .args(["--trace-sample", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(1));
+    let message = String::from_utf8_lossy(&run.stderr).into_owned();
+    assert!(message.contains("--trace-sample must be positive"), "run: {message}");
+
+    // A serve that took `0` for "sampling off" would wait for its one
+    // request instead of exiting: give it ten seconds.
+    let mut serve = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--trace-sample", "0", "--max-requests", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while serve.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            serve.kill().unwrap();
+            panic!("serve accepted --trace-sample 0 and kept serving");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = serve.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), message);
+}
+
 #[test]
 fn producer_consumer_handshake_works() {
     for config in ["modified", "unmodified"] {

@@ -115,7 +115,7 @@ fn inversion_emits_block_revoke_rollback_acquire() {
     assert_eq!(cell.read_unsynchronized(), 1);
 
     // The derived latency histograms saw the episode.
-    let h = sink.histograms();
+    let h = revmon_obs::Analysis::from_events(&events).histograms;
     assert!(h.entry_blocking.count() >= 1, "no blocking time derived");
     assert!(h.rollback_duration.count() >= 1, "no rollback duration derived");
     assert!(h.inversion_resolution.count() >= 1, "no inversion-resolution latency derived");

@@ -10,6 +10,9 @@
 //! * **per-monitor contention profiles** ([`MonitorProfile`]): keyed
 //!   event counters plus blocking-time and held-time histograms, sorted
 //!   by blocking time so the worst offender tops every report;
+//! * the four stream-wide latency [`Histograms`] (entry blocking,
+//!   section length, rollback duration, inversion resolution) — every
+//!   event counts here, monitor-less ones included;
 //! * stream totals and a damage-aware event census.
 //!
 //! [`Analysis::from_events`] is the same fold over a slice already in
@@ -29,7 +32,7 @@ use crate::episode::{Episode, EpisodeBuilder, Resolution};
 use crate::event::{Event, EventKind, NKINDS, SCHEMA};
 use crate::hist::Histogram;
 use crate::json::esc;
-use crate::latency::Intervals;
+use crate::latency::{Histograms, Intervals};
 use crate::sink::TsUnit;
 
 /// Per-monitor contention profile.
@@ -130,6 +133,8 @@ pub struct Analysis {
     pub last_ts: u64,
     /// Exact inversion-latency stats over resolved episodes.
     pub inversion_latency: ExactStats,
+    /// The stream-wide latency histograms (`--stats`, `--metrics-json`).
+    pub histograms: Histograms,
     /// Total undo entries rolled back across all episodes.
     pub wasted_entries: u64,
     /// Total discarded section time across all episodes.
@@ -155,6 +160,10 @@ pub struct Analysis {
 #[derive(Default)]
 pub struct Analyzer {
     intervals: Intervals,
+    histograms: Histograms,
+    /// Monitor → the first pending revoke request's `(requester, ts)`,
+    /// until the requester acquires it (inversion resolution).
+    revoke_pending: FxMap<u64, (u64, u64)>,
     profiles: FxMap<u64, MonitorProfile>,
     episodes: EpisodeBuilder,
     /// Event census by [`EventKind::index`].
@@ -164,14 +173,40 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// Fold one event into the census, its monitor's profile and the
-    /// episode automaton.
+    /// Fold one event into the census, the latency histograms, its
+    /// monitor's profile and the episode automaton.
     pub fn observe(&mut self, ev: &Event) {
         self.events += 1;
         self.kinds[ev.kind.index()] += 1;
         self.last_ts = self.last_ts.max(ev.ts);
         let closed = self.intervals.observe(ev);
         self.episodes.observe(ev, closed, &self.intervals);
+        let h = &self.histograms;
+        match ev.kind {
+            EventKind::Acquire => {
+                if let Some(waited) = closed {
+                    h.entry_blocking.record(waited);
+                }
+                if let Some(&(requester, t0)) = self.revoke_pending.get(&ev.monitor) {
+                    if requester == ev.thread {
+                        h.inversion_resolution.record(ev.ts.saturating_sub(t0));
+                        self.revoke_pending.remove(&ev.monitor);
+                    }
+                }
+            }
+            EventKind::Release => {
+                if let Some(held) = closed {
+                    h.section_length.record(held);
+                }
+            }
+            // The revoked holder's section contributes no length; its
+            // retry measures from its new acquire.
+            EventKind::Rollback { duration, .. } => h.rollback_duration.record(duration),
+            EventKind::RevokeRequest { by } => {
+                self.revoke_pending.entry(ev.monitor).or_insert((by, ev.ts));
+            }
+            _ => {}
+        }
         if ev.monitor == Event::NO_MONITOR {
             return;
         }
@@ -234,6 +269,7 @@ impl Analyzer {
             events: self.events,
             last_ts: self.last_ts,
             inversion_latency: episodes.iter().filter_map(Episode::latency).collect(),
+            histograms: self.histograms,
             wasted_entries: total(|e| e.wasted_entries),
             wasted_time: total(|e| e.wasted_time),
             governor_throttles: total(|e| e.governor_throttles),

@@ -6,14 +6,14 @@
 //! simply calls [`EventSink::drain`] at the end. Long-running modes
 //! (`demo`, `serve`) spawn a [`Collector`]: a thread that wakes every
 //! [`CollectorConfig::epoch`], runs one collection pass (drain rings →
-//! merge into global order → fold latency histograms), and streams the
-//! merged batch incrementally through a [`StreamSet`] — a JSONL
-//! [`TraceStream`] and/or a [`ChromeStream`] — so arbitrarily long runs
-//! write traces to disk with bounded memory.
+//! merge into global order → retain), and streams the merged batch
+//! incrementally through a [`StreamSet`] — a JSONL [`TraceStream`]
+//! and/or a [`ChromeStream`] — so arbitrarily long runs write traces to
+//! disk with bounded memory.
 //!
 //! The streams are installed as the sink's collection-pass hook, not
 //! held privately by the collector thread: any pass run by any thread
-//! (a watcher's [`EventSink::snapshot`], a `--stats` histogram sync)
+//! (a watcher's [`EventSink::snapshot`], a final [`EventSink::drain`])
 //! hands its merged batch to the streams first, so concurrent observers
 //! can never steal events from `--trace-out`.
 //!
@@ -51,8 +51,7 @@ impl Default for CollectorConfig {
 }
 
 /// The incremental exporters a collector feeds. Either or both may be
-/// absent; the collector still folds histograms and fills the retained
-/// snapshot buffer.
+/// absent; the collector still fills the retained snapshot buffer.
 pub struct StreamSet {
     /// JSONL trace stream (`--trace-out`).
     pub jsonl: Option<TraceStream<Box<dyn Write + Send>>>,
@@ -61,7 +60,7 @@ pub struct StreamSet {
 }
 
 impl StreamSet {
-    /// No streams: collect for histograms and snapshots only.
+    /// No streams: collect for snapshots and drains only.
     pub fn none() -> Self {
         StreamSet { jsonl: None, chrome: None }
     }
@@ -170,11 +169,6 @@ impl Collector {
                 break;
             }
         }
-        // Run the histogram fold watermark over everything retained:
-        // collection passes defer folding, so without this the tail
-        // events between the last epoch tick and process exit would be
-        // streamed but missing from the final histograms.
-        self.sink.histograms();
         self.sink.set_stream(None);
         let shared = Arc::try_unwrap(self.shared)
             .map_err(|_| io::Error::other("stream hook still attached"))?;
@@ -278,9 +272,10 @@ mod tests {
         assert_eq!(imp.run_meta.scheduler.as_deref(), Some("test"));
         assert_eq!(imp.run_meta.recorded, Some(2000));
 
-        // Histograms were folded off the hot path by the collector.
-        assert_eq!(sink.histograms().section_length.count(), 1000);
+        // The retained buffer holds the whole run for the analysis.
         let stats = sink.pipeline_stats();
+        let a = crate::Analysis::from_events(&sink.drain());
+        assert_eq!(a.histograms.section_length.count(), 1000);
         assert!(stats.epochs >= 1);
         assert_eq!(stats.producers, 2);
 

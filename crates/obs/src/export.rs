@@ -599,25 +599,6 @@ fn hist_json(name: &str, h: &crate::hist::Histogram) -> String {
     )
 }
 
-/// Render counters and histogram percentiles as one JSON document (the
-/// CLI's `--metrics-json` payload).
-pub fn metrics_json(counters: &[(&str, u64)], hists: &Histograms, unit: TsUnit) -> String {
-    metrics_json_with(counters, hists, unit, None)
-}
-
-/// [`metrics_json`] with an optional `"revocation_phases_ns"` section
-/// from the slow-path [`PhaseTimers`](crate::PhaseTimers) (always in
-/// wall nanoseconds regardless of `ts_unit` — see the
-/// [`prof`](crate::prof) module docs).
-pub fn metrics_json_with(
-    counters: &[(&str, u64)],
-    hists: &Histograms,
-    unit: TsUnit,
-    phases: Option<&crate::prof::PhaseTimers>,
-) -> String {
-    metrics_json_full(counters, hists, unit, phases, None)
-}
-
 /// JSON rendering of the pipeline self-telemetry (flat object, no
 /// trailing newline): the `"obs_pipeline"` section of the metrics
 /// document and the `serve` endpoint's building block.
@@ -650,9 +631,14 @@ pub fn pipeline_json(p: &PipelineStats) -> String {
     )
 }
 
-/// [`metrics_json_with`] plus an optional `"obs_pipeline"` section from
+/// Render counters and histogram percentiles as one JSON document (the
+/// CLI's `--metrics-json` payload), with an optional
+/// `"revocation_phases_ns"` section from the slow-path
+/// [`PhaseTimers`](crate::PhaseTimers) (always in wall nanoseconds
+/// regardless of `ts_unit` — see the [`prof`](crate::prof) module docs)
+/// and an optional `"obs_pipeline"` section from
 /// [`EventSink::pipeline_stats`](crate::EventSink::pipeline_stats).
-pub fn metrics_json_full(
+pub fn metrics_json(
     counters: &[(&str, u64)],
     hists: &Histograms,
     unit: TsUnit,
@@ -1050,16 +1036,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_with_embeds_phase_timers() {
+    fn metrics_json_embeds_phase_timers() {
         let hists = Histograms::default();
         let timers = crate::prof::PhaseTimers::new();
         timers.record(crate::prof::Phase::UndoWalk, 1500);
-        let json = metrics_json_with(&[("acquires", 1)], &hists, TsUnit::WallNanos, Some(&timers));
+        let json = metrics_json(&[("acquires", 1)], &hists, TsUnit::WallNanos, Some(&timers), None);
         assert!(json.contains("\"revocation_phases_ns\""));
         assert!(json.contains("\"undo-walk\": {\"count\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // And the phase-less form stays phase-free.
-        assert!(!metrics_json(&[], &hists, TsUnit::WallNanos).contains("revocation_phases_ns"));
+        let bare = metrics_json(&[], &hists, TsUnit::WallNanos, None, None);
+        assert!(!bare.contains("revocation_phases_ns"));
     }
 
     #[test]
@@ -1296,7 +1283,7 @@ mod tests {
             assert!(prom.contains(metric), "missing {metric} in {prom}");
         }
 
-        let full = metrics_json_full(
+        let full = metrics_json(
             &[("acquires", 1)],
             &Histograms::default(),
             TsUnit::WallNanos,
@@ -1312,7 +1299,8 @@ mod tests {
         let hists = Histograms::default();
         hists.entry_blocking.record(10);
         hists.rollback_duration.record(6);
-        let json = metrics_json(&[("acquires", 3), ("rollbacks", 1)], &hists, TsUnit::VirtualTicks);
+        let counters = [("acquires", 3), ("rollbacks", 1)];
+        let json = metrics_json(&counters, &hists, TsUnit::VirtualTicks, None, None);
         assert!(json.contains("\"acquires\": 3"));
         assert!(json.contains("\"rollbacks\": 1"));
         assert!(json.contains("\"entry_blocking\""));

@@ -19,11 +19,8 @@
 //!   no mutex, no shared cache line between producers. Collection
 //!   passes (inline via [`EventSink::sync`]/[`EventSink::drain`], or
 //!   the background [`Collector`] on an epoch cadence) merge the rings
-//!   into global order and fold the latency histograms
-//!   ([`Histograms`]): entry-queue blocking time, section length,
-//!   rollback duration, and inversion-resolution latency (revoke
-//!   request → high-priority acquire), each in an HDR-style log-linear
-//!   [`Histogram`]. Pipeline self-telemetry — per-producer drop
+//!   into global order; the sink only moves events, it derives no
+//!   numbers from them. Pipeline self-telemetry — per-producer drop
 //!   counters, sampling tallies, collector lag/backlog, record-path
 //!   self-cost — is a [`PipelineStats`] snapshot away. A disabled sink
 //!   costs one relaxed atomic load per event site.
@@ -35,9 +32,8 @@
 //!   overflow), their incremental forms [`TraceStream`] and
 //!   [`ChromeStream`] (fed batch-by-batch by the [`Collector`], with a
 //!   trailing `trace_end` counter line), [`write_summary`]
-//!   (p50/p90/p99/max text table), and [`metrics_json`] /
-//!   [`metrics_json_full`] (counters + percentiles + pipeline
-//!   self-telemetry as JSON).
+//!   (p50/p90/p99/max text table), and [`metrics_json`] (counters +
+//!   percentiles + phase timers + pipeline self-telemetry as JSON).
 //! * [`json`] — the workspace's one JSON reader ([`json::Reader`], which
 //!   the trace importer and `.schedule.json` artifacts share) and one
 //!   string escaper ([`json::esc`]).
@@ -49,11 +45,15 @@
 //!   [`Analysis`] ([`Analysis::from_events`] does it for a slice):
 //!   priority-inversion [`Episode`]s classified by [`Resolution`], with
 //!   inversion latency and wasted-work accounting, per-monitor
-//!   contention profiles and the event census, rendered by
-//!   [`write_report`], [`analysis_json`], and [`write_prometheus`]. One
+//!   contention profiles, the event census and the four latency
+//!   [`Histograms`] (entry-queue blocking time, section length, rollback
+//!   duration, and inversion-resolution latency — revoke request →
+//!   high-priority acquire — each in an HDR-style log-linear
+//!   [`Histogram`]), rendered by [`write_report`], [`analysis_json`],
+//!   [`write_prometheus`], [`write_summary`] and [`metrics_json`]. One
 //!   interval matcher (`Block` → `Acquire` → `Release`/`Rollback` per
-//!   thread and monitor) feeds the sink's histograms, the profiles and
-//!   the episodes alike.
+//!   thread and monitor) feeds the histograms, the profiles and the
+//!   episodes alike.
 //!
 //! * profiling ([`prof`]) — always-on slow-path phase timers
 //!   ([`PhaseTimers`]), wait-for graph snapshots ([`GraphSnapshot`],
@@ -90,9 +90,9 @@ pub use collect::{Collector, CollectorConfig, CollectorReport, StreamSet};
 pub use episode::{CriticalPath, Episode, Resolution};
 pub use event::{Event, EventKind};
 pub use export::{
-    metrics_json, metrics_json_full, metrics_json_with, pipeline_json, write_chrome_trace,
-    write_events_jsonl, write_pipeline_prometheus, write_pipeline_table, write_summary,
-    write_trace_jsonl, write_trace_jsonl_with, ChromeStream, RunMeta, TraceStream,
+    metrics_json, pipeline_json, write_chrome_trace, write_events_jsonl, write_pipeline_prometheus,
+    write_pipeline_table, write_summary, write_trace_jsonl, write_trace_jsonl_with, ChromeStream,
+    RunMeta, TraceStream,
 };
 pub use flame::FoldedStacks;
 pub use graph::{GraphEdge, GraphSnapshot};

@@ -18,14 +18,12 @@
 //! timestamp over rings laid end to end in producer order — hands it to
 //! any streaming exporters, and moves the merged events into a bounded
 //! retained buffer that [`EventSink::drain`] consumes and
-//! [`EventSink::snapshot`] observes without consuming. The
-//! latency-histogram fold (`latency.rs`) is **deferred**: it runs when the
-//! histograms are read, when events are drained, or just before a trim
-//! evicts them — never on the collector's epoch tick, which would
-//! charge tracker cost against the traced workload. Per-thread order
-//! is exact (same ring ⇒ same producer id ⇒ seq tie-break); cross-
-//! thread order is timestamp order within a pass, which is also what
-//! the trace importer expects.
+//! [`EventSink::snapshot`] observes without consuming. The sink derives
+//! no numbers from what it moves: the latency histograms, like every
+//! other figure, come from an [`Analyzer`](crate::Analyzer) over the
+//! drained or snapshotted events. Per-thread order is exact (same ring
+//! ⇒ same producer id ⇒ seq tie-break); cross-thread order is timestamp
+//! order within a pass, which is also what the trace importer expects.
 //!
 //! Overflow **drops the newest** event (the push fails) instead of
 //! overwriting the oldest, and every producer counts its own drops:
@@ -42,13 +40,12 @@ use std::time::Instant;
 
 use crate::event::Event;
 use crate::hist::Histogram;
+use crate::spsc::SpscRing;
 
 /// The streaming exporter hook a [`Collector`](crate::Collector)
 /// installs into the collect state: called with each freshly merged
 /// batch, on whichever thread runs the pass.
 type StreamHook = Box<dyn FnMut(&[Event]) + Send>;
-use crate::latency::{Histograms, LatencyTracker};
-use crate::spsc::SpscRing;
 
 /// Default per-thread ring capacity (events).
 const DEFAULT_RING_CAP: usize = 8192;
@@ -109,19 +106,11 @@ thread_local! {
 /// Mutable collection-side state, serialized by the sink's collect
 /// lock. `record()` never takes this lock.
 struct CollectState {
-    tracker: LatencyTracker,
     /// Merged events collected but not yet drained. Bounded by
     /// `retain`; the oldest are trimmed (and counted) past the cap. A
     /// deque so a capped long-running pipeline trims O(excess) per pass
     /// instead of memmoving the whole retained window.
     buffer: VecDeque<Event>,
-    /// Buffer-prefix length already folded into the latency histograms.
-    /// Folding is **deferred**: a collection pass appends unfolded
-    /// events and the fold runs when someone reads the histograms, when
-    /// events are drained, or just before a trim evicts them — so the
-    /// collector's epoch tick never pays tracker cost while the traced
-    /// workload is running.
-    folded: usize,
     /// Retained-buffer cap; `usize::MAX` = unbounded (bounded runs that
     /// end with one `drain()`).
     retain: usize,
@@ -139,7 +128,7 @@ struct CollectState {
     /// Streaming exporter hook installed by a [`Collector`]
     /// (`crate::Collector`). Living inside the collect state means
     /// *every* collection pass — the collector's epoch tick, but equally
-    /// a watcher's `snapshot()` or a `histograms()` sync — hands the
+    /// a watcher's `snapshot()` or a final `drain()` — hands the
     /// freshly merged batch to the streams before it joins the retained
     /// buffer. No pass can steal events from `--trace-out`.
     stream: Option<StreamHook>,
@@ -197,7 +186,6 @@ pub struct EventSink {
     /// first record per (thread, sink) and by collection passes only.
     rings: Mutex<Vec<Arc<SpscRing>>>,
     collect: Mutex<CollectState>,
-    hists: Histograms,
     /// Sampled record-path self-cost, wall ns.
     self_cost: Histogram,
     unit: TsUnit,
@@ -220,9 +208,7 @@ impl EventSink {
             sample_n: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
             collect: Mutex::new(CollectState {
-                tracker: LatencyTracker::default(),
                 buffer: VecDeque::new(),
-                folded: 0,
                 retain: usize::MAX,
                 trimmed: 0,
                 epochs: 0,
@@ -231,7 +217,6 @@ impl EventSink {
                 last_pass_ns: 0,
                 stream: None,
             }),
-            hists: Histograms::default(),
             self_cost: Histogram::new(),
             unit,
         }
@@ -344,18 +329,9 @@ impl EventSink {
         lock_clean(&self.rings).iter().map(|r| (r.producer(), r.dropped())).collect()
     }
 
-    /// The derived latency histograms. Runs a collection pass first and
-    /// folds every retained event so everything recorded so far is in.
-    pub fn histograms(&self) -> &Histograms {
-        let mut st = self.collect_guard();
-        self.collect_locked(&mut st);
-        Self::fold_to(&mut st, &self.hists, usize::MAX);
-        &self.hists
-    }
-
-    /// Run one collection pass inline: drain every ring, merge, fold
-    /// the latency histograms, append to the retained buffer. The same
-    /// pass the background collector runs on its epoch cadence.
+    /// Run one collection pass inline: drain every ring, merge, append
+    /// to the retained buffer. The same pass the background collector
+    /// runs on its epoch cadence.
     pub fn sync(&self) {
         let mut st = self.collect_guard();
         self.collect_locked(&mut st);
@@ -366,10 +342,6 @@ impl EventSink {
     pub fn drain(&self) -> Vec<Event> {
         let mut st = self.collect_guard();
         self.collect_locked(&mut st);
-        // Drained events leave the buffer for good; fold them first so
-        // the histograms still cover them.
-        Self::fold_to(&mut st, &self.hists, usize::MAX);
-        st.folded = 0;
         std::mem::take(&mut st.buffer).into()
     }
 
@@ -450,30 +422,10 @@ impl EventSink {
         st.buffer.extend(batch);
         if st.buffer.len() > st.retain {
             let excess = st.buffer.len() - st.retain;
-            // Evicted events must not vanish from the histograms: fold
-            // up to the eviction point first.
-            Self::fold_to(st, &self.hists, excess);
-            for _ in 0..excess {
-                st.buffer.pop_front();
-            }
-            st.folded -= excess; // fold_to guaranteed folded >= excess
+            st.buffer.drain(..excess);
             st.trimmed += excess as u64;
         }
         st.last_pass_ns = t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Fold the unfolded buffer prefix up to logical index `upto` into
-    /// the latency histograms. No-op when already folded that far.
-    fn fold_to(st: &mut CollectState, hists: &Histograms, upto: usize) {
-        let upto = upto.min(st.buffer.len());
-        if upto <= st.folded {
-            return;
-        }
-        let CollectState { tracker, buffer, folded, .. } = st;
-        for ev in buffer.iter().skip(*folded).take(upto - *folded) {
-            tracker.observe(ev, hists);
-        }
-        *folded = upto;
     }
 }
 
@@ -515,7 +467,7 @@ mod tests {
         sink.record(ev(1, 1));
         assert!(sink.drain().is_empty());
         assert_eq!(sink.recorded(), 0);
-        assert_eq!(sink.histograms().section_length.count(), 0);
+        assert_eq!(sink.pipeline_stats().epochs, 1, "one pass ran and found nothing");
     }
 
     #[test]
@@ -529,12 +481,13 @@ mod tests {
     }
 
     #[test]
-    fn histograms_fold_through_record() {
+    fn recorded_sections_reach_the_analysis_histograms() {
         let sink = EventSink::new(TsUnit::VirtualTicks);
         sink.record(Event { ts: 5, thread: 1, monitor: 3, core: 0, kind: EventKind::Acquire });
         sink.record(Event { ts: 25, thread: 1, monitor: 3, core: 0, kind: EventKind::Release });
-        assert_eq!(sink.histograms().section_length.count(), 1);
-        assert_eq!(sink.histograms().section_length.max(), 20);
+        let h = crate::Analysis::from_events(&sink.drain()).histograms;
+        assert_eq!(h.section_length.count(), 1);
+        assert_eq!(h.section_length.max(), 20);
     }
 
     #[test]
@@ -683,15 +636,14 @@ mod tests {
         // Three passes of two producers each, by three different entry
         // points; within a pass the second producer's timestamps start
         // below the first's, so each batch really is merged.
-        let passes: [fn(&EventSink); 3] = [
-            EventSink::sync,
-            |s| {
+        let passes: [fn(&EventSink, &mut Vec<Event>); 3] = [
+            |s, _| s.sync(),
+            |s, _| {
                 s.snapshot();
             },
-            |s| {
-                s.histograms();
-            },
+            |s, drained| drained.extend(s.drain()),
         ];
+        let mut drained = Vec::new();
         for (pass, collect) in passes.into_iter().enumerate() {
             let base = pass as u64 * 100;
             for i in 0..20 {
@@ -700,9 +652,9 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| (0..20).for_each(|i| sink.record(ev(base + 2 * i, 2))));
             });
-            collect(&sink);
+            collect(&sink, &mut drained);
         }
-        let drained = sink.drain();
+        drained.extend(sink.drain());
         let seen = lock_clean(&seen);
         assert_eq!(seen.0, 4, "one batch per pass, the drain's own (empty) pass included");
         assert_eq!(seen.1.len(), 120);

@@ -1,7 +1,7 @@
 //! Byte pin for the read side of telemetry.
 //!
 //! The fold from an event stream to episodes, per-monitor profiles, the
-//! census and the sink's latency histograms is restructured from time to
+//! census and the latency histograms is restructured from time to
 //! time; nothing it reports may move when that happens. For every corpus
 //! program × {1, 4} cores (`delegation_storm.rvm` under the delegation
 //! policy, which is what gives it episodes, and `repeat_revocation.rvm`
@@ -11,9 +11,11 @@
 //! fixture after `mark_truncated`, this records the length and FNV-1a
 //! hash of `write_report`, `analysis_json`, `write_prometheus` and the
 //! folded flamegraph stacks, and count/min/max/p50/p99 of the four
-//! histograms of the sink the events went through. The small cases
-//! carry their reports in full. The golden file was generated *before*
-//! the three interval matchers became one.
+//! latency histograms of an analysis of what the sink the events went
+//! through drains (its merged order). The small cases carry their
+//! reports in full. The golden file was generated *before* the three
+//! interval matchers became one, and its histogram lines *before* the
+//! sink stopped folding them itself.
 //!
 //! To re-capture after an *intentional* change to what analysis reports:
 //!
@@ -39,7 +41,7 @@ fn golden_path() -> PathBuf {
 }
 
 /// The four renderers over `a`, a digest line each (the text itself too
-/// when `full`), then the histograms of the sink that saw the events.
+/// when `full`), then the histograms of the events the sink drains.
 fn pin(
     out: &mut String,
     label: &str,
@@ -63,7 +65,7 @@ fn pin(
     for (what, bytes) in &rendered {
         let _ = writeln!(out, "{label} {what} len={} fnv={:016x}", bytes.len(), fnv1a(bytes));
     }
-    sink.histograms().for_each(|name, h| {
+    Analysis::from_events(&sink.drain()).histograms.for_each(|name, h| {
         let _ = writeln!(
             out,
             "{label} hist {name} count={} min={} max={} p50={} p99={}",
@@ -124,7 +126,7 @@ fn capture() -> String {
     pin(&mut out, "fig5-cell 2+8 w50", &a, &sink, &names, false);
 
     // Analysed in the order written (the second timestamp run sits below
-    // the first); the sink merges by timestamp before it folds.
+    // the first); the histogram lines read the sink's merge by timestamp.
     let mut events = common::synthetic();
     for ev in &mut events {
         // Clipped since before analysis summed with saturation, and kept

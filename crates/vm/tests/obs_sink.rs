@@ -60,7 +60,7 @@ fn figure1_events_reach_the_sink() {
     // Derived latencies: Th's blocking episode and Tl's rollback landed
     // in the histograms, and the inversion round-trip (RevokeRequest →
     // Th's Acquire) was measured.
-    let h = sink.histograms();
+    let h = revmon_obs::Analysis::from_events(&events).histograms;
     assert!(h.entry_blocking.count() >= 1);
     assert!(h.section_length.count() >= 2, "both sections measured");
     assert_eq!(h.rollback_duration.count(), 1);
