@@ -24,6 +24,7 @@
 //! `monitor "queue"`, not `monitor 3`.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 use revmon_core::FxMap;
@@ -31,7 +32,7 @@ use revmon_core::FxMap;
 use crate::episode::{Episode, EpisodeBuilder, Resolution};
 use crate::event::{Event, EventKind, NKINDS, SCHEMA};
 use crate::hist::Histogram;
-use crate::json::esc;
+use crate::json::Escaped;
 use crate::latency::{Histograms, Intervals};
 use crate::sink::TsUnit;
 
@@ -337,9 +338,62 @@ impl Analysis {
 /// Render a monitor id through the name table: `"queue"` when named,
 /// `#3` otherwise.
 pub fn monitor_label(names: &BTreeMap<u64, String>, monitor: u64) -> String {
-    match names.get(&monitor) {
-        Some(n) => format!("\"{n}\""),
-        None => format!("#{monitor}"),
+    Label::of(names, monitor).to_string()
+}
+
+/// [`monitor_label`] in place. A width pads it on the right, as `{:<w}`
+/// pads the `String`.
+struct Label<'a> {
+    name: Option<&'a String>,
+    monitor: u64,
+}
+
+impl<'a> Label<'a> {
+    fn of(names: &'a BTreeMap<u64, String>, monitor: u64) -> Self {
+        Label { name: names.get(&monitor), monitor }
+    }
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let chars = match self.name {
+            Some(n) => {
+                write!(f, "\"{n}\"")?;
+                n.chars().count() + 2
+            }
+            None => {
+                write!(f, "#{}", self.monitor)?;
+                self.monitor.checked_ilog10().map_or(1, |d| d as usize + 1) + 1
+            }
+        };
+        for _ in chars..f.width().unwrap_or(0) {
+            f.write_char(' ')?;
+        }
+        Ok(())
+    }
+}
+
+/// A JSON number, or `null` for `None`.
+struct NumOrNull(Option<u64>);
+
+impl fmt::Display for NumOrNull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "{n}"),
+            None => f.write_str("null"),
+        }
+    }
+}
+
+/// A monitor's name as a JSON string, or `null` when it has none.
+struct NameOrNull<'a>(Option<&'a String>);
+
+impl fmt::Display for NameOrNull<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "\"{}\"", Escaped(n)),
+            None => f.write_str("null"),
+        }
     }
 }
 
@@ -407,39 +461,36 @@ pub fn write_report<W: Write>(
     }
 
     for e in &a.episodes {
-        let end = match e.end {
-            Some(t) => format!("{t}"),
-            None => "-".into(),
-        };
-        let lat = match e.latency() {
-            Some(l) => format!("{l} {u}"),
-            None => "unresolved".into(),
-        };
-        let requester =
-            if e.requester == Event::NO_THREAD { "?".into() } else { format!("t{}", e.requester) };
-        let governed = if e.governor_throttles > 0 || e.policy_fallbacks > 0 {
-            format!(
+        write!(w, "  [{:>8}..", e.start)?;
+        match e.end {
+            Some(t) => write!(w, "{t:>8}")?,
+            None => write!(w, "{:>8}", "-")?,
+        }
+        write!(w, "] monitor {:<12} {:<16} ", Label::of(names, e.monitor), e.resolution.name())?;
+        match e.requester {
+            Event::NO_THREAD => w.write_all(b"?")?,
+            r => write!(w, "t{r}")?,
+        }
+        write!(w, " vs t{}: latency ", e.holder)?;
+        match e.latency() {
+            Some(l) => write!(w, "{l} {u}")?,
+            None => w.write_all(b"unresolved")?,
+        }
+        write!(
+            w,
+            ", {} rollbacks, {} undo entries, {} {u} wasted",
+            e.rollbacks, e.wasted_entries, e.wasted_time
+        )?;
+        if e.governor_throttles > 0 || e.policy_fallbacks > 0 {
+            write!(
+                w,
                 ", governed ({} throttled, {} fallbacks)",
                 e.governor_throttles, e.policy_fallbacks
-            )
+            )?;
         } else if e.resolution == Resolution::Delegated {
-            format!(", queue-wait {} {u}, exec {} {u}", e.queue_wait, e.exec_time)
-        } else {
-            String::new()
-        };
-        writeln!(
-            w,
-            "  [{:>8}..{:>8}] monitor {:<12} {:<16} {requester} vs t{}: latency {lat}, \
-             {} rollbacks, {} undo entries, {} {u} wasted{governed}",
-            e.start,
-            end,
-            monitor_label(names, e.monitor),
-            e.resolution.name(),
-            e.holder,
-            e.rollbacks,
-            e.wasted_entries,
-            e.wasted_time,
-        )?;
+            write!(w, ", queue-wait {} {u}, exec {} {u}", e.queue_wait, e.exec_time)?;
+        }
+        writeln!(w)?;
     }
 
     writeln!(w, "\nper-monitor contention (by total blocking time):")?;
@@ -452,7 +503,7 @@ pub fn write_report<W: Write>(
         writeln!(
             w,
             "  {:<14} {:>8} {:>8} {:>8} {:>9} {:>10} {:>10} {:>10}",
-            monitor_label(names, p.monitor),
+            Label::of(names, p.monitor),
             p.acquires,
             p.blocks,
             p.revoke_requests,
@@ -467,128 +518,133 @@ pub fn write_report<W: Write>(
 
 /// Render the analysis as one JSON document.
 pub fn analysis_json(a: &Analysis, names: &BTreeMap<u64, String>, unit: TsUnit) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"events\": {},\n", a.events));
-    out.push_str(&format!("  \"ts_unit\": \"{}\",\n", unit.suffix()));
-    out.push_str(&format!("  \"span\": {},\n", a.last_ts));
-    out.push_str(&format!("  \"skipped_lines\": {},\n", a.skipped_lines));
+    let mut out = String::new();
+    write_analysis_json(&mut out, a, names, unit).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`analysis_json`] written into `out`: every episode and monitor in
+/// place, with no string of its own.
+fn write_analysis_json(
+    out: &mut String,
+    a: &Analysis,
+    names: &BTreeMap<u64, String>,
+    unit: TsUnit,
+) -> fmt::Result {
+    out.push_str("{\n");
+    writeln!(out, "  \"events\": {},", a.events)?;
+    writeln!(out, "  \"ts_unit\": \"{}\",", unit.suffix())?;
+    writeln!(out, "  \"span\": {},", a.last_ts)?;
+    writeln!(out, "  \"skipped_lines\": {},", a.skipped_lines)?;
 
     out.push_str("  \"kinds\": {");
-    let census: Vec<String> = a.kind_counts.iter().map(|(k, n)| format!("\"{k}\": {n}")).collect();
-    out.push_str(&census.join(", "));
+    for (i, (k, n)) in a.kind_counts.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(out, "{sep}\"{k}\": {n}")?;
+    }
     out.push_str("},\n");
 
     out.push_str("  \"episode_summary\": {\n");
-    out.push_str(&format!("    \"count\": {},\n", a.episodes.len()));
-    let res: Vec<String> =
-        a.resolution_counts().iter().map(|(r, n)| format!("\"{}\": {n}", r.name())).collect();
-    out.push_str(&format!("    \"resolutions\": {{{}}},\n", res.join(", ")));
-    out.push_str(&format!(
-        "    \"latency\": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
+    writeln!(out, "    \"count\": {},", a.episodes.len())?;
+    out.push_str("    \"resolutions\": {");
+    for (i, (r, n)) in a.resolution_counts().iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(out, "{sep}\"{}\": {n}", r.name())?;
+    }
+    out.push_str("},\n");
+    writeln!(
+        out,
+        "    \"latency\": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \"p99\": {}, \"max\": {}}},",
         a.inversion_latency.count(),
         a.inversion_latency.mean(),
         a.inversion_latency.percentile(50.0),
         a.inversion_latency.percentile(99.0),
         a.inversion_latency.max(),
-    ));
-    out.push_str(&format!(
-        "    \"wasted_entries\": {},\n    \"wasted_time\": {},\n",
+    )?;
+    writeln!(
+        out,
+        "    \"wasted_entries\": {},\n    \"wasted_time\": {},",
         a.wasted_entries, a.wasted_time
-    ));
-    out.push_str(&format!(
-        "    \"governor_throttles\": {},\n    \"policy_fallbacks\": {},\n",
+    )?;
+    writeln!(
+        out,
+        "    \"governor_throttles\": {},\n    \"policy_fallbacks\": {},",
         a.governor_throttles, a.policy_fallbacks
-    ));
-    out.push_str(&format!(
+    )?;
+    writeln!(
+        out,
         "    \"delegated\": {{\"count\": {}, \"queue_wait_mean\": {:.3}, \"queue_wait_p99\": {}, \
-         \"exec_mean\": {:.3}, \"exec_p99\": {}}}\n  }},\n",
+         \"exec_mean\": {:.3}, \"exec_p99\": {}}}\n  }},",
         a.delegation_queue_wait.count(),
         a.delegation_queue_wait.mean(),
         a.delegation_queue_wait.percentile(99.0),
         a.delegation_exec_time.mean(),
         a.delegation_exec_time.percentile(99.0),
-    ));
+    )?;
 
     out.push_str("  \"episodes\": [\n");
-    let eps: Vec<String> = a
-        .episodes
-        .iter()
-        .map(|e| {
-            let end = match e.end {
-                Some(t) => t.to_string(),
-                None => "null".into(),
-            };
-            let latency = match e.latency() {
-                Some(l) => l.to_string(),
-                None => "null".into(),
-            };
-            let requester = if e.requester == Event::NO_THREAD {
-                "null".into()
-            } else {
-                e.requester.to_string()
-            };
-            let name = match names.get(&e.monitor) {
-                Some(n) => format!("\"{}\"", esc(n)),
-                None => "null".into(),
-            };
-            format!(
-                "    {{\"monitor\": {}, \"monitor_name\": {name}, \"holder\": {}, \
-                 \"requester\": {requester}, \"start\": {}, \"end\": {end}, \
-                 \"resolution\": \"{}\", \"latency\": {latency}, \"rollbacks\": {}, \
-                 \"wasted_entries\": {}, \"wasted_time\": {}, \"revoke_requests\": {}, \
-                 \"governor_throttles\": {}, \"policy_fallbacks\": {}, \
-                 \"queue_wait\": {}, \"exec_time\": {}}}",
-                e.monitor,
-                e.holder,
-                e.start,
-                e.resolution.name(),
-                e.rollbacks,
-                e.wasted_entries,
-                e.wasted_time,
-                e.revoke_requests,
-                e.governor_throttles,
-                e.policy_fallbacks,
-                e.queue_wait,
-                e.exec_time,
-            )
-        })
-        .collect();
-    out.push_str(&eps.join(",\n"));
+    for (i, e) in a.episodes.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        let requester = (e.requester != Event::NO_THREAD).then_some(e.requester);
+        write!(
+            out,
+            "    {{\"monitor\": {}, \"monitor_name\": {}, \"holder\": {}, \
+             \"requester\": {}, \"start\": {}, \"end\": {}, \
+             \"resolution\": \"{}\", \"latency\": {}, \"rollbacks\": {}, \
+             \"wasted_entries\": {}, \"wasted_time\": {}, \"revoke_requests\": {}, \
+             \"governor_throttles\": {}, \"policy_fallbacks\": {}, \
+             \"queue_wait\": {}, \"exec_time\": {}}}",
+            e.monitor,
+            NameOrNull(names.get(&e.monitor)),
+            e.holder,
+            NumOrNull(requester),
+            e.start,
+            NumOrNull(e.end),
+            e.resolution.name(),
+            NumOrNull(e.latency()),
+            e.rollbacks,
+            e.wasted_entries,
+            e.wasted_time,
+            e.revoke_requests,
+            e.governor_throttles,
+            e.policy_fallbacks,
+            e.queue_wait,
+            e.exec_time,
+        )?;
+    }
     out.push_str("\n  ],\n");
 
     out.push_str("  \"monitors\": [\n");
-    let mons: Vec<String> = a
-        .profiles
-        .iter()
-        .map(|p| {
-            let name = match names.get(&p.monitor) {
-                Some(n) => format!("\"{}\"", esc(n)),
-                None => "null".into(),
-            };
-            format!(
-                "    {{\"monitor\": {}, \"name\": {name}, \"acquires\": {}, \"blocks\": {}, \
-                 \"revoke_requests\": {}, \"rollbacks\": {}, \"commits\": {}, \
-                 \"unresolved\": {}, \"wasted_entries\": {}, \"total_blocked\": {}, \
-                 \"blocking_p50\": {}, \"blocking_p99\": {}, \"held_p50\": {}, \"held_p99\": {}}}",
-                p.monitor,
-                p.acquires,
-                p.blocks,
-                p.revoke_requests,
-                p.rollbacks,
-                p.commits,
-                p.unresolved,
-                p.wasted_entries,
-                p.total_blocked,
-                p.blocking.percentile(50.0),
-                p.blocking.percentile(99.0),
-                p.held.percentile(50.0),
-                p.held.percentile(99.0),
-            )
-        })
-        .collect();
-    out.push_str(&mons.join(",\n"));
+    for (i, p) in a.profiles.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        write!(
+            out,
+            "    {{\"monitor\": {}, \"name\": {}, \"acquires\": {}, \"blocks\": {}, \
+             \"revoke_requests\": {}, \"rollbacks\": {}, \"commits\": {}, \
+             \"unresolved\": {}, \"wasted_entries\": {}, \"total_blocked\": {}, \
+             \"blocking_p50\": {}, \"blocking_p99\": {}, \"held_p50\": {}, \"held_p99\": {}}}",
+            p.monitor,
+            NameOrNull(names.get(&p.monitor)),
+            p.acquires,
+            p.blocks,
+            p.revoke_requests,
+            p.rollbacks,
+            p.commits,
+            p.unresolved,
+            p.wasted_entries,
+            p.total_blocked,
+            p.blocking.percentile(50.0),
+            p.blocking.percentile(99.0),
+            p.held.percentile(50.0),
+            p.held.percentile(99.0),
+        )?;
+    }
     out.push_str("\n  ]\n}\n");
-    out
+    Ok(())
 }
 
 /// Escape a Prometheus label value (backslash, quote, newline).
@@ -785,6 +841,20 @@ mod tests {
         assert!(text.contains("revocation"), "resolution missing in:\n{text}");
         assert!(text.contains("4 undo entries"), "wasted work missing in:\n{text}");
         assert!(!text.contains("#7"), "named monitor leaked its id:\n{text}");
+    }
+
+    #[test]
+    fn labels_pad_as_their_strings_do() {
+        let mut names = named();
+        names.insert(9, "naïve/путь".into());
+        names.insert(10, "a name longer than any column".into());
+        for m in [0, 7, 9, 10, 11, 12_345, u64::MAX] {
+            let label = monitor_label(&names, m);
+            for width in [0, 12, 14] {
+                let padded = format!("{:<width$}|", Label::of(&names, m));
+                assert_eq!(padded, format!("{label:<width$}|"), "monitor {m}");
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //!
 //! JSON is emitted by hand — the payloads are flat and numeric, and the
 //! build environment has no serde. The two per-event writers (JSONL
-//! lines, Chrome trace elements) build each element in one reused line
-//! buffer from `push_str` and [`push_u64`], timestamps included
-//! ([`push_micros`]): no allocation and no formatter at event rate. The
+//! lines, Chrome trace elements) append every element to one reused
+//! byte chunk — byte-string literals and [`push_u64`]'s digits,
+//! timestamps included ([`push_micros`]): no allocation and no formatter
+//! at event rate. A chunk goes to the writer once it passes [`CHUNK`]
+//! bytes and at the end of every call or batch, always on a line or
+//! element boundary, so an unbuffered writer still sees whole lines. The
 //! once-per-run writers (headers, metrics, tables) are `format!`-built.
 //! Everything writes through `io::Write` so the CLI can target files
 //! and tests can target `Vec`s.
 
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::event::{envelope, Event, EventKind};
@@ -19,26 +21,43 @@ use crate::latency::Histograms;
 use crate::sink::{PipelineStats, TsUnit};
 use revmon_core::FxMap;
 
+/// A chunk of event text goes to the writer once it holds this many
+/// bytes.
+const CHUNK: usize = 64 * 1024;
+
+/// An empty chunk. No JSONL line or Chrome element is near 1 KiB long,
+/// so a chunk never outgrows this first allocation.
+fn new_chunk() -> Vec<u8> {
+    Vec::with_capacity(CHUNK + 1024)
+}
+
+/// Write `chunk` out and empty it.
+fn spill<W: Write>(w: &mut W, chunk: &mut Vec<u8>) -> io::Result<()> {
+    w.write_all(chunk)?;
+    chunk.clear();
+    Ok(())
+}
+
 /// Append `,"field":value` for each payload field of `kind` (`null`
 /// for an absent nullable one) — the tail of a JSONL event line and of
 /// a Chrome instant's `args`.
-fn push_payload(out: &mut String, kind: &EventKind) {
+fn push_payload(out: &mut Vec<u8>, kind: &EventKind) {
     for (field, value) in kind.payload() {
-        out.push_str(",\"");
-        out.push_str(field);
-        out.push_str("\":");
+        out.extend_from_slice(b",\"");
+        out.extend_from_slice(field.as_bytes());
+        out.extend_from_slice(b"\":");
         match value {
             Some(v) => push_u64(out, v),
-            None => out.push_str("null"),
+            None => out.extend_from_slice(b"null"),
         }
     }
 }
 
 /// Append a monitor id, `null` for [`Event::NO_MONITOR`]: the sentinel
 /// is `u64::MAX`, a number no JSON consumer holds exactly.
-fn push_monitor(out: &mut String, monitor: u64) {
+fn push_monitor(out: &mut Vec<u8>, monitor: u64) {
     match monitor {
-        Event::NO_MONITOR => out.push_str("null"),
+        Event::NO_MONITOR => out.extend_from_slice(b"null"),
         m => push_u64(out, m),
     }
 }
@@ -47,29 +66,37 @@ fn push_monitor(out: &mut String, monitor: u64) {
 /// `core` is written only when non-zero, so single-core traces stay
 /// byte-identical to the pre-multicore format.
 pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
-    // One reused line buffer and one `write_all` per event, so an
-    // unbuffered `w` still sees whole lines.
-    let mut line = String::new();
+    write_jsonl_chunked(w, &mut new_chunk(), events)
+}
+
+/// [`write_events_jsonl`] through the caller's `chunk`, which is left
+/// empty.
+fn write_jsonl_chunked<W: Write>(
+    w: &mut W,
+    chunk: &mut Vec<u8>,
+    events: &[Event],
+) -> io::Result<()> {
     for ev in events {
-        line.clear();
-        line.push_str(envelope::TS);
-        push_u64(&mut line, ev.ts);
-        line.push_str(envelope::THREAD);
-        push_u64(&mut line, ev.thread);
-        line.push_str(envelope::MONITOR);
-        push_monitor(&mut line, ev.monitor);
+        chunk.extend_from_slice(envelope::TS.as_bytes());
+        push_u64(chunk, ev.ts);
+        chunk.extend_from_slice(envelope::THREAD.as_bytes());
+        push_u64(chunk, ev.thread);
+        chunk.extend_from_slice(envelope::MONITOR.as_bytes());
+        push_monitor(chunk, ev.monitor);
         if ev.core != 0 {
-            line.push_str(envelope::CORE);
-            push_u64(&mut line, ev.core as u64);
+            chunk.extend_from_slice(envelope::CORE.as_bytes());
+            push_u64(chunk, ev.core as u64);
         }
-        line.push_str(envelope::KIND);
-        line.push_str(ev.kind.name());
-        line.push('"');
-        push_payload(&mut line, &ev.kind);
-        line.push_str("}\n");
-        w.write_all(line.as_bytes())?;
+        chunk.extend_from_slice(envelope::KIND.as_bytes());
+        chunk.extend_from_slice(ev.kind.name().as_bytes());
+        chunk.push(b'"');
+        push_payload(chunk, &ev.kind);
+        chunk.extend_from_slice(b"}\n");
+        if chunk.len() >= CHUNK {
+            spill(w, chunk)?;
+        }
     }
-    Ok(())
+    spill(w, chunk)
 }
 
 /// Optional run context carried in the trace meta header, so `revmon
@@ -255,6 +282,7 @@ fn write_monitor_names<W: Write>(
 /// header field-wise.
 pub struct TraceStream<W: Write> {
     w: W,
+    chunk: Vec<u8>,
     events: u64,
 }
 
@@ -264,13 +292,13 @@ impl<W: Write> TraceStream<W> {
     /// `RunMeta::default()` and let `finish` supply everything else.
     pub fn new(mut w: W, unit: TsUnit, meta: &RunMeta) -> io::Result<Self> {
         write_trace_header(&mut w, unit, meta)?;
-        Ok(TraceStream { w, events: 0 })
+        Ok(TraceStream { w, chunk: new_chunk(), events: 0 })
     }
 
     /// Append one merged batch of events.
     pub fn write_batch(&mut self, events: &[Event]) -> io::Result<()> {
         self.events += events.len() as u64;
-        write_events_jsonl(&mut self.w, events)
+        write_jsonl_chunked(&mut self.w, &mut self.chunk, events)
     }
 
     /// Close the stream: monitor-name table, then the `trace_end` meta
@@ -319,9 +347,9 @@ const EXACT_MICROS_BELOW: u64 = 1 << 41;
 /// Append the Chrome-trace microsecond text of the interval from
 /// `since` to `ts >= since` (a timestamp is the interval from 0): what
 /// `{:.3}` of `unit.to_micros(ts) - unit.to_micros(since)` prints.
-fn push_micros(out: &mut String, unit: TsUnit, since: u64, ts: u64) {
+fn push_micros(out: &mut Vec<u8>, unit: TsUnit, since: u64, ts: u64) {
     if ts >= EXACT_MICROS_BELOW {
-        // Writing to a `String` cannot fail.
+        // Writing to a `Vec` cannot fail.
         let _ = write!(out, "{:.3}", unit.to_micros(ts) - unit.to_micros(since));
         return;
     }
@@ -329,14 +357,17 @@ fn push_micros(out: &mut String, unit: TsUnit, since: u64, ts: u64) {
     match unit {
         TsUnit::VirtualTicks => {
             push_u64(out, d);
-            out.push_str(".000");
+            out.extend_from_slice(b".000");
         }
         TsUnit::WallNanos => {
             push_u64(out, d / 1000);
-            out.push('.');
-            for place in [100, 10, 1] {
-                out.push(char::from(b'0' + (d % 1000 / place % 10) as u8));
-            }
+            let frac = d % 1000;
+            out.extend_from_slice(&[
+                b'.',
+                b'0' + (frac / 100) as u8,
+                b'0' + (frac / 10 % 10) as u8,
+                b'0' + (frac % 10) as u8,
+            ]);
         }
     }
 }
@@ -350,47 +381,51 @@ enum Span {
     Held,
 }
 
-/// The element writer under [`ChromeStream`]: builds one `traceEvents`
-/// element at a time in a reused line and writes it, comma-separating
-/// after the first.
+/// The element writer under [`ChromeStream`]: appends one `traceEvents`
+/// element at a time to the chunk, comma-separating after the first,
+/// and writes the chunk out on an element boundary.
 struct Elements<W: Write> {
     w: W,
     unit: TsUnit,
     first: bool,
-    line: String,
+    chunk: Vec<u8>,
 }
 
 impl<W: Write> Elements<W> {
     /// Start an element: the separator the array needs before it, `{`,
     /// then `head`.
-    fn begin(&mut self, head: &str) {
-        self.line.clear();
-        self.line.push_str(if std::mem::replace(&mut self.first, false) { "\n{" } else { ",\n{" });
-        self.line.push_str(head);
+    fn begin(&mut self, head: &[u8]) {
+        let first = std::mem::replace(&mut self.first, false);
+        self.chunk.extend_from_slice(if first { b"\n{" } else { b",\n{" });
+        self.chunk.extend_from_slice(head);
     }
 
     /// Append `,"pid":P,"tid":T,"ts":µs`: the lane `(core, thread)` the
     /// element is drawn in and its timestamp. Chrome renders one process lane per `pid`; simulated cores map to
     /// `pid = core + 1` so core 0 keeps the legacy single-core `pid:1`.
     fn lane(&mut self, (core, thread): (u32, u64), ts: u64) {
-        self.line.push_str(",\"pid\":");
-        push_u64(&mut self.line, core as u64 + 1);
-        self.line.push_str(",\"tid\":");
-        push_u64(&mut self.line, thread);
-        self.line.push_str(",\"ts\":");
-        push_micros(&mut self.line, self.unit, 0, ts);
+        self.chunk.extend_from_slice(b",\"pid\":");
+        push_u64(&mut self.chunk, core as u64 + 1);
+        self.chunk.extend_from_slice(b",\"tid\":");
+        push_u64(&mut self.chunk, thread);
+        self.chunk.extend_from_slice(b",\"ts\":");
+        push_micros(&mut self.chunk, self.unit, 0, ts);
     }
 
-    /// Finish the element with `tail` and write it out.
-    fn end(&mut self, tail: &str) -> io::Result<()> {
-        self.line.push_str(tail);
-        self.w.write_all(self.line.as_bytes())
+    /// Finish the element with `tail`; write the chunk out once it is
+    /// full.
+    fn end(&mut self, tail: &[u8]) -> io::Result<()> {
+        self.chunk.extend_from_slice(tail);
+        if self.chunk.len() >= CHUNK {
+            spill(&mut self.w, &mut self.chunk)?;
+        }
+        Ok(())
     }
 
     /// One `B`/`E` element of a span on `monitor`.
     fn span(
         &mut self,
-        ph: &str,
+        ph: &[u8],
         span: Span,
         monitor: u64,
         key: (u32, u64),
@@ -398,20 +433,20 @@ impl<W: Write> Elements<W> {
     ) -> io::Result<()> {
         match span {
             Span::Blocked => {
-                self.begin("\"name\":\"blocked: monitor ");
-                push_u64(&mut self.line, monitor);
-                self.line.push_str("\",\"cat\":\"blocking\",\"ph\":\"");
+                self.begin(b"\"name\":\"blocked: monitor ");
+                push_u64(&mut self.chunk, monitor);
+                self.chunk.extend_from_slice(b"\",\"cat\":\"blocking\",\"ph\":\"");
             }
             Span::Held => {
-                self.begin("\"name\":\"monitor ");
-                push_u64(&mut self.line, monitor);
-                self.line.push_str(" held\",\"cat\":\"monitor\",\"ph\":\"");
+                self.begin(b"\"name\":\"monitor ");
+                push_u64(&mut self.chunk, monitor);
+                self.chunk.extend_from_slice(b" held\",\"cat\":\"monitor\",\"ph\":\"");
             }
         }
-        self.line.push_str(ph);
-        self.line.push('"');
+        self.chunk.extend_from_slice(ph);
+        self.chunk.push(b'"');
         self.lane(key, ts);
-        self.end("}")
+        self.end(b"}")
     }
 }
 
@@ -440,9 +475,9 @@ pub struct ChromeStream<W: Write> {
 impl<W: Write> ChromeStream<W> {
     /// Start a Chrome trace: writes the `traceEvents` array opener.
     pub fn new(mut w: W, unit: TsUnit) -> io::Result<Self> {
-        write!(w, "{{\"traceEvents\":[")?;
+        w.write_all(b"{\"traceEvents\":[")?;
         Ok(ChromeStream {
-            out: Elements { w, unit, first: true, line: String::new() },
+            out: Elements { w, unit, first: true, chunk: new_chunk() },
             held: FxMap::default(),
             blocked: FxMap::default(),
             unwound: FxMap::default(),
@@ -456,7 +491,8 @@ impl<W: Write> ChromeStream<W> {
         self.repairs
     }
 
-    /// Append one merged batch of events, repairing tears in place.
+    /// Append one merged batch of events, repairing tears in place. The
+    /// batch is written out by the time this returns.
     pub fn write_batch(&mut self, events: &[Event]) -> io::Result<()> {
         let ChromeStream { out, held, blocked, unwound, repairs, last_ts } = self;
         for ev in events {
@@ -468,20 +504,20 @@ impl<W: Write> ChromeStream<W> {
                         if m != ev.monitor {
                             // The Acquire that ended the old blocked span
                             // was dropped: synthesize its E here.
-                            out.span("E", Span::Blocked, m, key, ev.ts)?;
+                            out.span(b"E", Span::Blocked, m, key, ev.ts)?;
                             *repairs += 1;
                             blocked.insert(key, ev.monitor);
-                            out.span("B", Span::Blocked, ev.monitor, key, ev.ts)?;
+                            out.span(b"B", Span::Blocked, ev.monitor, key, ev.ts)?;
                         }
                         // Re-blocking on the same monitor keeps the span open.
                     } else {
                         blocked.insert(key, ev.monitor);
-                        out.span("B", Span::Blocked, ev.monitor, key, ev.ts)?;
+                        out.span(b"B", Span::Blocked, ev.monitor, key, ev.ts)?;
                     }
                 }
                 EventKind::Acquire => {
                     if let Some(m) = blocked.remove(&key) {
-                        out.span("E", Span::Blocked, m, key, ev.ts)?;
+                        out.span(b"E", Span::Blocked, m, key, ev.ts)?;
                         if m != ev.monitor {
                             // Blocked on one monitor, acquired another: the
                             // intervening Acquire/Block pair was dropped.
@@ -492,7 +528,7 @@ impl<W: Write> ChromeStream<W> {
                     // Reentrant acquires keep the existing span open.
                     if !stack.contains(&ev.monitor) {
                         stack.push(ev.monitor);
-                        out.span("B", Span::Held, ev.monitor, key, ev.ts)?;
+                        out.span(b"B", Span::Held, ev.monitor, key, ev.ts)?;
                     }
                     // A fresh acquire supersedes any stale unwind debt.
                     if let Some(pend) = unwound.get_mut(&key) {
@@ -502,13 +538,13 @@ impl<W: Write> ChromeStream<W> {
                 EventKind::Release | EventKind::Rollback { .. } => {
                     if let EventKind::Rollback { entries, duration } = ev.kind {
                         let start = ev.ts.saturating_sub(duration);
-                        out.begin("\"name\":\"rollback\",\"cat\":\"revocation\",\"ph\":\"X\"");
+                        out.begin(b"\"name\":\"rollback\",\"cat\":\"revocation\",\"ph\":\"X\"");
                         out.lane(key, start);
-                        out.line.push_str(",\"dur\":");
-                        push_micros(&mut out.line, out.unit, start, ev.ts);
-                        out.line.push_str(",\"args\":{\"entries\":");
-                        push_u64(&mut out.line, entries);
-                        out.end("}}")?;
+                        out.chunk.extend_from_slice(b",\"dur\":");
+                        push_micros(&mut out.chunk, out.unit, start, ev.ts);
+                        out.chunk.extend_from_slice(b",\"args\":{\"entries\":");
+                        push_u64(&mut out.chunk, entries);
+                        out.end(b"}}")?;
                     }
                     // Close spans down to (and including) this monitor so
                     // B/E stay properly nested even if inner sections were
@@ -519,7 +555,7 @@ impl<W: Write> ChromeStream<W> {
                             closed = true;
                             let rollback = matches!(ev.kind, EventKind::Rollback { .. });
                             while let Some(m) = stack.pop() {
-                                out.span("E", Span::Held, m, key, ev.ts)?;
+                                out.span(b"E", Span::Held, m, key, ev.ts)?;
                                 if rollback {
                                     // The unwind will still emit a Release
                                     // for each monitor closed here.
@@ -547,18 +583,18 @@ impl<W: Write> ChromeStream<W> {
                     }
                 }
                 _ => {
-                    out.begin("\"name\":\"");
-                    out.line.push_str(ev.kind.name());
-                    out.line.push_str("\",\"cat\":\"monitor\",\"ph\":\"i\",\"s\":\"t\"");
+                    out.begin(b"\"name\":\"");
+                    out.chunk.extend_from_slice(ev.kind.name().as_bytes());
+                    out.chunk.extend_from_slice(b"\",\"cat\":\"monitor\",\"ph\":\"i\",\"s\":\"t\"");
                     out.lane(key, ev.ts);
-                    out.line.push_str(",\"args\":{\"monitor\":");
-                    push_monitor(&mut out.line, ev.monitor);
-                    push_payload(&mut out.line, &ev.kind);
-                    out.end("}}")?;
+                    out.chunk.extend_from_slice(b",\"args\":{\"monitor\":");
+                    push_monitor(&mut out.chunk, ev.monitor);
+                    push_payload(&mut out.chunk, &ev.kind);
+                    out.end(b"}}")?;
                 }
             }
         }
-        Ok(())
+        spill(&mut out.w, &mut out.chunk)
     }
 
     /// Balance anything still open (normal truncation, not counted as
@@ -569,16 +605,17 @@ impl<W: Write> ChromeStream<W> {
         let mut blocked: Vec<_> = std::mem::take(&mut self.blocked).into_iter().collect();
         blocked.sort_unstable();
         for (key, monitor) in blocked {
-            self.out.span("E", Span::Blocked, monitor, key, self.last_ts)?;
+            self.out.span(b"E", Span::Blocked, monitor, key, self.last_ts)?;
         }
         let mut held: Vec<_> = std::mem::take(&mut self.held).into_iter().collect();
         held.sort_unstable_by_key(|(key, _)| *key);
         for (key, stack) in held {
             for m in stack.into_iter().rev() {
-                self.out.span("E", Span::Held, m, key, self.last_ts)?;
+                self.out.span(b"E", Span::Held, m, key, self.last_ts)?;
             }
         }
-        writeln!(self.out.w, "\n]}}")?;
+        self.out.chunk.extend_from_slice(b"\n]}\n");
+        spill(&mut self.out.w, &mut self.out.chunk)?;
         self.out.w.flush()?;
         Ok(self.repairs)
     }
@@ -1144,9 +1181,9 @@ mod tests {
 
     /// `push_micros` as a string.
     fn micros(unit: TsUnit, since: u64, ts: u64) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         push_micros(&mut out, unit, since, ts);
-        out
+        String::from_utf8(out).expect("ASCII")
     }
 
     const UNITS: [TsUnit; 2] = [TsUnit::VirtualTicks, TsUnit::WallNanos];

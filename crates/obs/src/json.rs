@@ -8,31 +8,41 @@
 //! and gets it or an [`Error`] carrying the byte offset, so hostile
 //! input degrades to a positioned message, never a panic. Writers share
 //! [`esc`] for string literals; the per-event ones (`export.rs`) append
-//! to a reused line with `push_str` and [`push_u64`], the once-per-run
-//! ones stay `format!`-built.
+//! byte literals and [`push_u64`]'s digits to a reused byte chunk, the
+//! once-per-run ones stay `format!`-built.
 
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Escape `s` for inclusion in a JSON string literal. The inverse of
 /// [`Reader::string`]: every `char` round-trips exactly.
 pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    Escaped(s).to_string()
+}
+
+/// [`esc`] in place: displays the escaped text, for a writer that
+/// would otherwise allocate an escaped copy per line.
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        Ok(())
     }
-    out
 }
 
 /// Append `n` in decimal — `write!(out, "{n}")` without the formatter.
-pub fn push_u64(out: &mut String, mut n: u64) {
+pub fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
@@ -43,7 +53,7 @@ pub fn push_u64(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Where reading stopped and what was needed there.
@@ -283,9 +293,9 @@ mod tests {
             edges.extend([p - 1, p, p.saturating_add(1)]);
         }
         for n in edges {
-            let mut out = String::from("x");
+            let mut out = b"x".to_vec();
             push_u64(&mut out, n);
-            assert_eq!(out, format!("x{n}"));
+            assert_eq!(out, format!("x{n}").into_bytes());
         }
     }
 

@@ -3,9 +3,13 @@
 //! One [`SpscRing`] is owned (logically) by exactly one producing thread
 //! and drained by exactly one consumer at a time (the sink's collector,
 //! serialized by a collect lock). The producer path is wait-free: a
-//! full-check against the consumer cursor, six relaxed slot stores, and
-//! one release store of the tail — no locks, no shared `fetch_add`, no
-//! cache line written by more than one thread.
+//! full-check against the consumer cursor, seven relaxed slot stores,
+//! and one release store of the tail — no locks, no locked
+//! read-modify-write at all, no cache line written by more than one
+//! thread. The ring's own counters (attempts, per-kind tallies, drops,
+//! sampled-out) have a single writer, the producer, so each update is a
+//! relaxed load and a relaxed store of the producer's own last value;
+//! readers load them relaxed and see some recent count.
 //!
 //! The crate forbids `unsafe`, so slots are arrays of `AtomicU64`s
 //! rather than `UnsafeCell`s: every field store/load is `Relaxed`, and
@@ -77,7 +81,8 @@ pub struct SpscRing {
     /// Consumer cursor: index of the next slot to read.
     head: AtomicU64,
     /// Push attempts (accepted + dropped + nothing else): the per-thread
-    /// sequence counter. Producer-written, relaxed.
+    /// sequence counter. Producer-written, relaxed, like every counter
+    /// below.
     attempts: AtomicU64,
     /// Push attempts that found the ring full.
     dropped: AtomicU64,
@@ -90,6 +95,14 @@ pub struct SpscRing {
     /// Dense id of the producing thread within its sink (registration
     /// order), used by the per-producer drop breakdown.
     producer: u64,
+}
+
+/// Add one to a counter only the producer writes, returning its old
+/// value: a relaxed load and a store, not a locked read-modify-write.
+fn bump(counter: &AtomicU64) -> u64 {
+    let n = counter.load(Ordering::Relaxed);
+    counter.store(n.wrapping_add(1), Ordering::Relaxed);
+    n
 }
 
 impl SpscRing {
@@ -123,26 +136,30 @@ impl SpscRing {
     /// Producer side: tally `kind` and decide whether the sampling knob
     /// keeps this event. Keeps the first of every `n` occurrences of
     /// each high-rate kind (so a burst shorter than `n` still leaves a
-    /// trace), everything else always. `n <= 1` keeps everything.
+    /// trace), everything else always. `n <= 1` keeps everything. Only
+    /// the producing thread may call this (see [`SpscRing::push`]).
     pub(crate) fn sample_keep(&self, kind: &EventKind, n: u64) -> bool {
-        let seen = self.tallies[kind.index()].fetch_add(1, Ordering::Relaxed);
+        let seen = bump(&self.tallies[kind.index()]);
         if n <= 1 || !kind.high_rate() || seen.is_multiple_of(n) {
             true
         } else {
-            self.sampled_out.fetch_add(1, Ordering::Relaxed);
+            bump(&self.sampled_out);
             false
         }
     }
 
     /// Producer side: append one event, taking the next per-thread
     /// sequence number. Returns `false` (and counts a drop) when the
-    /// ring is full. Wait-free; only the producing thread may call this.
+    /// ring is full. Wait-free; only the producing thread may call this
+    /// or the sampling tally beside it: the ring's counters have that one
+    /// writer, so they are bumped with a load and a store, and a second
+    /// producer would lose counts and repeat sequence numbers.
     pub fn push(&self, ev: Event) -> bool {
-        let seq = self.attempts.fetch_add(1, Ordering::Relaxed);
+        let seq = bump(&self.attempts);
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Acquire);
         if t.wrapping_sub(h) > self.mask {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            bump(&self.dropped);
             return false;
         }
         let slot = &self.slots[(t & self.mask) as usize];

@@ -10,8 +10,8 @@
 //! abstract interpretation over stack heights:
 //!
 //! * every branch / handler target is in range,
-//! * the operand stack never underflows and heights merge consistently
-//!   at join points,
+//! * the operand stack never underflows, never outgrows its `u16`
+//!   height, and heights merge consistently at join points,
 //! * every local index is within the method's frame,
 //! * every `Call` target exists, and methods return consistently
 //!   (all `Ret` or all `RetVoid`),
@@ -57,6 +57,14 @@ pub enum VerifyError {
         needs: u16,
         /// Height on entry.
         have: u16,
+    },
+    /// An instruction would push the operand stack past `u16::MAX`
+    /// entries.
+    StackOverflow {
+        /// Method name.
+        method: String,
+        /// Offending pc.
+        pc: u32,
     },
     /// Two control-flow paths reach the same pc with different stack
     /// heights.
@@ -111,6 +119,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::StackUnderflow { method, pc, needs, have } => {
                 write!(f, "{method}@{pc}: needs {needs} operands, stack holds {have}")
+            }
+            VerifyError::StackOverflow { method, pc } => {
+                write!(f, "{method}@{pc}: operand stack exceeds {} entries", u16::MAX)
             }
             VerifyError::HeightMismatch { method, pc, expected, found } => {
                 write!(f, "{method}@{pc}: stack height {found} joins path with height {expected}")
@@ -240,7 +251,10 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
             errors.push(VerifyError::StackUnderflow { method: name(), pc, needs: pops, have: h });
             continue;
         }
-        let out = h - pops + pushes;
+        let Some(out) = (h - pops).checked_add(pushes) else {
+            errors.push(VerifyError::StackOverflow { method: name(), pc });
+            continue;
+        };
         // Successors: the branch target first, then the next pc.
         let mut add = |target: u32, errors: &mut Vec<VerifyError>| {
             if target >= n {
@@ -424,6 +438,18 @@ mod tests {
         let errs = verify_program(&p).unwrap_err();
         let wanted =
             VerifyError::StackUnderflow { method: "m".into(), pc: 0, needs: u16::MAX, have: 0 };
+        assert_eq!(errs, vec![wanted]);
+    }
+
+    #[test]
+    fn a_stack_past_u16_heights_is_a_positioned_overflow() {
+        // 65 536 pushes: the last one would make the height 65 536 (a
+        // debug panic and, wrapped to 0, a verified method in release).
+        let mut code = vec![Insn::Const(crate::value::Value::Int(0)); 1 << 16];
+        code.push(Insn::RetVoid);
+        let errs = verify_program(&raw_method(code, 0, 0)).unwrap_err();
+        let wanted = VerifyError::StackOverflow { method: "m".into(), pc: u32::from(u16::MAX) };
+        assert_eq!(wanted.to_string(), "m@65535: operand stack exceeds 65535 entries");
         assert_eq!(errs, vec![wanted]);
     }
 

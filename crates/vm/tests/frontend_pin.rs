@@ -17,7 +17,8 @@
 //!   measured from outside — the lowest entry height it is accepted at,
 //!   the height it leaves, and the underflow text one slot lower;
 //! * one raw-`Insn` program per `VerifyError` variant with every error's
-//!   exact text;
+//!   exact text (but `StackOverflow`, whose 65 536-push program is
+//!   `verify.rs`'s unit test);
 //! * a raw method whose seven branch kinds jump over, into the entry
 //!   of, out of and within a synchronized region, rewritten (branch
 //!   relocation), and each branch kind entering a region at its entry,
