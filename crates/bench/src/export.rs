@@ -7,11 +7,10 @@
 //! console tables. JSON is emitted by hand, matching `revmon-obs` (no
 //! serde in the build environment).
 
-use crate::{run_cell_sink, BenchParams, CellResult, FigureRow};
+use crate::{run_cell_events, BenchParams, CellResult, FigureRow};
 use revmon_vm::VmConfig;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One figure's summary — every mix's rows — as a JSON document:
 ///
@@ -112,20 +111,18 @@ pub fn write_figure_summary_with(
     write_bench_file(dir, figure, &figure_summary_json_with(figure, series, figs, episodes))
 }
 
-/// Execute one cell with a sink attached and analyze its event stream:
-/// the [`CellResult`] plus the reconstructed episode/contention
+/// Execute one cell traced and analyze its event stream: the
+/// [`CellResult`] plus the reconstructed episode/contention
 /// [`revmon_obs::Analysis`] for that run.
 pub fn run_cell_analyzed(p: &BenchParams) -> (CellResult, revmon_obs::Analysis) {
     let cfg = if p.modified { VmConfig::modified() } else { VmConfig::unmodified() };
-    let sink = Arc::new(revmon_obs::EventSink::new(revmon_obs::TsUnit::VirtualTicks));
-    let cell = run_cell_sink(p, cfg, Some(Arc::clone(&sink)));
-    let analysis = revmon_obs::Analysis::from_events(&sink.drain());
-    (cell, analysis)
+    let (cell, events) = run_cell_events(p, cfg.with_trace());
+    (cell, revmon_obs::Analysis::from_events(&events))
 }
 
-/// Execute one cell with a `revmon-obs` sink attached and return the run
-/// result plus its metrics JSON (all `Metrics` counters + latency
-/// percentiles), the same payload the CLI's `--metrics-json` emits.
+/// Execute one cell traced and return the run result plus its metrics
+/// JSON (all `Metrics` counters + latency percentiles), the same payload
+/// the CLI's `--metrics-json` emits.
 pub fn run_cell_observed(p: &BenchParams) -> (CellResult, String) {
     let (cell, analysis) = run_cell_analyzed(p);
     let mut counters = Vec::new();

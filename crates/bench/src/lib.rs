@@ -39,7 +39,7 @@ pub mod workload;
 use revmon_core::metrics::{ci90_half_width, mean};
 use revmon_core::{Metrics, Priority};
 use revmon_vm::value::Value;
-use revmon_vm::{Vm, VmConfig};
+use revmon_vm::{RoundOutcome, Vm, VmConfig};
 use workload::{benchmark_program, ARRAY_LEN};
 
 /// The paper's write-ratio sweep.
@@ -155,17 +155,39 @@ pub fn run_cell(p: &BenchParams) -> CellResult {
 /// Execute one benchmark run under an explicit VM configuration (used by
 /// the policy-ablation bench).
 pub fn run_cell_with_config(p: &BenchParams, cfg: VmConfig) -> CellResult {
-    run_cell_sink(p, cfg, None)
+    run_cell_events(p, cfg).0
 }
 
-/// Execute one benchmark run with an optional `revmon-obs` sink attached,
-/// so a run can dump its event stream and latency histograms (see
-/// [`export::run_cell_observed`]).
+/// Execute one benchmark run; given a `revmon-obs` sink, record the
+/// run's events into it, in order (the caller sizes its rings: what does
+/// not fit is counted as dropped). Each scheduling round's events move
+/// over as the run goes: one whole-run buffer freed just before the
+/// caller drains would move glibc's mmap threshold (EXPERIMENTS.md T3).
 pub fn run_cell_sink(
     p: &BenchParams,
     cfg: VmConfig,
     sink: Option<std::sync::Arc<revmon_obs::EventSink>>,
 ) -> CellResult {
+    let Some(sink) = sink else { return run_cell_with_config(p, cfg) };
+    execute(p, cfg.with_trace(), |vm| vm.take_trace().iter().for_each(|ev| sink.record(*ev))).0
+}
+
+/// Execute one benchmark run: its result and the events it recorded —
+/// under `cfg.trace` ([`VmConfig::with_trace`]) the whole run's, in
+/// virtual-clock order, which is what [`export::run_cell_analyzed`]
+/// analyses; none otherwise.
+pub fn run_cell_events(p: &BenchParams, cfg: VmConfig) -> (CellResult, Vec<revmon_obs::Event>) {
+    let (cell, mut vm) = execute(p, cfg, |_| {});
+    (cell, vm.take_trace())
+}
+
+/// One benchmark run to its end, `each_round` called on the VM after
+/// every scheduling round: the result and the finished VM.
+fn execute(
+    p: &BenchParams,
+    cfg: VmConfig,
+    mut each_round: impl FnMut(&mut Vm),
+) -> (CellResult, Vm) {
     let (program, run) = benchmark_program();
     let mut cfg = cfg.with_seed(p.seed);
     cfg.cost.quantum = p.quantum;
@@ -173,9 +195,6 @@ pub fn run_cell_sink(
     // quantum) right before an entry to the synchronized section"
     let pause_bound = 2 * cfg.cost.quantum as i64;
     let mut vm = Vm::new(program, cfg);
-    if let Some(sink) = sink {
-        vm.attach_sink(sink);
-    }
     let lock = vm.heap_mut().alloc(0, 0);
     let arr = vm.heap_mut().alloc_array(ARRAY_LEN);
     let args = |iters: i64| {
@@ -197,12 +216,17 @@ pub fn run_cell_sink(
             vm.spawn(&format!("low{i}"), run, args(p.low_iters), Priority::LOW);
         }
     }
-    let report = vm.run().expect("benchmark run");
-    CellResult {
+    while vm.run_round().expect("benchmark run") != RoundOutcome::Done {
+        each_round(&mut vm);
+    }
+    each_round(&mut vm);
+    let report = vm.report();
+    let cell = CellResult {
         high_elapsed: report.elapsed_for(Priority::HIGH),
         overall_elapsed: report.overall_elapsed(),
         metrics: report.global,
-    }
+    };
+    (cell, vm)
 }
 
 /// Mean ± 90 % CI of a cell over `reps` seeds.

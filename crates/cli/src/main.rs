@@ -8,9 +8,8 @@
 //!        [--quantum N] [--max-steps N] [--cores N]
 //!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
 //!        [--trace] [--stats] [--trace-out events.jsonl]
-//!        [--chrome-trace out.json] [--trace-sample N]
-//!        [--metrics-json metrics.json] [--prometheus out.prom]
-//!        [--flame out.folded]
+//!        [--chrome-trace out.json] [--metrics-json metrics.json]
+//!        [--prometheus out.prom] [--flame out.folded]
 //! revmon explore program.rvm [--max-preemptions N] [--max-schedules N]
 //!        [--all-failures] [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N]
 //!        [--fuzz-len N] [--replay file.schedule.json] [--minimize]
@@ -23,8 +22,8 @@
 //!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
 //!        [--trace]
 //! revmon demo [--low N] [--high N] [--sections N] [--cores N] [--watch]
-//!        [--stats] [--trace-out events.jsonl] [--chrome-trace out.json]
-//!        [--trace-sample N] [--metrics-json metrics.json]
+//!        [--trace-sample N] [--stats] [--trace-out events.jsonl]
+//!        [--chrome-trace out.json] [--metrics-json metrics.json]
 //!        [--prometheus out.prom] [--flame out.folded]
 //! revmon analyze trace.jsonl [--json] [--prometheus out.prom]
 //!        [--flame out.folded]
@@ -34,8 +33,8 @@
 //! revmon verify program.rvm [--rewrite]
 //! ```
 //!
-//! The observability flags work on both runtimes: `run` records the VM's
-//! virtual-clock event stream, `demo` records wall-clock events from the
+//! The observability flags work on both runtimes: `run` exports the VM's
+//! whole virtual-clock trace, `demo` streams wall-clock events from the
 //! locks runtime's priority-inversion scenario. See `docs/observability.md`.
 //!
 //! `analyze` imports a `--trace-out` JSONL file and reconstructs
@@ -59,7 +58,7 @@
 use revmon_core::{
     DetectionStrategy, GovernorConfig, InversionPolicy, PolicyNameError, Priority, QueueDiscipline,
 };
-use revmon_obs::{EventSink, TsUnit};
+use revmon_obs::{Analysis, EventSink, PipelineStats, RunMeta, TsUnit};
 use revmon_vm::{
     assemble, disassemble, rewrite_program, verify_program, SchedulerKind, Vm, VmConfig,
 };
@@ -100,7 +99,7 @@ const VM_FLAGS: &str = "[--entry main] [--config modified|unmodified] \
 
 /// Observability outputs shared by `run` and `demo` ([`ObsOuts`]).
 const OBS_FLAGS: &str = "[--stats] [--trace-out events.jsonl] [--chrome-trace out.json] \
-    [--trace-sample N] [--metrics-json metrics.json] [--prometheus out.prom] [--flame out.folded]";
+    [--metrics-json metrics.json] [--prometheus out.prom] [--flame out.folded]";
 
 const EXPLORE_FLAGS: &str = "[--max-preemptions N] [--max-schedules N] [--all-failures] \
     [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N] [--fuzz-len N] \
@@ -113,7 +112,10 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "demo",
         operand: None,
-        flags: &["[--low N] [--high N] [--sections N] [--cores N] [--watch]", OBS_FLAGS],
+        flags: &[
+            "[--low N] [--high N] [--sections N] [--cores N] [--watch] [--trace-sample N]",
+            OBS_FLAGS,
+        ],
     },
     Command {
         name: "analyze",
@@ -298,54 +300,33 @@ impl<'a> ObsOuts<'a> {
             || self.flame.is_some()
     }
 
-    /// Write every requested artifact from the run's drained `events`
-    /// and their `analysis`. `counters` is the run's counter set for
-    /// `--metrics-json`; `names` labels monitors in the trace and
-    /// Prometheus outputs; `meta` is the run context stamped into the
-    /// trace header so `analyze` can label governed runs and account for
-    /// ring-buffer drops.
+    /// Write the outputs read off the run's `analysis`: `--metrics-json`
+    /// (the run's `counters`, plus the telemetry `pipeline`'s own object
+    /// when the events came through a sink), `--prometheus` and
+    /// `--flame`, whose monitors `names` labels. `run` writes the trace
+    /// files itself; `demo`'s collector streams them.
     fn export(
         &self,
-        events: &[revmon_obs::Event],
-        analysis: &revmon_obs::Analysis,
-        sink: &EventSink,
+        analysis: &Analysis,
+        unit: TsUnit,
+        pipeline: Option<&PipelineStats>,
         counters: &[(&str, u64)],
         names: &std::collections::BTreeMap<u64, String>,
-        meta: &revmon_obs::RunMeta,
     ) -> Result<(), String> {
-        if let Some(path) = &self.trace_out {
-            let mut f = create(path)?;
-            revmon_obs::write_trace_jsonl_with(&mut f, events, sink.ts_unit(), names, meta)
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("revmon: wrote {} events to {path}", events.len());
-        }
-        if let Some(path) = &self.chrome {
-            let mut f = create(path)?;
-            let repairs = revmon_obs::write_chrome_trace(&mut f, events, sink.ts_unit())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "revmon: wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)"
-            );
-            if repairs > 0 {
-                eprintln!(
-                    "revmon: repaired {repairs} span(s) torn by ring-buffer overflow in {path}"
-                );
-            }
-        }
         if let Some(path) = &self.metrics {
             let json = revmon_obs::metrics_json(
                 counters,
                 &analysis.histograms,
-                sink.ts_unit(),
+                unit,
                 Some(revmon_obs::prof::timers()),
-                Some(&sink.pipeline_stats()),
+                pipeline,
             );
             std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("revmon: wrote metrics to {path}");
         }
         if let Some(path) = &self.prometheus {
             let mut f = create(path)?;
-            revmon_obs::write_prometheus(&mut f, analysis, names, sink.ts_unit())
+            revmon_obs::write_prometheus(&mut f, analysis, names, unit)
                 .and_then(|()| revmon_obs::prof::timers().write_prometheus(&mut f))
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("revmon: wrote Prometheus metrics to {path}");
@@ -364,19 +345,6 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, String> {
     std::fs::File::create(path)
         .map(std::io::BufWriter::new)
         .map_err(|e| format!("cannot create {path}: {e}"))
-}
-
-/// Fold the sink's pipeline accounting into a trace-header meta:
-/// sampling counters and the per-producer drop breakdown. Quiet runs
-/// (nothing sampled, nothing dropped) keep their headers unchanged.
-fn pipeline_meta(meta: &mut revmon_obs::RunMeta, sink: &EventSink) {
-    let stats = sink.pipeline_stats();
-    meta.sampled = (stats.sampled_out > 0).then_some(stats.sampled_out);
-    meta.sample_n = (stats.sample_n > 1).then_some(stats.sample_n);
-    if stats.dropped > 0 {
-        meta.drops_by_producer =
-            revmon_obs::RunMeta::encode_drop_breakdown(&stats.drops_by_producer);
-    }
 }
 
 /// Parse `--trace-sample N` and arm the sink's high-rate event sampler.
@@ -490,8 +458,9 @@ fn run_program(
     program: revmon_vm::bytecode::Program,
     opts: &Opts<'_>,
 ) -> Result<(), String> {
-    let cfg = parse_vm_config(opts)?;
+    let mut cfg = parse_vm_config(opts)?;
     let outs = ObsOuts::parse(opts);
+    cfg.trace |= outs.wanted();
     let entry_name = opts.get("--entry").unwrap_or("main");
     let entry = program
         .method_by_name(entry_name)
@@ -504,24 +473,17 @@ fn run_program(
         let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
         format!("{file}: verification failed:\n  {}", msgs.join("\n  "))
     })?;
-    let sink = outs.wanted().then(|| Arc::new(EventSink::new(TsUnit::VirtualTicks)));
-    if let Some(sink) = &sink {
-        apply_trace_sample(opts, sink)?;
-        vm.attach_sink(Arc::clone(sink));
-    }
     vm.spawn(entry_name, entry, vec![], Priority::NORM);
     let report = vm.run().map_err(|e| format!("{file}: VM fault: {e}"))?;
-    // The sink's events, drained once; every number reported below comes
-    // from this one analysis of them.
-    let observed = sink.as_ref().map(|sink| {
-        let events = sink.drain();
-        let analysis = revmon_obs::Analysis::from_events(&events);
-        (sink, events, analysis)
-    });
+    // The run's whole event stream; every number reported below comes
+    // from this one analysis of it.
+    let events = vm.take_trace();
+    let analysis = outs.wanted().then(|| Analysis::from_events(&events));
+    let unit = TsUnit::VirtualTicks;
 
-    if cfg.trace {
+    if opts.has("--trace") {
         println!("--- trace ---");
-        revmon_obs::write_events_jsonl(&mut std::io::stdout().lock(), &vm.take_trace())
+        revmon_obs::write_events_jsonl(&mut std::io::stdout().lock(), &events)
             .map_err(|e| format!("writing trace: {e}"))?;
     }
     if !report.output.is_empty() {
@@ -547,8 +509,8 @@ fn run_program(
                 );
             }
         }
-        if let Some((sink, _, analysis)) = &observed {
-            print_sink_stats(sink, analysis)?;
+        if let Some(analysis) = &analysis {
+            print_sink_stats(unit, analysis, None)?;
         }
         println!("--- revocation phases (host-clock) ---");
         let mut out = std::io::stdout().lock();
@@ -556,12 +518,12 @@ fn run_program(
             .write_table(&mut out)
             .map_err(|e| format!("writing phase table: {e}"))?;
     }
-    if let Some((sink, events, analysis)) = &observed {
+    if let Some(analysis) = &analysis {
         let mut counters = Vec::new();
         report.global.for_each_field(|name, v| counters.push((name, v)));
-        let mut meta = revmon_obs::RunMeta {
-            recorded: Some(sink.recorded()),
-            dropped: Some(sink.dropped()),
+        let meta = RunMeta {
+            recorded: Some(events.len() as u64),
+            dropped: Some(0),
             governor: cfg.governor.enabled().then_some((
                 cfg.governor.k,
                 cfg.governor.backoff,
@@ -574,29 +536,40 @@ fn run_program(
                 }
                 .into(),
             ),
-            ..revmon_obs::RunMeta::default()
+            ..RunMeta::default()
         };
-        pipeline_meta(&mut meta, sink);
-        outs.export(events, analysis, sink, &counters, &vm.monitor_names(), &meta)?;
+        let names = vm.monitor_names();
+        if let Some(path) = outs.trace_out {
+            let mut f = create(path)?;
+            revmon_obs::write_trace_jsonl_with(&mut f, &events, unit, &names, &meta)
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("revmon: wrote {} events to {path}", events.len());
+        }
+        if let Some(path) = outs.chrome {
+            let mut f = create(path)?;
+            revmon_obs::write_chrome_trace(&mut f, &events, unit)
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!(
+                "revmon: wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)"
+            );
+        }
+        outs.export(analysis, unit, None, &counters, &names)?;
     }
     Ok(())
 }
 
-/// The sink half of `--stats`: the latency histograms of the run's
-/// analysis, then the telemetry pipeline's own table.
-fn print_sink_stats(sink: &EventSink, analysis: &revmon_obs::Analysis) -> Result<(), String> {
+/// The event half of `--stats`: the latency histograms of the run's
+/// analysis `a`, then, when the events came through a sink, its
+/// telemetry pipeline `p`'s own table (without one, nothing was lost).
+fn print_sink_stats(unit: TsUnit, a: &Analysis, p: Option<&PipelineStats>) -> Result<(), String> {
     println!("--- latency histograms ---");
     let mut out = std::io::stdout().lock();
-    revmon_obs::write_summary(
-        &mut out,
-        &analysis.histograms,
-        sink.ts_unit(),
-        sink.recorded(),
-        sink.dropped(),
-    )
-    .map_err(|e| format!("writing summary: {e}"))?;
+    let (recorded, dropped) = p.map_or((a.events, 0), |p| (p.recorded, p.dropped));
+    revmon_obs::write_summary(&mut out, &a.histograms, unit, recorded, dropped)
+        .map_err(|e| format!("writing summary: {e}"))?;
+    let Some(p) = p else { return Ok(()) };
     println!("--- telemetry pipeline ---");
-    revmon_obs::write_pipeline_table(&mut out, &sink.pipeline_stats())
+    revmon_obs::write_pipeline_table(&mut out, p)
         .map_err(|e| format!("writing pipeline table: {e}"))
 }
 
@@ -953,8 +926,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         // `--trace-out`/`--chrome-trace` — the trace files grow during
         // the run, not after it.
         let mut streams = revmon_obs::StreamSet::none();
-        let header =
-            revmon_obs::RunMeta { scheduler: Some("os".into()), ..revmon_obs::RunMeta::default() };
+        let header = RunMeta { scheduler: Some("os".into()), ..RunMeta::default() };
         if let Some(path) = &outs.trace_out {
             let w: Box<dyn std::io::Write + Send> = Box::new(create(path)?);
             streams.jsonl = Some(
@@ -996,7 +968,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
             loop {
                 let finished = done.load(Ordering::Acquire);
                 let events = sink.snapshot();
-                let a = revmon_obs::Analysis::from_events(&events);
+                let a = Analysis::from_events(&events);
                 eprintln!(
                     "watch: {} events | {} episodes ({} revocation, {} unresolved) | \
                      {} undo entries wasted | hottest {}",
@@ -1084,17 +1056,24 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
     }
 
     let names = revmon_locks::obs::monitor_names();
-    let mut meta = revmon_obs::RunMeta {
+    let mut meta = RunMeta {
         governor: None, // locks governors are per-monitor, not a run-wide config
         scheduler: Some("os".into()),
-        ..revmon_obs::RunMeta::default()
+        ..RunMeta::default()
     };
     let mut analysis = None;
     if let Some(sink) = &sink {
         revmon_locks::obs::uninstall();
-        meta.recorded = Some(sink.recorded());
-        meta.dropped = Some(sink.dropped());
-        pipeline_meta(&mut meta, sink);
+        // The pipeline's accounting: sampling counters and the
+        // per-producer drop breakdown only when there is something to say.
+        let stats = sink.pipeline_stats();
+        meta.recorded = Some(stats.recorded);
+        meta.dropped = Some(stats.dropped);
+        meta.sampled = (stats.sampled_out > 0).then_some(stats.sampled_out);
+        meta.sample_n = (stats.sample_n > 1).then_some(stats.sample_n);
+        if stats.dropped > 0 {
+            meta.drops_by_producer = RunMeta::encode_drop_breakdown(&stats.drops_by_producer);
+        }
         // The collector has been streaming `--trace-out`/`--chrome-trace`
         // all along; stopping it writes the final catch-up batch, the
         // monitor-name table, and the trace_end counter trailer.
@@ -1117,7 +1096,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
             }
         }
         // The whole run, when anything reads it (`needs_history`).
-        analysis = needs_history.then(|| revmon_obs::Analysis::from_events(&sink.drain()));
+        analysis = needs_history.then(|| Analysis::from_events(&sink.drain()));
     }
 
     // Aggregate over every monitor in the process (here: the one), the
@@ -1127,7 +1106,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         let total = revmon_locks::aggregate_snapshot();
         total.for_each_field(|name, v| println!("{name:<24}: {v}"));
         if let (Some(sink), Some(analysis)) = (&sink, &analysis) {
-            print_sink_stats(sink, analysis)?;
+            print_sink_stats(sink.ts_unit(), analysis, Some(&sink.pipeline_stats()))?;
         }
         println!("--- revocation phases ---");
         let mut out = std::io::stdout().lock();
@@ -1141,8 +1120,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         let total = revmon_locks::aggregate_snapshot();
         total.for_each_field(|name, v| counters.push((name, v)));
         // The trace files were streamed; the rest come from the analysis.
-        let remaining = ObsOuts { trace_out: None, chrome: None, ..outs };
-        remaining.export(&[], analysis, sink, &counters, &names, &meta)?;
+        outs.export(analysis, sink.ts_unit(), Some(&sink.pipeline_stats()), &counters, &names)?;
         if watch {
             let mut out = std::io::stdout().lock();
             revmon_obs::write_report(&mut out, analysis, &names, sink.ts_unit())

@@ -228,18 +228,78 @@ fn demo_metrics_agree_with_its_streamed_trace() {
     assert_eq!(count("rollback_duration"), Some(rollbacks), "metrics:\n{json}\n{analysis}");
 }
 
+/// A `main` that enters and leaves one monitor `sections` times: three
+/// events a section (`Acquire`, `Commit`, `Release`).
+fn section_loop(sections: u32) -> String {
+    format!(
+        ".statics 1
+.method main params=0 locals=2
+    new class=0 fields=0
+    store l0
+    const 0
+    store l1
+loop:
+    load l1
+    const {sections}
+    if_ge done
+    sync l0 {{
+        getstatic s0
+        const 1
+        add
+        putstatic s0
+    }}
+    load l1
+    const 1
+    add
+    store l1
+    goto loop
+done:
+    retvoid
+.end
+"
+    )
+}
+
 #[test]
-fn serve_rejects_a_zero_trace_sample_as_run_does() {
+fn run_exports_every_event_of_a_long_trace() {
+    let dir = std::env::temp_dir();
+    let src = dir.join(format!("revmon-cli-loop-{}.rvm", std::process::id()));
+    let trace = dir.join(format!("revmon-cli-loop-{}.jsonl", std::process::id()));
+    std::fs::write(&src, section_loop(5_000)).unwrap();
+    let out = bin()
+        .args(["run", src.to_str().unwrap(), "--trace", "--trace-out", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let events = |text: &str| text.lines().filter(|l| l.starts_with("{\"ts\":")).count();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let file = std::fs::read_to_string(&trace).unwrap();
+    assert_eq!(events(&file), 15_000, "--trace-out lost events");
+    let header = file.lines().next().unwrap();
+    assert!(header.contains("\"recorded\":15000,\"dropped\":0"), "header: {header}");
+    assert_eq!(events(&stdout), 15_000, "--trace and --trace-out disagree");
+}
+
+#[test]
+fn serve_rejects_a_zero_trace_sample_as_demo_does() {
     let trace =
         std::env::temp_dir().join(format!("revmon-cli-sample-{}.jsonl", std::process::id()));
+    let demo = bin()
+        .args(["demo", "--trace-out", trace.to_str().unwrap(), "--trace-sample", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(demo.status.code(), Some(1));
+    let message = String::from_utf8_lossy(&demo.stderr).into_owned();
+    assert!(message.contains("--trace-sample must be positive"), "demo: {message}");
+    // `run`'s events are the VM's whole trace: there is nothing to sample.
     let run = bin()
         .args(["run", &program("counter.rvm"), "--trace-out", trace.to_str().unwrap()])
-        .args(["--trace-sample", "0"])
+        .args(["--trace-sample", "2"])
         .output()
         .unwrap();
     assert_eq!(run.status.code(), Some(1));
-    let message = String::from_utf8_lossy(&run.stderr).into_owned();
-    assert!(message.contains("--trace-sample must be positive"), "run: {message}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("unknown option `--trace-sample`"), "run: {stderr}");
 
     // A serve that took `0` for "sampling off" would wait for its one
     // request instead of exiting: give it ten seconds.

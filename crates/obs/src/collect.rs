@@ -139,11 +139,6 @@ impl Collector {
         Collector { stop, handle, sink, shared }
     }
 
-    /// The sink this collector drains.
-    pub fn sink(&self) -> &Arc<EventSink> {
-        &self.sink
-    }
-
     /// Stop the collector: join the thread, run one final catch-up
     /// pass, detach the stream hook, and close the streams with the
     /// monitor-name table and the final [`RunMeta`] counters.

@@ -42,7 +42,7 @@ pub enum EventKind {
     /// Thread fully released the monitor (recursion count hit zero).
     Release,
     /// The section was marked non-revocable (JMM guard, native call,
-    /// nested wait).
+    /// spawn, nested wait).
     NonRevocable,
     /// A deadlock cycle was detected.
     DeadlockDetected {

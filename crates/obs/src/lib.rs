@@ -11,8 +11,9 @@
 //! * [`Event`] / [`EventKind`] — the runtime-agnostic event model; the
 //!   VM's virtual clock and the locks runtime's monotonic wall clock
 //!   both fit the `u64` timestamp (the sink's [`TsUnit`] says which).
-//! * [`EventSink`] — a lock-free, thread-local producer path: each
-//!   recording thread owns a fixed-capacity [`SpscRing`] registered
+//! * [`EventSink`] — the real-thread runtime's way in (the VM hands over
+//!   one ordered `Vec<Event>`): a lock-free, thread-local producer path:
+//!   each recording thread owns a fixed-capacity [`SpscRing`] registered
 //!   with the sink, so `record()` is one relaxed enabled-check, a
 //!   per-kind tally (the `--trace-sample` decision), a per-thread
 //!   sequence stamp, and a local ring write — no global `fetch_add`,

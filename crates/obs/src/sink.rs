@@ -1,4 +1,5 @@
-//! The event sink: where both runtimes deliver their events.
+//! The event sink: where the real-thread runtime delivers its events
+//! (the VM hands its whole run over as one ordered `Vec<Event>` instead).
 //!
 //! The producer path is lock-free and thread-local. The first event a
 //! thread records against a sink registers a fixed-capacity
@@ -173,7 +174,7 @@ pub struct PipelineStats {
     pub self_cost_ns: (u64, u64, u64, u64),
 }
 
-/// Collects events from one or both runtimes.
+/// Collects events from every thread that records into it.
 pub struct EventSink {
     enabled: AtomicBool,
     id: u64,

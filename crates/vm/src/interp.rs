@@ -646,10 +646,7 @@ impl Vm {
             Insn::Spawn(target) => {
                 // Spawning is irrevocable (a rollback cannot un-create the
                 // thread): pin every enclosing section, like a native call.
-                if self.thread(tid).in_section() {
-                    let flipped = self.thread_mut(tid).mark_all_nonrevocable();
-                    self.global.monitors_marked_nonrevocable += flipped;
-                }
+                self.pin_enclosing_sections(tid);
                 let prio_level = self.pop_int(tid)?;
                 let cm = &self.program.methods[target.index()];
                 let params = cm.params as usize;
@@ -803,21 +800,7 @@ impl Vm {
             Insn::Native(op) => {
                 // Native effects are irrevocable: every enclosing monitor
                 // becomes non-revocable (§2.2).
-                if self.thread(tid).in_section() {
-                    let flipped = self.thread_mut(tid).mark_all_nonrevocable();
-                    self.global.monitors_marked_nonrevocable += flipped;
-                    if flipped > 0 {
-                        let m = self.thread(tid).sections[0].monitor;
-                        self.emit(tid, m, revmon_obs::EventKind::NonRevocable);
-                        if self.config.sticky_nonrevocable {
-                            let ms: Vec<ObjRef> =
-                                self.thread(tid).sections.iter().map(|s| s.monitor).collect();
-                            for m in ms {
-                                self.monitors.get_mut(m).sticky_nonrevocable = true;
-                            }
-                        }
-                    }
-                }
+                self.pin_enclosing_sections(tid);
                 match op {
                     NativeOp::Print | NativeOp::Emit => {
                         let v = self.pop(tid)?;
@@ -893,6 +876,29 @@ impl Vm {
                     self.charge(self.config.cost.barrier_fast);
                 }
                 self.heap_fault(tid, e)
+            }
+        }
+    }
+
+    /// `tid` performs an irrevocable effect (a native call, a spawn):
+    /// every section it is in stops being revocable (§2.2). The flips
+    /// are counted and, if there were any, announced by one
+    /// `NonRevocable` on the outermost section's monitor; under
+    /// `sticky_nonrevocable` every enclosing monitor stays pinned.
+    fn pin_enclosing_sections(&mut self, tid: ThreadId) {
+        if !self.thread(tid).in_section() {
+            return;
+        }
+        let flipped = self.thread_mut(tid).mark_all_nonrevocable();
+        self.global.monitors_marked_nonrevocable += flipped;
+        if flipped > 0 {
+            let m = self.thread(tid).sections[0].monitor;
+            self.emit(tid, m, revmon_obs::EventKind::NonRevocable);
+            if self.config.sticky_nonrevocable {
+                let ms: Vec<ObjRef> = self.thread(tid).sections.iter().map(|s| s.monitor).collect();
+                for m in ms {
+                    self.monitors.get_mut(m).sticky_nonrevocable = true;
+                }
             }
         }
     }

@@ -80,7 +80,9 @@ pub struct VmConfig {
     /// non-revocable, all future executions are too (sticky header bit).
     pub sticky_nonrevocable: bool,
     /// Keep every emitted [`revmon_obs::Event`] in memory for
-    /// [`Vm::take_trace`] (tests, examples, `revmon run --trace`).
+    /// [`Vm::take_trace`]: the one way events leave the machine, in
+    /// order and without loss (`revmon run`'s trace, exports and
+    /// analysis, tests, examples).
     pub trace: bool,
     /// **Test-only fault injection**: skip restoring the newest N undo
     /// entries during each rollback (0 = correct behaviour). Exists so
@@ -415,9 +417,6 @@ pub struct Vm {
     pub(crate) steps: u64,
     pub(crate) next_background_scan: u64,
     pub(crate) trace: Vec<Event>,
-    /// Optional observability sink; every event is also recorded into
-    /// it, independently of `config.trace`.
-    pub(crate) sink: Option<std::sync::Arc<revmon_obs::EventSink>>,
     /// Static write-barrier elision table (when `elide_barriers`).
     pub(crate) elision: Option<crate::analysis::ElisionTable>,
     /// Threads blocked in `Join`, keyed by the thread they wait for.
@@ -524,7 +523,6 @@ impl Vm {
             steps: 0,
             next_background_scan: bg,
             trace: Vec::new(),
-            sink: None,
             elision,
             join_waiters: std::collections::BTreeMap::new(),
             policy: config.scheduler.policy(),
@@ -621,36 +619,28 @@ impl Vm {
     }
 
     /// Record one monitor event, stamped with the virtual clock and the
-    /// active core, into the in-memory trace and the attached sink.
-    /// `thread` is the event's primary actor (the flagged holder for
-    /// revoke requests), matching the locks runtime's attribution.
+    /// active core, into the in-memory trace. `thread` is the event's
+    /// primary actor (the flagged holder for revoke requests), matching
+    /// the locks runtime's attribution.
     #[inline]
     pub(crate) fn emit(&mut self, thread: ThreadId, monitor: ObjRef, kind: EventKind) {
         self.emit_raw(thread.0 as u64, monitor.0 as u64, kind);
     }
 
     /// [`Vm::emit`] for events whose thread or monitor is a sentinel
-    /// ([`Event::NO_THREAD`], [`Event::NO_MONITOR`]). With neither
-    /// `config.trace` nor a sink this is two untaken branches.
+    /// ([`Event::NO_THREAD`], [`Event::NO_MONITOR`]). Without
+    /// `config.trace` this is one untaken branch.
     pub(crate) fn emit_raw(&mut self, thread: u64, monitor: u64, kind: EventKind) {
-        let ev = Event { ts: self.clock, thread, monitor, core: self.active_core, kind };
         if self.config.trace {
+            let ev = Event { ts: self.clock, thread, monitor, core: self.active_core, kind };
             self.trace.push(ev);
         }
-        if let Some(sink) = &self.sink {
-            sink.record(ev);
-        }
     }
 
-    /// Attach an observability sink. Every monitor event the VM produces
-    /// is forwarded to it as a [`revmon_obs::Event`] stamped with the
-    /// virtual clock — use [`revmon_obs::TsUnit::VirtualTicks`] when
-    /// constructing the sink. Works independently of `config.trace`.
-    pub fn attach_sink(&mut self, sink: std::sync::Arc<revmon_obs::EventSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Consume the events recorded under `config.trace`.
+    /// Consume the events recorded under `config.trace` since the last
+    /// call (after a run, its whole event stream), in emission order,
+    /// which is virtual-clock order; stamped in
+    /// [`revmon_obs::TsUnit::VirtualTicks`].
     pub fn take_trace(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.trace)
     }

@@ -11,11 +11,13 @@
 //! fixture after `mark_truncated`, this records the length and FNV-1a
 //! hash of `write_report`, `analysis_json`, `write_prometheus` and the
 //! folded flamegraph stacks, and count/min/max/p50/p99 of the four
-//! latency histograms of an analysis of what the sink the events went
-//! through drains (its merged order). The small cases carry their
-//! reports in full. The golden file was generated *before* the three
-//! interval matchers became one, and its histogram lines *before* the
-//! sink stopped folding them itself.
+//! latency histograms of an analysis of the events in merged order: a
+//! VM run's trace as recorded (it is in timestamp order already), the
+//! two hand-made streams as a sink that has seen them drains them. The
+//! small cases carry their reports in full. The golden file was
+//! generated *before* the three interval matchers became one, and its
+//! histogram lines *before* the sink stopped folding them itself and
+//! *before* the VM stopped recording into a sink.
 //!
 //! To re-capture after an *intentional* change to what analysis reports:
 //!
@@ -29,28 +31,26 @@ use common::fnv1a;
 use revmon_core::{GovernorConfig, InversionPolicy};
 use revmon_obs::{
     analysis_json, import_trace_jsonl, write_prometheus, write_report, Analysis, Event, EventKind,
-    EventSink, FoldedStacks, TsUnit,
+    EventSink, FoldedStacks, Histograms, TsUnit,
 };
 use revmon_vm::VmConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/analysis_pin.txt")
-}
+const GOLDEN: &str = "analysis_pin.txt";
 
 /// The four renderers over `a`, a digest line each (the text itself too
-/// when `full`), then the histograms of the events the sink drains.
+/// when `full`), then `merged`'s histograms: those of the events in
+/// merged order.
 fn pin(
     out: &mut String,
     label: &str,
     a: &Analysis,
-    sink: &EventSink,
+    merged: &Histograms,
+    unit: TsUnit,
     names: &BTreeMap<u64, String>,
     full: bool,
 ) {
-    let unit = sink.ts_unit();
     let mut report = Vec::new();
     write_report(&mut report, a, names, unit).expect("write to memory");
     let mut prometheus = Vec::new();
@@ -65,7 +65,7 @@ fn pin(
     for (what, bytes) in &rendered {
         let _ = writeln!(out, "{label} {what} len={} fnv={:016x}", bytes.len(), fnv1a(bytes));
     }
-    Analysis::from_events(&sink.drain()).histograms.for_each(|name, h| {
+    merged.for_each(|name, h| {
         let _ = writeln!(
             out,
             "{label} hist {name} count={} min={} max={} p50={} p99={}",
@@ -85,12 +85,13 @@ fn pin(
     }
 }
 
-/// A sink that has seen `events`, for streams no runtime produced.
-fn replayed(events: &[Event], unit: TsUnit) -> EventSink {
+/// The histograms of what a sink that has seen `events` drains, for
+/// streams no runtime produced: their merge by timestamp.
+fn replayed(events: &[Event], unit: TsUnit) -> Histograms {
     let sink = EventSink::with_capacity(unit, events.len());
     events.iter().for_each(|ev| sink.record(*ev));
     assert_eq!(sink.dropped(), 0, "the pin needs the whole stream");
-    sink
+    Analysis::from_events(&sink.drain()).histograms
 }
 
 /// The whole pin, in a fixed order.
@@ -113,17 +114,18 @@ fn capture() -> String {
                 _ => vec![("", base)],
             };
             for (variant, cfg) in runs {
-                let (sink, names) = common::traced_corpus_run(src, file, cfg);
-                let a = Analysis::from_events(&sink.snapshot());
+                let (events, names) = common::traced_corpus_run(src, file, cfg);
+                let a = Analysis::from_events(&events);
                 let full = file == "priority_inversion.rvm" && cores == 1;
-                pin(&mut out, &format!("{file} cores={cores}{variant}"), &a, &sink, &names, full);
+                let label = format!("{file} cores={cores}{variant}");
+                pin(&mut out, &label, &a, &a.histograms, TsUnit::VirtualTicks, &names, full);
             }
         }
     }
 
-    let (sink, names) = common::traced_fig5_cell();
-    let a = Analysis::from_events(&sink.snapshot());
-    pin(&mut out, "fig5-cell 2+8 w50", &a, &sink, &names, false);
+    let (events, names) = common::traced_fig5_cell();
+    let a = Analysis::from_events(&events);
+    pin(&mut out, "fig5-cell 2+8 w50", &a, &a.histograms, TsUnit::VirtualTicks, &names, false);
 
     // Analysed in the order written (the second timestamp run sits below
     // the first); the histogram lines read the sink's merge by timestamp.
@@ -138,7 +140,8 @@ fn capture() -> String {
     }
     let names = BTreeMap::from([(7u64, "a \"quoted\"\tname".to_string()), (20, "outer".into())]);
     let a = Analysis::from_events(&events);
-    pin(&mut out, "synthetic", &a, &replayed(&events, TsUnit::WallNanos), &names, true);
+    let unit = TsUnit::WallNanos;
+    pin(&mut out, "synthetic", &a, &replayed(&events, unit), unit, &names, true);
 
     let imp = import_trace_jsonl(include_str!("../../obs/tests/fixtures/corrupt_trace.jsonl"));
     let mut a = Analysis::from_events(&imp.events);
@@ -149,19 +152,14 @@ fn capture() -> String {
         "corrupt-fixture malformed={} unknown_kinds={} out_of_order={} damaged={:?}",
         w.malformed_lines, w.unknown_kinds, w.out_of_order, imp.damaged
     );
-    pin(&mut out, "corrupt-fixture", &a, &replayed(&imp.events, imp.unit()), &imp.names, true);
+    let unit = imp.unit();
+    pin(&mut out, "corrupt-fixture", &a, &replayed(&imp.events, unit), unit, &imp.names, true);
     out
 }
 
 #[test]
 fn analysis_bytes_match_the_pinned_golden() {
-    let golden = std::fs::read_to_string(golden_path()).expect("golden/analysis_pin.txt");
-    let actual = capture();
-    // Compare line by line so a failure names the element that moved.
-    for (n, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "analysis output drifted from the pinned golden at line {}", n + 1);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "pinned line count changed");
+    common::check_golden(GOLDEN, &capture());
 }
 
 /// The synthetic stream as written — two rollbacks of `u64::MAX` entries,
@@ -174,7 +172,8 @@ fn the_unclipped_synthetic_stream_saturates_instead_of_overflowing() {
     let a = Analysis::from_events(&events);
     assert_eq!(a.wasted_entries, u64::MAX);
     let mut out = String::new();
-    pin(&mut out, "unclipped", &a, &replayed(&events, TsUnit::WallNanos), &BTreeMap::new(), true);
+    let unit = TsUnit::WallNanos;
+    pin(&mut out, "unclipped", &a, &replayed(&events, unit), unit, &BTreeMap::new(), true);
     assert!(out.contains("18446744073709551615 undo entries"), "{out}");
 }
 
@@ -182,5 +181,5 @@ fn the_unclipped_synthetic_stream_saturates_instead_of_overflowing() {
 #[test]
 #[ignore]
 fn bless() {
-    std::fs::write(golden_path(), capture()).expect("write golden/analysis_pin.txt");
+    common::bless_golden(GOLDEN, &capture());
 }

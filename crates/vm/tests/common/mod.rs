@@ -1,19 +1,19 @@
-//! Shared program builders and corpus access for the VM integration
-//! tests.
+//! Shared program builders, corpus access, traced runs and the golden
+//! comparison for the VM integration tests.
 //!
 //! Not every test binary uses every helper; silence per-binary dead-code
 //! analysis.
 #![allow(dead_code)]
 
-use revmon_bench::{run_cell_sink, BenchParams};
+use revmon_bench::{run_cell_events, BenchParams};
 use revmon_core::Priority;
-use revmon_obs::{Event, EventKind, EventSink, TsUnit};
+use revmon_obs::{Event, EventKind};
 use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
 use revmon_vm::{assemble, Vm, VmConfig};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::path::PathBuf;
 
 /// Every `programs/*.rvm` as `(file name, source)`, sorted by name: the
 /// fixed order the pin tests record their runs in.
@@ -39,31 +39,58 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
-/// One corpus program run to its end under `cfg` with a sink attached:
-/// the sink, still holding the whole trace, and the monitor names (runs
-/// that end in a `VmError`, like the unbroken deadlock, keep what they
-/// saw).
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+}
+
+/// The pin tests' one comparison: `actual` against `tests/golden/<name>`,
+/// line by line, so a failure names the first line that moved. After an
+/// *intentional* change, re-capture with the test binary's ignored
+/// `bless` test (`cargo test -p revmon-vm --test <pin> -- --ignored
+/// bless`) and read the golden's diff.
+pub fn check_golden(name: &str, actual: &str) {
+    let golden =
+        std::fs::read_to_string(golden_path(name)).unwrap_or_else(|e| panic!("golden/{name}: {e}"));
+    let (mut got, mut want) = (actual.lines(), golden.lines());
+    for n in 1.. {
+        match (got.next(), want.next()) {
+            (None, None) => return,
+            (g, w) if g == w => {}
+            (g, w) => panic!(
+                "output drifted from golden/{name} at line {n}:\n  got:  {}\n  want: {}",
+                g.unwrap_or("<end of output>"),
+                w.unwrap_or("<end of golden>")
+            ),
+        }
+    }
+}
+
+/// Rewrite `tests/golden/<name>` with `actual`: what each pin's ignored
+/// `bless` test runs.
+pub fn bless_golden(name: &str, actual: &str) {
+    std::fs::write(golden_path(name), actual).unwrap_or_else(|e| panic!("golden/{name}: {e}"));
+}
+
+/// One corpus program run to its end under `cfg`, traced: its whole
+/// event stream and the monitor names (runs that end in a `VmError`,
+/// like the unbroken deadlock, keep what they saw).
 pub fn traced_corpus_run(
     src: &str,
     file: &str,
     cfg: VmConfig,
-) -> (Arc<EventSink>, BTreeMap<u64, String>) {
+) -> (Vec<Event>, BTreeMap<u64, String>) {
     let program = assemble(src).unwrap_or_else(|e| panic!("{file}: {e}"));
     let entry = program.method_by_name("main").expect("corpus program has a main");
-    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
-    let mut vm = Vm::new(program, cfg);
-    vm.attach_sink(Arc::clone(&sink));
+    let mut vm = Vm::new(program, cfg.with_trace());
     vm.spawn("main", entry, vec![], Priority::NORM);
     let _ = vm.run();
-    assert_eq!(sink.dropped(), 0, "{file}: the pin needs the whole trace");
-    (sink, vm.monitor_names())
+    (vm.take_trace(), vm.monitor_names())
 }
 
 /// One dense cell of the paper's microbenchmark, traced: the shape of
 /// trace the repo benchmark's `trace_pipeline` replays, a hundredth its
 /// size (≈ 2.3 k events).
-pub fn traced_fig5_cell() -> (Arc<EventSink>, BTreeMap<u64, String>) {
-    let sink = Arc::new(EventSink::with_capacity(TsUnit::VirtualTicks, 1 << 14));
+pub fn traced_fig5_cell() -> (Vec<Event>, BTreeMap<u64, String>) {
     let cell = BenchParams {
         high_threads: 2,
         low_threads: 8,
@@ -75,9 +102,8 @@ pub fn traced_fig5_cell() -> (Arc<EventSink>, BTreeMap<u64, String>) {
         seed: 0xC0FFEE,
         quantum: 1_200,
     };
-    run_cell_sink(&cell, VmConfig::modified(), Some(Arc::clone(&sink)));
-    assert_eq!(sink.dropped(), 0, "the pin needs the whole trace");
-    (sink, BTreeMap::from([(0u64, "lock".to_string())]))
+    let (_, events) = run_cell_events(&cell, VmConfig::modified().with_trace());
+    (events, BTreeMap::from([(0u64, "lock".to_string())]))
 }
 
 /// Every kind with the given payload words. The `match` has no wildcard

@@ -4,23 +4,20 @@
 //! work, and the philosophers' deadlock classifies as a deadlock-break.
 
 use revmon_core::Priority;
-use revmon_obs::{reconstruct_episodes, write_report, Analysis, EventSink, Resolution, TsUnit};
+use revmon_obs::{reconstruct_episodes, write_report, Analysis, Resolution, TsUnit};
 use revmon_vm::{assemble, Vm, VmConfig};
-use std::sync::Arc;
 
-/// Assemble and run a corpus program on the modified VM with a sink
-/// attached; return the VM (for names) and the drained events.
+/// Assemble and run a corpus program on the modified VM, traced; return
+/// the VM (for names) and the run's events.
 fn traced_run(name: &str) -> (Vm, Vec<revmon_obs::Event>) {
     let path = format!("{}/../../programs/{name}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let program = assemble(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
     let entry = program.method_by_name("main").expect("corpus program has a main");
-    let mut vm = Vm::new(program, VmConfig::modified());
-    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
-    vm.attach_sink(Arc::clone(&sink));
+    let mut vm = Vm::new(program, VmConfig::modified().with_trace());
     vm.spawn("main", entry, vec![], Priority::NORM);
     vm.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-    let events = sink.drain();
+    let events = vm.take_trace();
     (vm, events)
 }
 
@@ -85,12 +82,10 @@ fn blocking_policy_yields_natural_release_episodes_not_revocations() {
     let src = std::fs::read_to_string(&path).unwrap();
     let program = assemble(&src).unwrap();
     let entry = program.method_by_name("main").unwrap();
-    let mut vm = Vm::new(program, VmConfig::unmodified());
-    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
-    vm.attach_sink(Arc::clone(&sink));
+    let mut vm = Vm::new(program, VmConfig::unmodified().with_trace());
     vm.spawn("main", entry, vec![], Priority::NORM);
     vm.run().unwrap();
-    let events = sink.drain();
+    let events = vm.take_trace();
 
     let a = Analysis::from_events(&events);
     assert_eq!(a.revocation_episodes(), 0, "blocking VM cannot revoke");

@@ -26,11 +26,8 @@ use revmon_obs::{write_chrome_trace, write_trace_jsonl, Event, TsUnit};
 use revmon_vm::VmConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/export_pin.txt")
-}
+const GOLDEN: &str = "export_pin.txt";
 
 /// Both exporters over `events`: a digest line each, and the text itself
 /// when `full`.
@@ -69,21 +66,15 @@ fn capture() -> String {
     for (file, src) in &common::corpus() {
         for cores in [1, 4] {
             let cfg = VmConfig::modified().with_cores(cores);
-            let (sink, names) = common::traced_corpus_run(src, file, cfg);
+            let (events, names) = common::traced_corpus_run(src, file, cfg);
             let full = file == "priority_inversion.rvm";
-            pin(
-                &mut out,
-                &format!("{file} cores={cores}"),
-                &sink.drain(),
-                TsUnit::VirtualTicks,
-                &names,
-                full,
-            );
+            let label = format!("{file} cores={cores}");
+            pin(&mut out, &label, &events, TsUnit::VirtualTicks, &names, full);
         }
     }
 
-    let (sink, names) = common::traced_fig5_cell();
-    pin(&mut out, "fig5-cell 2+8 w50", &sink.drain(), TsUnit::VirtualTicks, &names, false);
+    let (events, names) = common::traced_fig5_cell();
+    pin(&mut out, "fig5-cell 2+8 w50", &events, TsUnit::VirtualTicks, &names, false);
 
     let names = BTreeMap::from([(7u64, "a \"quoted\"\tname".to_string()), (20, "outer".into())]);
     pin(&mut out, "synthetic", &common::synthetic(), TsUnit::WallNanos, &names, true);
@@ -92,18 +83,12 @@ fn capture() -> String {
 
 #[test]
 fn exporter_bytes_match_the_pinned_golden() {
-    let golden = std::fs::read_to_string(golden_path()).expect("golden/export_pin.txt");
-    let actual = capture();
-    // Compare line by line so a failure names the element that moved.
-    for (n, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "exporter output drifted from the pinned golden at line {}", n + 1);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "pinned line count changed");
+    common::check_golden(GOLDEN, &capture());
 }
 
 /// Rewrites the golden file. Run with `--ignored`.
 #[test]
 #[ignore]
 fn bless() {
-    std::fs::write(golden_path(), capture()).expect("write golden/export_pin.txt");
+    common::bless_golden(GOLDEN, &capture());
 }

@@ -6,10 +6,9 @@
 mod common;
 
 use revmon_core::Priority;
-use revmon_obs::{EventSink, FoldedStacks, TsUnit};
+use revmon_obs::FoldedStacks;
 use revmon_vm::{assemble, Vm, VmConfig};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 #[test]
 fn folded_stacks_round_trip_byte_stable_on_priority_inversion() {
@@ -18,13 +17,11 @@ fn folded_stacks_round_trip_byte_stable_on_priority_inversion() {
     let program = assemble(&src).expect("assemble");
     let entry = program.method_by_name("main").expect("main");
 
-    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
-    let mut vm = Vm::try_new(program, VmConfig::modified()).expect("verified");
-    vm.attach_sink(Arc::clone(&sink));
+    let mut vm = Vm::try_new(program, VmConfig::modified().with_trace()).expect("verified");
     vm.spawn("main", entry, vec![], Priority::NORM);
     vm.run().expect("run");
 
-    let events = sink.drain();
+    let events = vm.take_trace();
     let names = vm.monitor_names();
     let episodes = revmon_obs::reconstruct_episodes(&events);
     assert!(!episodes.is_empty(), "the scenario must produce an inversion episode");

@@ -46,11 +46,8 @@ use revmon_vm::{
     VerifyError,
 };
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/frontend_pin.txt")
-}
+const GOLDEN: &str = "frontend_pin.txt";
 
 /// The verifier's verdict, one error per line.
 fn push_verdict(out: &mut String, p: &Program) {
@@ -828,18 +825,12 @@ fn capture() -> String {
 
 #[test]
 fn front_end_matches_the_pinned_golden() {
-    let golden = std::fs::read_to_string(golden_path()).expect("golden/frontend_pin.txt");
-    let actual = capture();
-    // Compare line by line so a failure names the element that moved.
-    for (n, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "front-end output drifted from the pinned golden at line {}", n + 1);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "pinned line count changed");
+    common::check_golden(GOLDEN, &capture());
 }
 
 /// Rewrites the golden file. Run with `--ignored`.
 #[test]
 #[ignore]
 fn bless() {
-    std::fs::write(golden_path(), capture()).expect("write golden/frontend_pin.txt");
+    common::bless_golden(GOLDEN, &capture());
 }

@@ -22,11 +22,8 @@ use revmon_bench::{run_cell, BenchParams, Scale, MIXES, WRITE_PCTS};
 use revmon_core::{Metrics, Priority};
 use revmon_vm::{assemble, Vm, VmConfig};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interp_pin.txt")
-}
+const GOLDEN: &str = "interp_pin.txt";
 
 fn push_metrics(line: &mut String, m: &Metrics) {
     m.for_each_field(|name, v| {
@@ -102,18 +99,12 @@ fn capture() -> String {
 
 #[test]
 fn interpreter_behaviour_matches_the_pinned_golden() {
-    let golden = std::fs::read_to_string(golden_path()).expect("golden/interp_pin.txt");
-    let actual = capture();
-    // Compare line by line so a failure names the run that moved.
-    for (got, want) in actual.lines().zip(golden.lines()) {
-        assert_eq!(got, want, "interpreter behaviour drifted from the pinned golden");
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count(), "number of pinned runs changed");
+    common::check_golden(GOLDEN, &capture());
 }
 
 /// Rewrites the golden file. Run with `--ignored`.
 #[test]
 #[ignore]
 fn bless() {
-    std::fs::write(golden_path(), capture()).expect("write golden/interp_pin.txt");
+    common::bless_golden(GOLDEN, &capture());
 }

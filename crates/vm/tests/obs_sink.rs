@@ -1,38 +1,36 @@
-//! The VM records its events into a `revmon-obs` sink: the Figure-1
-//! inversion scenario must produce the same runtime-agnostic event
-//! stream the locks runtime emits, with virtual-clock timestamps, and
-//! the derived latency histograms must see the episode.
+//! The VM's trace is what every `revmon-obs` consumer reads (sinks,
+//! exporters, analysis): the Figure-1 inversion scenario must produce
+//! the same runtime-agnostic event stream the locks runtime emits, with
+//! virtual-clock timestamps, and the derived latency histograms must see
+//! the episode.
 
 mod common;
 
 use common::counting_section_program;
 use revmon_core::Priority;
-use revmon_obs::{Event, EventKind, EventSink, TsUnit};
+use revmon_obs::{Event, EventKind};
 use revmon_vm::value::Value;
 use revmon_vm::{Vm, VmConfig};
-use std::sync::Arc;
 
 const LONG: i64 = 5_000;
 const SHORT: i64 = 100;
 
-fn run_figure1(cfg: VmConfig) -> (Vm, Arc<EventSink>, revmon_vm::RunReport) {
-    let sink = Arc::new(EventSink::new(TsUnit::VirtualTicks));
+/// The Figure-1 scenario, traced: its events and the run's report.
+fn run_figure1(cfg: VmConfig) -> (Vec<Event>, revmon_vm::RunReport) {
     let (p, run) = counting_section_program();
-    let mut vm = Vm::new(p, cfg);
-    vm.attach_sink(Arc::clone(&sink));
+    let mut vm = Vm::new(p, cfg.with_trace());
     let lock = vm.heap_mut().alloc(0, 0);
     vm.spawn("Tl", run, vec![Value::Ref(lock), Value::Int(LONG)], Priority::LOW);
     vm.spawn("Th", run, vec![Value::Ref(lock), Value::Int(SHORT)], Priority::HIGH);
     let report = vm.run().expect("run");
-    (vm, sink, report)
+    (vm.take_trace(), report)
 }
 
 #[test]
 fn figure1_events_reach_the_sink() {
-    let (_, sink, report) = run_figure1(VmConfig::modified());
+    let (events, report) = run_figure1(VmConfig::modified());
     assert_eq!(report.global.rollbacks, 1);
 
-    let events = sink.drain();
     let tl = 0u64;
     let th = 1u64;
     let pos = |pred: &dyn Fn(&Event) -> bool| events.iter().position(pred).expect("event present");
@@ -52,7 +50,7 @@ fn figure1_events_reach_the_sink() {
     assert!(entries > 0);
     assert!(duration > 0, "rollback cost model charges per entry");
 
-    // Timestamps are the virtual clock: monotone over the drain order and
+    // Timestamps are the virtual clock: monotone over the trace and
     // bounded by the final clock value.
     assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts));
     assert!(events.iter().all(|e| e.ts <= report.clock));
@@ -68,30 +66,9 @@ fn figure1_events_reach_the_sink() {
 }
 
 #[test]
-fn in_memory_trace_and_sink_hold_the_same_events() {
-    // One representation end to end: the `config.trace` buffer and the
-    // sink receive the identical `Event`s (rollback duration included).
-    for cores in [1, 2] {
-        let mut cfg = VmConfig::modified().with_trace();
-        cfg.cores = cores;
-        let (mut vm, sink, _) = run_figure1(cfg);
-        let trace = vm.take_trace();
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Rollback { duration, .. } if duration > 0)));
-        assert_eq!(trace, sink.drain(), "{cores} core(s)");
-    }
-    // And the sink does not depend on `config.trace`.
-    let (mut vm, sink, _) = run_figure1(VmConfig::modified());
-    assert!(sink.recorded() > 0);
-    assert!(vm.take_trace().is_empty());
-}
-
-#[test]
 fn unmodified_vm_emits_no_revocation_events() {
-    let (_, sink, report) = run_figure1(VmConfig::unmodified());
+    let (events, report) = run_figure1(VmConfig::unmodified());
     assert_eq!(report.global.rollbacks, 0);
-    let events = sink.drain();
     assert!(events.iter().any(|e| e.kind == EventKind::Acquire));
     assert!(events
         .iter()

@@ -207,9 +207,9 @@ fn spawn_inside_section_pins_it_nonrevocable() {
     });
     h.ret_void();
     pb.implement(high, h);
-    let mut vm = Vm::new(pb.finish(), VmConfig::modified());
+    let mut vm = Vm::new(pb.finish(), VmConfig::modified().with_trace());
     let lock = vm.heap_mut().alloc(0, 0);
-    vm.spawn("low", low, vec![Value::Ref(lock), Value::Int(0)], Priority::LOW);
+    let low_tid = vm.spawn("low", low, vec![Value::Ref(lock), Value::Int(0)], Priority::LOW);
     vm.spawn("high", high, vec![Value::Ref(lock)], Priority::HIGH);
     let report = vm.run().expect("run");
     assert_eq!(report.threads[0].metrics.rollbacks, 0, "spawn made the section irrevocable");
@@ -217,4 +217,13 @@ fn spawn_inside_section_pins_it_nonrevocable() {
     assert!(report.global.inversions_unresolved >= 1);
     // exactly one spawned thread exists (never duplicated by a rollback)
     assert_eq!(report.threads.len(), 3);
+    // The pin announces itself, as a native call's does: one
+    // `NonRevocable` by the spawner on the section's monitor.
+    let pins: Vec<(u64, u64)> = vm
+        .take_trace()
+        .iter()
+        .filter(|e| e.kind == revmon_obs::EventKind::NonRevocable)
+        .map(|e| (e.thread, e.monitor))
+        .collect();
+    assert_eq!(pins, vec![(low_tid.0 as u64, lock.0 as u64)]);
 }
