@@ -21,14 +21,14 @@
 //!        [--quantum N] [--max-steps N] [--cores N]
 //!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
 //!        [--trace]
-//! revmon demo [--low N] [--high N] [--sections N] [--cores N] [--watch]
-//!        [--trace-sample N] [--stats] [--trace-out events.jsonl]
-//!        [--chrome-trace out.json] [--metrics-json metrics.json]
-//!        [--prometheus out.prom] [--flame out.folded]
+//! revmon demo [--low N] [--high N] [--sections N] [--watch] [--stats]
+//!        [--trace-out events.jsonl] [--chrome-trace out.json]
+//!        [--metrics-json metrics.json] [--prometheus out.prom]
+//!        [--flame out.folded]
 //! revmon analyze trace.jsonl [--json] [--prometheus out.prom]
 //!        [--flame out.folded]
 //! revmon serve [--addr HOST:PORT] [--low N] [--high N] [--no-workload]
-//!        [--max-requests N] [--trace-sample N]
+//!        [--max-requests N]
 //! revmon dis program.rvm [--rewrite]
 //! revmon verify program.rvm [--rewrite]
 //! ```
@@ -112,10 +112,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "demo",
         operand: None,
-        flags: &[
-            "[--low N] [--high N] [--sections N] [--cores N] [--watch] [--trace-sample N]",
-            OBS_FLAGS,
-        ],
+        flags: &["[--low N] [--high N] [--sections N] [--watch]", OBS_FLAGS],
     },
     Command {
         name: "analyze",
@@ -125,8 +122,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "serve",
         operand: None,
-        flags: &["[--addr HOST:PORT] [--low N] [--high N] [--no-workload] [--max-requests N] \
-                 [--trace-sample N]"],
+        flags: &["[--addr HOST:PORT] [--low N] [--high N] [--no-workload] [--max-requests N]"],
     },
     Command { name: "dis", operand: Some("program.rvm"), flags: &["[--rewrite]"] },
     Command { name: "verify", operand: Some("program.rvm"), flags: &["[--rewrite]"] },
@@ -345,17 +341,6 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, String> {
     std::fs::File::create(path)
         .map(std::io::BufWriter::new)
         .map_err(|e| format!("cannot create {path}: {e}"))
-}
-
-/// Parse `--trace-sample N` and arm the sink's high-rate event sampler.
-pub(crate) fn apply_trace_sample(opts: &Opts<'_>, sink: &EventSink) -> Result<(), String> {
-    if let Some(n) = opts.num::<u64>("--trace-sample")? {
-        if n == 0 {
-            return Err("--trace-sample must be positive (1 = keep everything)".into());
-        }
-        sink.set_sample(n);
-    }
-    Ok(())
 }
 
 /// Build a [`VmConfig`] from the common command-line knobs shared by
@@ -677,7 +662,7 @@ fn run_explore(
             return Err(format!(
                 "{path}: schedule was recorded against a different program (hash {}, expected {})",
                 sched.program_fnv,
-                format_args!("{:016x}", revmon_explore::fnv1a(src)),
+                format_args!("{:016x}", revmon_core::fnv1a(src.as_bytes())),
             ));
         }
         sched.apply_to(&mut cfg)?;
@@ -896,13 +881,6 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
     if low_n == 0 || high_n == 0 || high_sections == 0 {
         return Err("--low, --high and --sections must be positive".into());
     }
-    let cores: u64 = opts.num("--cores")?.unwrap_or(1);
-    if cores == 0 {
-        return Err("--cores must be at least 1".into());
-    }
-    // Real OS threads have no simulated core: `--cores` groups their
-    // events into telemetry lanes (one Chrome process row per lane).
-    revmon_locks::obs::set_cores(cores);
 
     let outs = ObsOuts::parse(opts);
     let watch = opts.has("--watch");
@@ -918,7 +896,6 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         || outs.flame.is_some();
     let mut collector: Option<revmon_obs::Collector> = None;
     if let Some(sink) = &sink {
-        apply_trace_sample(opts, sink)?;
         revmon_locks::obs::install(Arc::clone(sink));
 
         // A background collector drains the per-thread rings on an epoch
@@ -1064,13 +1041,11 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
     let mut analysis = None;
     if let Some(sink) = &sink {
         revmon_locks::obs::uninstall();
-        // The pipeline's accounting: sampling counters and the
-        // per-producer drop breakdown only when there is something to say.
+        // The pipeline's accounting: the per-producer drop breakdown
+        // only when there is something to say.
         let stats = sink.pipeline_stats();
         meta.recorded = Some(stats.recorded);
         meta.dropped = Some(stats.dropped);
-        meta.sampled = (stats.sampled_out > 0).then_some(stats.sampled_out);
-        meta.sample_n = (stats.sample_n > 1).then_some(stats.sample_n);
         if stats.dropped > 0 {
             meta.drops_by_producer = RunMeta::encode_drop_breakdown(&stats.drops_by_producer);
         }

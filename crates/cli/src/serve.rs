@@ -5,10 +5,11 @@
 //!
 //! * `GET /metrics`  — Prometheus text exposition: the episode/contention
 //!   series of [`revmon_obs::write_prometheus`] computed over the
-//!   retained event window, the revocation phase timers, the event-sink
-//!   recorded/dropped counters, and the telemetry pipeline's own gauges
-//!   ([`revmon_obs::write_pipeline_prometheus`]: per-producer drops,
-//!   collector lag/backlog, record-path self-cost).
+//!   retained event window, the revocation phase timers, and the
+//!   telemetry pipeline's own series
+//!   ([`revmon_obs::write_pipeline_prometheus`]: the sink's
+//!   recorded/dropped counters, per-producer drops, collector
+//!   lag/backlog, record-path self-cost).
 //! * `GET /healthz`  — liveness probe, always `ok`.
 //! * `GET /graph`    — live wait-for graph as JSON
 //!   ([`revmon_obs::GraphSnapshot::to_json`]).
@@ -50,7 +51,6 @@ pub(crate) fn run_serve(opts: &crate::Opts<'_>) -> Result<(), String> {
     let addr = opts.get("--addr").unwrap_or("127.0.0.1:9494");
     let max_requests: u64 = opts.num("--max-requests")?.unwrap_or(0);
     let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    crate::apply_trace_sample(opts, &sink)?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
 
@@ -168,25 +168,11 @@ fn route(path: &str, state: &ServeState) -> Result<(&'static str, &'static str, 
             let mut out = Vec::new();
             revmon_obs::write_prometheus(&mut out, &analysis, &names, state.sink.ts_unit())
                 .and_then(|()| revmon_obs::prof::timers().write_prometheus(&mut out))
+                .and_then(|()| {
+                    revmon_obs::write_pipeline_prometheus(&mut out, &state.sink.pipeline_stats())
+                })
                 .map_err(|e| e.to_string())?;
-            use std::fmt::Write as _;
-            let mut tail = String::new();
-            let _ =
-                writeln!(tail, "# HELP revmon_events_recorded_total Events accepted by the sink.");
-            let _ = writeln!(tail, "# TYPE revmon_events_recorded_total counter");
-            let _ = writeln!(tail, "revmon_events_recorded_total {}", state.sink.recorded());
-            let _ =
-                writeln!(tail, "# HELP revmon_events_dropped_total Events lost to ring overflow.");
-            let _ = writeln!(tail, "# TYPE revmon_events_dropped_total counter");
-            let _ = writeln!(tail, "revmon_events_dropped_total {}", state.sink.dropped());
-            // The telemetry pipeline's own health: per-producer drops,
-            // collector cadence/backlog, record-path self-cost.
-            let mut pipeline = Vec::new();
-            revmon_obs::write_pipeline_prometheus(&mut pipeline, &state.sink.pipeline_stats())
-                .map_err(|e| e.to_string())?;
-            let mut body = String::from_utf8(out).map_err(|e| e.to_string())?;
-            body.push_str(&tail);
-            body.push_str(&String::from_utf8(pipeline).map_err(|e| e.to_string())?);
+            let body = String::from_utf8(out).map_err(|e| e.to_string())?;
             Ok(("200 OK", "text/plain; version=0.0.4", body))
         }
         "/graph" => {

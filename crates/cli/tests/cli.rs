@@ -281,45 +281,23 @@ fn run_exports_every_event_of_a_long_trace() {
 }
 
 #[test]
-fn serve_rejects_a_zero_trace_sample_as_demo_does() {
-    let trace =
-        std::env::temp_dir().join(format!("revmon-cli-sample-{}.jsonl", std::process::id()));
-    let demo = bin()
-        .args(["demo", "--trace-out", trace.to_str().unwrap(), "--trace-sample", "0"])
-        .output()
-        .unwrap();
-    assert_eq!(demo.status.code(), Some(1));
-    let message = String::from_utf8_lossy(&demo.stderr).into_owned();
-    assert!(message.contains("--trace-sample must be positive"), "demo: {message}");
-    // `run`'s events are the VM's whole trace: there is nothing to sample.
-    let run = bin()
-        .args(["run", &program("counter.rvm"), "--trace-out", trace.to_str().unwrap()])
-        .args(["--trace-sample", "2"])
-        .output()
-        .unwrap();
-    assert_eq!(run.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(stderr.contains("unknown option `--trace-sample`"), "run: {stderr}");
-
-    // A serve that took `0` for "sampling off" would wait for its one
-    // request instead of exiting: give it ten seconds.
-    let mut serve = bin()
-        .args(["serve", "--addr", "127.0.0.1:0", "--trace-sample", "0", "--max-requests", "1"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while serve.try_wait().unwrap().is_none() {
-        if std::time::Instant::now() > deadline {
-            serve.kill().unwrap();
-            panic!("serve accepted --trace-sample 0 and kept serving");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+fn no_command_thins_its_trace_or_invents_core_lanes() {
+    // Every command records each event as it happened: none takes a
+    // sampling modulus, and the real-thread demo has no simulated cores.
+    // An unknown option is refused before `serve` binds or any thread runs.
+    let counter = program("counter.rvm");
+    for args in [
+        &["demo", "--trace-sample", "2"][..],
+        &["demo", "--cores", "2"],
+        &["serve", "--addr", "127.0.0.1:0", "--trace-sample", "2", "--max-requests", "1"],
+        &["run", &counter, "--trace-sample", "2"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let flag = args.iter().find(|a| ["--trace-sample", "--cores"].contains(a)).unwrap();
+        assert!(stderr.contains(&format!("unknown option `{flag}`")), "{args:?}: {stderr}");
     }
-    let out = serve.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert_eq!(String::from_utf8_lossy(&out.stderr), message);
 }
 
 #[test]

@@ -41,7 +41,12 @@ fn serve_exposes_metrics_health_and_graph() {
     assert!(metrics.starts_with("HTTP/1.1 200"), "metrics: {metrics}");
     assert!(metrics.contains("revmon_episodes_total"), "analysis series missing:\n{metrics}");
     assert!(metrics.contains("revmon_revocation_phase_ns"), "phase timers missing:\n{metrics}");
-    assert!(metrics.contains("revmon_events_recorded_total"), "sink counters missing:\n{metrics}");
+    for counter in ["revmon_obs_recorded_total", "revmon_obs_dropped_total"] {
+        assert!(
+            metrics.contains(&format!("# TYPE {counter} counter\n{counter} ")),
+            "sink counter {counter} missing:\n{metrics}"
+        );
+    }
     assert!(metrics.contains("revmon_obs_producers"), "pipeline gauges missing:\n{metrics}");
     assert!(metrics.contains("revmon_obs_backlog"), "pipeline backlog gauge missing:\n{metrics}");
     assert!(

@@ -1,4 +1,6 @@
-//! The one fast hasher for maps keyed by ids this program generates.
+//! The one fast hasher for maps keyed by ids this program generates,
+//! and the one content digest for bytes that must hash the same in
+//! every build.
 //!
 //! Thread, monitor and core ids, heap locations and 64-bit state
 //! fingerprints are all produced by the runtimes themselves, so
@@ -8,6 +10,10 @@
 //! collection pass, the explorer's oracle on every logged write. Maps
 //! keyed by anything read from outside the program keep the default
 //! hasher.
+//!
+//! [`fnv1a`] is a stable digest, not a map hasher: `.schedule.json`
+//! artifacts name their program by it, and the byte pins record it
+//! beside each output's length.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -61,6 +67,11 @@ pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` using [`FxHasher`].
 pub type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
+/// FNV-1a, 64-bit, of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +92,13 @@ mod tests {
         assert_eq!(hash_of(0xdead_beef_u64), bytes.finish());
         assert_eq!(hash_of(0xdead_beef_u32), bytes.finish());
         assert_eq!(hash_of(0xdead_beef_usize), bytes.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

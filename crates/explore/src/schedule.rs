@@ -51,14 +51,10 @@ pub struct ScheduleFile {
     pub expect_invariant: Option<String>,
 }
 
-/// FNV-1a 64-bit hash of `text`, the schedule format's program identity.
-pub fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The schedule format's program identity: the FNV-1a hash of the
+/// source text as fixed-width hex.
+fn program_fnv(program_src: &str) -> String {
+    format!("{:016x}", revmon_core::fnv1a(program_src.as_bytes()))
 }
 
 impl ScheduleFile {
@@ -74,7 +70,7 @@ impl ScheduleFile {
         ScheduleFile {
             version: 1,
             program: program_name.to_string(),
-            program_fnv: format!("{:016x}", fnv1a(program_src)),
+            program_fnv: program_fnv(program_src),
             entry: entry.to_string(),
             policy: cfg.policy.to_string(),
             seed: cfg.seed,
@@ -104,7 +100,7 @@ impl ScheduleFile {
 
     /// Verify the artifact matches `program_src` (FNV identity check).
     pub fn matches_program(&self, program_src: &str) -> bool {
-        self.program_fnv == format!("{:016x}", fnv1a(program_src))
+        self.program_fnv == program_fnv(program_src)
     }
 
     /// Serialize as pretty-printed JSON.

@@ -28,19 +28,6 @@ thread_local! {
     static CACHED_SINK: RefCell<(u64, Option<Arc<EventSink>>)> = const { RefCell::new((u64::MAX, None)) };
 }
 
-/// Number of telemetry core lanes events are attributed to. Real OS
-/// threads have no simulated core, so the lane is derived from the
-/// stable obs thread id (`(tid - 1) % cores`); with the default of 1
-/// every event carries core 0, the historical output.
-static CORES: AtomicU64 = AtomicU64::new(1);
-
-/// Set the number of core lanes (`--cores` on `revmon demo`): events
-/// are grouped into `n` lanes for per-core trace views (the Chrome
-/// exporter renders one process row per lane). Clamped to ≥ 1.
-pub fn set_cores(n: u64) {
-    CORES.store(n.max(1), Ordering::Relaxed);
-}
-
 /// Attach a sink; subsequent monitor events are recorded into it.
 pub fn install(sink: Arc<EventSink>) {
     *SINK.lock() = Some(sink);
@@ -130,8 +117,9 @@ fn emit_slow(thread: u64, monitor: u64, kind: EventKind) {
             cache.0 = generation;
         }
         if let Some(sink) = &cache.1 {
-            let core = (thread.wrapping_sub(1) % CORES.load(Ordering::Relaxed)) as u32;
-            sink.record(Event { ts: now_ns(), thread, monitor, core, kind });
+            // Real OS threads have no simulated core: every event is
+            // stamped core 0.
+            sink.record(Event { ts: now_ns(), thread, monitor, core: 0, kind });
         }
     });
 }

@@ -117,8 +117,8 @@ pub enum EventKind {
 /// `encode` payload words `(a, b)` in wire order (kinds with fewer
 /// payload fields name fewer); and the index of the field, if any,
 /// written `null` when it holds the [`Event::NO_THREAD`] sentinel. The
-/// JSONL writer, the importer, the Chrome `args` and the tally tables
-/// read this. `stale` travels as 0/1 — the trace subset has no booleans.
+/// JSONL writer, the importer, the Chrome `args` and the analyzer's
+/// per-kind census read this. `stale` travels as 0/1 — the trace subset has no booleans.
 pub(crate) const SCHEMA: &[(&str, &[&str], Option<usize>)] = &[
     ("Acquire", &[], None),
     ("Block", &[], None),
@@ -157,21 +157,10 @@ pub(crate) mod envelope {
 pub(crate) const NKINDS: usize = SCHEMA.len();
 
 impl EventKind {
-    /// Dense index of the variant, for per-kind tally arrays.
+    /// Dense index of the variant, for per-kind count arrays.
     #[inline]
     pub(crate) fn index(&self) -> usize {
         self.encode().0 as usize
-    }
-
-    /// Whether this kind fires on the monitor fast path (once or more
-    /// per synchronized section). These are the kinds `--trace-sample`
-    /// thins; the rare protocol kinds (revocation, deadlock, governor)
-    /// are always kept.
-    pub fn high_rate(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Acquire | EventKind::Block | EventKind::Commit | EventKind::Release
-        )
     }
 
     /// Pack the variant into `(tag, a, b)` words for the fixed-width
@@ -349,8 +338,8 @@ mod tests {
             assert!(ring.push(*ev));
         }
         let mut drained = Vec::new();
-        ring.drain_into(&mut drained);
-        assert_eq!(drained.into_iter().map(|(_, ev)| ev).collect::<Vec<_>>(), events);
+        ring.drain_with(|_, ev| drained.push(ev));
+        assert_eq!(drained, events);
 
         // JSONL writer → importer.
         let mut buf = Vec::new();
@@ -374,12 +363,5 @@ mod tests {
         let null = Value::Null;
         assert_eq!(EventKind::from_wire("RevokeRequest", |_| Some(&null)), Some(None));
         assert_eq!(EventKind::from_wire("Teleport", |_| None), None);
-    }
-
-    #[test]
-    fn only_fast_path_kinds_are_high_rate() {
-        let high: Vec<&str> =
-            every_kind()[..NKINDS].iter().filter(|k| k.high_rate()).map(|k| k.name()).collect();
-        assert_eq!(high, ["Acquire", "Block", "Commit", "Release"]);
     }
 }

@@ -118,12 +118,6 @@ pub struct RunMeta {
     pub governor: Option<(u32, u64, u64)>,
     /// Scheduler name (e.g. `"priority"`, `"lottery"`).
     pub scheduler: Option<String>,
-    /// High-rate events thinned by the sampling knob (`Some(0)` asserts
-    /// nothing was sampled away).
-    pub sampled: Option<u64>,
-    /// Sampling modulus in effect (keep 1/N); `Some(1)` means sampling
-    /// was explicitly off.
-    pub sample_n: Option<u64>,
     /// Per-producer drop breakdown, encoded `"producer:dropped,..."`
     /// (e.g. `"0:3,2:1"`) because the header is a flat object with no
     /// arrays. Build with [`RunMeta::encode_drop_breakdown`], read back
@@ -178,12 +172,6 @@ impl RunMeta {
         if other.scheduler.is_some() {
             self.scheduler = other.scheduler;
         }
-        if other.sampled.is_some() {
-            self.sampled = other.sampled;
-        }
-        if other.sample_n.is_some() {
-            self.sample_n = other.sample_n;
-        }
         if other.drops_by_producer.is_some() {
             self.drops_by_producer = other.drops_by_producer;
         }
@@ -204,12 +192,6 @@ impl RunMeta {
         }
         if let Some(sched) = &self.scheduler {
             s.push_str(&format!(",\"scheduler\":\"{}\"", esc(sched)));
-        }
-        if let Some(n) = self.sampled {
-            s.push_str(&format!(",\"sampled\":{n}"));
-        }
-        if let Some(n) = self.sample_n {
-            s.push_str(&format!(",\"sample_n\":{n}"));
         }
         if let Some(b) = &self.drops_by_producer {
             s.push_str(&format!(",\"drops_by_producer\":\"{}\"", esc(b)));
@@ -643,16 +625,14 @@ pub fn pipeline_json(p: &PipelineStats) -> String {
     let drops = RunMeta::encode_drop_breakdown(&p.drops_by_producer).unwrap_or_default();
     let (sc_count, sc_p50, sc_p99, sc_max) = p.self_cost_ns;
     format!(
-        "{{\"producers\":{},\"recorded\":{},\"dropped\":{},\"sampled_out\":{},\
-         \"sample_n\":{},\"epochs\":{},\"last_batch\":{},\"max_batch\":{},\
-         \"last_pass_ns\":{},\"backlog\":{},\"retained\":{},\"trimmed\":{},\
+        "{{\"producers\":{},\"recorded\":{},\"dropped\":{},\"epochs\":{},\
+         \"last_batch\":{},\"max_batch\":{},\"last_pass_ns\":{},\"backlog\":{},\
+         \"retained\":{},\"trimmed\":{},\
          \"record_self_cost_ns\":{{\"samples\":{},\"p50\":{},\"p99\":{},\"max\":{}}},\
          \"drops_by_producer\":\"{}\"}}",
         p.producers,
         p.recorded,
         p.dropped,
-        p.sampled_out,
-        p.sample_n,
         p.epochs,
         p.last_batch,
         p.max_batch,
@@ -707,12 +687,8 @@ pub fn metrics_json(
 pub fn write_pipeline_table<W: Write>(w: &mut W, p: &PipelineStats) -> io::Result<()> {
     writeln!(
         w,
-        "pipeline: {} producer(s), {} recorded, {} dropped, {} sampled out (1/{})",
-        p.producers,
-        p.recorded,
-        p.dropped,
-        p.sampled_out,
-        p.sample_n.max(1)
+        "pipeline: {} producer(s), {} recorded, {} dropped",
+        p.producers, p.recorded, p.dropped
     )?;
     writeln!(
         w,
@@ -737,76 +713,25 @@ pub fn write_pipeline_table<W: Write>(w: &mut W, p: &PipelineStats) -> io::Resul
     Ok(())
 }
 
-/// Prometheus exposition of the pipeline gauges, matching the
-/// `revmon_` namespace of the other exporters.
+/// Prometheus exposition of the pipeline's series, matching the
+/// `revmon_` namespace of the other exporters: the `_total` series only
+/// grow and are counters, the rest are gauges.
 pub fn write_pipeline_prometheus<W: Write>(w: &mut W, p: &PipelineStats) -> io::Result<()> {
-    let gauge = |name: &str, help: &str, v: u64| {
-        format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n")
-    };
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_producers", "Producer threads with a registered event ring", p.producers)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_recorded_total", "Events accepted into per-thread rings", p.recorded)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_dropped_total", "Events dropped on ring overflow", p.dropped)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge(
-            "revmon_obs_sampled_out_total",
-            "High-rate events thinned by sampling",
-            p.sampled_out
-        )
-    )?;
-    write!(w, "{}", gauge("revmon_obs_sample_n", "Sampling modulus (0 or 1 = off)", p.sample_n))?;
-    write!(w, "{}", gauge("revmon_obs_collect_epochs_total", "Collection passes run", p.epochs))?;
-    write!(
-        w,
-        "{}",
-        gauge(
-            "revmon_obs_collect_last_batch",
-            "Events merged by the most recent pass",
-            p.last_batch
-        )
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_collect_max_batch", "Largest single-pass merged batch", p.max_batch)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge(
-            "revmon_obs_collect_last_pass_ns",
-            "Duration of the most recent pass",
-            p.last_pass_ns
-        )
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_backlog", "Events waiting in rings, not yet collected", p.backlog)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_retained", "Events in the bounded snapshot buffer", p.retained)
-    )?;
-    write!(
-        w,
-        "{}",
-        gauge("revmon_obs_trimmed_total", "Events trimmed from the snapshot buffer", p.trimmed)
-    )?;
+    for (name, help, v) in [
+        ("revmon_obs_producers", "Producer threads with a registered event ring", p.producers),
+        ("revmon_obs_recorded_total", "Events accepted into per-thread rings", p.recorded),
+        ("revmon_obs_dropped_total", "Events dropped on ring overflow", p.dropped),
+        ("revmon_obs_collect_epochs_total", "Collection passes run", p.epochs),
+        ("revmon_obs_collect_last_batch", "Events merged by the most recent pass", p.last_batch),
+        ("revmon_obs_collect_max_batch", "Largest single-pass merged batch", p.max_batch),
+        ("revmon_obs_collect_last_pass_ns", "Duration of the most recent pass", p.last_pass_ns),
+        ("revmon_obs_backlog", "Events waiting in rings, not yet collected", p.backlog),
+        ("revmon_obs_retained", "Events in the bounded snapshot buffer", p.retained),
+        ("revmon_obs_trimmed_total", "Events trimmed from the snapshot buffer", p.trimmed),
+    ] {
+        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
+        write!(w, "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}\n")?;
+    }
     let (samples, p50, p99, max) = p.self_cost_ns;
     writeln!(w, "# HELP revmon_obs_record_self_cost_ns Sampled record() path cost")?;
     writeln!(w, "# TYPE revmon_obs_record_self_cost_ns summary")?;
@@ -1238,8 +1163,6 @@ mod tests {
     #[test]
     fn run_meta_pipeline_fields_render_and_merge() {
         let meta = RunMeta {
-            sampled: Some(15),
-            sample_n: Some(4),
             drops_by_producer: RunMeta::encode_drop_breakdown(&[(0, 3), (2, 1)]),
             ..RunMeta::default()
         };
@@ -1253,8 +1176,6 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"sampled\":15"));
-        assert!(text.contains("\"sample_n\":4"));
         assert!(text.contains("\"drops_by_producer\":\"0:3,2:1\""));
         assert_eq!(meta.drop_breakdown(), vec![(0, 3), (2, 1)]);
         assert_eq!(RunMeta::encode_drop_breakdown(&[]), None);
@@ -1273,8 +1194,6 @@ mod tests {
             producers: 2,
             recorded: 100,
             dropped: 4,
-            sampled_out: 20,
-            sample_n: 4,
             drops_by_producer: vec![(0, 4), (1, 0)],
             epochs: 9,
             last_batch: 12,
@@ -1289,7 +1208,6 @@ mod tests {
         for key in [
             "\"producers\":2",
             "\"dropped\":4",
-            "\"sampled_out\":20",
             "\"backlog\":3",
             "\"trimmed\":7",
             "\"record_self_cost_ns\"",
@@ -1316,6 +1234,9 @@ mod tests {
             "revmon_obs_collect_epochs_total 9",
             "revmon_obs_record_self_cost_ns{quantile=\"0.99\"} 90",
             "revmon_obs_dropped_by_producer{producer=\"0\"} 4",
+            "# TYPE revmon_obs_recorded_total counter",
+            "# TYPE revmon_obs_trimmed_total counter",
+            "# TYPE revmon_obs_backlog gauge",
         ] {
             assert!(prom.contains(metric), "missing {metric} in {prom}");
         }

@@ -218,8 +218,6 @@ fn parse_run_meta(obj: &Obj<'_>) -> RunMeta {
             _ => None,
         },
         scheduler: field(obj, "scheduler").and_then(Value::as_str).map(str::to_string),
-        sampled: num("sampled"),
-        sample_n: num("sample_n"),
         drops_by_producer: field(obj, "drops_by_producer")
             .and_then(Value::as_str)
             .map(str::to_string),
@@ -616,7 +614,7 @@ mod tests {
             "{\"ts\":20,\"thread\":1,\"monitor\":7,\"kind\":\"Release\"}\n",
             "{\"meta\":\"monitor_name\",\"monitor\":7,\"name\":\"queue\"}\n",
             "{\"meta\":\"trace_end\",\"version\":1,\"recorded\":2,\"dropped\":1,",
-            "\"sampled\":15,\"sample_n\":4,\"drops_by_producer\":\"0:1\"}\n",
+            "\"drops_by_producer\":\"0:1\"}\n",
         );
         let imp = import_trace_jsonl(text);
         assert_eq!(imp.events.len(), 2);
@@ -626,9 +624,30 @@ mod tests {
         assert_eq!(imp.run_meta.scheduler.as_deref(), Some("demo"));
         assert_eq!(imp.run_meta.recorded, Some(2));
         assert_eq!(imp.run_meta.dropped, Some(1));
-        assert_eq!(imp.run_meta.sampled, Some(15));
-        assert_eq!(imp.run_meta.sample_n, Some(4));
         assert_eq!(imp.run_meta.drop_breakdown(), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn header_keys_of_a_sampled_trace_are_ignored() {
+        // Traces written before sampling was removed carry its two
+        // counters in the header; the rest of the run context survives.
+        let text = concat!(
+            "{\"meta\":\"trace\",\"ts_unit\":\"ns\",\"version\":1,\"recorded\":5,\"dropped\":2,",
+            "\"scheduler\":\"os\",\"sampled\":15,\"sample_n\":4,\"drops_by_producer\":\"0:2\"}\n",
+            "{\"ts\":10,\"thread\":1,\"monitor\":7,\"kind\":\"Acquire\"}\n",
+        );
+        let imp = import_trace_jsonl(text);
+        assert_eq!(imp.warnings.total(), 0);
+        assert_eq!(imp.events.len(), 1);
+        assert_eq!(imp.ts_unit, Some(TsUnit::WallNanos));
+        let want = RunMeta {
+            recorded: Some(5),
+            dropped: Some(2),
+            scheduler: Some("os".into()),
+            drops_by_producer: Some("0:2".into()),
+            ..RunMeta::default()
+        };
+        assert_eq!(imp.run_meta, want);
     }
 
     #[test]

@@ -13,18 +13,18 @@
 //!   both fit the `u64` timestamp (the sink's [`TsUnit`] says which).
 //! * [`EventSink`] — the real-thread runtime's way in (the VM hands over
 //!   one ordered `Vec<Event>`): a lock-free, thread-local producer path:
-//!   each recording thread owns a fixed-capacity [`SpscRing`] registered
+//!   each recording thread owns a fixed-capacity SPSC ring registered
 //!   with the sink, so `record()` is one relaxed enabled-check, a
-//!   per-kind tally (the `--trace-sample` decision), a per-thread
-//!   sequence stamp, and a local ring write — no global `fetch_add`,
-//!   no mutex, no shared cache line between producers. Collection
-//!   passes (inline via [`EventSink::sync`]/[`EventSink::drain`], or
-//!   the background [`Collector`] on an epoch cadence) merge the rings
-//!   into global order; the sink only moves events, it derives no
-//!   numbers from them. Pipeline self-telemetry — per-producer drop
-//!   counters, sampling tallies, collector lag/backlog, record-path
-//!   self-cost — is a [`PipelineStats`] snapshot away. A disabled sink
-//!   costs one relaxed atomic load per event site.
+//!   per-thread sequence stamp, and a local ring write — no global
+//!   `fetch_add`, no mutex, no shared cache line between producers.
+//!   Collection passes (inline via
+//!   [`EventSink::sync`]/[`EventSink::drain`], or the background
+//!   [`Collector`] on an epoch cadence) merge the rings into global
+//!   order; the sink only moves events, it derives no numbers from them.
+//!   Pipeline self-telemetry — per-producer drop counters, collector
+//!   lag/backlog, record-path self-cost — is a [`PipelineStats`]
+//!   snapshot away. A disabled sink costs one relaxed atomic load per
+//!   event site.
 //! * exporters — [`write_events_jsonl`] (JSON Lines),
 //!   [`write_trace_jsonl`] (JSON Lines with a meta header + monitor
 //!   name table, the `revmon analyze` interchange format),
@@ -102,4 +102,3 @@ pub use import::{import_trace_jsonl, ImportWarnings, TraceImport};
 pub use latency::Histograms;
 pub use prof::{Phase, PhaseTimers};
 pub use sink::{EventSink, PipelineStats, TsUnit};
-pub use spsc::SpscRing;

@@ -5,11 +5,10 @@
 //! thread records against a sink registers a fixed-capacity
 //! [`SpscRing`] with that sink and caches the handle in thread-local
 //! storage; every later [`EventSink::record`] is one relaxed
-//! enabled-check, a per-kind tally bump (the sampling decision), a
-//! local ring write, and a per-thread sequence stamp — no global
-//! `fetch_add`, no mutex, no cache line shared between producing
-//! threads. A disabled sink costs one relaxed atomic load per event
-//! site, as before.
+//! enabled-check, a local ring write, and a per-thread sequence stamp —
+//! no global `fetch_add`, no mutex, no cache line shared between
+//! producing threads. A disabled sink costs one relaxed atomic load per
+//! event site.
 //!
 //! Consumption moved off the hot path into **collection passes**: a
 //! pass (run inline by [`EventSink::sync`] / the background
@@ -136,22 +135,17 @@ struct CollectState {
 }
 
 /// A point-in-time view of the pipeline's self-telemetry: producer
-/// drop/sample accounting plus collector cadence gauges. Built by
+/// drop accounting plus collector cadence gauges. Built by
 /// [`EventSink::pipeline_stats`]; rendered by `--stats`, metrics-JSON,
 /// and the Prometheus endpoints.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
     /// Producer threads that registered a ring.
     pub producers: u64,
-    /// Events accepted into rings (excludes drops and sampled-out).
+    /// Events accepted into rings (excludes drops).
     pub recorded: u64,
     /// Events dropped because a producer's ring was full.
     pub dropped: u64,
-    /// High-rate events thinned by the sampling knob (exact per-kind
-    /// counts are still kept by the tallies).
-    pub sampled_out: u64,
-    /// Sampling modulus in effect (0 or 1 = off).
-    pub sample_n: u64,
     /// Per-producer `(producer id, dropped)` breakdown, all producers.
     pub drops_by_producer: Vec<(u64, u64)>,
     /// Collection passes run so far.
@@ -181,8 +175,6 @@ pub struct EventSink {
     /// Liveness token; thread-local caches hold a `Weak` to it.
     alive: Arc<()>,
     ring_cap: usize,
-    /// Sampling modulus: keep 1/N of high-rate kinds. 0 or 1 = off.
-    sample_n: AtomicU64,
     /// Ring registry, in registration (= producer id) order. Locked on
     /// first record per (thread, sink) and by collection passes only.
     rings: Mutex<Vec<Arc<SpscRing>>>,
@@ -206,7 +198,6 @@ impl EventSink {
             id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
             alive: Arc::new(()),
             ring_cap,
-            sample_n: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
             collect: Mutex::new(CollectState {
                 buffer: VecDeque::new(),
@@ -240,19 +231,6 @@ impl EventSink {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Set the sampling modulus: keep 1 of every `n` occurrences of
-    /// each high-rate event kind per thread (exact counts survive in
-    /// the tallies); rare protocol kinds are always kept. `0` or `1`
-    /// disables sampling.
-    pub fn set_sample(&self, n: u64) {
-        self.sample_n.store(n, Ordering::Relaxed);
-    }
-
-    /// Current sampling modulus (0 or 1 = off).
-    pub fn sample_n(&self) -> u64 {
-        self.sample_n.load(Ordering::Relaxed)
-    }
-
     /// Cap the retained (snapshot) buffer at `n` merged events; the
     /// oldest past the cap are trimmed and counted. Long-running
     /// `serve`/`demo --watch` set this so memory stays bounded.
@@ -261,9 +239,8 @@ impl EventSink {
     }
 
     /// Record one event into the calling thread's ring. Lock-free after
-    /// the thread's first event: an enabled check, the sampling tally,
-    /// a seq stamp, and a local SPSC push. No-op (one branch) when
-    /// disabled.
+    /// the thread's first event: an enabled check, a seq stamp, and a
+    /// local SPSC push. No-op (one branch) when disabled.
     pub fn record(&self, ev: Event) {
         if !self.is_enabled() {
             return;
@@ -295,9 +272,7 @@ impl EventSink {
             let n = handle.calls.get();
             handle.calls.set(n.wrapping_add(1));
             let t0 = if n % SELF_COST_EVERY == 0 { Some(Instant::now()) } else { None };
-            if handle.ring.sample_keep(&ev.kind, self.sample_n.load(Ordering::Relaxed)) {
-                handle.ring.push(ev);
-            }
+            handle.ring.push(ev);
             if let Some(t0) = t0 {
                 self.self_cost.record(t0.elapsed().as_nanos() as u64);
             }
@@ -305,8 +280,7 @@ impl EventSink {
     }
 
     /// Events accepted into rings: what a complete drain observes (plus
-    /// anything trimmed from the retained buffer). Excludes drops and
-    /// sampled-out events.
+    /// anything trimmed from the retained buffer). Excludes drops.
     pub fn recorded(&self) -> u64 {
         lock_clean(&self.rings).iter().map(|r| r.recorded()).sum()
     }
@@ -317,11 +291,6 @@ impl EventSink {
     /// per-thread sequence streams.
     pub fn dropped(&self) -> u64 {
         lock_clean(&self.rings).iter().map(|r| r.dropped()).sum()
-    }
-
-    /// High-rate events thinned away by sampling. Cumulative.
-    pub fn sampled_out(&self) -> u64 {
-        lock_clean(&self.rings).iter().map(|r| r.sampled_out()).sum()
     }
 
     /// Per-producer `(producer id, dropped)` pairs, id order. One entry
@@ -371,8 +340,6 @@ impl EventSink {
             producers: rings.len() as u64,
             recorded: rings.iter().map(|r| r.recorded()).sum(),
             dropped: rings.iter().map(|r| r.dropped()).sum(),
-            sampled_out: rings.iter().map(|r| r.sampled_out()).sum(),
-            sample_n: self.sample_n(),
             drops_by_producer: rings.iter().map(|r| (r.producer(), r.dropped())).collect(),
             epochs: st.epochs,
             last_batch: st.last_batch,
@@ -538,31 +505,6 @@ mod tests {
         // Trimmed events were recorded, not dropped.
         assert_eq!(stats.recorded, 10);
         assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn sampling_thins_high_rate_kinds_but_counts_stay_exact() {
-        let sink = EventSink::new(TsUnit::VirtualTicks);
-        sink.set_sample(4);
-        for i in 0..20u64 {
-            sink.record(ev(i, 1)); // Acquire: high-rate
-        }
-        for i in 0..5u64 {
-            sink.record(Event {
-                ts: 100 + i,
-                thread: 1,
-                monitor: 1,
-                core: 0,
-                kind: EventKind::RevokeRequest { by: 2 },
-            });
-        }
-        let drained = sink.drain();
-        let acquires = drained.iter().filter(|e| e.kind == EventKind::Acquire).count();
-        let revokes = drained.iter().filter(|e| e.kind != EventKind::Acquire).count();
-        assert_eq!(acquires, 5, "1/4 of 20 kept");
-        assert_eq!(revokes, 5, "rare kinds never thinned");
-        assert_eq!(sink.sampled_out(), 15);
-        assert_eq!(sink.dropped(), 0, "sampling is not dropping");
     }
 
     #[test]

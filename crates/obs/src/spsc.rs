@@ -6,10 +6,10 @@
 //! full-check against the consumer cursor, seven relaxed slot stores,
 //! and one release store of the tail — no locks, no locked
 //! read-modify-write at all, no cache line written by more than one
-//! thread. The ring's own counters (attempts, per-kind tallies, drops,
-//! sampled-out) have a single writer, the producer, so each update is a
-//! relaxed load and a relaxed store of the producer's own last value;
-//! readers load them relaxed and see some recent count.
+//! thread. The ring's own counters (attempts and drops) have a single
+//! writer, the producer, so each update is a relaxed load and a relaxed
+//! store of the producer's own last value; readers load them relaxed and
+//! see some recent count.
 //!
 //! The crate forbids `unsafe`, so slots are arrays of `AtomicU64`s
 //! rather than `UnsafeCell`s: every field store/load is `Relaxed`, and
@@ -40,7 +40,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::event::{Event, EventKind, NKINDS};
+use crate::event::{Event, EventKind};
 
 /// One fixed-width slot: the per-thread sequence number plus the event
 /// encoded into six words ([`EventKind::encode`]). The kind tag only
@@ -72,8 +72,8 @@ impl Slot {
 }
 
 /// Fixed-capacity SPSC ring of `(seq, Event)` pairs with drop-newest
-/// overflow, per-kind tallies, and per-ring drop/sample accounting.
-pub struct SpscRing {
+/// overflow and per-ring drop accounting.
+pub(crate) struct SpscRing {
     slots: Box<[Slot]>,
     mask: u64,
     /// Producer cursor: index of the next slot to write.
@@ -86,12 +86,6 @@ pub struct SpscRing {
     attempts: AtomicU64,
     /// Push attempts that found the ring full.
     dropped: AtomicU64,
-    /// High-rate events thinned away by the sampling knob (never pushed,
-    /// never a seq gap — sampling happens before the seq is taken).
-    sampled_out: AtomicU64,
-    /// Exact per-kind event counts, including sampled-out ones — the
-    /// tallies that keep `--trace-sample` lossless for counting.
-    tallies: [AtomicU64; NKINDS],
     /// Dense id of the producing thread within its sink (registration
     /// order), used by the per-producer drop breakdown.
     producer: u64,
@@ -117,44 +111,23 @@ impl SpscRing {
             head: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
-            tallies: [const { AtomicU64::new(0) }; NKINDS],
             producer,
         }
     }
 
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Dense per-sink id of the producing thread.
-    pub fn producer(&self) -> u64 {
+    pub(crate) fn producer(&self) -> u64 {
         self.producer
-    }
-
-    /// Producer side: tally `kind` and decide whether the sampling knob
-    /// keeps this event. Keeps the first of every `n` occurrences of
-    /// each high-rate kind (so a burst shorter than `n` still leaves a
-    /// trace), everything else always. `n <= 1` keeps everything. Only
-    /// the producing thread may call this (see [`SpscRing::push`]).
-    pub(crate) fn sample_keep(&self, kind: &EventKind, n: u64) -> bool {
-        let seen = bump(&self.tallies[kind.index()]);
-        if n <= 1 || !kind.high_rate() || seen.is_multiple_of(n) {
-            true
-        } else {
-            bump(&self.sampled_out);
-            false
-        }
     }
 
     /// Producer side: append one event, taking the next per-thread
     /// sequence number. Returns `false` (and counts a drop) when the
-    /// ring is full. Wait-free; only the producing thread may call this
-    /// or the sampling tally beside it: the ring's counters have that one
-    /// writer, so they are bumped with a load and a store, and a second
-    /// producer would lose counts and repeat sequence numbers.
-    pub fn push(&self, ev: Event) -> bool {
+    /// ring is full. Wait-free; only the producing thread may call this:
+    /// the ring's counters have that one writer, so they are bumped with
+    /// a load and a store, and a second producer would lose counts and
+    /// repeat sequence numbers.
+    #[inline]
+    pub(crate) fn push(&self, ev: Event) -> bool {
         let seq = bump(&self.attempts);
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Acquire);
@@ -181,7 +154,7 @@ impl SpscRing {
     /// intermediate vector. Only one consumer may run at a time (the
     /// sink's collect lock enforces this). Returns the number of events
     /// handed over.
-    pub fn drain_with(&self, mut f: impl FnMut(u64, Event)) -> usize {
+    pub(crate) fn drain_with(&self, mut f: impl FnMut(u64, Event)) -> usize {
         let t = self.tail.load(Ordering::Acquire);
         let mut h = self.head.load(Ordering::Relaxed);
         let n = t.wrapping_sub(h) as usize;
@@ -210,51 +183,23 @@ impl SpscRing {
         n
     }
 
-    /// [`SpscRing::drain_with`] into a vector of `(seq, event)` pairs:
-    /// the sequence numbers let a consumer see drops as gaps.
-    pub fn drain_into(&self, out: &mut Vec<(u64, Event)>) -> usize {
-        out.reserve(self.len());
-        self.drain_with(|seq, ev| out.push((seq, ev)))
-    }
-
     /// Events currently published and not yet drained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let t = self.tail.load(Ordering::Acquire);
         let h = self.head.load(Ordering::Relaxed);
         t.wrapping_sub(h) as usize
     }
 
-    /// Whether the ring holds no undrained events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Push attempts that were dropped because the ring was full.
     /// Cumulative for the ring's lifetime — draining does not reset it.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Events accepted into the ring (attempts minus drops); the number
     /// of distinct sequence numbers a complete drain would observe.
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.attempts.load(Ordering::Relaxed) - self.dropped()
-    }
-
-    /// High-rate events thinned away by sampling. Cumulative.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
-    }
-
-    /// Exact per-kind tallies (including sampled-out events), visited as
-    /// `(kind name, count)` for non-zero kinds.
-    pub fn for_each_tally(&self, mut f: impl FnMut(&'static str, u64)) {
-        for ((name, ..), t) in crate::event::SCHEMA.iter().zip(&self.tallies) {
-            let n = t.load(Ordering::Relaxed);
-            if n > 0 {
-                f(name, n);
-            }
-        }
     }
 }
 
@@ -266,6 +211,12 @@ mod tests {
         Event { ts, thread: 1, monitor: 1, core: 0, kind: EventKind::Acquire }
     }
 
+    /// Drain `r` into `out` as `(seq, event)` pairs: the sequence numbers
+    /// show drops as gaps.
+    fn drain_into(r: &SpscRing, out: &mut Vec<(u64, Event)>) -> usize {
+        r.drain_with(|seq, ev| out.push((seq, ev)))
+    }
+
     #[test]
     fn push_then_drain_preserves_order_and_seq() {
         let r = SpscRing::new(8, 0);
@@ -274,8 +225,8 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         let mut out = Vec::new();
-        assert_eq!(r.drain_into(&mut out), 5);
-        assert!(r.is_empty());
+        assert_eq!(drain_into(&r, &mut out), 5);
+        assert_eq!(r.len(), 0);
         let seqs: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         let ts: Vec<u64> = out.iter().map(|(_, e)| e.ts).collect();
@@ -291,12 +242,12 @@ mod tests {
         assert_eq!(r.dropped(), 1);
         assert_eq!(r.recorded(), 2);
         let mut out = Vec::new();
-        r.drain_into(&mut out);
+        drain_into(&r, &mut out);
         assert_eq!(out.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![0, 1]);
         // After the drain there is room again; the next seq shows the gap.
         assert!(r.push(ev(3)));
         out.clear();
-        r.drain_into(&mut out);
+        drain_into(&r, &mut out);
         assert_eq!(out[0].0, 3, "dropped attempt still consumed seq 2");
         // Drop accounting is cumulative: the drain did not reset it.
         assert_eq!(r.dropped(), 1);
@@ -311,7 +262,7 @@ mod tests {
                 assert!(r.push(ev(round * 10 + i)));
             }
             out.clear();
-            assert_eq!(r.drain_into(&mut out), 3);
+            assert_eq!(drain_into(&r, &mut out), 3);
             let ts: Vec<u64> = out.iter().map(|(_, e)| e.ts).collect();
             assert_eq!(ts, vec![round * 10, round * 10 + 1, round * 10 + 2]);
         }
@@ -331,36 +282,13 @@ mod tests {
             r.push(Event { ts: i as u64, thread: 2, monitor: 5, core: i as u32, kind: *k });
         }
         let mut out = Vec::new();
-        r.drain_into(&mut out);
+        drain_into(&r, &mut out);
         for ((i, (_, got)), want) in out.iter().enumerate().zip(kinds) {
             assert_eq!(got.kind, want);
             assert_eq!(got.thread, 2);
             assert_eq!(got.monitor, 5);
             assert_eq!(got.core, i as u32, "core id lost by the tag-word packing");
         }
-    }
-
-    #[test]
-    fn sampling_keeps_first_of_each_n_and_tallies_exactly() {
-        let r = SpscRing::new(64, 0);
-        let mut kept = 0;
-        for _ in 0..20 {
-            if r.sample_keep(&EventKind::Acquire, 4) {
-                kept += 1;
-            }
-        }
-        assert_eq!(kept, 5, "keep 1/4 of 20");
-        assert_eq!(r.sampled_out(), 15);
-        // Rare kinds are never thinned.
-        for _ in 0..10 {
-            assert!(r.sample_keep(&EventKind::Rollback { entries: 1, duration: 1 }, 4));
-        }
-        let mut tallies = std::collections::BTreeMap::new();
-        r.for_each_tally(|name, n| {
-            tallies.insert(name, n);
-        });
-        assert_eq!(tallies.get("Acquire"), Some(&20), "tally counts sampled-out events too");
-        assert_eq!(tallies.get("Rollback"), Some(&10));
     }
 
     #[test]
@@ -381,9 +309,9 @@ mod tests {
         };
         let mut got = Vec::new();
         loop {
-            r.drain_into(&mut got);
+            drain_into(&r, &mut got);
             if producer.is_finished() {
-                r.drain_into(&mut got);
+                drain_into(&r, &mut got);
                 break;
             }
         }

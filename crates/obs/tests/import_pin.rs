@@ -29,6 +29,7 @@
 
 mod spellings;
 
+use revmon_core::fnv1a;
 use revmon_obs::{import_trace_jsonl, write_events_jsonl, Event, EventKind, TraceImport};
 use std::fmt::Write as _;
 use std::io::BufReader;
@@ -36,10 +37,6 @@ use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/import_pin.txt")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Every kind with the given payload words. The `match` has no wildcard

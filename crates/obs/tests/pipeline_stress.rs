@@ -154,35 +154,6 @@ fn snapshot_watchers_do_not_perturb_the_stream() {
     assert_eq!(stats.retained + stats.trimmed, stats.recorded, "snapshot stole events");
 }
 
-#[test]
-fn sampling_under_concurrency_keeps_exact_tallies() {
-    const PRODUCERS: u64 = 4;
-    const PER_PRODUCER: u64 = 10_000;
-    let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    sink.set_sample(8);
-
-    let producers: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let sink = Arc::clone(&sink);
-            std::thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    sink.record(stamped(p, i, p * 1_000_000_000 + i));
-                }
-            })
-        })
-        .collect();
-    for h in producers {
-        h.join().unwrap();
-    }
-
-    // Per producer: ceil(10000/8) = 1250 kept, 8750 thinned.
-    assert_eq!(sink.recorded() + sink.dropped(), PRODUCERS * 1250);
-    assert_eq!(sink.sampled_out(), PRODUCERS * 8750);
-    // Exact counts survive in RunMeta form for the trace header.
-    let stats = sink.pipeline_stats();
-    assert_eq!(stats.sampled_out + stats.recorded + stats.dropped, PRODUCERS * PER_PRODUCER);
-}
-
 /// A `Write` that accumulates into a shared buffer and, as the streamed
 /// bytes reach staged content markers, registers a brand-new producer
 /// ring *while the triggering collection pass is still running* (the

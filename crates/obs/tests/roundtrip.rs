@@ -85,8 +85,6 @@ fn run_meta_survives_export_import_and_reexport() {
         dropped: Some(0),
         governor: Some((3, 500, 2000)),
         scheduler: Some("priority".into()),
-        sampled: Some(0),
-        sample_n: Some(4),
         drops_by_producer: RunMeta::encode_drop_breakdown(&[(0, 0), (1, 0)]),
     };
 

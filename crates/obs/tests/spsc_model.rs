@@ -18,9 +18,6 @@
 //! * each slot is two separately-written words (`seq`, `payload` with
 //!   `payload = f(seq)`), so an overwrite racing a read surfaces as a
 //!   mismatched pair.
-//!
-//! A real-loom harness with the same shape is kept behind `--cfg loom`
-//! at the bottom for environments that have loom available.
 
 use std::collections::HashSet;
 
@@ -354,41 +351,4 @@ fn model_detects_a_deliberately_broken_protocol() {
         }
     }
     assert!(caught, "sabotaged protocol was not detected — the model has no teeth");
-}
-
-/// Real-loom harness for environments that have loom: `RUSTFLAGS="--cfg
-/// loom" cargo test -p revmon-obs --test spsc_model` with a loom dev
-/// dependency added. Mirrors the hand-rolled model against the real
-/// `SpscRing` type. Compiled out here (no loom in the vendored set).
-#[cfg(loom)]
-mod with_loom {
-    use loom::sync::Arc;
-    use loom::thread;
-    use revmon_obs::{Event, EventKind, SpscRing};
-
-    #[test]
-    fn loom_explores_push_drain_interleavings() {
-        loom::model(|| {
-            let ring = Arc::new(SpscRing::new(2, 0));
-            let producer = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || {
-                    for i in 0..3u64 {
-                        let _ = ring.push(Event {
-                            ts: i,
-                            thread: 0,
-                            monitor: i,
-                            core: 0,
-                            kind: EventKind::Acquire,
-                        });
-                    }
-                })
-            };
-            let mut got = Vec::new();
-            ring.drain_into(&mut got);
-            producer.join().unwrap();
-            ring.drain_into(&mut got);
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-        });
-    }
 }

@@ -27,7 +27,7 @@
 
 mod common;
 
-use common::fnv1a;
+use revmon_core::fnv1a;
 use revmon_core::{GovernorConfig, InversionPolicy};
 use revmon_obs::{
     analysis_json, import_trace_jsonl, write_prometheus, write_report, Analysis, Event, EventKind,

@@ -34,11 +34,6 @@ pub fn corpus() -> Vec<(String, String)> {
         .collect()
 }
 
-/// FNV-1a of `bytes`: the digest the byte pins record beside a length.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }

@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::fnv1a;
+use revmon_core::fnv1a;
 use revmon_obs::{write_chrome_trace, write_trace_jsonl, Event, TsUnit};
 use revmon_vm::VmConfig;
 use std::collections::BTreeMap;
