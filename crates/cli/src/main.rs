@@ -6,10 +6,10 @@
 //!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
 //!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
 //!        [--quantum N] [--max-steps N] [--cores N]
-//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
-//!        [--trace] [--stats] [--trace-out events.jsonl]
-//!        [--chrome-trace out.json] [--metrics-json metrics.json]
-//!        [--prometheus out.prom] [--flame out.folded]
+//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]
+//!        [--stats] [--trace-out events.jsonl] [--chrome-trace out.json]
+//!        [--metrics-json metrics.json] [--prometheus out.prom]
+//!        [--flame out.folded]
 //! revmon explore program.rvm [--max-preemptions N] [--max-schedules N]
 //!        [--all-failures] [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N]
 //!        [--fuzz-len N] [--replay file.schedule.json] [--minimize]
@@ -19,8 +19,7 @@
 //!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
 //!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
 //!        [--quantum N] [--max-steps N] [--cores N]
-//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky]
-//!        [--trace]
+//!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]
 //! revmon demo [--low N] [--high N] [--sections N] [--watch] [--stats]
 //!        [--trace-out events.jsonl] [--chrome-trace out.json]
 //!        [--metrics-json metrics.json] [--prometheus out.prom]
@@ -95,7 +94,7 @@ struct Command {
 const VM_FLAGS: &str = "[--entry main] [--config modified|unmodified] \
     [--policy blocking|revocation|inherit|ceiling=N|delegation] [--sched rr|prio] \
     [--queue pq|fifo] [--detect acq|bg=N] [--seed N] [--quantum N] [--max-steps N] [--cores N] \
-    [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--sticky] [--trace]";
+    [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]";
 
 /// Observability outputs shared by `run` and `demo` ([`ObsOuts`]).
 const OBS_FLAGS: &str = "[--stats] [--trace-out events.jsonl] [--chrome-trace out.json] \
@@ -406,7 +405,6 @@ fn parse_vm_config(opts: &Opts<'_>) -> Result<VmConfig, String> {
         cfg.governor = parse_governor(g)?;
     }
     cfg.elide_barriers = opts.has("--elide");
-    cfg.sticky_nonrevocable = opts.has("--sticky");
     cfg.trace = opts.has("--trace");
     Ok(cfg)
 }
@@ -746,7 +744,7 @@ fn run_explore(
         );
         if opts.has("--stats") {
             println!("--- stats ---");
-            print_schedule_rate(report.iters, wall);
+            print_schedule_rate(report.iters, wall, None);
         }
         if let Some(path) = &metrics {
             let counters = [
@@ -803,7 +801,7 @@ fn run_explore(
     }
     if opts.has("--stats") {
         println!("--- stats ---");
-        print_schedule_rate(s.schedules, wall);
+        print_schedule_rate(s.schedules, wall, s.first_violation);
         println!(
             "dedup hit ratio    : {:.3} ({} of {} expansions already visited)",
             s.dedup_hit_ratio(),
@@ -840,11 +838,19 @@ fn run_explore(
     }
 }
 
-/// The wall-clock half of `explore --stats`: how long the search took
-/// and what one schedule cost.
-fn print_schedule_rate(schedules: u64, wall: std::time::Duration) {
+/// The wall-clock half of `explore --stats`: how long the search took,
+/// when it found its first violation (if it found one) and what one
+/// schedule cost.
+fn print_schedule_rate(
+    schedules: u64,
+    wall: std::time::Duration,
+    first_violation: Option<std::time::Duration>,
+) {
     let secs = wall.as_secs_f64();
     println!("wall time          : {secs:.3} s");
+    if let Some(t) = first_violation {
+        println!("first violation    : {:.3} s", t.as_secs_f64());
+    }
     if schedules > 0 && secs > 0.0 {
         println!("schedules/s        : {:.1}", schedules as f64 / secs);
         println!("us per schedule    : {:.1}", secs * 1e6 / schedules as f64);

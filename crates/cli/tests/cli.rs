@@ -314,3 +314,23 @@ fn producer_consumer_handshake_works() {
         assert_eq!(values, vec![10, 20, 30, 40, 50, 5], "config {config}: {stdout}");
     }
 }
+
+#[test]
+fn explore_stats_time_the_first_violation_only_when_there_is_one() {
+    let explore = |extra: &[&str]| {
+        let out = bin()
+            .args(["explore", &program("priority_inversion.rvm"), "--max-preemptions", "0"])
+            .args(["--stats"])
+            .args(extra)
+            .output()
+            .unwrap();
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let (ok, clean) = explore(&[]);
+    assert!(ok && clean.contains("wall time"), "{clean}");
+    assert!(!clean.contains("first violation"), "{clean}");
+    let (ok, faulty) = explore(&["--fault-skip-undo", "1000000"]);
+    assert!(!ok && faulty.contains("FAILURE: rollback-restoration"), "{faulty}");
+    let line = faulty.lines().find(|l| l.starts_with("first violation    : ")).expect("timed");
+    assert!(line.ends_with(" s"), "{line}");
+}

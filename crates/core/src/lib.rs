@@ -29,8 +29,8 @@
 //! * [`metrics`]  — counters and small statistics helpers (means,
 //!   confidence intervals) used by the benchmark harness,
 //! * [`fx`]       — the one fast hasher for maps keyed by ids the
-//!   runtimes generate themselves, and the one stable content digest
-//!   ([`fnv1a`]),
+//!   runtimes generate themselves, the one state-fingerprint hasher
+//!   ([`FoldHasher`]), and the one stable content digest ([`fnv1a`]),
 //! * [`governor`] — the revocation request verdict and the adaptive
 //!   revocation governor (bounded retries, exponential backoff,
 //!   per-monitor fallback to blocking),
@@ -54,7 +54,7 @@ pub mod undo;
 pub use cost::CostModel;
 pub use deadlock::{Victim, WaitsForGraph};
 pub use delegate::DelegateConfig;
-pub use fx::{fnv1a, FxHasher, FxMap, FxSet};
+pub use fx::{fnv1a, FoldHasher, FxHasher, FxMap, FxSet};
 pub use governor::{
     revocation_verdict, Governor, GovernorConfig, GovernorVerdict, RevocationVerdict,
 };

@@ -25,6 +25,7 @@
 
 use crate::runner::{RunOutcome, Runner, Terminal};
 use revmon_core::FxSet;
+use std::time::{Duration, Instant};
 
 /// Search limits.
 #[derive(Clone, Copy, Debug)]
@@ -69,6 +70,9 @@ pub struct Stats {
     /// True when `max_schedules` stopped the search before the frontier
     /// drained — the enumeration is then a *sample*, not a proof.
     pub capped: bool,
+    /// Wall time from the start of the search to the end of the first
+    /// schedule that violated an invariant; `None` if none did.
+    pub first_violation: Option<Duration>,
 }
 
 impl Stats {
@@ -117,6 +121,7 @@ impl ExploreReport {
 /// Exhaustively enumerate schedules of `runner`'s program within
 /// `bounds`.
 pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
+    let started = Instant::now();
     let mut report = ExploreReport::default();
     // Both sets are keyed by state fingerprints — 64-bit hashes already.
     let mut terminal_fps: FxSet<u64> = FxSet::default();
@@ -176,6 +181,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
         }
 
         if failed {
+            report.stats.first_violation.get_or_insert_with(|| started.elapsed());
             report.failures.push(Failure { prefix, schedule: choices, outcome: out });
             if bounds.stop_on_first_failure {
                 break;
@@ -199,6 +205,7 @@ mod tests {
         let report = explore(&testprogs::two_incrementers(2), Bounds::default());
         assert!(report.clean(), "failures: {:?}", report.failures.first());
         assert!(!report.stats.capped);
+        assert_eq!(report.stats.first_violation, None);
         assert!(report.stats.schedules > 1, "search must branch");
         assert!(report.stats.decision_points > 0);
         // Every schedule but the first came from an expansion, and only
@@ -257,6 +264,7 @@ mod tests {
     fn injected_fault_is_found_and_replayable() {
         let report = explore(&testprogs::faulty_inversion_pair(1), Bounds::default());
         assert!(!report.clean(), "fault must surface under exploration");
+        assert!(report.stats.first_violation.is_some());
         let failure = &report.failures[0];
         assert!(failure.outcome.violates("rollback-restoration"));
         // The recorded schedule reproduces the violation bit-for-bit.

@@ -16,8 +16,9 @@
 //!   to prove the JMM guard's soundness end to end: a value observed by
 //!   another thread must never be rolled back (§2.2, Figs. 2–3). The
 //!   oracle owns its state while the VM runs and hands it back when
-//!   detached ([`Oracle::detach`]), so a hook costs a few indexed or
-//!   hashed updates and no lock.
+//!   detached ([`Oracle::detach`]). It shadows the heap word by word, by
+//!   the indices the access carries, so a hook costs a few indexed
+//!   updates — no hash and no lock.
 //!
 //! Every violated check becomes a [`Violation`] with a stable name, so
 //! schedule artifacts can assert "this schedule reproduces *that* bug".
@@ -282,13 +283,75 @@ pub fn check_terminal(vm: &Vm) -> Vec<Violation> {
     v
 }
 
-/// One mirrored section layer: the undo-log length at entry and the
-/// first-overwritten (pre-section) value of every location logged while
-/// it was the innermost *recorded* layer.
+/// One mirrored section layer: the undo-log length at entry, a serial no
+/// other layer shares, and the first-overwritten (pre-section) value of
+/// every location logged while it was the innermost *recorded* layer, in
+/// write order.
 #[derive(Debug)]
 struct Layer {
     mark_len: usize,
-    expected: FxMap<Location, Value>,
+    serial: u64,
+    expected: Vec<(Location, Value)>,
+}
+
+/// The oracle's shadow of one heap word.
+#[derive(Clone, Copy, Debug, Default)]
+struct Word {
+    /// Mirror of the word's speculative-write stamp: writer, value, and
+    /// whether a *different* thread has observed the value.
+    speculative: Option<(ThreadId, Value, bool)>,
+    /// Serial of the last layer that recorded this word (0: none has), so
+    /// a repeat write under the same layer costs one compare.
+    serial: u64,
+}
+
+/// A shadow heap shaped like [`revmon_vm::heap::Heap`]: one [`Word`] per
+/// static and per object slot, reached by the indices the access itself
+/// carries and grown on the first logged write past its end.
+#[derive(Debug, Default)]
+struct Shadow {
+    statics: Vec<Word>,
+    objects: Vec<Vec<Word>>,
+}
+
+impl Shadow {
+    fn get_mut(&mut self, loc: Location) -> Option<&mut Word> {
+        match loc {
+            Location::Static(s) => self.statics.get_mut(s as usize),
+            Location::Obj(r, off) => self.objects.get_mut(r.index())?.get_mut(off as usize),
+        }
+    }
+
+    fn grow(&mut self, loc: Location) -> &mut Word {
+        fn at(words: &mut Vec<Word>, i: usize) -> &mut Word {
+            if words.len() <= i {
+                words.resize(i + 1, Word::default());
+            }
+            &mut words[i]
+        }
+        match loc {
+            Location::Static(s) => at(&mut self.statics, s as usize),
+            Location::Obj(r, off) => {
+                if self.objects.len() <= r.index() {
+                    self.objects.resize_with(r.index() + 1, Vec::new);
+                }
+                at(&mut self.objects[r.index()], off as usize)
+            }
+        }
+    }
+
+    /// Drop `loc`'s speculative entry if `tid` made it, returning its
+    /// value and whether another thread had observed it.
+    fn clear(&mut self, loc: Location, tid: ThreadId) -> Option<(Value, bool)> {
+        let word = self.get_mut(loc)?;
+        match word.speculative {
+            Some((writer, value, seen)) if writer == tid => {
+                word.speculative = None;
+                Some((value, seen))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// What the oracle has seen and concluded. The [`Oracle`] owns it for
@@ -305,9 +368,10 @@ pub struct OracleState {
     /// Mirror of each thread's active section layers, indexed by
     /// `ThreadId`.
     layers: Vec<Vec<Layer>>,
-    /// Mirror of the speculative-write stamps: location → (writer, value),
-    /// plus whether a *different* thread has observed the value.
-    speculative: FxMap<Location, (ThreadId, Value, bool)>,
+    /// Mirror of the speculative-write stamps, word by word.
+    shadow: Shadow,
+    /// Serial of the newest layer; serials start at 1.
+    serial: u64,
 }
 
 impl OracleState {
@@ -317,6 +381,12 @@ impl OracleState {
             self.layers.resize_with(tid.index() + 1, Vec::new);
         }
         &mut self.layers[tid.index()]
+    }
+
+    /// A fresh layer at undo-log length `mark_len`.
+    fn layer(&mut self, mark_len: usize) -> Layer {
+        self.serial += 1;
+        Layer { mark_len, serial: self.serial, expected: Vec::new() }
     }
 }
 
@@ -349,7 +419,8 @@ impl Probe for Oracle {
 
     fn on_section_enter(&mut self, vm: &Vm, tid: ThreadId, _monitor: ObjRef) {
         let mark_len = vm.vm_threads()[tid.index()].undo.len();
-        self.state.layers_of(tid).push(Layer { mark_len, expected: FxMap::default() });
+        let layer = self.state.layer(mark_len);
+        self.state.layers_of(tid).push(layer);
     }
 
     fn on_heap_write(
@@ -366,16 +437,23 @@ impl Probe for Oracle {
             return;
         }
         let st = &mut self.state;
+        let word = st.shadow.grow(loc);
         if let Some(top) = st.layers.get_mut(tid.index()).and_then(|layers| layers.last_mut()) {
-            top.expected.entry(loc).or_insert(old);
+            // The first write under this layer keeps its pre-value.
+            if word.serial != top.serial {
+                word.serial = top.serial;
+                top.expected.push((loc, old));
+            }
         }
-        st.speculative.insert(loc, (tid, new, false));
+        word.speculative = Some((tid, new, false));
     }
 
     fn on_heap_read(&mut self, tid: ThreadId, loc: Location, value: Value) {
-        if let Some(entry) = self.state.speculative.get_mut(&loc) {
-            if entry.0 != tid && entry.1 == value {
-                entry.2 = true; // a foreign thread observed the speculation
+        if let Some(Word { speculative: Some((writer, v, seen)), .. }) =
+            self.state.shadow.get_mut(loc)
+        {
+            if *writer != tid && *v == value {
+                *seen = true; // a foreign thread observed the speculation
             }
         }
     }
@@ -383,8 +461,12 @@ impl Probe for Oracle {
     fn on_commit(&mut self, vm: &Vm, tid: ThreadId, _monitor: ObjRef) {
         let st = &mut self.state;
         st.commits += 1;
-        st.layers_of(tid).clear();
-        st.speculative.retain(|_, &mut (w, _, _)| w != tid);
+        // A word whose live speculation is `tid`'s is on one of its layers'
+        // lists: walk those, not the heap.
+        let layers = std::mem::take(st.layers_of(tid));
+        for &(loc, _) in layers.iter().flat_map(|l| &l.expected) {
+            st.shadow.clear(loc, tid);
+        }
         // The VM retired the whole log at outermost exit; double-check.
         if !vm.vm_threads()[tid.index()].undo.is_empty() {
             st.violations.push(Violation {
@@ -404,12 +486,14 @@ impl Probe for Oracle {
             layers.into_iter().partition(|l| l.mark_len < restored_to);
 
         // Merge expectations outermost-first: the value a location must
-        // read after rollback is the *oldest* logged pre-value.
+        // read after rollback is the *oldest* logged pre-value. A layer
+        // lists a location twice only when something else recorded the
+        // word in between (another thread, or an inner layer since rolled
+        // back); its first entry is still the older value, so the first
+        // entry wins here too.
         let mut expected: FxMap<Location, Value> = FxMap::default();
-        for layer in &undone {
-            for (&loc, &old) in &layer.expected {
-                expected.entry(loc).or_insert(old);
-            }
+        for &(loc, old) in undone.iter().flat_map(|l| &l.expected) {
+            expected.entry(loc).or_insert(old);
         }
         for (loc, want) in &expected {
             match vm.heap().read(*loc) {
@@ -429,8 +513,8 @@ impl Probe for Oracle {
 
         // JMM soundness: none of the undone writes may have been observed
         // by another thread while speculative.
-        for (loc, &(w, val, seen)) in st.speculative.iter() {
-            if w == tid && seen && expected.contains_key(loc) {
+        for &loc in expected.keys() {
+            if let Some((val, true)) = st.shadow.clear(loc, tid) {
                 st.violations.push(Violation {
                     invariant: "jmm-observed-write-revoked",
                     detail: format!(
@@ -439,13 +523,12 @@ impl Probe for Oracle {
                 });
             }
         }
-        st.speculative.retain(|loc, &mut (w, _, _)| !(w == tid && expected.contains_key(loc)));
 
         // The surviving (post-wait restart) section, if any, starts a
         // fresh expectation layer at the restored log length.
         let live_sections = vm.vm_threads()[tid.index()].sections.len();
         while kept.len() < live_sections {
-            kept.push(Layer { mark_len: restored_to, expected: FxMap::default() });
+            kept.push(st.layer(restored_to));
         }
         *st.layers_of(tid) = kept;
     }

@@ -883,8 +883,7 @@ impl Vm {
     /// `tid` performs an irrevocable effect (a native call, a spawn):
     /// every section it is in stops being revocable (§2.2). The flips
     /// are counted and, if there were any, announced by one
-    /// `NonRevocable` on the outermost section's monitor; under
-    /// `sticky_nonrevocable` every enclosing monitor stays pinned.
+    /// `NonRevocable` on the outermost section's monitor.
     fn pin_enclosing_sections(&mut self, tid: ThreadId) {
         if !self.thread(tid).in_section() {
             return;
@@ -894,12 +893,6 @@ impl Vm {
         if flipped > 0 {
             let m = self.thread(tid).sections[0].monitor;
             self.emit(tid, m, revmon_obs::EventKind::NonRevocable);
-            if self.config.sticky_nonrevocable {
-                let ms: Vec<ObjRef> = self.thread(tid).sections.iter().map(|s| s.monitor).collect();
-                for m in ms {
-                    self.monitors.get_mut(m).sticky_nonrevocable = true;
-                }
-            }
         }
     }
 
@@ -913,17 +906,6 @@ impl Vm {
             let sections = &self.threads[w.writer.index()].sections;
             let m = sections.first().map(|s| s.monitor).unwrap_or(ObjRef(0));
             self.emit(w.writer, m, revmon_obs::EventKind::NonRevocable);
-            if self.config.sticky_nonrevocable {
-                let ms: Vec<ObjRef> = self.threads[w.writer.index()]
-                    .sections
-                    .iter()
-                    .filter(|s| !s.revocable)
-                    .map(|s| s.monitor)
-                    .collect();
-                for m in ms {
-                    self.monitors.get_mut(m).sticky_nonrevocable = true;
-                }
-            }
         }
     }
 

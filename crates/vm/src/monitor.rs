@@ -42,10 +42,6 @@ pub struct MonitorState {
     /// Priority ceiling, when the ceiling policy is active for this
     /// monitor.
     pub ceiling: Option<Priority>,
-    /// Sticky non-revocability (optional strict mode: once an execution
-    /// of this monitor is marked non-revocable, all future executions are
-    /// too).
-    pub sticky_nonrevocable: bool,
     /// Total acquisitions of this monitor.
     pub acquires: u64,
     /// Acquisitions that found it held (blocking episodes).
@@ -72,7 +68,6 @@ impl MonitorState {
             queue: PrioritizedQueue::new(discipline),
             wait_set: Vec::new(),
             ceiling: None,
-            sticky_nonrevocable: false,
             acquires: 0,
             contended: 0,
             peak_queue: 0,

@@ -30,8 +30,7 @@ use revmon_obs::EventKind;
 impl Vm {
     /// Flag `holder` so that its outermost section on `obj` is revoked at
     /// its next yield point — or, as [`revocation_verdict`] decides, count
-    /// it unresolved (non-revocable, sticky-blocked or livelock-guarded
-    /// section) or throttled (the governor's fallback window).
+    /// it unresolved (non-revocable or livelock-guarded section) or throttled (the governor's fallback window).
     pub(crate) fn request_revocation(
         &mut self,
         by: ThreadId,

@@ -144,8 +144,6 @@ impl Vm {
             .iter()
             .find(|r| r.enter == enter_pc)
             .map(|r| (r.enter, r.exit));
-        let sticky_blocked = self.config.sticky_nonrevocable
-            && self.monitors.get(obj).map(|m| m.sticky_nonrevocable).unwrap_or(false);
         let acq_id = self.next_acq_id;
         self.next_acq_id += 1;
         let t = self.thread_mut(tid);
@@ -157,7 +155,7 @@ impl Vm {
             mark,
             frame_depth: depth,
             snapshot,
-            revocable: !sticky_blocked,
+            revocable: true,
             region,
             delegated: None,
         });
@@ -333,13 +331,6 @@ impl Vm {
             self.global.monitors_marked_nonrevocable += flipped;
             if flipped > 0 {
                 self.emit(tid, obj, EventKind::NonRevocable);
-            }
-            if self.config.sticky_nonrevocable {
-                let monitors: Vec<ObjRef> =
-                    self.thread(tid).sections.iter().map(|s| s.monitor).collect();
-                for m in monitors {
-                    self.monitors.get_mut(m).sticky_nonrevocable = true;
-                }
             }
         } else {
             // Single section on `obj`: commit the pre-wait updates and

@@ -76,9 +76,6 @@ pub struct VmConfig {
     /// (`Insn::Delegate` and the `Delegation` policy): most importantly
     /// the bounded drain budget.
     pub delegate: DelegateConfig,
-    /// Strict mode: once any execution of a monitor is marked
-    /// non-revocable, all future executions are too (sticky header bit).
-    pub sticky_nonrevocable: bool,
     /// Keep every emitted [`revmon_obs::Event`] in memory for
     /// [`Vm::take_trace`]: the one way events leave the machine, in
     /// order and without loss (`revmon run`'s trace, exports and
@@ -127,7 +124,6 @@ impl VmConfig {
             max_consecutive_revocations: 0,
             governor: GovernorConfig::disabled(),
             delegate: DelegateConfig::default(),
-            sticky_nonrevocable: false,
             trace: false,
             fault_skip_undo: 0,
             fault_force_inversion: false,
@@ -972,7 +968,7 @@ impl Vm {
     /// cross-core differential tests assert.
     pub fn heap_fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = revmon_core::FoldHasher::new();
         self.heap.hash_state(&mut h);
         h.finish()
     }

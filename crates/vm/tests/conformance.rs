@@ -34,9 +34,6 @@ fn configs() -> Vec<(String, VmConfig)> {
     bg.detection = DetectionStrategy::Background { period: 10_000 };
     out.push(("modified/background-detect".into(), bg));
     out.push(("modified/elision".into(), VmConfig::modified().with_elision()));
-    let mut sticky = VmConfig::modified();
-    sticky.sticky_nonrevocable = true;
-    out.push(("modified/sticky".into(), sticky));
     let mut guard = VmConfig::modified();
     guard.max_consecutive_revocations = 2;
     out.push(("modified/livelock-guard".into(), guard));

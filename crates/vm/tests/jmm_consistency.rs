@@ -337,63 +337,6 @@ fn nested_wait_forces_nonrevocability() {
     assert!(report.global.monitors_marked_nonrevocable >= 2, "both enclosing sections flagged");
 }
 
-/// Sticky mode: once flagged, the monitor stays non-revocable for future
-/// executions too.
-#[test]
-fn sticky_nonrevocable_extends_to_future_executions() {
-    let mut pb = ProgramBuilder::new();
-    pb.statics(1);
-    let low = pb.declare_method("low", 2);
-    let mut b = MethodBuilder::new(2, 3);
-    // two sections in a row; the first contains a native call
-    for with_native in [true, false] {
-        b.sync_on_local(0, |bb| {
-            if with_native {
-                bb.const_i(1);
-                bb.native(NativeOp::Emit);
-            }
-            bb.const_i(0);
-            bb.store(2);
-            let top = bb.here();
-            bb.load(2);
-            bb.load(1);
-            let done = bb.new_label();
-            bb.if_ge(done);
-            bb.get_static(0);
-            bb.const_i(1);
-            bb.add();
-            bb.put_static(0);
-            bb.load(2);
-            bb.const_i(1);
-            bb.add();
-            bb.store(2);
-            bb.goto(top);
-            bb.place(done);
-        });
-    }
-    b.ret_void();
-    pb.implement(low, b);
-    let high = pb.declare_method("high", 1);
-    let mut h = MethodBuilder::new(1, 1);
-    h.const_i(100_000);
-    h.sleep();
-    h.sync_on_local(0, |bb| {
-        bb.get_static(0);
-        bb.pop();
-    });
-    h.ret_void();
-    pb.implement(high, h);
-    let mut cfg = VmConfig::modified();
-    cfg.sticky_nonrevocable = true;
-    let mut vm = Vm::new(pb.finish(), cfg);
-    let m = vm.heap_mut().alloc(0, 0);
-    vm.spawn("low", low, vec![Value::Ref(m), Value::Int(40_000)], Priority::LOW);
-    vm.spawn("high", high, vec![Value::Ref(m)], Priority::HIGH);
-    let report = vm.run().expect("run");
-    // The second section (no native call) must also be immune under sticky.
-    assert_eq!(report.threads[0].metrics.rollbacks, 0);
-}
-
 /// Figure 3 variant with *object-field* volatiles (declared via the
 /// allocation-time volatile mask) instead of volatile statics.
 #[test]
