@@ -26,7 +26,7 @@ use std::any::Any;
 
 /// One probe hook call.
 #[derive(Debug, PartialEq)]
-enum Seen {
+pub(crate) enum Seen {
     Enter(ThreadId, ObjRef),
     Read(ThreadId, Location, Value),
     Write(ThreadId, Location, Value, Value, bool),
@@ -68,25 +68,25 @@ impl Probe for Recorder {
 
 /// Everything a run can be told apart by.
 #[derive(Debug, PartialEq)]
-struct Observed {
-    result: Result<(), VmError>,
-    steps: u64,
-    clock: u64,
-    metrics: Metrics,
-    output: Vec<Value>,
-    uncaught: Vec<Option<u32>>,
-    trace: Vec<Event>,
-    state: u64,
-    heap: u64,
+pub(crate) struct Observed {
+    pub(crate) result: Result<(), VmError>,
+    pub(crate) steps: u64,
+    pub(crate) clock: u64,
+    pub(crate) metrics: Metrics,
+    pub(crate) output: Vec<Value>,
+    pub(crate) uncaught: Vec<Option<u32>>,
+    pub(crate) trace: Vec<Event>,
+    pub(crate) state: u64,
+    pub(crate) heap: u64,
     /// What the recording probe saw, when one was attached.
-    seen: Option<Vec<Seen>>,
+    pub(crate) seen: Option<Vec<Seen>>,
 }
 
 /// A thread to start: which method, on what, how urgent.
-struct Th {
-    method: u32,
-    args: Vec<Value>,
-    prio: Priority,
+pub(crate) struct Th {
+    pub(crate) method: u32,
+    pub(crate) args: Vec<Value>,
+    pub(crate) prio: Priority,
 }
 
 /// `n` threads of equal priority on method 0.
@@ -95,14 +95,14 @@ fn threads(n: usize) -> Vec<Th> {
 }
 
 /// The object of three fields every run starts with.
-const OBJ: Value = Value::Ref(ObjRef(0));
+pub(crate) const OBJ: Value = Value::Ref(ObjRef(0));
 /// The array of [`ARR_LEN`] every run starts with.
-const ARR: Value = Value::Ref(ObjRef(1));
-const ARR_LEN: i64 = 4;
+pub(crate) const ARR: Value = Value::Ref(ObjRef(1));
+pub(crate) const ARR_LEN: i64 = 4;
 /// Static slots of every program here.
-const STATICS: u32 = 2;
+pub(crate) const STATICS: u32 = 2;
 
-fn program(code: Vec<Insn>, locals: u16, handlers: Vec<Handler>) -> Program {
+pub(crate) fn program(code: Vec<Insn>, locals: u16, handlers: Vec<Handler>) -> Program {
     Program {
         methods: vec![Method {
             name: "main".into(),
@@ -153,7 +153,7 @@ fn observe(program: &Program, cfg: VmConfig, ths: &[Th], step_only: bool, probe:
 /// Run batched and step-only, bare and probed, require the tiers to
 /// agree and the probe to change nothing, return what the probed runs
 /// saw.
-fn parity_of(program: &Program, cfg: VmConfig, ths: &[Th]) -> Observed {
+pub(crate) fn parity_of(program: &Program, cfg: VmConfig, ths: &[Th]) -> Observed {
     let pair = |probe| {
         let batched = observe(program, cfg, ths, false, probe);
         let stepped = observe(program, cfg, ths, true, probe);
@@ -173,7 +173,7 @@ fn parity_of(program: &Program, cfg: VmConfig, ths: &[Th]) -> Observed {
 }
 
 /// [`parity_of`] for `n` equal threads on method 0.
-fn parity(program: &Program, cfg: VmConfig, n: usize) -> Observed {
+pub(crate) fn parity(program: &Program, cfg: VmConfig, n: usize) -> Observed {
     parity_of(program, cfg, &threads(n))
 }
 
@@ -366,7 +366,7 @@ fn batched_clock_charge_saturates_like_the_stepped_one() {
 /// barriers at all, the modified VM, the modified VM with the elision
 /// table consulted on every store, and write barriers without the JMM
 /// guard's read barrier.
-fn configs() -> [VmConfig; 4] {
+pub(crate) fn configs() -> [VmConfig; 4] {
     let mut unguarded = VmConfig::modified();
     unguarded.jmm_guard = false;
     [VmConfig::unmodified(), VmConfig::modified(), VmConfig::modified().with_elision(), unguarded]
@@ -376,7 +376,7 @@ fn configs() -> [VmConfig; 4] {
 /// raw `MonitorEnter`, so there is nothing to roll back to, but declared
 /// as a region, so the elision analysis knows its stores need their
 /// barrier — then `after`.
-fn around_section(before: Vec<Insn>, body: Vec<Insn>, after: Vec<Insn>) -> Program {
+pub(crate) fn around_section(before: Vec<Insn>, body: Vec<Insn>, after: Vec<Insn>) -> Program {
     let mut code = before;
     code.extend([Insn::Const(OBJ), Insn::MonitorEnter]);
     let enter = code.len() as u32 - 1;
@@ -392,7 +392,7 @@ fn around_section(before: Vec<Insn>, body: Vec<Insn>, after: Vec<Insn>) -> Progr
 
 /// The tail of a loop that counts `local` down to zero: decrement it and
 /// branch back to `head` — a yield point — while it is not there yet.
-fn count_down(local: u16, head: u32) -> [Insn; 6] {
+pub(crate) fn count_down(local: u16, head: u32) -> [Insn; 6] {
     [
         Insn::Load(local),
         Insn::Const(Value::Int(-1)),
@@ -405,7 +405,7 @@ fn count_down(local: u16, head: u32) -> [Insn; 6] {
 
 /// A short frame-local stretch, `operands` pushed, then `insn`: what the
 /// fast loop is in the middle of when the access comes up.
-fn access(operands: &[Value], insn: Insn) -> Vec<Insn> {
+pub(crate) fn access(operands: &[Value], insn: Insn) -> Vec<Insn> {
     let mut code = vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Nop];
     code.extend(operands.iter().copied().map(Insn::Const));
     code.push(insn);
@@ -428,11 +428,11 @@ fn each_way(operands: &[Value], insn: Insn, check: impl Fn(&Observed)) {
     }
 }
 
-const INT: Value = Value::Int(3);
+pub(crate) const INT: Value = Value::Int(3);
 
 /// Each shared opcode with operands that are all in order: receiver
 /// first, then index, then the value to store.
-fn well_formed() -> [(Insn, Vec<Value>); 6] {
+pub(crate) fn well_formed() -> [(Insn, Vec<Value>); 6] {
     [
         (Insn::GetField(1), vec![OBJ]),
         (Insn::PutField(1), vec![OBJ, INT]),

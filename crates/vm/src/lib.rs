@@ -76,6 +76,8 @@ pub mod builder;
 pub mod bytecode;
 pub mod disasm;
 pub mod error;
+#[cfg(test)]
+mod fault_pin;
 mod fingerprint;
 pub mod heap;
 pub mod interp;
