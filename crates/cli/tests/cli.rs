@@ -281,6 +281,25 @@ fn run_exports_every_event_of_a_long_trace() {
 }
 
 #[test]
+fn value_faults_name_their_method_and_pc() {
+    // The verifier tracks stack depth, not value kinds: this passes
+    // `verify` and adds an integer to a reference at pc 2.
+    let src = std::env::temp_dir().join(format!("revmon-cli-value-{}.rvm", std::process::id()));
+    std::fs::write(
+        &src,
+        ".method main params=0 locals=1\n    new class=0 fields=1\n    const 1\n    add\n    retvoid\n.end\n",
+    )
+    .unwrap();
+    let verified = bin().args(["verify", src.to_str().unwrap()]).output().unwrap();
+    assert!(verified.status.success(), "stderr: {}", String::from_utf8_lossy(&verified.stderr));
+    let out = bin().args(["run", src.to_str().unwrap()]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("expected an integer value"), "{stderr}");
+    assert!(stderr.contains("main") && stderr.contains("pc 2"), "no position: {stderr}");
+}
+
+#[test]
 fn no_command_thins_its_trace_or_invents_core_lanes() {
     // Every command records each event as it happened: none takes a
     // sampling modulus, and the real-thread demo has no simulated cores.

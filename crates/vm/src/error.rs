@@ -39,7 +39,14 @@ pub enum VmError {
     /// or a lost wakeup).
     Stalled(Vec<ThreadId>),
     /// Value-level type confusion (malformed program).
-    Value(ValueError),
+    Value {
+        /// Method name.
+        method: String,
+        /// Faulting pc.
+        pc: u32,
+        /// What was wrong with the value.
+        error: ValueError,
+    },
     /// Internal invariant violation; the payload describes it.
     Internal(&'static str),
 }
@@ -57,7 +64,9 @@ impl fmt::Display for VmError {
             VmError::IllegalMonitorState(what) => write!(f, "illegal monitor state: {what}"),
             VmError::StepLimit(n) => write!(f, "step limit of {n} instructions exhausted"),
             VmError::Stalled(ts) => write!(f, "no runnable threads; blocked: {ts:?}"),
-            VmError::Value(e) => write!(f, "value fault: {e}"),
+            VmError::Value { method, pc, error } => {
+                write!(f, "value fault in {method} at pc {pc}: {error}")
+            }
             VmError::Internal(what) => write!(f, "internal VM invariant violated: {what}"),
         }
     }
@@ -68,11 +77,5 @@ impl std::error::Error for VmError {}
 impl From<HeapError> for VmError {
     fn from(e: HeapError) -> Self {
         VmError::Heap(e)
-    }
-}
-
-impl From<ValueError> for VmError {
-    fn from(e: ValueError) -> Self {
-        VmError::Value(e)
     }
 }

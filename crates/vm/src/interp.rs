@@ -1,19 +1,23 @@
-//! The bytecode interpreter, in two tiers. `step` executes any one
-//! instruction, with Java-style program exceptions for null
-//! dereferences, bounds errors and division by zero. `run_local` runs a
-//! stretch of instructions that stay on the running thread — operand
-//! stack, locals, arithmetic, branches, and shared-heap accesses that
-//! succeed — under one borrow of the frame and settles their accounting
-//! in one go; it hands back to `step` at the next yield point, at any
-//! other opcode, and — having changed nothing — at anything that would
-//! fault, trap or touch another thread.
+//! The bytecode interpreter, in two tiers over one definition of each
+//! opcode. `local_arm` is what the instructions that stay on the running
+//! thread do — operand stack, locals, arithmetic, branches, and
+//! shared-heap accesses that succeed — and declines, having changed
+//! nothing, anything that would fault, trap or touch another thread.
+//! `run_local` loops over it under one borrow of the frame and settles
+//! the accounting in one go, handing back to `step` at the next yield
+//! point, at any other opcode, and at a decline. `step` executes any one
+//! instruction: the other opcodes with their own code, these by calling
+//! the arm once, and a decline by `fault_of`, which reads off the
+//! untouched frame the `VmError` or the Java-style exception (null
+//! dereference, bounds, division by zero) — or, for a read of another
+//! thread's speculative write, makes the read all the same (§2.2).
 //!
 //! Both tiers reach the heap through `Shared`, the one place the
 //! write barrier on the three store kinds (§3.1.2) and the read barrier
 //! feeding the JMM-consistency guard (§2.2) are written.
 
 use crate::analysis::ElisionTable;
-use crate::bytecode::{Insn, MethodId, NativeOp};
+use crate::bytecode::{Barrier, Insn, MethodId, NativeOp};
 use crate::error::VmError;
 use crate::heap::{Heap, HeapError, Location};
 use crate::jmm::SpeculativeWrite;
@@ -32,6 +36,34 @@ pub const OOB_TAG: u32 = 0xFFFF_FF02;
 pub const ARITH_TAG: u32 = 0xFFFF_FF03;
 /// Class tag of the built-in `OutOfMemoryError` (heap-object limit).
 pub const OOM_TAG: u32 = 0xFFFF_FF04;
+
+/// Why [`local_arm`] declined an instruction, read off the frame it
+/// left untouched.
+#[derive(Debug)]
+pub(crate) enum Declined {
+    /// The machine stops.
+    Fatal(VmError),
+    /// The program throws a built-in exception.
+    Throw(u32),
+    /// A shared read or write outside the heap.
+    Heap { error: HeapError, read: bool },
+    /// A read of a word carrying another thread's live stamp.
+    Observed(SpeculativeWrite),
+}
+
+/// One `step` of an opcode of [`local_arm`]'s set, as the tests see it.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct ArmCall {
+    pub(crate) insn: Insn,
+    /// What [`Vm::declined`] said before the arm ran.
+    pub(crate) fault: Option<Declined>,
+    /// Whether the arm declined.
+    pub(crate) declined: bool,
+    /// Whether the instruction went on to its successor with nothing
+    /// thrown.
+    pub(crate) completed: bool,
+}
 
 /// The two topmost operand-stack slots (`a` below `b`), if there are two.
 #[inline(always)]
@@ -75,6 +107,10 @@ struct Shared<'a> {
     in_section: bool,
     barriers: bool,
     jmm_guard: bool,
+    /// Whether [`Shared::read`] declines a word carrying another
+    /// thread's live stamp: under the JMM guard, except when
+    /// [`Vm::fault_of`] reads it all the same.
+    decline_foreign: bool,
     barrier_fast: u64,
     barrier_slow: u64,
     /// Barrier ticks run up and not yet charged to the clock. No access
@@ -84,42 +120,25 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// The JMM guard's question (§2.2): would a read of `loc` observe a
-    /// write another thread made in a section that may yet roll back?
-    #[inline(always)]
-    fn foreign_write(&self, loc: Location) -> Option<SpeculativeWrite> {
-        if self.jmm_guard {
-            self.heap.check_read(loc, self.tid)
-        } else {
-            None
-        }
-    }
-
-    /// The read barrier and the read, for the fast loop: `None`, with
-    /// nothing changed or charged, when the guard has something to say
-    /// or `loc` is not in the heap.
+    /// The read barrier and the read: `None`, with nothing changed or
+    /// charged, when the guard has something to say (§2.2: the word
+    /// carries a write another thread made in a section that may yet
+    /// roll back) or `loc` is not in the heap. The paper's conclusion
+    /// notes such read barriers could be elided outside locked regions
+    /// — disabling `jmm_guard` models that elision.
     #[inline(always)]
     fn read(&mut self, loc: Location) -> Option<Value> {
-        if self.foreign_write(loc).is_some() {
+        if self.decline_foreign && self.heap.check_read(loc, self.tid).is_some() {
             return None;
         }
-        self.load(loc).ok()
-    }
-
-    /// What is left of a read once the guard was consulted. The paper's
-    /// conclusion notes such read barriers could be elided outside
-    /// locked regions — disabling `jmm_guard` models that elision.
-    /// Nothing is charged for a read that fails.
-    #[inline(always)]
-    fn load(&mut self, loc: Location) -> Result<Value, HeapError> {
-        let v = self.heap.read(loc)?;
+        let v = self.heap.read(loc).ok()?;
         if self.jmm_guard {
             self.ticks = self.ticks.saturating_add(self.barrier_fast);
         }
         if let Some(p) = &mut self.probe {
             p.on_heap_read(self.tid, loc, v);
         }
-        Ok(v)
+        Some(v)
     }
 
     /// The store and its write barrier: a fast-path "in a synchronized
@@ -169,6 +188,153 @@ impl Shared<'_> {
     }
 }
 
+/// What `Const Load Store Dup Pop Swap Add Sub Mul Div Rem Neg Goto
+/// IfZero IfNonZero IfLt IfGe IfEq IfNe Nop` and the shared accesses
+/// `GetField PutField ALoad AStore GetStatic PutStatic` do, written once
+/// for both tiers: execute `insn` at `pc` of `method` on a frame's
+/// `locals` and operand `stack`, reach the heap through `sh`, and return
+/// the next pc. `None`, with nothing changed or charged, for any other
+/// opcode and for an instruction that would fault, trap or — while `sh`
+/// declines them — read a word carrying another thread's live stamp:
+/// what happens then is [`Vm::fault_of`]'s. Every check precedes every
+/// mutation.
+#[inline(always)]
+fn local_arm(
+    insn: Insn,
+    pc: u32,
+    method: MethodId,
+    locals: &mut [Value],
+    stack: &mut Vec<Value>,
+    sh: &mut Shared<'_>,
+) -> Option<u32> {
+    // Pop two integers, push `$f(a, b)`; decline when `$f` traps.
+    macro_rules! binop {
+        ($f:expr) => {{
+            let (a, b) = top2_int(stack)?;
+            let v = $f(a, b)?;
+            stack.pop();
+            *stack.last_mut().expect("two operands checked") = Value::Int(v);
+            pc + 1
+        }};
+    }
+    // Pop two operands with `$top2`, branch to `$t` when `$cond`.
+    macro_rules! branch2 {
+        ($top2:expr, $t:expr, |$a:ident, $b:ident| $cond:expr) => {{
+            let ($a, $b) = $top2?;
+            stack.truncate(stack.len() - 2);
+            if $cond {
+                $t
+            } else {
+                pc + 1
+            }
+        }};
+    }
+
+    Some(match insn {
+        Insn::Const(v) => {
+            stack.push(v);
+            pc + 1
+        }
+        Insn::Load(i) => {
+            let &v = locals.get(i as usize)?;
+            stack.push(v);
+            pc + 1
+        }
+        Insn::Store(i) => {
+            let (Some(slot), Some(&v)) = (locals.get_mut(i as usize), stack.last()) else {
+                return None;
+            };
+            *slot = v;
+            stack.pop();
+            pc + 1
+        }
+        Insn::Dup => {
+            let &v = stack.last()?;
+            stack.push(v);
+            pc + 1
+        }
+        Insn::Pop => {
+            stack.pop()?;
+            pc + 1
+        }
+        Insn::Swap => {
+            let len = stack.len();
+            if len < 2 {
+                return None;
+            }
+            stack.swap(len - 2, len - 1);
+            pc + 1
+        }
+        Insn::Add => binop!(|a: i64, b: i64| Some(a.wrapping_add(b))),
+        Insn::Sub => binop!(|a: i64, b: i64| Some(a.wrapping_sub(b))),
+        Insn::Mul => binop!(|a: i64, b: i64| Some(a.wrapping_mul(b))),
+        Insn::Div => binop!(|a: i64, b: i64| a.checked_div(b)),
+        Insn::Rem => binop!(|a: i64, b: i64| a.checked_rem(b)),
+        Insn::Neg => {
+            let top = stack.last_mut()?;
+            let a = top.as_int().ok()?;
+            *top = Value::Int(a.wrapping_neg());
+            pc + 1
+        }
+        Insn::Goto(t) => t,
+        Insn::IfZero(t) => {
+            if stack.pop()?.is_truthy() {
+                pc + 1
+            } else {
+                t
+            }
+        }
+        Insn::IfNonZero(t) => {
+            if stack.pop()?.is_truthy() {
+                t
+            } else {
+                pc + 1
+            }
+        }
+        Insn::IfLt(t) => branch2!(top2_int(stack), t, |a, b| a < b),
+        Insn::IfGe(t) => branch2!(top2_int(stack), t, |a, b| a >= b),
+        Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
+        Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
+        Insn::Nop => pc + 1,
+        Insn::GetField(off) => {
+            let Some(top @ &mut Value::Ref(r)) = stack.last_mut() else { return None };
+            *top = sh.read(Location::Obj(r, off as u32))?;
+            pc + 1
+        }
+        Insn::PutField(off) => {
+            let [.., Value::Ref(r), v] = stack[..] else { return None };
+            sh.write(Location::Obj(r, off as u32), v, method, pc).ok()?;
+            stack.truncate(stack.len() - 2);
+            pc + 1
+        }
+        Insn::ALoad => {
+            let [.., Value::Ref(r), i] = stack[..] else { return None };
+            let v = sh.read(Location::Obj(r, array_index(i)?))?;
+            stack.pop();
+            *stack.last_mut().expect("two operands checked") = v;
+            pc + 1
+        }
+        Insn::AStore => {
+            let [.., Value::Ref(r), i, v] = stack[..] else { return None };
+            sh.write(Location::Obj(r, array_index(i)?), v, method, pc).ok()?;
+            stack.truncate(stack.len() - 3);
+            pc + 1
+        }
+        Insn::GetStatic(s) => {
+            let v = sh.read(Location::Static(s as u32))?;
+            stack.push(v);
+            pc + 1
+        }
+        Insn::PutStatic(s) => {
+            let &v = stack.last()?;
+            sh.write(Location::Static(s as u32), v, method, pc).ok()?;
+            stack.pop();
+            pc + 1
+        }
+        _ => return None,
+    })
+}
+
 impl Vm {
     /// Borrow the VM apart for `tid`: its shared-access context, its top
     /// frame, and that frame's code.
@@ -187,6 +353,7 @@ impl Vm {
             in_section: !sections.is_empty(),
             barriers: self.config.barriers,
             jmm_guard: self.config.jmm_guard,
+            decline_foreign: self.config.jmm_guard,
             barrier_fast: self.config.cost.barrier_fast,
             barrier_slow: self.config.cost.barrier_slow,
             ticks: 0,
@@ -195,28 +362,19 @@ impl Vm {
     }
 
     /// Run `tid`'s instructions that need nothing but its own frame and
-    /// the heap — `Const Load Store Dup Pop Swap Add Sub Mul Div Rem Neg
-    /// Goto IfZero IfNonZero IfLt IfGe IfEq IfNe Nop` and the shared
-    /// accesses `GetField PutField ALoad AStore GetStatic PutStatic` —
-    /// until one of four exits, and return how many ran and whether the
-    /// last one was a yield point:
+    /// the heap — the opcodes [`local_arm`] executes — until one of four
+    /// exits, and return how many ran and whether the last one was a
+    /// yield point:
     ///
     /// * right after a taken backward branch (the only yield point in
     ///   this opcode set), so the dispatcher's pending-revocation and
     ///   quantum checks run exactly where they do one `step` at a time;
     /// * before any other opcode;
-    /// * before an instruction that would fault or trap (operand stack
-    ///   too shallow, local index out of range, a reference where an
-    ///   integer is needed, `Div`/`Rem` by zero or `MIN / -1`, pc past
-    ///   the end, `max_steps` spent);
-    /// * before a shared access [`Shared`] declines: receiver `Null` or
-    ///   not a reference, index not an in-range `u32`, no such object,
-    ///   slot or static, or a read of a word carrying another thread's
-    ///   live stamp (which has consequences for *that* thread).
+    /// * before an instruction the arm declines (one that would fault or
+    ///   trap, or read another thread's live stamp);
+    /// * at pc past the end, or with `max_steps` spent.
     ///
-    /// Every check precedes every mutation, so `step` then reproduces
-    /// the exact `VmError`, thrown exception or `NonRevocable` marking
-    /// from an untouched frame.
+    /// `step` takes whatever stopped it, from an untouched frame.
     ///
     /// Nothing in the set reads the clock, so charging the `n`
     /// instructions and the barrier ticks at the end is
@@ -236,148 +394,9 @@ impl Vm {
         let mut pc = *frame_pc;
         let mut n = 0u64;
         let mut at_yield_point = false;
-
-        // Pop two integers, push `$f(a, b)`; leave when `$f` traps.
-        macro_rules! binop {
-            ($f:expr) => {{
-                let Some((a, b)) = top2_int(stack) else { break };
-                let Some(v) = $f(a, b) else { break };
-                stack.pop();
-                *stack.last_mut().expect("two operands checked") = Value::Int(v);
-                pc + 1
-            }};
-        }
-        // Pop two operands with `$top2`, branch to `$t` when `$cond`.
-        macro_rules! branch2 {
-            ($top2:expr, $t:expr, |$a:ident, $b:ident| $cond:expr) => {{
-                let Some(($a, $b)) = $top2 else { break };
-                stack.truncate(stack.len() - 2);
-                if $cond {
-                    $t
-                } else {
-                    pc + 1
-                }
-            }};
-        }
-
         while n < budget {
             let Some(&insn) = code.get(pc as usize) else { break };
-            let next = match insn {
-                Insn::Const(v) => {
-                    stack.push(v);
-                    pc + 1
-                }
-                Insn::Load(i) => {
-                    let Some(&v) = locals.get(i as usize) else { break };
-                    stack.push(v);
-                    pc + 1
-                }
-                Insn::Store(i) => {
-                    let (Some(slot), Some(&v)) = (locals.get_mut(i as usize), stack.last()) else {
-                        break;
-                    };
-                    *slot = v;
-                    stack.pop();
-                    pc + 1
-                }
-                Insn::Dup => {
-                    let Some(&v) = stack.last() else { break };
-                    stack.push(v);
-                    pc + 1
-                }
-                Insn::Pop => {
-                    if stack.pop().is_none() {
-                        break;
-                    }
-                    pc + 1
-                }
-                Insn::Swap => {
-                    let len = stack.len();
-                    if len < 2 {
-                        break;
-                    }
-                    stack.swap(len - 2, len - 1);
-                    pc + 1
-                }
-                Insn::Add => binop!(|a: i64, b: i64| Some(a.wrapping_add(b))),
-                Insn::Sub => binop!(|a: i64, b: i64| Some(a.wrapping_sub(b))),
-                Insn::Mul => binop!(|a: i64, b: i64| Some(a.wrapping_mul(b))),
-                Insn::Div => binop!(|a: i64, b: i64| a.checked_div(b)),
-                Insn::Rem => binop!(|a: i64, b: i64| a.checked_rem(b)),
-                Insn::Neg => {
-                    let Some(top) = stack.last_mut() else { break };
-                    let Ok(a) = top.as_int() else { break };
-                    *top = Value::Int(a.wrapping_neg());
-                    pc + 1
-                }
-                Insn::Goto(t) => t,
-                Insn::IfZero(t) => {
-                    let Some(v) = stack.pop() else { break };
-                    if v.is_truthy() {
-                        pc + 1
-                    } else {
-                        t
-                    }
-                }
-                Insn::IfNonZero(t) => {
-                    let Some(v) = stack.pop() else { break };
-                    if v.is_truthy() {
-                        t
-                    } else {
-                        pc + 1
-                    }
-                }
-                Insn::IfLt(t) => branch2!(top2_int(stack), t, |a, b| a < b),
-                Insn::IfGe(t) => branch2!(top2_int(stack), t, |a, b| a >= b),
-                Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
-                Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
-                Insn::Nop => pc + 1,
-                Insn::GetField(off) => {
-                    let Some(top @ &mut Value::Ref(r)) = stack.last_mut() else { break };
-                    let Some(v) = sh.read(Location::Obj(r, off as u32)) else { break };
-                    *top = v;
-                    pc + 1
-                }
-                Insn::PutField(off) => {
-                    let [.., Value::Ref(r), v] = stack[..] else { break };
-                    if sh.write(Location::Obj(r, off as u32), v, method, pc).is_err() {
-                        break;
-                    }
-                    stack.truncate(stack.len() - 2);
-                    pc + 1
-                }
-                Insn::ALoad => {
-                    let [.., Value::Ref(r), i] = stack[..] else { break };
-                    let Some(i) = array_index(i) else { break };
-                    let Some(v) = sh.read(Location::Obj(r, i)) else { break };
-                    stack.pop();
-                    *stack.last_mut().expect("two operands checked") = v;
-                    pc + 1
-                }
-                Insn::AStore => {
-                    let [.., Value::Ref(r), i, v] = stack[..] else { break };
-                    let Some(i) = array_index(i) else { break };
-                    if sh.write(Location::Obj(r, i), v, method, pc).is_err() {
-                        break;
-                    }
-                    stack.truncate(stack.len() - 3);
-                    pc + 1
-                }
-                Insn::GetStatic(s) => {
-                    let Some(v) = sh.read(Location::Static(s as u32)) else { break };
-                    stack.push(v);
-                    pc + 1
-                }
-                Insn::PutStatic(s) => {
-                    let Some(&v) = stack.last() else { break };
-                    if sh.write(Location::Static(s as u32), v, method, pc).is_err() {
-                        break;
-                    }
-                    stack.pop();
-                    pc + 1
-                }
-                _ => break,
-            };
+            let Some(next) = local_arm(insn, pc, method, locals, stack, &mut sh) else { break };
             n += 1;
             // Only a taken branch leaves `next <= pc`: a loop back-edge,
             // where Jikes RVM plants its yield points.
@@ -419,82 +438,33 @@ impl Vm {
         let cont_yield = Ok(StepOutcome::Continue { yield_point: true });
 
         match insn {
-            // --- stack / locals ---------------------------------------
-            Insn::Const(v) => {
-                self.push(tid, v);
-                cont
-            }
-            Insn::Load(i) => {
-                let v = self.local(tid, i)?;
-                self.push(tid, v);
-                cont
-            }
-            Insn::Store(i) => {
-                let v = self.pop(tid)?;
-                self.set_local(tid, i, v)?;
-                cont
-            }
-            Insn::Dup => {
-                let v = self.pop(tid)?;
-                self.push(tid, v);
-                self.push(tid, v);
-                cont
-            }
-            Insn::Pop => {
-                self.pop(tid)?;
-                cont
-            }
-            Insn::Swap => {
-                let b = self.pop(tid)?;
-                let a = self.pop(tid)?;
-                self.push(tid, b);
-                self.push(tid, a);
-                cont
-            }
-
-            // --- arithmetic -------------------------------------------
-            Insn::Add => self.binop(tid, |a, b| Some(a.wrapping_add(b))),
-            Insn::Sub => self.binop(tid, |a, b| Some(a.wrapping_sub(b))),
-            Insn::Mul => self.binop(tid, |a, b| Some(a.wrapping_mul(b))),
-            Insn::Div => self.binop(tid, |a, b| a.checked_div(b)),
-            Insn::Rem => self.binop(tid, |a, b| a.checked_rem(b)),
-            Insn::Neg => {
-                let a = self.pop_int(tid)?;
-                self.push(tid, Value::Int(a.wrapping_neg()));
-                cont
-            }
-
-            // --- control flow -----------------------------------------
-            Insn::Goto(t) => {
-                self.thread_mut(tid).frame_mut().pc = t;
-                Ok(StepOutcome::Continue { yield_point: t <= pc })
-            }
-            Insn::IfZero(t) => {
-                let v = self.pop(tid)?;
-                self.branch_if(tid, !v.is_truthy(), t, pc)
-            }
-            Insn::IfNonZero(t) => {
-                let v = self.pop(tid)?;
-                self.branch_if(tid, v.is_truthy(), t, pc)
-            }
-            Insn::IfLt(t) => {
-                let (a, b) = self.pop2_int(tid)?;
-                self.branch_if(tid, a < b, t, pc)
-            }
-            Insn::IfGe(t) => {
-                let (a, b) = self.pop2_int(tid)?;
-                self.branch_if(tid, a >= b, t, pc)
-            }
-            Insn::IfEq(t) => {
-                let b = self.pop(tid)?;
-                let a = self.pop(tid)?;
-                self.branch_if(tid, a == b, t, pc)
-            }
-            Insn::IfNe(t) => {
-                let b = self.pop(tid)?;
-                let a = self.pop(tid)?;
-                self.branch_if(tid, a != b, t, pc)
-            }
+            // --- the fast loop's set: its arm, else its fault -----------
+            Insn::Const(_)
+            | Insn::Load(_)
+            | Insn::Store(_)
+            | Insn::Dup
+            | Insn::Pop
+            | Insn::Swap
+            | Insn::Add
+            | Insn::Sub
+            | Insn::Mul
+            | Insn::Div
+            | Insn::Rem
+            | Insn::Neg
+            | Insn::Goto(_)
+            | Insn::IfZero(_)
+            | Insn::IfNonZero(_)
+            | Insn::IfLt(_)
+            | Insn::IfGe(_)
+            | Insn::IfEq(_)
+            | Insn::IfNe(_)
+            | Insn::Nop
+            | Insn::GetField(_)
+            | Insn::PutField(_)
+            | Insn::ALoad
+            | Insn::AStore
+            | Insn::GetStatic(_)
+            | Insn::PutStatic(_) => self.step_local(tid, insn, pc),
 
             // --- heap ---------------------------------------------------
             Insn::New { class_tag, fields, volatile_mask } => {
@@ -521,50 +491,6 @@ impl Vm {
                 let r = self.heap.alloc_array(n);
                 self.push(tid, Value::Ref(r));
                 cont
-            }
-            Insn::GetField(off) => {
-                let r = match self.pop_obj(tid)? {
-                    Ok(r) => r,
-                    Err(outcome) => return Ok(outcome),
-                };
-                self.read_shared(tid, Location::Obj(r, off as u32))
-            }
-            Insn::PutField(off) => {
-                let v = self.pop(tid)?;
-                let r = match self.pop_obj(tid)? {
-                    Ok(r) => r,
-                    Err(outcome) => return Ok(outcome),
-                };
-                self.write_shared(tid, Location::Obj(r, off as u32), v, mid, pc)
-            }
-            Insn::ALoad => {
-                let i = self.pop_int(tid)?;
-                let r = match self.pop_obj(tid)? {
-                    Ok(r) => r,
-                    Err(outcome) => return Ok(outcome),
-                };
-                // Negative, or past any array's length.
-                let Ok(i) = u32::try_from(i) else {
-                    return self.throw_builtin(tid, OOB_TAG);
-                };
-                self.read_shared(tid, Location::Obj(r, i))
-            }
-            Insn::AStore => {
-                let v = self.pop(tid)?;
-                let i = self.pop_int(tid)?;
-                let r = match self.pop_obj(tid)? {
-                    Ok(r) => r,
-                    Err(outcome) => return Ok(outcome),
-                };
-                let Ok(i) = u32::try_from(i) else {
-                    return self.throw_builtin(tid, OOB_TAG);
-                };
-                self.write_shared(tid, Location::Obj(r, i), v, mid, pc)
-            }
-            Insn::GetStatic(s) => self.read_shared(tid, Location::Static(s as u32)),
-            Insn::PutStatic(s) => {
-                let v = self.pop(tid)?;
-                self.write_shared(tid, Location::Static(s as u32), v, mid, pc)
             }
             Insn::ArrayLen => {
                 let r = match self.pop_obj(tid)? {
@@ -816,8 +742,6 @@ impl Vm {
                 }
                 cont_yield
             }
-            Insn::Nop => cont,
-
             // --- rewrite-injected --------------------------------------------
             Insn::SaveState => {
                 let t = self.thread_mut(tid);
@@ -845,38 +769,153 @@ impl Vm {
             && self.heap.object_count() >= self.config.max_heap_objects
     }
 
-    // --- shared-data access with barriers ------------------------------
+    // --- the fast loop's set, one instruction at a time ----------------
 
-    /// Run `f` on `tid`'s shared-access context, then charge the barrier
-    /// ticks it ran up.
-    fn with_shared<R>(&mut self, tid: ThreadId, f: impl FnOnce(&mut Shared<'_>) -> R) -> R {
-        let (mut sh, ..) = self.split(tid);
-        let r = f(&mut sh);
-        let ticks = sh.ticks;
-        self.charge(ticks);
-        r
+    /// `step` on an opcode of [`local_arm`]'s set: the arm, else
+    /// [`Vm::fault_of`] on the frame it left untouched.
+    fn step_local(&mut self, tid: ThreadId, insn: Insn, pc: u32) -> Result<StepOutcome, VmError> {
+        #[cfg(test)]
+        let (fault, objects) = (self.declined(tid, insn, pc), self.heap.object_count());
+        let arm = self.run_arm(tid, insn, pc, false);
+        #[cfg(test)]
+        let declined = arm.is_none();
+        let outcome = match arm {
+            Some(continued) => Ok(continued),
+            None => self.fault_of(tid, insn, pc),
+        };
+        #[cfg(test)]
+        self.arm_calls.push(ArmCall {
+            insn,
+            fault,
+            declined,
+            completed: matches!(outcome, Ok(StepOutcome::Continue { .. }))
+                && self.heap.object_count() == objects,
+        });
+        outcome
     }
 
-    /// `step`'s shared read: [`Shared::read`] taken apart, because here
-    /// a word carrying another thread's live stamp is read all the same
-    /// and its writer pays for it.
-    fn read_shared(&mut self, tid: ThreadId, loc: Location) -> Result<StepOutcome, VmError> {
-        let (observed, v) = self.with_shared(tid, |sh| (sh.foreign_write(loc), sh.load(loc)));
-        match v {
-            Ok(v) => {
-                if let Some(w) = observed {
-                    self.mark_observed(w);
+    /// [`local_arm`] on `tid`'s top frame at `pc`, with its barrier
+    /// ticks charged. `observe` reads a word carrying another thread's
+    /// live stamp instead of declining it.
+    fn run_arm(
+        &mut self,
+        tid: ThreadId,
+        insn: Insn,
+        pc: u32,
+        observe: bool,
+    ) -> Option<StepOutcome> {
+        let (mut sh, f, _) = self.split(tid);
+        sh.decline_foreign &= !observe;
+        let next = local_arm(insn, pc, f.method, &mut f.locals, &mut f.stack, &mut sh)?;
+        f.pc = next;
+        let ticks = sh.ticks;
+        self.charge(ticks);
+        Some(StepOutcome::Continue { yield_point: next <= pc })
+    }
+
+    /// Why [`local_arm`] declines `insn` at `pc` on `tid`'s frame as it
+    /// stands, if it does. Underflow comes first, from the ISA row's
+    /// `pops`; then the operands from the top of the stack down, a local
+    /// index, a trap, the receiver, the index's range and the heap, in
+    /// that order; a read asks the JMM guard before the heap.
+    fn declined(&self, tid: ThreadId, insn: Insn, pc: u32) -> Option<Declined> {
+        let f = self.thread(tid).frame();
+        let stack = &f.stack[..];
+        let method = || self.program.methods[f.method.index()].name.clone();
+        let pops = usize::from(insn.op().pops);
+        if stack.len() < pops {
+            return Some(Declined::Fatal(VmError::StackUnderflow { method: method(), pc }));
+        }
+        // Operand `$k`, counted from the top, as an integer or a receiver.
+        macro_rules! int {
+            ($k:expr) => {
+                match stack[stack.len() - 1 - $k].as_int() {
+                    Ok(i) => i,
+                    Err(error) => {
+                        return Some(Declined::Fatal(VmError::Value { method: method(), pc, error }))
+                    }
                 }
-                self.push(tid, v);
-                Ok(StepOutcome::Continue { yield_point: false })
+            };
+        }
+        macro_rules! obj {
+            ($k:expr) => {
+                match stack[stack.len() - 1 - $k].as_ref() {
+                    Ok(r) => r,
+                    Err(ValueError::NullReference) => return Some(Declined::Throw(NPE_TAG)),
+                    Err(error) => {
+                        return Some(Declined::Fatal(VmError::Value { method: method(), pc, error }))
+                    }
+                }
+            };
+        }
+        let loc = match insn {
+            Insn::Load(i) | Insn::Store(i) => {
+                return (usize::from(i) >= f.locals.len())
+                    .then_some(Declined::Fatal(VmError::Internal("local index out of range")));
             }
-            Err(e) => {
+            Insn::Neg => {
+                int!(0);
+                return None;
+            }
+            Insn::Add
+            | Insn::Sub
+            | Insn::Mul
+            | Insn::Div
+            | Insn::Rem
+            | Insn::IfLt(_)
+            | Insn::IfGe(_) => {
+                let (b, a) = (int!(0), int!(1));
+                let traps = match insn {
+                    Insn::Div => a.checked_div(b).is_none(),
+                    Insn::Rem => a.checked_rem(b).is_none(),
+                    _ => false,
+                };
+                return traps.then_some(Declined::Throw(ARITH_TAG));
+            }
+            // The receiver is the deepest operand, an index right above it.
+            Insn::GetField(off) | Insn::PutField(off) => Location::Obj(obj!(pops - 1), off as u32),
+            Insn::ALoad | Insn::AStore => {
+                let i = int!(pops - 2);
+                let r = obj!(pops - 1);
+                match u32::try_from(i) {
+                    Ok(i) => Location::Obj(r, i),
+                    Err(_) => return Some(Declined::Throw(OOB_TAG)),
+                }
+            }
+            Insn::GetStatic(s) | Insn::PutStatic(s) => Location::Static(s as u32),
+            _ => return None,
+        };
+        let read = insn.op().barrier == Barrier::Read;
+        if read && self.config.jmm_guard {
+            if let Some(w) = self.heap.check_read(loc, tid) {
+                return Some(Declined::Observed(w));
+            }
+        }
+        self.heap.read(loc).err().map(|error| Declined::Heap { error, read })
+    }
+
+    /// What `step` makes of an instruction [`local_arm`] declined, from
+    /// the frame it left untouched: the `VmError`, the thrown exception,
+    /// or — for a read of a word carrying another thread's live stamp —
+    /// the read all the same, after which the writer's enclosing
+    /// sections stop being revocable (§2.2).
+    fn fault_of(&mut self, tid: ThreadId, insn: Insn, pc: u32) -> Result<StepOutcome, VmError> {
+        match self.declined(tid, insn, pc) {
+            Some(Declined::Fatal(e)) => Err(e),
+            Some(Declined::Throw(tag)) => self.throw_builtin(tid, tag),
+            Some(Declined::Heap { error, read }) => {
                 // The read barrier ran before the access faulted.
-                if self.config.jmm_guard {
+                if read && self.config.jmm_guard {
                     self.charge(self.config.cost.barrier_fast);
                 }
-                self.heap_fault(tid, e)
+                self.heap_fault(tid, error)
             }
+            Some(Declined::Observed(w)) => {
+                let outcome = self.run_arm(tid, insn, pc, true);
+                self.mark_observed(w);
+                outcome.ok_or(VmError::Internal("a stamped word could not be read"))
+            }
+            None => Err(VmError::Internal("an instruction was declined without a fault")),
         }
     }
 
@@ -906,21 +945,6 @@ impl Vm {
             let sections = &self.threads[w.writer.index()].sections;
             let m = sections.first().map(|s| s.monitor).unwrap_or(ObjRef(0));
             self.emit(w.writer, m, revmon_obs::EventKind::NonRevocable);
-        }
-    }
-
-    /// `step`'s shared store.
-    fn write_shared(
-        &mut self,
-        tid: ThreadId,
-        loc: Location,
-        v: Value,
-        method: MethodId,
-        pc: u32,
-    ) -> Result<StepOutcome, VmError> {
-        match self.with_shared(tid, |sh| sh.write(loc, v, method, pc)) {
-            Ok(()) => Ok(StepOutcome::Continue { yield_point: false }),
-            Err(e) => self.heap_fault(tid, e),
         }
     }
 
@@ -1038,61 +1062,31 @@ impl Vm {
 
     // --- small helpers -----------------------------------------------------
 
-    fn branch_if(
-        &mut self,
-        tid: ThreadId,
-        taken: bool,
-        target: u32,
-        insn_pc: u32,
-    ) -> Result<StepOutcome, VmError> {
-        if taken {
-            self.thread_mut(tid).frame_mut().pc = target;
-            // Taken backward branches are yield points (loop back-edges,
-            // where Jikes RVM plants its yieldpoints).
-            Ok(StepOutcome::Continue { yield_point: target <= insn_pc })
-        } else {
-            Ok(StepOutcome::Continue { yield_point: false })
-        }
-    }
-
-    fn binop(
-        &mut self,
-        tid: ThreadId,
-        f: impl FnOnce(i64, i64) -> Option<i64>,
-    ) -> Result<StepOutcome, VmError> {
-        let (a, b) = self.pop2_int(tid)?;
-        match f(a, b) {
-            Some(v) => {
-                self.push(tid, Value::Int(v));
-                Ok(StepOutcome::Continue { yield_point: false })
-            }
-            None => self.throw_builtin(tid, ARITH_TAG),
-        }
-    }
-
     pub(crate) fn push(&mut self, tid: ThreadId, v: Value) {
         self.thread_mut(tid).frame_mut().stack.push(v);
     }
 
+    /// The method and pc of the instruction `tid` is executing (`step`
+    /// has advanced the frame's pc past it).
+    fn site(&self, tid: ThreadId) -> (String, u32) {
+        let f = self.thread(tid).frame();
+        (self.program.methods[f.method.index()].name.clone(), f.pc.saturating_sub(1))
+    }
+
     pub(crate) fn pop(&mut self, tid: ThreadId) -> Result<Value, VmError> {
-        let (name, pc) = {
-            let f = self.thread(tid).frame();
-            (f.method, f.pc)
-        };
-        self.thread_mut(tid).frame_mut().stack.pop().ok_or_else(|| VmError::StackUnderflow {
-            method: self.program.methods[name.index()].name.clone(),
-            pc,
+        self.thread_mut(tid).frame_mut().stack.pop().ok_or_else(|| {
+            let (method, pc) = self.site(tid);
+            VmError::StackUnderflow { method, pc }
         })
     }
 
-    fn pop_int(&mut self, tid: ThreadId) -> Result<i64, VmError> {
-        Ok(self.pop(tid)?.as_int()?)
+    fn value_fault(&self, tid: ThreadId, error: ValueError) -> VmError {
+        let (method, pc) = self.site(tid);
+        VmError::Value { method, pc, error }
     }
 
-    fn pop2_int(&mut self, tid: ThreadId) -> Result<(i64, i64), VmError> {
-        let b = self.pop_int(tid)?;
-        let a = self.pop_int(tid)?;
-        Ok((a, b))
+    fn pop_int(&mut self, tid: ThreadId) -> Result<i64, VmError> {
+        self.pop(tid)?.as_int().map_err(|e| self.value_fault(tid, e))
     }
 
     /// Pop a reference; a `Null` turns into a thrown NPE (the `Err` arm
@@ -1101,27 +1095,7 @@ impl Vm {
         match self.pop(tid)?.as_ref() {
             Ok(r) => Ok(Ok(r)),
             Err(ValueError::NullReference) => Ok(Err(self.throw_builtin(tid, NPE_TAG)?)),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn local(&self, tid: ThreadId, i: u16) -> Result<Value, VmError> {
-        self.thread(tid)
-            .frame()
-            .locals
-            .get(i as usize)
-            .copied()
-            .ok_or(VmError::Internal("local index out of range"))
-    }
-
-    fn set_local(&mut self, tid: ThreadId, i: u16, v: Value) -> Result<(), VmError> {
-        let f = self.thread_mut(tid).frame_mut();
-        match f.locals.get_mut(i as usize) {
-            Some(slot) => {
-                *slot = v;
-                Ok(())
-            }
-            None => Err(VmError::Internal("local index out of range")),
+            Err(e) => Err(self.value_fault(tid, e)),
         }
     }
 }

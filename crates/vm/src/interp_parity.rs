@@ -1,23 +1,33 @@
 //! Parity of the batched loop (`Vm::run_local`) with one-`step`-at-a-time
-//! execution.
+//! execution. Both tiers run an opcode of the fast loop's set through
+//! the one arm, `interp::local_arm`; what is still written twice is
+//! checked here:
+//!
+//! * where the arm declines against what `Vm::fault_of` finds: on every
+//!   run, each instruction of the set that reached `step` was declined
+//!   exactly when `fault_of`'s decoder named a fault for its untouched
+//!   frame, and after a decline only a read of another thread's stamped
+//!   word went on to its successor;
+//! * the batching's accounting: `max_steps` at every position, quantum
+//!   rotation, saturating charges and the probe's hook order.
 //!
 //! Every program here runs through `Vm::run` as shipped, and with
 //! `step_only` set, which makes `run_local` run nothing so that every
 //! instruction goes through `step`. Result, `steps`, clock, every
 //! counter, output, the event trace and both fingerprints (frames,
 //! locals, operand stacks, undo logs and live JMM stamps included) must
-//! agree — in particular at each way out of the fast loop in the middle
-//! of a run. Each pair runs bare and again under a recording [`Probe`],
+//! agree. Each pair runs bare and again under a recording [`Probe`],
 //! which must see the same hook calls in the same order from both tiers
 //! and change nothing else. Programs are built as raw `Insn`s and loaded
 //! with `new_unverified`, because the verifier rejects most of the
-//! malformed ones on sight.
+//! malformed ones on sight. What each directed fault case comes to is
+//! pinned by `fault_pin`, which runs it through the same harness.
 
 use crate::builder::{MethodBuilder, ProgramBuilder};
 use crate::bytecode::{CatchKind, Handler, Insn, Method, MethodId, NativeOp, Program, SyncRegion};
 use crate::heap::Location;
-use crate::interp::{ARITH_TAG, NPE_TAG, OOB_TAG, OOM_TAG};
-use crate::value::{ObjRef, Value, ValueError};
+use crate::interp::{Declined, ARITH_TAG};
+use crate::value::{ObjRef, Value};
 use crate::{Probe, Vm, VmConfig, VmError};
 use proptest::prelude::*;
 use revmon_core::{Metrics, Priority, ThreadId};
@@ -134,6 +144,12 @@ fn observe(program: &Program, cfg: VmConfig, ths: &[Th], step_only: bool, probe:
         vm.spawn(&format!("t{i}"), MethodId(t.method), t.args.clone(), t.prio);
     }
     let result = vm.run().map(|_| ());
+    for call in &vm.arm_calls {
+        let insn = call.insn;
+        assert_eq!(call.declined, call.fault.is_some(), "{insn:?}: the arm against fault_of");
+        let observed = matches!(call.fault, Some(Declined::Observed(_)));
+        assert_eq!(call.completed, !call.declined || observed, "{insn:?} went on: {call:?}");
+    }
     let report = vm.report();
     let recorder = vm.detach_probe().map(|p| p.into_any().downcast::<Recorder>().expect("ours"));
     Observed {
@@ -189,10 +205,9 @@ fn underflow_case(insn: Insn, have: usize) {
     let fault_pc = code.len() as u32;
     code.extend([insn, Insn::RetVoid]);
     let o = parity(&program(code, 1, vec![]), cfg(), 1);
-    // `step` advances the pc before executing, so the fault names pc + 1.
     assert_eq!(
         o.result,
-        Err(VmError::StackUnderflow { method: "main".into(), pc: fault_pc + 1 }),
+        Err(VmError::StackUnderflow { method: "main".into(), pc: fault_pc }),
         "{insn:?} on {have} operands"
     );
     assert_eq!(o.metrics.instructions, fault_pc as u64 + 1, "the faulting instruction counts");
@@ -220,77 +235,6 @@ fn operand_stack_underflow_on_each_arity() {
         underflow_case(insn, 0);
         underflow_case(insn, 1);
     }
-}
-
-#[test]
-fn store_and_load_past_the_locals() {
-    for insn in [Insn::Load(2), Insn::Store(2)] {
-        let code = vec![Insn::Const(Value::Int(1)), Insn::Dup, insn, Insn::RetVoid];
-        let o = parity(&program(code, 2, vec![]), cfg(), 1);
-        assert_eq!(o.result, Err(VmError::Internal("local index out of range")), "{insn:?}");
-        assert_eq!(o.steps, 3);
-    }
-}
-
-#[test]
-fn reference_where_an_integer_is_needed() {
-    for insn in [Insn::Add, Insn::Mul, Insn::Rem, Insn::Neg, Insn::IfLt(0), Insn::IfGe(0)] {
-        for operands in [[Value::Int(1), OBJ], [OBJ, Value::Int(1)]] {
-            let code = vec![
-                Insn::Nop,
-                Insn::Const(operands[0]),
-                Insn::Const(operands[1]),
-                insn,
-                Insn::RetVoid,
-            ];
-            let o = parity(&program(code, 0, vec![]), cfg(), 1);
-            // `Neg` only looks at the top operand.
-            if insn == Insn::Neg && operands[1] != OBJ {
-                assert_eq!(o.result, Ok(()));
-            } else {
-                assert_eq!(
-                    o.result,
-                    Err(VmError::Value(ValueError::ExpectedInt)),
-                    "{insn:?} on {operands:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn arithmetic_traps_reach_a_handler_in_the_same_method() {
-    for (insn, a, b) in
-        [(Insn::Div, 7, 0), (Insn::Rem, 7, 0), (Insn::Div, i64::MIN, -1), (Insn::Rem, i64::MIN, -1)]
-    {
-        let code = vec![
-            Insn::Const(Value::Int(5)),
-            Insn::Store(0),
-            Insn::Const(Value::Int(a)),
-            Insn::Const(Value::Int(b)),
-            insn, // pc 4: traps
-            Insn::Native(NativeOp::Emit),
-            Insn::Goto(10),
-            // pc 7: the handler — exception object on the stack
-            Insn::Pop,
-            Insn::Const(Value::Int(99)),
-            Insn::Native(NativeOp::Emit),
-            // pc 10
-            Insn::Load(0),
-            Insn::Native(NativeOp::Emit),
-            Insn::RetVoid,
-        ];
-        let handler = Handler { start: 0, end: 7, target: 7, kind: CatchKind::Class(ARITH_TAG) };
-        let o = parity(&program(code, 1, vec![handler]), cfg(), 1);
-        assert_eq!(o.result, Ok(()), "{insn:?} {a} {b}");
-        assert_eq!(o.output, [Value::Int(99), Value::Int(5)], "{insn:?} {a} {b}");
-        assert_eq!(o.uncaught, [None]);
-    }
-    // Uncaught, the same trap kills the thread the same way.
-    let code =
-        vec![Insn::Const(Value::Int(1)), Insn::Const(Value::Int(0)), Insn::Div, Insn::RetVoid];
-    let o = parity(&program(code, 0, vec![]), cfg(), 1);
-    assert_eq!(o.uncaught, [Some(ARITH_TAG)]);
 }
 
 #[test]
@@ -467,94 +411,6 @@ fn well_formed_accesses_run_and_count_the_same() {
     assert_eq!((m.barrier_fast_paths, m.barriers_elided), (0, 1));
 }
 
-#[test]
-fn null_receiver_throws_and_a_number_for_one_faults() {
-    for (insn, operands) in well_formed().into_iter().take(4) {
-        let with_receiver = |r| [&[r][..], &operands[1..]].concat();
-        each_way(&with_receiver(Value::Null), insn, |o| {
-            assert_eq!(o.result, Ok(()), "{insn:?}");
-            assert_eq!(o.uncaught, [Some(NPE_TAG)], "{insn:?}");
-        });
-        each_way(&with_receiver(INT), insn, |o| {
-            assert_eq!(o.result, Err(VmError::Value(ValueError::ExpectedRef)), "{insn:?}");
-        });
-        each_way(&with_receiver(Value::Ref(ObjRef(77))), insn, |o| {
-            assert!(matches!(o.result, Err(VmError::Heap(_))), "{insn:?}: {:?}", o.result);
-        });
-    }
-}
-
-#[test]
-fn array_index_of_the_wrong_kind_or_out_of_range() {
-    for (insn, operands) in [(Insn::ALoad, vec![ARR, INT]), (Insn::AStore, vec![ARR, INT, INT])] {
-        let with_index = |i| [&operands[..1], &[i][..], &operands[2..]].concat();
-        each_way(&with_index(OBJ), insn, |o| {
-            assert_eq!(o.result, Err(VmError::Value(ValueError::ExpectedInt)), "{insn:?}");
-        });
-        // Past either end, by one and by as much as an integer allows —
-        // the last two do not fit the heap's 32-bit offsets and used to
-        // wrap around into the array.
-        for i in [-1, ARR_LEN, i64::MIN, i64::MAX, 1 << 32, (1 << 32) + 1] {
-            each_way(&with_index(Value::Int(i)), insn, |o| {
-                assert_eq!(o.result, Ok(()), "{insn:?} at {i}");
-                assert_eq!(o.uncaught, [Some(OOB_TAG)], "{insn:?} at {i}");
-                assert_eq!(o.metrics.log_entries, 0, "{insn:?} at {i} stored nothing");
-            });
-        }
-        // `Null` reads as 0 wherever an integer is wanted.
-        each_way(&with_index(Value::Null), insn, |o| assert_eq!(o.uncaught, [None]));
-    }
-}
-
-#[test]
-fn array_length_past_32_bits_is_out_of_memory() {
-    // `(1 << 32) + 2` used to allocate an array of 2.
-    for n in [(1 << 32) + 2, 1 << 32, i64::MAX] {
-        each_way(&[Value::Int(n)], Insn::NewArray, |o| {
-            assert_eq!(o.result, Ok(()), "length {n}");
-            assert_eq!(o.uncaught, [Some(OOM_TAG)], "length {n}");
-        });
-    }
-    let code = vec![
-        Insn::Const(Value::Int(2)),
-        Insn::NewArray,
-        Insn::ArrayLen,
-        Insn::Native(NativeOp::Emit),
-        Insn::RetVoid,
-    ];
-    assert_eq!(parity(&program(code, 0, vec![]), cfg(), 1).output, [Value::Int(2)]);
-}
-
-#[test]
-fn field_or_static_slot_out_of_range() {
-    let cases = [
-        (Insn::GetField(3), vec![OBJ]),
-        (Insn::PutField(3), vec![OBJ, INT]),
-        (Insn::GetStatic(STATICS as u16), vec![]),
-        (Insn::PutStatic(STATICS as u16), vec![INT]),
-    ];
-    for (insn, operands) in cases {
-        each_way(&operands, insn, |o| {
-            assert_eq!(o.result, Ok(()), "{insn:?}");
-            assert_eq!(o.uncaught, [Some(OOB_TAG)], "{insn:?}");
-        });
-    }
-}
-
-#[test]
-fn shared_access_on_an_operand_stack_one_short() {
-    for (insn, operands) in well_formed() {
-        let Some((_, short)) = operands.split_first() else { continue };
-        each_way(short, insn, |o| {
-            assert!(
-                matches!(o.result, Err(VmError::StackUnderflow { .. })),
-                "{insn:?} on {short:?}: {:?}",
-                o.result
-            );
-        });
-    }
-}
-
 /// All six shared opcodes before, inside and after a section, with a
 /// loop in the section so that a short quantum rotates threads there.
 fn every_access() -> Program {
@@ -663,7 +519,7 @@ fn reading_another_threads_speculative_write_leaves_the_fast_loop() {
     let marks: Vec<&Event> = o.trace.iter().filter(|e| e.kind == EventKind::NonRevocable).collect();
     assert_eq!(marks.len(), 1, "{:?}", o.trace);
     assert_eq!((marks[0].thread, marks[0].monitor), (0, 0), "thread 0's section on OBJ");
-    // `step` told the probe about the read the arm declined.
+    // `fault_of` read the word the arm declined, and the probe saw it.
     let seen = o.seen.expect("probed");
     assert!(seen.contains(&Seen::Read(ThreadId(1), Location::Static(0), Value::Int(5))));
     // Without the guard there is nothing to leave the loop for.

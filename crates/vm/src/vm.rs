@@ -440,6 +440,10 @@ pub struct Vm {
     /// is compared against.
     #[cfg(test)]
     pub(crate) step_only: bool,
+    /// Test-only: every `step` of an opcode the fast loop's arm
+    /// executes, with what the arm and `fault_of` made of it.
+    #[cfg(test)]
+    pub(crate) arm_calls: Vec<crate::interp::ArmCall>,
 }
 
 impl Vm {
@@ -529,6 +533,8 @@ impl Vm {
             delegation_results: std::collections::BTreeMap::new(),
             #[cfg(test)]
             step_only: false,
+            #[cfg(test)]
+            arm_calls: Vec::new(),
         }
     }
 
