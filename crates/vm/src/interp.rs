@@ -51,20 +51,6 @@ pub(crate) enum Declined {
     Observed(SpeculativeWrite),
 }
 
-/// One `step` of an opcode of [`local_arm`]'s set, as the tests see it.
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct ArmCall {
-    pub(crate) insn: Insn,
-    /// What [`Vm::declined`] said before the arm ran.
-    pub(crate) fault: Option<Declined>,
-    /// Whether the arm declined.
-    pub(crate) declined: bool,
-    /// Whether the instruction went on to its successor with nothing
-    /// thrown.
-    pub(crate) completed: bool,
-}
-
 /// The two topmost operand-stack slots (`a` below `b`), if there are two.
 #[inline(always)]
 fn top2(stack: &[Value]) -> Option<(Value, Value)> {
@@ -784,7 +770,7 @@ impl Vm {
             None => self.fault_of(tid, insn, pc),
         };
         #[cfg(test)]
-        self.arm_calls.push(ArmCall {
+        self.arm_calls.push(crate::interp_parity::ArmCall {
             insn,
             fault,
             declined,

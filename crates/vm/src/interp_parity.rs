@@ -26,8 +26,8 @@
 use crate::builder::{MethodBuilder, ProgramBuilder};
 use crate::bytecode::{CatchKind, Handler, Insn, Method, MethodId, NativeOp, Program, SyncRegion};
 use crate::heap::Location;
-use crate::interp::{Declined, ARITH_TAG};
-use crate::value::{ObjRef, Value};
+use crate::interp::{Declined, ARITH_TAG, NPE_TAG, OOB_TAG};
+use crate::value::{ObjRef, Value, ValueError};
 use crate::{Probe, Vm, VmConfig, VmError};
 use proptest::prelude::*;
 use revmon_core::{Metrics, Priority, ThreadId};
@@ -74,6 +74,20 @@ impl Probe for Recorder {
     fn on_rollback(&mut self, _: &Vm, tid: ThreadId, m: ObjRef, entries: u64) {
         self.0.push(Seen::Rollback(tid, m, entries));
     }
+}
+
+/// One `step` of an opcode of the fast loop's set, as `Vm::step_local`
+/// records it.
+#[derive(Debug)]
+pub(crate) struct ArmCall {
+    pub(crate) insn: Insn,
+    /// What `Vm::declined` said before the arm ran.
+    pub(crate) fault: Option<Declined>,
+    /// Whether the arm declined.
+    pub(crate) declined: bool,
+    /// Whether the instruction went on to its successor with nothing
+    /// thrown.
+    pub(crate) completed: bool,
 }
 
 /// Everything a run can be told apart by.
@@ -235,6 +249,42 @@ fn operand_stack_underflow_on_each_arity() {
         underflow_case(insn, 0);
         underflow_case(insn, 1);
     }
+}
+
+/// `fault_of` throws from the trapping instruction's own pc.
+#[test]
+fn arithmetic_traps_reach_a_handler_in_the_same_method() {
+    for (insn, a, b) in
+        [(Insn::Div, 7, 0), (Insn::Rem, 7, 0), (Insn::Div, i64::MIN, -1), (Insn::Rem, i64::MIN, -1)]
+    {
+        let code = vec![
+            Insn::Const(Value::Int(5)),
+            Insn::Store(0),
+            Insn::Const(Value::Int(a)),
+            Insn::Const(Value::Int(b)),
+            insn, // pc 4: traps
+            Insn::Native(NativeOp::Emit),
+            Insn::Goto(10),
+            // pc 7: the handler — exception object on the stack
+            Insn::Pop,
+            Insn::Const(Value::Int(99)),
+            Insn::Native(NativeOp::Emit),
+            // pc 10
+            Insn::Load(0),
+            Insn::Native(NativeOp::Emit),
+            Insn::RetVoid,
+        ];
+        let handler = Handler { start: 0, end: 7, target: 7, kind: CatchKind::Class(ARITH_TAG) };
+        let o = parity(&program(code, 1, vec![handler]), cfg(), 1);
+        assert_eq!(o.result, Ok(()), "{insn:?} {a} {b}");
+        assert_eq!(o.output, [Value::Int(99), Value::Int(5)], "{insn:?} {a} {b}");
+        assert_eq!(o.uncaught, [None]);
+    }
+    // Uncaught, the same trap kills the thread the same way.
+    let code =
+        vec![Insn::Const(Value::Int(1)), Insn::Const(Value::Int(0)), Insn::Div, Insn::RetVoid];
+    let o = parity(&program(code, 0, vec![]), cfg(), 1);
+    assert_eq!(o.uncaught, [Some(ARITH_TAG)]);
 }
 
 #[test]
@@ -409,6 +459,92 @@ fn well_formed_accesses_run_and_count_the_same() {
     let outside = around_section(vec![], vec![], access(&[INT], Insn::PutStatic(0)));
     let m = parity(&outside, eliding, 1).metrics;
     assert_eq!((m.barrier_fast_paths, m.barriers_elided), (0, 1));
+}
+
+/// `fault_of` tells the three bad receivers apart.
+#[test]
+fn null_receiver_throws_and_a_number_for_one_faults() {
+    for (insn, operands) in well_formed().into_iter().take(4) {
+        let with_receiver = |r| [&[r][..], &operands[1..]].concat();
+        each_way(&with_receiver(Value::Null), insn, |o| {
+            assert_eq!(o.result, Ok(()), "{insn:?}");
+            assert_eq!(o.uncaught, [Some(NPE_TAG)], "{insn:?}");
+        });
+        each_way(&with_receiver(INT), insn, |o| {
+            assert!(
+                matches!(o.result, Err(VmError::Value { error: ValueError::ExpectedRef, .. })),
+                "{insn:?}: {:?}",
+                o.result
+            );
+        });
+        each_way(&with_receiver(Value::Ref(ObjRef(77))), insn, |o| {
+            assert!(matches!(o.result, Err(VmError::Heap(_))), "{insn:?}: {:?}", o.result);
+        });
+    }
+}
+
+/// The arm declines every bad index before it stores anything.
+#[test]
+fn array_index_of_the_wrong_kind_or_out_of_range() {
+    for (insn, operands) in [(Insn::ALoad, vec![ARR, INT]), (Insn::AStore, vec![ARR, INT, INT])] {
+        let with_index = |i| [&operands[..1], &[i][..], &operands[2..]].concat();
+        each_way(&with_index(OBJ), insn, |o| {
+            assert!(
+                matches!(o.result, Err(VmError::Value { error: ValueError::ExpectedInt, .. })),
+                "{insn:?}: {:?}",
+                o.result
+            );
+        });
+        // Past either end, by one and by as much as an integer allows —
+        // the last two do not fit the heap's 32-bit offsets and used to
+        // wrap around into the array.
+        for i in [-1, ARR_LEN, i64::MIN, i64::MAX, 1 << 32, (1 << 32) + 1] {
+            each_way(&with_index(Value::Int(i)), insn, |o| {
+                assert_eq!(o.result, Ok(()), "{insn:?} at {i}");
+                assert_eq!(o.uncaught, [Some(OOB_TAG)], "{insn:?} at {i}");
+                assert_eq!(o.metrics.log_entries, 0, "{insn:?} at {i} stored nothing");
+            });
+        }
+        // `Null` reads as 0 wherever an integer is wanted.
+        each_way(&with_index(Value::Null), insn, |o| assert_eq!(o.uncaught, [None]));
+    }
+}
+
+/// The fault a run ended in, by kind.
+fn fault_kind(o: &Observed) -> &'static str {
+    match (&o.result, &o.uncaught[..]) {
+        (Err(VmError::Value { error: ValueError::ExpectedInt, .. }), _) => "int",
+        (Err(VmError::Value { error: ValueError::ExpectedRef, .. }), _) => "ref",
+        (Err(VmError::Heap(_)), _) => "heap",
+        (Ok(()), [Some(NPE_TAG)]) => "npe",
+        (Ok(()), [Some(OOB_TAG)]) => "oob",
+        _ => "other",
+    }
+}
+
+/// With two operands wrong at once, `fault_of` reports the one that
+/// popping them one at a time found first: the index's kind, then the
+/// receiver, then the index's range, then the heap.
+#[test]
+fn two_faults_at_once_report_the_first_in_pop_order() {
+    let dangling = Value::Ref(ObjRef(77));
+    let cases = [
+        (Insn::ALoad, vec![Value::Null, OBJ], "int"),
+        (Insn::ALoad, vec![INT, OBJ], "int"),
+        (Insn::ALoad, vec![Value::Null, Value::Int(-1)], "npe"),
+        (Insn::ALoad, vec![INT, Value::Int(-1)], "ref"),
+        (Insn::ALoad, vec![dangling, Value::Int(-1)], "oob"),
+        (Insn::AStore, vec![Value::Null, OBJ, INT], "int"),
+        (Insn::AStore, vec![Value::Null, Value::Int(-1), INT], "npe"),
+        (Insn::AStore, vec![dangling, Value::Int(-1), INT], "oob"),
+        (Insn::GetField(3), vec![Value::Null], "npe"),
+        (Insn::PutField(3), vec![dangling, INT], "heap"),
+    ];
+    for (insn, operands, first) in cases {
+        each_way(&operands, insn, |o| {
+            assert_eq!(fault_kind(o), first, "{insn:?} on {operands:?}: {:?}", o.result);
+        });
+    }
 }
 
 /// All six shared opcodes before, inside and after a section, with a

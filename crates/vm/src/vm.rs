@@ -443,7 +443,7 @@ pub struct Vm {
     /// Test-only: every `step` of an opcode the fast loop's arm
     /// executes, with what the arm and `fault_of` made of it.
     #[cfg(test)]
-    pub(crate) arm_calls: Vec<crate::interp::ArmCall>,
+    pub(crate) arm_calls: Vec<crate::interp_parity::ArmCall>,
 }
 
 impl Vm {
