@@ -18,21 +18,17 @@
 //! cargo test -p revmon-vm --lib fault_pin -- --ignored bless
 //! ```
 
-use crate::bytecode::{CatchKind, Handler, Insn, NativeOp};
-use crate::interp::ARITH_TAG;
+use crate::bytecode::Insn;
 use crate::interp_parity::{
-    access, around_section, configs, count_down, parity, parity_of, program, well_formed, Observed,
-    Th, ARR, ARR_LEN, INT, OBJ, STATICS,
+    caught_trap, each_way, falls_off_the_end, foreign_stamp_read, parity, parity_of, program,
+    uncaught_trap, underflow_program, underflows, well_formed, Observed, ARR, ARR_LEN, INT, OBJ,
+    STATICS, TRAPS,
 };
 use crate::value::{ObjRef, Value};
 use crate::VmConfig;
-use revmon_core::Priority;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fault_pin.txt");
-
-/// The names [`configs`] are recorded under, in its order.
-const CONFIG_NAMES: [&str; 4] = ["unmodified", "modified", "eliding", "unguarded"];
 
 /// One line: `name`, then everything `o` can be told apart by.
 fn line(out: &mut String, name: &str, o: &Observed) {
@@ -66,30 +62,9 @@ fn line(out: &mut String, name: &str, o: &Observed) {
     );
 }
 
-/// A few instructions run in the fast loop, then `insn` on a stack of
-/// `have` integers.
 fn underflow(out: &mut String) {
-    let one =
-        [Insn::Pop, Insn::Dup, Insn::Store(0), Insn::Neg, Insn::IfZero(0), Insn::IfNonZero(0)];
-    let two = [
-        Insn::Swap,
-        Insn::Add,
-        Insn::Sub,
-        Insn::Mul,
-        Insn::Div,
-        Insn::Rem,
-        Insn::IfLt(0),
-        Insn::IfGe(0),
-        Insn::IfEq(0),
-        Insn::IfNe(0),
-    ];
-    let cases =
-        one.map(|i| (i, 0)).into_iter().chain(two.into_iter().flat_map(|i| [(i, 0), (i, 1)]));
-    for (insn, have) in cases {
-        let mut code = vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Nop];
-        code.extend(std::iter::repeat_n(Insn::Const(Value::Int(3)), have));
-        code.extend([insn, Insn::RetVoid]);
-        let o = parity(&program(code, 1, vec![]), VmConfig::unmodified(), 1);
+    for (insn, have) in underflows() {
+        let o = parity(&underflow_program(insn, have), VmConfig::unmodified(), 1);
         line(out, &format!("underflow {insn:?} on {have}"), &o);
     }
 }
@@ -119,63 +94,30 @@ fn reference_as_int(out: &mut String) {
 }
 
 fn arithmetic_traps(out: &mut String) {
-    for (insn, a, b) in
-        [(Insn::Div, 7, 0), (Insn::Rem, 7, 0), (Insn::Div, i64::MIN, -1), (Insn::Rem, i64::MIN, -1)]
-    {
-        let code = vec![
-            Insn::Const(Value::Int(5)),
-            Insn::Store(0),
-            Insn::Const(Value::Int(a)),
-            Insn::Const(Value::Int(b)),
-            insn, // pc 4: traps
-            Insn::Native(NativeOp::Emit),
-            Insn::Goto(10),
-            // pc 7: the handler — exception object on the stack
-            Insn::Pop,
-            Insn::Const(Value::Int(99)),
-            Insn::Native(NativeOp::Emit),
-            // pc 10
-            Insn::Load(0),
-            Insn::Native(NativeOp::Emit),
-            Insn::RetVoid,
-        ];
-        let handler = Handler { start: 0, end: 7, target: 7, kind: CatchKind::Class(ARITH_TAG) };
-        let o = parity(&program(code, 1, vec![handler]), VmConfig::unmodified(), 1);
+    for (insn, a, b) in TRAPS {
+        let o = parity(&caught_trap(insn, a, b), VmConfig::unmodified(), 1);
         line(out, &format!("arith caught {insn:?} {a} {b}"), &o);
     }
-    let code =
-        vec![Insn::Const(Value::Int(1)), Insn::Const(Value::Int(0)), Insn::Div, Insn::RetVoid];
-    let o = parity(&program(code, 0, vec![]), VmConfig::unmodified(), 1);
-    line(out, "arith uncaught Div 1 0", &o);
+    line(out, "arith uncaught Div 1 0", &parity(&uncaught_trap(), VmConfig::unmodified(), 1));
 }
 
 fn bad_pc(out: &mut String) {
-    let code = vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Goto(3)];
-    line(out, "bad-pc", &parity(&program(code, 0, vec![]), VmConfig::unmodified(), 1));
+    line(out, "bad-pc", &parity(&falls_off_the_end(), VmConfig::unmodified(), 1));
 }
 
 /// `insn` on `operands` inside and outside a section under every
 /// configuration, one line each.
-fn each_way(out: &mut String, name: &str, operands: &[Value], insn: Insn) {
-    for (cfg, cfg_name) in configs().into_iter().zip(CONFIG_NAMES) {
-        for inside in [true, false] {
-            let p = if inside {
-                around_section(vec![], access(operands, insn), vec![])
-            } else {
-                around_section(vec![], vec![], access(operands, insn))
-            };
-            let o = parity(&p, cfg, 1);
-            let place = if inside { "inside" } else { "outside" };
-            line(out, &format!("{name} {insn:?} on {operands:?} {cfg_name} {place}"), &o);
-        }
-    }
+fn each_way_lines(out: &mut String, name: &str, operands: &[Value], insn: Insn) {
+    each_way(operands, insn, |place, o| {
+        line(out, &format!("{name} {insn:?} on {operands:?} {place}"), o);
+    });
 }
 
 fn receivers(out: &mut String) {
     for (insn, operands) in well_formed().into_iter().take(4) {
         for r in [Value::Null, INT, Value::Ref(ObjRef(77))] {
             let with_receiver = [&[r][..], &operands[1..]].concat();
-            each_way(out, "receiver", &with_receiver, insn);
+            each_way_lines(out, "receiver", &with_receiver, insn);
         }
     }
 }
@@ -187,14 +129,14 @@ fn array_indices(out: &mut String) {
             .chain([-1, ARR_LEN, i64::MIN, i64::MAX, 1 << 32, (1 << 32) + 1].map(Value::Int));
         for i in indices {
             let with_index = [&operands[..1], &[i][..], &operands[2..]].concat();
-            each_way(out, "index", &with_index, insn);
+            each_way_lines(out, "index", &with_index, insn);
         }
     }
 }
 
 fn array_lengths(out: &mut String) {
     for n in [(1 << 32) + 2, 1 << 32, i64::MAX] {
-        each_way(out, "length", &[Value::Int(n)], Insn::NewArray);
+        each_way_lines(out, "length", &[Value::Int(n)], Insn::NewArray);
     }
 }
 
@@ -206,45 +148,19 @@ fn slots_out_of_range(out: &mut String) {
         (Insn::PutStatic(STATICS as u16), vec![INT]),
     ];
     for (insn, operands) in cases {
-        each_way(out, "slot", &operands, insn);
+        each_way_lines(out, "slot", &operands, insn);
     }
 }
 
 fn one_short(out: &mut String) {
     for (insn, operands) in well_formed() {
         let Some((_, short)) = operands.split_first() else { continue };
-        each_way(out, "one-short", short, insn);
+        each_way_lines(out, "one-short", short, insn);
     }
 }
 
-/// Thread 0 stores to static 0 inside a section and spins past its
-/// quantum; thread 1, outside any section, reads the word in the middle
-/// of a frame-local stretch.
-fn foreign_stamp_read(out: &mut String) {
-    let mut body = vec![
-        Insn::Const(Value::Int(5)),
-        Insn::PutStatic(0),
-        Insn::Const(Value::Int(40)),
-        Insn::Store(0),
-    ];
-    body.extend(count_down(0, 6)); // spin, from pc 6
-    let mut p = around_section(vec![], body, vec![]);
-    let reader = vec![
-        Insn::Const(Value::Int(1)),
-        Insn::Const(Value::Int(2)),
-        Insn::Add,
-        Insn::GetStatic(0),
-        Insn::Add,
-        Insn::Native(NativeOp::Emit),
-        Insn::RetVoid,
-    ];
-    p.methods.push(program(reader, 0, vec![]).methods.remove(0));
-    let ths = [
-        Th { method: 0, args: vec![], prio: Priority::NORM },
-        Th { method: 1, args: vec![], prio: Priority::NORM },
-    ];
-    let mut cfg = VmConfig::modified();
-    cfg.cost.quantum = 60;
+fn foreign_stamp(out: &mut String) {
+    let (p, ths, mut cfg) = foreign_stamp_read();
     for guard in [true, false] {
         cfg.jmm_guard = guard;
         line(out, &format!("foreign-stamp read guard={guard}"), &parity_of(&p, cfg, &ths));
@@ -265,7 +181,7 @@ fn capture() -> String {
         array_lengths,
         slots_out_of_range,
         one_short,
-        foreign_stamp_read,
+        foreign_stamp,
     ] {
         group(&mut out);
     }

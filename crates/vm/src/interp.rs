@@ -1,5 +1,5 @@
 //! The bytecode interpreter, in two tiers over one definition of each
-//! opcode. `local_arm` is what the instructions that stay on the running
+//! opcode. `local_arm!` is what the instructions that stay on the running
 //! thread do — operand stack, locals, arithmetic, branches, and
 //! shared-heap accesses that succeed — and declines, having changed
 //! nothing, anything that would fault, trap or touch another thread.
@@ -37,7 +37,7 @@ pub const ARITH_TAG: u32 = 0xFFFF_FF03;
 /// Class tag of the built-in `OutOfMemoryError` (heap-object limit).
 pub const OOM_TAG: u32 = 0xFFFF_FF04;
 
-/// Why [`local_arm`] declined an instruction, read off the frame it
+/// Why `local_arm!` declined an instruction, read off the frame it
 /// left untouched.
 #[derive(Debug)]
 pub(crate) enum Declined {
@@ -178,147 +178,163 @@ impl Shared<'_> {
 /// IfZero IfNonZero IfLt IfGe IfEq IfNe Nop` and the shared accesses
 /// `GetField PutField ALoad AStore GetStatic PutStatic` do, written once
 /// for both tiers: execute `insn` at `pc` of `method` on a frame's
-/// `locals` and operand `stack`, reach the heap through `sh`, and return
-/// the next pc. `None`, with nothing changed or charged, for any other
-/// opcode and for an instruction that would fault, trap or — while `sh`
-/// declines them — read a word carrying another thread's live stamp:
-/// what happens then is [`Vm::fault_of`]'s. Every check precedes every
-/// mutation.
-#[inline(always)]
-fn local_arm(
-    insn: Insn,
-    pc: u32,
-    method: MethodId,
-    locals: &mut [Value],
-    stack: &mut Vec<Value>,
-    sh: &mut Shared<'_>,
-) -> Option<u32> {
-    // Pop two integers, push `$f(a, b)`; decline when `$f` traps.
-    macro_rules! binop {
-        ($f:expr) => {{
-            let (a, b) = top2_int(stack)?;
-            let v = $f(a, b)?;
-            stack.pop();
-            *stack.last_mut().expect("two operands checked") = Value::Int(v);
-            pc + 1
-        }};
-    }
-    // Pop two operands with `$top2`, branch to `$t` when `$cond`.
-    macro_rules! branch2 {
-        ($top2:expr, $t:expr, |$a:ident, $b:ident| $cond:expr) => {{
-            let ($a, $b) = $top2?;
-            stack.truncate(stack.len() - 2);
-            if $cond {
-                $t
-            } else {
+/// `locals` and operand `stack`, reach the heap through `sh`, and
+/// evaluate to the next pc. For any other opcode, and for an instruction
+/// that would fault, trap or — while `sh` declines them — read a word
+/// carrying another thread's live stamp, it runs `decline` instead, with
+/// nothing changed or charged: what happens then is [`Vm::fault_of`]'s.
+/// Every check precedes every mutation.
+///
+/// A macro, so that `run_local`'s loop declines with a plain `break`:
+/// the same arm as an `#[inline(always)]` function returning
+/// `Option<u32>` compiled into a slower loop (EXPERIMENTS.md I4).
+macro_rules! local_arm {
+    (
+        $insn:expr, $pc:expr, $method:expr, $locals:expr, $stack:expr, $sh:expr,
+        $($decline:tt)+
+    ) => {{
+        let (insn, pc, method): (Insn, u32, MethodId) = ($insn, $pc, $method);
+        let (locals, stack, sh) = (&mut *$locals, &mut *$stack, &mut *$sh);
+        // Pop two integers, push `$f(a, b)`; decline when `$f` traps.
+        macro_rules! binop {
+            ($f:expr) => {{
+                let Some((a, b)) = top2_int(stack) else { $($decline)+ };
+                let Some(v) = $f(a, b) else { $($decline)+ };
+                stack.pop();
+                *stack.last_mut().expect("two operands checked") = Value::Int(v);
                 pc + 1
-            }
-        }};
-    }
+            }};
+        }
+        // Pop two operands with `$top2`, branch to `$t` when `$cond`.
+        macro_rules! branch2 {
+            ($top2:expr, $t:expr, |$a:ident, $b:ident| $cond:expr) => {{
+                let Some(($a, $b)) = $top2 else { $($decline)+ };
+                stack.truncate(stack.len() - 2);
+                if $cond {
+                    $t
+                } else {
+                    pc + 1
+                }
+            }};
+        }
 
-    Some(match insn {
-        Insn::Const(v) => {
-            stack.push(v);
-            pc + 1
-        }
-        Insn::Load(i) => {
-            let &v = locals.get(i as usize)?;
-            stack.push(v);
-            pc + 1
-        }
-        Insn::Store(i) => {
-            let (Some(slot), Some(&v)) = (locals.get_mut(i as usize), stack.last()) else {
-                return None;
-            };
-            *slot = v;
-            stack.pop();
-            pc + 1
-        }
-        Insn::Dup => {
-            let &v = stack.last()?;
-            stack.push(v);
-            pc + 1
-        }
-        Insn::Pop => {
-            stack.pop()?;
-            pc + 1
-        }
-        Insn::Swap => {
-            let len = stack.len();
-            if len < 2 {
-                return None;
-            }
-            stack.swap(len - 2, len - 1);
-            pc + 1
-        }
-        Insn::Add => binop!(|a: i64, b: i64| Some(a.wrapping_add(b))),
-        Insn::Sub => binop!(|a: i64, b: i64| Some(a.wrapping_sub(b))),
-        Insn::Mul => binop!(|a: i64, b: i64| Some(a.wrapping_mul(b))),
-        Insn::Div => binop!(|a: i64, b: i64| a.checked_div(b)),
-        Insn::Rem => binop!(|a: i64, b: i64| a.checked_rem(b)),
-        Insn::Neg => {
-            let top = stack.last_mut()?;
-            let a = top.as_int().ok()?;
-            *top = Value::Int(a.wrapping_neg());
-            pc + 1
-        }
-        Insn::Goto(t) => t,
-        Insn::IfZero(t) => {
-            if stack.pop()?.is_truthy() {
-                pc + 1
-            } else {
-                t
-            }
-        }
-        Insn::IfNonZero(t) => {
-            if stack.pop()?.is_truthy() {
-                t
-            } else {
+        match insn {
+            Insn::Const(v) => {
+                stack.push(v);
                 pc + 1
             }
+            Insn::Load(i) => {
+                let Some(&v) = locals.get(i as usize) else { $($decline)+ };
+                stack.push(v);
+                pc + 1
+            }
+            Insn::Store(i) => {
+                let (Some(slot), Some(&v)) = (locals.get_mut(i as usize), stack.last()) else {
+                    $($decline)+
+                };
+                *slot = v;
+                stack.pop();
+                pc + 1
+            }
+            Insn::Dup => {
+                let Some(&v) = stack.last() else { $($decline)+ };
+                stack.push(v);
+                pc + 1
+            }
+            Insn::Pop => {
+                if stack.pop().is_none() {
+                    $($decline)+
+                }
+                pc + 1
+            }
+            Insn::Swap => {
+                let len = stack.len();
+                if len < 2 {
+                    $($decline)+
+                }
+                stack.swap(len - 2, len - 1);
+                pc + 1
+            }
+            Insn::Add => binop!(|a: i64, b: i64| Some(a.wrapping_add(b))),
+            Insn::Sub => binop!(|a: i64, b: i64| Some(a.wrapping_sub(b))),
+            Insn::Mul => binop!(|a: i64, b: i64| Some(a.wrapping_mul(b))),
+            Insn::Div => binop!(|a: i64, b: i64| a.checked_div(b)),
+            Insn::Rem => binop!(|a: i64, b: i64| a.checked_rem(b)),
+            Insn::Neg => {
+                let Some(top) = stack.last_mut() else { $($decline)+ };
+                let Ok(a) = top.as_int() else { $($decline)+ };
+                *top = Value::Int(a.wrapping_neg());
+                pc + 1
+            }
+            Insn::Goto(t) => t,
+            Insn::IfZero(t) => {
+                let Some(v) = stack.pop() else { $($decline)+ };
+                if v.is_truthy() {
+                    pc + 1
+                } else {
+                    t
+                }
+            }
+            Insn::IfNonZero(t) => {
+                let Some(v) = stack.pop() else { $($decline)+ };
+                if v.is_truthy() {
+                    t
+                } else {
+                    pc + 1
+                }
+            }
+            Insn::IfLt(t) => branch2!(top2_int(stack), t, |a, b| a < b),
+            Insn::IfGe(t) => branch2!(top2_int(stack), t, |a, b| a >= b),
+            Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
+            Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
+            Insn::Nop => pc + 1,
+            Insn::GetField(off) => {
+                let Some(top @ &mut Value::Ref(r)) = stack.last_mut() else { $($decline)+ };
+                let Some(v) = sh.read(Location::Obj(r, off as u32)) else { $($decline)+ };
+                *top = v;
+                pc + 1
+            }
+            Insn::PutField(off) => {
+                let [.., Value::Ref(r), v] = stack[..] else { $($decline)+ };
+                if sh.write(Location::Obj(r, off as u32), v, method, pc).is_err() {
+                    $($decline)+
+                }
+                stack.truncate(stack.len() - 2);
+                pc + 1
+            }
+            Insn::ALoad => {
+                let [.., Value::Ref(r), i] = stack[..] else { $($decline)+ };
+                let Some(i) = array_index(i) else { $($decline)+ };
+                let Some(v) = sh.read(Location::Obj(r, i)) else { $($decline)+ };
+                stack.pop();
+                *stack.last_mut().expect("two operands checked") = v;
+                pc + 1
+            }
+            Insn::AStore => {
+                let [.., Value::Ref(r), i, v] = stack[..] else { $($decline)+ };
+                let Some(i) = array_index(i) else { $($decline)+ };
+                if sh.write(Location::Obj(r, i), v, method, pc).is_err() {
+                    $($decline)+
+                }
+                stack.truncate(stack.len() - 3);
+                pc + 1
+            }
+            Insn::GetStatic(s) => {
+                let Some(v) = sh.read(Location::Static(s as u32)) else { $($decline)+ };
+                stack.push(v);
+                pc + 1
+            }
+            Insn::PutStatic(s) => {
+                let Some(&v) = stack.last() else { $($decline)+ };
+                if sh.write(Location::Static(s as u32), v, method, pc).is_err() {
+                    $($decline)+
+                }
+                stack.pop();
+                pc + 1
+            }
+            _ => { $($decline)+ }
         }
-        Insn::IfLt(t) => branch2!(top2_int(stack), t, |a, b| a < b),
-        Insn::IfGe(t) => branch2!(top2_int(stack), t, |a, b| a >= b),
-        Insn::IfEq(t) => branch2!(top2(stack), t, |a, b| a == b),
-        Insn::IfNe(t) => branch2!(top2(stack), t, |a, b| a != b),
-        Insn::Nop => pc + 1,
-        Insn::GetField(off) => {
-            let Some(top @ &mut Value::Ref(r)) = stack.last_mut() else { return None };
-            *top = sh.read(Location::Obj(r, off as u32))?;
-            pc + 1
-        }
-        Insn::PutField(off) => {
-            let [.., Value::Ref(r), v] = stack[..] else { return None };
-            sh.write(Location::Obj(r, off as u32), v, method, pc).ok()?;
-            stack.truncate(stack.len() - 2);
-            pc + 1
-        }
-        Insn::ALoad => {
-            let [.., Value::Ref(r), i] = stack[..] else { return None };
-            let v = sh.read(Location::Obj(r, array_index(i)?))?;
-            stack.pop();
-            *stack.last_mut().expect("two operands checked") = v;
-            pc + 1
-        }
-        Insn::AStore => {
-            let [.., Value::Ref(r), i, v] = stack[..] else { return None };
-            sh.write(Location::Obj(r, array_index(i)?), v, method, pc).ok()?;
-            stack.truncate(stack.len() - 3);
-            pc + 1
-        }
-        Insn::GetStatic(s) => {
-            let v = sh.read(Location::Static(s as u32))?;
-            stack.push(v);
-            pc + 1
-        }
-        Insn::PutStatic(s) => {
-            let &v = stack.last()?;
-            sh.write(Location::Static(s as u32), v, method, pc).ok()?;
-            stack.pop();
-            pc + 1
-        }
-        _ => return None,
-    })
+    }};
 }
 
 impl Vm {
@@ -348,7 +364,7 @@ impl Vm {
     }
 
     /// Run `tid`'s instructions that need nothing but its own frame and
-    /// the heap — the opcodes [`local_arm`] executes — until one of four
+    /// the heap — the opcodes `local_arm!` executes — until one of four
     /// exits, and return how many ran and whether the last one was a
     /// yield point:
     ///
@@ -382,7 +398,7 @@ impl Vm {
         let mut at_yield_point = false;
         while n < budget {
             let Some(&insn) = code.get(pc as usize) else { break };
-            let Some(next) = local_arm(insn, pc, method, locals, stack, &mut sh) else { break };
+            let next = local_arm!(insn, pc, method, locals, stack, &mut sh, break);
             n += 1;
             // Only a taken branch leaves `next <= pc`: a loop back-edge,
             // where Jikes RVM plants its yield points.
@@ -757,7 +773,7 @@ impl Vm {
 
     // --- the fast loop's set, one instruction at a time ----------------
 
-    /// `step` on an opcode of [`local_arm`]'s set: the arm, else
+    /// `step` on an opcode of `local_arm!`'s set: the arm, else
     /// [`Vm::fault_of`] on the frame it left untouched.
     fn step_local(&mut self, tid: ThreadId, insn: Insn, pc: u32) -> Result<StepOutcome, VmError> {
         #[cfg(test)]
@@ -780,7 +796,7 @@ impl Vm {
         outcome
     }
 
-    /// [`local_arm`] on `tid`'s top frame at `pc`, with its barrier
+    /// `local_arm!` on `tid`'s top frame at `pc`, with its barrier
     /// ticks charged. `observe` reads a word carrying another thread's
     /// live stamp instead of declining it.
     fn run_arm(
@@ -792,14 +808,24 @@ impl Vm {
     ) -> Option<StepOutcome> {
         let (mut sh, f, _) = self.split(tid);
         sh.decline_foreign &= !observe;
-        let next = local_arm(insn, pc, f.method, &mut f.locals, &mut f.stack, &mut sh)?;
+        let next = 'arm: {
+            Some(local_arm!(
+                insn,
+                pc,
+                f.method,
+                &mut f.locals,
+                &mut f.stack,
+                &mut sh,
+                break 'arm None
+            ))
+        }?;
         f.pc = next;
         let ticks = sh.ticks;
         self.charge(ticks);
         Some(StepOutcome::Continue { yield_point: next <= pc })
     }
 
-    /// Why [`local_arm`] declines `insn` at `pc` on `tid`'s frame as it
+    /// Why `local_arm!` declines `insn` at `pc` on `tid`'s frame as it
     /// stands, if it does. Underflow comes first, from the ISA row's
     /// `pops`; then the operands from the top of the stack down, a local
     /// index, a trap, the receiver, the index's range and the heap, in
@@ -880,7 +906,7 @@ impl Vm {
         self.heap.read(loc).err().map(|error| Declined::Heap { error, read })
     }
 
-    /// What `step` makes of an instruction [`local_arm`] declined, from
+    /// What `step` makes of an instruction `local_arm!` declined, from
     /// the frame it left untouched: the `VmError`, the thrown exception,
     /// or — for a read of a word carrying another thread's live stamp —
     /// the read all the same, after which the writer's enclosing

@@ -211,30 +211,21 @@ fn cfg() -> VmConfig {
     VmConfig::unmodified()
 }
 
-/// A few instructions run in the fast loop, then `insn` must fault from
-/// a stack of `have` operands.
-fn underflow_case(insn: Insn, have: usize) {
+/// A few instructions run in the fast loop, then `insn` on a stack of
+/// `have` integers.
+pub(crate) fn underflow_program(insn: Insn, have: usize) -> Program {
     let mut code = vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Nop];
     code.extend(std::iter::repeat_n(Insn::Const(Value::Int(3)), have));
-    let fault_pc = code.len() as u32;
     code.extend([insn, Insn::RetVoid]);
-    let o = parity(&program(code, 1, vec![]), cfg(), 1);
-    assert_eq!(
-        o.result,
-        Err(VmError::StackUnderflow { method: "main".into(), pc: fault_pc }),
-        "{insn:?} on {have} operands"
-    );
-    assert_eq!(o.metrics.instructions, fault_pc as u64 + 1, "the faulting instruction counts");
+    program(code, 1, vec![])
 }
 
-#[test]
-fn operand_stack_underflow_on_each_arity() {
-    for insn in
-        [Insn::Pop, Insn::Dup, Insn::Store(0), Insn::Neg, Insn::IfZero(0), Insn::IfNonZero(0)]
-    {
-        underflow_case(insn, 0);
-    }
-    for insn in [
+/// Each opcode of the arm's set that pops, on each too-short stack of
+/// integers.
+pub(crate) fn underflows() -> impl Iterator<Item = (Insn, usize)> {
+    let one =
+        [Insn::Pop, Insn::Dup, Insn::Store(0), Insn::Neg, Insn::IfZero(0), Insn::IfNonZero(0)];
+    let two = [
         Insn::Swap,
         Insn::Add,
         Insn::Sub,
@@ -245,52 +236,80 @@ fn operand_stack_underflow_on_each_arity() {
         Insn::IfGe(0),
         Insn::IfEq(0),
         Insn::IfNe(0),
-    ] {
-        underflow_case(insn, 0);
-        underflow_case(insn, 1);
+    ];
+    one.map(|i| (i, 0)).into_iter().chain(two.into_iter().flat_map(|i| [(i, 0), (i, 1)]))
+}
+
+#[test]
+fn operand_stack_underflow_on_each_arity() {
+    for (insn, have) in underflows() {
+        let fault_pc = 3 + have as u32;
+        let o = parity(&underflow_program(insn, have), cfg(), 1);
+        assert_eq!(
+            o.result,
+            Err(VmError::StackUnderflow { method: "main".into(), pc: fault_pc }),
+            "{insn:?} on {have} operands"
+        );
+        assert_eq!(o.metrics.instructions, fault_pc as u64 + 1, "the faulting instruction counts");
     }
+}
+
+/// The traps of `Div` and `Rem`: by zero, and `i64::MIN / -1`.
+pub(crate) const TRAPS: [(Insn, i64, i64); 4] =
+    [(Insn::Div, 7, 0), (Insn::Rem, 7, 0), (Insn::Div, i64::MIN, -1), (Insn::Rem, i64::MIN, -1)];
+
+/// `insn` traps on `a`, `b` at pc 4, under an `ArithmeticException`
+/// handler that emits 99 and then local 0, which holds 5.
+pub(crate) fn caught_trap(insn: Insn, a: i64, b: i64) -> Program {
+    let code = vec![
+        Insn::Const(Value::Int(5)),
+        Insn::Store(0),
+        Insn::Const(Value::Int(a)),
+        Insn::Const(Value::Int(b)),
+        insn, // pc 4: traps
+        Insn::Native(NativeOp::Emit),
+        Insn::Goto(10),
+        // pc 7: the handler — exception object on the stack
+        Insn::Pop,
+        Insn::Const(Value::Int(99)),
+        Insn::Native(NativeOp::Emit),
+        // pc 10
+        Insn::Load(0),
+        Insn::Native(NativeOp::Emit),
+        Insn::RetVoid,
+    ];
+    let handler = Handler { start: 0, end: 7, target: 7, kind: CatchKind::Class(ARITH_TAG) };
+    program(code, 1, vec![handler])
+}
+
+/// `1 / 0` with no handler.
+pub(crate) fn uncaught_trap() -> Program {
+    let code =
+        vec![Insn::Const(Value::Int(1)), Insn::Const(Value::Int(0)), Insn::Div, Insn::RetVoid];
+    program(code, 0, vec![])
 }
 
 /// `fault_of` throws from the trapping instruction's own pc.
 #[test]
 fn arithmetic_traps_reach_a_handler_in_the_same_method() {
-    for (insn, a, b) in
-        [(Insn::Div, 7, 0), (Insn::Rem, 7, 0), (Insn::Div, i64::MIN, -1), (Insn::Rem, i64::MIN, -1)]
-    {
-        let code = vec![
-            Insn::Const(Value::Int(5)),
-            Insn::Store(0),
-            Insn::Const(Value::Int(a)),
-            Insn::Const(Value::Int(b)),
-            insn, // pc 4: traps
-            Insn::Native(NativeOp::Emit),
-            Insn::Goto(10),
-            // pc 7: the handler — exception object on the stack
-            Insn::Pop,
-            Insn::Const(Value::Int(99)),
-            Insn::Native(NativeOp::Emit),
-            // pc 10
-            Insn::Load(0),
-            Insn::Native(NativeOp::Emit),
-            Insn::RetVoid,
-        ];
-        let handler = Handler { start: 0, end: 7, target: 7, kind: CatchKind::Class(ARITH_TAG) };
-        let o = parity(&program(code, 1, vec![handler]), cfg(), 1);
+    for (insn, a, b) in TRAPS {
+        let o = parity(&caught_trap(insn, a, b), cfg(), 1);
         assert_eq!(o.result, Ok(()), "{insn:?} {a} {b}");
         assert_eq!(o.output, [Value::Int(99), Value::Int(5)], "{insn:?} {a} {b}");
         assert_eq!(o.uncaught, [None]);
     }
     // Uncaught, the same trap kills the thread the same way.
-    let code =
-        vec![Insn::Const(Value::Int(1)), Insn::Const(Value::Int(0)), Insn::Div, Insn::RetVoid];
-    let o = parity(&program(code, 0, vec![]), cfg(), 1);
-    assert_eq!(o.uncaught, [Some(ARITH_TAG)]);
+    assert_eq!(parity(&uncaught_trap(), cfg(), 1).uncaught, [Some(ARITH_TAG)]);
+}
+
+/// A method whose last instruction jumps to pc 3, one past its end.
+pub(crate) fn falls_off_the_end() -> Program {
+    program(vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Goto(3)], 0, vec![])
 }
 
 #[test]
 fn falling_off_the_end_of_a_method() {
-    let code = vec![Insn::Const(Value::Int(1)), Insn::Pop, Insn::Goto(3)];
-    let o = parity(&program(code, 0, vec![]), cfg(), 1);
+    let o = parity(&falls_off_the_end(), cfg(), 1);
     assert_eq!(o.result, Err(VmError::BadPc { method: "main".into(), pc: 3 }));
     // The attempt to fetch at pc 3 was counted as a step, not as an
     // instruction.
@@ -366,6 +385,9 @@ pub(crate) fn configs() -> [VmConfig; 4] {
     [VmConfig::unmodified(), VmConfig::modified(), VmConfig::modified().with_elision(), unguarded]
 }
 
+/// What [`configs`] are called, in its order.
+const CONFIG_NAMES: [&str; 4] = ["unmodified", "modified", "eliding", "unguarded"];
+
 /// `before`, then `body` inside a section on [`OBJ`] — entered with a
 /// raw `MonitorEnter`, so there is nothing to roll back to, but declared
 /// as a region, so the elision analysis knows its stores need their
@@ -407,17 +429,17 @@ pub(crate) fn access(operands: &[Value], insn: Insn) -> Vec<Insn> {
 }
 
 /// Run `insn` on `operands` inside and outside a section under every
-/// configuration, and hand each outcome to `check`.
-fn each_way(operands: &[Value], insn: Insn, check: impl Fn(&Observed)) {
-    for cfg in configs() {
+/// configuration, and hand each outcome to `check` with the
+/// configuration's name and the place.
+pub(crate) fn each_way(operands: &[Value], insn: Insn, mut check: impl FnMut(&str, &Observed)) {
+    for (cfg, name) in configs().into_iter().zip(CONFIG_NAMES) {
         for inside in [true, false] {
-            let p = if inside {
-                around_section(vec![], access(operands, insn), vec![])
+            let (p, place) = if inside {
+                (around_section(vec![], access(operands, insn), vec![]), "inside")
             } else {
-                around_section(vec![], vec![], access(operands, insn))
+                (around_section(vec![], vec![], access(operands, insn)), "outside")
             };
-            let o = parity(&p, cfg, 1);
-            check(&o);
+            check(&format!("{name} {place}"), &parity(&p, cfg, 1));
         }
     }
 }
@@ -440,7 +462,7 @@ pub(crate) fn well_formed() -> [(Insn, Vec<Value>); 6] {
 #[test]
 fn well_formed_accesses_run_and_count_the_same() {
     for (insn, operands) in well_formed() {
-        each_way(&operands, insn, |o| {
+        each_way(&operands, insn, |_, o| {
             assert_eq!(o.result, Ok(()), "{insn:?}");
             assert_eq!(o.uncaught, [None], "{insn:?}");
         });
@@ -466,18 +488,18 @@ fn well_formed_accesses_run_and_count_the_same() {
 fn null_receiver_throws_and_a_number_for_one_faults() {
     for (insn, operands) in well_formed().into_iter().take(4) {
         let with_receiver = |r| [&[r][..], &operands[1..]].concat();
-        each_way(&with_receiver(Value::Null), insn, |o| {
+        each_way(&with_receiver(Value::Null), insn, |_, o| {
             assert_eq!(o.result, Ok(()), "{insn:?}");
             assert_eq!(o.uncaught, [Some(NPE_TAG)], "{insn:?}");
         });
-        each_way(&with_receiver(INT), insn, |o| {
+        each_way(&with_receiver(INT), insn, |_, o| {
             assert!(
                 matches!(o.result, Err(VmError::Value { error: ValueError::ExpectedRef, .. })),
                 "{insn:?}: {:?}",
                 o.result
             );
         });
-        each_way(&with_receiver(Value::Ref(ObjRef(77))), insn, |o| {
+        each_way(&with_receiver(Value::Ref(ObjRef(77))), insn, |_, o| {
             assert!(matches!(o.result, Err(VmError::Heap(_))), "{insn:?}: {:?}", o.result);
         });
     }
@@ -488,7 +510,7 @@ fn null_receiver_throws_and_a_number_for_one_faults() {
 fn array_index_of_the_wrong_kind_or_out_of_range() {
     for (insn, operands) in [(Insn::ALoad, vec![ARR, INT]), (Insn::AStore, vec![ARR, INT, INT])] {
         let with_index = |i| [&operands[..1], &[i][..], &operands[2..]].concat();
-        each_way(&with_index(OBJ), insn, |o| {
+        each_way(&with_index(OBJ), insn, |_, o| {
             assert!(
                 matches!(o.result, Err(VmError::Value { error: ValueError::ExpectedInt, .. })),
                 "{insn:?}: {:?}",
@@ -499,14 +521,14 @@ fn array_index_of_the_wrong_kind_or_out_of_range() {
         // the last two do not fit the heap's 32-bit offsets and used to
         // wrap around into the array.
         for i in [-1, ARR_LEN, i64::MIN, i64::MAX, 1 << 32, (1 << 32) + 1] {
-            each_way(&with_index(Value::Int(i)), insn, |o| {
+            each_way(&with_index(Value::Int(i)), insn, |_, o| {
                 assert_eq!(o.result, Ok(()), "{insn:?} at {i}");
                 assert_eq!(o.uncaught, [Some(OOB_TAG)], "{insn:?} at {i}");
                 assert_eq!(o.metrics.log_entries, 0, "{insn:?} at {i} stored nothing");
             });
         }
         // `Null` reads as 0 wherever an integer is wanted.
-        each_way(&with_index(Value::Null), insn, |o| assert_eq!(o.uncaught, [None]));
+        each_way(&with_index(Value::Null), insn, |_, o| assert_eq!(o.uncaught, [None]));
     }
 }
 
@@ -541,7 +563,7 @@ fn two_faults_at_once_report_the_first_in_pop_order() {
         (Insn::PutField(3), vec![dangling, INT], "heap"),
     ];
     for (insn, operands, first) in cases {
-        each_way(&operands, insn, |o| {
+        each_way(&operands, insn, |_, o| {
             assert_eq!(fault_kind(o), first, "{insn:?} on {operands:?}: {:?}", o.result);
         });
     }
@@ -617,12 +639,10 @@ fn barrier_charges_saturate_like_the_stepped_ones() {
     }
 }
 
-#[test]
-fn reading_another_threads_speculative_write_leaves_the_fast_loop() {
-    // Thread 0 stores to static 0 inside a section and then spins past
-    // its quantum; thread 1, outside any section and in the middle of a
-    // frame-local stretch, reads the word. The fast arm must not answer:
-    // `step` has to take thread 0's section out of revocation's reach.
+/// Thread 0 stores 5 to static 0 inside a section on [`OBJ`] and then
+/// spins past its quantum; thread 1, outside any section and in the
+/// middle of a frame-local stretch, reads the word, adds 3 and emits it.
+pub(crate) fn foreign_stamp_read() -> (Program, [Th; 2], VmConfig) {
     let mut body = vec![
         Insn::Const(Value::Int(5)),
         Insn::PutStatic(0),
@@ -648,6 +668,14 @@ fn reading_another_threads_speculative_write_leaves_the_fast_loop() {
     ];
     let mut cfg = VmConfig::modified();
     cfg.cost.quantum = 60;
+    (p, ths, cfg)
+}
+
+#[test]
+fn reading_another_threads_speculative_write_leaves_the_fast_loop() {
+    // The fast arm must not answer: `step` has to take thread 0's
+    // section out of revocation's reach.
+    let (p, ths, mut cfg) = foreign_stamp_read();
     let o = parity_of(&p, cfg, &ths);
     assert_eq!(o.result, Ok(()));
     assert_eq!(o.output, [Value::Int(8)], "the reader saw the speculative 5");
