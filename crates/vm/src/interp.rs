@@ -3,14 +3,15 @@
 //! thread do — operand stack, locals, arithmetic, branches, and
 //! shared-heap accesses that succeed — and declines, having changed
 //! nothing, anything that would fault, trap or touch another thread.
-//! `run_local` loops over it under one borrow of the frame and settles
-//! the accounting in one go, handing back to `step` at the next yield
-//! point, at any other opcode, and at a decline. `step` executes any one
-//! instruction: the other opcodes with their own code, these by calling
-//! the arm once, and a decline by `fault_of`, which reads off the
-//! untouched frame the `VmError` or the Java-style exception (null
-//! dereference, bounds, division by zero) — or, for a read of another
-//! thread's speculative write, makes the read all the same (§2.2).
+//! `run_local` expands it as the body of a loop under one borrow of the
+//! frame and settles the accounting in one go, handing back to `step` at
+//! the next yield point, at any other opcode, and at a decline. `step`
+//! executes any one instruction: the other opcodes with their own code,
+//! these through the arm once, and a decline by `fault_of`, which reads
+//! off the untouched frame the `VmError` or the Java-style exception
+//! (null dereference, bounds, division by zero) — or, for a read of
+//! another thread's speculative write, makes the read all the same
+//! (§2.2).
 //!
 //! Both tiers reach the heap through `Shared`, the one place the
 //! write barrier on the three store kinds (§3.1.2) and the read barrier

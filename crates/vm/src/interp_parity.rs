@@ -1,6 +1,6 @@
 //! Parity of the batched loop (`Vm::run_local`) with one-`step`-at-a-time
 //! execution. Both tiers run an opcode of the fast loop's set through
-//! the one arm, `interp::local_arm`; what is still written twice is
+//! the one arm, `interp.rs`'s `local_arm!`; what is still written twice is
 //! checked here:
 //!
 //! * where the arm declines against what `Vm::fault_of` finds: on every
