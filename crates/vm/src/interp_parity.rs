@@ -20,13 +20,14 @@
 //! which must see the same hook calls in the same order from both tiers
 //! and change nothing else. Programs are built as raw `Insn`s and loaded
 //! with `new_unverified`, because the verifier rejects most of the
-//! malformed ones on sight. What each directed fault case comes to is
-//! pinned by `fault_pin`, which runs it through the same harness.
+//! malformed ones on sight. The directed fault tests here assert what
+//! kind of fault each case comes to; `fault_pin` runs the same cases
+//! through the same harness and records everything they leave behind.
 
 use crate::builder::{MethodBuilder, ProgramBuilder};
 use crate::bytecode::{CatchKind, Handler, Insn, Method, MethodId, NativeOp, Program, SyncRegion};
 use crate::heap::Location;
-use crate::interp::{Declined, ARITH_TAG, NPE_TAG, OOB_TAG};
+use crate::interp::{Declined, ARITH_TAG, NPE_TAG, OOB_TAG, OOM_TAG};
 use crate::value::{ObjRef, Value, ValueError};
 use crate::{Probe, Vm, VmConfig, VmError};
 use proptest::prelude::*;
@@ -251,6 +252,46 @@ fn operand_stack_underflow_on_each_arity() {
             "{insn:?} on {have} operands"
         );
         assert_eq!(o.metrics.instructions, fault_pc as u64 + 1, "the faulting instruction counts");
+    }
+}
+
+#[test]
+fn store_and_load_past_the_locals() {
+    for insn in [Insn::Load(2), Insn::Store(2)] {
+        let code = vec![Insn::Const(Value::Int(1)), Insn::Dup, insn, Insn::RetVoid];
+        let o = parity(&program(code, 2, vec![]), cfg(), 1);
+        assert_eq!(o.result, Err(VmError::Internal("local index out of range")), "{insn:?}");
+        assert_eq!(o.steps, 3);
+    }
+}
+
+#[test]
+fn reference_where_an_integer_is_needed() {
+    for insn in [Insn::Add, Insn::Mul, Insn::Rem, Insn::Neg, Insn::IfLt(0), Insn::IfGe(0)] {
+        for operands in [[Value::Int(1), OBJ], [OBJ, Value::Int(1)]] {
+            let code = vec![
+                Insn::Nop,
+                Insn::Const(operands[0]),
+                Insn::Const(operands[1]),
+                insn,
+                Insn::RetVoid,
+            ];
+            let o = parity(&program(code, 0, vec![]), cfg(), 1);
+            // `Neg` only looks at the top operand.
+            if insn == Insn::Neg && operands[1] != OBJ {
+                assert_eq!(o.result, Ok(()));
+            } else {
+                assert_eq!(
+                    o.result,
+                    Err(VmError::Value {
+                        method: "main".into(),
+                        pc: 3,
+                        error: ValueError::ExpectedInt
+                    }),
+                    "{insn:?} on {operands:?}"
+                );
+            }
+        }
     }
 }
 
@@ -529,6 +570,55 @@ fn array_index_of_the_wrong_kind_or_out_of_range() {
         }
         // `Null` reads as 0 wherever an integer is wanted.
         each_way(&with_index(Value::Null), insn, |_, o| assert_eq!(o.uncaught, [None]));
+    }
+}
+
+#[test]
+fn array_length_past_32_bits_is_out_of_memory() {
+    // `(1 << 32) + 2` used to allocate an array of 2.
+    for n in [(1 << 32) + 2, 1 << 32, i64::MAX] {
+        each_way(&[Value::Int(n)], Insn::NewArray, |_, o| {
+            assert_eq!(o.result, Ok(()), "length {n}");
+            assert_eq!(o.uncaught, [Some(OOM_TAG)], "length {n}");
+        });
+    }
+    let code = vec![
+        Insn::Const(Value::Int(2)),
+        Insn::NewArray,
+        Insn::ArrayLen,
+        Insn::Native(NativeOp::Emit),
+        Insn::RetVoid,
+    ];
+    assert_eq!(parity(&program(code, 0, vec![]), cfg(), 1).output, [Value::Int(2)]);
+}
+
+#[test]
+fn field_or_static_slot_out_of_range() {
+    let cases = [
+        (Insn::GetField(3), vec![OBJ]),
+        (Insn::PutField(3), vec![OBJ, INT]),
+        (Insn::GetStatic(STATICS as u16), vec![]),
+        (Insn::PutStatic(STATICS as u16), vec![INT]),
+    ];
+    for (insn, operands) in cases {
+        each_way(&operands, insn, |_, o| {
+            assert_eq!(o.result, Ok(()), "{insn:?}");
+            assert_eq!(o.uncaught, [Some(OOB_TAG)], "{insn:?}");
+        });
+    }
+}
+
+#[test]
+fn shared_access_on_an_operand_stack_one_short() {
+    for (insn, operands) in well_formed() {
+        let Some((_, short)) = operands.split_first() else { continue };
+        each_way(short, insn, |_, o| {
+            assert!(
+                matches!(o.result, Err(VmError::StackUnderflow { .. })),
+                "{insn:?} on {short:?}: {:?}",
+                o.result
+            );
+        });
     }
 }
 
