@@ -13,7 +13,7 @@
 //! revmon explore program.rvm [--max-preemptions N] [--max-schedules N]
 //!        [--all-failures] [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N]
 //!        [--fuzz-len N] [--replay file.schedule.json] [--minimize]
-//!        [--save-failure out.schedule.json] [--fault-skip-undo N] [--stats]
+//!        [--save-failure out.schedule.json] [--fault-skip-undo WORDS] [--stats]
 //!        [--metrics-json metrics.json] [--entry main]
 //!        [--config modified|unmodified]
 //!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
@@ -103,7 +103,7 @@ const OBS_FLAGS: &str = "[--stats] [--trace-out events.jsonl] [--chrome-trace ou
 const EXPLORE_FLAGS: &str = "[--max-preemptions N] [--max-schedules N] [--all-failures] \
     [--max-rounds N] [--fuzz-iters N] [--fuzz-seed N] [--fuzz-len N] \
     [--replay file.schedule.json] [--minimize] [--save-failure out.schedule.json] \
-    [--fault-skip-undo N] [--stats] [--metrics-json metrics.json]";
+    [--fault-skip-undo WORDS] [--stats] [--metrics-json metrics.json]";
 
 const COMMANDS: &[Command] = &[
     Command { name: "run", operand: Some("program.rvm"), flags: &[VM_FLAGS, OBS_FLAGS] },
@@ -645,7 +645,9 @@ fn run_explore(
     }
     let mut cfg = parse_vm_config(opts)?;
     if let Some(n) = opts.num("--fault-skip-undo")? {
-        cfg.fault_skip_undo = n; // test-only: sabotage rollback to prove detection
+        // Test-only: sabotage rollback to prove detection — every rollback
+        // leaves its newest N logged words unrestored.
+        cfg.fault_skip_undo = n;
     }
     let entry_name = opts.get("--entry").unwrap_or("main");
     let do_minimize = opts.has("--minimize");
@@ -744,7 +746,7 @@ fn run_explore(
         );
         if opts.has("--stats") {
             println!("--- stats ---");
-            print_schedule_rate(report.iters, wall, None);
+            print_schedule_rate(report.iters, wall, report.workers, report.run_time, None);
         }
         if let Some(path) = &metrics {
             let counters = [
@@ -753,6 +755,8 @@ fn run_explore(
                 ("fuzz_stalls", report.stalls),
                 ("fuzz_rollbacks", report.rollbacks),
                 ("fuzz_failures", report.failure.is_some() as u64),
+                ("fuzz_workers", report.workers as u64),
+                ("fuzz_run_us", report.run_time.as_micros() as u64),
             ];
             write_metrics(path, &counters)?;
         }
@@ -801,7 +805,7 @@ fn run_explore(
     }
     if opts.has("--stats") {
         println!("--- stats ---");
-        print_schedule_rate(s.schedules, wall, s.first_violation);
+        print_schedule_rate(s.schedules, wall, report.workers, report.run_time, s.first_violation);
         println!(
             "dedup hit ratio    : {:.3} ({} of {} expansions already visited)",
             s.dedup_hit_ratio(),
@@ -822,6 +826,8 @@ fn run_explore(
             ("explore_terminal_states", report.terminal_states.len() as u64),
             ("explore_failures", report.failures.len() as u64),
             ("explore_capped", s.capped as u64),
+            ("explore_workers", report.workers as u64),
+            ("explore_run_us", report.run_time.as_micros() as u64),
         ];
         write_metrics(path, &counters)?;
     }
@@ -839,21 +845,28 @@ fn run_explore(
 }
 
 /// The wall-clock half of `explore --stats`: how long the search took,
+/// on how many threads and how much run time they spent between them,
 /// when it found its first violation (if it found one) and what one
-/// schedule cost.
+/// schedule cost. The cost is the summed run time over the schedules,
+/// so a search spread over more threads does not read as cheaper
+/// schedules; `schedules/s` is the wall-clock rate.
 fn print_schedule_rate(
     schedules: u64,
     wall: std::time::Duration,
+    workers: usize,
+    run_time: std::time::Duration,
     first_violation: Option<std::time::Duration>,
 ) {
     let secs = wall.as_secs_f64();
     println!("wall time          : {secs:.3} s");
+    println!("workers            : {workers}");
+    println!("run time (summed)  : {:.3} s", run_time.as_secs_f64());
     if let Some(t) = first_violation {
         println!("first violation    : {:.3} s", t.as_secs_f64());
     }
     if schedules > 0 && secs > 0.0 {
         println!("schedules/s        : {:.1}", schedules as f64 / secs);
-        println!("us per schedule    : {:.1}", secs * 1e6 / schedules as f64);
+        println!("us per schedule    : {:.1}", run_time.as_secs_f64() * 1e6 / schedules as f64);
     }
 }
 

@@ -121,12 +121,15 @@ define_counters! {
         contended_acquires,
         /// Context switches between green threads.
         context_switches,
-        /// Undo-log entries written (write-barrier slow path executions).
+        /// Logged stores (write-barrier slow path executions). The VM
+        /// counts every one, also a repeat store it folds into the undo
+        /// entry its section layer holds for the word; `revmon-locks`
+        /// counts first writes (one per cell per section).
         log_entries,
         /// Write-barrier fast-path executions (every store on modified VM).
         barrier_fast_paths,
-        /// Write-barrier slow-path executions (in-section stores that logged
-        /// an undo entry and went through the JMM guard).
+        /// Write-barrier slow-path executions (in-section stores that were
+        /// logged and stamped their word).
         barrier_slow_paths,
         /// Stores that skipped the barrier thanks to static elision.
         barriers_elided,
@@ -134,7 +137,7 @@ define_counters! {
         revocations_requested,
         /// Rollbacks actually performed.
         rollbacks,
-        /// Undo-log entries restored by rollbacks.
+        /// Logged stores undone by rollbacks, in `log_entries`' unit.
         entries_rolled_back,
         /// Synchronized-section executions that committed.
         sections_committed,

@@ -89,6 +89,13 @@ impl<E> UndoLog<E> {
         self.peak
     }
 
+    /// The entry at log position `pos`, for an update that folds into an
+    /// entry already logged (the VM's barrier counts a repeat store to a
+    /// word into the entry of its first store in the section).
+    pub fn get_mut(&mut self, pos: usize) -> Option<&mut E> {
+        self.entries.get_mut(pos)
+    }
+
     /// Entries recorded since `mark`, in log order.
     pub fn since(&self, mark: LogMark) -> &[E] {
         &self.entries[mark.0.min(self.entries.len())..]
@@ -192,6 +199,18 @@ mod tests {
         log.push(2);
         log.push(3);
         assert_eq!(log.since(m), &[2, 3]);
+    }
+
+    #[test]
+    fn get_mut_reaches_a_logged_entry_in_place() {
+        let mut log = UndoLog::new();
+        log.push(1);
+        log.push(2);
+        *log.get_mut(0).expect("logged") += 10;
+        assert!(log.get_mut(2).is_none());
+        let mut seen = Vec::new();
+        log.rollback_to(LogMark(0), |e| seen.push(e));
+        assert_eq!(seen, vec![2, 11]);
     }
 
     #[test]

@@ -22,7 +22,14 @@
 //!   deviations-spent) pair has been expanded before contributes no new
 //!   siblings: the same futures were already scheduled from its first
 //!   visit.
+//!
+//! The search itself is sequential — one thread pops prefixes, folds
+//! their outcomes and pushes their siblings in depth-first order — while
+//! the runs behind it go on every core the host offers (see
+//! `pool.rs`): what the search reports does not depend on the core
+//! count, only how soon it reports it.
 
+use crate::pool::{self, Pool};
 use crate::runner::{RunOutcome, Runner, Terminal};
 use revmon_core::FxSet;
 use std::time::{Duration, Instant};
@@ -109,6 +116,13 @@ pub struct ExploreReport {
     /// Distinct terminal-state fingerprints among completed runs — a
     /// measure of how many observably different outcomes the program has.
     pub terminal_states: Vec<u64>,
+    /// Threads that ran schedules (the folding one included).
+    pub workers: usize,
+    /// Wall time of the executed schedules' runs, summed over whichever
+    /// threads ran them: what one core would have spent, so
+    /// `run_time / stats.schedules` is the cost of a schedule whatever
+    /// `workers` is.
+    pub run_time: Duration,
 }
 
 impl ExploreReport {
@@ -121,20 +135,32 @@ impl ExploreReport {
 /// Exhaustively enumerate schedules of `runner`'s program within
 /// `bounds`.
 pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
+    search(runner, bounds, pool::helpers())
+}
+
+/// [`explore`] with `helpers` threads running schedules beside the one
+/// that folds them.
+pub(crate) fn search(runner: &Runner, bounds: Bounds, helpers: usize) -> ExploreReport {
+    pool::with_pool(runner, helpers, |frontier| fold(frontier, bounds))
+}
+
+fn fold(frontier: &Pool, bounds: Bounds) -> ExploreReport {
     let started = Instant::now();
-    let mut report = ExploreReport::default();
+    let mut report = ExploreReport { workers: frontier.workers(), ..ExploreReport::default() };
     // Both sets are keyed by state fingerprints — 64-bit hashes already.
     let mut terminal_fps: FxSet<u64> = FxSet::default();
     // (fingerprint at choice point, preemptions spent reaching it).
     let mut expanded: FxSet<(u64, u32)> = FxSet::default();
-    let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
+    frontier.push([Vec::new()]);
 
-    while let Some(prefix) = frontier.pop() {
+    loop {
         if bounds.max_schedules != 0 && report.stats.schedules >= bounds.max_schedules {
-            report.stats.capped = true;
+            report.stats.capped = !frontier.is_empty();
             break;
         }
-        let out = runner.run(&prefix);
+        let Some((prefix, ran)) = frontier.pop() else { break };
+        let out = ran.outcome;
+        report.run_time += ran.time;
         report.stats.schedules += 1;
         report.stats.decision_points += out.decisions.len() as u64;
         report.stats.rollbacks += out.rollbacks;
@@ -152,6 +178,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
         // Expand siblings of every decision at or past the prefix edge.
         // Decisions inside the prefix were expanded when the ancestor run
         // first passed them.
+        let mut siblings = Vec::new();
         let mut preemptions = 0u32;
         for (d, dp) in out.decisions.iter().enumerate() {
             let this_preempts = dp.record.is_preemption() as u32;
@@ -174,7 +201,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
                     let mut next = Vec::with_capacity(d + 1);
                     next.extend_from_slice(&choices[..d]);
                     next.push(alt);
-                    frontier.push(next);
+                    siblings.push(next);
                 }
             }
             preemptions += this_preempts;
@@ -187,6 +214,7 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
                 break;
             }
         }
+        frontier.push(siblings);
     }
 
     let mut fps: Vec<u64> = terminal_fps.into_iter().collect();

@@ -6,10 +6,20 @@
 //! invariant-checked runner, and keeps the first failing schedule. Runs
 //! are deterministic functions of the seed, so `FuzzReport::failure`
 //! always replays.
+//!
+//! No draw reads an outcome, so the scripts are drawn ahead, a batch at
+//! a time, and run on every core the host offers (see `pool.rs`);
+//! their outcomes are folded in draw order up to the first violation, so
+//! the report does not depend on the core count.
 
+use crate::pool;
 use crate::runner::{Runner, Terminal};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
+
+/// Scripts drawn ahead of the fold at a time.
+const BATCH: u64 = 256;
 
 /// Fuzzing limits and shape.
 #[derive(Clone, Copy, Debug)]
@@ -47,30 +57,54 @@ pub struct FuzzReport {
     /// First failing schedule (full decision sequence) and the violated
     /// invariant's name.
     pub failure: Option<(Vec<u32>, String)>,
+    /// Threads that ran schedules (the folding one included).
+    pub workers: usize,
+    /// Wall time of the executed iterations' runs, summed over whichever
+    /// threads ran them (see [`crate::ExploreReport::run_time`]).
+    pub run_time: Duration,
 }
 
 /// Run a fuzzing campaign over `runner`'s program. Stops early at the
 /// first invariant violation.
 pub fn fuzz(runner: &Runner, plan: FuzzPlan) -> FuzzReport {
-    let mut rng = SmallRng::seed_from_u64(plan.seed);
-    let mut report = FuzzReport::default();
-    for _ in 0..plan.iters {
-        let script: Vec<u32> =
-            (0..plan.script_len).map(|_| rng.gen_range(0..plan.max_choice.max(1))).collect();
-        let out = runner.run(&script);
-        report.iters += 1;
-        report.rollbacks += out.rollbacks;
-        match out.terminal {
-            Terminal::Completed => report.completed += 1,
-            Terminal::Stalled => report.stalls += 1,
-            _ => {}
+    campaign(runner, plan, pool::helpers())
+}
+
+/// [`fuzz`] with `helpers` threads running scripts beside the one that
+/// folds them.
+pub(crate) fn campaign(runner: &Runner, plan: FuzzPlan, helpers: usize) -> FuzzReport {
+    pool::with_pool(runner, helpers, |scripts| {
+        let mut rng = SmallRng::seed_from_u64(plan.seed);
+        let mut report = FuzzReport { workers: scripts.workers(), ..FuzzReport::default() };
+        let mut undrawn = plan.iters;
+        while undrawn > 0 {
+            let batch = undrawn.min(BATCH);
+            undrawn -= batch;
+            let drawn: Vec<Vec<u32>> = (0..batch)
+                .map(|_| {
+                    (0..plan.script_len).map(|_| rng.gen_range(0..plan.max_choice.max(1))).collect()
+                })
+                .collect();
+            // Pushed newest-first, so they pop in draw order.
+            scripts.push(drawn.into_iter().rev());
+            while let Some((_, ran)) = scripts.pop() {
+                let out = ran.outcome;
+                report.run_time += ran.time;
+                report.iters += 1;
+                report.rollbacks += out.rollbacks;
+                match out.terminal {
+                    Terminal::Completed => report.completed += 1,
+                    Terminal::Stalled => report.stalls += 1,
+                    _ => {}
+                }
+                if let Some(v) = out.violations.first() {
+                    report.failure = Some((out.choices(), v.invariant.to_string()));
+                    return report;
+                }
+            }
         }
-        if let Some(v) = out.violations.first() {
-            report.failure = Some((out.choices(), v.invariant.to_string()));
-            break;
-        }
-    }
-    report
+        report
+    })
 }
 
 #[cfg(test)]

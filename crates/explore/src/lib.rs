@@ -29,6 +29,9 @@ pub mod equiv;
 pub mod explorer;
 pub mod fuzz;
 pub mod invariants;
+#[cfg(test)]
+mod parallel_fold;
+mod pool;
 pub mod runner;
 pub mod schedule;
 pub mod shrink;

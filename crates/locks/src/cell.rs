@@ -20,9 +20,11 @@
 //! carries a `Stamp` — the ids of the writing thread's outermost and
 //! innermost live sections — and a store whose stamp matches the newest
 //! saved entry only swaps the value in. That is a deliberate divergence
-//! from the paper (§3.1.2 logs every store, and so does `revmon-vm`): a
-//! rollback to a section's mark needs the value the cell held when the
-//! section first wrote it, and nothing in between.
+//! from the paper (§3.1.2 logs every store): a rollback to a section's
+//! mark needs the value the cell held when the section first wrote it,
+//! and nothing in between. `revmon-vm` follows the same rule per word
+//! and section layer, but counts and charges every store, so its
+//! figures stay the paper's; this runtime counts cells.
 //!
 //! | operation | called from | work (one cell-lock hold each) |
 //! |---|---|---|

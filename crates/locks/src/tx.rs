@@ -28,8 +28,9 @@
 //! per section that wrote it, a rollback walks distinct cells rather
 //! than stores, and the outermost commit visits no cell: what it leaves
 //! behind in the cells is recognised as stale by stamp at the next
-//! first write. The paper (§3.1.2) and `revmon-vm` log every store; this
-//! is `revmon-locks`' divergence.
+//! first write. The paper (§3.1.2) logs every store; this is
+//! `revmon-locks`' divergence (`revmon-vm` also logs a word once per
+//! section layer, but counts and charges per store).
 //!
 //! The log also **remembers its last write set**. Its *live length* —
 //! the entries of the open transaction — is kept apart from what it

@@ -12,11 +12,12 @@
 //! mailboxes when more than one core is configured; one flat queue on
 //! one core),
 //! last-dispatched thread, every thread's control state
-//! (frames, locals, operand stacks, sections, snapshots, undo logs,
-//! scheduling state, priorities), the heap (all object slots and
-//! statics), monitor table (owners, recursion, deposited priorities,
-//! entry queues with queued-at priorities, wait sets, ceilings, pending
-//! delegated submissions and drain counts), the live JMM
+//! (frames, locals, operand stacks, sections, snapshots, undo logs with
+//! each entry's repeat count, scheduling state, priorities), the heap
+//! (all object slots and statics), monitor table (owners, recursion,
+//! deposited priorities, entry queues with queued-at priorities, wait
+//! sets, ceilings, pending delegated submissions and drain counts), the
+//! live JMM
 //! speculative-write map, and the delegation token counter plus banked
 //! results (tokens are program-visible values).
 //!
@@ -164,6 +165,7 @@ impl Vm {
             for e in entries {
                 e.loc.hash(h);
                 e.old.hash(h);
+                e.repeats.hash(h);
             }
         }
 
@@ -388,7 +390,7 @@ mod tests {
         ("section monitor", |vm, h| vm.threads[h].sections[0].monitor = ObjRef(9)),
         ("section mark", |vm, h| {
             let mut log = UndoLog::new();
-            log.push(UndoEntry { loc: Location::Static(0), old: Value::Null });
+            log.push(UndoEntry::new(Location::Static(0), Value::Null));
             vm.threads[h].sections[0].mark = log.mark();
         }),
         ("section frame depth", |vm, h| vm.threads[h].sections[0].frame_depth += 1),
@@ -408,7 +410,10 @@ mod tests {
                 Some(Snapshot { locals: vec![], stack: vec![], resume_pc: 0, after_wait: false });
         }),
         ("undo log", |vm, h| {
-            vm.threads[h].undo.push(UndoEntry { loc: Location::Static(1), old: Value::Null });
+            vm.threads[h].undo.push(UndoEntry::new(Location::Static(1), Value::Null));
+        }),
+        ("undo repeat count", |vm, h| {
+            vm.threads[h].undo.get_mut(0).expect("holder logged a write").repeats += 1;
         }),
         ("object slot", |vm, _| {
             vm.heap.write(Location::Obj(ObjRef(0), 1), Value::Int(1)).unwrap();

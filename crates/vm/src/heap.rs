@@ -223,11 +223,12 @@ impl Heap {
         }
     }
 
-    /// Record a speculative write to `loc` by `writer` at position
-    /// `log_pos` of its undo log — the write-barrier slow path, after the
-    /// store itself succeeded. A later write to the same word supersedes
-    /// the stamp (sections enclosing the earlier write necessarily
-    /// enclose the later one, since marks only grow).
+    /// Record a speculative write to `loc` by `writer` whose undo entry
+    /// is at position `log_pos` of its log — the write-barrier slow path,
+    /// after the store itself succeeded and appended that entry. A later
+    /// entry for the same word supersedes the stamp (sections enclosing
+    /// the earlier write necessarily enclose the later one, since marks
+    /// only grow); a repeat store folded into the entry leaves it.
     ///
     /// # Panics
     /// If `loc` is not in the heap.
@@ -238,6 +239,14 @@ impl Heap {
         let fresh = stamp.get().is_none();
         *stamp = new;
         self.speculative += fresh as usize;
+    }
+
+    /// The undo-log position of `writer`'s live stamp on `loc`, if the
+    /// word carries one — the write barrier's test for a word it already
+    /// logged. A `loc` outside the heap carries none.
+    #[inline]
+    pub fn own_write(&self, loc: Location, writer: ThreadId) -> Option<usize> {
+        self.stamp(loc)?.get().filter(|w| w.writer == writer).map(|w| w.log_pos)
     }
 
     /// Read-barrier check: does `reader`'s read of `loc` observe another

@@ -27,7 +27,7 @@ use crate::thread::{Frame, Snapshot, ThreadState, UndoEntry, VmThread};
 use crate::value::{ObjRef, Value, ValueError};
 use crate::vm::{StepOutcome, Vm};
 use rand::Rng;
-use revmon_core::{Metrics, ThreadId, UndoLog};
+use revmon_core::{LogMark, Metrics, ThreadId, UndoLog};
 
 /// Class tag of the built-in `NullPointerException`.
 pub const NPE_TAG: u32 = 0xFFFF_FF01;
@@ -89,9 +89,10 @@ struct Shared<'a> {
     elision: Option<&'a ElisionTable>,
     probe: Option<&'a mut dyn Probe>,
     tid: ThreadId,
-    /// Whether the thread is inside a synchronized section — the write
-    /// barrier's fast-path test. No access changes it.
-    in_section: bool,
+    /// The innermost synchronized section's mark, if the thread is in one
+    /// — the write barrier's fast-path test, and where the layer whose
+    /// entries a repeat store may fold into begins. No access changes it.
+    section_mark: Option<LogMark>,
     barriers: bool,
     jmm_guard: bool,
     /// Whether [`Shared::read`] declines a word carrying another
@@ -131,10 +132,13 @@ impl Shared<'_> {
     /// The store and its write barrier: a fast-path "in a synchronized
     /// section?" test on every store when barriers are compiled in, the
     /// slow path logging the old value and stamping the word when inside
-    /// one (§3.1.2). The store at `method`/`pc` skips the barrier
-    /// entirely if it was statically proven to never execute inside a
-    /// section (§1.1's elision). Fails, with nothing changed, when `loc`
-    /// is not in the heap.
+    /// one (§3.1.2). A word this thread already logged at or past the
+    /// innermost section's mark is not logged again: the store counts
+    /// itself into that entry (see [`UndoEntry`]), and is charged and
+    /// counted like every other logged store. The store at `method`/`pc`
+    /// skips the barrier entirely if it was statically proven to never
+    /// execute inside a section (§1.1's elision). Fails, with nothing
+    /// changed, when `loc` is not in the heap.
     #[inline(always)]
     fn write(
         &mut self,
@@ -148,21 +152,30 @@ impl Shared<'_> {
         if self.barriers {
             if self.elision.is_some_and(|t| t.is_elided(method.index(), pc)) {
                 debug_assert!(
-                    !self.in_section,
+                    self.section_mark.is_none(),
                     "elided store executed inside a synchronized section"
                 );
                 self.metrics.barriers_elided += 1;
             } else {
                 let mut ticks = self.barrier_fast;
                 self.metrics.barrier_fast_paths += 1;
-                if self.in_section {
+                if let Some(mark) = self.section_mark {
                     logged = true;
-                    self.undo.push(UndoEntry { loc, old });
+                    let layer = mark.position();
+                    let logged_in_layer =
+                        self.heap.own_write(loc, self.tid).filter(|&p| p >= layer);
+                    match logged_in_layer.and_then(|p| self.undo.get_mut(p)) {
+                        Some(e) if e.repeats < u32::MAX => {
+                            debug_assert_eq!(e.loc, loc, "a stamp names its own entry");
+                            e.repeats += 1;
+                        }
+                        _ => {
+                            self.undo.push(UndoEntry::new(loc, old));
+                            self.heap.record_write(loc, self.tid, self.undo.len() - 1);
+                        }
+                    }
                     self.metrics.log_entries += 1;
                     self.metrics.barrier_slow_paths += 1;
-                    if self.jmm_guard {
-                        self.heap.record_write(loc, self.tid, self.undo.len() - 1);
-                    }
                     ticks = ticks.saturating_add(self.barrier_slow);
                 }
                 self.ticks = self.ticks.saturating_add(ticks);
@@ -353,7 +366,7 @@ impl Vm {
             elision: self.elision.as_ref(),
             probe: self.probe.as_deref_mut(),
             tid,
-            in_section: !sections.is_empty(),
+            section_mark: sections.last().map(|s| s.mark),
             barriers: self.config.barriers,
             jmm_guard: self.config.jmm_guard,
             decline_foreign: self.config.jmm_guard,

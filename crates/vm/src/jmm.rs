@@ -18,11 +18,14 @@
 //! has already computed — the paper's write barrier is a fast-path test
 //! plus a sequential log append (§3.1.2), and a hash-table probe per
 //! access would dwarf both. Stamps are set by the write-barrier slow
-//! path ([`Heap::record_write`]) and dropped when the writer's outermost
-//! section commits or when the entries are rolled back
-//! ([`Heap::clear_speculative`]). A read by a different thread that hits
-//! a live stamp ([`Heap::check_read`]) marks every enclosing active
-//! section of the writer non-revocable.
+//! path ([`Heap::record_write`]) whenever barriers are on, guard or not,
+//! and dropped when the writer's outermost section commits or when the
+//! entries are rolled back ([`Heap::clear_speculative`]). The barrier
+//! reads its own stamp back ([`Heap::own_write`]) to find the undo entry
+//! a repeat store folds into. Only under the guard does a read consult
+//! the stamps: a read by a different thread that hits a live stamp
+//! ([`Heap::check_read`]) marks every enclosing active section of the
+//! writer non-revocable.
 //!
 //! This single rule covers both problem cases in the paper:
 //!

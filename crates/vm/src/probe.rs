@@ -40,7 +40,9 @@ pub trait Probe: Any + Send {
     fn on_section_enter(&mut self, vm: &Vm, tid: ThreadId, monitor: ObjRef) {}
 
     /// A shared-heap word was written. `logged` is true when the write
-    /// barrier's slow path appended an undo entry for it.
+    /// barrier's slow path logged the store — appended an undo entry for
+    /// the word, or counted the store into the entry this section layer
+    /// already holds for it.
     fn on_heap_write(
         &mut self,
         tid: ThreadId,
@@ -58,8 +60,8 @@ pub trait Probe: Any + Send {
     /// retired, updates now permanent).
     fn on_commit(&mut self, vm: &Vm, tid: ThreadId, monitor: ObjRef) {}
 
-    /// `tid`'s section on `monitor` was rolled back; `entries` undo
-    /// entries were restored. The VM state reflects the completed
+    /// `tid`'s section on `monitor` was rolled back; `entries` logged
+    /// stores were undone (an undo entry stands for one or more). The VM state reflects the completed
     /// rollback (shared state restored, monitors released, control
     /// rewound).
     fn on_rollback(&mut self, vm: &Vm, tid: ThreadId, monitor: ObjRef, entries: u64) {}

@@ -200,15 +200,12 @@ impl Vm {
         {
             let mut log = std::mem::take(&mut self.threads[tid.index()].undo);
             let heap = &mut self.heap;
-            let guard = self.config.jmm_guard;
             // Test-only fault injection: silently drop the restore of the
-            // newest N entries (but still clear the JMM stamps and count them,
-            // as the buggy rollback the fault models would).
+            // newest N logged words (but still clear the stamps and count
+            // their stores, as the buggy rollback the fault models would).
             let mut skip = self.config.fault_skip_undo;
             log.rollback_to(mark, |e| {
-                if guard {
-                    heap.clear_speculative(e.loc, tid);
-                }
+                heap.clear_speculative(e.loc, tid);
                 if skip > 0 {
                     skip -= 1;
                 } else {
@@ -216,7 +213,7 @@ impl Vm {
                     // fail.
                     let _ = heap.write(e.loc, e.old);
                 }
-                entries += 1;
+                entries += e.stores();
             });
             self.threads[tid.index()].undo = log;
         }

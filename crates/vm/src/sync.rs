@@ -163,13 +163,11 @@ impl Vm {
     }
 
     /// Retire `tid`'s undo entries since `mark` — they can no longer be
-    /// revoked — dropping the JMM-guard stamp each one set.
+    /// revoked — dropping the stamp each one set.
     fn commit_log(&mut self, tid: ThreadId, mark: LogMark) {
         let log = &mut self.threads[tid.index()].undo;
-        if self.config.jmm_guard {
-            for e in log.since(mark) {
-                self.heap.clear_speculative(e.loc, tid);
-            }
+        for e in log.since(mark) {
+            self.heap.clear_speculative(e.loc, tid);
         }
         log.commit_to(mark);
     }

@@ -11,16 +11,38 @@ use crate::heap::Location;
 use crate::value::{ObjRef, Value};
 use revmon_core::{LogMark, Metrics, Priority, ThreadId, UndoLog};
 
-/// One logged update: where and what the old value was. Matches the
+/// One logged word: where and what the old value was. Matches the
 /// paper's log record ("object or array reference, value offset and the
 /// (old) value itself"; statics: "offset of the static variable in the
 /// global symbol table and the old value").
+///
+/// The paper logs every store; this log keeps one entry per word and
+/// section layer. A logged store that finds the word already logged by
+/// its own thread at or past the innermost section's mark counts itself
+/// into that entry's `repeats` instead of appending (the earlier entry's
+/// `old` is the value a rollback must restore). A rollback charges and
+/// reports `1 + repeats` per entry, so every count and clock reading is
+/// the paper's per-store one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UndoEntry {
     /// Overwritten location.
     pub loc: Location,
     /// Value to restore on rollback.
     pub old: Value,
+    /// Logged stores to `loc` folded into this entry after the first.
+    pub repeats: u32,
+}
+
+impl UndoEntry {
+    /// The entry of the first logged store to `loc` in a section layer.
+    pub fn new(loc: Location, old: Value) -> Self {
+        UndoEntry { loc, old, repeats: 0 }
+    }
+
+    /// Logged stores this entry stands for.
+    pub fn stores(&self) -> u64 {
+        1 + self.repeats as u64
+    }
 }
 
 /// An activation record.
@@ -307,6 +329,11 @@ mod tests {
     }
 
     #[test]
+    fn the_repeat_count_fits_in_the_entrys_padding() {
+        assert_eq!(std::mem::size_of::<UndoEntry>(), 32);
+    }
+
+    #[test]
     fn args_become_locals_padded_with_null() {
         let t = thread();
         assert_eq!(t.frame().locals, vec![Value::Int(7), Value::Null, Value::Null]);
@@ -337,7 +364,7 @@ mod tests {
     #[test]
     fn nonrevocable_marking_respects_positions() {
         let mut t = thread();
-        t.undo.push(UndoEntry { loc: Location::Static(0), old: Value::Null });
+        t.undo.push(UndoEntry::new(Location::Static(0), Value::Null));
         let outer_mark = revmon_core::undo::UndoLog::<UndoEntry>::new().mark(); // pos 0
         t.sections.push(Section {
             monitor: ObjRef(1),
@@ -349,7 +376,7 @@ mod tests {
             region: None,
             delegated: None,
         });
-        t.undo.push(UndoEntry { loc: Location::Static(1), old: Value::Null });
+        t.undo.push(UndoEntry::new(Location::Static(1), Value::Null));
         let inner_mark = t.undo.mark(); // pos 2
         t.sections.push(Section {
             monitor: ObjRef(2),

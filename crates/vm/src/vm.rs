@@ -81,10 +81,12 @@ pub struct VmConfig {
     /// order and without loss (`revmon run`'s trace, exports and
     /// analysis, tests, examples).
     pub trace: bool,
-    /// **Test-only fault injection**: skip restoring the newest N undo
-    /// entries during each rollback (0 = correct behaviour). Exists so
-    /// the `revmon-explore` invariant checker can prove it catches a
-    /// broken rollback; never set this outside tests.
+    /// **Test-only fault injection**: skip restoring the newest N logged
+    /// *words* during each rollback (0 = correct behaviour) — N undo
+    /// entries, each standing for every store its section layer made to
+    /// its word, so one skipped entry leaves a word at its in-section
+    /// value. Exists so the `revmon-explore` invariant checker can prove
+    /// it catches a broken rollback; never set this outside tests.
     pub fault_skip_undo: u32,
     /// **Test-only fault injection**: treat *every* contended acquire as
     /// a priority inversion, regardless of the holder's priority. Forces
