@@ -120,23 +120,15 @@ pub fn run_cell_analyzed(p: &BenchParams) -> (CellResult, revmon_obs::Analysis) 
     (cell, revmon_obs::Analysis::from_events(&events))
 }
 
-/// Execute one cell traced and return the run result plus its metrics
-/// JSON (all `Metrics` counters + latency percentiles), the same payload
-/// the CLI's `--metrics-json` emits.
-pub fn run_cell_observed(p: &BenchParams) -> (CellResult, String) {
-    let (cell, analysis) = run_cell_analyzed(p);
+/// A run's metrics JSON — all `Metrics` counters plus the latency
+/// histograms of its [`revmon_obs::Analysis`] — the same payload the
+/// CLI's `--metrics-json` emits. Takes what [`run_cell_analyzed`]
+/// returns, so one traced run yields both the episode block and this.
+pub fn run_metrics_json(cell: &CellResult, analysis: &revmon_obs::Analysis) -> String {
     let mut counters = Vec::new();
     cell.metrics.for_each_field(|name, v| counters.push((name, v)));
     let unit = revmon_obs::TsUnit::VirtualTicks;
-    let json = revmon_obs::metrics_json(&counters, &analysis.histograms, unit, None, None);
-    (cell, json)
-}
-
-/// Run one cell observed and write its metrics JSON to
-/// `dir/BENCH_<tag>_run_metrics.json`. Returns the path written.
-pub fn write_run_metrics(dir: impl AsRef<Path>, tag: &str, p: &BenchParams) -> io::Result<PathBuf> {
-    let (_, json) = run_cell_observed(p);
-    write_bench_file(dir, &format!("{tag}_run_metrics"), &json)
+    revmon_obs::metrics_json(&counters, &analysis.histograms, unit, None, None)
 }
 
 #[cfg(test)]
@@ -219,7 +211,8 @@ mod tests {
             seed: 11,
             quantum: scale.quantum,
         };
-        let (cell, json) = run_cell_observed(&p);
+        let (cell, analysis) = run_cell_analyzed(&p);
+        let json = run_metrics_json(&cell, &analysis);
         assert!(cell.metrics.monitor_acquires > 0);
         assert!(json.contains("\"monitor_acquires\""));
         assert!(json.contains("\"section_length\""));

@@ -10,9 +10,13 @@
 //! * [`BenchParams`] / [`run_cell`] — one grid cell (one thread mix ×
 //!   write ratio × VM flavour), repeated over seeds with mean and 90 %
 //!   confidence interval, matching the paper's 5-iteration averaging,
-//! * [`figure_series`] — a full figure's normalized series,
-//! * the `benches/` harnesses (`cargo bench -p revmon-bench`) printing
-//!   each figure's rows and checking its qualitative shape,
+//! * [`run_grid`] — every cell of one high-priority loop size's grid,
+//!   run once; both normalized series ([`Grid::high_priority`] for
+//!   Figures 5–6, [`Grid::overall`] for Figures 7–8) are read from it,
+//! * `benches/figures.rs` (`cargo bench -p revmon-bench --bench
+//!   figures`), which runs the "100K" and "500K" grids, prints Figures
+//!   5–8 with their shape checks and the §4.2 statistics, and writes
+//!   `bench_results/BENCH_fig5.json` … `BENCH_fig8.json`,
 //! * [`measure`] — the timing, pairing, flag and results-file helpers the
 //!   remaining wall-clock benches (ratio, footprint and flatness gates,
 //!   policy and governor comparisons) share. Absolute timings of the
@@ -248,15 +252,6 @@ pub fn run_cell_avg(p: &BenchParams, reps: u64) -> (CellResult, f64, f64) {
     (c, ci90_half_width(&highs), ci90_half_width(&overalls))
 }
 
-/// Which elapsed time a figure plots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Series {
-    /// Figures 5–6: total time of the high-priority threads.
-    HighPriority,
-    /// Figures 7–8: overall time.
-    Overall,
-}
-
 /// One figure row: write ratio plus normalized values for both VMs.
 #[derive(Clone, Copy, Debug)]
 pub struct FigureRow {
@@ -272,86 +267,110 @@ pub struct FigureRow {
     pub unmodified_ci: f64,
 }
 
-/// Compute one sub-figure's series: both VMs across [`WRITE_PCTS`],
-/// normalized to the unmodified VM at 0 % writes (the paper's
-/// normalization).
-pub fn figure_series(
-    high_threads: usize,
-    low_threads: usize,
-    high_iters: i64,
-    scale: &Scale,
-    series: Series,
-) -> Vec<FigureRow> {
-    let base_params = |write_pct: i64, modified: bool| BenchParams {
-        high_threads,
-        low_threads,
-        high_iters,
-        low_iters: scale.low_iters,
-        sections: scale.sections,
-        write_pct,
-        modified,
-        seed: 0xC0FFEE,
-        quantum: scale.quantum,
-    };
-    let pick = |c: &CellResult, ci_h: f64, ci_o: f64| match series {
-        Series::HighPriority => (c.high_elapsed as f64, ci_h),
-        Series::Overall => (c.overall_elapsed as f64, ci_o),
-    };
-    // normalization baseline: unmodified @ 0% writes
-    let (b, bh, bo) = run_cell_avg(&base_params(0, false), scale.repetitions);
-    let (norm, _) = pick(&b, bh, bo);
-    WRITE_PCTS
-        .iter()
-        .map(|&w| {
-            let (m, mh, mo) = run_cell_avg(&base_params(w, true), scale.repetitions);
-            let (u, uh, uo) = if w == 0 {
-                (b, bh, bo)
-            } else {
-                run_cell_avg(&base_params(w, false), scale.repetitions)
-            };
-            let (mv, mci) = pick(&m, mh, mo);
-            let (uv, uci) = pick(&u, uh, uo);
-            FigureRow {
-                write_pct: w,
-                modified: mv / norm,
-                modified_ci: mci / norm,
-                unmodified: uv / norm,
-                unmodified_ci: uci / norm,
-            }
-        })
-        .collect()
+/// A cell as [`run_cell_avg`] returns it: the mean result and the 90 %
+/// CI half-widths of its high-priority and overall elapsed times.
+pub type CellAvg = (CellResult, f64, f64);
+
+/// One thread mix of a [`Grid`].
+#[derive(Debug)]
+pub struct MixCells {
+    /// Number of high-priority threads.
+    pub high: usize,
+    /// Number of low-priority threads.
+    pub low: usize,
+    /// The modified VM at each of [`WRITE_PCTS`].
+    pub modified: Vec<CellAvg>,
+    /// The unmodified VM at each of [`WRITE_PCTS`]; entry 0 (0 % writes)
+    /// is the baseline both series normalize to.
+    pub unmodified: Vec<CellAvg>,
 }
 
-/// Pretty-print a figure's three sub-plots in the paper's layout.
-pub fn print_figure(
-    name: &str,
-    what: &str,
-    high_iters: i64,
-    scale: &Scale,
-    series: Series,
-) -> Vec<((usize, usize), Vec<FigureRow>)> {
-    println!("# {name}: {what}");
-    println!(
-        "# scaled workload: low-priority {} ops/section, high-priority {} ops/section, {} sections/thread, {} seeds",
-        scale.low_iters, high_iters, scale.sections, scale.repetitions
-    );
-    let mut out = Vec::new();
-    for (label, (high, low)) in ["(a)", "(b)", "(c)"].iter().zip(MIXES) {
-        println!("\n## {name}{label}: {high} high-priority + {low} low-priority");
-        println!(
-            "{:>7} {:>12} {:>8} {:>12} {:>8}",
-            "write%", "MODIFIED", "±90%CI", "UNMODIFIED", "±90%CI"
-        );
-        let rows = figure_series(high, low, high_iters, scale, series);
-        for r in &rows {
-            println!(
-                "{:>7} {:>12.3} {:>8.3} {:>12.3} {:>8.3}",
-                r.write_pct, r.modified, r.modified_ci, r.unmodified, r.unmodified_ci
-            );
-        }
-        out.push(((high, low), rows));
+/// The evaluation grid at one high-priority loop size: every (mix,
+/// write %, VM) cell run once over the scale's seeds. Figures 5 and 7
+/// read the "100K" grid, Figures 6 and 8 the "500K" one, and the §4.2
+/// statistics both.
+#[derive(Debug)]
+pub struct Grid {
+    /// Inner-loop operations per high-priority section.
+    pub high_iters: i64,
+    /// One entry per [`MIXES`] entry, in that order.
+    pub mixes: Vec<MixCells>,
+}
+
+/// Run the grid for `high_iters` at `scale`: per mix, the modified VM at
+/// every write ratio and the unmodified VM at every write ratio (its
+/// 0 % cell is the baseline), each through [`run_cell_avg`].
+pub fn run_grid(high_iters: i64, scale: &Scale) -> Grid {
+    let mixes = MIXES
+        .iter()
+        .map(|&(high, low)| {
+            let sweep = |modified: bool| -> Vec<CellAvg> {
+                WRITE_PCTS
+                    .iter()
+                    .map(|&write_pct| {
+                        let p = BenchParams {
+                            high_threads: high,
+                            low_threads: low,
+                            high_iters,
+                            low_iters: scale.low_iters,
+                            sections: scale.sections,
+                            write_pct,
+                            modified,
+                            seed: 0xC0FFEE,
+                            quantum: scale.quantum,
+                        };
+                        run_cell_avg(&p, scale.repetitions)
+                    })
+                    .collect()
+            };
+            MixCells { high, low, unmodified: sweep(false), modified: sweep(true) }
+        })
+        .collect();
+    Grid { high_iters, mixes }
+}
+
+impl Grid {
+    /// Figures 5–6: the high-priority threads' elapsed time per mix,
+    /// normalized to the unmodified VM at 0 % writes.
+    pub fn high_priority(&self) -> Vec<((usize, usize), Vec<FigureRow>)> {
+        self.series(|c| (c.0.high_elapsed as f64, c.1))
     }
-    out
+
+    /// Figures 7–8: the whole benchmark's elapsed time per mix,
+    /// normalized to the unmodified VM at 0 % writes.
+    pub fn overall(&self) -> Vec<((usize, usize), Vec<FigureRow>)> {
+        self.series(|c| (c.0.overall_elapsed as f64, c.2))
+    }
+
+    /// Each mix's rows of the (value, CI) that `pick` reads off a cell,
+    /// divided by the baseline's value (the paper's normalization).
+    fn series(
+        &self,
+        pick: impl Fn(&CellAvg) -> (f64, f64),
+    ) -> Vec<((usize, usize), Vec<FigureRow>)> {
+        self.mixes
+            .iter()
+            .map(|m| {
+                let (norm, _) = pick(&m.unmodified[0]);
+                let rows = WRITE_PCTS
+                    .iter()
+                    .zip(m.modified.iter().zip(&m.unmodified))
+                    .map(|(&write_pct, (md, um))| {
+                        let (mv, mci) = pick(md);
+                        let (uv, uci) = pick(um);
+                        FigureRow {
+                            write_pct,
+                            modified: mv / norm,
+                            modified_ci: mci / norm,
+                            unmodified: uv / norm,
+                            unmodified_ci: uci / norm,
+                        }
+                    })
+                    .collect();
+                ((m.high, m.low), rows)
+            })
+            .collect()
+    }
 }
 
 /// Percentage gain of the modified VM for high-priority threads in a
@@ -409,13 +428,30 @@ mod tests {
     }
 
     #[test]
-    fn figure_series_normalizes_baseline_to_one() {
+    fn grid_series_normalize_one_run_to_their_own_baselines() {
         let scale = Scale::smoke();
-        let rows = figure_series(2, 4, scale.high_iters_small, &scale, Series::HighPriority);
-        assert_eq!(rows.len(), WRITE_PCTS.len());
-        assert!((rows[0].unmodified - 1.0).abs() < 1e-9, "baseline row normalizes to 1");
+        let grid = run_grid(scale.high_iters_small, &scale);
+        let (hp, ov) = (grid.high_priority(), grid.overall());
+        assert_eq!(grid.mixes.len(), MIXES.len());
+        for ((cells, (mix, hp_rows)), (_, ov_rows)) in grid.mixes.iter().zip(&hp).zip(&ov) {
+            assert_eq!(*mix, (cells.high, cells.low));
+            for rows in [hp_rows, ov_rows] {
+                assert_eq!(rows.len(), WRITE_PCTS.len());
+                assert!((rows[0].unmodified - 1.0).abs() < 1e-9, "baseline row normalizes to 1");
+            }
+            // The overall series reads the same cells as the high-priority
+            // one, divided by the same baseline cell's overall time.
+            let base = cells.unmodified[0].0.overall_elapsed as f64;
+            for (i, r) in ov_rows.iter().enumerate() {
+                assert_eq!(r.write_pct, WRITE_PCTS[i]);
+                assert_eq!(r.modified, cells.modified[i].0.overall_elapsed as f64 / base);
+                assert_eq!(r.unmodified, cells.unmodified[i].0.overall_elapsed as f64 / base);
+            }
+        }
         // The paper's core claim at smoke scale: modified below unmodified
         // for a low high:low ratio.
+        let (mix, rows) = &hp[0];
+        assert_eq!(*mix, (2, 8));
         assert!(rows[0].modified < rows[0].unmodified);
     }
 }

@@ -163,3 +163,101 @@ fn no_false_deadlock_on_nested_distinct_locks() {
     assert_eq!(report.global.deadlocks_detected, 0);
     assert_eq!(vm.read_static(0).unwrap(), Value::Int(2));
 }
+
+/// `dine(first, second, meals, bites)`: `meals` rounds of
+/// `sync(first){ <spin bites> sync(second){ static0++ } }`.
+fn philosopher_program() -> (Program, MethodId) {
+    let mut pb = ProgramBuilder::new();
+    pb.statics(1);
+    let dine = pb.declare_method("dine", 4);
+    let mut b = MethodBuilder::new(4, 6);
+    b.const_i(0);
+    b.store(4);
+    let outer = b.here();
+    b.load(4);
+    b.load(2);
+    let done = b.new_label();
+    b.if_ge(done);
+    b.sync_on_local(0, |b| {
+        // think while holding the first chopstick (the deadlock window)
+        b.const_i(0);
+        b.store(5);
+        let spin = b.here();
+        b.load(5);
+        b.load(3);
+        let ate = b.new_label();
+        b.if_ge(ate);
+        b.load(5);
+        b.const_i(1);
+        b.add();
+        b.store(5);
+        b.goto(spin);
+        b.place(ate);
+        b.sync_on_local(1, |b| {
+            b.get_static(0);
+            b.const_i(1);
+            b.add();
+            b.put_static(0);
+        });
+    });
+    b.load(4);
+    b.const_i(1);
+    b.add();
+    b.store(4);
+    b.goto(outer);
+    b.place(done);
+    b.ret_void();
+    pb.implement(dine, b);
+    (pb.finish(), dine)
+}
+
+/// A table of `n` philosophers, each eating `meals` times with 2 000
+/// bites of thinking inside the first chopstick. Naive order: every
+/// philosopher takes the left stick first (a cycle); global order: the
+/// lower-numbered stick first (prevention). Returns whether the table
+/// finished, the meals eaten and the deadlocks broken.
+fn run_table(n: usize, meals: i64, cfg: VmConfig, ordered: bool) -> (bool, Value, u64) {
+    let (p, dine) = philosopher_program();
+    let mut vm = Vm::new(p, cfg);
+    let sticks: Vec<_> = (0..n).map(|_| vm.heap_mut().alloc(0, 0)).collect();
+    for i in 0..n {
+        let (mut a, mut b) = (i, (i + 1) % n);
+        if ordered && a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let args = vec![
+            Value::Ref(sticks[a]),
+            Value::Ref(sticks[b]),
+            Value::Int(meals),
+            Value::Int(2_000),
+        ];
+        vm.spawn(&format!("phil{i}"), dine, args, Priority::NORM);
+    }
+    let completed = match vm.run() {
+        Ok(_) => true,
+        Err(VmError::Stalled(_)) => false,
+        Err(e) => panic!("unexpected fault: {e}"),
+    };
+    (completed, vm.read_static(0).unwrap(), vm.report().global.deadlocks_broken)
+}
+
+/// §1.1/§6: "such deadlocks can be detected and resolved automatically,
+/// permitting the application to make progress". Dining philosophers in
+/// the naive order stall a blocking VM and finish under revocation, which
+/// breaks at least one deadlock; with a global lock order (prevention)
+/// both VMs finish. EXPERIMENTS.md D1-bench has the clock each row takes.
+#[test]
+fn dining_philosophers_recover_under_revocation_and_stall_under_blocking() {
+    let meals = 20;
+    for n in [2usize, 3, 5, 8] {
+        let all = Value::Int(n as i64 * meals);
+        let (done, eaten, _) = run_table(n, meals, VmConfig::unmodified(), false);
+        assert!(!done, "{n} seats, blocking, naive order must stall (ate {eaten:?})");
+        assert_eq!(run_table(n, meals, VmConfig::unmodified(), true), (true, all, 0));
+        let (done, eaten, broken) = run_table(n, meals, VmConfig::modified(), false);
+        assert!(done && eaten == all, "{n} seats, revocation, naive order: {eaten:?}");
+        assert!(broken >= 1, "{n} seats, revocation, naive order broke no deadlock");
+        let (done, eaten, _) = run_table(n, meals, VmConfig::modified(), true);
+        assert!(done && eaten == all, "{n} seats, revocation, global order: {eaten:?}");
+    }
+}
