@@ -4,7 +4,7 @@
 //! benchmark (`benchmark/`, `BENCHMARK.json`), which runs on every
 //! accepted PR. The benches here keep what no workload there covers —
 //! on/off *ratio* gates ([`Paired`]), footprint and queue-flatness gates,
-//! the three-policy comparison, the governor's before/after and the
+//! the blocking-vs-revocation comparison, the governor's before/after and the
 //! virtual-clock figures — and each helper they need exists once, here.
 
 use crate::{export, Scale};

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! revmon run program.rvm [--entry main] [--config modified|unmodified]
-//!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
-//!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
-//!        [--quantum N] [--max-steps N] [--cores N]
+//!        [--policy blocking|revocation|inherit|ceiling=N] [--sched rr|prio]
+//!        [--queue pq|fifo] [--detect acq|bg=N] [--seed N] [--quantum N]
+//!        [--max-steps N] [--cores N]
 //!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]
 //!        [--stats] [--trace-out events.jsonl] [--chrome-trace out.json]
 //!        [--metrics-json metrics.json] [--prometheus out.prom]
@@ -16,9 +16,9 @@
 //!        [--save-failure out.schedule.json] [--fault-skip-undo WORDS] [--stats]
 //!        [--metrics-json metrics.json] [--entry main]
 //!        [--config modified|unmodified]
-//!        [--policy blocking|revocation|inherit|ceiling=N|delegation]
-//!        [--sched rr|prio] [--queue pq|fifo] [--detect acq|bg=N] [--seed N]
-//!        [--quantum N] [--max-steps N] [--cores N]
+//!        [--policy blocking|revocation|inherit|ceiling=N] [--sched rr|prio]
+//!        [--queue pq|fifo] [--detect acq|bg=N] [--seed N] [--quantum N]
+//!        [--max-steps N] [--cores N]
 //!        [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]
 //! revmon demo [--low N] [--high N] [--sections N] [--watch] [--stats]
 //!        [--trace-out events.jsonl] [--chrome-trace out.json]
@@ -54,9 +54,7 @@
 //! be minimized and saved as replayable `.schedule.json` artifacts. See
 //! `docs/exploration.md`.
 
-use revmon_core::{
-    DetectionStrategy, GovernorConfig, InversionPolicy, PolicyNameError, Priority, QueueDiscipline,
-};
+use revmon_core::{DetectionStrategy, GovernorConfig, PolicyNameError, Priority, QueueDiscipline};
 use revmon_obs::{Analysis, EventSink, PipelineStats, RunMeta, TsUnit};
 use revmon_vm::{
     assemble, disassemble, rewrite_program, verify_program, SchedulerKind, Vm, VmConfig,
@@ -92,7 +90,7 @@ struct Command {
 /// VM configuration knobs shared by `run` and `explore`
 /// ([`parse_vm_config`]).
 const VM_FLAGS: &str = "[--entry main] [--config modified|unmodified] \
-    [--policy blocking|revocation|inherit|ceiling=N|delegation] [--sched rr|prio] \
+    [--policy blocking|revocation|inherit|ceiling=N] [--sched rr|prio] \
     [--queue pq|fifo] [--detect acq|bg=N] [--seed N] [--quantum N] [--max-steps N] [--cores N] \
     [--governor k=K,backoff=TICKS[,decay=TICKS]] [--elide] [--trace]";
 
@@ -355,12 +353,6 @@ fn parse_vm_config(opts: &Opts<'_>) -> Result<VmConfig, String> {
             PolicyNameError::BadCeiling => "bad ceiling level".to_string(),
             PolicyNameError::Unknown => format!("unknown policy `{p}`"),
         })?;
-        // Delegation never rolls back: sections are pinned non-revocable,
-        // so the undo-log write barriers are not compiled in — the whole
-        // point of the combiner path.
-        if cfg.policy == InversionPolicy::Delegation {
-            cfg.barriers = false;
-        }
     }
     if let Some(s) = opts.get("--sched") {
         cfg.scheduler = match s {

@@ -99,6 +99,13 @@ fn unknown_flags_and_files_fail_cleanly() {
     assert!(stderr.contains("unknown option `--polcy`"), "stderr: {stderr}");
     assert!(stderr.contains("[--policy "), "accepted options not named: {stderr}");
     assert!(out.stdout.is_empty(), "the program must not have run");
+    // Nor may an unknown policy name.
+    let out =
+        bin().args(["run", &program("counter.rvm"), "--policy", "delegation"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown policy `delegation`"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "the program must not have run");
 }
 
 #[test]

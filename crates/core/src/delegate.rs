@@ -1,15 +1,12 @@
-//! Shared vocabulary for **delegated critical sections** (the
-//! [`InversionPolicy::Delegation`](crate::InversionPolicy::Delegation)
-//! combiner).
+//! Shared vocabulary for **delegated critical sections** (the VM's
+//! `Delegate`/`Await` combiner).
 //!
-//! Under delegation a thread never *holds* a contended monitor across an
-//! inversion: it submits its critical section to the monitor's combiner
-//! queue and the current holder — the *combiner* — executes pending
-//! submissions in priority order before releasing. Only the VM
-//! implements it (`revmon-locks` treats the policy as blocking); what
-//! lives here is [`DelegateConfig`], the combiner handoff rules — most
-//! importantly the bounded drain budget that stops the combiner
-//! starving.
+//! A delegated section is never run by its submitter: it is queued on
+//! the monitor's combiner queue and the current holder — the
+//! *combiner* — executes pending submissions in priority order before
+//! releasing. Only the VM implements it; what lives here is
+//! [`DelegateConfig`], the combiner handoff rules — most importantly the
+//! bounded drain budget that stops the combiner starving.
 //!
 //! Ordering semantics piggyback on
 //! [`PrioritizedQueue`](crate::PrioritizedQueue): the combiner drains

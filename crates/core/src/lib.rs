@@ -35,7 +35,7 @@
 //!   revocation governor (bounded retries, exponential backoff,
 //!   per-monitor fallback to blocking),
 //! * [`delegate`] — combiner handoff rules for delegated critical
-//!   sections (the `Delegation` policy).
+//!   sections (the VM's `Delegate`/`Await` instructions).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -29,21 +29,13 @@ pub enum InversionPolicy {
     /// runs at the monitor's programmer-declared ceiling priority while
     /// holding it.
     PriorityCeiling(Priority),
-    /// ActiveMonitor-style delegation: a contender never waits out (or
-    /// revokes) the holder — it *submits* its critical section to the
-    /// monitor's combiner queue and the current holder executes pending
-    /// submissions in priority order before releasing. Inversion becomes
-    /// priority-ordered queue reordering; sections execute exactly once,
-    /// so no undo logging is ever needed on this path.
-    Delegation,
 }
 
 impl InversionPolicy {
     /// Whether this policy ever requires write barriers / undo logging.
     ///
     /// Only revocation does; this mirrors the paper's "unmodified VM"
-    /// compiling the benchmark without barriers. Delegation executes each
-    /// section exactly once and therefore never rolls back.
+    /// compiling the benchmark without barriers.
     ///
     /// Deliberately an exhaustive match (no `matches!` / wildcard): a new
     /// policy variant must decide its logging story here, at compile time.
@@ -52,8 +44,7 @@ impl InversionPolicy {
             InversionPolicy::Revocation => true,
             InversionPolicy::Blocking
             | InversionPolicy::PriorityInheritance
-            | InversionPolicy::PriorityCeiling(_)
-            | InversionPolicy::Delegation => false,
+            | InversionPolicy::PriorityCeiling(_) => false,
         }
     }
 
@@ -65,14 +56,13 @@ impl InversionPolicy {
             InversionPolicy::Revocation => true,
             InversionPolicy::Blocking
             | InversionPolicy::PriorityInheritance
-            | InversionPolicy::PriorityCeiling(_)
-            | InversionPolicy::Delegation => false,
+            | InversionPolicy::PriorityCeiling(_) => false,
         }
     }
 }
 
 /// The policy's name on the command line (`--policy`) and in schedule
-/// files: `blocking`, `revocation`, `inherit`, `ceiling=N`, `delegation`.
+/// files: `blocking`, `revocation`, `inherit`, `ceiling=N`.
 impl fmt::Display for InversionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -80,7 +70,6 @@ impl fmt::Display for InversionPolicy {
             InversionPolicy::Revocation => f.write_str("revocation"),
             InversionPolicy::PriorityInheritance => f.write_str("inherit"),
             InversionPolicy::PriorityCeiling(p) => write!(f, "ceiling={}", p.level()),
-            InversionPolicy::Delegation => f.write_str("delegation"),
         }
     }
 }
@@ -104,7 +93,6 @@ impl FromStr for InversionPolicy {
             "blocking" => InversionPolicy::Blocking,
             "revocation" => InversionPolicy::Revocation,
             "inherit" => InversionPolicy::PriorityInheritance,
-            "delegation" => InversionPolicy::Delegation,
             _ => match name.strip_prefix("ceiling=") {
                 Some(level) => {
                     let level: u8 = level.parse().map_err(|_| PolicyNameError::BadCeiling)?;
@@ -157,14 +145,12 @@ mod tests {
         assert!(InversionPolicy::Revocation.needs_logging());
         assert!(!InversionPolicy::PriorityInheritance.needs_logging());
         assert!(!InversionPolicy::PriorityCeiling(Priority::MAX).needs_logging());
-        assert!(!InversionPolicy::Delegation.needs_logging());
     }
 
     #[test]
     fn only_revocation_breaks_deadlock() {
         assert!(InversionPolicy::Revocation.can_break_deadlock());
         assert!(!InversionPolicy::PriorityInheritance.can_break_deadlock());
-        assert!(!InversionPolicy::Delegation.can_break_deadlock());
     }
 
     #[test]
@@ -174,7 +160,6 @@ mod tests {
             (InversionPolicy::Revocation, "revocation"),
             (InversionPolicy::PriorityInheritance, "inherit"),
             (InversionPolicy::PriorityCeiling(Priority::new(7)), "ceiling=7"),
-            (InversionPolicy::Delegation, "delegation"),
         ] {
             assert_eq!(policy.to_string(), name);
             assert_eq!(name.parse(), Ok(policy));
@@ -183,7 +168,7 @@ mod tests {
         for bad in ["ceiling=", "ceiling=high", "ceiling=-1", "ceiling=256"] {
             assert_eq!(bad.parse::<InversionPolicy>(), Err(PolicyNameError::BadCeiling), "{bad}");
         }
-        for bad in ["", "Blocking", "ceiling", "revocation "] {
+        for bad in ["", "Blocking", "ceiling", "revocation ", "delegation"] {
             assert_eq!(bad.parse::<InversionPolicy>(), Err(PolicyNameError::Unknown), "{bad}");
         }
     }

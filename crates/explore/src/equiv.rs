@@ -7,17 +7,15 @@
 //! may reorder and re-execute work, but they must never change what the
 //! program ultimately computes.
 //!
-//! [`check_cross_policy`] tests exactly that — and extends it to the
-//! delegation combiner: it runs the same program and decision scripts
-//! under [`InversionPolicy::Revocation`] and
-//! [`InversionPolicy::Delegation`], each against the
+//! [`check_cross_policy`] tests exactly that: it runs the same program
+//! and decision scripts under [`InversionPolicy::Revocation`] and the
 //! [`InversionPolicy::Blocking`] reference, and compares the final
 //! static slots and emitted output. Write barriers are compiled per
-//! policy (`needs_logging()`), so the delegation run also proves the
-//! barrier-free configuration computes the same results. Because the
-//! policies reach different choice points, the shared script acts as a
-//! *schedule perturbation*, not a bit-identical schedule — which is the
-//! point: equivalence must hold for every schedule of every VM.
+//! policy (`needs_logging()`), so the blocking run is the barrier-free
+//! configuration. Because the policies reach different choice points,
+//! the shared script acts as a *schedule perturbation*, not a
+//! bit-identical schedule — which is the point: equivalence must hold
+//! for every schedule of every VM.
 //!
 //! Only apply this to DRF, deadlock-free programs. A deadlocking program
 //! legitimately diverges (revocation breaks the deadlock; blocking
@@ -55,15 +53,9 @@ fn sorted_debug(values: &[Value]) -> Vec<String> {
     v
 }
 
-/// The policies every DRF, deadlock-free program must agree across:
-/// blocking is the reference; revocation (rollback + retry) and
-/// delegation (combiner execution, no barriers) must match it.
-const POLICIES: [InversionPolicy; 3] =
-    [InversionPolicy::Blocking, InversionPolicy::Revocation, InversionPolicy::Delegation];
-
 /// A configuration for `policy`, with the write barriers compiled in
 /// only when the policy can roll back (the "modified VM" is modified
-/// *for* revocation; delegation and blocking run barrier-free).
+/// *for* revocation; blocking runs barrier-free).
 fn cfg_for(base: VmConfig, policy: InversionPolicy) -> VmConfig {
     let mut cfg = base;
     cfg.policy = policy;
@@ -71,58 +63,43 @@ fn cfg_for(base: VmConfig, policy: InversionPolicy) -> VmConfig {
     cfg
 }
 
-/// Compare `program` under revocation and delegation against the
-/// blocking reference, across the empty script plus each script in
-/// `schedules`.
+/// Compare `program` under revocation against the blocking reference,
+/// across the empty script plus each script in `schedules`.
 pub fn check_cross_policy(
     program: &Program,
     entry: &str,
     base: VmConfig,
     schedules: &[Vec<u32>],
 ) -> Result<EquivReport, String> {
-    let runners = POLICIES
-        .iter()
-        .map(|&p| Runner::new(program.clone(), entry, cfg_for(base, p)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let (reference, candidates) = runners.split_first().expect("three policies");
+    let runner = |p| Runner::new(program.clone(), entry, cfg_for(base, p));
+    let reference = runner(InversionPolicy::Blocking)?;
+    let candidate = runner(InversionPolicy::Revocation)?;
 
     let empty: Vec<u32> = Vec::new();
     let mut report = EquivReport::default();
     for script in std::iter::once(&empty).chain(schedules.iter()) {
         report.schedules += 1;
         let b = reference.run(script);
-        for (runner, &policy) in candidates.iter().zip(&POLICIES[1..]) {
-            let a = runner.run(script);
-            if a.terminal != Terminal::Completed || b.terminal != Terminal::Completed {
-                if a.terminal != b.terminal {
-                    report.violations.push(Violation {
-                        invariant: "cross-policy-equivalence",
-                        detail: format!(
-                            "script {script:?}: terminal diverged ({policy:?}: {:?}, blocking: {:?})",
-                            a.terminal, b.terminal
-                        ),
-                    });
-                }
-                continue;
+        let a = candidate.run(script);
+        let mut diverged = |what: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            report.violations.push(Violation {
+                invariant: "cross-policy-equivalence",
+                detail: format!(
+                    "script {script:?}: {what} diverged (Revocation: {a:?}, blocking: {b:?})"
+                ),
+            })
+        };
+        if a.terminal != Terminal::Completed || b.terminal != Terminal::Completed {
+            if a.terminal != b.terminal {
+                diverged("terminal", &a.terminal, &b.terminal);
             }
-            if a.statics != b.statics {
-                report.violations.push(Violation {
-                    invariant: "cross-policy-equivalence",
-                    detail: format!(
-                        "script {script:?}: final statics diverged ({policy:?}: {:?}, blocking: {:?})",
-                        a.statics, b.statics
-                    ),
-                });
-            }
-            if sorted_debug(&a.output) != sorted_debug(&b.output) {
-                report.violations.push(Violation {
-                    invariant: "cross-policy-equivalence",
-                    detail: format!(
-                        "script {script:?}: output diverged ({policy:?}: {:?}, blocking: {:?})",
-                        a.output, b.output
-                    ),
-                });
-            }
+            continue;
+        }
+        if a.statics != b.statics {
+            diverged("final statics", &a.statics, &b.statics);
+        }
+        if sorted_debug(&a.output) != sorted_debug(&b.output) {
+            diverged("output", &a.output, &b.output);
         }
     }
     Ok(report)

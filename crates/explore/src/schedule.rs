@@ -30,8 +30,8 @@ pub struct ScheduleFile {
     pub program_fnv: String,
     /// Entry method name.
     pub entry: String,
-    /// Inversion policy tag: `revocation`, `blocking`, `inherit`,
-    /// `delegation`, or `ceiling=N`.
+    /// Inversion policy tag: `revocation`, `blocking`, `inherit`, or
+    /// `ceiling=N`.
     pub policy: String,
     /// RNG seed the run used.
     pub seed: u64,
@@ -236,6 +236,16 @@ mod tests {
         assert_eq!(cfg.policy.to_string(), f.policy);
         assert_eq!(cfg.cost.quantum, f.quantum);
         assert_eq!(cfg.seed, f.seed);
+    }
+
+    #[test]
+    fn unknown_policy_tags_are_refused_not_defaulted() {
+        // An artifact naming a policy this build does not have must not
+        // replay under whatever policy `cfg` held.
+        let json = sample().to_json().replace("\"revocation\"", "\"delegation\"");
+        let f = ScheduleFile::parse(&json).expect("the document itself is well formed");
+        let mut cfg = revmon_vm::VmConfig::modified();
+        assert_eq!(f.apply_to(&mut cfg), Err("unknown policy tag `delegation`".to_string()));
     }
 
     #[test]

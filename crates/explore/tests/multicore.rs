@@ -37,17 +37,6 @@ const CORPUS: &[&str] = &[
     "volatile_revoke.rvm",
 ];
 
-/// Config for `name` at `cores` (delegation programs need the combiner
-/// policy, mirroring how the CLI corpus loop runs them).
-fn config_for(name: &str, cores: usize) -> VmConfig {
-    let mut cfg = VmConfig::modified().with_cores(cores);
-    if name.starts_with("delegation") {
-        cfg.policy = revmon_core::InversionPolicy::Delegation;
-        cfg.barriers = false;
-    }
-    cfg
-}
-
 #[test]
 fn corpus_heap_fingerprints_agree_across_core_counts() {
     // Every corpus program, run to completion under the scripted
@@ -56,10 +45,10 @@ fn corpus_heap_fingerprints_agree_across_core_counts() {
     // must be identical — more cores may only change *when* things
     // happen, never *what* the program computes.
     for name in CORPUS {
-        let base = corpus_runner(name, config_for(name, 1)).run(&[]);
+        let base = corpus_runner(name, VmConfig::modified().with_cores(1)).run(&[]);
         assert_eq!(base.terminal, Terminal::Completed, "{name} on one core");
         for cores in [2usize, 4] {
-            let multi = corpus_runner(name, config_for(name, cores)).run(&[]);
+            let multi = corpus_runner(name, VmConfig::modified().with_cores(cores)).run(&[]);
             assert_eq!(multi.terminal, Terminal::Completed, "{name} on {cores} cores");
             assert_eq!(
                 multi.heap_fingerprint, base.heap_fingerprint,
@@ -79,7 +68,7 @@ fn corpus_heap_fingerprints_agree_across_core_counts() {
             // The same run is bit-identical when repeated: the core
             // interleaving is part of the deterministic machine, not a
             // source of noise.
-            let again = corpus_runner(name, config_for(name, cores)).run(&[]);
+            let again = corpus_runner(name, VmConfig::modified().with_cores(cores)).run(&[]);
             assert_eq!(
                 again.fingerprint, multi.fingerprint,
                 "{name}: {cores}-core run nondeterministic"
@@ -97,8 +86,7 @@ fn cross_core_revocation_actually_posts_ipis() {
     // — whose priority inversion forces a revocation — resolves it
     // cross-core once holder and contender sit on different cores, and
     // that the handshake completes (posted == acked, none pending).
-    let out =
-        corpus_runner("priority_inversion.rvm", config_for("priority_inversion.rvm", 2)).run(&[]);
+    let out = corpus_runner("priority_inversion.rvm", VmConfig::modified().with_cores(2)).run(&[]);
     assert_eq!(out.terminal, Terminal::Completed);
     let (posted, acked, _stale) = out.ipis;
     assert!(posted > 0, "no cross-core revocation was exercised");
@@ -118,7 +106,7 @@ fn ipi_invariants_hold_under_exhaustive_bounded_search() {
     let mut branched = false;
     for name in ["nested_wait_revoke.rvm", "priority_inversion.rvm"] {
         for cores in [2usize, 4] {
-            let runner = corpus_runner(name, config_for(name, cores));
+            let runner = corpus_runner(name, VmConfig::modified().with_cores(cores));
             let report = explore(&runner, Bounds::default());
             assert!(
                 report.clean(),
@@ -146,7 +134,7 @@ fn broken_rollback_is_caught_through_the_ipi_path() {
     // (skip every restore) and the rollback-restoration oracle must
     // object under 2-core exploration, where revocations arrive as
     // delivered IPIs rather than same-core flags.
-    let mut cfg = config_for("priority_inversion.rvm", 2);
+    let mut cfg = VmConfig::modified().with_cores(2);
     cfg.fault_skip_undo = 1_000_000;
     let runner = corpus_runner("priority_inversion.rvm", cfg);
     let report = explore(&runner, Bounds { max_preemptions: 1, ..Bounds::default() });

@@ -326,12 +326,8 @@ fn corpus_programs_agree_at_one_and_two_cores_with_and_without_faults() {
         let program = testprogs::assemble_corpus(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for cores in [1, 2] {
             for skip in [0, 1, 1_000_000] {
-                let mut cfg = VmConfig::modified().with_cores(cores);
-                if name.starts_with("delegation") {
-                    cfg.policy = revmon_core::InversionPolicy::Delegation;
-                    cfg.barriers = false;
-                }
-                cfg.fault_skip_undo = skip;
+                let cfg =
+                    VmConfig { fault_skip_undo: skip, ..VmConfig::modified().with_cores(cores) };
                 for script in SCRIPTS {
                     let label = format!("{name} cores={cores} skip={skip}");
                     tally.add(&run_both(&label, vm_for(&program, "main", cfg), script));

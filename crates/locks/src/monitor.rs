@@ -330,8 +330,7 @@ impl RevocableMonitor {
     }
 
     /// A monitor under an explicit policy (blocking / inheritance /
-    /// ceiling baselines). `InversionPolicy::Delegation` has no combiner
-    /// on this runtime: a monitor under it behaves as under `Blocking`.
+    /// ceiling baselines).
     pub fn with_policy(policy: InversionPolicy) -> Self {
         RevocableMonitor {
             id: NEXT_MONITOR_ID.fetch_add(1, Ordering::Relaxed),
@@ -609,9 +608,8 @@ impl MonRef<'_> {
 
     /// Push a new section for this monitor. Under policies that never
     /// roll back (`needs_logging() == false` — blocking, inheritance,
-    /// ceiling, delegation) the section is pinned non-revocable at
-    /// birth: `Tx` writes skip the undo barrier under those policies, so
-    /// nothing (in particular not the deadlock breaker) may ever try to
+    /// ceiling) the section is pinned non-revocable at birth: `Tx`
+    /// writes skip the undo barrier under those policies, so nothing (in particular not the deadlock breaker) may ever try to
     /// unwind such a section — there would be no log to restore from.
     #[inline]
     fn new_section(self) -> Arc<SectionCtx> {
@@ -799,9 +797,7 @@ impl MonRef<'_> {
                         self.shared.stats.priority_boosts.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                InversionPolicy::Blocking
-                | InversionPolicy::PriorityCeiling(_)
-                | InversionPolicy::Delegation => {}
+                InversionPolicy::Blocking | InversionPolicy::PriorityCeiling(_) => {}
             }
             s = self.queue_and_park(s, &slot, &mut queued, eff);
             // Woken: revoked while parked? (deadlock victim, or an

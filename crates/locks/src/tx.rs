@@ -641,9 +641,9 @@ pub struct Tx<'m> {
     /// Whether writes go through the undo barrier. `false` under
     /// policies that never roll a section back
     /// (`InversionPolicy::needs_logging() == false` — blocking,
-    /// inheritance, ceiling, **delegation**): the monitor pins such
-    /// sections non-revocable at creation, so skipping the save+log is
-    /// sound and the write barrier disappears entirely.
+    /// inheritance, ceiling): the monitor pins such sections
+    /// non-revocable at creation, so skipping the save+log is sound and
+    /// the write barrier disappears entirely.
     logging: bool,
 }
 

@@ -106,34 +106,31 @@ fn contended_counter_is_exact() {
     assert_eq!(m.stats().commits, 6 * per_thread as u64);
 }
 
-/// The blocking baseline never revokes and logs nothing — and that is
-/// all `Delegation` means on this runtime, which has no combiner.
+/// The blocking baseline never revokes and logs nothing.
 #[test]
 fn blocking_policy_never_rolls_back() {
-    for policy in [InversionPolicy::Blocking, InversionPolicy::Delegation] {
-        let m = Arc::new(RevocableMonitor::with_policy(policy));
-        let cell = TCell::new(0i64);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let m = Arc::clone(&m);
-                let cell = cell.clone();
-                let prio = if i == 0 { Priority::HIGH } else { Priority::LOW };
-                thread::spawn(move || {
-                    for _ in 0..200 {
-                        m.enter(prio, |tx| tx.update(&cell, |v| v + 1));
-                    }
-                })
+    let m = Arc::new(RevocableMonitor::with_policy(InversionPolicy::Blocking));
+    let cell = TCell::new(0i64);
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            let m = Arc::clone(&m);
+            let cell = cell.clone();
+            let prio = if i == 0 { Priority::HIGH } else { Priority::LOW };
+            thread::spawn(move || {
+                for _ in 0..200 {
+                    m.enter(prio, |tx| tx.update(&cell, |v| v + 1));
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(cell.read_unsynchronized(), 800, "{policy}");
-        let st = m.stats();
-        assert_eq!(st.rollbacks, 0, "{policy}");
-        assert_eq!(st.revocations_requested, 0, "{policy}");
-        assert_eq!(st.log_entries, 0, "{policy}");
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
+    assert_eq!(cell.read_unsynchronized(), 800);
+    let st = m.stats();
+    assert_eq!(st.rollbacks, 0);
+    assert_eq!(st.revocations_requested, 0);
+    assert_eq!(st.log_entries, 0);
 }
 
 /// A volatile write inside the section pins it non-revocable: the

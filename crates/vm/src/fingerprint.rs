@@ -135,7 +135,6 @@ impl Vm {
                     }
                 }
             }
-            t.pending_delegation_token.hash(h);
 
             t.sections.len().hash(h);
             for s in &t.sections {
@@ -144,7 +143,6 @@ impl Vm {
                 s.frame_depth.hash(h);
                 s.revocable.hash(h);
                 s.region.hash(h);
-                s.delegated.hash(h);
                 hash_snapshot(&s.snapshot, h);
             }
             // Encode a pending revocation as the index of the targeted
@@ -382,7 +380,6 @@ mod tests {
                 release_on_return: false,
             });
         }),
-        ("pending delegation token", |vm, h| vm.threads[h].pending_delegation_token = Some(0)),
         ("sections", |vm, h| {
             let s = vm.threads[h].sections[0].clone();
             vm.threads[h].sections.push(s);
@@ -399,7 +396,6 @@ mod tests {
             let s = &mut vm.threads[h].sections[0];
             s.region = if s.region.is_some() { None } else { Some((0, 1)) };
         }),
-        ("section delegation token", |vm, h| vm.threads[h].sections[0].delegated = Some(0)),
         ("section snapshot", |vm, h| vm.threads[h].sections[0].snapshot = None),
         ("snapshot resume pc", |vm, h| {
             vm.threads[h].sections[0].snapshot.as_mut().expect("rewritten").resume_pc += 1;

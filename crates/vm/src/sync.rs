@@ -43,19 +43,7 @@ impl Vm {
                 Ok(true)
             }
             None => {
-                {
-                    let m = self.monitors.get_mut(obj);
-                    m.owner = Some(tid);
-                    m.recursion = 1;
-                    m.holder_priority = eff;
-                    m.acquires += 1;
-                    m.drained = 0;
-                }
-                self.thread_mut(tid).held.push(obj);
-                self.thread_mut(tid).metrics.monitor_acquires += 1;
-                self.apply_ceiling(tid);
-                self.push_section(tid, obj);
-                self.emit(tid, obj, EventKind::Acquire);
+                self.take_monitor(tid, obj, 1, true);
                 Ok(true)
             }
             Some(owner) => {
@@ -97,28 +85,6 @@ impl Vm {
                         }
                         self.boost_chain(owner, eff);
                     }
-                    InversionPolicy::Delegation => {
-                        // The contender's continuation *is* the submission:
-                        // the holder hands off in priority order (Execute at
-                        // grant) and the granted section's exit completes
-                        // it. No revocation, no rollback — an inversion
-                        // costs only queue reordering.
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        self.thread_mut(tid).pending_delegation_token = Some(token);
-                        if eff > holder_prio {
-                            self.thread_mut(tid).metrics.inversions_detected += 1;
-                        }
-                        self.global.delegations_submitted += 1;
-                        self.emit(
-                            tid,
-                            obj,
-                            EventKind::DelegateSubmit {
-                                holder: owner.0 as u64,
-                                token: token as u64,
-                            },
-                        );
-                    }
                 }
                 // The immediate-revocation path may already have granted
                 // the monitor to this thread (it becomes Ready with the
@@ -157,7 +123,6 @@ impl Vm {
             snapshot,
             revocable: true,
             region,
-            delegated: None,
         });
         self.with_probe(|p, vm| p.on_section_enter(vm, tid, obj));
     }
@@ -187,16 +152,6 @@ impl Vm {
             return Err(VmError::IllegalMonitorState("unstructured monitorexit"));
         }
         let sec = self.thread_mut(tid).sections.pop().expect("checked");
-        if let Some(token) = sec.delegated {
-            // Delegation policy: this section was a contended enter whose
-            // continuation was the submission — closing it completes it.
-            self.global.delegations_completed += 1;
-            self.emit(
-                tid,
-                obj,
-                EventKind::DelegateComplete { submitter: tid.0 as u64, token: token as u64 },
-            );
-        }
         if self.thread(tid).sections.is_empty() {
             // Outermost exit: updates can no longer be revoked.
             self.commit_log(tid, sec.mark);
@@ -247,18 +202,7 @@ impl Vm {
             }
             _ => return Err(VmError::Internal("granted monitor to a thread not blocked on it")),
         };
-        let eff = self.thread(next).effective_priority;
-        {
-            let m = self.monitors.get_mut(obj);
-            m.owner = Some(next);
-            m.recursion = recursion;
-            m.holder_priority = eff;
-            m.acquires += 1;
-            m.drained = 0;
-        }
-        self.thread_mut(next).held.push(obj);
         self.graph.remove_wait(next);
-        self.apply_ceiling(next);
         // Refresh waits-for edges of the remaining waiters: they now wait
         // on the new owner.
         let waiters: Vec<ThreadId> =
@@ -266,31 +210,31 @@ impl Vm {
         for w in waiters {
             self.graph.add_wait(w, MonitorId(obj.0), next);
         }
-        if fresh_section {
-            self.thread_mut(next).metrics.monitor_acquires += 1;
-            self.push_section(next, obj);
-            if matches!(self.config.policy, InversionPolicy::Delegation) {
-                // The handoff *is* the combiner executing this submission
-                // (the submitter's own continuation): stamp the section so
-                // its exit emits the matching Complete.
-                if let Some(token) = self.thread_mut(next).pending_delegation_token.take() {
-                    if let Some(sec) = self.thread_mut(next).sections.last_mut() {
-                        sec.delegated = Some(token);
-                    }
-                    self.emit(
-                        next,
-                        obj,
-                        EventKind::DelegateExecute {
-                            submitter: next.0 as u64,
-                            token: token as u64,
-                        },
-                    );
-                }
-            }
-        }
-        self.emit(next, obj, EventKind::Acquire);
+        self.take_monitor(next, obj, recursion, fresh_section);
         self.make_ready(next);
         Ok(())
+    }
+
+    /// Make `tid` the owner of the free monitor `obj` at `recursion`
+    /// levels. A `fresh` acquisition (not a re-acquire after `wait`)
+    /// counts and opens a section.
+    fn take_monitor(&mut self, tid: ThreadId, obj: ObjRef, recursion: u32, fresh: bool) {
+        let eff = self.thread(tid).effective_priority;
+        {
+            let m = self.monitors.get_mut(obj);
+            m.owner = Some(tid);
+            m.recursion = recursion;
+            m.holder_priority = eff;
+            m.acquires += 1;
+            m.drained = 0;
+        }
+        self.thread_mut(tid).held.push(obj);
+        self.apply_ceiling(tid);
+        if fresh {
+            self.thread_mut(tid).metrics.monitor_acquires += 1;
+            self.push_section(tid, obj);
+        }
+        self.emit(tid, obj, EventKind::Acquire);
     }
 
     /// `Object.wait()` (§2.2 and footnote 2).
@@ -502,9 +446,7 @@ impl Vm {
 
     /// Enqueue a delegated critical section (`Insn::Delegate`) on `obj`'s
     /// combiner queue, in submitter-priority order. Returns the completion
-    /// token. Works identically under every policy — delegation as a
-    /// *mechanism* is policy-independent; only contended `MonitorEnter`
-    /// handling differs per policy.
+    /// token. Works identically under every policy.
     pub(crate) fn submit_delegation(
         &mut self,
         tid: ThreadId,
@@ -596,21 +538,11 @@ impl Vm {
     /// `Delegate` on an unowned monitor and by a helping `Await` (the
     /// awaited submission sits queued on a free monitor).
     pub(crate) fn become_combiner(&mut self, tid: ThreadId, obj: ObjRef) {
-        let eff = self.thread(tid).effective_priority;
-        {
-            let m = self.monitors.get_mut(obj);
-            debug_assert!(m.owner.is_none(), "become_combiner on an owned monitor");
-            m.owner = Some(tid);
-            m.recursion = 1;
-            m.holder_priority = eff;
-            m.acquires += 1;
-            m.drained = 0;
-        }
-        self.thread_mut(tid).held.push(obj);
-        self.thread_mut(tid).metrics.monitor_acquires += 1;
-        self.apply_ceiling(tid);
-        self.push_section(tid, obj);
-        self.emit(tid, obj, EventKind::Acquire);
+        debug_assert!(
+            self.monitors.get(obj).and_then(|m| m.owner).is_none(),
+            "become_combiner on an owned monitor"
+        );
+        self.take_monitor(tid, obj, 1, true);
         self.drain_one_submission(tid, obj, true);
     }
 

@@ -133,12 +133,6 @@ pub struct Section {
     /// exceptions. `None` (raw unstructured enter) pessimistically covers
     /// the whole method.
     pub region: Option<(u32, u32)>,
-    /// Under the delegation policy, the submission token assigned when
-    /// this section's thread blocked on a contended `MonitorEnter`: the
-    /// section *is* the submitted continuation, and popping it emits the
-    /// matching `DelegateComplete`. `None` for uncontended entries and
-    /// all other policies.
-    pub delegated: Option<u32>,
 }
 
 impl Section {
@@ -216,10 +210,6 @@ pub struct VmThread {
     /// Snapshot produced by the last `SaveState`, consumed by the next
     /// `MonitorEnter` (possibly after blocking on the entry queue).
     pub pending_snapshot: Option<Snapshot>,
-    /// Under the delegation policy, the token minted when this thread
-    /// blocked on a contended `MonitorEnter` (its continuation became the
-    /// submission); consumed by `grant` to stamp the granted section.
-    pub pending_delegation_token: Option<u32>,
     /// Class tag of an uncaught exception that terminated the thread.
     pub uncaught: Option<u32>,
     /// Simulated core this thread is pinned to (`id % cores`, assigned
@@ -256,7 +246,6 @@ impl VmThread {
             wait_recursion: 0,
             consecutive_revocations: 0,
             pending_snapshot: None,
-            pending_delegation_token: None,
             uncaught: None,
             core: 0,
         }
@@ -353,7 +342,6 @@ mod tests {
                 snapshot: None,
                 revocable: true,
                 region: None,
-                delegated: None,
             });
         }
         assert_eq!(t.outermost_section_on(m), Some(0));
@@ -374,7 +362,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            delegated: None,
         });
         t.undo.push(UndoEntry::new(Location::Static(1), Value::Null));
         let inner_mark = t.undo.mark(); // pos 2
@@ -386,7 +373,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            delegated: None,
         });
         // A write at log position 1 is enclosed only by the outer section.
         let flipped = t.mark_nonrevocable_enclosing(1);
@@ -407,7 +393,6 @@ mod tests {
                 snapshot: None,
                 revocable: true,
                 region: None,
-                delegated: None,
             });
         }
         assert_eq!(t.mark_all_nonrevocable(), 2);
@@ -424,7 +409,6 @@ mod tests {
             snapshot: None,
             revocable: true,
             region: None,
-            delegated: None,
         };
         assert!(!s.can_revoke());
         s.snapshot =

@@ -73,8 +73,7 @@ pub struct VmConfig {
     /// (disabled by default — the paper's mechanism is ungoverned).
     pub governor: GovernorConfig,
     /// Combiner handoff rules for delegated critical sections
-    /// (`Insn::Delegate` and the `Delegation` policy): most importantly
-    /// the bounded drain budget.
+    /// (`Insn::Delegate`): most importantly the bounded drain budget.
     pub delegate: DelegateConfig,
     /// Keep every emitted [`revmon_obs::Event`] in memory for
     /// [`Vm::take_trace`]: the one way events leave the machine, in

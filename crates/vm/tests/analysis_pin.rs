@@ -28,7 +28,7 @@
 mod common;
 
 use revmon_core::fnv1a;
-use revmon_core::{GovernorConfig, InversionPolicy};
+use revmon_core::GovernorConfig;
 use revmon_obs::{
     analysis_json, import_trace_jsonl, write_prometheus, write_report, Analysis, Event, EventKind,
     EventSink, FoldedStacks, Histograms, TsUnit,
@@ -102,12 +102,6 @@ fn capture() -> String {
         for cores in [1, 4] {
             let base = VmConfig::modified().with_cores(cores);
             let runs = match file.as_str() {
-                // As `--policy delegation` configures it: no rollback, so
-                // no write barriers.
-                "delegation_storm.rvm" => {
-                    let policy = InversionPolicy::Delegation;
-                    vec![(" delegation", VmConfig { policy, barriers: false, ..base })]
-                }
                 "repeat_revocation.rvm" => {
                     vec![("", base), (" governed", VmConfig { governor: governed, ..base })]
                 }
