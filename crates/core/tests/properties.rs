@@ -110,7 +110,7 @@ proptest! {
         prop_assert_eq!(popped, expect);
     }
 
-    /// next_priority always agrees with what pop would deliver.
+    /// peek always names the waiter, and its priority, that pop delivers.
     #[test]
     fn next_priority_matches_pop(
         items in proptest::collection::vec(1u8..=10, 1..40),
@@ -120,9 +120,10 @@ proptest! {
             q.push(i, Priority::new(p));
         }
         while !q.is_empty() {
-            let announced = q.next_priority().unwrap();
+            let (&announced, priority) = q.peek().unwrap();
             let popped = q.pop().unwrap();
-            prop_assert_eq!(announced, Priority::new(items[popped]));
+            prop_assert_eq!(announced, popped);
+            prop_assert_eq!(priority, Priority::new(items[popped]));
         }
     }
 }

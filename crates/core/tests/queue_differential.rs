@@ -6,7 +6,8 @@
 //! under `Priority` scans for the highest class and breaks ties by
 //! earliest arrival (exactly the seed's `max_by_key((prio, Reverse(seq)))`
 //! scan), `remove_where`/`reprioritize` hit the first arrival-order
-//! match, and `next_priority` names the element `pop` would return.
+//! match, `peek` names the element `pop` would return, and `max_waiting`
+//! names the earliest arrival of the highest priority.
 
 use revmon_core::{PrioritizedQueue, Priority, QueueDiscipline};
 
@@ -53,8 +54,10 @@ impl Model {
         self.pop_index().map(|i| (self.items[i].0, self.items[i].1))
     }
 
-    fn max_waiting_priority(&self) -> Option<Priority> {
-        self.items.iter().map(|&(_, p, _)| p).max()
+    /// Earliest arrival of the highest priority, whatever the discipline.
+    fn max_waiting(&self) -> Option<(u64, Priority)> {
+        let top = self.items.iter().map(|&(_, p, _)| p).max()?;
+        self.items.iter().find(|&&(_, p, _)| p == top).map(|&(v, p, _)| (v, p))
     }
 
     fn remove_where(&mut self, mut pred: impl FnMut(&u64) -> bool) -> bool {
@@ -120,32 +123,28 @@ fn drive(discipline: QueueDiscipline, seed: u64, ops: usize) {
                 );
             }
             8 => {
+                // peek names the element pop would return, not just the
+                // highest priority.
                 assert_eq!(
                     q.peek().map(|(&v, p)| (v, p)),
                     m.peek(),
                     "peek diverged at step {step}"
                 );
-                // The satellite fix under test: next_priority names the
-                // element pop would return, not just max().
-                assert_eq!(
-                    q.next_priority(),
-                    m.peek().map(|(_, p)| p),
-                    "next_priority diverged at step {step}"
-                );
             }
             _ => {
                 assert_eq!(
-                    q.max_waiting_priority(),
-                    m.max_waiting_priority(),
-                    "max_waiting_priority diverged at step {step}"
+                    q.max_waiting().map(|(&v, p)| (v, p)),
+                    m.max_waiting(),
+                    "max_waiting diverged at step {step}"
                 );
             }
         }
-        // Cross-checks every step: length, arrival order, and internal
-        // slab/bitmask invariants.
+        // Cross-checks every step: length, arrival order with each
+        // entry's queued-at priority (what the VM's state fingerprint
+        // hashes), and the per-class/bitmap invariants.
         assert_eq!(q.len(), m.items.len(), "len diverged at step {step}");
         assert!(
-            q.iter().copied().eq(m.items.iter().map(|&(v, _, _)| v)),
+            q.iter_entries().map(|(&v, p)| (v, p)).eq(m.items.iter().map(|&(v, p, _)| (v, p))),
             "arrival order diverged at step {step}"
         );
         assert!(q.is_well_formed(), "queue invariants broken at step {step}");

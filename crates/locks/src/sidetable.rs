@@ -60,8 +60,8 @@ struct Record<S> {
 /// A sharded, generation-stamped record pool. `S` is the leased state
 /// (fat-monitor `MState` in practice); records are created on demand
 /// with `S::default()` and *recycled as-is* — the protocol returns them
-/// empty, and reuse keeps their internal capacity (queue slabs, wait-set
-/// vectors) warm.
+/// empty, and reuse keeps their internal capacity (entry-queue classes,
+/// wait-set vectors) warm.
 #[derive(Debug)]
 pub(crate) struct SideTable<S> {
     chunks: [OnceLock<Box<[Record<S>]>>; CHUNKS],

@@ -202,14 +202,9 @@ impl Vm {
             }
             _ => return Err(VmError::Internal("granted monitor to a thread not blocked on it")),
         };
-        self.graph.remove_wait(next);
-        // Refresh waits-for edges of the remaining waiters: they now wait
-        // on the new owner.
-        let waiters: Vec<ThreadId> =
-            self.monitors.get(obj).map(|m| m.queue.iter().copied().collect()).unwrap_or_default();
-        for w in waiters {
-            self.graph.add_wait(w, MonitorId(obj.0), next);
-        }
+        // Every queued waiter, `next` included, has its edge on `obj`:
+        // the rest now wait on the new owner, and `next` waits no more.
+        self.graph.retarget_monitor(MonitorId(obj.0), next);
         self.take_monitor(next, obj, recursion, fresh_section);
         self.make_ready(next);
         Ok(())
@@ -357,7 +352,7 @@ impl Vm {
             InversionPolicy::PriorityInheritance => {
                 for &h in &held {
                     if let Some(m) = self.monitors.get(h) {
-                        if let Some(p) = m.queue.max_waiting_priority() {
+                        if let Some((_, p)) = m.queue.max_waiting() {
                             eff = eff.max_of(p);
                         }
                     }

@@ -889,25 +889,21 @@ impl Vm {
             return Ok(());
         }
         self.next_background_scan = self.clock.saturating_add(period);
-        let contended: Vec<(crate::value::ObjRef, ThreadId, Priority)> = self
+        // The requester is the waiter whose priority triggered the scan:
+        // the earliest arrival of the highest waiting class (`peek`'s
+        // waiter under the priority discipline) — the arrival head may be
+        // a lower-priority one.
+        let contended: Vec<(crate::value::ObjRef, ThreadId, ThreadId)> = self
             .monitors
             .iter()
             .filter_map(|(&obj, m)| {
                 let owner = m.owner?;
-                let top = m.queue.max_waiting_priority()?;
-                (top > m.holder_priority).then_some((obj, owner, top))
+                let (&by, top) = m.queue.max_waiting()?;
+                (top > m.holder_priority).then_some((obj, owner, by))
             })
             .collect();
-        for (obj, owner, top) in contended {
-            // Re-use the acquisition-time request path; the requester is
-            // the waiter whose priority triggered the scan, the earliest
-            // arrival queued at `top` (`peek`'s waiter under the priority
-            // discipline) — the arrival head may be a lower-priority one.
-            let by = self
-                .monitors
-                .get(obj)
-                .and_then(|m| m.queue.iter_entries().find(|&(_, p)| p == top))
-                .map_or(owner, |(&t, _)| t);
+        for (obj, owner, by) in contended {
+            // Re-use the acquisition-time request path.
             self.request_revocation(by, owner, obj)?;
         }
         Ok(())
