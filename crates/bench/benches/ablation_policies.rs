@@ -3,8 +3,10 @@
 //! entry queues — the design choices §1.1 and §4 call out.
 //!
 //! Run with `cargo bench -p revmon-bench --bench ablation_policies`.
+//! Each table's runs are independent and deterministic; they run on
+//! every core, and print in table order.
 
-use revmon_bench::{run_cell_with_config, BenchParams, Scale};
+use revmon_bench::{on_every_core, run_cell_with_config, BenchParams, Scale};
 use revmon_core::{DetectionStrategy, InversionPolicy, Priority, QueueDiscipline};
 use revmon_vm::VmConfig;
 
@@ -78,8 +80,8 @@ fn main() {
         }),
     ];
 
-    for (name, cfg) in cases {
-        let r = run_cell_with_config(&p, cfg);
+    let results = on_every_core(&cases, |&(_, cfg)| run_cell_with_config(&p, cfg));
+    for ((name, _), r) in cases.iter().zip(results) {
         println!(
             "{:<44} {:>14} {:>14} {:>10}",
             name, r.high_elapsed, r.overall_elapsed, r.metrics.rollbacks
@@ -88,10 +90,11 @@ fn main() {
 
     println!("\n# sweep: quantum sensitivity (the scaled grid's one free proportion)");
     println!("{:<12} {:>14} {:>14} {:>10}", "quantum", "high-elapsed", "overall", "rollbacks");
-    for q in [15_000u64, 30_000, 60_000, 120_000, 240_000] {
-        let mut pp = p;
-        pp.quantum = q;
-        let r = run_cell_with_config(&pp, VmConfig::modified());
+    let quanta = [15_000u64, 30_000, 60_000, 120_000, 240_000];
+    let results = on_every_core(&quanta, |&quantum| {
+        run_cell_with_config(&BenchParams { quantum, ..p }, VmConfig::modified())
+    });
+    for (q, r) in quanta.iter().zip(results) {
         println!(
             "{:<12} {:>14} {:>14} {:>10}",
             q, r.high_elapsed, r.overall_elapsed, r.metrics.rollbacks
@@ -100,10 +103,13 @@ fn main() {
 
     println!("\n# sweep: write-barrier cost sensitivity (revocation VM, barrier_slow in ticks)");
     println!("{:<12} {:>14} {:>14}", "barrier_slow", "high-elapsed", "overall");
-    for slow in [0u64, 2, 4, 8, 16] {
+    let slows = [0u64, 2, 4, 8, 16];
+    let results = on_every_core(&slows, |&slow| {
         let mut c = VmConfig::modified();
         c.cost.barrier_slow = slow;
-        let r = run_cell_with_config(&p, c);
+        run_cell_with_config(&p, c)
+    });
+    for (slow, r) in slows.iter().zip(results) {
         println!("{:<12} {:>14} {:>14}", slow, r.high_elapsed, r.overall_elapsed);
     }
 }

@@ -10,10 +10,14 @@
 //!    benchmark has no footprint metric; this is the one place it is
 //!    taken.
 //! 2. **Queue latency** — `PrioritizedQueue` pop+refill latency is flat
-//!    (within [`FLATNESS_BUDGET`]×) from 1 to 256 waiters. Only the ratio
-//!    is gated; the absolute figures are `core.queue_push_pop_ns.*` in
-//!    `BENCHMARK.json`, and the seed's linear-scan queue it replaced is
-//!    modelled in `crates/core/tests/queue_differential.rs`.
+//!    (within [`FLATNESS_BUDGET`]×) from 1 to 256 waiters. The waiter
+//!    counts are sampled in turn, round after round, so a host that
+//!    changes speed mid-run slows every count alike; each row is the
+//!    median of its samples, and the ratio is the median of the rounds'
+//!    256-to-1 ratios. Only the ratio is gated; the absolute figures are
+//!    `core.queue_push_pop_ns.*` in `BENCHMARK.json`, and the seed's
+//!    linear-scan queue it replaced is modelled in
+//!    `crates/core/tests/queue_differential.rs`.
 //!
 //! Results go to `bench_results/BENCH_scale.json`. `--check` turns the
 //! budgets into hard gates (exit 1) — the CI `scale-smoke` job.
@@ -21,8 +25,8 @@
 //! Run with
 //! `cargo bench -p revmon-bench --bench scale -- [--quick] [--check]`.
 
-use revmon_bench::measure::{self, sample, time_ns_per_op, Args};
-use revmon_core::metrics::{ci90_half_width, mean};
+use revmon_bench::measure::{self, median, time_ns_per_op, Args};
+use revmon_core::metrics::ci90_half_width;
 use revmon_core::{PrioritizedQueue, Priority, QueueDiscipline};
 use revmon_locks::{MonitorArena, TCell};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -166,27 +170,39 @@ struct QueueRow {
     pop_ci90_ns: f64,
 }
 
-/// ns per pop+refill cycle at steady population `waiters`.
-fn queue_rows(waiter_counts: &[usize], samples: usize, iters: u64) -> Vec<QueueRow> {
-    waiter_counts
-        .iter()
-        .map(|&w| {
-            let mut round = 0u64;
-            let pops = sample(samples, || {
-                let mut rng = Lcg(0xA24BAED4963EE407 ^ (w as u64) << 8 ^ round);
-                round += 1;
-                let mut q = PrioritizedQueue::new(QueueDiscipline::Priority);
-                for i in 0..w {
-                    q.push(i as u64, rng.prio());
-                }
-                time_ns_per_op(iters, || {
-                    let v = q.pop().expect("population is stable");
-                    q.push(black_box(v), rng.prio());
-                })
+/// ns per pop+refill cycle at a steady population of each of
+/// `waiter_counts`, sampled in interleaved rounds after one untimed
+/// round, and the median of the rounds' last-to-first ratios.
+fn queue_rows(waiter_counts: &[usize], samples: usize, iters: u64) -> (Vec<QueueRow>, f64) {
+    let mut pops: Vec<Vec<f64>> = vec![Vec::new(); waiter_counts.len()];
+    for round in 0..=samples {
+        for (k, &w) in waiter_counts.iter().enumerate() {
+            let mut rng = Lcg(0xA24BAED4963EE407 ^ (w as u64) << 8 ^ round as u64);
+            let mut q = PrioritizedQueue::new(QueueDiscipline::Priority);
+            for i in 0..w {
+                q.push(i as u64, rng.prio());
+            }
+            let ns = time_ns_per_op(iters, || {
+                let v = q.pop().expect("population is stable");
+                q.push(black_box(v), rng.prio());
             });
-            QueueRow { waiters: w, pop_ns: mean(&pops), pop_ci90_ns: ci90_half_width(&pops) }
+            if round > 0 {
+                pops[k].push(ns);
+            }
+        }
+    }
+    let (first, last) = (&pops[0], &pops[pops.len() - 1]);
+    let ratios: Vec<f64> = last.iter().zip(first).map(|(l, f)| l / f).collect();
+    let rows = waiter_counts
+        .iter()
+        .zip(&pops)
+        .map(|(&waiters, p)| QueueRow {
+            waiters,
+            pop_ns: median(p),
+            pop_ci90_ns: ci90_half_width(p),
         })
-        .collect()
+        .collect();
+    (rows, median(&ratios))
 }
 
 // ----------------------------------------------------------------- main
@@ -234,12 +250,11 @@ fn main() {
         mon.churn_deflations
     );
 
-    let queue = queue_rows(&waiter_counts, samples, iters);
+    let (queue, flatness) = queue_rows(&waiter_counts, samples, iters);
     println!("{:<10} {:>14} {:>10}", "waiters", "pop ns", "ci90");
     for r in &queue {
         println!("{:<10} {:>14.2} {:>10.2}", r.waiters, r.pop_ns, r.pop_ci90_ns);
     }
-    let flatness = queue.last().unwrap().pop_ns / queue.first().unwrap().pop_ns;
     println!("flatness (256 vs 1 waiters): {flatness:.3}x (budget {FLATNESS_BUDGET:.1}x)");
 
     measure::write_results("scale", args, &results_body(&mon, &queue, flatness));

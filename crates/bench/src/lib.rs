@@ -299,34 +299,67 @@ pub struct Grid {
 
 /// Run the grid for `high_iters` at `scale`: per mix, the modified VM at
 /// every write ratio and the unmodified VM at every write ratio (its
-/// 0 % cell is the baseline), each through [`run_cell_avg`].
+/// 0 % cell is the baseline), each through [`run_cell_avg`]. The cells
+/// are independent deterministic runs, so they run on every core
+/// ([`on_every_core`]) and the grid is the same whatever the core count.
 pub fn run_grid(high_iters: i64, scale: &Scale) -> Grid {
+    let cell = |(high, low): (usize, usize), modified: bool, write_pct: i64| BenchParams {
+        high_threads: high,
+        low_threads: low,
+        high_iters,
+        low_iters: scale.low_iters,
+        sections: scale.sections,
+        write_pct,
+        modified,
+        seed: 0xC0FFEE,
+        quantum: scale.quantum,
+    };
+    // Grid order: per mix, the unmodified sweep, then the modified one.
+    let cells: Vec<BenchParams> = MIXES
+        .iter()
+        .flat_map(|&mix| {
+            [false, true].into_iter().flat_map(move |modified| {
+                WRITE_PCTS.iter().map(move |&write_pct| cell(mix, modified, write_pct))
+            })
+        })
+        .collect();
+    let mut results = on_every_core(&cells, |p| run_cell_avg(p, scale.repetitions)).into_iter();
+    let mut sweep = || results.by_ref().take(WRITE_PCTS.len()).collect::<Vec<CellAvg>>();
     let mixes = MIXES
         .iter()
         .map(|&(high, low)| {
-            let sweep = |modified: bool| -> Vec<CellAvg> {
-                WRITE_PCTS
-                    .iter()
-                    .map(|&write_pct| {
-                        let p = BenchParams {
-                            high_threads: high,
-                            low_threads: low,
-                            high_iters,
-                            low_iters: scale.low_iters,
-                            sections: scale.sections,
-                            write_pct,
-                            modified,
-                            seed: 0xC0FFEE,
-                            quantum: scale.quantum,
-                        };
-                        run_cell_avg(&p, scale.repetitions)
-                    })
-                    .collect()
-            };
-            MixCells { high, low, unmodified: sweep(false), modified: sweep(true) }
+            let unmodified = sweep();
+            MixCells { high, low, unmodified, modified: sweep() }
         })
         .collect();
     Grid { high_iters, mixes }
+}
+
+/// `f` of every item, in item order, computed on every core the host
+/// offers: each thread takes the next item nobody has taken from a
+/// shared index, and each result goes to its item's place. A panic in
+/// `f` is re-raised here.
+pub fn on_every_core<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
+        }
+    };
+    let done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined.flat_map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (i, r) in done {
+        slots[i] = Some(r);
+    }
+    slots.into_iter().map(|r| r.expect("every item ran")).collect()
 }
 
 impl Grid {

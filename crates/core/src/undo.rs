@@ -60,6 +60,20 @@ impl<E> UndoLog<E> {
         Self::default()
     }
 
+    /// An empty log that appends into `buffer`'s allocation (what
+    /// [`UndoLog::into_buffer`] returned for a log that is done).
+    pub fn with_buffer(mut buffer: Vec<E>) -> Self {
+        buffer.clear();
+        UndoLog { entries: buffer, peak: 0 }
+    }
+
+    /// The log's entry buffer, emptied, for [`UndoLog::with_buffer`].
+    pub fn into_buffer(self) -> Vec<E> {
+        let mut entries = self.entries;
+        entries.clear();
+        entries
+    }
+
     /// Record one update. Called from the write-barrier slow path.
     #[inline]
     pub fn push(&mut self, entry: E) {

@@ -29,7 +29,7 @@
 //! `pool.rs`): what the search reports does not depend on the core
 //! count, only how soon it reports it.
 
-use crate::pool::{self, Pool};
+use crate::pool::{self, Frontier};
 use crate::runner::{RunOutcome, Runner, Terminal};
 use revmon_core::FxSet;
 use std::time::{Duration, Instant};
@@ -116,7 +116,9 @@ pub struct ExploreReport {
     /// Distinct terminal-state fingerprints among completed runs — a
     /// measure of how many observably different outcomes the program has.
     pub terminal_states: Vec<u64>,
-    /// Threads that ran schedules (the folding one included).
+    /// Threads the search could run schedules on, the folding one
+    /// included: one per core. A search with no work to share runs all
+    /// of them on the folding thread.
     pub workers: usize,
     /// Wall time of the executed schedules' runs, summed over whichever
     /// threads ran them: what one core would have spent, so
@@ -144,7 +146,7 @@ pub(crate) fn search(runner: &Runner, bounds: Bounds, helpers: usize) -> Explore
     pool::with_pool(runner, helpers, |frontier| fold(frontier, bounds))
 }
 
-fn fold(frontier: &Pool, bounds: Bounds) -> ExploreReport {
+fn fold(frontier: &mut Frontier, bounds: Bounds) -> ExploreReport {
     let started = Instant::now();
     let mut report = ExploreReport { workers: frontier.workers(), ..ExploreReport::default() };
     // Both sets are keyed by state fingerprints — 64-bit hashes already.
@@ -158,8 +160,8 @@ fn fold(frontier: &Pool, bounds: Bounds) -> ExploreReport {
             report.stats.capped = !frontier.is_empty();
             break;
         }
-        let Some((prefix, ran)) = frontier.pop() else { break };
-        let out = ran.outcome;
+        let Some(ran) = frontier.pop() else { break };
+        let (prefix, out) = (ran.script, ran.outcome);
         report.run_time += ran.time;
         report.stats.schedules += 1;
         report.stats.decision_points += out.decisions.len() as u64;

@@ -57,7 +57,8 @@ pub struct FuzzReport {
     /// First failing schedule (full decision sequence) and the violated
     /// invariant's name.
     pub failure: Option<(Vec<u32>, String)>,
-    /// Threads that ran schedules (the folding one included).
+    /// Threads the campaign could run schedules on, the folding one
+    /// included (see [`crate::ExploreReport::workers`]).
     pub workers: usize,
     /// Wall time of the executed iterations' runs, summed over whichever
     /// threads ran them (see [`crate::ExploreReport::run_time`]).
@@ -87,7 +88,7 @@ pub(crate) fn campaign(runner: &Runner, plan: FuzzPlan, helpers: usize) -> FuzzR
                 .collect();
             // Pushed newest-first, so they pop in draw order.
             scripts.push(drawn.into_iter().rev());
-            while let Some((_, ran)) = scripts.pop() {
+            while let Some(ran) = scripts.pop() {
                 let out = ran.outcome;
                 report.run_time += ran.time;
                 report.iters += 1;

@@ -307,7 +307,8 @@ struct Word {
 
 /// A shadow heap shaped like [`revmon_vm::heap::Heap`]: one [`Word`] per
 /// static and per object slot, reached by the indices the access itself
-/// carries and grown on the first logged write past its end.
+/// carries and grown on the first logged write past its end. An object
+/// with no words is one never logged.
 #[derive(Debug, Default)]
 struct Shadow {
     statics: Vec<Word>,
@@ -315,6 +316,13 @@ struct Shadow {
 }
 
 impl Shadow {
+    /// The same buffers, every word gone.
+    fn emptied(mut self) -> Self {
+        self.statics.clear();
+        self.objects.iter_mut().for_each(Vec::clear);
+        self
+    }
+
     fn get_mut(&mut self, loc: Location) -> Option<&mut Word> {
         match loc {
             Location::Static(s) => self.statics.get_mut(s as usize),
@@ -354,6 +362,15 @@ impl Shadow {
     }
 }
 
+/// The buffers of a finished run's [`OracleState`], emptied: layer
+/// stacks, expectation lists and the shadow heap.
+#[derive(Debug, Default)]
+struct OracleBin {
+    layers: Vec<Vec<Layer>>,
+    spare: Vec<Vec<(Location, Value)>>,
+    shadow: Shadow,
+}
+
 /// What the oracle has seen and concluded. The [`Oracle`] owns it for
 /// the length of a run — its hooks are plain field updates, no lock —
 /// and [`Oracle::detach`] hands it back by value afterwards.
@@ -372,9 +389,35 @@ pub struct OracleState {
     shadow: Shadow,
     /// Serial of the newest layer; serials start at 1.
     serial: u64,
+    /// Emptied expectation lists, for the next layers.
+    spare: Vec<Vec<(Location, Value)>>,
 }
 
 impl OracleState {
+    /// A fresh state built in `bin`'s buffers.
+    fn in_bin(bin: OracleBin) -> Self {
+        let OracleBin { layers, spare, shadow } = bin;
+        OracleState {
+            violations: Vec::new(),
+            rollbacks_checked: 0,
+            commits: 0,
+            layers,
+            shadow,
+            serial: 0,
+            spare,
+        }
+    }
+
+    /// The state's buffers, emptied for reuse.
+    fn into_bin(self) -> OracleBin {
+        let OracleState { mut layers, mut spare, shadow, .. } = self;
+        for stack in &mut layers {
+            spare.extend(stack.drain(..).map(|l| l.expected));
+        }
+        spare.iter_mut().for_each(Vec::clear);
+        OracleBin { layers, spare, shadow: shadow.emptied() }
+    }
+
     /// `tid`'s layer stack, grown on a thread's first section.
     fn layers_of(&mut self, tid: ThreadId) -> &mut Vec<Layer> {
         if self.layers.len() <= tid.index() {
@@ -386,7 +429,14 @@ impl OracleState {
     /// A fresh layer at undo-log length `mark_len`.
     fn layer(&mut self, mark_len: usize) -> Layer {
         self.serial += 1;
-        Layer { mark_len, serial: self.serial, expected: Vec::new() }
+        Layer { mark_len, serial: self.serial, expected: self.spare.pop().unwrap_or_default() }
+    }
+
+    /// Keep a retired layer's expectation list for the next layer.
+    fn retire(&mut self, layer: Layer) {
+        let mut expected = layer.expected;
+        expected.clear();
+        self.spare.push(expected);
     }
 }
 
@@ -409,6 +459,16 @@ impl Oracle {
     pub fn detach(vm: &mut Vm) -> Option<OracleState> {
         let oracle = vm.detach_probe()?.into_any().downcast::<Oracle>().ok()?;
         Some(oracle.state)
+    }
+
+    /// Hand back what the oracle found — its violations and the count of
+    /// rollbacks it verified — and start over as a fresh oracle in the
+    /// buffers the finished run leaves.
+    pub(crate) fn restart(&mut self) -> (Vec<Violation>, u64) {
+        let mut state = std::mem::take(&mut self.state);
+        let found = (std::mem::take(&mut state.violations), state.rollbacks_checked);
+        self.state = OracleState::in_bin(state.into_bin());
+        found
     }
 }
 
@@ -463,10 +523,14 @@ impl Probe for Oracle {
         st.commits += 1;
         // A word whose live speculation is `tid`'s is on one of its layers'
         // lists: walk those, not the heap.
-        let layers = std::mem::take(st.layers_of(tid));
-        for &(loc, _) in layers.iter().flat_map(|l| &l.expected) {
-            st.shadow.clear(loc, tid);
+        let mut layers = std::mem::take(st.layers_of(tid));
+        for layer in layers.drain(..) {
+            for &(loc, _) in &layer.expected {
+                st.shadow.clear(loc, tid);
+            }
+            st.retire(layer);
         }
+        st.layers[tid.index()] = layers;
         // The VM retired the whole log at outermost exit; double-check.
         if !vm.vm_threads()[tid.index()].undo.is_empty() {
             st.violations.push(Violation {
@@ -522,6 +586,10 @@ impl Probe for Oracle {
                     ),
                 });
             }
+        }
+
+        for layer in undone {
+            st.retire(layer);
         }
 
         // The surviving (post-wait restart) section, if any, starts a

@@ -41,6 +41,6 @@ pub use equiv::{check_cross_policy, EquivReport};
 pub use explorer::{explore, Bounds, ExploreReport, Failure, Stats};
 pub use fuzz::{fuzz, FuzzPlan, FuzzReport};
 pub use invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
-pub use runner::{DecisionPoint, RunOutcome, Runner, Terminal};
+pub use runner::{DecisionPoint, Machine, RunOutcome, Runner, Terminal};
 pub use schedule::ScheduleFile;
 pub use shrink::{minimize, Minimized};

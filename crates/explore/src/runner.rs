@@ -11,11 +11,19 @@
 //! point for deduplication. Rounds replaying the scripted prefix are not
 //! fingerprinted: the explorer expanded those choice points when an
 //! ancestor run first passed them and never looks at them again.
+//!
+//! A schedule runs on a [`Machine`]: the buffers the last run's VM and
+//! oracle leave, emptied, which the next run's fresh VM and oracle are
+//! built in. A search keeps one machine per thread, so a steady-state
+//! schedule allocates little beyond its [`RunOutcome`];
+//! [`Runner::run`] is a run on a new machine.
 
 use crate::invariants::{check_state, check_terminal, Oracle, Violation};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
-use revmon_vm::{DecisionRecord, PreparedProgram, RoundOutcome, Scripted, Vm, VmConfig, VmError};
+use revmon_vm::{
+    Bin, DecisionRecord, PreparedProgram, RoundOutcome, Scripted, Vm, VmConfig, VmError,
+};
 
 /// How a scripted run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -161,18 +169,56 @@ impl Runner {
     }
 
     /// Execute the program once under `script`, collecting decisions,
-    /// fingerprints and violations.
+    /// fingerprints and violations: [`Machine::run`] on a new machine.
     pub fn run(&self, script: &[u32]) -> RunOutcome {
-        let mut vm = Vm::from_prepared(&self.prepared, self.config);
-        let (policy, log) = Scripted::new(script.to_vec());
-        vm.set_schedule_policy(Box::new(policy));
-        vm.attach_probe(Box::new(Oracle::new()));
-        vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
-        self.drive(vm, script.len(), log)
+        Machine::new().run(self, script.to_vec()).0
+    }
+}
+
+/// Where schedules run: the emptied buffers of the last run's VM and
+/// oracle, its scheduling policy and its decision list. Each run builds
+/// a fresh VM ([`Vm::from_prepared_in`]) and a fresh oracle in them, so
+/// what a run concludes does not depend on what ran before on the same
+/// machine — any program, configuration or script — only how much it
+/// allocates.
+#[derive(Debug, Default)]
+pub struct Machine {
+    bin: Bin,
+    oracle: Option<Box<Oracle>>,
+    policy: Option<Box<Scripted>>,
+    decisions: Vec<DecisionPoint>,
+}
+
+impl Machine {
+    /// A machine with no buffers yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn drive(&self, mut vm: Vm, script_len: usize, log: revmon_vm::sched::ScriptLog) -> RunOutcome {
-        let mut decisions: Vec<DecisionPoint> = Vec::new();
+    /// Execute `runner`'s program once under `script`, collecting
+    /// decisions, fingerprints and violations; the script comes back
+    /// beside the outcome.
+    pub fn run(&mut self, runner: &Runner, script: Vec<u32>) -> (RunOutcome, Vec<u32>) {
+        let script_len = script.len();
+        let bin = std::mem::take(&mut self.bin);
+        let mut vm = Vm::from_prepared_in(&runner.prepared, runner.config, bin);
+        let mut policy = self.policy.take().unwrap_or_default();
+        *policy = Scripted::new(script);
+        vm.set_schedule_policy(policy);
+        vm.attach_probe(self.oracle.take().unwrap_or_default());
+        vm.spawn(&runner.entry_name, runner.entry, vec![], revmon_core::Priority::NORM);
+        let outcome = self.drive(runner, &mut vm, script_len);
+        let policy = vm.detach_schedule_policy().into_any().downcast::<Scripted>();
+        let mut policy = policy.expect("run() set a Scripted policy");
+        let script = std::mem::take(&mut *policy).into_script();
+        self.policy = Some(policy);
+        self.bin = vm.recycle();
+        (outcome, script)
+    }
+
+    fn drive(&mut self, runner: &Runner, vm: &mut Vm, script_len: usize) -> RunOutcome {
+        let decisions = &mut self.decisions;
+        decisions.clear();
         let mut violations: Vec<Violation> = Vec::new();
         let mut rounds: u64 = 0;
         let terminal = loop {
@@ -185,40 +231,38 @@ impl Runner {
             } else {
                 0
             };
-            let consumed_before = log.lock().expect("script log").len();
             match vm.run_round() {
                 Ok(RoundOutcome::Done) => break Terminal::Completed,
                 Ok(_) => {}
                 Err(VmError::Stalled(_)) => break Terminal::Stalled,
                 Err(e) => break Terminal::Fault(e.to_string()),
             }
-            {
-                let recs = log.lock().expect("script log");
-                if recs.len() > consumed_before {
-                    debug_assert_eq!(recs.len(), consumed_before + 1);
-                    decisions.push(DecisionPoint { fingerprint, record: recs[consumed_before] });
-                }
+            if let Some(record) = vm.take_decision() {
+                decisions.push(DecisionPoint { fingerprint, record });
             }
-            if self.check_every_round {
-                let vs = check_state(&vm);
+            if runner.check_every_round {
+                let vs = check_state(vm);
                 if !vs.is_empty() {
                     violations.extend(vs);
                     break Terminal::CheckFailed;
                 }
             }
             rounds += 1;
-            if self.max_rounds != 0 && rounds >= self.max_rounds {
+            if runner.max_rounds != 0 && rounds >= runner.max_rounds {
                 break Terminal::Budget;
             }
         };
 
         if terminal == Terminal::Completed {
-            violations.extend(check_terminal(&vm));
-        } else if !self.check_every_round {
-            violations.extend(check_state(&vm));
+            violations.extend(check_terminal(vm));
+        } else if !runner.check_every_round {
+            violations.extend(check_state(vm));
         }
-        let oracle = Oracle::detach(&mut vm).expect("run() attached the oracle");
-        violations.extend(oracle.violations);
+        let probe = vm.detach_probe().expect("run() attached the oracle");
+        let mut oracle = probe.into_any().downcast::<Oracle>().expect("an Oracle");
+        let (found, rollbacks) = oracle.restart();
+        self.oracle = Some(oracle);
+        violations.extend(found);
 
         let statics = (0..vm.heap().static_count())
             .map(|i| {
@@ -226,14 +270,14 @@ impl Runner {
             })
             .collect();
         RunOutcome {
-            decisions,
+            decisions: decisions.clone(),
             terminal,
             fingerprint: vm.state_fingerprint(),
             output: vm.output().to_vec(),
             statics,
             violations,
             rounds,
-            rollbacks: oracle.rollbacks_checked,
+            rollbacks,
             clock: vm.clock(),
             heap_fingerprint: vm.heap_fingerprint(),
             ipis: (vm.ipis_posted(), vm.ipis_acked(), vm.ipis_stale()),

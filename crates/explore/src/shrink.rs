@@ -16,7 +16,7 @@
 //! The result is locally minimal: no single deletion or defaulting
 //! preserves the failure.
 
-use crate::runner::Runner;
+use crate::runner::{Machine, Runner};
 use revmon_vm::DEFAULT_CHOICE;
 
 /// Minimization result.
@@ -36,9 +36,10 @@ pub struct Minimized {
 /// unlimited).
 pub fn minimize(runner: &Runner, schedule: &[u32], invariant: &str, max_runs: u64) -> Minimized {
     let mut runs: u64 = 0;
-    let fails = |s: &[u32], runs: &mut u64| -> bool {
+    let mut machine = Machine::new();
+    let mut fails = |s: &[u32], runs: &mut u64| -> bool {
         *runs += 1;
-        runner.run(s).violates(invariant)
+        machine.run(runner, s.to_vec()).0.violates(invariant)
     };
     assert!(
         fails(schedule, &mut runs),

@@ -57,30 +57,29 @@ fn search(name: &str, runner: &Runner, bound: u32, p: &mut Partition) -> u64 {
     let mut schedules = 0;
     while let Some(prefix) = frontier.pop() {
         let mut vm = Vm::new(program.clone(), *runner.config());
-        let (policy, log) = Scripted::new(prefix.clone());
-        vm.set_schedule_policy(Box::new(policy));
+        vm.set_schedule_policy(Box::new(Scripted::new(prefix.clone())));
         vm.spawn(runner.entry_name(), entry, vec![], Priority::NORM);
         let at = format!("{name} prefix={prefix:?}");
         // The dedup key of each round that consumed a decision: the
         // fingerprint before it, or 0 where `Runner` skips the hash (fewer
         // than two threads queued before the round).
         let mut at_decision = Vec::new();
+        let mut decisions = Vec::new();
         for _ in 0..runner.max_rounds {
             let fp = p.observe(&vm, &at);
             let fp = if vm.run_queue_len() >= 2 { fp } else { 0 };
-            let before = log.lock().expect("script log").len();
             match vm.run_round() {
                 Ok(RoundOutcome::Done) | Err(_) => break,
                 Ok(_) => {}
             }
-            if log.lock().expect("script log").len() > before {
+            if let Some(rec) = vm.take_decision() {
                 at_decision.push(fp);
+                decisions.push(rec);
             }
         }
         p.observe(&vm, &at);
         schedules += 1;
 
-        let decisions = log.lock().expect("script log").clone();
         let mut preemptions = 0;
         for (d, rec) in decisions.iter().enumerate() {
             if d >= prefix.len() && expanded.insert((at_decision[d], preemptions)) {

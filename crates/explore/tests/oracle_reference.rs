@@ -247,8 +247,7 @@ const MAX_ROUNDS: u32 = 200_000;
 /// Run `vm` (threads already spawned) under `script` with both oracles
 /// attached; require equal findings and return them.
 fn run_both(label: &str, mut vm: Vm, script: &[u32]) -> Findings {
-    let (policy, _log) = Scripted::new(script.to_vec());
-    vm.set_schedule_policy(Box::new(policy));
+    vm.set_schedule_policy(Box::new(Scripted::new(script.to_vec())));
     vm.attach_probe(Box::new(Tee {
         new: Box::new(Oracle::new()),
         reference: MapOracle::default(),

@@ -8,6 +8,9 @@
 //! JMM guard was a `HashMap` and the oracle sat behind a `Mutex`, so this
 //! is the proof that moving the guard into the heap and handing the
 //! oracle's state back by value changed nothing a run can be observed by.
+//! Its last program stalls with an entry queue of two priority classes,
+//! so its final fingerprints read the order the queue gives its waiters
+//! across classes, which no other pinned state does.
 //!
 //! To re-capture after an *intentional* behaviour change:
 //!
@@ -16,6 +19,7 @@
 //! ```
 
 use revmon_explore::{testprogs, Runner};
+use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
 use revmon_vm::VmConfig;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -33,6 +37,37 @@ fn corpus_runner(name: &str, cores: usize) -> Runner {
     Runner::new(program, "main", cfg).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// `main` holds a lock while it starts three workers at priorities 2, 8
+/// and 2, each of which queues on the lock, then joins the last one: the
+/// run stalls with the lock's entry queue holding both classes, in an
+/// arrival order the scripts vary.
+fn queue_classes() -> Runner {
+    let mut pb = ProgramBuilder::new();
+    pb.statics(1);
+    let worker = pb.declare_method("worker", 1);
+    let mut w = MethodBuilder::new(1, 1);
+    w.sync_on_local(0, |b| b.add_static(0, 1));
+    w.ret_void();
+    pb.implement(worker, w);
+    let main = pb.declare_method("main", 0);
+    let mut b = MethodBuilder::new(0, 2);
+    b.new_object(0, 0);
+    b.store(0);
+    b.sync_on_local(0, |b| {
+        for priority in [2, 8, 2] {
+            b.load(0);
+            b.const_i(priority);
+            b.spawn(worker);
+            b.store(1);
+        }
+        b.load(1);
+        b.join();
+    });
+    b.ret_void();
+    pb.implement(main, b);
+    Runner::new(pb.finish(), "main", testprogs::explore_config()).expect("verifies")
+}
+
 /// The default schedule, single deviations at the first three decision
 /// points, and two double deviations.
 const SCRIPTS: [&[u32]; 6] = [&[], &[1], &[0, 1], &[1, 1], &[0, 0, 1], &[1, 0, 1]];
@@ -43,6 +78,7 @@ fn capture() -> String {
         ("repeat_revocation.rvm", corpus_runner("repeat_revocation.rvm", 2)),
         ("inversion_pair", testprogs::inversion_pair()),
         ("faulty_inversion_pair(1)", testprogs::faulty_inversion_pair(1)),
+        ("queue_classes", queue_classes()),
     ];
     let mut text = String::new();
     for (name, runner) in &runners {

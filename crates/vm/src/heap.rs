@@ -77,6 +77,20 @@ pub struct Heap {
     statics: Vec<StaticSlot>,
     /// Number of words whose stamp is live (the guard's `len`).
     speculative: usize,
+    /// Emptied slot and stamp vectors, for the next allocations to fill.
+    spare: Vec<ObjectBuffers>,
+}
+
+/// An object's slot and stamp vectors.
+type ObjectBuffers = (Vec<Value>, Vec<Stamp>);
+
+/// The buffers of a finished heap, emptied, for the next one to fill
+/// (see [`crate::vm::Bin`]).
+#[derive(Debug, Default)]
+pub(crate) struct HeapBin {
+    objects: Vec<Object>,
+    statics: Vec<StaticSlot>,
+    spare: Vec<ObjectBuffers>,
 }
 
 /// Heap access fault.
@@ -117,7 +131,35 @@ impl Heap {
     /// An empty heap with `n_statics` static slots (all `Null`,
     /// non-volatile; use [`Heap::declare_static_volatile`] to flag).
     pub fn new(n_statics: usize) -> Self {
-        Heap { statics: vec![StaticSlot::default(); n_statics], ..Heap::default() }
+        Self::in_bin(n_statics, HeapBin::default())
+    }
+
+    /// [`Heap::new`], built in the buffers of `bin`.
+    pub(crate) fn in_bin(n_statics: usize, bin: HeapBin) -> Self {
+        let HeapBin { objects, mut statics, spare } = bin;
+        statics.resize(n_statics, StaticSlot::default());
+        Heap { objects, statics, speculative: 0, spare }
+    }
+
+    /// The heap's buffers, emptied for reuse.
+    pub(crate) fn into_bin(self) -> HeapBin {
+        let Heap { mut objects, mut statics, mut spare, .. } = self;
+        spare.extend(objects.drain(..).map(|o| {
+            let (mut slots, mut stamps) = (o.slots, o.stamps);
+            slots.clear();
+            stamps.clear();
+            (slots, stamps)
+        }));
+        statics.clear();
+        HeapBin { objects, statics, spare }
+    }
+
+    /// A new object's slots, every one `init`, unstamped.
+    fn object_buffers(&mut self, len: u32, init: Value) -> ObjectBuffers {
+        let (mut slots, mut stamps) = self.spare.pop().unwrap_or_default();
+        slots.resize(len as usize, init);
+        stamps.resize(len as usize, Stamp::NONE);
+        (slots, stamps)
     }
 
     /// Feed the complete heap contents — every object slot and every
@@ -153,10 +195,11 @@ impl Heap {
     /// Allocate an object whose volatile slots are given by `mask`.
     pub fn alloc_with_volatile(&mut self, class_tag: u32, fields: u32, mask: u64) -> ObjRef {
         let r = ObjRef(self.objects.len() as u32);
+        let (slots, stamps) = self.object_buffers(fields, Value::Null);
         self.objects.push(Object {
             class_tag,
-            slots: vec![Value::Null; fields as usize],
-            stamps: vec![Stamp::NONE; fields as usize],
+            slots,
+            stamps,
             volatile_mask: mask,
             is_array: false,
         });
@@ -166,10 +209,11 @@ impl Heap {
     /// Allocate an array of `len` elements, all `Int(0)`.
     pub fn alloc_array(&mut self, len: u32) -> ObjRef {
         let r = ObjRef(self.objects.len() as u32);
+        let (slots, stamps) = self.object_buffers(len, Value::Int(0));
         self.objects.push(Object {
             class_tag: u32::MAX,
-            slots: vec![Value::Int(0); len as usize],
-            stamps: vec![Stamp::NONE; len as usize],
+            slots,
+            stamps,
             volatile_mask: 0,
             is_array: true,
         });

@@ -576,13 +576,12 @@ impl Vm {
 
             // --- calls ---------------------------------------------------
             Insn::Call(callee) => {
-                let cm = &self.program.methods[callee.index()];
-                let (params, locals) = (cm.params as usize, cm.locals as usize);
-                let mut args = vec![Value::Null; locals];
+                let params = self.program.methods[callee.index()].params as usize;
+                let mut frame = self.new_frame(callee, &[]);
                 for i in (0..params).rev() {
-                    args[i] = self.pop(tid)?;
+                    frame.locals[i] = self.pop(tid)?;
                 }
-                self.thread_mut(tid).frames.push(Frame::new(callee, args));
+                self.thread_mut(tid).frames.push(frame);
                 cont_yield // method entry is a yield point (Jikes prologues)
             }
             Insn::Spawn(target) => {
@@ -590,15 +589,19 @@ impl Vm {
                 // thread): pin every enclosing section, like a native call.
                 self.pin_enclosing_sections(tid);
                 let prio_level = self.pop_int(tid)?;
-                let cm = &self.program.methods[target.index()];
-                let params = cm.params as usize;
-                let mut args = vec![Value::Null; params];
+                let params = self.program.methods[target.index()].params as usize;
+                let mut frame = self.new_frame(target, &[]);
                 for i in (0..params).rev() {
-                    args[i] = self.pop(tid)?;
+                    let arg = self.pop(tid)?;
+                    // A parameter past the method's locals is dropped, as
+                    // `Vm::spawn` drops it.
+                    if let Some(local) = frame.locals.get_mut(i) {
+                        *local = arg;
+                    }
                 }
-                let name = format!("spawn{}", self.threads.len());
                 let prio = revmon_core::Priority::new(prio_level.clamp(1, 10) as u8);
-                let child = self.spawn(&name, target, args, prio);
+                let n = self.threads.len();
+                let child = self.start_thread(format_args!("spawn{n}"), frame, prio);
                 self.push(tid, Value::Int(child.0 as i64));
                 cont_yield
             }
@@ -612,7 +615,7 @@ impl Vm {
                     return cont_yield; // joining self or a finished thread: no-op
                 }
                 self.thread_mut(tid).state = ThreadState::BlockedJoin(target);
-                self.join_waiters.entry(target).or_default().push(tid);
+                self.join_waiters.push((target, tid));
                 Ok(StepOutcome::Descheduled)
             }
             Insn::Ret => {
@@ -624,7 +627,8 @@ impl Vm {
             // --- delegation (combiner) -----------------------------------
             Insn::Delegate(target) => {
                 let params = self.program.methods[target.index()].params as usize;
-                let mut args = vec![Value::Null; params];
+                let mut args = self.spare.pop().unwrap_or_default();
+                args.resize(params, Value::Null);
                 for i in (0..params).rev() {
                     args[i] = self.pop(tid)?;
                 }
@@ -760,15 +764,12 @@ impl Vm {
             }
             // --- rewrite-injected --------------------------------------------
             Insn::SaveState => {
-                let t = self.thread_mut(tid);
-                let f = t.frame();
-                let snap = Snapshot {
-                    locals: f.locals.clone(),
-                    stack: f.stack.clone(),
-                    resume_pc: pc, // re-execution re-runs SaveState itself
-                    after_wait: false,
-                };
-                t.pending_snapshot = Some(snap);
+                let t = &mut self.threads[tid.index()];
+                // Re-execution re-runs SaveState itself.
+                let snap = Snapshot::of(t.frame(), pc, false, &mut self.spare);
+                if let Some(old) = t.pending_snapshot.replace(snap) {
+                    old.recycle(&mut self.spare);
+                }
                 cont
             }
             Insn::RollbackHandler => {
@@ -1051,7 +1052,7 @@ impl Vm {
                 let obj = top.monitor;
                 self.exit_section_common(tid, obj)?;
             }
-            self.thread_mut(tid).frames.pop();
+            self.pop_frame(tid);
             if self.thread(tid).frames.is_empty() {
                 let t = self.thread_mut(tid);
                 t.uncaught = Some(class_tag);
@@ -1071,11 +1072,11 @@ impl Vm {
             // instead of feeding the caller's operand stack, then either
             // keeps combining or hands the monitor back (see
             // `complete_delegation`).
-            self.thread_mut(tid).frames.pop();
+            self.pop_frame(tid);
             self.complete_delegation(tid, d, v.unwrap_or(Value::Int(0)))?;
             return Ok(StepOutcome::Continue { yield_point: true });
         }
-        self.thread_mut(tid).frames.pop();
+        self.pop_frame(tid);
         if self.thread(tid).frames.is_empty() {
             self.thread_mut(tid).state = ThreadState::Terminated;
             return Ok(StepOutcome::Terminated);

@@ -148,7 +148,8 @@ fn observe(program: &Program, cfg: VmConfig, ths: &[Th], step_only: bool, probe:
     // No program here is meant to run long; one that loops by mistake
     // must not fill memory with trace events.
     let cfg = if cfg.max_steps == 0 { cfg.with_max_steps(100_000) } else { cfg };
-    let mut vm = Vm::new_unverified(std::sync::Arc::new(program.clone()), cfg.with_trace());
+    let program = std::sync::Arc::new(program.clone());
+    let mut vm = Vm::new_unverified(program, [].into(), cfg.with_trace(), Default::default());
     vm.step_only = step_only;
     assert_eq!(Value::Ref(vm.heap.alloc(7, 3)), OBJ);
     assert_eq!(Value::Ref(vm.heap.alloc_array(ARR_LEN as u32)), ARR);

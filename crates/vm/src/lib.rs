@@ -107,4 +107,6 @@ pub use sched::{
     DEFAULT_CHOICE,
 };
 pub use verify::{verify_program, VerifyError};
-pub use vm::{MonitorReport, PreparedProgram, RoundOutcome, RunReport, ThreadReport, Vm, VmConfig};
+pub use vm::{
+    Bin, MonitorReport, PreparedProgram, RoundOutcome, RunReport, ThreadReport, Vm, VmConfig,
+};

@@ -20,7 +20,7 @@
 //!    resume just after the `wait`).
 
 use crate::error::VmError;
-use crate::thread::ThreadState;
+use crate::thread::{ThreadState, VmThread};
 use crate::value::ObjRef;
 use crate::vm::Vm;
 use revmon_core::{revocation_verdict, RevocationVerdict, ThreadId};
@@ -179,9 +179,7 @@ impl Vm {
             // the restored section re-runs `Await` and finds it there.
             ThreadState::AwaitingDelegation(_) => {}
             ThreadState::BlockedJoin(target) => {
-                if let Some(ws) = self.join_waiters.get_mut(&target) {
-                    ws.retain(|&w| w != tid);
-                }
+                self.join_waiters.retain(|&w| w != (target, tid));
             }
             ThreadState::Running | ThreadState::Ready => {}
             ThreadState::Waiting(_) | ThreadState::BlockedReacquire(_) => {
@@ -242,26 +240,32 @@ impl Vm {
 
         // 3. Restore control.
         let t_restore = prof.start(Phase::Restore);
-        let target = self.thread(tid).sections[idx].clone();
-        let snap = target.snapshot.clone().expect("can_revoke implies snapshot");
+        let (monitor, frame_depth) = {
+            let s = &self.thread(tid).sections[idx];
+            (s.monitor, s.frame_depth)
+        };
         {
-            let t = self.thread_mut(tid);
+            let t = &mut self.threads[tid.index()];
+            let popped = t.frames.drain(frame_depth + 1..);
+            popped.for_each(|f| f.recycle(&mut self.spare));
+            let VmThread { frames, sections, metrics, .. } = t;
+            let snap = sections[idx].snapshot.as_ref().expect("can_revoke implies snapshot");
+            let f = frames.last_mut().expect("section frame exists");
+            f.locals.clone_from(&snap.locals);
+            f.stack.clone_from(&snap.stack);
+            f.pc = snap.resume_pc;
             // For a post-wait restart the section record survives (the
             // thread is still lexically inside it and will re-acquire);
             // otherwise the section is gone until `MonitorEnter` re-runs.
-            t.sections.truncate(if after_wait { idx + 1 } else { idx });
-            t.frames.truncate(target.frame_depth + 1);
-            let f = t.frames.last_mut().expect("section frame exists");
-            f.locals = snap.locals.clone();
-            f.stack = snap.stack.clone();
-            f.pc = snap.resume_pc;
-            t.metrics.rollbacks += 1;
-            t.metrics.entries_rolled_back += entries;
+            let gone = sections.drain(if after_wait { idx + 1 } else { idx }..);
+            gone.filter_map(|s| s.snapshot).for_each(|s| s.recycle(&mut self.spare));
+            metrics.rollbacks += 1;
+            metrics.entries_rolled_back += entries;
             t.consecutive_revocations += 1;
         }
         self.governor.record_revocation(
             self.config.governor,
-            target.monitor.0 as u64,
+            monitor.0 as u64,
             tid.0 as u64,
             self.clock,
         );
@@ -272,21 +276,20 @@ impl Vm {
         if after_wait {
             let eff = self.thread(tid).effective_priority;
             self.thread_mut(tid).wait_recursion = 1;
-            if self.monitors.get(target.monitor).and_then(|m| m.owner).is_none() {
+            if self.monitors.get(monitor).and_then(|m| m.owner).is_none() {
                 // Nobody took the monitor at release (empty queue): take it
                 // back immediately and continue.
-                self.thread_mut(tid).state = ThreadState::BlockedReacquire(target.monitor);
-                self.monitors.get_mut(target.monitor).queue.push(tid, eff);
-                let granted =
-                    self.monitors.get_mut(target.monitor).queue.pop().expect("just pushed");
-                self.grant(granted, target.monitor)?;
+                self.thread_mut(tid).state = ThreadState::BlockedReacquire(monitor);
+                self.monitors.get_mut(monitor).queue.push(tid, eff);
+                let granted = self.monitors.get_mut(monitor).queue.pop().expect("just pushed");
+                self.grant(granted, monitor)?;
                 // grant() made the thread Ready; if it was running it keeps
                 // its dispatch only via the run queue now.
             } else {
-                self.thread_mut(tid).state = ThreadState::BlockedReacquire(target.monitor);
-                self.monitors.get_mut(target.monitor).queue.push(tid, eff);
-                if let Some(owner) = self.monitors.get(target.monitor).and_then(|m| m.owner) {
-                    self.graph.add_wait(tid, revmon_core::MonitorId(target.monitor.0), owner);
+                self.thread_mut(tid).state = ThreadState::BlockedReacquire(monitor);
+                self.monitors.get_mut(monitor).queue.push(tid, eff);
+                if let Some(owner) = self.monitors.get(monitor).and_then(|m| m.owner) {
+                    self.graph.add_wait(tid, revmon_core::MonitorId(monitor.0), owner);
                 }
             }
         } else {
@@ -306,7 +309,7 @@ impl Vm {
             // One Requeue sample per revocation: release + reschedule.
             prof.record(Phase::Requeue, requeue_part + t0.elapsed().as_nanos() as u64);
         }
-        let rolled_monitor = target.monitor;
+        let rolled_monitor = monitor;
         self.with_probe(|p, vm| p.on_rollback(vm, tid, rolled_monitor, entries));
         Ok(())
     }

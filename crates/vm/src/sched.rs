@@ -5,11 +5,12 @@
 //! delegated to a [`SchedulePolicy`]. The two classic policies —
 //! round-robin (the paper's Jikes RVM 2.2.1 setting) and
 //! priority-preemptive (for the ablations) — live here, along with
-//! [`Scripted`], which replays an explicit decision sequence and records
-//! every choice point it passes. `Scripted` is the substrate of the
-//! `revmon-explore` model checker: with the quantum set to one tick,
-//! every yield point where more than one thread is runnable becomes an
-//! enumerable decision.
+//! [`Scripted`], which replays an explicit decision sequence. `Scripted`
+//! is the substrate of the `revmon-explore` model checker: with the
+//! quantum set to one tick, every yield point where more than one thread
+//! is runnable becomes an enumerable decision, which the VM records as a
+//! [`DecisionRecord`] for the caller to take after the round
+//! ([`Vm::take_decision`](crate::Vm::take_decision)).
 //!
 //! Policies see an immutable candidate list — the Ready threads in run
 //! queue (arrival) order, stale entries already pruned — and return the
@@ -17,7 +18,7 @@
 //! what makes schedules replayable.
 
 use revmon_core::{Priority, ThreadId};
-use std::sync::{Arc, Mutex};
+use std::any::Any;
 
 /// One runnable thread as presented to a policy, in run-queue order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +46,13 @@ pub struct SchedContext {
 /// is clamped to the list by the caller. Implementations must be
 /// deterministic functions of their own state plus the arguments —
 /// ambient randomness or wall-clock input would break bit-exact replay.
-pub trait SchedulePolicy: Send {
+pub trait SchedulePolicy: Any + Send {
+    /// The policy as `Any` (implement as `{ self }`), so whoever set it
+    /// can downcast what [`Vm::detach_schedule_policy`] returns and take
+    /// back its state.
+    ///
+    /// [`Vm::detach_schedule_policy`]: crate::Vm::detach_schedule_policy
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
     /// Short stable name for reports and schedule artifacts.
     fn name(&self) -> &'static str;
     /// Pick the index of the candidate to dispatch next.
@@ -80,6 +87,9 @@ impl SchedulerKind {
 pub struct RoundRobin;
 
 impl SchedulePolicy for RoundRobin {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
     fn name(&self) -> &'static str {
         "round-robin"
     }
@@ -94,6 +104,9 @@ impl SchedulePolicy for RoundRobin {
 pub struct PriorityPreemptive;
 
 impl SchedulePolicy for PriorityPreemptive {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
     fn name(&self) -> &'static str {
         "priority-preemptive"
     }
@@ -149,63 +162,53 @@ impl DecisionRecord {
     }
 }
 
-/// The decision log produced by one [`Scripted`] run, shared with the
-/// driver through an `Arc<Mutex<_>>` (the policy itself is boxed away
-/// inside the VM).
-pub type ScriptLog = Arc<Mutex<Vec<DecisionRecord>>>;
-
 /// Replay policy: consumes an explicit decision sequence at
-/// multi-candidate choice points and records every decision it makes.
+/// multi-candidate choice points.
 ///
 /// * Single-candidate rounds are **not** choice points: nothing is
-///   consumed or recorded, so decision indices line up across runs that
-///   share a prefix.
+///   consumed (and the VM records no decision), so decision indices
+///   line up across runs that share a prefix.
 /// * Past the end of the script — or on a [`DEFAULT_CHOICE`] / \
 ///   out-of-range entry — the default choice applies: candidate 0, the
 ///   stock round-robin rotation. A fully empty script therefore
 ///   reproduces the production scheduler's schedule.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Scripted {
     script: Vec<u32>,
     cursor: usize,
-    log: ScriptLog,
 }
 
 impl Scripted {
-    /// Policy replaying `script`; decisions are appended to the returned
-    /// shared log as the run proceeds.
-    pub fn new(script: Vec<u32>) -> (Self, ScriptLog) {
-        let log: ScriptLog = Arc::new(Mutex::new(Vec::new()));
-        (Scripted { script, cursor: 0, log: log.clone() }, log)
+    /// Policy replaying `script`.
+    pub fn new(script: Vec<u32>) -> Self {
+        Scripted { script, cursor: 0 }
+    }
+
+    /// The script, handed back for the next run.
+    pub fn into_script(self) -> Vec<u32> {
+        self.script
     }
 }
 
 impl SchedulePolicy for Scripted {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+
     fn name(&self) -> &'static str {
         "scripted"
     }
 
-    fn choose(&mut self, candidates: &[Candidate], ctx: &SchedContext) -> usize {
+    fn choose(&mut self, candidates: &[Candidate], _ctx: &SchedContext) -> usize {
         if candidates.len() < 2 {
             return 0; // not a choice point
         }
-        let cont_index = ctx
-            .last_dispatched
-            .and_then(|last| candidates.iter().position(|c| c.tid == last))
-            .map(|i| i as u32);
         let scripted = self.script.get(self.cursor).copied();
         self.cursor += 1;
-        let chosen = match scripted {
+        match scripted {
             Some(i) if (i as usize) < candidates.len() => i as usize,
             _ => 0, // fair rotation, same as RoundRobin
-        };
-        self.log.lock().expect("script log poisoned").push(DecisionRecord {
-            n_candidates: candidates.len() as u32,
-            chosen: chosen as u32,
-            chosen_tid: candidates[chosen].tid,
-            cont_index,
-        });
-        chosen
+        }
     }
 }
 
@@ -243,39 +246,37 @@ mod tests {
 
     #[test]
     fn scripted_skips_single_candidate_rounds() {
-        let (mut p, log) = Scripted::new(vec![1]);
+        let mut p = Scripted::new(vec![1]);
         assert_eq!(p.choose(&[cand(0, Priority::NORM)], &ctx(None)), 0);
-        assert!(log.lock().unwrap().is_empty(), "no decision recorded");
         // The script entry is still unconsumed: first real choice uses it.
         let cs = [cand(0, Priority::NORM), cand(1, Priority::NORM)];
         assert_eq!(p.choose(&cs, &ctx(Some(0))), 1);
-        let rec = log.lock().unwrap()[0];
-        assert_eq!(rec.n_candidates, 2);
-        assert_eq!(rec.chosen, 1);
-        assert_eq!(rec.cont_index, Some(0));
-        assert!(rec.is_preemption());
+        assert_eq!(p.choose(&cs, &ctx(Some(0))), 0, "script used up");
+        assert_eq!(p.into_script(), [1]);
     }
 
     #[test]
     fn scripted_defaults_to_the_fair_rotation() {
-        let (mut p, log) = Scripted::new(vec![]);
+        let mut p = Scripted::new(vec![]);
         let cs = [cand(0, Priority::NORM), cand(1, Priority::NORM)];
         assert_eq!(p.choose(&cs, &ctx(Some(1))), 0, "front of queue, like RoundRobin");
         assert_eq!(p.choose(&cs, &ctx(None)), 0);
-        let recs = log.lock().unwrap();
-        assert!(!recs[0].is_preemption(), "the default is never a deviation");
-        assert_eq!(recs[0].cont_index, Some(1), "previous thread was still runnable");
-        assert_eq!(recs[1].cont_index, None);
-        assert!(!recs[1].is_preemption());
     }
 
     #[test]
     fn scripted_treats_out_of_range_as_default() {
-        let (mut p, log) = Scripted::new(vec![DEFAULT_CHOICE, 7]);
+        let mut p = Scripted::new(vec![DEFAULT_CHOICE, 7, 1]);
         let cs = [cand(0, Priority::NORM), cand(1, Priority::NORM)];
         assert_eq!(p.choose(&cs, &ctx(Some(1))), 0);
         assert_eq!(p.choose(&cs, &ctx(Some(1))), 0);
-        assert_eq!(log.lock().unwrap().len(), 2);
+        assert_eq!(p.choose(&cs, &ctx(Some(1))), 1, "each call consumed one entry");
+    }
+
+    #[test]
+    fn a_detached_policy_downcasts_to_its_type() {
+        let p: Box<dyn SchedulePolicy> = Box::new(Scripted::new(vec![2, 3]));
+        let back = p.into_any().downcast::<Scripted>().expect("a Scripted");
+        assert_eq!(back.into_script(), [2, 3]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::bytecode::MethodId;
 use crate::error::VmError;
 use crate::monitor::DelegatedCall;
-use crate::thread::{DelegatedFrame, Frame, Section, Snapshot, ThreadState};
+use crate::thread::{keep, DelegatedFrame, Section, Snapshot, ThreadState};
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
 use revmon_core::ThreadId;
@@ -152,6 +152,9 @@ impl Vm {
             return Err(VmError::IllegalMonitorState("unstructured monitorexit"));
         }
         let sec = self.thread_mut(tid).sections.pop().expect("checked");
+        if let Some(snapshot) = sec.snapshot {
+            snapshot.recycle(&mut self.spare);
+        }
         if self.thread(tid).sections.is_empty() {
             // Outermost exit: updates can no longer be revoked.
             self.commit_log(tid, sec.mark);
@@ -274,17 +277,15 @@ impl Vm {
             // move the restart point past the wait.
             let mark = self.thread(tid).sections[0].mark;
             self.commit_log(tid, mark);
-            let t = self.thread_mut(tid);
+            let t = &mut self.threads[tid.index()];
             let new_mark = t.undo.mark();
-            let resume_pc = t.frame().pc; // already advanced past Wait
-            let (locals, stack) = {
-                let f = t.frame();
-                (f.locals.clone(), f.stack.clone())
-            };
+            let frame = t.frames.last().expect("thread has no frames");
             let sec = &mut t.sections[0];
             sec.mark = new_mark;
-            if sec.snapshot.is_some() {
-                sec.snapshot = Some(Snapshot { locals, stack, resume_pc, after_wait: true });
+            if let Some(old) = sec.snapshot.take() {
+                old.recycle(&mut self.spare);
+                // The pc has already advanced past the `Wait`.
+                sec.snapshot = Some(Snapshot::of(frame, frame.pc, true, &mut self.spare));
             }
         }
         // Fully release and park.
@@ -508,10 +509,8 @@ impl Vm {
             m.drained += 1;
             m.submissions.pop().expect("drain with an empty submission queue")
         };
-        let locals_n = self.program.methods[call.method.index()].locals as usize;
-        let mut locals = call.args;
-        locals.resize(locals_n, Value::Null);
-        let mut f = Frame::new(call.method, locals);
+        let mut f = self.new_frame(call.method, &call.args);
+        keep(&mut self.spare, call.args);
         f.delegated = Some(DelegatedFrame {
             token: call.token,
             monitor: obj,

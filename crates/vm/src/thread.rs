@@ -64,10 +64,40 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A fresh ordinary (non-delegated) frame.
-    pub fn new(method: MethodId, locals: Vec<Value>) -> Self {
-        Frame { method, pc: 0, locals, stack: Vec::new(), delegated: None }
+    /// A fresh ordinary frame with `locals` slots, the first ones `args`
+    /// and the rest `Null`, built in vectors from `spare`, its operand
+    /// stack reserved to `depth` values.
+    pub(crate) fn in_spare(
+        method: MethodId,
+        args: &[Value],
+        locals: usize,
+        depth: usize,
+        spare: &mut Spare,
+    ) -> Self {
+        let mut l = spare.pop().unwrap_or_default();
+        l.extend_from_slice(args);
+        l.resize(locals, Value::Null);
+        let mut stack = spare.pop().unwrap_or_default();
+        stack.reserve(depth);
+        Frame { method, pc: 0, locals: l, stack, delegated: None }
     }
+
+    /// Give the frame's locals and operand stack to `spare`.
+    pub(crate) fn recycle(self, spare: &mut Spare) {
+        keep(spare, self.locals);
+        keep(spare, self.stack);
+    }
+}
+
+/// Emptied value vectors — frames' locals and operand stacks, their
+/// snapshots' copies, delegated calls' arguments — for the next ones to
+/// fill.
+pub(crate) type Spare = Vec<Vec<Value>>;
+
+/// Empty `values` into `spare`.
+pub(crate) fn keep(spare: &mut Spare, mut values: Vec<Value>) {
+    values.clear();
+    spare.push(values);
 }
 
 /// Combiner bookkeeping attached to a frame executing a delegated
@@ -133,6 +163,24 @@ pub struct Section {
     /// exceptions. `None` (raw unstructured enter) pessimistically covers
     /// the whole method.
     pub region: Option<(u32, u32)>,
+}
+
+impl Snapshot {
+    /// A copy of `frame`'s locals and operand stack resuming at
+    /// `resume_pc`, built in vectors from `spare`.
+    pub(crate) fn of(frame: &Frame, resume_pc: u32, after_wait: bool, spare: &mut Spare) -> Self {
+        let mut locals = spare.pop().unwrap_or_default();
+        locals.extend_from_slice(&frame.locals);
+        let mut stack = spare.pop().unwrap_or_default();
+        stack.extend_from_slice(&frame.stack);
+        Snapshot { locals, stack, resume_pc, after_wait }
+    }
+
+    /// Give the snapshot's vectors to `spare`.
+    pub(crate) fn recycle(self, spare: &mut Spare) {
+        keep(spare, self.locals);
+        keep(spare, self.stack);
+    }
 }
 
 impl Section {
@@ -217,29 +265,40 @@ pub struct VmThread {
     pub core: usize,
 }
 
+/// The buffers of a finished thread — name, frame stack, section stack,
+/// undo log, held list — emptied, for the next VM's threads to fill (see
+/// [`crate::vm::Bin`]).
+#[derive(Debug, Default)]
+pub(crate) struct ThreadShell {
+    pub(crate) name: String,
+    frames: Vec<Frame>,
+    sections: Vec<Section>,
+    undo: Vec<UndoEntry>,
+    held: Vec<ObjRef>,
+}
+
 impl VmThread {
-    /// A fresh thread about to execute `method` with `args`.
-    pub fn new(
+    /// A fresh thread about to run `frame`, built in `shell`, whose name
+    /// the caller has already written.
+    pub(crate) fn in_shell(
         id: ThreadId,
-        name: String,
         priority: Priority,
-        method: MethodId,
-        locals: u16,
-        args: Vec<Value>,
+        frame: Frame,
+        shell: ThreadShell,
     ) -> Self {
-        let mut l = args;
-        l.resize(locals as usize, Value::Null);
+        let ThreadShell { name, mut frames, sections, undo, held } = shell;
+        frames.push(frame);
         VmThread {
             id,
             name,
             base_priority: priority,
             effective_priority: priority,
-            frames: vec![Frame::new(method, l)],
-            sections: Vec::new(),
-            undo: UndoLog::new(),
+            frames,
+            sections,
+            undo: UndoLog::with_buffer(undo),
             state: ThreadState::Ready,
             pending_revoke: None,
-            held: Vec::new(),
+            held,
             start_time: None,
             end_time: None,
             metrics: Metrics::new(),
@@ -249,6 +308,20 @@ impl VmThread {
             uncaught: None,
             core: 0,
         }
+    }
+
+    /// The thread's buffers, emptied for reuse; its frames' and
+    /// snapshots' value vectors go to `spare`.
+    pub(crate) fn into_shell(self, spare: &mut Spare) -> ThreadShell {
+        let VmThread {
+            mut name, mut frames, mut sections, undo, mut held, pending_snapshot, ..
+        } = self;
+        name.clear();
+        frames.drain(..).for_each(|f| f.recycle(spare));
+        let snapshots = sections.drain(..).filter_map(|s| s.snapshot).chain(pending_snapshot);
+        snapshots.for_each(|s| s.recycle(spare));
+        held.clear();
+        ThreadShell { name, frames, sections, undo: undo.into_buffer(), held }
     }
 
     /// The current (top) frame.
@@ -314,7 +387,8 @@ mod tests {
     use super::*;
 
     fn thread() -> VmThread {
-        VmThread::new(ThreadId(0), "t".into(), Priority::LOW, MethodId(0), 3, vec![Value::Int(7)])
+        let frame = Frame::in_spare(MethodId(0), &[Value::Int(7)], 3, 0, &mut Spare::new());
+        VmThread::in_shell(ThreadId(0), Priority::LOW, frame, ThreadShell::default())
     }
 
     #[test]

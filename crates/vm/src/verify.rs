@@ -159,7 +159,9 @@ fn return_arities(p: &Program, errors: &mut Vec<VerifyError>) -> Vec<u16> {
         .collect()
 }
 
-fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<VerifyError>) {
+/// Check one method, returning the greatest operand-stack height any of
+/// its instructions reaches.
+fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<VerifyError>) -> u16 {
     let n = m.code.len() as u32;
     let name = || m.name.clone();
 
@@ -226,6 +228,7 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
         }
     }
 
+    let mut depth = 0u16;
     while let Some((pc, h)) = work.pop() {
         let insn = m.code[pc as usize];
         let op = insn.op();
@@ -255,6 +258,7 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
             errors.push(VerifyError::StackOverflow { method: name(), pc });
             continue;
         };
+        depth = depth.max(h).max(out);
         // Successors: the branch target first, then the next pc.
         let mut add = |target: u32, errors: &mut Vec<VerifyError>| {
             if target >= n {
@@ -276,17 +280,22 @@ fn verify_method(p: &Program, m: &Method, arities: &[u16], errors: &mut Vec<Veri
             add(pc + 1, errors);
         }
     }
+    depth
 }
 
 /// Verify a whole program. Returns all failures found (empty = valid).
 pub fn verify_program(p: &Program) -> Result<(), Vec<VerifyError>> {
+    stack_depths(p).map(drop)
+}
+
+/// [`verify_program`], returning on success each method's greatest
+/// operand-stack height, indexed by method.
+pub(crate) fn stack_depths(p: &Program) -> Result<Vec<u16>, Vec<VerifyError>> {
     let mut errors = Vec::new();
     let arities = return_arities(p, &mut errors);
-    for m in &p.methods {
-        verify_method(p, m, &arities, &mut errors);
-    }
+    let depths = p.methods.iter().map(|m| verify_method(p, m, &arities, &mut errors)).collect();
     if errors.is_empty() {
-        Ok(())
+        Ok(depths)
     } else {
         Err(errors)
     }

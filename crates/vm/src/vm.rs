@@ -12,11 +12,11 @@
 
 use crate::bytecode::{MethodId, Program};
 use crate::error::VmError;
-use crate::heap::Heap;
+use crate::heap::{Heap, HeapBin};
 use crate::monitor::MonitorTable;
 use crate::rewrite::rewrite_program;
-use crate::sched::{Candidate, SchedContext, SchedulePolicy};
-use crate::thread::{ThreadState, VmThread};
+use crate::sched::{Candidate, DecisionRecord, SchedContext, SchedulePolicy};
+use crate::thread::{Frame, Spare, ThreadShell, ThreadState, VmThread};
 use crate::value::{ObjRef, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -356,6 +356,37 @@ pub(crate) struct CoreState {
     pub(crate) ipis: VecDeque<Ipi>,
 }
 
+impl CoreState {
+    /// A fresh core in this one's emptied queues.
+    fn emptied(self) -> Self {
+        let CoreState { mut run_queue, mut ipis, .. } = self;
+        run_queue.clear();
+        ipis.clear();
+        CoreState { run_queue, last_dispatched: None, ipis }
+    }
+}
+
+/// A finished VM's buffers, emptied, for the next VM to fill instead of
+/// allocating its own: what [`Vm::recycle`] returns and
+/// [`Vm::from_prepared_in`] builds in. It holds capacity only — thread
+/// shells (name, frame, section and undo-log buffers), value vectors
+/// for frames, snapshots and delegated arguments, heap object slots,
+/// run queues, the join list, the output buffer and the scheduler's
+/// candidate buffer — never a value of the run it came from: every
+/// other part of a VM is built fresh.
+/// `Bin::default()` is the empty bin [`Vm::from_prepared`] builds in.
+#[derive(Debug, Default)]
+pub struct Bin {
+    heap: HeapBin,
+    threads: Vec<VmThread>,
+    shells: Vec<ThreadShell>,
+    spare: Spare,
+    cores: Vec<CoreState>,
+    join_waiters: Vec<(ThreadId, ThreadId)>,
+    output: Vec<Value>,
+    candidates: Vec<Candidate>,
+}
+
 /// A program ready to execute under one configuration: rewritten if the
 /// configuration asks for revocation support, and accepted by the
 /// [bytecode verifier](crate::verify). Prepare once, then start any
@@ -364,6 +395,8 @@ pub(crate) struct CoreState {
 #[derive(Clone, Debug)]
 pub struct PreparedProgram {
     program: Arc<Program>,
+    /// Each method's greatest operand-stack height, as verified.
+    depths: Arc<[u16]>,
     rewritten: bool,
 }
 
@@ -375,8 +408,8 @@ impl PreparedProgram {
         config: &VmConfig,
     ) -> Result<Self, Vec<crate::verify::VerifyError>> {
         let program = if config.rewrite { rewrite_program(&program) } else { program };
-        crate::verify::verify_program(&program)?;
-        Ok(PreparedProgram { program: Arc::new(program), rewritten: config.rewrite })
+        let depths = crate::verify::stack_depths(&program)?.into();
+        Ok(PreparedProgram { program: Arc::new(program), depths, rewritten: config.rewrite })
     }
 }
 
@@ -384,6 +417,9 @@ impl PreparedProgram {
 pub struct Vm {
     /// The (possibly rewritten) program.
     pub(crate) program: Arc<Program>,
+    /// Each method's greatest operand-stack height, which a new frame
+    /// reserves (empty for an unverified program: nothing reserved).
+    pub(crate) depths: Arc<[u16]>,
     pub(crate) heap: Heap,
     pub(crate) monitors: MonitorTable,
     pub(crate) threads: Vec<VmThread>,
@@ -416,9 +452,10 @@ pub struct Vm {
     pub(crate) trace: Vec<Event>,
     /// Static write-barrier elision table (when `elide_barriers`).
     pub(crate) elision: Option<crate::analysis::ElisionTable>,
-    /// Threads blocked in `Join`, keyed by the thread they wait for.
-    /// Ordered map: wake-up processing must be deterministic.
-    pub(crate) join_waiters: std::collections::BTreeMap<ThreadId, Vec<ThreadId>>,
+    /// Threads blocked in `Join` as `(joined, waiter)`, in the order they
+    /// blocked, which is the order a terminating thread wakes its
+    /// joiners in.
+    pub(crate) join_waiters: Vec<(ThreadId, ThreadId)>,
     /// The scheduling decision procedure (from `config.scheduler` unless
     /// overridden via [`Vm::set_schedule_policy`]).
     pub(crate) policy: Box<dyn SchedulePolicy>,
@@ -436,6 +473,16 @@ pub struct Vm {
     /// Ordered map so invariant checks and fingerprints iterate
     /// deterministically.
     pub(crate) delegation_results: std::collections::BTreeMap<u32, Value>,
+    /// The policy's candidate list, rebuilt every scheduling round.
+    pub(crate) candidates: Vec<Candidate>,
+    /// The decision the current scheduling round made among two or more
+    /// candidates, until [`Vm::take_decision`] takes it.
+    pub(crate) decision: Option<DecisionRecord>,
+    /// Emptied thread shells, for threads spawned during the run.
+    pub(crate) shells: Vec<ThreadShell>,
+    /// Emptied value vectors, for the frames pushed, snapshots taken and
+    /// calls delegated during the run.
+    pub(crate) spare: Spare,
     /// Test-only: make [`Vm::run_local`] run nothing, so every
     /// instruction goes through `step` — the reference the batched loop
     /// is compared against.
@@ -481,17 +528,36 @@ impl Vm {
     /// under: the program would lack (or carry unasked-for) rollback
     /// scopes.
     pub fn from_prepared(prepared: &PreparedProgram, config: VmConfig) -> Self {
+        Self::from_prepared_in(prepared, config, Bin::default())
+    }
+
+    /// [`Vm::from_prepared`], built in the buffers a finished VM left in
+    /// `bin` ([`Vm::recycle`]) instead of newly allocated ones — what a
+    /// model checker running one schedule after another needs. The VM is
+    /// the one `from_prepared` would build: a bin carries no state.
+    ///
+    /// # Panics
+    /// As [`Vm::from_prepared`].
+    pub fn from_prepared_in(prepared: &PreparedProgram, config: VmConfig, bin: Bin) -> Self {
         assert_eq!(
             prepared.rewritten, config.rewrite,
             "program was prepared under a different `rewrite` setting"
         );
-        Self::new_unverified(prepared.program.clone(), config)
+        Self::new_unverified(prepared.program.clone(), prepared.depths.clone(), config, bin)
     }
 
     /// Construct without verification (the program must already have been
-    /// rewritten if the config asks for revocation support).
-    pub(crate) fn new_unverified(program: Arc<Program>, config: VmConfig) -> Self {
-        let mut heap = Heap::new(program.n_statics as usize);
+    /// rewritten if the config asks for revocation support), in `bin`'s
+    /// buffers. `depths` is each method's greatest operand-stack height
+    /// (or empty, reserving nothing).
+    pub(crate) fn new_unverified(
+        program: Arc<Program>,
+        depths: Arc<[u16]>,
+        config: VmConfig,
+        bin: Bin,
+    ) -> Self {
+        let Bin { heap, threads, shells, spare, mut cores, join_waiters, output, candidates } = bin;
+        let mut heap = Heap::in_bin(program.n_statics as usize, heap);
         for &s in &program.volatile_statics {
             heap.declare_static_volatile(s).expect("volatile static in range");
         }
@@ -500,13 +566,14 @@ impl Vm {
             DetectionStrategy::AtAcquisition => u64::MAX,
         };
         let elision = config.elide_barriers.then(|| crate::analysis::analyze(&program));
-        let n_cores = config.cores.max(1);
+        cores.resize_with(config.cores.max(1), CoreState::default);
         Vm {
             program,
+            depths,
             heap,
             monitors: MonitorTable::new(config.queue_discipline),
-            threads: Vec::new(),
-            cores: (0..n_cores).map(|_| CoreState::default()).collect(),
+            threads,
+            cores,
             current_core: 0,
             active_core: 0,
             ipis_posted: 0,
@@ -519,19 +586,23 @@ impl Vm {
             config,
             global: Metrics::new(),
             next_acq_id: 0,
-            output: Vec::new(),
+            output,
             last_dispatched: None,
             steps: 0,
             next_background_scan: bg,
             trace: Vec::new(),
             elision,
-            join_waiters: std::collections::BTreeMap::new(),
+            join_waiters,
             policy: config.scheduler.policy(),
             probe: None,
             rng_draws: 0,
             governor: Governor::new(),
             next_token: 0,
             delegation_results: std::collections::BTreeMap::new(),
+            candidates,
+            decision: None,
+            shells,
+            spare,
             #[cfg(test)]
             step_only: false,
             #[cfg(test)]
@@ -544,6 +615,45 @@ impl Vm {
     /// policies come from `config.scheduler`.
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         self.policy = policy;
+    }
+
+    /// Remove and return the scheduling policy, putting back the one
+    /// `config.scheduler` names.
+    pub fn detach_schedule_policy(&mut self) -> Box<dyn SchedulePolicy> {
+        std::mem::replace(&mut self.policy, self.config.scheduler.policy())
+    }
+
+    /// The scheduling decision the last round made among two or more
+    /// candidates, if it made one; taking it leaves `None`. Every round
+    /// consults the policy at most once, so a caller that takes the
+    /// decision after each [`Vm::run_round`] sees every choice point.
+    pub fn take_decision(&mut self) -> Option<DecisionRecord> {
+        self.decision.take()
+    }
+
+    /// Take the VM apart into its emptied buffers, for
+    /// [`Vm::from_prepared_in`] to build the next VM in.
+    pub fn recycle(self) -> Bin {
+        let Vm {
+            heap,
+            mut threads,
+            mut shells,
+            mut spare,
+            mut cores,
+            mut join_waiters,
+            mut output,
+            mut candidates,
+            ..
+        } = self;
+        shells.extend(threads.drain(..).map(|t| t.into_shell(&mut spare)));
+        for core in &mut cores {
+            *core = std::mem::take(core).emptied();
+        }
+        join_waiters.clear();
+        output.clear();
+        candidates.clear();
+        let heap = heap.into_bin();
+        Bin { heap, threads, shells, spare, cores, join_waiters, output, candidates }
     }
 
     /// The barrier-elision table, if the analysis ran (diagnostics).
@@ -611,9 +721,37 @@ impl Vm {
     ) -> ThreadId {
         let m = self.program.method(method);
         assert_eq!(args.len(), m.params as usize, "wrong argument count for {}", m.name);
-        let locals = m.locals;
+        let frame = self.new_frame(method, &args);
+        self.start_thread(format_args!("{name}"), frame, priority)
+    }
+
+    /// A fresh frame for `method` whose first locals are `args` (as many
+    /// as fit) and the rest `Null`, built in recycled vectors.
+    pub(crate) fn new_frame(&mut self, method: MethodId, args: &[Value]) -> Frame {
+        let locals = self.program.method(method).locals as usize;
+        let depth = self.depths.get(method.index()).map_or(0, |&d| d as usize);
+        let args = &args[..args.len().min(locals)];
+        Frame::in_spare(method, args, locals, depth, &mut self.spare)
+    }
+
+    /// Pop `tid`'s top frame, keeping its vectors.
+    pub(crate) fn pop_frame(&mut self, tid: ThreadId) {
+        if let Some(f) = self.threads[tid.index()].frames.pop() {
+            f.recycle(&mut self.spare);
+        }
+    }
+
+    /// Start a thread named `name` at `priority`, running `frame`.
+    pub(crate) fn start_thread(
+        &mut self,
+        name: std::fmt::Arguments<'_>,
+        frame: Frame,
+        priority: Priority,
+    ) -> ThreadId {
         let id = ThreadId(self.threads.len() as u32);
-        let mut t = VmThread::new(id, name.to_string(), priority, method, locals, args);
+        let mut shell = self.shells.pop().unwrap_or_default();
+        std::fmt::Write::write_fmt(&mut shell.name, name).expect("writing to a String");
+        let mut t = VmThread::in_shell(id, priority, frame, shell);
         let core = id.index() % self.cores.len();
         t.core = core;
         self.threads.push(t);
@@ -689,6 +827,7 @@ impl Vm {
     /// exposed so external drivers — the `revmon-explore` model checker —
     /// can interpose state checks between slices.
     pub fn run_round(&mut self) -> Result<RoundOutcome, VmError> {
+        self.decision = None;
         self.background_scan_if_due()?;
         self.wake_sleepers();
         // Scan cores in the fixed small-step order starting at the
@@ -792,17 +931,26 @@ impl Vm {
         if queue.is_empty() {
             return None;
         }
-        let candidates: Vec<Candidate> = queue
-            .iter()
-            .map(|&tid| Candidate {
-                tid,
-                effective_priority: threads[tid.index()].effective_priority,
-                base_priority: threads[tid.index()].base_priority,
-            })
-            .collect();
-        let ctx =
-            SchedContext { last_dispatched: self.cores[core].last_dispatched, clock: self.clock };
-        let idx = self.policy.choose(&candidates, &ctx).min(candidates.len() - 1);
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(queue.iter().map(|&tid| Candidate {
+            tid,
+            effective_priority: threads[tid.index()].effective_priority,
+            base_priority: threads[tid.index()].base_priority,
+        }));
+        let last = self.cores[core].last_dispatched;
+        let ctx = SchedContext { last_dispatched: last, clock: self.clock };
+        let idx = self.policy.choose(candidates, &ctx).min(candidates.len() - 1);
+        if candidates.len() >= 2 {
+            self.decision = Some(DecisionRecord {
+                n_candidates: candidates.len() as u32,
+                chosen: idx as u32,
+                chosen_tid: candidates[idx].tid,
+                cont_index: last
+                    .and_then(|last| candidates.iter().position(|c| c.tid == last))
+                    .map(|i| i as u32),
+            });
+        }
         self.cores[core].run_queue.remove(idx)
     }
 
@@ -867,9 +1015,13 @@ impl Vm {
                 StepOutcome::Terminated => {
                     self.thread_mut(tid).end_time = Some(self.clock);
                     // Wake any joiners.
-                    if let Some(waiters) = self.join_waiters.remove(&tid) {
-                        for w in waiters {
-                            self.make_ready(w);
+                    let mut i = 0;
+                    while let Some(&(joined, waiter)) = self.join_waiters.get(i) {
+                        if joined == tid {
+                            self.join_waiters.remove(i);
+                            self.make_ready(waiter);
+                        } else {
+                            i += 1;
                         }
                     }
                     return Ok(());

@@ -238,8 +238,7 @@ struct Tally {
 /// Run `vm` (threads spawned, `trace` on) under `script` with the
 /// reference attached; panic on the first disagreement.
 fn run_against_reference(label: &str, mut vm: Vm, script: &[u32], tally: &mut Tally) {
-    let (policy, _log) = Scripted::new(script.to_vec());
-    vm.set_schedule_policy(Box::new(policy));
+    vm.set_schedule_policy(Box::new(Scripted::new(script.to_vec())));
     vm.attach_probe(Box::new(Reference::default()));
     let mut peak_entries = 0;
     for round in 0..MAX_ROUNDS {
