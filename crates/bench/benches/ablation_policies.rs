@@ -52,16 +52,6 @@ fn main() {
             c
         }),
         ("revocation + write-barrier elision", VmConfig::modified().with_elision()),
-        ("priority inheritance (round-robin sched)", {
-            let mut c = VmConfig::unmodified();
-            c.policy = InversionPolicy::PriorityInheritance;
-            c
-        }),
-        ("priority ceiling = MAX (round-robin sched)", {
-            let mut c = VmConfig::unmodified();
-            c.policy = InversionPolicy::PriorityCeiling(Priority::MAX);
-            c
-        }),
         ("blocking, priority-preemptive scheduler", {
             let mut c = VmConfig::unmodified();
             c.scheduler = revmon_vm::SchedulerKind::PriorityPreemptive;
@@ -75,6 +65,12 @@ fn main() {
         ("priority inheritance, preemptive scheduler", {
             let mut c = VmConfig::unmodified();
             c.policy = InversionPolicy::PriorityInheritance;
+            c.scheduler = revmon_vm::SchedulerKind::PriorityPreemptive;
+            c
+        }),
+        ("priority ceiling = MAX, preemptive scheduler", {
+            let mut c = VmConfig::unmodified();
+            c.policy = InversionPolicy::PriorityCeiling(Priority::MAX);
             c.scheduler = revmon_vm::SchedulerKind::PriorityPreemptive;
             c
         }),

@@ -19,7 +19,7 @@
 //!   `bench_results/BENCH_fig5.json` … `BENCH_fig8.json`,
 //! * [`measure`] — the timing, pairing, flag and results-file helpers the
 //!   remaining wall-clock benches (ratio, footprint and flatness gates,
-//!   policy and governor comparisons) share. Absolute timings of the
+//!   the policy comparison) share. Absolute timings of the
 //!   system live in the repo benchmark (`benchmark/`), not here.
 //!
 //! ## Scaling

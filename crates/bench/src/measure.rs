@@ -4,8 +4,8 @@
 //! benchmark (`benchmark/`, `BENCHMARK.json`), which runs on every
 //! accepted PR. The benches here keep what no workload there covers —
 //! on/off *ratio* gates ([`Paired`]), footprint and queue-flatness gates,
-//! the blocking-vs-revocation comparison, the governor's before/after and the
-//! virtual-clock figures — and each helper they need exists once, here.
+//! the blocking-vs-revocation comparison and the virtual-clock figures —
+//! and each helper they need exists once, here.
 
 use crate::{export, Scale};
 use std::path::PathBuf;

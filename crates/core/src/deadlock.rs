@@ -120,23 +120,35 @@ impl WaitsForGraph {
     }
 
     /// Find the cycle (if any) reachable from `start` by following
-    /// waiter→owner edges. Returns the threads in the cycle, in order.
+    /// waiter→owner edges. Returns the threads in the cycle, in order,
+    /// beginning with the first member the chase from `start` meets.
     ///
-    /// Since each thread has at most one outgoing edge the walk is a
-    /// simple chase: O(n) with a visited set.
+    /// Each thread has at most one outgoing edge, so the chase needs no
+    /// buffer: a walk that takes one step more than there are edges has
+    /// passed some thread twice, and stands on the cycle. Nothing is
+    /// allocated unless a cycle is found.
     pub fn find_cycle_from(&self, start: ThreadId) -> Option<Vec<ThreadId>> {
-        let mut path: Vec<ThreadId> = Vec::new();
-        let mut cur = start;
-        loop {
-            if let Some(pos) = path.iter().position(|&t| t == cur) {
-                return Some(path[pos..].to_vec());
-            }
-            path.push(cur);
-            match self.edges.get(&cur) {
-                Some(&(_, owner)) => cur = owner,
-                None => return None, // chain ends at a runnable thread
-            }
+        let owner = |t: ThreadId| self.edges.get(&t).map(|&(_, owner)| owner);
+        let mut on_cycle = start;
+        for _ in 0..=self.edges.len() {
+            on_cycle = owner(on_cycle)?; // `None`: the chain ends at a runnable thread
         }
+        let next = |t| owner(t).expect("a cycle member waits");
+        let mut cycle = vec![on_cycle];
+        let mut cur = next(on_cycle);
+        while cur != on_cycle {
+            cycle.push(cur);
+            cur = next(cur);
+        }
+        let mut entry = start;
+        let first = loop {
+            match cycle.iter().position(|&t| t == entry) {
+                Some(i) => break i,
+                None => entry = next(entry),
+            }
+        };
+        cycle.rotate_left(first);
+        Some(cycle)
     }
 
     /// Detect any deadlock cycle in the whole graph.
@@ -226,7 +238,8 @@ mod tests {
         g.add_wait(t(3), m(1), t(1));
         for start in [1, 2, 3] {
             let c = g.find_cycle_from(t(start)).expect("cycle");
-            assert_eq!(c.len(), 3);
+            let order: Vec<u32> = (0..3).map(|k| (start - 1 + k) % 3 + 1).collect();
+            assert_eq!(c, order.into_iter().map(t).collect::<Vec<_>>(), "starts at {start}");
         }
     }
 
@@ -238,8 +251,7 @@ mod tests {
         g.add_wait(t(1), m(2), t(2));
         g.add_wait(t(2), m(3), t(1));
         let c = g.find_cycle_from(t(0)).expect("cycle");
-        assert_eq!(c.len(), 2);
-        assert!(!c.contains(&t(0)));
+        assert_eq!(c, [t(1), t(2)], "begins where the tail enters");
     }
 
     /// T1 holds M1 and waits on M2; T2 holds M2 and waits on M1.

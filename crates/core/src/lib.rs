@@ -33,16 +33,13 @@
 //!   ([`FoldHasher`]), and the one stable content digest ([`fnv1a`]),
 //! * [`governor`] — the revocation request verdict and the adaptive
 //!   revocation governor (bounded retries, exponential backoff,
-//!   per-monitor fallback to blocking),
-//! * [`delegate`] — combiner handoff rules for delegated critical
-//!   sections (the VM's `Delegate`/`Await` instructions).
+//!   per-monitor fallback to blocking).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod cost;
 pub mod deadlock;
-pub mod delegate;
 pub mod fx;
 pub mod governor;
 pub mod metrics;
@@ -53,7 +50,6 @@ pub mod undo;
 
 pub use cost::CostModel;
 pub use deadlock::{Victim, WaitsForGraph};
-pub use delegate::DelegateConfig;
 pub use fx::{fnv1a, FoldHasher, FxHasher, FxMap, FxSet};
 pub use governor::{
     revocation_verdict, Governor, GovernorConfig, GovernorVerdict, RevocationVerdict,

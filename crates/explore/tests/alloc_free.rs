@@ -66,8 +66,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.load(Ordering::Relaxed), out)
 }
 
-/// The most a steady-state schedule of either program may allocate.
-const STEADY_MAX: u64 = 15;
+/// The most a steady-state schedule of either program may allocate: 12,
+/// taken by `delegated_adders`' default schedule.
+const STEADY_MAX: u64 = 12;
 
 /// The default schedule and a few that deviate early and late.
 const SCRIPTS: [&[u32]; 6] = [&[], &[1], &[0, 1], &[1, 1], &[1, 0, 1], &[2, 1, 0, 1]];

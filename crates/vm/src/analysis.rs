@@ -12,9 +12,11 @@
 //! * a store lexically inside one of its method's synchronized regions
 //!   always needs the barrier;
 //! * a store outside every region needs it only if the *method itself*
-//!   may be reached from inside some synchronized region — computed as a
-//!   transitive closure over the call graph, seeded by every `Call` that
-//!   appears inside a region;
+//!   may run while its thread holds a monitor — computed as a transitive
+//!   closure over `Call` and `Delegate` edges, seeded by every `Call`
+//!   that appears inside a region and by every `Delegate` target (a
+//!   delegated method always runs under the monitor it was submitted
+//!   to, on whichever thread holds it);
 //! * methods whose control flow can jump *into* the middle of a region
 //!   from outside (impossible with builder-structured code, possible with
 //!   raw bytecode) are treated conservatively: every store keeps its
@@ -86,27 +88,29 @@ fn has_irregular_region_entry(m: &Method) -> bool {
 /// Compute the elision table for a (possibly rewritten) program.
 pub fn analyze(p: &Program) -> ElisionTable {
     let n = p.methods.len();
-    // 1. may_run_in_monitor: seeded by calls inside regions, closed
-    //    transitively over the call graph.
+    // 1. may_run_in_monitor: seeded by calls inside regions and by every
+    //    delegated method, closed transitively over calls and delegations.
     let mut may_run = vec![false; n];
     let mut work: Vec<usize> = Vec::new();
+    let mut mark = |callee: usize, work: &mut Vec<usize>| {
+        if !may_run[callee] {
+            may_run[callee] = true;
+            work.push(callee);
+        }
+    };
     for m in &p.methods {
         for (pc, i) in m.code.iter().enumerate() {
-            if let Insn::Call(callee) = i {
-                if in_region(m, pc as u32) && !may_run[callee.index()] {
-                    may_run[callee.index()] = true;
-                    work.push(callee.index());
-                }
+            match i {
+                Insn::Call(callee) if in_region(m, pc as u32) => mark(callee.index(), &mut work),
+                Insn::Delegate(callee) => mark(callee.index(), &mut work),
+                _ => {}
             }
         }
     }
     while let Some(mi) = work.pop() {
         for i in &p.methods[mi].code {
-            if let Insn::Call(callee) = i {
-                if !may_run[callee.index()] {
-                    may_run[callee.index()] = true;
-                    work.push(callee.index());
-                }
+            if let Insn::Call(callee) | Insn::Delegate(callee) = i {
+                mark(callee.index(), &mut work);
             }
         }
     }

@@ -16,8 +16,7 @@
 //! each entry's repeat count, scheduling state, priorities), the heap
 //! (all object slots and statics), monitor table (owners, recursion,
 //! deposited priorities, entry queues with queued-at priorities, wait
-//! sets, ceilings, pending delegated submissions and drain counts), the
-//! live JMM
+//! sets, pending delegated submissions and drain counts), the live JMM
 //! speculative-write map, and the delegation token counter plus banked
 //! results (tokens are program-visible values).
 //!
@@ -177,7 +176,6 @@ impl Vm {
             m.owner.hash(h);
             m.recursion.hash(h);
             m.holder_priority.hash(h);
-            m.ceiling.hash(h);
             m.queue.len().hash(h);
             for (tid, prio) in m.queue.iter_entries() {
                 tid.hash(h);
@@ -425,7 +423,6 @@ mod tests {
         ("monitor owner", |vm, _| vm.monitors.get_mut(ObjRef(0)).owner = None),
         ("monitor recursion", |vm, _| vm.monitors.get_mut(ObjRef(0)).recursion += 1),
         ("holder priority", |vm, _| vm.monitors.get_mut(ObjRef(0)).holder_priority = Priority::MAX),
-        ("ceiling", |vm, _| vm.monitors.get_mut(ObjRef(0)).ceiling = Some(Priority::MAX)),
         ("entry queue", |vm, _| {
             vm.monitors.get_mut(ObjRef(0)).queue.push(ThreadId(1), Priority::NORM)
         }),
@@ -486,7 +483,6 @@ mod tests {
             m.acquires += 1;
             m.contended += 1;
             m.peak_queue += 1;
-            m.peak_submissions += 1;
         }),
         ("IPI counters", |vm, _| {
             vm.ipis_posted += 1;

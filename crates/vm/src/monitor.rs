@@ -39,9 +39,6 @@ pub struct MonitorState {
     pub queue: PrioritizedQueue<ThreadId>,
     /// Wait set (`Object.wait`), FIFO by arrival.
     pub wait_set: Vec<ThreadId>,
-    /// Priority ceiling, when the ceiling policy is active for this
-    /// monitor.
-    pub ceiling: Option<Priority>,
     /// Total acquisitions of this monitor.
     pub acquires: u64,
     /// Acquisitions that found it held (blocking episodes).
@@ -55,8 +52,6 @@ pub struct MonitorState {
     /// Submissions drained since the current holder acquired — the
     /// combiner's bounded drain budget counts against this.
     pub drained: u32,
-    /// Largest submission-queue length observed.
-    pub peak_submissions: usize,
 }
 
 impl MonitorState {
@@ -67,13 +62,11 @@ impl MonitorState {
             holder_priority: Priority::MIN,
             queue: PrioritizedQueue::new(discipline),
             wait_set: Vec::new(),
-            ceiling: None,
             acquires: 0,
             contended: 0,
             peak_queue: 0,
             submissions: PrioritizedQueue::new(discipline),
             drained: 0,
-            peak_submissions: 0,
         }
     }
 

@@ -459,11 +459,8 @@ impl Vm {
         self.global.monitors_marked_nonrevocable += flipped;
         let prio = self.thread(tid).effective_priority;
         let holder = self.monitors.get(obj).and_then(|m| m.owner);
-        {
-            let m = self.monitors.get_mut(obj);
-            m.submissions.push(DelegatedCall { token, method, args, submitter: tid }, prio);
-            m.peak_submissions = m.peak_submissions.max(m.submissions.len());
-        }
+        let call = DelegatedCall { token, method, args, submitter: tid };
+        self.monitors.get_mut(obj).submissions.push(call, prio);
         self.global.delegations_submitted += 1;
         self.emit(
             tid,
@@ -476,17 +473,24 @@ impl Vm {
         token
     }
 
+    /// Most queued submissions a combiner executes on one release path
+    /// before it hands the monitor to a queued waiter: the bound on how
+    /// long a holder can be conscripted (the ActiveMonitor paper's
+    /// "combining degree").
+    const DRAIN_BUDGET: u32 = 8;
+
     /// Whether `tid`, about to fully release `obj`, should instead drain
     /// a pending submission. Combiner handoff rule: drain in priority
-    /// order until the queue is dry or the bounded drain budget is spent —
-    /// but never stop while there is no entry-queue successor to take
-    /// over (a parked awaiter cannot drain for itself).
+    /// order until the queue is dry or [`Self::DRAIN_BUDGET`] submissions
+    /// have run since the acquire — but never stop while there is no
+    /// entry-queue successor to take over (a parked awaiter cannot drain
+    /// for itself).
     pub(crate) fn can_drain(&self, tid: ThreadId, obj: ObjRef) -> bool {
         let Some(m) = self.monitors.get(obj) else { return false };
         m.owned_by(tid)
             && m.recursion == 1
             && !m.submissions.is_empty()
-            && (!self.config.delegate.exhausted(m.drained) || m.queue.is_empty())
+            && (m.drained < Self::DRAIN_BUDGET || m.queue.is_empty())
     }
 
     /// Pop the best-priority submission of `obj` (which `tid` must hold)

@@ -21,8 +21,8 @@ use crate::value::{ObjRef, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use revmon_core::{
-    CostModel, DelegateConfig, DetectionStrategy, Governor, GovernorConfig, InversionPolicy,
-    Metrics, Priority, QueueDiscipline, ThreadId, WaitsForGraph,
+    CostModel, DetectionStrategy, Governor, GovernorConfig, InversionPolicy, Metrics, Priority,
+    QueueDiscipline, ThreadId, WaitsForGraph,
 };
 use revmon_obs::{Event, EventKind};
 use std::collections::VecDeque;
@@ -72,9 +72,6 @@ pub struct VmConfig {
     /// exponential backoff and per-monitor fallback to blocking
     /// (disabled by default — the paper's mechanism is ungoverned).
     pub governor: GovernorConfig,
-    /// Combiner handoff rules for delegated critical sections
-    /// (`Insn::Delegate`): most importantly the bounded drain budget.
-    pub delegate: DelegateConfig,
     /// Keep every emitted [`revmon_obs::Event`] in memory for
     /// [`Vm::take_trace`]: the one way events leave the machine, in
     /// order and without loss (`revmon run`'s trace, exports and
@@ -124,7 +121,6 @@ impl VmConfig {
             max_heap_objects: 0,
             max_consecutive_revocations: 0,
             governor: GovernorConfig::disabled(),
-            delegate: DelegateConfig::default(),
             trace: false,
             fault_skip_undo: 0,
             fault_force_inversion: false,

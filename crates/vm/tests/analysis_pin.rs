@@ -3,9 +3,9 @@
 //! The fold from an event stream to episodes, per-monitor profiles, the
 //! census and the latency histograms is restructured from time to
 //! time; nothing it reports may move when that happens. For every corpus
-//! program × {1, 4} cores (`delegation_storm.rvm` under the delegation
-//! policy, which is what gives it episodes, and `repeat_revocation.rvm`
-//! once more with the governor on), one dense Figure-5 cell, `export_pin`'s
+//! program × {1, 4} cores under the revocation VM (`delegation_storm.rvm`'s
+//! episodes are its combiner's `delegated` ones, and `repeat_revocation.rvm`
+//! runs once more with the governor on), one dense Figure-5 cell, `export_pin`'s
 //! synthetic all-kinds wall-clock stream (events without a monitor, torn
 //! spans, timestamps that run backwards) and the importer's corrupt-trace
 //! fixture after `mark_truncated`, this records the length and FNV-1a

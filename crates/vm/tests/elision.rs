@@ -1,6 +1,6 @@
 //! End-to-end write-barrier elision (§1.1's compiler optimization):
 //! observational equivalence, cheaper stores, and soundness under
-//! cross-monitor calls.
+//! cross-monitor calls and delegated sections.
 
 use revmon_core::Priority;
 use revmon_vm::builder::{MethodBuilder, ProgramBuilder};
@@ -177,4 +177,29 @@ fn monitored_helper_is_not_elided() {
     // …and the rollback machinery still restores them exactly.
     assert!(r.global.rollbacks >= 1);
     assert_eq!(vm.read_static(1).unwrap(), Value::Int(3_300));
+}
+
+/// A delegated method runs inside the combiner's section on whatever
+/// thread holds the monitor, so its stores keep their barriers even
+/// though no region calls it: `programs/delegation_storm.rvm` logs all
+/// 650 of its in-section stores with elision on (a debug build asserts
+/// that no elided store runs under a monitor).
+#[test]
+fn delegated_stores_keep_their_barriers() {
+    let run = |cfg: VmConfig| {
+        let p = revmon_vm::assemble(include_str!("../../../programs/delegation_storm.rvm"))
+            .expect("corpus program assembles");
+        let main = p.method_by_name("main").expect("corpus program has main");
+        let mut vm = Vm::new(p, cfg);
+        vm.spawn("main", main, vec![], Priority::NORM);
+        let r = vm.run().expect("run");
+        (vm.output().to_vec(), r.global)
+    };
+    let (out, full) = run(VmConfig::modified());
+    let (elided_out, elided) = run(VmConfig::modified().with_elision());
+    assert_eq!(out, [Value::Int(650)]);
+    assert_eq!(elided_out, out);
+    assert_eq!(elided.log_entries, full.log_entries);
+    assert_eq!(elided.log_entries, 650);
+    assert_eq!(elided.barriers_elided, 0, "every store of the program can run under the monitor");
 }

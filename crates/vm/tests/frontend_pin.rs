@@ -695,7 +695,8 @@ fn region_entry_program(branch: Insn) -> Program {
 }
 
 /// What seeds the "may run inside a monitor" closure: a `call` inside a
-/// region does, a `spawn` or `delegate` there does not.
+/// region does, and so does every `delegate` (its target runs under the
+/// monitor, on whichever thread holds it); a `spawn` does not.
 fn call_graph_program() -> Program {
     use Insn::*;
     let k = |v| Const(Value::Int(v));

@@ -5,13 +5,17 @@
 //! revoke each other forever: the ungoverned VM livelocks (step-limit),
 //! while a governed VM denies the K+1st revocation, falls back to
 //! blocking, and completes with an exact counter.
+//!
+//! The staggered-probe workload (`programs/repeat_revocation.rvm`)
+//! terminates either way; there the governor turns the second and third
+//! revocations into queue blocking and cuts the re-executed work.
 
 mod common;
 
 use common::counting_section_program;
 use revmon_core::{GovernorConfig, Priority};
 use revmon_vm::value::Value;
-use revmon_vm::{Vm, VmConfig, VmError};
+use revmon_vm::{assemble, Vm, VmConfig, VmError};
 
 const LONG: i64 = 2_000;
 
@@ -122,4 +126,37 @@ fn governor_emits_throttle_and_fallback_trace_events() {
         .expect("throttle position");
     let holder_commit_after = trace[first_throttle..].iter().any(|e| e.kind == EventKind::Commit);
     assert!(holder_commit_after, "the throttled holder never committed after the throttle");
+}
+
+/// `programs/repeat_revocation.rvm` — one low-priority aggregator in a
+/// long section, a wave of staggered high-priority probes — ungoverned
+/// and under `k=1, backoff=4096`: every virtual-clock counter of both
+/// runs, exact.
+#[test]
+fn governor_cuts_the_staggered_probe_wave_to_one_revocation() {
+    let run = |governor: GovernorConfig| {
+        let program = assemble(include_str!("../../../programs/repeat_revocation.rvm"))
+            .expect("corpus program assembles");
+        let main = program.method_by_name("main").expect("corpus program has main");
+        let mut cfg = VmConfig::modified();
+        cfg.governor = governor;
+        let mut vm = Vm::new(program, cfg);
+        vm.spawn("main", main, vec![], Priority::NORM);
+        let report = vm.run().expect("staggered probes terminate");
+        let g = report.global;
+        (
+            report.clock,
+            g.rollbacks,
+            g.entries_rolled_back,
+            g.sections_committed,
+            g.governor_throttles,
+            g.policy_fallbacks,
+            vm.governor().max_streak(),
+        )
+    };
+    // (clock, rollbacks, entries rolled back, commits, throttles,
+    // fallback windows, max streak)
+    assert_eq!(run(GovernorConfig::disabled()), (854_281, 3, 15_564, 4, 0, 0, 0));
+    let governed = GovernorConfig { k: 1, backoff: 4_096, decay: 0 };
+    assert_eq!(run(governed), (608_833, 1, 3_334, 4, 2, 2, 1));
 }

@@ -374,3 +374,73 @@ fn monitor_reports_profile_contention() {
     // consistency with the global counters
     assert!(m.acquires >= report.global.monitor_acquires.min(4));
 }
+
+/// The combiner's drain budget: a holder releasing a monitor with twelve
+/// submissions queued and a thread waiting to enter runs eight of them,
+/// then hands the monitor to the waiter, which drains the other four on
+/// its own release.
+#[test]
+fn combiner_hands_over_to_a_waiter_after_eight_drains() {
+    use revmon_obs::EventKind;
+    let src = "
+.statics 1
+.class 0 lock
+.method bump params=0 locals=0
+    getstatic s0
+    const 1
+    add
+    putstatic s0
+    getstatic s0
+    ret
+.end
+.method holder params=1 locals=1
+    sync l0 {
+        const 100000
+        sleep
+    }
+    retvoid
+.end
+.method submitter params=1 locals=2
+    const 0
+    store l1
+loop:
+    load l1
+    const 12
+    if_ge done
+    load l0
+    delegate bump
+    pop
+    load l1
+    const 1
+    add
+    store l1
+    goto loop
+done:
+    retvoid
+.end
+.method waiter params=1 locals=1
+    sync l0 {
+        nop
+    }
+    retvoid
+.end
+";
+    let p = revmon_vm::assemble(src).expect("assembles");
+    let [holder, submitter, waiter] =
+        ["holder", "submitter", "waiter"].map(|n| p.method_by_name(n).expect("method"));
+    let mut vm = Vm::new(p, VmConfig::modified().with_trace());
+    let lock = vm.heap_mut().alloc(0, 0);
+    let h = vm.spawn("holder", holder, vec![Value::Ref(lock)], Priority::NORM);
+    vm.spawn("submitter", submitter, vec![Value::Ref(lock)], Priority::NORM);
+    let w = vm.spawn("waiter", waiter, vec![Value::Ref(lock)], Priority::NORM);
+    vm.run().expect("run");
+    assert_eq!(vm.read_static(0).unwrap(), Value::Int(12));
+    let trace = vm.take_trace();
+    let executors: Vec<u64> = trace
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::DelegateExecute { .. }))
+        .map(|e| e.thread)
+        .collect();
+    let (h, w) = (h.0 as u64, w.0 as u64);
+    assert_eq!(executors, [[h; 8].as_slice(), &[w; 4]].concat(), "the holder stops at 8");
+}
