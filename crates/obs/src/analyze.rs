@@ -182,27 +182,27 @@ impl Analyzer {
         self.last_ts = self.last_ts.max(ev.ts);
         let closed = self.intervals.observe(ev);
         self.episodes.observe(ev, closed, &self.intervals);
-        let h = &self.histograms;
+        let h = &mut self.histograms;
         match ev.kind {
             EventKind::Acquire => {
                 if let Some(waited) = closed {
-                    h.entry_blocking.record(waited);
+                    h.entry_blocking.record_mut(waited);
                 }
                 if let Some(&(requester, t0)) = self.revoke_pending.get(&ev.monitor) {
                     if requester == ev.thread {
-                        h.inversion_resolution.record(ev.ts.saturating_sub(t0));
+                        h.inversion_resolution.record_mut(ev.ts.saturating_sub(t0));
                         self.revoke_pending.remove(&ev.monitor);
                     }
                 }
             }
             EventKind::Release => {
                 if let Some(held) = closed {
-                    h.section_length.record(held);
+                    h.section_length.record_mut(held);
                 }
             }
             // The revoked holder's section contributes no length; its
             // retry measures from its new acquire.
-            EventKind::Rollback { duration, .. } => h.rollback_duration.record(duration),
+            EventKind::Rollback { duration, .. } => h.rollback_duration.record_mut(duration),
             EventKind::RevokeRequest { by } => {
                 self.revoke_pending.entry(ev.monitor).or_insert((by, ev.ts));
             }
@@ -220,7 +220,7 @@ impl Analyzer {
                 p.acquires += 1;
                 if let Some(waited) = closed {
                     p.total_blocked = p.total_blocked.saturating_add(waited);
-                    p.blocking.record(waited);
+                    p.blocking.record_mut(waited);
                 }
             }
             EventKind::Block => p.blocks += 1,
@@ -232,7 +232,7 @@ impl Analyzer {
             EventKind::Commit => p.commits += 1,
             EventKind::Release => {
                 if let Some(held) = closed {
-                    p.held.record(held);
+                    p.held.record_mut(held);
                 }
             }
             EventKind::InversionUnresolved { .. } => p.unresolved += 1,

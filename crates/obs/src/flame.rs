@@ -14,9 +14,8 @@
 //! ```
 //!
 //! The representation is a `BTreeMap` keyed by the joined frame string,
-//! so [`FoldedStacks::write_folded`] is deterministic and
-//! `parse → re-emit` is byte-stable (the round-trip regression test
-//! relies on this).
+//! so [`FoldedStacks::write_folded`] is deterministic: the same episodes
+//! give the same bytes, whatever order they were added in.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -24,8 +23,8 @@ use std::io::{self, Write};
 use crate::episode::Episode;
 
 /// Replace the two characters the folded format reserves — `;` (frame
-/// separator) and the space before the weight — so arbitrary monitor
-/// names survive a round trip.
+/// separator) and the space before the weight — so an arbitrary monitor
+/// name stays one frame to the tools that read the output.
 fn frame(s: &str) -> String {
     s.chars().map(|c| if c == ';' || c.is_whitespace() { '_' } else { c }).collect()
 }
@@ -102,26 +101,6 @@ impl FoldedStacks {
         self.write_folded(&mut buf).expect("Vec<u8> writes are infallible");
         String::from_utf8(buf).expect("folded output is UTF-8")
     }
-
-    /// Parse folded text back into stacks. Tolerant like the trace
-    /// importer: lines without a trailing integer weight are skipped;
-    /// duplicate stacks accumulate.
-    pub fn parse_folded(text: &str) -> Self {
-        let mut out = Self::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((stack, weight)) = line.rsplit_once(' ') else { continue };
-            let Ok(weight) = weight.parse::<u64>() else { continue };
-            if weight == 0 || stack.is_empty() {
-                continue;
-            }
-            *out.stacks.entry(stack.to_string()).or_insert(0) += weight;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -149,20 +128,6 @@ mod tests {
         let mut f = FoldedStacks::new();
         f.add(&["my lock;2", "revocation", "signal"], 1);
         assert_eq!(f.folded(), "my_lock_2;revocation;signal 1\n");
-    }
-
-    #[test]
-    fn parse_reemit_is_byte_stable() {
-        let mut f = FoldedStacks::new();
-        f.add(&["lock", "revocation", "undo-walk"], 6);
-        f.add(&["lock", "natural_release", "blocked-wait"], 31);
-        f.add(&["monitor#9", "deadlock_break", "handoff"], 2);
-        let once = f.folded();
-        let twice = FoldedStacks::parse_folded(&once).folded();
-        assert_eq!(once, twice);
-        // And junk lines don't poison a parse.
-        let with_junk = format!("not a folded line\n{once}trailing;stack notanumber\n");
-        assert_eq!(FoldedStacks::parse_folded(&with_junk).folded(), once);
     }
 
     #[test]

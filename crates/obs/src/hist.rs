@@ -4,6 +4,14 @@
 //! Values 0..16 get exact buckets; above that, each power-of-two octave
 //! is split into 16 linear sub-buckets, giving a worst-case relative
 //! quantization error of ~6% across the full `u64` range in 976 buckets.
+//!
+//! Two entry points write the same fields. [`Histogram::record`] takes
+//! `&self` for histograms that threads share (the revocation phase
+//! timers, the sink's self-cost): relaxed atomic adds, with `min` and
+//! `max` touched only when the value moves them. `record_mut` takes
+//! `&mut self` for a histogram one fold owns outright (the analyzer's):
+//! plain adds through [`AtomicU64::get_mut`], no locked instruction.
+//! The borrow the caller holds picks one; both leave identical state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,13 +68,33 @@ impl Histogram {
         }
     }
 
-    /// Record one value. Wait-free: a few relaxed atomic RMWs.
+    /// Record one value. Wait-free: three relaxed atomic adds, plus a
+    /// `fetch_min` / `fetch_max` only when a relaxed load says `v`
+    /// would move the bound. `min` only falls and `max` only rises, so
+    /// a load that says `v` would not move it stays true.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// [`Histogram::record`] for a histogram nothing else can see: the
+    /// same update with plain adds (the sum wraps, as `fetch_add` does).
+    pub(crate) fn record_mut(&mut self, v: u64) {
+        *self.buckets[bucket_index(v)].get_mut() += 1;
+        *self.count.get_mut() += 1;
+        let sum = self.sum.get_mut();
+        *sum = sum.wrapping_add(v);
+        let min = self.min.get_mut();
+        *min = (*min).min(v);
+        let max = self.max.get_mut();
+        *max = (*max).max(v);
     }
 
     /// Number of recorded values.
@@ -190,6 +218,74 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.mean(), 0.0);
+    }
+
+    /// Every field and a spread of percentiles, read back.
+    fn state(h: &Histogram) -> (Vec<u64>, [u64; 5], Vec<u64>) {
+        let buckets = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let sum = h.sum.load(Ordering::Relaxed);
+        let fields = [h.count(), sum, h.min.load(Ordering::Relaxed), h.min(), h.max()];
+        let pcts = [0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0];
+        (buckets, fields, pcts.iter().map(|&p| h.percentile(p)).collect())
+    }
+
+    /// Small values, both sides of every octave edge, `u64::MAX` (whose
+    /// sum wraps), and a seeded run spread over all magnitudes.
+    fn sample_values() -> Vec<u64> {
+        let mut values: Vec<u64> = (0..=16).collect();
+        for shift in 4..64 {
+            values.extend([(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1]);
+        }
+        values.extend([u64::MAX, u64::MAX - 1]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..5_000 {
+            // splitmix64, then a random shift so small values are common.
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            values.push(z >> (z % 64));
+        }
+        values
+    }
+
+    #[test]
+    fn record_and_record_mut_leave_identical_state() {
+        let values = sample_values();
+        for len in [0, 1, 17, values.len()] {
+            let shared = Histogram::new();
+            let mut owned = Histogram::new();
+            for &v in &values[..len] {
+                shared.record(v);
+                owned.record_mut(v);
+            }
+            assert_eq!(state(&shared), state(&owned), "after {len} values");
+        }
+    }
+
+    #[test]
+    fn concurrent_records_equal_one_owned_fold() {
+        // Each thread records its own share, starting together, so the
+        // relaxed load that lets `record` skip `fetch_min` / `fetch_max`
+        // races with the other threads' updates; the bounds must still
+        // come out exact.
+        const THREADS: usize = 4;
+        let values = sample_values();
+        let shared = Histogram::new();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (shared, values, start) = (&shared, &values, &start);
+                s.spawn(move || {
+                    start.wait();
+                    values.iter().skip(t).step_by(THREADS).for_each(|&v| shared.record(v));
+                });
+            }
+        });
+        let mut owned = Histogram::new();
+        values.iter().for_each(|&v| owned.record_mut(v));
+        assert_eq!(state(&shared), state(&owned));
     }
 
     #[test]

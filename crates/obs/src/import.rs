@@ -32,10 +32,18 @@
 //! order check sits behind the two, so it does not matter which stage
 //! read a line.
 //!
-//! The importer works a line at a time ([`TraceImport::line`]), so a
-//! trace never has to be in memory: [`TraceImport::read`] pulls lines
-//! from any [`BufRead`] and hands each surviving event on, and
-//! [`import_trace_jsonl`] is the wrapper that keeps them all.
+//! There is one import loop, [`TraceImport::read`]: it pulls lines from
+//! any [`BufRead`] and hands each surviving event on, so a trace never
+//! has to be in memory, and [`import_trace_jsonl`] is the same loop over
+//! a `&str` that keeps them all. Each line is scanned once. A canonical
+//! event whose line ending is already in the reader's buffer is decoded
+//! where it lies and consumed; every other line — a meta, blank or
+//! damaged one, one that straddles the buffer's end, a last line
+//! without an ending — is copied out whole and goes through both
+//! stages. The fast stage wants the ending in the buffer so that it
+//! sees the whole line before it accepts an event: junk after the `}`
+//! that the buffer's edge cut off still makes the line malformed, and a
+//! number cut off there never reads as a shorter one.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -71,8 +79,8 @@ impl ImportWarnings {
 #[derive(Debug, Default)]
 pub struct TraceImport {
     /// Events that parsed cleanly, in stream order. Filled by
-    /// [`import_trace_jsonl`]; the line-at-a-time methods hand events to
-    /// their caller instead.
+    /// [`import_trace_jsonl`]; [`TraceImport::read`] hands events to its
+    /// caller instead.
     pub events: Vec<Event>,
     /// Monitor id → human name, from `monitor_name` meta lines.
     pub names: BTreeMap<u64, String>,
@@ -137,16 +145,16 @@ impl Canon<'_> {
     }
 }
 
-/// Decode an event line spelled exactly as [`crate::write_events_jsonl`]
-/// spells it (module docs), line ending included or not. `None` for
-/// anything else — whitespace, another key order, a duplicate, unknown
-/// or escaped key, a number that does not fit its field, an unknown
-/// kind, a payload that is not the schema's, bytes after the object —
-/// with nothing counted: the general reader gives such a line its
-/// verdict. Whatever this returns, the general reader would have
-/// returned too (`canonical_agrees_with_the_general_path`).
-fn canonical(line: &[u8]) -> Option<Event> {
-    let mut c = Canon(line);
+/// Decode the event object `bytes` starts with, if it is spelled
+/// exactly as [`crate::write_events_jsonl`] spells it (module docs), and
+/// return it with what follows its `}`. `None` for anything else —
+/// whitespace, another key order, a duplicate, unknown or escaped key,
+/// a number that does not fit its field, an unknown kind, a payload that
+/// is not the schema's — with nothing counted: the general reader gives
+/// such a line its verdict. What follows the `}` is the caller's to
+/// check ([`canonical_line`], [`line_end`]).
+fn canonical(bytes: &[u8]) -> Option<(Event, &[u8])> {
+    let mut c = Canon(bytes);
     c.lit(envelope::TS)?;
     let ts = c.num()?;
     c.lit(envelope::THREAD)?;
@@ -171,11 +179,26 @@ fn canonical(line: &[u8]) -> Option<Event> {
         *word = if nullable == Some(i) { c.num_or_null(Event::NO_THREAD)? } else { c.num()? };
     }
     c.lit("}")?;
-    if !matches!(c.0, b"" | b"\n" | b"\r\n") {
-        return None;
-    }
     let kind = EventKind::decode(tag as u64, words[0], words[1])?;
-    Some(Event { ts, thread, monitor, core, kind })
+    Some((Event { ts, thread, monitor, core, kind }, c.0))
+}
+
+/// The length of the line ending `rest` starts with, if it starts with
+/// one.
+fn line_end(rest: &[u8]) -> Option<usize> {
+    match rest {
+        [b'\n', ..] => Some(1),
+        [b'\r', b'\n', ..] => Some(2),
+        _ => None,
+    }
+}
+
+/// [`canonical`] over one whole line, line ending included or not: the
+/// event, if nothing but the ending follows it. Whatever this returns,
+/// the general reader would have returned too
+/// (`canonical_agrees_with_the_general_path`).
+fn canonical_line(line: &[u8]) -> Option<Event> {
+    canonical(line).filter(|&(_, rest)| matches!(rest, b"" | b"\n" | b"\r\n")).map(|(ev, _)| ev)
 }
 
 /// One line's `key: value` pairs, in the order written.
@@ -271,13 +294,22 @@ fn recycle(mut obj: Obj<'_>) -> Obj<'static> {
 }
 
 impl TraceImport {
-    /// Import one line. Meta lines update the name table, clock domain
-    /// and run context; damage is skipped and counted; blank lines are
-    /// nothing. An event line that survives is returned, not stored.
-    pub fn line(&mut self, line: &str) -> Option<Event> {
-        match canonical(line.as_bytes()) {
+    /// Import one whole line, its ending included or not. Meta lines
+    /// update the name table, clock domain and run context; damage is
+    /// skipped and counted; blank lines are nothing. An event line that
+    /// survives is returned, not stored.
+    fn whole_line(&mut self, line: &[u8]) -> Option<Event> {
+        // A canonical line is ASCII by construction, so the decoder
+        // takes the raw bytes and only the rest pay for a UTF-8 pass.
+        match canonical_line(line) {
             Some(ev) => self.in_order(ev),
-            None => self.general(line),
+            None => match std::str::from_utf8(line) {
+                Ok(line) => self.general(line),
+                Err(_) => {
+                    self.warnings.malformed_lines += 1;
+                    None
+                }
+            },
         }
     }
 
@@ -332,26 +364,34 @@ impl TraceImport {
         mut r: impl BufRead,
         mut on_event: impl FnMut(&Event),
     ) -> io::Result<()> {
-        let mut buf = Vec::new();
-        while r.read_until(b'\n', &mut buf)? > 0 {
-            // A canonical line is ASCII by construction, so the decoder
-            // takes the raw bytes and only the rest pay for a UTF-8 pass.
-            let ev = match canonical(&buf) {
-                Some(ev) => self.in_order(ev),
-                None => match std::str::from_utf8(&buf) {
-                    Ok(line) => self.general(line),
-                    Err(_) => {
-                        self.warnings.malformed_lines += 1;
-                        None
-                    }
-                },
+        let mut line = Vec::new();
+        loop {
+            let buf = match r.fill_buf() {
+                Ok([]) => return Ok(()),
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            // The buffer starts at a line. A canonical event whose
+            // ending is in it is decoded in place; anything else is
+            // copied out up to its `\n` and read whole.
+            let in_place = canonical(buf)
+                .and_then(|(ev, rest)| Some((ev, buf.len() - rest.len() + line_end(rest)?)));
+            let ev = match in_place {
+                Some((ev, len)) => {
+                    r.consume(len);
+                    self.in_order(ev)
+                }
+                None => {
+                    line.clear();
+                    r.read_until(b'\n', &mut line)?;
+                    self.whole_line(&line)
+                }
             };
             if let Some(ev) = ev {
                 on_event(&ev);
             }
-            buf.clear();
         }
-        Ok(())
     }
 }
 
@@ -359,11 +399,9 @@ impl TraceImport {
 /// fails: damage is skipped and counted in [`TraceImport::warnings`].
 pub fn import_trace_jsonl(text: &str) -> TraceImport {
     let mut imp = TraceImport::default();
-    for line in text.lines() {
-        if let Some(ev) = imp.line(line) {
-            imp.events.push(ev);
-        }
-    }
+    let mut events = Vec::new();
+    imp.read(text.as_bytes(), |ev| events.push(*ev)).expect("reading from memory cannot fail");
+    imp.events = events;
     imp
 }
 
@@ -413,7 +451,7 @@ mod tests {
     /// If the canonical decoder takes `line`, the general reader alone
     /// must read exactly the same event from it. Returns whether it did.
     fn agrees(line: &[u8]) -> bool {
-        let Some(ev) = canonical(line) else {
+        let Some(ev) = canonical_line(line) else {
             return false;
         };
         let text = std::str::from_utf8(line).expect("a canonical line is ASCII");
@@ -496,7 +534,11 @@ mod tests {
         let (events, lines) = exported();
         for (ev, line) in events.iter().zip(&lines) {
             for ending in ["", "\n", "\r\n"] {
-                assert_eq!(canonical(format!("{line}{ending}").as_bytes()), Some(*ev), "{line}");
+                assert_eq!(
+                    canonical_line(format!("{line}{ending}").as_bytes()),
+                    Some(*ev),
+                    "{line}"
+                );
             }
         }
     }
@@ -514,7 +556,7 @@ mod tests {
         let trace_end = "{\"meta\":\"trace_end\",\"version\":1,\"dropped\":0}";
         for line in header.lines().chain(["", " ", "\t", "\u{a0}", "{}", trace_end]) {
             for ending in ["", "\n", "\r\n"] {
-                assert_eq!(canonical(format!("{line}{ending}").as_bytes()), None, "{line:?}");
+                assert_eq!(canonical_line(format!("{line}{ending}").as_bytes()), None, "{line:?}");
             }
         }
 
@@ -534,6 +576,57 @@ mod tests {
         assert_eq!(imp.ts_unit, Some(TsUnit::WallNanos));
         assert_eq!(imp.names, names);
         assert_eq!(imp.run_meta, RunMeta { dropped: Some(0), ..meta });
+    }
+
+    #[test]
+    fn every_buffer_split_imports_the_same_trace() {
+        // Every line shape the two paths of `read` divide between, read
+        // through buffers that end at every offset of the text: a
+        // canonical event decodes in place only when its ending is in
+        // the buffer, and anything else is read whole.
+        let text = concat!(
+            "{\"meta\":\"trace\",\"ts_unit\":\"ticks\",\"version\":1}\n",
+            "{\"meta\":\"monitor_name\",\"monitor\":7,\"name\":\"queue\"}\n",
+            "{\"ts\":10,\"thread\":1,\"monitor\":7,\"kind\":\"Acquire\"}\n",
+            "{\"ts\":12,\"thread\":2,\"monitor\":7,\"core\":1,\"kind\":\"Block\"}\r\n",
+            "\n",
+            "{ \"ts\": 14, \"thread\": 1, \"monitor\": 7, \"kind\": \"RevokeRequest\", \"by\": 2 }\n",
+            "{\"ts\":16,\"thread\":1,\"monitor\":7,\"kind\":\"Rollback\",\"entries\":4,\"duration\":6}\r\n",
+            "{\"ts\":17,\"thread\":1,\"moni\n",
+            "{\"ts\":18,\"thread\":2,\"monitor\":7,\"kind\":\"Acquire\"} junk\n",
+            "{\"ts\":5,\"thread\":3,\"monitor\":7,\"kind\":\"Block\"}\n",
+            "{\"ts\":20,\"thread\":2,\"monitor\":7,\"kind\":\"Release\"}\r\n",
+            "{\"ts\":123456789,\"thread\":1,\"monitor\":null,\"kind\":\"Commit\"}",
+        );
+        fn seen(imp: &TraceImport) -> String {
+            let TraceImport { events, names, ts_unit, run_meta, warnings, damaged, .. } = imp;
+            format!("{events:?}\n{names:?} {ts_unit:?} {run_meta:?}\n{warnings:?} {damaged:?}")
+        }
+        fn through(r: impl BufRead) -> String {
+            let (mut imp, mut events) = (TraceImport::default(), Vec::new());
+            imp.read(r, |ev| events.push(*ev)).expect("reading from memory");
+            imp.events = events;
+            seen(&imp)
+        }
+        let whole = import_trace_jsonl(text);
+        let ts: Vec<u64> = whole.events.iter().map(|ev| ev.ts).collect();
+        assert_eq!(ts, [10, 12, 14, 16, 20, 123_456_789]);
+        let warnings = ImportWarnings { malformed_lines: 2, unknown_kinds: 0, out_of_order: 1 };
+        assert_eq!(whole.warnings, warnings);
+        assert_eq!(whole.damaged.iter().copied().collect::<Vec<_>>(), [(3, 7)]);
+        assert_eq!(whole.names.get(&7).map(String::as_str), Some("queue"));
+        assert_eq!(whole.ts_unit, Some(TsUnit::VirtualTicks));
+        let bytes = text.as_bytes();
+        for k in 1..=80 {
+            let r = std::io::BufReader::with_capacity(k, bytes);
+            assert_eq!(through(r), seen(&whole), "through a {k}-byte buffer");
+        }
+        // A `BufReader`'s buffers end at multiples of its capacity; a
+        // chain's first buffer ends at any byte, `}` and `\r` included.
+        for at in 0..=bytes.len() {
+            let r = io::Read::chain(&bytes[..at], &bytes[at..]);
+            assert_eq!(through(r), seen(&whole), "with a buffer ending at byte {at}");
+        }
     }
 
     #[test]

@@ -41,8 +41,9 @@
 //! * `revmon-analyze` — the read side, shaped like the write side: one
 //!   streaming form with a collect-everything wrapper each.
 //!   [`TraceImport::read`] is the lossy-stream-tolerant importer, a line
-//!   at a time from any `BufRead` ([`import_trace_jsonl`] keeps the
-//!   whole trace); [`Analyzer`] folds events one at a time into an
+//!   at a time from any `BufRead`, decoding each exporter-spelled line
+//!   in the reader's buffer ([`import_trace_jsonl`] is the same loop
+//!   over a `&str`, keeping the whole trace); [`Analyzer`] folds events one at a time into an
 //!   [`Analysis`] ([`Analysis::from_events`] does it for a slice):
 //!   priority-inversion [`Episode`]s classified by [`Resolution`], with
 //!   inversion latency and wasted-work accounting, per-monitor

@@ -1,7 +1,7 @@
 //! Contention flamegraphs from the Figure-1 inversion scenario: the
 //! folded-stack export must attribute the episode's critical path to the
-//! contended monitor, and the brendangregg-format text must round-trip
-//! byte-stable (so diffing two exports is meaningful).
+//! contended monitor, one `monitor;resolution;phase weight` line per
+//! stack. The bytes themselves are pinned by `analysis_pin`.
 
 mod common;
 
@@ -11,7 +11,7 @@ use revmon_vm::{assemble, Vm, VmConfig};
 use std::path::PathBuf;
 
 #[test]
-fn folded_stacks_round_trip_byte_stable_on_priority_inversion() {
+fn folded_stacks_attribute_the_inversion_to_the_contended_monitor() {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs/priority_inversion.rvm");
     let src = std::fs::read_to_string(&p).expect("read priority_inversion.rvm");
     let program = assemble(&src).expect("assemble");
@@ -39,9 +39,4 @@ fn folded_stacks_round_trip_byte_stable_on_priority_inversion() {
     assert!(folded.contains("lock;"), "monitor frame missing:\n{folded}");
     assert!(folded.contains(";revocation;"), "resolution frame missing:\n{folded}");
     assert!(folded.contains(";undo-walk "), "critical-path phase missing:\n{folded}");
-
-    // Byte-stable round trip: parse and re-emit reproduces the text.
-    let reparsed = FoldedStacks::parse_folded(&folded);
-    assert_eq!(reparsed, stacks);
-    assert_eq!(reparsed.folded(), folded, "re-emission must be byte-identical");
 }
