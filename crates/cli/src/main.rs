@@ -59,8 +59,64 @@ use revmon_obs::{Analysis, EventSink, PipelineStats, RunMeta, TsUnit};
 use revmon_vm::{
     assemble, disassemble, rewrite_program, verify_program, SchedulerKind, Vm, VmConfig,
 };
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Set once a write to standard output found its reader gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Standard output, for everything a command prints. A reader that
+/// closes the pipe early (`revmon run … | head -1`) has had all it
+/// wanted: the write that finds the pipe closed, and every write after
+/// it, succeeds without writing, so the command still writes its output
+/// files and exits 0. Any other error is returned as it is.
+struct Stdout;
+
+impl Stdout {
+    /// `op` on std's stdout, unless it was found closed: then, and when
+    /// `op` finds it closed, the result is `Ok(closed)`.
+    fn unless_closed<T>(closed: T, op: impl FnOnce(io::Stdout) -> io::Result<T>) -> io::Result<T> {
+        if STDOUT_CLOSED.load(Ordering::Relaxed) {
+            return Ok(closed);
+        }
+        match op(io::stdout()) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                STDOUT_CLOSED.store(true, Ordering::Relaxed);
+                Ok(closed)
+            }
+            r => r,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Self::unless_closed(buf.len(), |mut out| out.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Self::unless_closed((), |mut out| out.flush())
+    }
+}
+
+/// `print!` through [`Stdout`], so a closed pipe ends the output quietly.
+/// Like std's, it panics on any other error. This crate's `print!` and
+/// `println!` are these two.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        if let Err(e) = ::std::io::Write::write_fmt(&mut $crate::Stdout, format_args!($($arg)*)) {
+            panic!("failed printing to stdout: {e}");
+        }
+    };
+}
+
+/// `println!` through [`Stdout`] (see [`print!`]).
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
 
 mod serve;
 
@@ -458,7 +514,7 @@ fn run_program(
 
     if opts.has("--trace") {
         println!("--- trace ---");
-        revmon_obs::write_events_jsonl(&mut std::io::stdout().lock(), &events)
+        revmon_obs::write_events_jsonl(&mut Stdout, &events)
             .map_err(|e| format!("writing trace: {e}"))?;
     }
     if !report.output.is_empty() {
@@ -488,7 +544,7 @@ fn run_program(
             print_sink_stats(unit, analysis, None)?;
         }
         println!("--- revocation phases (host-clock) ---");
-        let mut out = std::io::stdout().lock();
+        let mut out = Stdout;
         revmon_obs::prof::timers()
             .write_table(&mut out)
             .map_err(|e| format!("writing phase table: {e}"))?;
@@ -538,7 +594,7 @@ fn run_program(
 /// telemetry pipeline `p`'s own table (without one, nothing was lost).
 fn print_sink_stats(unit: TsUnit, a: &Analysis, p: Option<&PipelineStats>) -> Result<(), String> {
     println!("--- latency histograms ---");
-    let mut out = std::io::stdout().lock();
+    let mut out = Stdout;
     let (recorded, dropped) = p.map_or((a.events, 0), |p| (p.recorded, p.dropped));
     revmon_obs::write_summary(&mut out, &a.histograms, unit, recorded, dropped)
         .map_err(|e| format!("writing summary: {e}"))?;
@@ -602,7 +658,7 @@ fn run_analyze(file: &str, opts: &Opts<'_>) -> Result<(), String> {
         if !context.is_empty() {
             println!("run context: {}", context.join(", "));
         }
-        let mut out = std::io::stdout().lock();
+        let mut out = Stdout;
         revmon_obs::write_report(&mut out, &analysis, &imp.names, unit)
             .map_err(|e| format!("writing report: {e}"))?;
     }
@@ -1095,7 +1151,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
             print_sink_stats(sink.ts_unit(), analysis, Some(&sink.pipeline_stats()))?;
         }
         println!("--- revocation phases ---");
-        let mut out = std::io::stdout().lock();
+        let mut out = Stdout;
         revmon_obs::prof::timers()
             .write_table(&mut out)
             .map_err(|e| format!("writing phase table: {e}"))?;
@@ -1108,7 +1164,7 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         // The trace files were streamed; the rest come from the analysis.
         outs.export(analysis, sink.ts_unit(), Some(&sink.pipeline_stats()), &counters, &names)?;
         if watch {
-            let mut out = std::io::stdout().lock();
+            let mut out = Stdout;
             revmon_obs::write_report(&mut out, analysis, &names, sink.ts_unit())
                 .map_err(|e| format!("writing report: {e}"))?;
         }

@@ -1,7 +1,7 @@
 //! End-to-end CLI tests over the sample `.rvm` programs.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_revmon"))
@@ -114,6 +114,25 @@ fn trace_flag_prints_monitor_events() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Acquire"), "trace missing:\n{stdout}");
+}
+
+/// A reader that closes the pipe early has all it wanted: the command
+/// ends its output there and exits 0, with nothing on stderr. The trace
+/// (≈ 258 KB) is larger than a pipe buffer, so writing it is certain to
+/// meet the closed read end.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let mut child = bin()
+        .args(["run", &program("delegation_storm.rvm"), "--trace"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
 }
 
 #[test]

@@ -31,6 +31,13 @@
 //! to hand out monitors at 8 bytes each. See `docs/INTERNALS.md` for
 //! the encodings and the inflation protocol.
 //!
+//! The holder is recorded once: in the word while thin, as the fat
+//! record's `owner` (its thread slot) once inflated. Its sections are on
+//! that slot's section stack, where contenders and the deadlock breaker
+//! look them up; the record keeps no copy. The registry's waits-for
+//! edges for a monitor change under its record lock, so the order is
+//! record ≺ registry graph ≺ slot table ≺ section stack.
+//!
 //! Closures passed to [`RevocableMonitor::enter`] may run multiple times;
 //! like any optimistic-execution API, side effects outside the `Tx` must
 //! be idempotent or deferred (use [`Tx::irrevocable`] for native-call-like
@@ -119,12 +126,10 @@ fn fat_gen(w: u64) -> u64 {
     (w >> IDX_BITS) & crate::sidetable::GEN_MASK
 }
 
-#[derive(Debug)]
 struct Waiter {
-    handle: Thread,
-    tid: thread::ThreadId,
-    /// Observability id of the waiting thread.
-    obs: u64,
+    /// The waiting thread's runtime slot: park handle, dense id,
+    /// observability id.
+    slot: Arc<tx::ThreadSlot>,
     /// Set (before the unpark) when `grant_next` hands this waiter the
     /// monitor, so the waiter can spin briefly instead of parking.
     granted: Arc<AtomicBool>,
@@ -158,29 +163,36 @@ struct WaitSetEntry {
 
 /// Fat-monitor state; leased from the side table and authoritative only
 /// while some monitor's word packs the lease.
+///
+/// The owner's sections on the monitor are not copied here: they are on
+/// its slot's section stack ([`tx::ThreadSlot::outermost_on`]).
 #[derive(Default)]
 struct MState {
-    owner: Option<thread::ThreadId>,
-    /// Runtime slot of the owner: park handle, observability id, and the
-    /// cached revocation flag contenders raise alongside the section's.
-    owner_slot: Option<Arc<tx::ThreadSlot>>,
+    /// Runtime slot of the owner: park handle, dense id, observability
+    /// id, section stack, and the cached revocation flag contenders
+    /// raise alongside the section's.
+    owner: Option<Arc<tx::ThreadSlot>>,
     /// Priority deposited in the "monitor header" at acquisition (§4).
     holder_priority: Priority,
-    /// Active sections of the owner on this monitor, outermost first.
-    holder_ctxs: Vec<Arc<SectionCtx>>,
     recursion: u32,
     /// Entry queue: O(1) class-bitmap prioritized queue (§4's
     /// prioritized monitor queues; FIFO within a class).
     queue: PrioritizedQueue<Waiter>,
-    /// Handoff token: the thread ownership was transferred to.
-    grant: Option<thread::ThreadId>,
+    /// Handoff token: the dense id of the thread ownership was
+    /// transferred to.
+    grant: Option<u32>,
     wait_set: Vec<WaitSetEntry>,
 }
 
 impl MState {
+    /// Whether the thread with dense id `me` owns the monitor.
+    fn owned_by(&self, me: u32) -> bool {
+        self.owner.as_ref().is_some_and(|o| o.dense == me)
+    }
+
     /// Free and not reserved for anyone, or reserved for `me` by
     /// `grant_next`: the states in which `me` may become the owner.
-    fn available_to(&self, me: thread::ThreadId) -> bool {
+    fn available_to(&self, me: u32) -> bool {
         self.grant == Some(me) || (self.owner.is_none() && self.grant.is_none())
     }
 }
@@ -188,7 +200,7 @@ impl MState {
 impl std::fmt::Debug for MState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MState")
-            .field("owner", &self.owner)
+            .field("owner", &self.owner.as_ref().map(|o| o.dense))
             .field("recursion", &self.recursion)
             .field("queue_len", &self.queue.len())
             .field("wait_set_len", &self.wait_set.len())
@@ -543,7 +555,7 @@ impl MonRef<'_> {
             // inflating contender finds holder sections through our
             // stack, so the stack must already contain this section by
             // the time the CAS makes us visible as the owner.
-            let ctx = self.new_section();
+            let ctx = self.new_section(eff);
             let dense = tx::my_dense();
             if self
                 .word
@@ -564,7 +576,7 @@ impl MonRef<'_> {
         if w & INFLATED == 0 && thin_rec(w) < REC_MAX && thin_owner(w) == tx::my_dense() {
             // Reentrant: same push-before-CAS ordering; the original
             // deposited priority is kept (outermost acquisition rules).
-            let ctx = self.new_section();
+            let ctx = self.new_section(eff);
             if self
                 .word
                 .compare_exchange(w, w + REC_ONE, Ordering::Acquire, Ordering::Relaxed)
@@ -589,7 +601,7 @@ impl MonRef<'_> {
     /// One-CAS release of a thin-owned word. Falls back to the slow path
     /// when the word was inflated underneath us.
     #[inline]
-    fn fast_release(self, ctx: &Arc<SectionCtx>) {
+    fn fast_release(self) {
         let w = self.word.load(Ordering::Relaxed);
         if w & INFLATED == 0 {
             let rec = thin_rec(w);
@@ -601,7 +613,7 @@ impl MonRef<'_> {
                 return;
             }
         }
-        self.release_slow(ctx);
+        self.release_slow();
     }
 
     // ------------------------------------------------------------ internals
@@ -612,8 +624,8 @@ impl MonRef<'_> {
     /// writes skip the undo barrier under those policies, so nothing (in particular not the deadlock breaker) may ever try to
     /// unwind such a section — there would be no log to restore from.
     #[inline]
-    fn new_section(self) -> Arc<SectionCtx> {
-        let ctx = tx::begin_section(self.id);
+    fn new_section(self, eff: Priority) -> Arc<SectionCtx> {
+        let ctx = tx::begin_section(self.id, eff);
         if !self.policy.needs_logging() {
             ctx.non_revocable.store(true, Ordering::Release);
         }
@@ -686,7 +698,7 @@ impl MonRef<'_> {
             // already-inflated path above stays timer-free.)
             let prof = timers();
             let t_inflate = prof.start(Phase::Inflate);
-            let (idx, gen, s) = MSTATES.lease(self.id as usize);
+            let (idx, gen, s) = MSTATES.lease();
             assert!(idx >> IDX_BITS == 0, "too many concurrently inflated monitors");
             let mut g = FatGuard { idx, gen, s };
             if self
@@ -705,32 +717,12 @@ impl MonRef<'_> {
                 prof.finish(Phase::Inflate, t_inflate);
                 return g;
             }
-            // Thin, held: migrate the holder's state out of the word and
-            // its thread slot.
-            let rec = thin_rec(w) as usize;
-            let prio = Priority::new(thin_prio(w));
-            if let Some(owner_slot) = tx::slot_by_dense(thin_owner(w)) {
-                // `take(rec)`: the holder pushes sections before its
-                // enter-CAS and pops before its exit-CAS, so its stack
-                // may briefly hold one in-flight section beyond (or one
-                // short of) the frozen count; the word's count is the
-                // committed truth.
-                g.holder_ctxs = owner_slot
-                    .sections
-                    .lock()
-                    .iter()
-                    .filter(|c| c.monitor_id == self.id && !c.exited.load(Ordering::Acquire))
-                    .take(rec)
-                    .cloned()
-                    .collect();
-                g.owner = Some(owner_slot.handle.id());
-                g.recursion = rec as u32;
-                g.holder_priority = prio;
-                if let Some(outer) = g.holder_ctxs.first().cloned() {
-                    registry::on_acquire(self.id, Arc::clone(&owner_slot), prio, outer);
-                }
-                g.owner_slot = Some(owner_slot);
-            }
+            // Thin, held: migrate the holder out of the word. Its
+            // sections stay on its slot's stack, where contenders find
+            // them.
+            g.owner = tx::slot_by_dense(thin_owner(w));
+            g.recursion = thin_rec(w) as u32;
+            g.holder_priority = Priority::new(thin_prio(w));
             prof.finish(Phase::Inflate, t_inflate);
             return g;
         }
@@ -741,16 +733,16 @@ impl MonRef<'_> {
     #[cold]
     fn acquire_slow(self, eff: Priority) -> Arc<SectionCtx> {
         let slot = tx::my_slot();
-        let me = slot.handle.id();
+        let me = slot.dense;
         let mut queued = None;
         let mut s = self.inflate();
         loop {
             // Reentrant path (inflated while we hold it).
-            if s.owner == Some(me) {
-                return self.reenter_fat(s);
+            if s.owned_by(me) {
+                return self.reenter_fat(s, eff);
             }
             if s.available_to(me) {
-                let ctx = self.new_section();
+                let ctx = self.new_section(eff);
                 // Detection at acquisition, holder side: a higher-priority
                 // waiter may have queued while this grant was in flight —
                 // it must not sit out our whole section. Self-flag so the
@@ -761,12 +753,12 @@ impl MonRef<'_> {
                 if matches!(self.policy, InversionPolicy::Revocation) {
                     if let Some((top, top_prio)) = s.queue.peek() {
                         if top_prio > eff {
-                            self.request_revocation(&slot, &ctx, top.obs);
+                            self.request_revocation(&slot, &ctx, top.slot.obs);
                         }
                     }
                 }
                 self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-                self.take_fat(s, &slot, queued.is_some(), eff, 1, vec![Arc::clone(&ctx)]);
+                self.take_fat(s, &slot, queued.is_some(), eff, 1);
                 return ctx;
             }
             // Contended: counted and reported once, on the way into
@@ -780,10 +772,13 @@ impl MonRef<'_> {
                     if eff > s.holder_priority {
                         let t_signal = timers().start(Phase::SignalVictim);
                         // Asked every time round: each wake-up re-raises
-                        // the holder's cached flag.
-                        if let (Some(target), Some(holder)) = (s.holder_ctxs.first(), &s.owner_slot)
-                        {
-                            self.request_revocation(holder, target, slot.obs);
+                        // the holder's cached flag. The target is the
+                        // owner's outermost live section here (lock
+                        // order: record ≺ section stack).
+                        if let Some(holder) = &s.owner {
+                            if let Some(target) = holder.outermost_on(self.id) {
+                                self.request_revocation(holder, &target, slot.obs);
+                            }
                         }
                         timers().finish(Phase::SignalVictim, t_signal);
                     }
@@ -803,14 +798,14 @@ impl MonRef<'_> {
             // Woken: revoked while parked? (deadlock victim, or an
             // enclosing section flagged by another monitor's contender)
             if let Some(target) = tx::outermost_flagged() {
-                s.queue.remove_where(|w| w.tid == me);
+                s.queue.remove_where(|w| w.slot.dense == me);
+                registry::on_unblock();
                 if s.grant == Some(me) {
                     // We were simultaneously granted: pass it on.
                     s.grant = None;
                     self.grant_next(&mut s);
                 }
                 self.maybe_deflate(s);
-                registry::on_unblock();
                 resume_unwind(Box::new(RollbackSignal { target }));
             }
         }
@@ -828,29 +823,27 @@ impl MonRef<'_> {
         if w != 0 && w & INFLATED == 0 && thin_owner(w) != slot.dense {
             return None; // thin, held by another thread: busy
         }
-        let me = slot.handle.id();
         let s = self.inflate();
-        if s.owner == Some(me) {
-            return Some(self.reenter_fat(s));
+        if s.owned_by(slot.dense) {
+            return Some(self.reenter_fat(s, eff));
         }
-        if !s.available_to(me) {
+        if !s.available_to(slot.dense) {
             // Busy: leave the fat state to its holder's release path
             // (which deflates once the queues drain).
             return None;
         }
-        let ctx = self.new_section();
+        let ctx = self.new_section(eff);
         self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-        self.take_fat(s, &slot, false, eff, 1, vec![Arc::clone(&ctx)]);
+        self.take_fat(s, &slot, false, eff, 1);
         Some(ctx)
     }
 
     /// One more recursion level for the thread that owns the fat record:
     /// a new section on top of its others.
-    fn reenter_fat(self, mut s: FatGuard) -> Arc<SectionCtx> {
+    fn reenter_fat(self, mut s: FatGuard, eff: Priority) -> Arc<SectionCtx> {
         s.recursion += 1;
-        let ctx = self.new_section();
-        s.holder_ctxs.push(Arc::clone(&ctx));
         drop(s);
+        let ctx = self.new_section(eff);
         self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
         obs::emit(self.id, EventKind::Acquire);
         ctx
@@ -858,8 +851,9 @@ impl MonRef<'_> {
 
     /// Make the calling thread the owner of a record that is
     /// [`available_to`](MState::available_to) it — `recursion` levels
-    /// deep over the sections `ctxs` (outermost first), `priority`
-    /// deposited — and leave the entry queue if it had `queued` there.
+    /// deep, `priority` deposited — and leave the entry queue if it had
+    /// `queued` there. The queue's other edges already point here: the
+    /// grant re-pointed them.
     fn take_fat(
         self,
         mut s: FatGuard,
@@ -867,24 +861,16 @@ impl MonRef<'_> {
         queued: bool,
         priority: Priority,
         recursion: u32,
-        ctxs: Vec<Arc<SectionCtx>>,
     ) {
-        let me = slot.handle.id();
-        let outer = Arc::clone(ctxs.first().expect("an owner holds at least one section"));
         s.grant = None;
-        s.owner = Some(me);
-        s.owner_slot = Some(Arc::clone(slot));
+        s.owner = Some(Arc::clone(slot));
         s.recursion = recursion;
         s.holder_priority = priority;
-        s.holder_ctxs = ctxs;
         if queued {
-            s.queue.remove_where(|w| w.tid == me);
-        }
-        drop(s);
-        if queued {
+            s.queue.remove_where(|w| w.slot.dense == slot.dense);
             registry::on_unblock();
         }
-        registry::on_acquire(self.id, Arc::clone(slot), priority, outer);
+        drop(s);
         obs::emit(self.id, EventKind::Acquire);
     }
 
@@ -907,17 +893,14 @@ impl MonRef<'_> {
             }
             None => {
                 let flag = granted.insert(Arc::new(AtomicBool::new(false)));
-                s.queue.push(
-                    Waiter {
-                        handle: slot.handle.clone(),
-                        tid: slot.handle.id(),
-                        obs: slot.obs,
-                        granted: Arc::clone(flag),
-                    },
-                    priority,
-                );
+                // Behind the owner, or the grantee between a release and
+                // its wake-up.
+                let holder = s.owner.as_ref().map(|o| o.dense).or(s.grant);
+                let holder = holder.expect("a thread queues only behind an owner or grantee");
+                s.queue
+                    .push(Waiter { slot: Arc::clone(slot), granted: Arc::clone(flag) }, priority);
+                registry::on_block(self.id, slot, priority, holder);
                 drop(s);
-                registry::on_block(self.id, slot, priority);
                 flag
             }
         };
@@ -941,7 +924,7 @@ impl MonRef<'_> {
                 self.shared.governor.lock().1.record_commit(self.id, obs_id, obs::now_ns());
             }
         }
-        self.fast_release(ctx);
+        self.fast_release();
     }
 
     /// Restore shared state *before* releasing (§3.1.2), then release
@@ -962,34 +945,26 @@ impl MonRef<'_> {
             gov.record_revocation(*cfg, self.id, obs_id, obs::now_ns());
         }
         tx::exit_section(ctx);
-        self.fast_release(ctx);
+        self.fast_release();
     }
 
     /// Release one recursion level through the fat state; on full
     /// release hand off to the highest-priority waiter and deflate once
     /// nothing is queued, granted, or waiting.
     #[cold]
-    fn release_slow(self, ctx: &Arc<SectionCtx>) {
+    fn release_slow(self) {
         let mut s = self.inflate();
-        if let Some(pos) = s.holder_ctxs.iter().position(|c| c.id == ctx.id) {
-            s.holder_ctxs.remove(pos);
-        }
         s.recursion = s.recursion.saturating_sub(1);
         if s.recursion > 0 {
             return;
         }
-        let owner = s.owner.take();
-        s.owner_slot = None;
-        s.holder_ctxs.clear();
+        s.owner = None;
         // Emit before handing off so the stream orders this Release ahead
         // of the grantee's Acquire (matches the VM: Release only on full
         // release).
         obs::emit(self.id, EventKind::Release);
         self.grant_next(&mut s);
         self.maybe_deflate(s);
-        if owner.is_some() {
-            registry::on_release(self.id);
-        }
     }
 
     /// Deflate back to a thin word when the fat state holds nothing a
@@ -1021,20 +996,22 @@ impl MonRef<'_> {
     }
 
     /// Transfer ownership to the best waiter: highest priority, FIFO
-    /// within a class (§4's prioritized monitor queues). O(1) — one
-    /// class-bitmap probe plus two list unlinks.
+    /// within a class (§4's prioritized monitor queues), and re-point the
+    /// other waiters' waits-for edges at it. The queue pop is O(1) — one
+    /// class-bitmap probe and a front pop.
     fn grant_next(self, s: &mut MState) {
         let t_requeue = timers().start(Phase::Requeue);
         let Some(w) = s.queue.pop() else {
             return;
         };
-        s.grant = Some(w.tid);
+        s.grant = Some(w.slot.dense);
+        registry::on_grant(self.id, w.slot.dense);
         // Flag before unpark: a waiter mid-spin sees the flag and skips
         // the park/unpark syscall pair entirely (the leftover unpark
         // token then makes its next park return immediately — benign,
         // every park site re-checks in a loop).
         w.granted.store(true, Ordering::Release);
-        w.handle.unpark();
+        w.slot.handle.unpark();
         timers().finish(Phase::Requeue, t_requeue);
     }
 
@@ -1055,27 +1032,24 @@ impl MonRef<'_> {
         // section non-revocable.
         self.pin_nonrevocable();
         let slot = tx::my_slot();
-        let me = slot.handle.id();
+        let me = slot.dense;
         let notified = Arc::new(AtomicBool::new(false));
-        let (rec, saved_ctxs, prio) = {
+        let (rec, prio) = {
             // Waiting needs the wait set, which only the fat state has.
             let mut s = self.inflate();
-            assert_eq!(s.owner, Some(me), "wait on an unowned monitor");
+            assert!(s.owned_by(me), "wait on an unowned monitor");
             let rec = s.recursion;
             let prio = s.holder_priority;
-            let saved = std::mem::take(&mut s.holder_ctxs);
             s.recursion = 0;
             s.owner = None;
-            s.owner_slot = None;
             s.wait_set.push(WaitSetEntry {
                 handle: slot.handle.clone(),
                 notified: Arc::clone(&notified),
             });
             obs::emit(self.id, EventKind::Release);
             self.grant_next(&mut s);
-            (rec, saved, prio)
+            (rec, prio)
         };
-        registry::on_release(self.id);
         // Same spin-then-park handoff as the entry queue: a notify that
         // lands fast (the common signal pattern) is caught mid-spin and
         // the park/unpark syscall pair is skipped.
@@ -1093,7 +1067,7 @@ impl MonRef<'_> {
             }
             s = self.queue_and_park(s, &slot, &mut queued, prio);
         }
-        self.take_fat(s, &slot, queued.is_some(), prio, rec, saved_ctxs);
+        self.take_fat(s, &slot, queued.is_some(), prio, rec);
     }
 
     /// Wake one or all waiters (they re-contend for the monitor).
@@ -1108,7 +1082,7 @@ impl MonRef<'_> {
         }
         // The caller holds the monitor, so the word stays inflated.
         let mut s = self.fat_guard().expect("holder keeps the monitor inflated");
-        assert_eq!(s.owner, Some(thread::current().id()), "notify on an unowned monitor");
+        assert!(s.owned_by(tx::my_dense()), "notify on an unowned monitor");
         if all {
             for w in s.wait_set.drain(..) {
                 w.notified.store(true, Ordering::Release);

@@ -1,36 +1,31 @@
-//! Global registry: waits-for graph over OS threads for deadlock
-//! detection and victim revocation.
+//! Global registry: the waits-for graph over OS threads, for deadlock
+//! detection and victim revocation, and the list of every monitor's
+//! counters.
 //!
-//! The registry is consulted only on the slow paths (blocking,
-//! acquisition handoff) and never while a monitor's own state lock is
-//! held, which gives a simple global lock order (monitor state ≺
-//! registry) and keeps the fast path lock-free of global state.
+//! The graph holds one edge per queued thread: the monitor it waits on
+//! and that monitor's holder — or, between a release and the grantee's
+//! wake-up, its grantee. A monitor's edges change only under its fat
+//! record's lock: a thread that queues adds its edge there
+//! ([`on_block`], with the holder it read from the record), a grant
+//! re-points the monitor's edges at the grantee ([`on_grant`]), and a
+//! thread that leaves the queue removes its own ([`on_unblock`]). So
+//! while a monitor is held or granted, every thread queued on it has an
+//! edge to the holder or grantee, and the grantee has none on it.
 //!
-//! # Sharding
+//! The registry keeps no copy of who holds what. The breaker and
+//! [`wait_graph_snapshot`] read a cycle member's section on a monitor
+//! from the member's own section stack ([`ThreadSlot::outermost_on`],
+//! through the dense-id slot table), and rank it by the priority its
+//! acquisition deposited ([`SectionCtx::priority`]).
 //!
-//! At millions of monitors the old single `Mutex<Registry>` serialized
-//! every slow path in the process. The registry is now split:
+//! Thread ids are the runtime's dense per-thread ids
+//! ([`ThreadSlot::dense`], the same nonzero ids packed into thin lock
+//! words), used directly as graph [`ThreadId`]s.
 //!
-//! * **thread ids** — the runtime's dense per-thread ids
-//!   ([`ThreadSlot::dense`], the same nonzero ids packed into thin lock
-//!   words) are used directly as graph [`ThreadId`]s, so the old
-//!   `ThreadId → dense` `HashMap` (and its lock traffic on every call)
-//!   is gone entirely;
-//! * **holders** — the monitor → holder map is sharded
-//!   [`HOLDER_SHARDS`]-ways by monitor id, so acquisitions and releases
-//!   of unrelated monitors never contend;
-//! * **graph** — the waits-for graph and the blocked-thread priority
-//!   annotations (a dense `Vec` indexed by thread id) stay under one
-//!   leaf mutex: cycle detection is inherently whole-graph, and only
-//!   *blocking* paths touch it.
-//!
-//! Lock order: **graph ≺ holder shard** — `on_block` and the snapshot
-//! walk shards while holding the graph lock; writers that touch both
-//! (`on_acquire`) release the shard before taking the graph.
-//!
-//! Victim flagging touches only the victim's `SectionCtx` atomics and its
-//! `Thread` handle (unpark), so the breaker never needs another monitor's
-//! state lock.
+//! Lock order: **record ≺ graph ≺ slot table ≺ section stack**. No
+//! registry lock is held while a record lock is taken, and victim
+//! flagging touches only the victim's `SectionCtx` atomics and its
+//! `Thread` handle (unpark).
 
 use crate::obs;
 use crate::stats::{MonitorStats, StatsSnapshot};
@@ -38,7 +33,6 @@ use crate::tx::{self, SectionCtx, ThreadSlot};
 use parking_lot::Mutex;
 use revmon_core::{MonitorId, Priority, ThreadId, Victim, WaitsForGraph};
 use revmon_obs::{Event, EventKind};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -47,22 +41,8 @@ pub static DEADLOCKS_DETECTED: AtomicU64 = AtomicU64::new(0);
 /// Deadlocks broken by revoking a victim.
 pub static DEADLOCKS_BROKEN: AtomicU64 = AtomicU64::new(0);
 
-/// Holder-map shards (power of two).
-const HOLDER_SHARDS: usize = 16;
-
-struct HolderInfo {
-    thread: ThreadId,
-    /// The holder's runtime slot: park handle, observability id, and the
-    /// cached revocation flag the breaker raises alongside the section's.
-    slot: Arc<ThreadSlot>,
-    priority: Priority,
-    /// Outermost section of the holder on this monitor — the revocation
-    /// target for deadlock breaking.
-    ctx: Arc<SectionCtx>,
-}
-
-/// The graph half: whole-graph cycle detection plus the blocked-thread
-/// priority annotations, which are only written on block/unblock anyway.
+/// Whole-graph cycle detection plus the blocked-thread priority
+/// annotations, which are only written on block/unblock anyway.
 #[derive(Default)]
 struct GraphState {
     graph: WaitsForGraph,
@@ -97,82 +77,50 @@ fn graph_state() -> &'static Mutex<GraphState> {
     G.get_or_init(|| Mutex::new(GraphState::default()))
 }
 
-/// One shard of the holder map: monitor id → current outermost holder.
-type HolderShard = Mutex<HashMap<u64, HolderInfo>>;
-
-fn holder_shard(monitor_id: u64) -> &'static HolderShard {
-    static SHARDS: OnceLock<Box<[HolderShard]>> = OnceLock::new();
-    let shards =
-        SHARDS.get_or_init(|| (0..HOLDER_SHARDS).map(|_| Mutex::new(HashMap::new())).collect());
-    &shards[monitor_id as usize & (HOLDER_SHARDS - 1)]
-}
-
 fn mid(monitor_id: u64) -> MonitorId {
     MonitorId(monitor_id as u32)
 }
 
-/// Record that `slot`'s thread took ownership of `monitor_id`
-/// (outermost acquisition only), and re-point stale waiter edges.
-pub(crate) fn on_acquire(
+/// `thread`'s outermost live section on `monitor`, if it has one.
+fn section_of(thread: ThreadId, monitor: MonitorId) -> Option<(Arc<ThreadSlot>, Arc<SectionCtx>)> {
+    let slot = tx::slot_by_dense(thread.0)?;
+    let ctx = slot.outermost_on(monitor.0 as u64)?;
+    Some((slot, ctx))
+}
+
+/// Record, under `monitor_id`'s record lock, that ownership was granted
+/// to the thread with dense id `grantee`: every edge on the monitor now
+/// points at it, and its own edge there goes.
+pub(crate) fn on_grant(monitor_id: u64, grantee: u32) {
+    graph_state().lock().graph.retarget_monitor(mid(monitor_id), ThreadId(grantee));
+}
+
+/// Record, under `monitor_id`'s record lock, that `slot`'s thread (the
+/// caller) queued on it behind `holder` — the owner or grantee the
+/// record names; detect and break any deadlock cycle this closes.
+/// Returns whether a victim was flagged (diagnostics).
+pub(crate) fn on_block(
     monitor_id: u64,
-    slot: Arc<ThreadSlot>,
+    slot: &ThreadSlot,
     priority: Priority,
-    ctx: Arc<SectionCtx>,
-) {
+    holder: u32,
+) -> bool {
     let me = ThreadId(slot.dense);
-    holder_shard(monitor_id)
-        .lock()
-        .insert(monitor_id, HolderInfo { thread: me, slot, priority, ctx });
-    // Shard guard dropped before the graph lock (order: graph ≺ shard).
-    // A concurrent `on_block` that reads the new holder in between
-    // records the correct edge already; the retarget is idempotent.
-    graph_state().lock().graph.retarget_monitor(mid(monitor_id), me);
-}
-
-/// Record full release of `monitor_id` by the calling thread. The owner
-/// guard closes a race with the next acquirer: the releaser reports here
-/// after dropping the monitor's state lock, by which time a successor
-/// may already have registered — removing unconditionally would erase
-/// the successor's entry.
-pub(crate) fn on_release(monitor_id: u64) {
-    let me = ThreadId(tx::my_dense());
-    let mut shard = holder_shard(monitor_id).lock();
-    if shard.get(&monitor_id).is_some_and(|h| h.thread == me) {
-        shard.remove(&monitor_id);
-    }
-}
-
-/// Record that `slot`'s thread (the caller) blocked on `monitor_id`;
-/// detect and break any deadlock cycle this closes. Returns whether a
-/// victim was flagged (diagnostics).
-pub(crate) fn on_block(monitor_id: u64, slot: &Arc<ThreadSlot>, priority: Priority) -> bool {
-    let me = ThreadId(slot.dense);
+    debug_assert_ne!(me.0, holder, "a thread never queues behind itself");
     let mut g = graph_state().lock();
     g.set_waiting(me, priority);
-    let owner = holder_shard(monitor_id).lock().get(&monitor_id).map(|h| h.thread);
-    let Some(owner) = owner else {
-        // Monitor between owners (grant in flight): no edge to record;
-        // the next on_acquire will retarget if we are still queued.
-        return false;
-    };
-    if owner == me {
-        return false;
-    }
-    g.graph.add_wait(me, mid(monitor_id), owner);
+    g.graph.add_wait(me, mid(monitor_id), ThreadId(holder));
     let Some(cycle) = g.graph.find_cycle_from(me) else {
         return false;
     };
     DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
     obs::emit(Event::NO_MONITOR, EventKind::DeadlockDetected { cycle_len: cycle.len() as u64 });
-    // The flagging handles are cloned during the scan: holder shards are
-    // not pinned by the graph lock, so the chosen entry must not be
-    // re-fetched after the scan.
+    // A member with no live section on the monitor its predecessor waits
+    // for (a grantee not yet awake) is not a candidate.
     let victim = g.graph.choose_victim(&cycle, |v, monitor| {
-        let held_monitor = monitor.0 as u64;
-        let shard = holder_shard(held_monitor).lock();
-        let h = shard.get(&held_monitor)?;
-        let revocable = h.thread == v && h.ctx.revocable() && !h.ctx.revoke.load(Ordering::Acquire);
-        revocable.then(|| (h.priority, (Arc::clone(&h.ctx), Arc::clone(&h.slot))))
+        let (slot, ctx) = section_of(v, monitor)?;
+        let revocable = ctx.revocable() && !ctx.revoke.load(Ordering::Acquire);
+        revocable.then(|| (ctx.priority, (ctx, slot)))
     });
     let Some(Victim { monitor: victim_monitor, section: (ctx, victim), .. }) = victim else {
         return false; // unbreakable (all non-revocable): threads stay blocked
@@ -207,8 +155,9 @@ pub fn aggregate_snapshot() -> StatsSnapshot {
     total
 }
 
-/// Record that the calling thread stopped waiting (granted, or revoked
-/// out of the queue).
+/// Record, under the record lock of the monitor it was queued on, that
+/// the calling thread stopped waiting (granted, or revoked out of the
+/// queue).
 pub(crate) fn on_unblock() {
     let me = ThreadId(tx::my_dense());
     let mut g = graph_state().lock();
@@ -218,7 +167,8 @@ pub(crate) fn on_unblock() {
 
 /// A deterministic snapshot of the process-wide wait-for graph: every
 /// thread→monitor→holder blocking edge, annotated with the waiter's
-/// declared priority and the holder's deposited priority.
+/// declared priority and the priority the holder's section on the
+/// monitor deposited (0 while the holder is a grantee not yet awake).
 ///
 /// Thread ids are the runtime's dense per-process ids (stable for a
 /// thread's lifetime, and the same ids thin lock words carry in their
@@ -233,15 +183,6 @@ pub(crate) fn on_unblock() {
 /// [`to_json`](revmon_obs::GraphSnapshot::to_json).
 pub fn wait_graph_snapshot() -> revmon_obs::GraphSnapshot {
     let g = graph_state().lock();
-    // Holder priorities come from the shards (graph ≺ shard: safe to
-    // walk them here). The snapshot is best-effort consistent, as before
-    // — edges and holder entries move on their own locks.
-    let mut holder_prio: HashMap<ThreadId, u8> = HashMap::new();
-    for shard_id in 0..HOLDER_SHARDS as u64 {
-        for h in holder_shard(shard_id).lock().values() {
-            holder_prio.insert(h.thread, h.priority.0);
-        }
-    }
     let edges = g
         .graph
         .edges()
@@ -250,7 +191,7 @@ pub fn wait_graph_snapshot() -> revmon_obs::GraphSnapshot {
             waiter_priority: g.waiting_prio(e.waiter),
             monitor: e.monitor.0 as u64,
             holder: e.owner.0 as u64,
-            holder_priority: holder_prio.get(&e.owner).copied().unwrap_or(0),
+            holder_priority: section_of(e.owner, e.monitor).map_or(0, |(_, c)| c.priority.0),
             governor_streak: 0,
         })
         .collect();
@@ -260,6 +201,9 @@ pub fn wait_graph_snapshot() -> revmon_obs::GraphSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RevocableMonitor;
+    use std::sync::mpsc;
+    use std::thread;
 
     #[test]
     fn waiter_prio_table_grows_and_clears() {
@@ -274,11 +218,61 @@ mod tests {
         assert!(g.waiter_prios.len() <= 5);
     }
 
+    /// The handoff state: `w1` and `w2` queued on a monitor, its holder
+    /// releases, and `w1` is granted it but has not woken. Every waiter
+    /// must by then wait for the grantee, and the grantee for nothing
+    /// there — a thread that queues next reads the record's grantee, so
+    /// no queued thread is ever left without an edge. The grantee locks
+    /// its own section stack before it takes the monitor; holding that
+    /// lock keeps it in the window while the snapshot is read. A snapshot
+    /// read after the window (another test took the graph lock in the
+    /// meantime) finds the same edge: `w1` holds `m` until it is read.
     #[test]
-    fn holder_shards_cover_all_monitor_ids() {
-        // Distinct shards for ids in distinct residue classes; stable
-        // routing for the same id.
-        assert!(std::ptr::eq(holder_shard(3), holder_shard(3 + HOLDER_SHARDS as u64)));
-        assert!(!std::ptr::eq(holder_shard(3), holder_shard(4)));
+    fn a_grant_points_every_waiter_at_the_grantee() {
+        let m = &RevocableMonitor::new();
+        thread::scope(|s| {
+            // A thread that reports its slot, enters `m` when told, and
+            // leaves it when told again.
+            let waiter = || {
+                let (slot, go) = (mpsc::channel(), mpsc::channel::<()>());
+                s.spawn(move || {
+                    slot.0.send(tx::my_slot()).unwrap();
+                    go.1.recv().unwrap();
+                    m.enter(Priority::NORM, |_| {
+                        let _ = go.1.recv();
+                    });
+                });
+                (slot.1.recv().unwrap(), go.0)
+            };
+            let ((w1, go1), (w2, go2)) = (waiter(), waiter());
+            let mut w1_stack = None;
+            m.enter(Priority::NORM, |_| {
+                // `w1` queues first, so it is the one granted.
+                for (n, go) in [(1, &go1), (2, &go2)] {
+                    go.send(()).unwrap();
+                    while m.stats().contended < n {
+                        thread::yield_now();
+                    }
+                }
+                w1_stack = Some(w1.sections.lock());
+            });
+            let snapshot = s.spawn(wait_graph_snapshot);
+            // Let `w1` go once the snapshot holds the graph (or is done).
+            while !snapshot.is_finished() && graph_state().try_lock().is_some() {
+                thread::yield_now();
+            }
+            drop(w1_stack);
+            let on_m: Vec<_> = snapshot
+                .join()
+                .unwrap()
+                .edges
+                .into_iter()
+                .filter(|e| e.monitor == m.obs_id())
+                .map(|e| (e.waiter, e.holder))
+                .collect();
+            assert_eq!(on_m, [(w2.dense as u64, w1.dense as u64)]);
+            go1.send(()).unwrap();
+            go2.send(()).unwrap();
+        });
     }
 }

@@ -20,15 +20,15 @@
 //! * a stale word naming a recycled record fails the generation check
 //!   and the reader re-reads the word (the monitor has deflated).
 //!
-//! # Storage and sharding
+//! # Storage
 //!
 //! Records live in append-only chunks (chunk *k* holds `1024 << k`
 //! records), so a record's address never moves and access is safe
 //! indexing — no unsafe code, no global growth lock on the lease path.
-//! Free indices sit in per-shard freelists; a leaser tries its own shard
-//! first and then **steals from every other shard** before allocating a
-//! fresh record, so inflations and deflations split across threads
-//! cannot strand records (the leak the churn test pins down).
+//! Free indices sit in one freelist under one lock: a leaser takes a
+//! retired record before it allocates a fresh one, whichever thread
+//! retired it, so inflations and deflations split across threads cannot
+//! strand records (the leak the churn test pins down).
 
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -46,8 +46,6 @@ const CHUNK0: usize = 1024;
 /// Chunk count: total capacity `CHUNK0 * (2^15 - 1)` ≈ 33.5M concurrent
 /// leases, comfortably above the 2^24 the lock-word index field allows.
 const CHUNKS: usize = 15;
-/// Freelist shards (power of two).
-const SHARDS: usize = 16;
 
 /// One pooled record: the generation stamp and the leased state.
 #[derive(Debug)]
@@ -57,7 +55,7 @@ struct Record<S> {
     state: Mutex<S>,
 }
 
-/// A sharded, generation-stamped record pool. `S` is the leased state
+/// A generation-stamped record pool. `S` is the leased state
 /// (fat-monitor `MState` in practice); records are created on demand
 /// with `S::default()` and *recycled as-is* — the protocol returns them
 /// empty, and reuse keeps their internal capacity (entry-queue classes,
@@ -67,9 +65,8 @@ pub(crate) struct SideTable<S> {
     chunks: [OnceLock<Box<[Record<S>]>>; CHUNKS],
     /// High-water record count (next fresh index).
     allocated: AtomicU32,
-    /// Free record indices, sharded to keep lease/retire traffic from
-    /// serializing on one lock.
-    shards: [Mutex<Vec<u32>>; SHARDS],
+    /// Free record indices.
+    free: Mutex<Vec<u32>>,
 }
 
 /// Chunk holding `idx`, and the offset within it.
@@ -92,7 +89,7 @@ impl<S: Default> SideTable<S> {
         SideTable {
             chunks: [const { OnceLock::new() }; CHUNKS],
             allocated: AtomicU32::new(0),
-            shards: [const { Mutex::new(Vec::new()) }; SHARDS],
+            free: Mutex::new(Vec::new()),
         }
     }
 
@@ -106,31 +103,12 @@ impl<S: Default> SideTable<S> {
         &chunk[off]
     }
 
-    #[inline]
-    fn home_shard() -> usize {
-        // Cheap thread-affine shard pick: the address of a TLS byte.
-        thread_local! { static PROBE: u8 = const { 0 } }
-        PROBE.with(|p| (p as *const u8 as usize >> 3) & (SHARDS - 1))
-    }
-
     /// Lease a record: its index, its current generation, and its state
     /// guard (already locked, so the caller can publish the packed word
     /// and migrate state into it before anyone else can look).
-    pub(crate) fn lease(&self, shard_hint: usize) -> (u32, u64, MutexGuard<'_, S>) {
-        let home = (shard_hint ^ Self::home_shard()) & (SHARDS - 1);
-        // Own shard first, then steal round-robin: a record retired by
-        // any thread is reachable from every leaser, so split
-        // inflate/deflate traffic cannot strand pool capacity.
-        for probe in 0..SHARDS {
-            let shard = &self.shards[(home + probe) & (SHARDS - 1)];
-            let idx = { shard.lock().pop() };
-            if let Some(idx) = idx {
-                let rec = self.record(idx);
-                let guard = rec.state.lock();
-                return (idx, rec.gen.load(Ordering::Acquire) & GEN_MASK, guard);
-            }
-        }
-        let idx = self.allocated.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn lease(&self) -> (u32, u64, MutexGuard<'_, S>) {
+        let free = self.free.lock().pop();
+        let idx = free.unwrap_or_else(|| self.allocated.fetch_add(1, Ordering::Relaxed));
         let rec = self.record(idx);
         (idx, rec.gen.load(Ordering::Acquire) & GEN_MASK, rec.state.lock())
     }
@@ -142,7 +120,7 @@ impl<S: Default> SideTable<S> {
     pub(crate) fn retire(&self, idx: u32, guard: MutexGuard<'_, S>) {
         self.record(idx).gen.fetch_add(1, Ordering::Release);
         drop(guard);
-        self.shards[idx as usize & (SHARDS - 1)].lock().push(idx);
+        self.free.lock().push(idx);
     }
 
     /// Lock record `idx` and validate the lease `gen` (masked to
@@ -166,9 +144,9 @@ impl<S: Default> SideTable<S> {
         self.allocated.load(Ordering::Relaxed)
     }
 
-    /// Records currently sitting in freelists (not leased).
+    /// Records currently sitting in the freelist (not leased).
     pub(crate) fn pooled(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.free.lock().len()
     }
 }
 
@@ -179,11 +157,11 @@ mod tests {
     #[test]
     fn lease_retire_recycles_the_same_record() {
         static T: SideTable<Vec<u8>> = SideTable::new();
-        let (idx, gen, mut g) = T.lease(0);
+        let (idx, gen, mut g) = T.lease();
         g.push(7);
         g.clear();
         T.retire(idx, g);
-        let (idx2, gen2, g2) = T.lease(0);
+        let (idx2, gen2, g2) = T.lease();
         assert_eq!(idx, idx2, "single-threaded churn reuses the record");
         assert_eq!(gen2, gen + 1, "retire bumps the generation");
         drop(g2);
@@ -193,7 +171,7 @@ mod tests {
     #[test]
     fn stale_generation_is_rejected() {
         static T: SideTable<u32> = SideTable::new();
-        let (idx, gen, g) = T.lease(3);
+        let (idx, gen, g) = T.lease();
         drop(g);
         // Lease still active: validation succeeds.
         assert!(T.lock_validated(idx, gen).is_some());
@@ -202,34 +180,11 @@ mod tests {
         // Returned: the old (idx, gen) word must be rejected.
         assert!(T.lock_validated(idx, gen).is_none());
         // Re-leased under a fresh generation: old word still rejected.
-        let (idx2, gen2, g2) = T.lease(3);
+        let (idx2, gen2, g2) = T.lease();
         assert_eq!(idx, idx2);
         drop(g2);
         assert!(T.lock_validated(idx, gen).is_none());
         assert!(T.lock_validated(idx, gen2).is_some());
-    }
-
-    #[test]
-    fn cross_shard_stealing_prevents_leaks() {
-        static T: SideTable<u32> = SideTable::new();
-        // Retire into every shard, then lease with a single hint: all
-        // records must be found before any fresh allocation.
-        let mut leased = Vec::new();
-        for hint in 0..SHARDS {
-            let (idx, _, g) = T.lease(hint);
-            leased.push((idx, g));
-        }
-        let high_water = T.allocated();
-        for (idx, g) in leased {
-            T.retire(idx, g);
-        }
-        assert_eq!(T.pooled() as u32, high_water);
-        for _ in 0..high_water {
-            let (idx, _, g) = T.lease(0);
-            assert!(idx < high_water, "must recycle, not allocate fresh");
-            T.retire(idx, g);
-        }
-        assert_eq!(T.allocated(), high_water);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 use crate::cell::{Stamp, TCell, VolatileCell};
 use crate::signal::RollbackSignal;
 use parking_lot::Mutex;
-use revmon_core::{LogMark, UndoLog};
+use revmon_core::{LogMark, Priority, UndoLog};
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,6 +79,9 @@ pub(crate) struct SectionCtx {
     pub enclosing: Stamp,
     /// Monitor this section synchronizes on.
     pub monitor_id: u64,
+    /// Priority the section's acquisition deposited (§4) — the effective
+    /// one it entered at; the deadlock breaker ranks holders by it.
+    pub priority: Priority,
     /// Position of this thread's undo log at section entry; everything
     /// above it belongs to this section (and sections nested inside it).
     pub mark: LogMark,
@@ -220,8 +223,9 @@ impl CellLog {
 /// Per-OS-thread runtime state shared with contenders.
 ///
 /// The slot outlives any single section: contenders reach it through the
-/// monitor's lock word (dense id → slot table) to migrate holder state
-/// on inflation, and through the monitor/registry to raise the cached
+/// monitor's lock word (dense id → slot table) on inflation and through
+/// the fat record's owner afterwards, the deadlock breaker through the
+/// slot table — to find the holder's section and raise the cached
 /// revocation flag.
 pub(crate) struct ThreadSlot {
     /// Nonzero dense id, packed into thin-lock words as the owner field.
@@ -236,12 +240,22 @@ pub(crate) struct ThreadSlot {
     pub pending_revoke: AtomicBool,
     /// Active sections, outermost first. Locked by the owning thread at
     /// section *entry* only (exits mark [`SectionCtx::exited`] lock-free
-    /// and the next entry sweeps the dead suffix) and by inflating
-    /// contenders migrating holder state (rare).
+    /// and the next entry sweeps the dead suffix), and by contenders and
+    /// the deadlock breaker looking up the holder's section (slow path).
     pub sections: Mutex<Vec<Arc<SectionCtx>>>,
 }
 
 impl ThreadSlot {
+    /// This thread's outermost live section on `monitor_id`: the one a
+    /// revocation of its hold on that monitor targets.
+    pub(crate) fn outermost_on(&self, monitor_id: u64) -> Option<Arc<SectionCtx>> {
+        let stack = self.sections.lock();
+        stack
+            .iter()
+            .find(|c| c.monitor_id == monitor_id && !c.exited.load(Ordering::Acquire))
+            .cloned()
+    }
+
     /// Flag `ctx`, one of this thread's sections, for revocation — the
     /// one place a section's flag is raised — and wake the thread
     /// wherever it is parked so it reaches a yield point promptly.
@@ -460,12 +474,12 @@ pub(crate) fn my_dense() -> u32 {
 
 // ------------------------------------------------------- section lifecycle
 
-/// Begin a section on `monitor_id`: sweep the dead suffix left by
-/// lock-free exits (recycling those contexts), take a pooled context,
-/// mark the undo log, and push onto this thread's section stack — all in
-/// the one lock hold the push needs anyway. Allocation-free in steady
-/// state.
-pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
+/// Begin a section on `monitor_id`, entered at `priority`: sweep the dead
+/// suffix left by lock-free exits (recycling those contexts), take a
+/// pooled context, mark the undo log, and push onto this thread's section
+/// stack — all in the one lock hold the push needs anyway.
+/// Allocation-free in steady state.
+pub(crate) fn begin_section(monitor_id: u64, priority: Priority) -> Arc<SectionCtx> {
     RT.with(|rt| {
         let id = rt.fresh_id();
         let enclosing = rt.stamp.get();
@@ -488,6 +502,7 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
             c.id = id;
             c.enclosing = enclosing;
             c.monitor_id = monitor_id;
+            c.priority = priority;
             c.mark = mark;
             *c.revoke.get_mut() = false;
             *c.non_revocable.get_mut() = false;
@@ -499,6 +514,7 @@ pub(crate) fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
                 id,
                 enclosing,
                 monitor_id,
+                priority,
                 mark,
                 revoke: AtomicBool::new(false),
                 non_revocable: AtomicBool::new(false),
@@ -805,6 +821,11 @@ mod tests {
             rt.stamp.set(Stamp::NONE);
             rt.undo.take();
         });
+    }
+
+    /// Every test here enters its sections at one priority.
+    fn begin_section(monitor_id: u64) -> Arc<SectionCtx> {
+        super::begin_section(monitor_id, Priority::NORM)
     }
 
     fn log_len() -> usize {

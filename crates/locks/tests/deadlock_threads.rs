@@ -157,3 +157,50 @@ fn ordered_acquisition_no_false_positives() {
     assert_eq!(cell.read_unsynchronized(), 400);
     assert_eq!(a.stats().rollbacks + b.stats().rollbacks, 0);
 }
+
+/// The victim is the cycle member whose section deposited the lowest
+/// priority, not the one that blocked at the lowest. T1 holds A at LOW
+/// and blocks on B at NORM; T2 holds B at NORM and blocks on A at LOW.
+/// Neither contender outranks what its holder deposited, so no inversion
+/// request is made and only the deadlock breaker acts: it must revoke
+/// T1's section on A (deposited LOW), so A rolls back once and B never.
+/// Ranking by the blocked-at priority would pick T2's section on B.
+#[test]
+fn the_breaker_revokes_the_lowest_deposited_priority() {
+    let a = Arc::new(RevocableMonitor::new());
+    let b = Arc::new(RevocableMonitor::new());
+    let cell = TCell::new(0i64);
+    let both_hold = Arc::new(Barrier::new(2));
+    let before = DEADLOCKS_BROKEN.load(Ordering::Relaxed);
+
+    let crossed = |first: &Arc<RevocableMonitor>,
+                   at: Priority,
+                   second: &Arc<RevocableMonitor>,
+                   then: Priority| {
+        let (first, second) = (Arc::clone(first), Arc::clone(second));
+        let cell = cell.clone();
+        let both_hold = Arc::clone(&both_hold);
+        let mut attempt = 0;
+        thread::spawn(move || {
+            first.enter(at, |tx| {
+                attempt += 1;
+                if attempt == 1 {
+                    both_hold.wait();
+                }
+                second.enter(then, |tx2| {
+                    tx2.update(&cell, |v| v + 1);
+                });
+                tx.checkpoint();
+            });
+        })
+    };
+    let t1 = crossed(&a, Priority::LOW, &b, Priority::NORM);
+    let t2 = crossed(&b, Priority::NORM, &a, Priority::LOW);
+    t1.join().unwrap();
+    t2.join().unwrap();
+    assert_eq!(cell.read_unsynchronized(), 2, "both inner sections completed");
+    assert!(DEADLOCKS_BROKEN.load(Ordering::Relaxed) > before, "the breaker acted");
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!(sa.revocations_requested + sb.revocations_requested, 0, "no inversion request");
+    assert_eq!((sa.rollbacks, sb.rollbacks), (1, 0), "T1's section on A is the victim");
+}
