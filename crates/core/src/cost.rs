@@ -71,18 +71,6 @@ impl CostModel {
         }
     }
 
-    /// Total charge for one store on the *modified* VM while inside a
-    /// synchronized section.
-    pub fn store_logged(&self) -> u64 {
-        self.instruction + self.barrier_fast + self.barrier_slow
-    }
-
-    /// Total charge for one store on the *modified* VM outside any
-    /// synchronized section (fast path only).
-    pub fn store_unlogged(&self) -> u64 {
-        self.instruction + self.barrier_fast
-    }
-
     /// Cost of rolling back a log of `entries` entries.
     pub fn rollback(&self, entries: usize) -> u64 {
         self.rollback_fixed + self.rollback_per_entry * entries as u64
@@ -102,9 +90,11 @@ mod tests {
 
     #[test]
     fn logged_store_costs_more_than_unlogged() {
+        // The modified VM charges a store `barrier_fast` on top of its
+        // instruction, and `barrier_slow` more when it is logged.
         let c = CostModel::default();
-        assert!(c.store_logged() > c.store_unlogged());
-        assert!(c.store_unlogged() > c.instruction);
+        assert!(c.barrier_slow > 0);
+        assert!(c.barrier_fast > 0);
     }
 
     #[test]
@@ -117,7 +107,7 @@ mod tests {
     #[test]
     fn free_mechanism_only_charges_instructions() {
         let c = CostModel::free_mechanism();
-        assert_eq!(c.store_logged(), c.instruction);
+        assert_eq!((c.barrier_fast, c.barrier_slow), (0, 0));
         assert_eq!(c.rollback(1000), 0);
         assert_eq!(c.context_switch, 0);
     }

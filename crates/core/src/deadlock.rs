@@ -88,11 +88,6 @@ impl WaitsForGraph {
         self.edges.is_empty()
     }
 
-    /// The monitor `waiter` is blocked on, if any.
-    pub fn waiting_on(&self, waiter: ThreadId) -> Option<MonitorId> {
-        self.edges.get(&waiter).map(|&(m, _)| m)
-    }
-
     /// The full edge for `waiter`, if blocked.
     pub fn edge_of(&self, waiter: ThreadId) -> Option<Edge> {
         self.edges.get(&waiter).map(|&(monitor, owner)| Edge { waiter, monitor, owner })
@@ -325,7 +320,7 @@ mod tests {
         // T3 releases; M5 transfers to T1.
         g.retarget_monitor(m(5), t(1));
         // T1 no longer waits; T2 now waits on T1.
-        assert_eq!(g.waiting_on(t(1)), None);
+        assert_eq!(g.edge_of(t(1)), None);
         assert_eq!(g.edge_of(t(2)).unwrap().owner, t(1));
         // A fresh cycle through the new owner is detectable.
         g.add_wait(t(1), m(9), t(2));
@@ -346,9 +341,9 @@ mod tests {
     fn remove_wait_clears_edge() {
         let mut g = WaitsForGraph::new();
         g.add_wait(t(1), m(2), t(2));
-        assert_eq!(g.waiting_on(t(1)), Some(m(2)));
+        assert_eq!(g.edge_of(t(1)).map(|e| e.monitor), Some(m(2)));
         g.remove_wait(t(1));
         assert!(g.is_empty());
-        assert_eq!(g.waiting_on(t(1)), None);
+        assert_eq!(g.edge_of(t(1)), None);
     }
 }

@@ -38,6 +38,19 @@
 //! edges for a monitor change under its record lock, so the order is
 //! record ≺ registry graph ≺ slot table ≺ section stack.
 //!
+//! A blocked thread's handoff state is kept on its thread slot, not per
+//! wait: the entry queue and the wait set hold the waiters' slots, and
+//! each slot has one `wake` flag and the level it queued at
+//! (`blocked_at`, for the registry). One flag per thread is enough
+//! because a thread blocks on one monitor at a time and keeps one rule:
+//! it lowers `wake` under the record lock in the same critical section
+//! that puts it in the entry queue or the wait set, and only
+//! `grant_next` or `notify` raise it, under that record's lock and
+//! before the unpark. A raise needs the thread in the record's queue or
+//! wait set, and the thread leaves either only in the raise's critical
+//! section or in one of its own that follows it, so no raise from an
+//! earlier episode can end a later one.
+//!
 //! Closures passed to [`RevocableMonitor::enter`] may run multiple times;
 //! like any optimistic-execution API, side effects outside the `Tx` must
 //! be idempotent or deferred (use [`Tx::irrevocable`] for native-call-like
@@ -60,7 +73,7 @@ use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, Thread};
+use std::thread;
 
 static NEXT_MONITOR_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -126,15 +139,6 @@ fn fat_gen(w: u64) -> u64 {
     (w >> IDX_BITS) & crate::sidetable::GEN_MASK
 }
 
-struct Waiter {
-    /// The waiting thread's runtime slot: park handle, dense id,
-    /// observability id.
-    slot: Arc<tx::ThreadSlot>,
-    /// Set (before the unpark) when `grant_next` hands this waiter the
-    /// monitor, so the waiter can spin briefly instead of parking.
-    granted: Arc<AtomicBool>,
-}
-
 /// Bounded spin before parking on a handoff flag. The M0a profiling runs
 /// showed the slow path is handoff-bound: the park/unpark round trip
 /// costs a few microseconds while the wake signal itself usually lands
@@ -155,12 +159,6 @@ fn spin_then_park(flag: &AtomicBool) {
     thread::park();
 }
 
-#[derive(Debug)]
-struct WaitSetEntry {
-    handle: Thread,
-    notified: Arc<AtomicBool>,
-}
-
 /// Fat-monitor state; leased from the side table and authoritative only
 /// while some monitor's word packs the lease.
 ///
@@ -175,13 +173,15 @@ struct MState {
     /// Priority deposited in the "monitor header" at acquisition (§4).
     holder_priority: Priority,
     recursion: u32,
-    /// Entry queue: O(1) class-bitmap prioritized queue (§4's
-    /// prioritized monitor queues; FIFO within a class).
-    queue: PrioritizedQueue<Waiter>,
+    /// Entry queue of the waiting threads' slots: O(1) class-bitmap
+    /// prioritized queue (§4's prioritized monitor queues; FIFO within a
+    /// class).
+    queue: PrioritizedQueue<Arc<tx::ThreadSlot>>,
     /// Handoff token: the dense id of the thread ownership was
     /// transferred to.
     grant: Option<u32>,
-    wait_set: Vec<WaitSetEntry>,
+    /// Slots of the threads in `wait`, oldest first.
+    wait_set: Vec<Arc<tx::ThreadSlot>>,
 }
 
 impl MState {
@@ -734,7 +734,7 @@ impl MonRef<'_> {
     fn acquire_slow(self, eff: Priority) -> Arc<SectionCtx> {
         let slot = tx::my_slot();
         let me = slot.dense;
-        let mut queued = None;
+        let mut queued = false;
         let mut s = self.inflate();
         loop {
             // Reentrant path (inflated while we hold it).
@@ -753,17 +753,17 @@ impl MonRef<'_> {
                 if matches!(self.policy, InversionPolicy::Revocation) {
                     if let Some((top, top_prio)) = s.queue.peek() {
                         if top_prio > eff {
-                            self.request_revocation(&slot, &ctx, top.slot.obs);
+                            self.request_revocation(&slot, &ctx, top.obs);
                         }
                     }
                 }
                 self.shared.stats.acquires.fetch_add(1, Ordering::Relaxed);
-                self.take_fat(s, &slot, queued.is_some(), eff, 1);
+                self.take_fat(s, &slot, queued, eff, 1);
                 return ctx;
             }
             // Contended: counted and reported once, on the way into
             // the queue.
-            if queued.is_none() {
+            if !queued {
                 self.shared.stats.contended.fetch_add(1, Ordering::Relaxed);
                 obs::emit(self.id, EventKind::Block);
             }
@@ -798,8 +798,8 @@ impl MonRef<'_> {
             // Woken: revoked while parked? (deadlock victim, or an
             // enclosing section flagged by another monitor's contender)
             if let Some(target) = tx::outermost_flagged() {
-                s.queue.remove_where(|w| w.slot.dense == me);
-                registry::on_unblock();
+                s.queue.remove_where(|w| w.dense == me);
+                registry::on_unblock(&slot);
                 if s.grant == Some(me) {
                     // We were simultaneously granted: pass it on.
                     s.grant = None;
@@ -867,44 +867,38 @@ impl MonRef<'_> {
         s.recursion = recursion;
         s.holder_priority = priority;
         if queued {
-            s.queue.remove_where(|w| w.slot.dense == slot.dense);
-            registry::on_unblock();
+            s.queue.remove_where(|w| w.dense == slot.dense);
+            registry::on_unblock(slot);
         }
         drop(s);
         obs::emit(self.id, EventKind::Acquire);
     }
 
     /// One wait on the entry queue: join it at `priority` the first time
-    /// round (`granted` is `None` until then), park until `grant_next`
-    /// flags this thread or something else unparks it, and return the
+    /// round (`queued` is false until then), lowering the thread's
+    /// `wake` in the same critical section; park until `grant_next`
+    /// raises it or something else unparks the thread, and return the
     /// record re-validated — being queued or granted pins the word
     /// inflated, so `inflate()` degenerates to the validated record lock.
     fn queue_and_park(
         self,
         mut s: FatGuard,
         slot: &Arc<tx::ThreadSlot>,
-        granted: &mut Option<Arc<AtomicBool>>,
+        queued: &mut bool,
         priority: Priority,
     ) -> FatGuard {
-        let flag = match granted {
-            Some(flag) => {
-                drop(s);
-                flag
-            }
-            None => {
-                let flag = granted.insert(Arc::new(AtomicBool::new(false)));
-                // Behind the owner, or the grantee between a release and
-                // its wake-up.
-                let holder = s.owner.as_ref().map(|o| o.dense).or(s.grant);
-                let holder = holder.expect("a thread queues only behind an owner or grantee");
-                s.queue
-                    .push(Waiter { slot: Arc::clone(slot), granted: Arc::clone(flag) }, priority);
-                registry::on_block(self.id, slot, priority, holder);
-                drop(s);
-                flag
-            }
-        };
-        spin_then_park(flag);
+        if !*queued {
+            *queued = true;
+            // Behind the owner, or the grantee between a release and its
+            // wake-up.
+            let holder = s.owner.as_ref().map(|o| o.dense).or(s.grant);
+            let holder = holder.expect("a thread queues only behind an owner or grantee");
+            slot.wake.store(false, Ordering::Relaxed);
+            s.queue.push(Arc::clone(slot), priority);
+            registry::on_block(self.id, slot, priority, holder);
+        }
+        drop(s);
+        spin_then_park(&slot.wake);
         self.inflate()
     }
 
@@ -1004,14 +998,14 @@ impl MonRef<'_> {
         let Some(w) = s.queue.pop() else {
             return;
         };
-        s.grant = Some(w.slot.dense);
-        registry::on_grant(self.id, w.slot.dense);
+        s.grant = Some(w.dense);
+        registry::on_grant(self.id, w.dense);
         // Flag before unpark: a waiter mid-spin sees the flag and skips
         // the park/unpark syscall pair entirely (the leftover unpark
         // token then makes its next park return immediately — benign,
         // every park site re-checks in a loop).
-        w.granted.store(true, Ordering::Release);
-        w.slot.handle.unpark();
+        w.wake.store(true, Ordering::Release);
+        w.handle.unpark();
         timers().finish(Phase::Requeue, t_requeue);
     }
 
@@ -1033,7 +1027,6 @@ impl MonRef<'_> {
         self.pin_nonrevocable();
         let slot = tx::my_slot();
         let me = slot.dense;
-        let notified = Arc::new(AtomicBool::new(false));
         let (rec, prio) = {
             // Waiting needs the wait set, which only the fat state has.
             let mut s = self.inflate();
@@ -1042,10 +1035,8 @@ impl MonRef<'_> {
             let prio = s.holder_priority;
             s.recursion = 0;
             s.owner = None;
-            s.wait_set.push(WaitSetEntry {
-                handle: slot.handle.clone(),
-                notified: Arc::clone(&notified),
-            });
+            slot.wake.store(false, Ordering::Relaxed);
+            s.wait_set.push(Arc::clone(&slot));
             obs::emit(self.id, EventKind::Release);
             self.grant_next(&mut s);
             (rec, prio)
@@ -1053,21 +1044,21 @@ impl MonRef<'_> {
         // Same spin-then-park handoff as the entry queue: a notify that
         // lands fast (the common signal pattern) is caught mid-spin and
         // the park/unpark syscall pair is skipped.
-        while !notified.load(Ordering::Acquire) {
-            spin_then_park(&notified);
+        while !slot.wake.load(Ordering::Acquire) {
+            spin_then_park(&slot.wake);
         }
         // Re-acquire to the saved depth through the prioritized queue.
         // `inflate()`, not `fat_guard()`: the notifier may have deflated
         // the monitor after emptying the wait set.
-        let mut queued = None;
+        let mut queued = false;
         let mut s = self.inflate();
         while !s.available_to(me) {
-            if queued.is_none() {
+            if !queued {
                 obs::emit(self.id, EventKind::Block);
             }
             s = self.queue_and_park(s, &slot, &mut queued, prio);
         }
-        self.take_fat(s, &slot, queued.is_some(), prio, rec);
+        self.take_fat(s, &slot, queued, prio, rec);
     }
 
     /// Wake one or all waiters (they re-contend for the monitor).
@@ -1083,14 +1074,9 @@ impl MonRef<'_> {
         // The caller holds the monitor, so the word stays inflated.
         let mut s = self.fat_guard().expect("holder keeps the monitor inflated");
         assert!(s.owned_by(tx::my_dense()), "notify on an unowned monitor");
-        if all {
-            for w in s.wait_set.drain(..) {
-                w.notified.store(true, Ordering::Release);
-                w.handle.unpark();
-            }
-        } else if !s.wait_set.is_empty() {
-            let w = s.wait_set.remove(0);
-            w.notified.store(true, Ordering::Release);
+        let n = if all { s.wait_set.len() } else { s.wait_set.len().min(1) };
+        for w in s.wait_set.drain(..n) {
+            w.wake.store(true, Ordering::Release);
             w.handle.unpark();
         }
     }

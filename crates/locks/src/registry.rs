@@ -12,11 +12,14 @@
 //! while a monitor is held or granted, every thread queued on it has an
 //! edge to the holder or grantee, and the grantee has none on it.
 //!
-//! The registry keeps no copy of who holds what. The breaker and
-//! [`wait_graph_snapshot`] read a cycle member's section on a monitor
-//! from the member's own section stack ([`ThreadSlot::outermost_on`],
-//! through the dense-id slot table), and rank it by the priority its
-//! acquisition deposited ([`SectionCtx::priority`]).
+//! The registry keeps no copy of who holds what, nor of who waits at
+//! which priority. The breaker and [`wait_graph_snapshot`] read a cycle
+//! member's section on a monitor from the member's own section stack
+//! ([`ThreadSlot::outermost_on`], through the dense-id slot table), and
+//! rank it by the priority its acquisition deposited
+//! ([`SectionCtx::priority`]); the snapshot reads the level a waiter
+//! queued at from its slot ([`ThreadSlot::blocked_at`], stored by
+//! [`on_block`] and cleared by [`on_unblock`] under the graph lock).
 //!
 //! Thread ids are the runtime's dense per-thread ids
 //! ([`ThreadSlot::dense`], the same nonzero ids packed into thin lock
@@ -41,40 +44,10 @@ pub static DEADLOCKS_DETECTED: AtomicU64 = AtomicU64::new(0);
 /// Deadlocks broken by revoking a victim.
 pub static DEADLOCKS_BROKEN: AtomicU64 = AtomicU64::new(0);
 
-/// Whole-graph cycle detection plus the blocked-thread priority
-/// annotations, which are only written on block/unblock anyway.
-#[derive(Default)]
-struct GraphState {
-    graph: WaitsForGraph,
-    /// `waiter_prios[dense - 1]`: declared priority level of a currently
-    /// blocked thread, `0` = not blocked (dense ids are nonzero; levels
-    /// are 1..=10).
-    waiter_prios: Vec<u8>,
-}
-
-impl GraphState {
-    fn set_waiting(&mut self, t: ThreadId, p: Priority) {
-        let i = t.0 as usize - 1;
-        if self.waiter_prios.len() <= i {
-            self.waiter_prios.resize(i + 1, 0);
-        }
-        self.waiter_prios[i] = p.0;
-    }
-
-    fn clear_waiting(&mut self, t: ThreadId) {
-        if let Some(slot) = self.waiter_prios.get_mut(t.0 as usize - 1) {
-            *slot = 0;
-        }
-    }
-
-    fn waiting_prio(&self, t: ThreadId) -> u8 {
-        self.waiter_prios.get(t.0 as usize - 1).copied().unwrap_or(0)
-    }
-}
-
-fn graph_state() -> &'static Mutex<GraphState> {
-    static G: OnceLock<Mutex<GraphState>> = OnceLock::new();
-    G.get_or_init(|| Mutex::new(GraphState::default()))
+/// The process-wide waits-for graph.
+fn graph() -> &'static Mutex<WaitsForGraph> {
+    static G: OnceLock<Mutex<WaitsForGraph>> = OnceLock::new();
+    G.get_or_init(|| Mutex::new(WaitsForGraph::new()))
 }
 
 fn mid(monitor_id: u64) -> MonitorId {
@@ -92,13 +65,13 @@ fn section_of(thread: ThreadId, monitor: MonitorId) -> Option<(Arc<ThreadSlot>, 
 /// to the thread with dense id `grantee`: every edge on the monitor now
 /// points at it, and its own edge there goes.
 pub(crate) fn on_grant(monitor_id: u64, grantee: u32) {
-    graph_state().lock().graph.retarget_monitor(mid(monitor_id), ThreadId(grantee));
+    graph().lock().retarget_monitor(mid(monitor_id), ThreadId(grantee));
 }
 
 /// Record, under `monitor_id`'s record lock, that `slot`'s thread (the
-/// caller) queued on it behind `holder` — the owner or grantee the
-/// record names; detect and break any deadlock cycle this closes.
-/// Returns whether a victim was flagged (diagnostics).
+/// caller) queued on it at `priority` behind `holder` — the owner or
+/// grantee the record names; detect and break any deadlock cycle this
+/// closes. Returns whether a victim was flagged (diagnostics).
 pub(crate) fn on_block(
     monitor_id: u64,
     slot: &ThreadSlot,
@@ -107,17 +80,17 @@ pub(crate) fn on_block(
 ) -> bool {
     let me = ThreadId(slot.dense);
     debug_assert_ne!(me.0, holder, "a thread never queues behind itself");
-    let mut g = graph_state().lock();
-    g.set_waiting(me, priority);
-    g.graph.add_wait(me, mid(monitor_id), ThreadId(holder));
-    let Some(cycle) = g.graph.find_cycle_from(me) else {
+    let mut g = graph().lock();
+    slot.blocked_at.store(priority.0, Ordering::Relaxed);
+    g.add_wait(me, mid(monitor_id), ThreadId(holder));
+    let Some(cycle) = g.find_cycle_from(me) else {
         return false;
     };
     DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
     obs::emit(Event::NO_MONITOR, EventKind::DeadlockDetected { cycle_len: cycle.len() as u64 });
     // A member with no live section on the monitor its predecessor waits
     // for (a grantee not yet awake) is not a candidate.
-    let victim = g.graph.choose_victim(&cycle, |v, monitor| {
+    let victim = g.choose_victim(&cycle, |v, monitor| {
         let (slot, ctx) = section_of(v, monitor)?;
         let revocable = ctx.revocable() && !ctx.revoke.load(Ordering::Acquire);
         revocable.then(|| (ctx.priority, (ctx, slot)))
@@ -156,13 +129,12 @@ pub fn aggregate_snapshot() -> StatsSnapshot {
 }
 
 /// Record, under the record lock of the monitor it was queued on, that
-/// the calling thread stopped waiting (granted, or revoked out of the
-/// queue).
-pub(crate) fn on_unblock() {
-    let me = ThreadId(tx::my_dense());
-    let mut g = graph_state().lock();
-    g.graph.remove_wait(me);
-    g.clear_waiting(me);
+/// `slot`'s thread (the caller) stopped waiting (granted, or revoked out
+/// of the queue).
+pub(crate) fn on_unblock(slot: &ThreadSlot) {
+    let mut g = graph().lock();
+    g.remove_wait(ThreadId(slot.dense));
+    slot.blocked_at.store(0, Ordering::Relaxed);
 }
 
 /// A deterministic snapshot of the process-wide wait-for graph: every
@@ -182,13 +154,13 @@ pub(crate) fn on_unblock() {
 /// [`GraphSnapshot::to_dot`](revmon_obs::GraphSnapshot::to_dot) or
 /// [`to_json`](revmon_obs::GraphSnapshot::to_json).
 pub fn wait_graph_snapshot() -> revmon_obs::GraphSnapshot {
-    let g = graph_state().lock();
+    let g = graph().lock();
     let edges = g
-        .graph
         .edges()
         .map(|e| revmon_obs::GraphEdge {
             waiter: e.waiter.0 as u64,
-            waiter_priority: g.waiting_prio(e.waiter),
+            waiter_priority: tx::slot_by_dense(e.waiter.0)
+                .map_or(0, |w| w.blocked_at.load(Ordering::Relaxed)),
             monitor: e.monitor.0 as u64,
             holder: e.owner.0 as u64,
             holder_priority: section_of(e.owner, e.monitor).map_or(0, |(_, c)| c.priority.0),
@@ -205,17 +177,10 @@ mod tests {
     use std::sync::mpsc;
     use std::thread;
 
-    #[test]
-    fn waiter_prio_table_grows_and_clears() {
-        let mut g = GraphState::default();
-        g.set_waiting(ThreadId(5), Priority::HIGH);
-        assert_eq!(g.waiting_prio(ThreadId(5)), Priority::HIGH.0);
-        assert_eq!(g.waiting_prio(ThreadId(4)), 0);
-        assert_eq!(g.waiting_prio(ThreadId(100)), 0, "beyond the table = not blocked");
-        g.clear_waiting(ThreadId(5));
-        assert_eq!(g.waiting_prio(ThreadId(5)), 0);
-        g.clear_waiting(ThreadId(200)); // never-seen id: no-op, no growth
-        assert!(g.waiter_prios.len() <= 5);
+    /// `m`'s edges in `snapshot`: waiter, the level it queued at, holder.
+    fn edges_on(m: &RevocableMonitor, snapshot: revmon_obs::GraphSnapshot) -> Vec<(u64, u8, u64)> {
+        let on_m = snapshot.edges.into_iter().filter(|e| e.monitor == m.obs_id());
+        on_m.map(|e| (e.waiter, e.waiter_priority, e.holder)).collect()
     }
 
     /// The handoff state: `w1` and `w2` queued on a monitor, its holder
@@ -227,52 +192,53 @@ mod tests {
     /// lock keeps it in the window while the snapshot is read. A snapshot
     /// read after the window (another test took the graph lock in the
     /// meantime) finds the same edge: `w1` holds `m` until it is read.
+    /// Each edge carries the level its waiter queued at, and once the
+    /// last waiter has taken the monitor none is left.
     #[test]
     fn a_grant_points_every_waiter_at_the_grantee() {
         let m = &RevocableMonitor::new();
         thread::scope(|s| {
-            // A thread that reports its slot, enters `m` when told, and
-            // leaves it when told again.
-            let waiter = || {
+            // A thread that reports its slot, enters `m` at `priority`
+            // when told, and leaves it when told again.
+            let waiter = |priority| {
                 let (slot, go) = (mpsc::channel(), mpsc::channel::<()>());
                 s.spawn(move || {
                     slot.0.send(tx::my_slot()).unwrap();
                     go.1.recv().unwrap();
-                    m.enter(Priority::NORM, |_| {
+                    m.enter(priority, |_| {
                         let _ = go.1.recv();
                     });
                 });
                 (slot.1.recv().unwrap(), go.0)
             };
-            let ((w1, go1), (w2, go2)) = (waiter(), waiter());
+            let ((w1, go1), (w2, go2)) = (waiter(Priority::HIGH), waiter(Priority::LOW));
+            let (w1_id, w2_id, me) = (w1.dense as u64, w2.dense as u64, tx::my_dense() as u64);
             let mut w1_stack = None;
-            m.enter(Priority::NORM, |_| {
-                // `w1` queues first, so it is the one granted.
+            // Entered above both waiters, so neither asks for a revocation.
+            m.enter(Priority::MAX, |_| {
+                // `w1` queues first and higher, so it is the one granted.
                 for (n, go) in [(1, &go1), (2, &go2)] {
                     go.send(()).unwrap();
-                    while m.stats().contended < n {
+                    while edges_on(m, wait_graph_snapshot()).len() < n {
                         thread::yield_now();
                     }
                 }
+                let (high, low) = (Priority::HIGH.0, Priority::LOW.0);
+                let queued = edges_on(m, wait_graph_snapshot());
+                assert_eq!(queued, [(w1_id, high, me), (w2_id, low, me)]);
                 w1_stack = Some(w1.sections.lock());
             });
             let snapshot = s.spawn(wait_graph_snapshot);
             // Let `w1` go once the snapshot holds the graph (or is done).
-            while !snapshot.is_finished() && graph_state().try_lock().is_some() {
+            while !snapshot.is_finished() && graph().try_lock().is_some() {
                 thread::yield_now();
             }
             drop(w1_stack);
-            let on_m: Vec<_> = snapshot
-                .join()
-                .unwrap()
-                .edges
-                .into_iter()
-                .filter(|e| e.monitor == m.obs_id())
-                .map(|e| (e.waiter, e.holder))
-                .collect();
-            assert_eq!(on_m, [(w2.dense as u64, w1.dense as u64)]);
+            let handed = edges_on(m, snapshot.join().unwrap());
+            assert_eq!(handed, [(w2_id, Priority::LOW.0, w1_id)]);
             go1.send(()).unwrap();
             go2.send(()).unwrap();
         });
+        assert_eq!(edges_on(m, wait_graph_snapshot()), [], "the last waiter took the monitor");
     }
 }

@@ -53,7 +53,7 @@ use parking_lot::Mutex;
 use revmon_core::{LogMark, Priority, UndoLog};
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 
@@ -243,6 +243,13 @@ pub(crate) struct ThreadSlot {
     /// and the next entry sweeps the dead suffix), and by contenders and
     /// the deadlock breaker looking up the holder's section (slow path).
     pub sections: Mutex<Vec<Arc<SectionCtx>>>,
+    /// Handoff flag: lowered by the thread as it queues or waits on a
+    /// monitor, raised by the grant or notify that ends that wait (the
+    /// rule is in the `monitor` module docs).
+    pub wake: AtomicBool,
+    /// Priority level the thread is queued at, 0 while not queued;
+    /// written and read under the registry's graph lock.
+    pub blocked_at: AtomicU8,
 }
 
 impl ThreadSlot {
@@ -336,6 +343,8 @@ impl ThreadRt {
             obs: crate::obs::obs_tid(),
             pending_revoke: AtomicBool::new(false),
             sections: Mutex::new(Vec::new()),
+            wake: AtomicBool::new(false),
+            blocked_at: AtomicU8::new(0),
         });
         table.push(Arc::downgrade(&slot));
         drop(table);

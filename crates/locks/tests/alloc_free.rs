@@ -7,30 +7,44 @@
 //! The same file also checks the pooled rollback end to end: a revoked
 //! section's writes (including repeated writes to one cell, which are
 //! logged once) are undone, so the retry observes exactly the
-//! pre-section values.
+//! pre-section values. And a blocked thread's handoff state lives in
+//! its thread slot, so a steady wait/notify ping-pong allocates nothing
+//! either.
 //!
 //! Only the measuring thread counts: the allocator reads a thread-local
-//! flag, so what libtest's main thread (or a sibling test) allocates
-//! while the window is open is not seen.
+//! flag and bumps a thread-local counter, so what libtest's main thread,
+//! the measuring thread's partner or a sibling test allocates while the
+//! window is open is not seen.
 
-use revmon_core::Priority;
+use revmon_core::{InversionPolicy, Priority};
 use revmon_locks::{RevocableMonitor, TCell};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 thread_local! {
-    /// Set on the measuring thread for the measured window. `const`, and
-    /// a `Cell<bool>` has no destructor: reading it from inside `alloc`
-    /// neither allocates nor registers anything.
+    /// Set on the measuring thread for the measured window, and the
+    /// allocations it saw there. Both `const`, and a `Cell` of a number
+    /// has no destructor: touching them from inside `alloc` neither
+    /// allocates nor registers anything.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+fn note_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// The allocations `f` makes on the calling thread.
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    ALLOCS.set(0);
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    ALLOCS.get()
 }
 
 /// `System`, plus a counter armed only inside the measured window, on
@@ -39,9 +53,7 @@ struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -50,9 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -79,13 +89,7 @@ fn steady_state_makes_no_allocations() {
     for i in 0..16 {
         workload(i);
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.set(true);
-    for i in 0..1_000 {
-        workload(i);
-    }
-    COUNTING.set(false);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations_of(|| (0..1_000).for_each(workload));
     assert_eq!(n, 0, "steady-state enter + logged write must not allocate (saw {n} allocations)");
 }
 
@@ -140,4 +144,36 @@ fn rollback_restores_pre_section_values_newest_first() {
 fn alloc_free_hot_path_and_pooled_rollback() {
     steady_state_makes_no_allocations();
     rollback_restores_pre_section_values_newest_first();
+}
+
+/// Two threads take turns through one monitor — each waits until the
+/// turn counter is its own, bumps it and notifies the other — so the
+/// measuring thread waits in nearly every round, and its re-acquisition
+/// after a notify queues whenever its partner holds the monitor. Once the warm-up has given the monitor's pooled fat record
+/// its queue and wait-set capacity, a round allocates nothing: the
+/// waiters are their thread slots, and the handoff flag is the slot's.
+#[test]
+fn a_wait_notify_round_allocates_nothing() {
+    const WARMUP: u64 = 200;
+    const ROUNDS: u64 = 2_000;
+    let m = RevocableMonitor::with_policy(InversionPolicy::Blocking);
+    let turn = TCell::new(0u64);
+    let play = |me: u64, rounds: u64| {
+        for _ in 0..rounds {
+            m.enter(Priority::NORM, |tx| {
+                while tx.read(&turn) % 2 != me {
+                    tx.wait();
+                }
+                tx.update(&turn, |t| t + 1);
+                tx.notify_all();
+            });
+        }
+    };
+    let n = thread::scope(|s| {
+        s.spawn(|| play(1, WARMUP + ROUNDS));
+        play(0, WARMUP);
+        allocations_of(|| play(0, ROUNDS))
+    });
+    assert_eq!(turn.read_unsynchronized(), 2 * (WARMUP + ROUNDS));
+    assert!(n <= 10, "{ROUNDS} wait/notify rounds allocated {n} times");
 }

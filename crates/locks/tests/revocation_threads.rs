@@ -344,6 +344,45 @@ fn notify_one_wakes_exactly_one_waiter() {
     assert_eq!(wakeups.read_unsynchronized(), 2);
 }
 
+/// A thread's handoff flag outlives the handoff that raised it: `t`
+/// queues on `b` and is handed it (the grant raises the flag), then
+/// waits on `a`. That wait must last until `a` is notified — one that
+/// found the flag still raised would return at once, unnotified, and
+/// then keep returning.
+#[test]
+fn a_wait_right_after_a_handoff_waits_for_its_notify() {
+    let (a, b) = (RevocableMonitor::new(), RevocableMonitor::new());
+    let go = TCell::new(false);
+    thread::scope(|s| {
+        let t = b.enter(Priority::NORM, |_| {
+            let t = s.spawn(|| {
+                b.enter(Priority::NORM, |_| {});
+                a.enter(Priority::NORM, |tx| {
+                    let mut waits = 0;
+                    while !tx.read(&go) {
+                        tx.wait();
+                        waits += 1;
+                    }
+                    waits
+                })
+            });
+            // Queued (counted under the record lock it queues in), so
+            // this release hands `b` to `t`.
+            while b.stats().contended == 0 {
+                thread::yield_now();
+            }
+            t
+        });
+        thread::sleep(Duration::from_millis(200));
+        assert!(!t.is_finished(), "the wait on `a` returned without a notify");
+        a.enter(Priority::NORM, |tx| {
+            tx.write(&go, true);
+            tx.notify_all();
+        });
+        assert_eq!(t.join().unwrap(), 1, "one notify, one return from `wait`");
+    });
+}
+
 /// `read_volatile` is a yield point: a flagged holder whose only data
 /// access is a volatile read still rolls back and retries.
 #[test]
