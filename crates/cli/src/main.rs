@@ -119,6 +119,7 @@ macro_rules! println {
 }
 
 mod serve;
+mod workload;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -939,9 +940,6 @@ fn write_metrics(path: &str, counters: &[(&str, u64)]) -> Result<(), String> {
 /// exporting the same observability artifacts as `run`, with wall-clock
 /// timestamps.
 fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
-    use revmon_locks::{RevocableMonitor, TCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
     let low_n: usize = opts.num("--low")?.unwrap_or(3);
     let high_sections: u64 = opts.num("--sections")?.unwrap_or(20);
     let high_n: usize = opts.num("--high")?.unwrap_or(1);
@@ -995,10 +993,8 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         ));
     }
 
-    let monitor = Arc::new(RevocableMonitor::named("aggregate"));
-    let counter = TCell::new(0i64);
-    let stop = Arc::new(AtomicBool::new(false));
-    let low_commits = Arc::new(AtomicU64::new(0));
+    let pause = std::time::Duration::from_micros(200);
+    let w = workload::start("aggregate", low_n, high_n, pause, high_sections);
 
     // Live reporting: periodically snapshot the collector's retained
     // buffer — non-consuming, so watching never steals events from the
@@ -1037,59 +1033,19 @@ fn run_demo(opts: &Opts<'_>) -> Result<(), String> {
         })
     });
 
-    // Low-priority aggregators: long revocable sections with yield
-    // points, the "batch update" side of the paper's motivating scenario.
-    let lows: Vec<_> = (0..low_n)
-        .map(|_| {
-            let m = Arc::clone(&monitor);
-            let c = counter.clone();
-            let stop = Arc::clone(&stop);
-            let commits = Arc::clone(&low_commits);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    m.enter(Priority::LOW, |tx| {
-                        for _ in 0..200 {
-                            tx.update(&c, |v| v + 1);
-                            tx.checkpoint();
-                        }
-                    });
-                    commits.fetch_add(1, Ordering::Relaxed);
-                    std::thread::yield_now();
-                }
-            })
-        })
-        .collect();
-
-    // High-priority alarms: short sections that should preempt the
-    // aggregators via revocation rather than wait them out.
-    let highs: Vec<_> = (0..high_n)
-        .map(|_| {
-            let m = Arc::clone(&monitor);
-            let c = counter.clone();
-            std::thread::spawn(move || {
-                for _ in 0..high_sections {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    m.enter(Priority::HIGH, |tx| {
-                        tx.update(&c, |v| v + 1);
-                    });
-                }
-            })
-        })
-        .collect();
-
-    for h in highs {
+    for h in w.highs {
         h.join().map_err(|_| "high-priority thread panicked".to_string())?;
     }
-    stop.store(true, Ordering::Release);
-    for l in lows {
+    w.stop.store(true, Ordering::Release);
+    for l in w.lows {
         l.join().map_err(|_| "low-priority thread panicked".to_string())?;
     }
 
     println!(
         "demo: {low_n} low + {high_n} high threads, {} high sections, {} low sections, counter {}",
         high_sections * high_n as u64,
-        low_commits.load(Ordering::Relaxed),
-        counter.read_unsynchronized()
+        w.low_commits.load(Ordering::Relaxed),
+        w.counter.read_unsynchronized()
     );
 
     // Stop the live reporter (snapshots are non-consuming; nothing to

@@ -20,7 +20,6 @@
 //! endpoint has live contention to report; tune it with `--low N` and
 //! `--high N`. `--max-requests N` exits after N requests (tests).
 
-use revmon_core::Priority;
 use revmon_obs::{EventSink, TsUnit};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -67,7 +66,11 @@ pub(crate) fn run_serve(opts: &crate::Opts<'_>) -> Result<(), String> {
         revmon_obs::StreamSet::none(),
     );
     if !opts.has("--no-workload") {
-        spawn_workload(opts.num("--low")?.unwrap_or(3), opts.num("--high")?.unwrap_or(1));
+        // The `demo` scenario, forever, in detached threads: live
+        // inversion traffic for the endpoint to report.
+        let (low, high) = (opts.num("--low")?.unwrap_or(3), opts.num("--high")?.unwrap_or(1));
+        let pause = std::time::Duration::from_millis(5);
+        crate::workload::start("served", low.max(1), high.max(1), pause, u64::MAX);
     }
 
     // The test harness parses this line to find the bound port, so keep
@@ -93,39 +96,6 @@ pub(crate) fn run_serve(opts: &crate::Opts<'_>) -> Result<(), String> {
         .stop(&revmon_locks::obs::monitor_names(), &revmon_obs::RunMeta::default())
         .map_err(|e| format!("stopping collector: {e}"))?;
     Ok(())
-}
-
-/// Run the `demo` scenario forever in detached threads: low-priority
-/// aggregators holding long revocable sections, a high-priority thread
-/// barging in — live inversion traffic for the endpoint to report.
-fn spawn_workload(low_n: usize, high_n: usize) {
-    use revmon_locks::{RevocableMonitor, TCell};
-
-    let monitor = Arc::new(RevocableMonitor::named("served"));
-    let counter = TCell::new(0i64);
-    for _ in 0..low_n.max(1) {
-        let m = Arc::clone(&monitor);
-        let c = counter.clone();
-        std::thread::spawn(move || loop {
-            m.enter(Priority::LOW, |tx| {
-                for _ in 0..200 {
-                    tx.update(&c, |v| v + 1);
-                    tx.checkpoint();
-                }
-            });
-            std::thread::yield_now();
-        });
-    }
-    for _ in 0..high_n.max(1) {
-        let m = Arc::clone(&monitor);
-        let c = counter.clone();
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            m.enter(Priority::HIGH, |tx| {
-                tx.update(&c, |v| v + 1);
-            });
-        });
-    }
 }
 
 /// Parse one request, route it, write one response, close.

@@ -117,7 +117,12 @@ fn the_corpus_folds_alike_on_any_number_of_threads() {
         for bound in 1..=3 {
             // The cap keeps the two largest searches short; where it
             // bites it stops the search mid-frontier.
-            agree(name, &runner, bounds(bound, 60, true));
+            let report = agree(name, &runner, bounds(bound, 60, true));
+            assert!(
+                report.clean(),
+                "{name} at bound {bound}: {:?}",
+                report.failures[0].outcome.violations
+            );
         }
     }
 }

@@ -25,11 +25,15 @@ fn corpus_runner(name: &str, cfg: VmConfig) -> Runner {
 
 #[test]
 fn adversarial_corpus_is_clean_under_bounded_exploration() {
-    // The two adversarial programs plus the deadlock benchmark, each
-    // exhaustively enumerated under a two-deviation bound. Every
-    // schedule must satisfy every invariant, and the enumeration must
-    // actually branch (a single-schedule "search" proves nothing).
-    for name in ["nested_wait_revoke.rvm", "volatile_revoke.rvm", "deadlock.rvm"] {
+    // The two adversarial programs plus the deadlock benchmark and the
+    // repeated revocation, each exhaustively enumerated under a
+    // two-deviation bound (the two largest corpus searches at that
+    // bound, which `parallel_fold` caps). Every schedule must satisfy
+    // every invariant, and the enumeration must actually branch (a
+    // single-schedule "search" proves nothing).
+    for name in
+        ["nested_wait_revoke.rvm", "volatile_revoke.rvm", "deadlock.rvm", "repeat_revocation.rvm"]
+    {
         let runner = corpus_runner(name, VmConfig::modified());
         let report = explore(&runner, Bounds::default());
         assert!(

@@ -2,7 +2,7 @@
 //!
 //! *Compact Java Monitors*-style monitor shrinking: an idle or deflated
 //! monitor is exactly one `AtomicU64` lock word. The full `MState`
-//! (queues, wait set, submissions) only exists while the monitor is
+//! (entry queue and wait set) only exists while the monitor is
 //! inflated, **leased** from this global pool and returned at deflation
 //! — so a process with millions of mostly-idle monitors pays for fat
 //! state proportional to *contended* monitors, not allocated ones.

@@ -149,9 +149,21 @@ fn alloc_free_hot_path_and_pooled_rollback() {
 /// Two threads take turns through one monitor — each waits until the
 /// turn counter is its own, bumps it and notifies the other — so the
 /// measuring thread waits in nearly every round, and its re-acquisition
-/// after a notify queues whenever its partner holds the monitor. Once the warm-up has given the monitor's pooled fat record
-/// its queue and wait-set capacity, a round allocates nothing: the
-/// waiters are their thread slots, and the handoff flag is the slot's.
+/// after a notify queues whenever its partner holds the monitor. Once a
+/// pooled fat record has its queue and wait-set capacity, a round on it
+/// allocates nothing: the waiters are their thread slots, and the
+/// handoff flag is the slot's.
+///
+/// The few allocations a release run may still count (0–3) come from a
+/// second record. When both threads inflate the monitor at once, the
+/// loser leases a fresh side-table record and retires it unpublished, so
+/// from then on each inflation after a deflation takes either of two
+/// records. Whichever the warm-up has not yet used for a wait or a
+/// queueing allocates on its first such use, once: one allocation for
+/// its wait set's first push, two for its entry queue's first push (the
+/// class table and the class's deque). Backtraces taken at each counted
+/// allocation showed only these, each where record 1's first wait or
+/// queueing fell after the warm-up on the measuring thread.
 #[test]
 fn a_wait_notify_round_allocates_nothing() {
     const WARMUP: u64 = 200;
