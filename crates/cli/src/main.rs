@@ -790,8 +790,8 @@ fn run_explore(
         let report = fuzz(&runner, plan);
         let wall = started.elapsed();
         println!(
-            "fuzzed {} schedules: {} completed, {} stalled, {} rollbacks verified",
-            report.iters, report.completed, report.stalls, report.rollbacks
+            "fuzzed {} schedules: {} completed, {} stalled, {} faulted, {} rollbacks verified",
+            report.iters, report.completed, report.stalls, report.faults, report.rollbacks
         );
         if opts.has("--stats") {
             println!("--- stats ---");
@@ -802,6 +802,7 @@ fn run_explore(
                 ("fuzz_iters", report.iters),
                 ("fuzz_completed", report.completed),
                 ("fuzz_stalls", report.stalls),
+                ("fuzz_faults", report.faults),
                 ("fuzz_rollbacks", report.rollbacks),
                 ("fuzz_failures", report.failure.is_some() as u64),
                 ("fuzz_workers", report.workers as u64),
@@ -840,9 +841,11 @@ fn run_explore(
         s.pruned_visited, s.pruned_preemption
     );
     println!(
-        "terminals: {} distinct final states, {} stalled, {} budget-exhausted; {} rollbacks verified",
+        "terminals: {} distinct final states, {} stalled, {} faulted, {} budget-exhausted; \
+         {} rollbacks verified",
         report.terminal_states.len(),
         s.stalls,
+        s.faults,
         s.budget_exhausted,
         s.rollbacks
     );
@@ -870,6 +873,7 @@ fn run_explore(
             ("explore_pruned_visited", s.pruned_visited),
             ("explore_pruned_preemption", s.pruned_preemption),
             ("explore_stalls", s.stalls),
+            ("explore_faults", s.faults),
             ("explore_budget_exhausted", s.budget_exhausted),
             ("explore_rollbacks", s.rollbacks),
             ("explore_terminal_states", report.terminal_states.len() as u64),

@@ -2,6 +2,7 @@
 //! of the shipped binary that the repository promises is asserted here,
 //! once, and runs against whichever build runs the tests.
 
+use revmon_obs::json::{self, Reader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -323,124 +324,49 @@ fn demo_metrics_agree_with_its_streamed_trace() {
     assert_eq!(count("rollback_duration"), Some(rollbacks), "metrics:\n{json}\n{analysis}");
 }
 
-/// A Chrome trace file must load as JSON, and the `u64::MAX` that stands
-/// for "no monitor" in an event must not reach any event's `args` as a
-/// number. `revmon_obs::json::Reader` reads unsigned integers only and
-/// the trace's timestamps are decimals, so the syntax is walked here.
+/// A Chrome trace file must load as JSON — every element read key by
+/// key with `revmon_obs::json::Reader` — and a `u64::MAX` sentinel (no
+/// thread, no monitor) must not reach the file anywhere: JSON readers
+/// hold such a number only as a rounded double.
 fn assert_chrome_trace(path: &str) {
     let text = std::fs::read_to_string(path).unwrap();
-    let mut json = Json { s: &text, i: 0, args: Vec::new() };
-    json.value().and_then(|()| json.end()).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(!text.contains(&u64::MAX.to_string()), "{path}: a u64::MAX sentinel in the file");
     assert!(text.starts_with("{\"traceEvents\":["), "{path}");
-    assert!(!json.args.is_empty(), "{path}: no event carries args");
-    for args in json.args {
-        assert!(!args.contains(&u64::MAX.to_string()), "{path}: sentinel inside args {args}");
-    }
+    let mut r = Reader::new(&text);
+    let with_args =
+        chrome_elements(&mut r).unwrap_or_else(|e| panic!("{path}: {}", String::from(e)));
+    assert!(with_args > 0, "{path}: no event carries args");
 }
 
-/// A JSON syntax walk that keeps the raw text of every `"args"` value.
-struct Json<'a> {
-    s: &'a str,
-    i: usize,
-    args: Vec<&'a str>,
-}
-
-impl<'a> Json<'a> {
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("expected {what} at byte {}", self.i))
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        let b = self.s.as_bytes();
-        while b.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-        b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        let found = self.peek() == Some(c);
-        self.i += usize::from(found);
-        found
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                self.i += 1;
-                let close = open + 2; // `}` and `]` follow `{` and `[` by two
-                if self.eat(close) {
-                    return Ok(());
-                }
-                loop {
-                    if open == b'{' {
-                        self.peek();
-                        let key = self.i;
-                        self.string()?;
-                        let is_args = &self.s[key..self.i] == "\"args\"";
-                        if !self.eat(b':') {
-                            return self.fail("`:`");
+/// Walk a Chrome trace to its end; the number of elements with `args`.
+fn chrome_elements(r: &mut Reader<'_>) -> Result<usize, json::Error> {
+    let mut with_args = 0;
+    r.begin(b'{')?;
+    while r.more(b'}')? {
+        assert_eq!(r.key()?, "traceEvents");
+        r.begin(b'[')?;
+        while r.more(b']')? {
+            r.begin(b'{')?;
+            while r.more(b'}')? {
+                match &*r.key()? {
+                    "name" | "cat" | "ph" | "s" => drop(r.string()?),
+                    "pid" | "tid" => drop(r.num::<u64>()?),
+                    "ts" | "dur" => drop(r.decimal()?),
+                    "args" => {
+                        with_args += 1;
+                        r.begin(b'{')?;
+                        while r.more(b'}')? {
+                            r.key()?;
+                            r.value()?;
                         }
-                        self.peek();
-                        let start = self.i;
-                        self.value()?;
-                        if is_args {
-                            self.args.push(&self.s[start..self.i]);
-                        }
-                    } else {
-                        self.value()?;
                     }
-                    if self.eat(close) {
-                        return Ok(());
-                    }
-                    if !self.eat(b',') {
-                        return self.fail("`,` or a closing bracket");
-                    }
-                }
-            }
-            Some(b'"') => self.string(),
-            Some(b'-' | b'0'..=b'9') => {
-                let rest = self.s[self.i..].bytes();
-                let n = rest.take_while(|c| b"+-.eE0123456789".contains(c)).count();
-                let number = self.s[self.i..self.i + n].parse::<f64>();
-                self.i += n;
-                number.map(drop).map_err(|e| format!("{e} before byte {}", self.i))
-            }
-            _ => {
-                match ["null", "true", "false"].iter().find(|w| self.s[self.i..].starts_with(*w)) {
-                    Some(w) => {
-                        self.i += w.len();
-                        Ok(())
-                    }
-                    None => self.fail("a JSON value"),
+                    key => panic!("unexpected key {key:?} in a Chrome element"),
                 }
             }
         }
     }
-
-    fn string(&mut self) -> Result<(), String> {
-        if !self.eat(b'"') {
-            return self.fail("a string");
-        }
-        loop {
-            match self.s.as_bytes().get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => self.i += 2,
-                Some(c) if *c >= 0x20 => self.i += 1,
-                _ => return self.fail("a string character"),
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        match self.peek() {
-            None => Ok(()),
-            Some(_) => self.fail("the end of the file"),
-        }
-    }
+    r.end()?;
+    Ok(with_args)
 }
 
 #[test]
@@ -518,6 +444,18 @@ fn value_faults_name_their_method_and_pc() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("expected an integer value"), "{stderr}");
     assert!(stderr.contains("main") && stderr.contains("pc 2"), "no position: {stderr}");
+
+    // A search over it is not clean: the fault is a `vm-fault` failure
+    // that minimizes, saves and replays like any violation.
+    let saved = dir.file("fault.schedule.json");
+    let out =
+        bin().args(["explore", &src, "--minimize", "--save-failure", &saved]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("0 stalled, 1 faulted,"), "{stdout}");
+    assert!(stdout.contains("FAILURE: vm-fault — value fault in main at pc 2"), "{stdout}");
+    let replay = ok(&["explore", &src, "--replay", &saved]);
+    assert!(replay.contains("reproduced expected violation `vm-fault`"), "{replay}");
 }
 
 #[test]

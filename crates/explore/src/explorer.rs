@@ -70,6 +70,8 @@ pub struct Stats {
     pub pruned_preemption: u64,
     /// Runs that ended in a stall (blocked machine, no runnable thread).
     pub stalls: u64,
+    /// Runs that ended in a VM fault (each also a `vm-fault` failure).
+    pub faults: u64,
     /// Runs that hit the per-run round budget.
     pub budget_exhausted: u64,
     /// Rollbacks verified by the oracle across all runs.
@@ -172,7 +174,8 @@ fn fold(frontier: &mut Frontier, bounds: Bounds) -> ExploreReport {
             Terminal::Completed => {
                 terminal_fps.insert(out.fingerprint);
             }
-            _ => {}
+            Terminal::Fault(_) => report.stats.faults += 1,
+            Terminal::CheckFailed => {}
         }
         let failed = !out.violations.is_empty();
         let choices = out.choices();
@@ -301,6 +304,31 @@ mod tests {
         let replay = testprogs::faulty_inversion_pair(1).run(&failure.schedule);
         assert!(replay.violates("rollback-restoration"));
         assert_eq!(replay.fingerprint, failure.outcome.fingerprint);
+    }
+
+    #[test]
+    fn a_search_whose_one_schedule_faults_is_not_clean() {
+        // Verifies (the verifier tracks depth, not kinds) and adds an
+        // integer to a reference: one thread, one schedule, one fault.
+        let src = ".method main params=0 locals=1\n    new class=0 fields=1\n    const 1\n    \
+                   add\n    retvoid\n.end\n";
+        let program = testprogs::assemble_corpus(src).unwrap();
+        let runner = Runner::new(program, "main", testprogs::explore_config()).unwrap();
+        let report = explore(&runner, Bounds::default());
+        assert_eq!((report.stats.schedules, report.stats.faults), (1, 1));
+        assert!(report.terminal_states.is_empty());
+        assert!(!report.clean(), "a faulting search reported clean");
+        let v = &report.failures[0].outcome.violations[0];
+        assert_eq!(v.invariant, crate::runner::VM_FAULT);
+        assert!(v.detail.contains("expected an integer value"), "{v}");
+        // Minimizing and replaying a fault work as for any violation.
+        let schedule = &report.failures[0].schedule;
+        assert!(crate::minimize(&runner, schedule, "vm-fault", 0).schedule.is_empty());
+        assert!(runner.run(schedule).violates("vm-fault"));
+
+        let fuzzed = crate::fuzz(&runner, crate::FuzzPlan { iters: 4, ..Default::default() });
+        assert_eq!(fuzzed.failure.map(|f| f.1).as_deref(), Some("vm-fault"));
+        assert_eq!((fuzzed.iters, fuzzed.faults), (1, 1), "the fault stops the campaign");
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub struct FuzzReport {
     pub completed: u64,
     /// Schedules that stalled.
     pub stalls: u64,
+    /// Schedules that ended in a VM fault (the first is the failure).
+    pub faults: u64,
     /// Total rollbacks verified across the campaign.
     pub rollbacks: u64,
     /// First failing schedule (full decision sequence) and the violated
@@ -96,7 +98,8 @@ pub(crate) fn campaign(runner: &Runner, plan: FuzzPlan, helpers: usize) -> FuzzR
                 match out.terminal {
                     Terminal::Completed => report.completed += 1,
                     Terminal::Stalled => report.stalls += 1,
-                    _ => {}
+                    Terminal::Fault(_) => report.faults += 1,
+                    Terminal::Budget | Terminal::CheckFailed => {}
                 }
                 if let Some(v) = out.violations.first() {
                     report.failure = Some((out.choices(), v.invariant.to_string()));

@@ -37,9 +37,15 @@ pub enum Terminal {
     Budget,
     /// A state-invariant violation stopped the run early.
     CheckFailed,
-    /// The VM faulted.
+    /// The VM faulted. The run also carries a [`VM_FAULT`] violation
+    /// with the same text, so a search reports it as a failure.
     Fault(String),
 }
+
+/// The invariant a run violates when the VM faults: a correct program
+/// faults under no schedule, so a search, `--minimize`, `--save-failure`
+/// and `--replay` treat a fault as they treat any violation.
+pub const VM_FAULT: &str = "vm-fault";
 
 /// One multi-candidate choice point passed during a run.
 #[derive(Clone, Copy, Debug)]
@@ -235,7 +241,10 @@ impl Machine {
                 Ok(RoundOutcome::Done) => break Terminal::Completed,
                 Ok(_) => {}
                 Err(VmError::Stalled(_)) => break Terminal::Stalled,
-                Err(e) => break Terminal::Fault(e.to_string()),
+                Err(e) => {
+                    violations.push(Violation { invariant: VM_FAULT, detail: e.to_string() });
+                    break Terminal::Fault(e.to_string());
+                }
             }
             if let Some(record) = vm.take_decision() {
                 decisions.push(DecisionPoint { fingerprint, record });

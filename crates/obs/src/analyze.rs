@@ -53,16 +53,8 @@ pub struct MonitorProfile {
     pub commits: u64,
     /// Inversions flagged unresolvable (non-revocable holder).
     pub unresolved: u64,
-    /// Revocations denied by the governor's retry budget.
-    pub governor_throttles: u64,
-    /// Fresh fallback-to-blocking windows the governor opened here.
-    pub policy_fallbacks: u64,
     /// Undo entries restored by this monitor's rollbacks.
     pub wasted_entries: u64,
-    /// Critical sections submitted to this monitor's combiner.
-    pub delegations: u64,
-    /// Delegated sections the combiner completed here.
-    pub delegated_completes: u64,
     /// Total clock units threads spent blocked on the entry queue.
     pub total_blocked: u64,
     /// Blocking-time distribution (Block → same thread's Acquire).
@@ -88,7 +80,7 @@ impl FromIterator<u64> for ExactStats {
 
 impl ExactStats {
     /// Number of values.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.values.len() as u64
     }
 
@@ -113,7 +105,7 @@ impl ExactStats {
     }
 
     /// Largest value (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.values.last().copied().unwrap_or(0)
     }
 }
@@ -236,11 +228,11 @@ impl Analyzer {
                 }
             }
             EventKind::InversionUnresolved { .. } => p.unresolved += 1,
-            EventKind::GovernorThrottle { .. } => p.governor_throttles += 1,
-            EventKind::PolicyFallback => p.policy_fallbacks += 1,
-            EventKind::DelegateSubmit { .. } => p.delegations += 1,
-            EventKind::DelegateComplete { .. } => p.delegated_completes += 1,
-            EventKind::DelegateExecute { .. }
+            EventKind::GovernorThrottle { .. }
+            | EventKind::PolicyFallback
+            | EventKind::DelegateSubmit { .. }
+            | EventKind::DelegateComplete { .. }
+            | EventKind::DelegateExecute { .. }
             | EventKind::NonRevocable
             | EventKind::DeadlockDetected { .. }
             | EventKind::DeadlockBroken
@@ -281,11 +273,6 @@ impl Analyzer {
             episodes,
         }
     }
-}
-
-/// Reconstruct the episodes of a complete event stream.
-pub fn reconstruct_episodes(events: &[Event]) -> Vec<Episode> {
-    Analysis::from_events(events).episodes
 }
 
 impl Analysis {
@@ -889,8 +876,6 @@ mod tests {
         let a = Analysis::from_events(&events);
         assert_eq!(a.governor_throttles, 1);
         assert_eq!(a.policy_fallbacks, 1);
-        assert_eq!(a.profiles[0].governor_throttles, 1);
-        assert_eq!(a.profiles[0].policy_fallbacks, 1);
 
         let mut buf = Vec::new();
         write_report(&mut buf, &a, &named(), TsUnit::VirtualTicks).unwrap();

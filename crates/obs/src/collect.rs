@@ -252,7 +252,7 @@ mod tests {
         }
 
         let meta = RunMeta {
-            recorded: Some(sink.recorded()),
+            recorded: Some(sink.pipeline_stats().recorded),
             dropped: Some(sink.dropped()),
             ..RunMeta::default()
         };

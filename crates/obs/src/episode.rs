@@ -107,9 +107,6 @@ pub struct Episode {
     /// one request per rollback means the holder kept getting re-flagged
     /// — the livelock signal `max_consecutive_revocations` guards.
     pub revoke_requests: u64,
-    /// `InversionUnresolved` marks seen (holder was non-revocable when
-    /// flagged).
-    pub unresolvable_marks: u64,
     /// Revocations the governor denied during this episode (the
     /// contender was made to block instead). A non-zero count marks a
     /// *governed* episode.
@@ -136,7 +133,7 @@ pub struct Episode {
 /// actually went, segment by segment. Segments sum to
 /// [`Episode::latency`] for rollback-resolved episodes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CriticalPath {
+pub(crate) struct CriticalPath {
     /// Requester blocked before the runtime reacted (block → first
     /// revoke request; the whole latency when nothing was revoked).
     pub blocked_wait: u64,
@@ -152,7 +149,7 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// The segments in wait order, with their stable names (used as
     /// flamegraph frames and report labels).
-    pub fn segments(&self) -> [(&'static str, u64); 4] {
+    pub(crate) fn segments(&self) -> [(&'static str, u64); 4] {
         [
             ("blocked-wait", self.blocked_wait),
             ("signal", self.signal),
@@ -160,16 +157,11 @@ impl CriticalPath {
             ("handoff", self.handoff),
         ]
     }
-
-    /// Sum of all segments.
-    pub fn total(&self) -> u64 {
-        self.blocked_wait + self.signal + self.undo_walk + self.handoff
-    }
 }
 
 impl Episode {
     /// Inversion latency: episode start to the requester's acquire.
-    pub fn latency(&self) -> Option<u64> {
+    pub(crate) fn latency(&self) -> Option<u64> {
         self.end.map(|e| e.saturating_sub(self.start))
     }
 
@@ -178,7 +170,7 @@ impl Episode {
     /// ended without any rollback put the whole wait into
     /// `blocked_wait` — no revocation machinery ran on their critical
     /// path.
-    pub fn critical_path(&self) -> Option<CriticalPath> {
+    pub(crate) fn critical_path(&self) -> Option<CriticalPath> {
         let end = self.end?;
         Some(match self.last_rollback_end {
             Some(rb_end) => {
@@ -268,7 +260,7 @@ impl EpisodeBuilder {
                 });
                 let ep = &mut open.so_far;
                 match ev.kind {
-                    EventKind::InversionUnresolved { .. } => ep.unresolvable_marks += 1,
+                    EventKind::InversionUnresolved { .. } => {}
                     EventKind::GovernorThrottle { .. } => ep.governor_throttles += 1,
                     _ => {
                         ep.revoke_requests += 1;
@@ -395,7 +387,11 @@ impl EpisodeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::reconstruct_episodes;
+
+    /// The episodes of a whole stream, as every renderer sees them.
+    fn reconstruct_episodes(events: &[Event]) -> Vec<Episode> {
+        crate::Analysis::from_events(events).episodes
+    }
 
     fn ev(ts: u64, thread: u64, monitor: u64, kind: EventKind) -> Event {
         Event { ts, thread, monitor, core: 0, kind }
@@ -438,7 +434,7 @@ mod tests {
         assert_eq!(cp.signal, 2); // request@22 → rollback start@24
         assert_eq!(cp.undo_walk, 6); // the measured rollback
         assert_eq!(cp.handoff, 1); // rollback done@30 → acquire@31
-        assert_eq!(cp.total(), eps[0].latency().unwrap());
+        assert_eq!(cp.segments().iter().map(|s| s.1).sum::<u64>(), eps[0].latency().unwrap());
 
         // Natural release: the whole wait is blocked time.
         let eps = reconstruct_episodes(&[
@@ -475,7 +471,6 @@ mod tests {
         assert_eq!(eps[0].resolution, Resolution::NaturalRelease);
         assert_eq!(eps[0].latency(), Some(31));
         assert_eq!(eps[0].rollbacks, 0);
-        assert_eq!(eps[0].unresolvable_marks, 1);
     }
 
     #[test]

@@ -120,18 +120,11 @@ pub struct RunMeta {
     pub scheduler: Option<String>,
     /// Per-producer drop breakdown, encoded `"producer:dropped,..."`
     /// (e.g. `"0:3,2:1"`) because the header is a flat object with no
-    /// arrays. Build with [`RunMeta::encode_drop_breakdown`], read back
-    /// with [`RunMeta::drop_breakdown`].
+    /// arrays. Build with [`RunMeta::encode_drop_breakdown`].
     pub drops_by_producer: Option<String>,
 }
 
 impl RunMeta {
-    /// Whether no field is set (header renders identically to the
-    /// meta-less format).
-    pub fn is_empty(&self) -> bool {
-        *self == RunMeta::default()
-    }
-
     /// Encode a per-producer `(producer, dropped)` breakdown into the
     /// header's flat string form. `None` when the breakdown is empty.
     pub fn encode_drop_breakdown(breakdown: &[(u64, u64)]) -> Option<String> {
@@ -141,25 +134,11 @@ impl RunMeta {
         Some(breakdown.iter().map(|(p, d)| format!("{p}:{d}")).collect::<Vec<_>>().join(","))
     }
 
-    /// Decode [`RunMeta::drops_by_producer`] back into `(producer,
-    /// dropped)` pairs; unparsable entries are skipped.
-    pub fn drop_breakdown(&self) -> Vec<(u64, u64)> {
-        let Some(s) = &self.drops_by_producer else {
-            return Vec::new();
-        };
-        s.split(',')
-            .filter_map(|pair| {
-                let (p, d) = pair.split_once(':')?;
-                Some((p.trim().parse().ok()?, d.trim().parse().ok()?))
-            })
-            .collect()
-    }
-
     /// Field-wise merge: fields set in `other` override this meta's,
     /// unset fields survive. How the importer folds a trailing
     /// `trace_end` line (final counters) into the stream header
     /// (scheduler/governor context) without losing either.
-    pub fn merge_from(&mut self, other: RunMeta) {
+    pub(crate) fn merge_from(&mut self, other: RunMeta) {
         if other.recorded.is_some() {
             self.recorded = other.recorded;
         }
@@ -354,6 +333,13 @@ fn push_micros(out: &mut Vec<u8>, unit: TsUnit, since: u64, ts: u64) {
     }
 }
 
+/// The Chrome thread lane of an event that names no thread (the
+/// deadlock detector's instant): the first id past the VM's `u32`
+/// thread ids, which the locks runtime, numbering its threads from 1,
+/// does not reach either. `u64::MAX` itself would be read back as a
+/// rounded double.
+const RUN_LANE: u64 = 1 << 32;
+
 /// The two duration spans the Chrome trace draws per monitor.
 #[derive(Clone, Copy)]
 enum Span {
@@ -385,11 +371,13 @@ impl<W: Write> Elements<W> {
     /// Append `,"pid":P,"tid":T,"ts":µs`: the lane `(core, thread)` the
     /// element is drawn in and its timestamp. Chrome renders one process lane per `pid`; simulated cores map to
     /// `pid = core + 1` so core 0 keeps the legacy single-core `pid:1`.
+    /// A thread-less instant ([`Event::NO_THREAD`]) is drawn in the
+    /// [`RUN_LANE`] thread lane.
     fn lane(&mut self, (core, thread): (u32, u64), ts: u64) {
         self.chunk.extend_from_slice(b",\"pid\":");
         push_u64(&mut self.chunk, core as u64 + 1);
         self.chunk.extend_from_slice(b",\"tid\":");
-        push_u64(&mut self.chunk, thread);
+        push_u64(&mut self.chunk, if thread == Event::NO_THREAD { RUN_LANE } else { thread });
         self.chunk.extend_from_slice(b",\"ts\":");
         push_micros(&mut self.chunk, self.unit, 0, ts);
     }
@@ -466,11 +454,6 @@ impl<W: Write> ChromeStream<W> {
             repairs: 0,
             last_ts: 0,
         })
-    }
-
-    /// Mid-stream tears repaired so far.
-    pub fn repairs(&self) -> u64 {
-        self.repairs
     }
 
     /// Append one merged batch of events, repairing tears in place. The
@@ -621,7 +604,7 @@ fn hist_json(name: &str, h: &crate::hist::Histogram) -> String {
 /// JSON rendering of the pipeline self-telemetry (flat object, no
 /// trailing newline): the `"obs_pipeline"` section of the metrics
 /// document and the `serve` endpoint's building block.
-pub fn pipeline_json(p: &PipelineStats) -> String {
+fn pipeline_json(p: &PipelineStats) -> String {
     let drops = RunMeta::encode_drop_breakdown(&p.drops_by_producer).unwrap_or_default();
     let (sc_count, sc_p50, sc_p99, sc_max) = p.self_cost_ns;
     format!(
@@ -993,8 +976,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(legacy, with);
-        assert!(RunMeta::default().is_empty());
-        assert!(!meta.is_empty());
     }
 
     #[test]
@@ -1104,6 +1085,25 @@ mod tests {
         assert!(!text.contains(&u64::MAX.to_string()), "NO_MONITOR leaked as a number: {text}");
     }
 
+    #[test]
+    fn chrome_instant_without_a_thread_is_drawn_in_the_run_lane() {
+        // What the deadlock detector records: no thread, no monitor.
+        let detected = Event {
+            ts: 5,
+            thread: Event::NO_THREAD,
+            monitor: Event::NO_MONITOR,
+            core: 1,
+            kind: EventKind::DeadlockDetected { cycle_len: 2 },
+        };
+        let events = [detected, ev(6, 2, 3, EventKind::DeadlockBroken)];
+        let mut buf = Vec::new();
+        write_chrome_trace(&mut buf, &events, TsUnit::VirtualTicks).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\"pid\":2,\"tid\":4294967296,\"ts\":5.000"), "{text}");
+        assert!(text.contains("\"pid\":1,\"tid\":2,\"ts\":6.000"), "{text}");
+        assert!(!text.contains(&u64::MAX.to_string()), "NO_THREAD leaked as a number: {text}");
+    }
+
     /// `push_micros` as a string.
     fn micros(unit: TsUnit, since: u64, ts: u64) -> String {
         let mut out = Vec::new();
@@ -1177,7 +1177,6 @@ mod tests {
         .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("\"drops_by_producer\":\"0:3,2:1\""));
-        assert_eq!(meta.drop_breakdown(), vec![(0, 3), (2, 1)]);
         assert_eq!(RunMeta::encode_drop_breakdown(&[]), None);
 
         // trace_end merge: counters override, header-only context survives.

@@ -36,11 +36,6 @@ pub struct FoldedStacks {
 }
 
 impl FoldedStacks {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of distinct stacks.
     pub fn len(&self) -> usize {
         self.stacks.len()
@@ -53,7 +48,7 @@ impl FoldedStacks {
 
     /// Add `weight` under the stack `frames` (root first). Zero weights
     /// are dropped — the folded format has no use for empty samples.
-    pub fn add(&mut self, frames: &[&str], weight: u64) {
+    pub(crate) fn add(&mut self, frames: &[&str], weight: u64) {
         if weight == 0 || frames.is_empty() {
             return;
         }
@@ -67,7 +62,7 @@ impl FoldedStacks {
     /// timestamp) weight their `blocked-wait` frame by wasted section
     /// time instead, floored at 1 so they stay visible.
     pub fn from_episodes(episodes: &[Episode], names: &BTreeMap<u64, String>) -> Self {
-        let mut out = Self::new();
+        let mut out = Self::default();
         for e in episodes {
             let monitor = match names.get(&e.monitor) {
                 Some(n) => n.clone(),
@@ -106,17 +101,21 @@ impl FoldedStacks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::reconstruct_episodes;
     use crate::event::{Event, EventKind};
+
+    /// The episodes of a whole stream, as every renderer sees them.
+    fn reconstruct_episodes(events: &[Event]) -> Vec<Episode> {
+        crate::Analysis::from_events(events).episodes
+    }
 
     #[test]
     fn add_and_fold_deterministically() {
-        let mut a = FoldedStacks::new();
+        let mut a = FoldedStacks::default();
         a.add(&["lock", "revocation", "undo-walk"], 6);
         a.add(&["lock", "revocation", "blocked-wait"], 2);
         a.add(&["lock", "revocation", "undo-walk"], 4); // accumulates
         a.add(&["lock", "revocation", "restore"], 0); // dropped
-        let mut b = FoldedStacks::new();
+        let mut b = FoldedStacks::default();
         b.add(&["lock", "revocation", "blocked-wait"], 2);
         b.add(&["lock", "revocation", "undo-walk"], 10);
         assert_eq!(a.folded(), b.folded(), "insertion order leaked");
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn reserved_characters_are_sanitized() {
-        let mut f = FoldedStacks::new();
+        let mut f = FoldedStacks::default();
         f.add(&["my lock;2", "revocation", "signal"], 1);
         assert_eq!(f.folded(), "my_lock_2;revocation;signal 1\n");
     }

@@ -14,11 +14,9 @@
 //!   monitor and a `holds` edge from the monitor to its owner; paste
 //!   into Graphviz or an online renderer;
 //! * **JSON** ([`GraphSnapshot::to_json`]) — one edge object per
-//!   blocked thread, the `revmon serve` live-graph payload.
-//!
-//! [`GraphSnapshot::find_cycle`] runs the same chase the deadlock
-//! detector uses, so a snapshot taken after a deadlock-break episode
-//! can assert the break actually worked ([`GraphSnapshot::is_acyclic`]).
+//!   blocked thread, the `revmon serve` live-graph payload, with the
+//!   snapshot's deadlock cycle (or `null`) found by the same chase the
+//!   deadlock detector uses.
 
 use std::collections::BTreeMap;
 
@@ -59,16 +57,11 @@ impl GraphSnapshot {
         GraphSnapshot { edges }
     }
 
-    /// Whether no thread is blocked.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// Find a deadlock cycle in the waiter→holder projection, if any.
     /// Returns the thread ids in cycle order. Same single-successor
     /// chase as the runtimes' detector: O(n²) worst case over a
     /// relation that is in practice tiny.
-    pub fn find_cycle(&self) -> Option<Vec<u64>> {
+    fn find_cycle(&self) -> Option<Vec<u64>> {
         let succ: BTreeMap<u64, u64> = self.edges.iter().map(|e| (e.waiter, e.holder)).collect();
         for &start in succ.keys() {
             let mut path: Vec<u64> = Vec::new();
@@ -85,11 +78,6 @@ impl GraphSnapshot {
             }
         }
         None
-    }
-
-    /// Whether the blocking relation is free of deadlock cycles.
-    pub fn is_acyclic(&self) -> bool {
-        self.find_cycle().is_none()
     }
 
     fn monitor_name(names: &BTreeMap<u64, String>, monitor: u64) -> String {
@@ -216,9 +204,8 @@ mod tests {
     #[test]
     fn chain_is_acyclic_cycle_is_not() {
         let chain = GraphSnapshot::new(vec![edge(1, 10, 2), edge(2, 11, 3)]);
-        assert!(chain.is_acyclic());
+        assert_eq!(chain.find_cycle(), None);
         let cyc = GraphSnapshot::new(vec![edge(1, 10, 2), edge(2, 11, 1)]);
-        assert!(!cyc.is_acyclic());
         let c = cyc.find_cycle().unwrap();
         assert_eq!(c.len(), 2);
         assert!(c.contains(&1) && c.contains(&2));

@@ -689,7 +689,7 @@ mod tests {
 
         // Headers without the extras leave the meta empty (legacy traces).
         let imp = import_trace_jsonl("{\"meta\":\"trace\",\"ts_unit\":\"ticks\",\"version\":1}\n");
-        assert!(imp.run_meta.is_empty());
+        assert_eq!(imp.run_meta, RunMeta::default());
         // A partial governor triple is not a governor config.
         let imp = import_trace_jsonl(
             "{\"meta\":\"trace\",\"ts_unit\":\"ticks\",\"version\":1,\"governor_k\":3}\n",
@@ -717,7 +717,7 @@ mod tests {
         assert_eq!(imp.run_meta.scheduler.as_deref(), Some("demo"));
         assert_eq!(imp.run_meta.recorded, Some(2));
         assert_eq!(imp.run_meta.dropped, Some(1));
-        assert_eq!(imp.run_meta.drop_breakdown(), vec![(0, 1)]);
+        assert_eq!(imp.run_meta.drops_by_producer.as_deref(), Some("0:1"));
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! The formats read back here — trace JSONL lines and `.schedule.json`
 //! artifacts — are flat: objects of unsigned integers, strings and
 //! `null`, plus arrays of integers. [`Reader`] is a pull-style cursor
-//! over exactly that subset: the caller asks for the token it expects
-//! and gets it or an [`Error`] carrying the byte offset, so hostile
-//! input degrades to a positioned message, never a panic. Writers share
-//! [`esc`] for string literals; the per-event ones (`export.rs`) append
-//! byte literals and [`push_u64`]'s digits to a reused byte chunk, the
-//! once-per-run ones stay `format!`-built.
+//! over exactly that subset, plus the unsigned decimals this crate's
+//! writers print (Chrome `ts`/`dur`, the means of the reports), read
+//! only where a caller asks for one: the caller asks for the token it
+//! expects and gets it or an [`Error`] carrying the byte offset, so
+//! hostile input degrades to a positioned message, never a panic.
+//! Writers share [`esc`] for string literals; the per-event ones
+//! (`export.rs`) append byte literals and `push_u64`'s digits to a
+//! reused byte chunk, the once-per-run ones stay `format!`-built.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -42,7 +44,7 @@ impl fmt::Display for Escaped<'_> {
 }
 
 /// Append `n` in decimal — `write!(out, "{n}")` without the formatter.
-pub fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
@@ -95,7 +97,7 @@ impl Value<'_> {
     }
 
     /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -242,6 +244,29 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// An unsigned decimal — digits, then optionally `.` and more
+    /// digits — as this crate writes one: a Chrome timestamp or
+    /// duration (`{:.3}` of microseconds), a report's `{:.1}` or
+    /// `{:.3}` mean. [`Reader::value`] does not take a fraction, so what
+    /// the trace importer accepts does not depend on this.
+    pub fn decimal(&mut self) -> Result<f64, Error> {
+        self.peek();
+        let rest = &self.s.as_bytes()[self.i..];
+        let int = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let frac = match rest.get(int) {
+            Some(b'.') => rest[int + 1..].iter().take_while(|b| b.is_ascii_digit()).count(),
+            _ => 0,
+        };
+        let len = if frac > 0 { int + 1 + frac } else { int };
+        match self.s[self.i..self.i + len].parse() {
+            Ok(x) if int > 0 => {
+                self.i += len;
+                Ok(x)
+            }
+            _ => self.err("an unsigned decimal"),
+        }
+    }
+
     /// Whichever scalar comes next.
     pub fn value(&mut self) -> Result<Value<'a>, Error> {
         match self.peek() {
@@ -331,6 +356,38 @@ mod tests {
             assert_eq!(Reader::new(bad).value().unwrap_err().at, 0, "{bad}");
             assert_eq!(Reader::new(bad).num::<i64>().unwrap_err().at, 0, "{bad}");
         }
+    }
+
+    #[test]
+    fn decimals_read_what_the_writers_print() {
+        for x in [0.0, 0.5, 1.25, 482_815.0, 2.7184, 1e15 + 0.125] {
+            for text in [format!("{x:.1}"), format!("{x:.3}"), format!(" {x:.3} ")] {
+                let want: f64 = text.trim().parse().unwrap();
+                let mut r = Reader::new(&text);
+                assert_eq!(r.decimal(), Ok(want), "{text:?}");
+                assert_eq!(r.end(), Ok(()), "{text:?}");
+            }
+        }
+        assert_eq!(Reader::new("12").decimal(), Ok(12.0));
+        let mut r = Reader::new("[7.000,8.5]");
+        r.begin(b'[').unwrap();
+        assert!(r.more(b']').unwrap());
+        assert_eq!(r.decimal(), Ok(7.0));
+        assert!(r.more(b']').unwrap());
+        assert_eq!(r.decimal(), Ok(8.5));
+        assert_eq!(r.more(b']'), Ok(false));
+        // A dot with no digit after it is not part of the number.
+        let mut r = Reader::new("5.}");
+        assert_eq!(r.decimal(), Ok(5.0));
+        assert_eq!(r.end().unwrap_err().at, 1);
+        // Nor is an exponent: no writer here prints one.
+        assert_eq!(Reader::new("1e3").decimal(), Ok(1.0));
+        for bad in ["-1.5", ".5", "+1", "null", ""] {
+            let e = Reader::new(bad).decimal();
+            assert_eq!(e, Err(Error { at: 0, expected: "an unsigned decimal" }), "{bad}");
+        }
+        // The scalar reader still takes integers only.
+        assert_eq!(Reader::new("1.5").value(), Ok(Value::Num(1)));
     }
 
     #[test]

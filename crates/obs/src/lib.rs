@@ -17,10 +17,10 @@
 //!   with the sink, so `record()` is one relaxed enabled-check, a
 //!   per-thread sequence stamp, and a local ring write — no global
 //!   `fetch_add`, no mutex, no shared cache line between producers.
-//!   Collection passes (inline via
-//!   [`EventSink::sync`]/[`EventSink::drain`], or the background
-//!   [`Collector`] on an epoch cadence) merge the rings into global
-//!   order; the sink only moves events, it derives no numbers from them.
+//!   Collection passes (inline via [`EventSink::drain`] and
+//!   [`EventSink::snapshot`], or the background [`Collector`] on an
+//!   epoch cadence) merge the rings into global order; the sink only
+//!   moves events, it derives no numbers from them.
 //!   Pipeline self-telemetry — per-producer drop counters, collector
 //!   lag/backlog, record-path self-cost — is a [`PipelineStats`]
 //!   snapshot away. A disabled sink costs one relaxed atomic load per
@@ -59,9 +59,9 @@
 //!
 //! * profiling ([`prof`]) — always-on slow-path phase timers
 //!   ([`PhaseTimers`]), wait-for graph snapshots ([`GraphSnapshot`],
-//!   DOT + JSON), per-episode critical paths ([`CriticalPath`]), and
-//!   contention flamegraph export ([`FoldedStacks`], brendangregg
-//!   folded format).
+//!   DOT + JSON), and contention flamegraph export ([`FoldedStacks`],
+//!   brendangregg folded format: each episode's critical path, segment
+//!   by segment).
 //!
 //! See `docs/observability.md`, `docs/analysis.md`, and
 //! `docs/profiling.md` for the end-to-end guides.
@@ -85,14 +85,14 @@ mod sink;
 mod spsc;
 
 pub use analyze::{
-    analysis_json, monitor_label, reconstruct_episodes, write_prometheus, write_report, Analysis,
-    Analyzer, ExactStats, MonitorProfile,
+    analysis_json, monitor_label, write_prometheus, write_report, Analysis, Analyzer, ExactStats,
+    MonitorProfile,
 };
 pub use collect::{Collector, CollectorConfig, CollectorReport, StreamSet};
-pub use episode::{CriticalPath, Episode, Resolution};
+pub use episode::{Episode, Resolution};
 pub use event::{Event, EventKind};
 pub use export::{
-    metrics_json, pipeline_json, write_chrome_trace, write_events_jsonl, write_pipeline_prometheus,
+    metrics_json, write_chrome_trace, write_events_jsonl, write_pipeline_prometheus,
     write_pipeline_table, write_summary, write_trace_jsonl, write_trace_jsonl_with, ChromeStream,
     RunMeta, TraceStream,
 };

@@ -12,7 +12,7 @@
 //!   adds) plus one `Instant` pair per phase — and only on the *slow*
 //!   path; the thin-lock fast paths never touch this module;
 //! * when disabled, an instrumentation site costs one relaxed atomic
-//!   load ([`PhaseTimers::enabled`]) and a branch;
+//!   load (`PhaseTimers::enabled`) and a branch;
 //! * the process-global [`timers()`] instance is **on by default** —
 //!   the CI self-overhead gate (`cargo bench -p revmon-bench --bench
 //!   obs -- --check`) holds the enabled/disabled ratio on the fast-path
@@ -50,31 +50,27 @@ pub enum Phase {
     Requeue,
     /// Fat→thin lock-word transition after the queues drain.
     Deflate,
-    /// Combiner release path: dequeueing submissions and delivering
-    /// results (delegation policy; excludes the sections' own run time).
-    /// No runtime records it — the VM does not time its combiner — but
-    /// `benchmark/src/phases.rs` names this pair.
-    CombinerDrain,
-    /// Executing one delegated section on the combiner.
+    /// Executing one delegated section on the combiner. No runtime
+    /// records it — the VM does not time its combiner — but
+    /// `benchmark/src/phases.rs` names it.
     CombinerExec,
 }
 
 impl Phase {
     /// Every phase, in slow-path order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Inflate,
         Phase::SignalVictim,
         Phase::UndoWalk,
         Phase::Restore,
         Phase::Requeue,
         Phase::Deflate,
-        Phase::CombinerDrain,
         Phase::CombinerExec,
     ];
 
     /// Stable lowercase name (used in reports, JSON, folded stacks and
     /// Prometheus labels).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Inflate => "inflate",
             Phase::SignalVictim => "signal-victim",
@@ -82,7 +78,6 @@ impl Phase {
             Phase::Restore => "restore",
             Phase::Requeue => "requeue",
             Phase::Deflate => "deflate",
-            Phase::CombinerDrain => "combiner-drain",
             Phase::CombinerExec => "combiner-exec",
         }
     }
@@ -95,8 +90,7 @@ impl Phase {
             Phase::Restore => 3,
             Phase::Requeue => 4,
             Phase::Deflate => 5,
-            Phase::CombinerDrain => 6,
-            Phase::CombinerExec => 7,
+            Phase::CombinerExec => 6,
         }
     }
 }
@@ -107,7 +101,7 @@ impl Phase {
 /// never blocks. See the module docs for the cost model.
 pub struct PhaseTimers {
     enabled: AtomicBool,
-    hists: [Histogram; 8],
+    hists: [Histogram; Phase::ALL.len()],
 }
 
 impl Default for PhaseTimers {
@@ -122,23 +116,14 @@ impl PhaseTimers {
     pub fn new() -> Self {
         PhaseTimers {
             enabled: AtomicBool::new(true),
-            hists: [
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-                Histogram::new(),
-            ],
+            hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
     /// Whether recording is on. One relaxed load — the whole cost of a
     /// disabled instrumentation site.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -205,7 +190,7 @@ impl PhaseTimers {
 
     /// The per-phase stats as one JSON object (embedded in metrics-JSON
     /// under `"revocation_phases_ns"`).
-    pub fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         let mut out = String::from("{");
         let fields: Vec<String> = Phase::ALL
             .iter()

@@ -29,8 +29,9 @@
 //! overwriting the oldest, and every producer counts its own drops:
 //! [`EventSink::dropped`] is the sum over rings, the same number a
 //! consumer can independently derive from gaps in the per-thread
-//! sequence stream, and [`EventSink::drop_breakdown`] attributes it per
-//! producer. Counters are cumulative — draining never resets them.
+//! sequence stream, and [`PipelineStats::drops_by_producer`] attributes
+//! it per producer. Counters are cumulative — draining never resets
+//! them.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -67,7 +68,7 @@ pub enum TsUnit {
 impl TsUnit {
     /// Convert a timestamp to Chrome-trace microseconds. Virtual ticks
     /// render as 1 tick = 1 µs so traces stay readable.
-    pub fn to_micros(self, ts: u64) -> f64 {
+    pub(crate) fn to_micros(self, ts: u64) -> f64 {
         match self {
             TsUnit::VirtualTicks => ts as f64,
             TsUnit::WallNanos => ts as f64 / 1000.0,
@@ -75,7 +76,7 @@ impl TsUnit {
     }
 
     /// Unit suffix for human-readable summaries.
-    pub fn suffix(self) -> &'static str {
+    pub(crate) fn suffix(self) -> &'static str {
         match self {
             TsUnit::VirtualTicks => "ticks",
             TsUnit::WallNanos => "ns",
@@ -222,7 +223,7 @@ impl EventSink {
     /// Whether recording is on. One relaxed load — this is the whole
     /// cost of a disabled event site.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -233,9 +234,11 @@ impl EventSink {
 
     /// Cap the retained (snapshot) buffer at `n` merged events; the
     /// oldest past the cap are trimmed and counted. Long-running
-    /// `serve`/`demo --watch` set this so memory stays bounded.
-    pub fn set_retain(&self, n: usize) {
-        self.collect_guard().retain = n;
+    /// `serve`/`demo --watch` set this through
+    /// [`CollectorConfig::retain`](crate::CollectorConfig::retain) so
+    /// memory stays bounded.
+    pub(crate) fn set_retain(&self, n: usize) {
+        lock_clean(&self.collect).retain = n;
     }
 
     /// Record one event into the calling thread's ring. Lock-free after
@@ -279,38 +282,26 @@ impl EventSink {
         });
     }
 
-    /// Events accepted into rings: what a complete drain observes (plus
-    /// anything trimmed from the retained buffer). Excludes drops.
-    pub fn recorded(&self) -> u64 {
-        lock_clean(&self.rings).iter().map(|r| r.recorded()).sum()
-    }
-
     /// Events dropped because a producer's ring was full. Cumulative;
     /// draining does not reset it. Always equals the sum of
-    /// [`EventSink::drop_breakdown`] and the number of gaps in the
-    /// per-thread sequence streams.
+    /// [`PipelineStats::drops_by_producer`] and the number of gaps in
+    /// the per-thread sequence streams.
     pub fn dropped(&self) -> u64 {
         lock_clean(&self.rings).iter().map(|r| r.dropped()).sum()
-    }
-
-    /// Per-producer `(producer id, dropped)` pairs, id order. One entry
-    /// per registered producer thread, zero or not.
-    pub fn drop_breakdown(&self) -> Vec<(u64, u64)> {
-        lock_clean(&self.rings).iter().map(|r| (r.producer(), r.dropped())).collect()
     }
 
     /// Run one collection pass inline: drain every ring, merge, append
     /// to the retained buffer. The same pass the background collector
     /// runs on its epoch cadence.
-    pub fn sync(&self) {
-        let mut st = self.collect_guard();
+    pub(crate) fn sync(&self) {
+        let mut st = lock_clean(&self.collect);
         self.collect_locked(&mut st);
     }
 
     /// Collect, then remove and return all retained events in merged
     /// order. Counters are not reset.
     pub fn drain(&self) -> Vec<Event> {
-        let mut st = self.collect_guard();
+        let mut st = lock_clean(&self.collect);
         self.collect_locked(&mut st);
         std::mem::take(&mut st.buffer).into()
     }
@@ -319,7 +310,7 @@ impl EventSink {
     /// consuming them: watchers (`demo --watch`, `serve`) observe the
     /// stream without stealing events from `--trace-out` or `drain()`.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut st = self.collect_guard();
+        let mut st = lock_clean(&self.collect);
         self.collect_locked(&mut st);
         st.buffer.iter().copied().collect()
     }
@@ -328,14 +319,14 @@ impl EventSink {
     /// collection pass routes its merged batch through the hook,
     /// whichever thread runs the pass.
     pub(crate) fn set_stream(&self, f: Option<StreamHook>) {
-        self.collect_guard().stream = f;
+        lock_clean(&self.collect).stream = f;
     }
 
     /// Pipeline self-telemetry snapshot. Does not run a pass; gauges
     /// reflect the rings and collector state as they are now.
     pub fn pipeline_stats(&self) -> PipelineStats {
         let rings = lock_clean(&self.rings);
-        let st = self.collect_guard();
+        let st = lock_clean(&self.collect);
         PipelineStats {
             producers: rings.len() as u64,
             recorded: rings.iter().map(|r| r.recorded()).sum(),
@@ -354,13 +345,6 @@ impl EventSink {
                 self.self_cost.percentile(99.0),
                 self.self_cost.max(),
             ),
-        }
-    }
-
-    fn collect_guard(&self) -> MutexGuard<'_, CollectState> {
-        match self.collect.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
         }
     }
 
@@ -434,8 +418,9 @@ mod tests {
         sink.set_enabled(false);
         sink.record(ev(1, 1));
         assert!(sink.drain().is_empty());
-        assert_eq!(sink.recorded(), 0);
-        assert_eq!(sink.pipeline_stats().epochs, 1, "one pass ran and found nothing");
+        let stats = sink.pipeline_stats();
+        assert_eq!(stats.recorded, 0);
+        assert_eq!(stats.epochs, 1, "one pass ran and found nothing");
     }
 
     #[test]
@@ -465,16 +450,16 @@ mod tests {
             sink.record(ev(i, 0));
         }
         // One producer: 4 accepted, 6 dropped; every view agrees.
-        assert_eq!(sink.recorded(), 4);
+        let stats = sink.pipeline_stats();
+        assert_eq!((stats.recorded, stats.dropped), (4, 6));
+        assert_eq!(stats.drops_by_producer, vec![(0, 6)]);
         assert_eq!(sink.dropped(), 6);
-        assert_eq!(sink.drop_breakdown(), vec![(0, 6)]);
-        assert_eq!(sink.pipeline_stats().dropped, 6);
         // Draining frees ring space but resets no counter.
         assert_eq!(sink.drain().len(), 4);
         assert_eq!(sink.dropped(), 6);
         sink.record(ev(10, 0));
-        assert_eq!(sink.recorded(), 5);
-        assert_eq!(sink.dropped(), 6);
+        let stats = sink.pipeline_stats();
+        assert_eq!((stats.recorded, stats.dropped), (5, 6));
     }
 
     #[test]

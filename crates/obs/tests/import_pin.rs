@@ -30,7 +30,7 @@
 mod spellings;
 
 use revmon_core::fnv1a;
-use revmon_obs::{import_trace_jsonl, write_events_jsonl, Event, EventKind, TraceImport};
+use revmon_obs::{import_trace_jsonl, write_events_jsonl, Event, EventKind, RunMeta, TraceImport};
 use std::fmt::Write as _;
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -149,7 +149,7 @@ fn render(events: &[Event], imp: &TraceImport) -> String {
     if let Some(unit) = imp.ts_unit {
         out.push(format!("ts_unit: {unit:?}"));
     }
-    if !imp.run_meta.is_empty() {
+    if imp.run_meta != RunMeta::default() {
         out.push(format!("run_meta: {:?}", imp.run_meta));
     }
     if out.is_empty() {

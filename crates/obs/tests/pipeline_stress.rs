@@ -68,14 +68,14 @@ fn record_while_draining_loses_nothing_untracked() {
     let seen = drainer.join().unwrap();
 
     // Accounting: everything attempted is either seen or counted dropped.
-    let recorded = sink.recorded();
-    let dropped = sink.dropped();
+    let stats = sink.pipeline_stats();
+    let (recorded, dropped) = (stats.recorded, stats.dropped);
     assert_eq!(recorded + dropped, PRODUCERS * PER_PRODUCER, "attempts unaccounted");
     assert_eq!(seen.len() as u64, recorded, "drained events != recorded counter");
+    assert_eq!(sink.dropped(), dropped);
 
     // The per-producer breakdown sums to the total.
-    let breakdown = sink.drop_breakdown();
-    assert_eq!(breakdown.iter().map(|(_, d)| d).sum::<u64>(), dropped);
+    assert_eq!(stats.drops_by_producer.iter().map(|(_, d)| d).sum::<u64>(), dropped);
 
     // Per-producer stream discipline: strictly increasing emission
     // counters (order preserved, no duplicates), and the number of gaps
@@ -105,7 +105,13 @@ fn record_while_draining_loses_nothing_untracked() {
 fn snapshot_watchers_do_not_perturb_the_stream() {
     const PER_PRODUCER: u64 = 5_000;
     let sink = Arc::new(EventSink::new(TsUnit::WallNanos));
-    sink.set_retain(1024);
+    // Retention as `demo --watch` sets it; the hour-long epoch leaves
+    // every pass to the watcher.
+    let collector = Collector::start(
+        Arc::clone(&sink),
+        CollectorConfig { epoch: Duration::from_secs(3600), retain: Some(1024) },
+        StreamSet::none(),
+    );
     let done = Arc::new(AtomicBool::new(false));
 
     // A watcher polling snapshots concurrently with production — the
@@ -149,7 +155,7 @@ fn snapshot_watchers_do_not_perturb_the_stream() {
     // case drops are *counted*, not silent).
     let stats = sink.pipeline_stats();
     assert_eq!(stats.recorded + stats.dropped, 4 * PER_PRODUCER);
-    sink.sync();
+    collector.stop(&std::collections::BTreeMap::new(), &RunMeta::default()).unwrap();
     let stats = sink.pipeline_stats();
     assert_eq!(stats.retained + stats.trimmed, stats.recorded, "snapshot stole events");
 }
@@ -245,13 +251,13 @@ fn stop_streams_rings_registered_during_the_final_passes() {
         sink.record(stamped(1, i, 1_000_000_000 + i));
     }
     // Streams thread 1's events; producer 9's ring registers mid-pass.
-    sink.sync();
+    sink.snapshot();
     // stop(): the collector thread's wake-up pass streams producer 9
     // (registering producer 10 mid-pass), and the catch-up passes must
     // then chase producers 10 and 11 into the stream before finishing.
     let report = collector.stop(&std::collections::BTreeMap::new(), &RunMeta::default()).unwrap();
 
-    let recorded = sink.recorded();
+    let recorded = sink.pipeline_stats().recorded;
     assert_eq!(recorded, 50 + 3 * 100, "all four producers recorded");
     assert_eq!(sink.dropped(), 0);
     assert_eq!(

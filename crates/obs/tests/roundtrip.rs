@@ -3,8 +3,8 @@
 //! to counted warnings plus a usable analysis — never a panic.
 
 use revmon_obs::{
-    import_trace_jsonl, reconstruct_episodes, write_trace_jsonl, write_trace_jsonl_with, Analysis,
-    Event, EventKind, EventSink, Resolution, RunMeta, TraceImport, TsUnit,
+    import_trace_jsonl, write_trace_jsonl, write_trace_jsonl_with, Analysis, Event, EventKind,
+    EventSink, Resolution, RunMeta, TraceImport, TsUnit,
 };
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -113,15 +113,16 @@ fn ring_overflow_shows_up_in_the_trace_meta_header() {
     }
     // Drop-newest rings: 2 accepted, 8 refused — and the counters agree
     // with the per-producer breakdown.
-    assert_eq!(sink.recorded(), 2);
+    let stats = sink.pipeline_stats();
+    assert_eq!((stats.recorded, stats.dropped), (2, 8));
     assert_eq!(sink.dropped(), 8);
-    assert_eq!(sink.drop_breakdown(), vec![(0, 8)]);
+    assert_eq!(stats.drops_by_producer, vec![(0, 8)]);
 
     let events = sink.drain();
     assert_eq!(events.len(), 2);
     let meta = RunMeta {
-        recorded: Some(sink.recorded()),
-        dropped: Some(sink.dropped()),
+        recorded: Some(stats.recorded),
+        dropped: Some(stats.dropped),
         ..RunMeta::default()
     };
     let mut buf = Vec::new();
@@ -159,12 +160,10 @@ fn corrupt_fixture_degrades_to_counted_warnings() {
     assert_eq!(imp.damaged.iter().copied().collect::<Vec<_>>(), [(9, 3)]);
 
     // The surviving events still analyze into the expected episode.
-    let episodes = reconstruct_episodes(&imp.events);
-    assert_eq!(episodes.len(), 1);
-    assert_eq!(episodes[0].resolution, Resolution::Revocation);
-    assert_eq!(episodes[0].wasted_entries, 4);
-
     let a = Analysis::from_events(&imp.events);
+    assert_eq!(a.episodes.len(), 1);
+    assert_eq!(a.episodes[0].resolution, Resolution::Revocation);
+    assert_eq!(a.episodes[0].wasted_entries, 4);
     assert_eq!(a.revocation_episodes(), 1);
     assert_eq!(a.profiles[0].monitor, 3);
 }

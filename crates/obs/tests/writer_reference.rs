@@ -93,9 +93,13 @@ fn reference_jsonl(events: &[Event]) -> String {
 }
 
 /// The microsecond text of the interval from `since` to `ts`, as the
-/// float formatter prints it.
+/// float formatter prints it (a virtual tick draws as one microsecond).
 fn micros(unit: TsUnit, since: u64, ts: u64) -> String {
-    format!("{:.3}", unit.to_micros(ts) - unit.to_micros(since))
+    let us = |t: u64| match unit {
+        TsUnit::VirtualTicks => t as f64,
+        TsUnit::WallNanos => t as f64 / 1000.0,
+    };
+    format!("{:.3}", us(ts) - us(since))
 }
 
 #[derive(Clone, Copy)]

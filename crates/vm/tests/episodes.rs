@@ -4,7 +4,7 @@
 //! work, and the philosophers' deadlock classifies as a deadlock-break.
 
 use revmon_core::Priority;
-use revmon_obs::{reconstruct_episodes, write_report, Analysis, Resolution, TsUnit};
+use revmon_obs::{write_report, Analysis, Resolution, TsUnit};
 use revmon_vm::{assemble, Vm, VmConfig};
 
 /// Assemble and run a corpus program on the modified VM, traced; return
@@ -34,7 +34,7 @@ fn priority_inversion_episode_report_is_byte_stable() {
     assert_eq!(e.requester, 2, "high-priority thread requests");
     assert!(e.wasted_entries > 0, "revocation must roll back undo entries");
     assert!(e.wasted_time > 0, "discarded section time must be accounted");
-    assert_eq!(e.latency(), Some(6868), "inversion latency in virtual ticks");
+    assert_eq!(e.end, Some(e.start + 6868), "inversion latency in virtual ticks");
     assert_eq!(e.wasted_entries, 3334);
 
     // Then the whole report, byte for byte: virtual-tick determinism
@@ -59,7 +59,7 @@ fn priority_inversion_trace_is_deterministic_across_runs() {
 #[test]
 fn deadlock_classifies_as_deadlock_break() {
     let (vm, events) = traced_run("deadlock.rvm");
-    let episodes = reconstruct_episodes(&events);
+    let episodes = Analysis::from_events(&events).episodes;
     assert_eq!(episodes.len(), 1, "episodes: {episodes:?}");
     let e = &episodes[0];
     assert_eq!(e.resolution, Resolution::DeadlockBreak);

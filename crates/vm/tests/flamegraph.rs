@@ -23,7 +23,7 @@ fn folded_stacks_attribute_the_inversion_to_the_contended_monitor() {
 
     let events = vm.take_trace();
     let names = vm.monitor_names();
-    let episodes = revmon_obs::reconstruct_episodes(&events);
+    let episodes = revmon_obs::Analysis::from_events(&events).episodes;
     assert!(!episodes.is_empty(), "the scenario must produce an inversion episode");
 
     let stacks = FoldedStacks::from_episodes(&episodes, &names);

@@ -47,9 +47,12 @@ fn deadlock_cycle_appears_in_dot_and_clears_after_the_break() {
         assert_well_formed_dot(&snap.to_dot(&names));
         // The break is synchronous with cycle formation, so every
         // between-rounds snapshot must already be acyclic again.
-        assert!(snap.is_acyclic(), "unbroken cycle leaked out of a round");
-        assert!(snap.to_json(&names).contains("\"deadlock_cycle\": null"));
-        if !snap.is_empty() {
+        let json = snap.to_json(&names);
+        assert!(
+            json.contains("\"deadlock_cycle\": null"),
+            "unbroken cycle leaked out of a round:\n{json}"
+        );
+        if !snap.edges.is_empty() {
             saw_edges = true;
             // Blocked philosophers wait on the named chopstick monitors.
             let dot = snap.to_dot(&names);
@@ -64,8 +67,7 @@ fn deadlock_cycle_appears_in_dot_and_clears_after_the_break() {
     let report = vm.report();
     assert!(report.global.deadlocks_broken >= 1, "breaker did not fire");
     let last = vm.wait_graph_snapshot();
-    assert!(last.is_acyclic(), "cycle survived the break");
-    assert!(last.is_empty(), "threads still blocked after completion");
+    assert!(last.edges.is_empty(), "threads still blocked after completion");
     assert!(last.to_json(&vm.monitor_names()).contains("\"deadlock_cycle\": null"));
 }
 
